@@ -12,15 +12,17 @@ produced here reproducible.
 from __future__ import annotations
 
 import itertools
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
 from .errors import GroupMismatch, NotAComplex
 
-#: When True, every Smith decomposition is re-checked (U@M@V == S and
-#: |det U| = |det V| = 1).  Switched on by the CLI's --verify full.
-VERIFY_SNF = False
+#: When true, every Smith decomposition is re-checked (U@M@V == S and
+#: |det U| = |det V| = 1).  The CLI's --verify full sets it for one
+#: command; being a context variable, it never leaks into other threads.
+SNF_VERIFY = ContextVar("cechlift_snf_verify", default=False)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +82,7 @@ def det_int(m):
 def snf_full(mat):
     """(U, S, V, Uinv, Vinv) with U@mat@V = S, optionally re-verified."""
     u, s, v, uinv, vinv = kernels.snf_with_transforms(mat)
-    if VERIFY_SNF:
+    if SNF_VERIFY.get():
         if mat and mat_mul(mat_mul(u, mat), v) != s:
             raise AssertionError("SNF product check failed")
         if abs(det_int(u)) != 1 or abs(det_int(v)) != 1:
@@ -98,54 +100,66 @@ def smith_normal_form(mat):
     return u, s, v
 
 
-def _diag_rank(s):
-    r = 0
-    while r < len(s) and r < (len(s[r]) if s else 0) and s[r][r] != 0:
-        r += 1
-    return r
+def _diagonal(s):
+    """The nonzero diagonal entries of a Smith form, in order."""
+    out = []
+    for i, row in enumerate(s):
+        if i >= len(row) or not row[i]:
+            break
+        out.append(row[i])
+    return out
 
 
-def solve_integer(mat, b, ncols=None):
-    """A particular integer solution x of mat @ x = b, or None.
+def _back_substitute(u, diag, b, ring, v=None):
+    """The canonical solution of M x = b from a factorization U M V = S.
 
-    Deterministic representative: free coordinates of the diagonalized
-    system are set to zero and the solution is mapped back through V.
+    ``diag`` is the nonzero diagonal of S and ``ring`` one of "Z", "Q"
+    and "Q/Z".  With t = U b, the entries of t past the rank must vanish
+    (Z, Q) or be integers (Q/Z); pivot coordinates are t_j / s_j, which
+    over Z must be integers, and free coordinates are zero.  Returns
+    x = V y, reduced mod 1 over Q/Z, or y itself when ``v`` is None (the
+    coordinates of b in the lattice basis s_j * (column j of U^-1)).
     """
-    m = len(mat)
-    n = ncols if ncols is not None else (len(mat[0]) if m else 0)
-    if m == 0:
-        return [0] * n
-    u, s, v, _, _ = snf_full(mat)
     t = mat_vec(u, b)
-    r = _diag_rank(s)
-    y = [0] * n
-    for j in range(r):
-        q, rem = divmod(t[j], s[j][j])
-        if rem:
+    r = len(diag)
+    if ring == "Q/Z":
+        if any(tj.denominator != 1 for tj in t[r:]):
             return None
-        y[j] = q
-    for j in range(r, m):
-        if t[j] != 0:
-            return None
-    return mat_vec(v, y)
+    elif any(t[r:]):
+        return None
+    if ring == "Z":
+        y = []
+        for tj, sj in zip(t, diag):
+            q, rem = divmod(tj, sj)
+            if rem:
+                return None
+            y.append(q)
+        zero = 0
+    else:
+        y = [Fraction(tj) / sj for tj, sj in zip(t, diag)]
+        zero = Fraction(0)
+    if v is None:
+        return y
+    x = mat_vec(v, y + [zero] * (len(v) - r))
+    return [xi % 1 for xi in x] if ring == "Q/Z" else x
 
 
-def solve_rational(mat, b, ncols=None):
-    """A particular rational solution of mat @ x = b, or None."""
+def solve(mat, b, ring, ncols=None):
+    """A particular solution x of mat @ x = b over Z, Q or Q/Z, or None.
+
+    ``ring`` is "Z" (integer x), "Q" (rational x) or "Q/Z" (rational x
+    with the equations taken mod 1, entries reduced into [0, 1)).  The
+    representative is the canonical one of Smith back-substitution:
+    free coordinates of the diagonalized system are zero.
+    """
+    if ring not in ("Z", "Q", "Q/Z"):
+        raise ValueError(f"unknown ring {ring!r}; expected 'Z', 'Q' or 'Q/Z'")
     m = len(mat)
     n = ncols if ncols is not None else (len(mat[0]) if m else 0)
     if m == 0:
-        return [Fraction(0)] * n
+        return [0 if ring == "Z" else Fraction(0)] * n
     u, s, v, _, _ = snf_full(mat)
-    t = [sum(Fraction(u[i][k]) * b[k] for k in range(m)) for i in range(m)]
-    r = _diag_rank(s)
-    y = [Fraction(0)] * n
-    for j in range(r):
-        y[j] = t[j] / s[j][j]
-    for j in range(r, m):
-        if t[j] != 0:
-            return None
-    return [sum(Fraction(v[i][k]) * y[k] for k in range(n)) for i in range(n)]
+    return _back_substitute(u, _diagonal(s), b, ring, v)
 
 
 def solve_linear(mat, b, moduli, ncols=None):
@@ -167,7 +181,7 @@ def solve_linear(mat, b, moduli, ncols=None):
         if md:
             for r in range(m):
                 aug[r].append(md if r == i else 0)
-    sol = solve_integer(aug, b, ncols=n + sum(1 for md in moduli if md))
+    sol = solve(aug, b, "Z", ncols=n + sum(1 for md in moduli if md))
     if sol is None:
         return None
     return sol[:n]
@@ -180,34 +194,15 @@ def kernel_basis(mat, ncols=None):
     if m == 0:
         return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     _, s, v, _, _ = snf_full(mat)
-    r = _diag_rank(s)
+    r = len(_diagonal(s))
     return [[v[i][j] for i in range(n)] for j in range(r, n)]
 
 
-def column_space_basis(cols, length):
-    """Independent columns spanning the lattice generated by ``cols``.
-
-    ``cols`` is a list of integer vectors of the given length.
-    """
-    if not cols:
-        return []
-    mat = [[col[i] for col in cols] for i in range(length)]
-    _, s, _, uinv, _ = snf_full(mat)
-    r = _diag_rank(s)
-    return [[uinv[i][j] * s[j][j] for i in range(length)] for j in range(r)]
-
-
-def lattice_contains(basis_cols, vec, length):
-    """Whether vec lies in the lattice generated by basis_cols."""
-    if not basis_cols:
-        return all(x == 0 for x in vec)
-    mat = [[col[i] for col in basis_cols] for i in range(length)]
-    return solve_integer(mat, vec, ncols=len(basis_cols)) is not None
-
-
 def lattices_equal(gens_a, gens_b, length):
-    return all(lattice_contains(gens_a, g, length) for g in gens_b) and all(
-        lattice_contains(gens_b, g, length) for g in gens_a
+    a = presentation_from_relations(length, gens_a)
+    b = presentation_from_relations(length, gens_b)
+    return all(a.lattice_coords(g) is not None for g in gens_b) and all(
+        b.lattice_coords(g) is not None for g in gens_a
     )
 
 
@@ -443,17 +438,31 @@ def is_zero_value(group, value):
 
 @dataclass
 class Presentation:
-    """Z^n modulo the lattice spanned by relation columns, canonicalized.
+    """One Smith factorization U @ M @ V = S of a matrix M of columns in Z^n.
 
-    ``group`` is the invariant-factor quotient; ``coords_of`` maps an
-    integer vector to its coordinates there; ``generators`` lifts each
-    canonical generator back to Z^n.
+    The columns of M generate a lattice L; ``_umatrix`` is U, ``_uinv``
+    its inverse and ``_diag`` the nonzero diagonal of S (V and S are not
+    kept).  They give the basis of L, the coordinates of a vector in that
+    basis, and the invariant-factor quotient Z^n / L: ``group``,
+    ``coords_of`` (an integer vector's coordinates there) and
+    ``generators`` (each canonical generator lifted back to Z^n).
     """
 
     group: FgAbelianGroup
     _umatrix: list
     _kept: list
     _uinv: list
+    _diag: list
+
+    @property
+    def basis(self):
+        """Independent columns spanning L: s_j times column j of U^-1."""
+        n = len(self._uinv)
+        return [[self._uinv[i][j] * d for i in range(n)] for j, d in enumerate(self._diag)]
+
+    def lattice_coords(self, vec):
+        """Coordinates of vec in ``basis``, or None when vec is not in L."""
+        return _back_substitute(self._umatrix, self._diag, vec, "Z")
 
     def coords_of(self, vec):
         full = mat_vec(self._umatrix, vec)
@@ -472,19 +481,19 @@ class Presentation:
 
 
 def presentation_from_relations(n, relation_cols):
-    """Present Z^n / <relation columns> in invariant-factor form."""
+    """Factor the lattice spanned by the given columns of Z^n, once."""
     if relation_cols:
         rel = [[col[i] for col in relation_cols] for i in range(n)]
         u, s, _, uinv, _ = snf_full(rel)
-        r = _diag_rank(s)
-        diag = [s[i][i] for i in range(r)] + [0] * (n - r)
+        nonzero = _diagonal(s)
     else:
         u = identity_matrix(n)
         uinv = identity_matrix(n)
-        diag = [0] * n
+        nonzero = []
+    diag = nonzero + [0] * (n - len(nonzero))
     kept = [i for i, d in enumerate(diag) if d != 1]
     moduli = tuple(diag[i] for i in kept)
-    return Presentation(FgAbelianGroup(moduli), u, kept, uinv)
+    return Presentation(FgAbelianGroup(moduli), u, kept, uinv, nonzero)
 
 
 def canonical_group(raw_moduli):
@@ -575,11 +584,10 @@ class Homomorphism:
         )
 
     def is_surjective(self):
-        n = self.codomain.rank
         gens = [
             [row[k] for row in self.matrix] for k in range(self.domain.rank)
         ] + _relation_lattice(self.codomain.moduli)
-        return lattices_equal(gens, [[1 if i == j else 0 for i in range(n)] for j in range(n)], n)
+        return presentation_from_relations(self.codomain.rank, gens).group.is_trivial()
 
 
 @dataclass(frozen=True)
@@ -648,29 +656,31 @@ class ShortExactSequence:
 
 @dataclass
 class CyclicFactorCohomology:
-    """ker/im data for one cyclic coefficient factor Z/m (m=0 is Z)."""
+    """ker/im data for one cyclic coefficient factor Z/m (m=0 is Z).
+
+    ``cocycles`` factors the cocycle lattice in Z^dim; ``presentation``
+    is the quotient by the coboundaries, in coordinates of its basis.
+    """
 
     modulus: int
     dim: int
-    zbasis: list          # independent columns spanning the cocycle lattice
+    cocycles: Presentation
     presentation: Presentation
 
     def coords_of(self, vec):
         """Quotient coordinates of an integer cocycle vector."""
-        if not self.zbasis:
-            return ()
-        mat = [[col[i] for col in self.zbasis] for i in range(self.dim)]
-        t = solve_integer(mat, vec, ncols=len(self.zbasis))
+        t = self.cocycles.lattice_coords(vec)
         if t is None:
             raise ValueError("vector is not a cocycle for this coefficient factor")
         return self.presentation.coords_of(t)
 
     def generator_vectors(self):
         """One cocycle vector per invariant factor of the quotient."""
+        basis = self.cocycles.basis
         out = []
         for gen in self.presentation.generators:
             vec = [0] * self.dim
-            for j, col in enumerate(self.zbasis):
+            for j, col in enumerate(basis):
                 for i in range(self.dim):
                     vec[i] += gen[j] * col[i]
             out.append(vec)
@@ -688,23 +698,19 @@ def cyclic_cohomology(d_prev, d_next, modulus, dim):
         basis = kernel_basis(aug, ncols=dim + k)
         zgens = [col[:dim] for col in basis]
         zgens.extend([[modulus if i == j else 0 for i in range(dim)] for j in range(dim)])
-    zbasis = column_space_basis(zgens, dim)
+    cocycles = presentation_from_relations(dim, zgens)
     # coboundary lattice, expressed in the cocycle basis
     bgens = [[row[j] for row in d_prev] for j in range(len(d_prev[0]) if d_prev else 0)]
     if modulus:
         bgens.extend([[modulus if i == j else 0 for i in range(dim)] for j in range(dim)])
-    if zbasis:
-        zmat = [[col[i] for col in zbasis] for i in range(dim)]
-        rel = []
-        for g in bgens:
-            t = solve_integer(zmat, g, ncols=len(zbasis))
-            if t is None:
-                raise NotAComplex("coboundaries do not lie inside cocycles")
-            rel.append(t)
-    else:
-        rel = []
-    pres = presentation_from_relations(len(zbasis), rel)
-    return CyclicFactorCohomology(modulus, dim, zbasis, pres)
+    rel = []
+    for g in bgens:
+        t = cocycles.lattice_coords(g)
+        if t is None:
+            raise NotAComplex("coboundaries do not lie inside cocycles")
+        rel.append(t)
+    pres = presentation_from_relations(len(cocycles._diag), rel)
+    return CyclicFactorCohomology(modulus, dim, cocycles, pres)
 
 
 def _check_complex(d_prev, d_next, moduli):

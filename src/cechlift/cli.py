@@ -68,8 +68,7 @@ def _goodness_line(cover, nrv, max_degree=None):
     rep = verify_good_cover(cover, nrv, max_degree)
     if rep.ok:
         return f"good cover: yes (acyclic intersections up to degree {rep.max_degree})"
-    bad = ", ".join(f"{s} H^{q}={h}" for s, q, h in rep.failures[:4])
-    return f"good cover: NO ({bad})"
+    return f"good cover: NO ({rep.describe()})"
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +451,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    abelian.VERIFY_SNF = getattr(args, "verify", "fast") == "full"
+    token = abelian.SNF_VERIFY.set(getattr(args, "verify", "fast") == "full")
     try:
         return args.func(args)
     except UsageError as exc:
@@ -462,7 +461,7 @@ def main(argv=None):
         sys.stderr.write(f"error [{type(exc).__name__}]: {exc}\n")
         return 1
     finally:
-        abelian.VERIFY_SNF = False
+        abelian.SNF_VERIFY.reset(token)
 
 
 if __name__ == "__main__":

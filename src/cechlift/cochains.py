@@ -174,11 +174,6 @@ def _fg_vectors(x, simps):
     return vecs
 
 
-def _delta_matrix(carrier, p):
-    """Coboundary matrix from degree p to p+1 (rows = (p+1)-simplices)."""
-    return carrier.coboundary_matrix(p)
-
-
 def is_coboundary(x):
     """A witness y with delta y = x, or None.
 
@@ -195,7 +190,7 @@ def is_coboundary(x):
         return zero_cochain(x.carrier, 0, x.group) if x.is_zero() else None
     rows = x.carrier.simplices_of_dim(p)
     cols = x.carrier.simplices_of_dim(p - 1)
-    delta = _delta_matrix(x.carrier, p - 1)
+    delta = x.carrier.coboundary_matrix(p - 1)
     if isinstance(x.group, FgAbelianGroup):
         vecs = _fg_vectors(x, rows)
         per_factor = []
@@ -209,44 +204,18 @@ def is_coboundary(x):
             values[s] = GroupElement(x.group, tuple(f[i] for f in per_factor))
         return Cochain(x.carrier, p - 1, x.group, values)
     if isinstance(x.group, CircleGroup):
-        sol = _circle_solve(delta, [x.value(s).value for s in rows], len(cols))
+        sol = abelian.solve(delta, [x.value(s).value for s in rows], "Q/Z", ncols=len(cols))
         if sol is None:
             return None
         return Cochain(
             x.carrier, p - 1, x.group, {s: CircleElement(sol[i]) for i, s in enumerate(cols)}
         )
     if isinstance(x.group, RationalGroup):
-        sol = abelian.solve_rational(delta, [x.value(s) for s in rows], ncols=len(cols))
+        sol = abelian.solve(delta, [x.value(s) for s in rows], "Q", ncols=len(cols))
         if sol is None:
             return None
         return Cochain(x.carrier, p - 1, x.group, dict(zip(cols, sol)))
     raise GroupMismatch("unsupported coefficient group")
-
-
-def _circle_solve(mat, b, ncols):
-    """Solve mat @ y = b mod 1 for rational y, or None.
-
-    With U mat V = S, a solution exists iff (U b) is integral on the
-    zero rows of S; the canonical witness takes vanishing free
-    coordinates and pivot coordinates (U b)_i / S_ii, reduced mod 1.
-    """
-    m = len(mat)
-    if m == 0:
-        return [Fraction(0)] * ncols
-    u, s, v, _, _ = abelian.snf_full(mat)
-    t = [sum(Fraction(u[i][k]) * b[k] for k in range(m)) for i in range(m)]
-    rank = 0
-    while rank < min(m, ncols) and s[rank][rank] != 0:
-        rank += 1
-    for i in range(rank, m):
-        if t[i].denominator != 1:
-            return None
-    w = [Fraction(0)] * ncols
-    for i in range(rank):
-        w[i] = t[i] / s[i][i]
-    return [
-        sum(Fraction(v[i][k]) * w[k] for k in range(ncols)) % 1 for i in range(ncols)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +266,8 @@ def cohomology_classes(carrier, coefficients, p):
     if p < 0:
         raise DegreeMismatch("negative degree")
     dim = len(carrier.simplices_of_dim(p))
-    ncols_prev = len(carrier.simplices_of_dim(p - 1)) if p > 0 else 0
-    d_prev = _delta_matrix(carrier, p - 1) if p > 0 else [[] for _ in range(dim)]
-    if p == 0:
-        d_prev = [[] for _ in range(dim)]
-    d_next = _delta_matrix(carrier, p)
+    d_prev = carrier.coboundary_matrix(p - 1) if p > 0 else [[] for _ in range(dim)]
+    d_next = carrier.coboundary_matrix(p)
     data = abelian.cohomology_with_coords(d_prev, d_next, coefficients, dim)
     return CohomologyClasses(carrier, p, coefficients, data)
 
@@ -399,6 +365,10 @@ class GoodnessReport:
     @property
     def ok(self):
         return not self.failures
+
+    def describe(self):
+        """The first four failures as text: ``(0, 1) H^1=Z, (0, 2) H^1=Z, ...``."""
+        return ", ".join(f"{s} H^{q}={h}" for s, q, h in self.failures[:4])
 
 
 def verify_good_cover(cover, nerve_, max_degree=None):

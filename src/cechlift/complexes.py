@@ -19,6 +19,24 @@ from .errors import (
 )
 
 
+def _coboundary_matrix(carrier, p):
+    """Rows = (p+1)-simplices, columns = p-simplices, entries (-1)^j.
+
+    Shared by SimplicialComplex and Nerve, whose simplices are both
+    increasing tuples listed by ``simplices_of_dim``.
+    """
+    rows = carrier.simplices_of_dim(p + 1)
+    cols = carrier.simplices_of_dim(p)
+    index = {s: i for i, s in enumerate(cols)}
+    mat = [[0] * len(cols) for _ in rows]
+    for ridx, s in enumerate(rows):
+        for j in range(len(s)):
+            face = s[:j] + s[j + 1 :]
+            if face:
+                mat[ridx][index[face]] += (-1) ** j
+    return mat
+
+
 class SimplicialComplex:
     """A downward-closed set of strictly increasing vertex tuples."""
 
@@ -81,18 +99,7 @@ class SimplicialComplex:
                     mat[index[face]][cidx] += (-1) ** j
         return mat
 
-    def coboundary_matrix(self, p):
-        """Rows = (p+1)-simplices, columns = p-simplices."""
-        rows = self.simplices_of_dim(p + 1)
-        cols = self.simplices_of_dim(p)
-        index = {s: i for i, s in enumerate(cols)}
-        mat = [[0] * len(cols) for _ in rows]
-        for ridx, s in enumerate(rows):
-            for j in range(len(s)):
-                face = s[:j] + s[j + 1 :]
-                if face:
-                    mat[ridx][index[face]] += (-1) ** j
-        return mat
+    coboundary_matrix = _coboundary_matrix
 
     def connected_component_count(self):
         verts = [s[0] for s in self.simplices_of_dim(0)]
@@ -227,17 +234,7 @@ class Nerve:
     def has_simplex(self, s):
         return tuple(s) in self.simplices
 
-    def coboundary_matrix(self, p):
-        rows = self.simplices_of_dim(p + 1)
-        cols = self.simplices_of_dim(p)
-        index = {s: i for i, s in enumerate(cols)}
-        mat = [[0] * len(cols) for _ in rows]
-        for ridx, s in enumerate(rows):
-            for j in range(len(s)):
-                face = s[:j] + s[j + 1 :]
-                if face:
-                    mat[ridx][index[face]] += (-1) ** j
-        return mat
+    coboundary_matrix = _coboundary_matrix
 
     def __repr__(self):
         counts = [len(self.simplices_of_dim(d)) for d in range(self.dim + 1)]

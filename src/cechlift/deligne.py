@@ -286,6 +286,12 @@ class DelignePackage:
         return True
 
 
+def _not_good(what, report):
+    """Error text naming how many intersections fail, then the first ones."""
+    count = len({s for s, _, _ in report.failures})
+    return f"{what} is not good ({count} non-acyclic intersections): {report.describe()}"
+
+
 def descent_chain(c, cover, nerve_=None, max_check_degree=None):
     """Build the layers of a connective structure under a good cover.
 
@@ -300,7 +306,7 @@ def descent_chain(c, cover, nerve_=None, max_check_degree=None):
         raise DegreeMismatch("packages need classifying degree >= 1")
     report = verify_good_cover(cover, nerve_, max_check_degree if max_check_degree is not None else d + 1)
     if not report.ok:
-        raise CoverNotGood(f"cover is not good: {report.failures[:3]}")
+        raise CoverNotGood(_not_good("cover", report))
     if c.group != CIRCLE:
         raise NotACocycle("classifying cocycle must be circle-valued")
     if not coboundary(c).is_zero():
@@ -466,7 +472,7 @@ def restrict_package(pkg, v):
     nerve_v = nerve(cover_v)
     report = verify_good_cover(cover_v, nerve_v, v.dim + 1)
     if not report.ok:
-        raise CoverNotGoodOnV(f"restricted cover is not good: {report.failures[:3]}")
+        raise CoverNotGoodOnV(_not_good("restricted cover", report))
     layers = {
         q: _restrict_double(layer, cover_v, nerve_v) for q, layer in pkg.layers.items()
     }
@@ -523,7 +529,7 @@ def _solve_local_d(inter, q, rhs_local, shuffle=None):
             if face in col_index:
                 mat[ridx][col_index[face]] += (-1) ** j
     b = [rhs_local.get(s, Fraction(0)) for s in rows]
-    sol = abelian.solve_rational(mat, b, ncols=len(cols))
+    sol = abelian.solve(mat, b, "Q", ncols=len(cols))
     if sol is None:
         raise CoverNotGoodOnV("local solve failed on a supposedly acyclic piece")
     return {s: sol[i] for s, i in col_index.items() if sol[i]}

@@ -1,0 +1,134 @@
+"""Each Smith factorization is computed once and reused.
+
+Counts calls of the Smith kernel while cohomology is built and queried,
+and checks the one back-substitution against independent solvers.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from cechlift import abelian, fixtures, kernels
+from cechlift.abelian import FgAbelianGroup
+from cechlift.cochains import cohomology_classes
+from cechlift.complexes import product_complex
+
+
+@pytest.fixture(scope="module")
+def torus36():
+    hexagon = fixtures.hexagon()
+    return product_complex(hexagon, hexagon)[0]
+
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    calls = []
+    real = kernels.snf_with_transforms
+
+    def counting(mat):
+        calls.append((len(mat), len(mat[0]) if mat else 0))
+        return real(mat)
+
+    monkeypatch.setattr(kernels, "snf_with_transforms", counting)
+    return calls
+
+
+@pytest.mark.parametrize("modulus", [2, 0])
+def test_h1_torus36_factors_each_matrix_once(torus36, snf_calls, modulus):
+    classes = cohomology_classes(torus36, FgAbelianGroup((modulus,)), 1)
+    assert str(classes.group) == ("Z/2 + Z/2" if modulus else "Z + Z")
+    assert len(snf_calls) <= 4, snf_calls
+
+
+def test_class_coords_reuses_the_built_lattice(torus36, snf_calls):
+    classes = cohomology_classes(torus36, FgAbelianGroup((0,)), 1)
+    gens = classes.generators()
+    del snf_calls[:]
+    assert [classes.class_coords(g) for g in gens] == [(1, 0), (0, 1)]
+    assert snf_calls == []
+
+
+def _oracle_solve_mod1(mat, b, denominators):
+    """Brute force over y in (1/D)Z / Z: some rational y with mat y = b mod 1."""
+    ncols = len(mat[0])
+    for d in denominators:
+        for raw in _box(range(d), ncols):
+            y = [Fraction(k, d) for k in raw]
+            if all((sum(r * x for r, x in zip(row, y)) - bi) % 1 == 0 for row, bi in zip(mat, b)):
+                return True
+    return False
+
+
+def _box(values, n):
+    """Every n-tuple of the given values."""
+    if n == 0:
+        yield ()
+        return
+    for rest in _box(values, n - 1):
+        for v in values:
+            yield (v, *rest)
+
+
+class TestOneBackSubstitution:
+    def test_each_ring_solves_or_refuses_exactly(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            m, n = rng.randint(1, 3), rng.randint(1, 3)
+            mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+            b_int = [rng.randint(-4, 4) for _ in range(m)]
+            b_q = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)]
+            x = abelian.solve(mat, b_int, "Z")
+            if x is not None:
+                assert abelian.mat_vec(mat, x) == b_int
+                assert all(isinstance(v, int) for v in x)
+            else:
+                # no integer solution in a generous box either
+                box = range(-12, 13)
+                assert not any(
+                    abelian.mat_vec(mat, list(c)) == b_int for c in _box(box, n)
+                )
+            y = abelian.solve(mat, b_q, "Q")
+            if y is not None:
+                assert abelian.mat_vec(mat, y) == b_q
+            # an integer solution is rational, a rational one solves mod 1
+            assert x is None or abelian.solve(mat, b_int, "Q") is not None
+            w = abelian.solve(mat, b_q, "Q/Z")
+            assert y is None or w is not None
+            if w is not None:
+                assert all(0 <= v < 1 for v in w)
+                assert all((r - bi) % 1 == 0 for r, bi in zip(abelian.mat_vec(mat, w), b_q))
+            else:
+                assert not _oracle_solve_mod1(mat, b_q, (1, 2, 3, 4, 6, 8, 12))
+
+    def test_empty_system(self):
+        assert abelian.solve([], [], "Z", ncols=2) == [0, 0]
+        assert abelian.solve([], [], "Q/Z", ncols=1) == [Fraction(0)]
+
+    def test_unknown_ring_is_refused(self):
+        with pytest.raises(ValueError, match="unknown ring"):
+            abelian.solve([[1]], [1], "Z/2")
+
+    def test_rational_rank_deficient(self):
+        assert abelian.solve([[2, 4]], [Fraction(1)], "Q") is not None
+        assert abelian.solve([[1], [1]], [Fraction(1), Fraction(2)], "Q") is None
+        assert abelian.solve([[2]], [Fraction(1)], "Z") is None
+
+
+def test_lattice_coordinates_and_quotient_share_one_factorization(snf_calls):
+    gens = [[2, 0, 0], [0, 4, 2], [2, 4, 2]]  # rank 2 in Z^3
+    lat = abelian.presentation_from_relations(3, gens)
+    assert len(snf_calls) == 1
+    basis = lat.basis
+    assert len(basis) == 2
+    for g in gens:
+        coords = lat.lattice_coords(g)
+        assert coords is not None
+        recombined = [sum(c * col[i] for c, col in zip(coords, basis)) for i in range(3)]
+        assert recombined == g
+    assert lat.lattice_coords([1, 0, 0]) is None
+    assert lat.lattice_coords([0, 0, 1]) is None
+    assert str(lat.group) == "Z/2 + Z/2 + Z"
+    assert len(snf_calls) == 1

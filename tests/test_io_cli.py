@@ -246,6 +246,24 @@ class TestCLI:
         assert "error [CoverNotGood]:" in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_cover_not_good_names_its_witnesses(self, workdir):
+        res = run_cli(["descent", "delta3_star.cov", "theta.cochain"], workdir)
+        assert res.returncode == 1
+        assert res.stderr == (
+            "error [CoverNotGood]: cover is not good (11 non-acyclic intersections): "
+            "(0, 1) H^1=Z, (0, 1, 2) H^1=Z + Z, (0, 1, 2, 3) H^1=Z + Z + Z, "
+            "(0, 1, 3) H^1=Z + Z\n"
+        )
+        assert "FgAbelianGroup(" not in res.stderr
+        assert "Traceback" not in res.stderr
+        # the report line renders the same failures the same way
+        res2 = run_cli(["cohomology", "delta3_star.cov", "z.grp", "-p", "1"], workdir)
+        assert res2.returncode == 0, res2.stderr
+        assert (
+            "good cover: NO ((0, 1) H^1=Z, (0, 1, 2) H^1=Z + Z, "
+            "(0, 1, 2, 3) H^1=Z + Z + Z, (0, 1, 3) H^1=Z + Z)\n"
+        ) in res2.stdout
+
     def test_malformed_json_exit_1(self, workdir):
         bad = os.path.join(workdir, "bad.cplx")
         with open(bad, "w", encoding="utf-8") as fh:
@@ -273,3 +291,31 @@ class TestCLI:
                 os.path.join(d2, name), "rb"
             ) as f2:
                 assert f1.read() == f2.read()
+
+
+def test_verify_full_checks_only_during_its_command(tmp_path, monkeypatch):
+    """--verify full turns the Smith re-check on for one command, then off."""
+    from cechlift import abelian, cli, kernels
+
+    real = kernels.snf_with_transforms
+
+    def corrupted(mat):
+        u, s, v, uinv, vinv = real(mat)
+        s = [row[:] for row in s]
+        if s and s[0]:
+            s[0][0] += 1
+        return u, s, v, uinv, vinv
+
+    io.dump_json(io.complex_to_json(fixtures.rp2_minimal()), tmp_path / "rp2.cplx")
+    io.dump_json(io.group_to_json(FgAbelianGroup((2,))), tmp_path / "z2.grp")
+    monkeypatch.setattr(kernels, "snf_with_transforms", corrupted)
+    argv = [str(tmp_path / "rp2.cplx"), str(tmp_path / "z2.grp"), "-p", "2"]
+    with pytest.raises(AssertionError, match="SNF product check failed"):
+        cli.main(["cohomology", *argv, "--verify", "full"])
+    assert abelian.snf_full([[2, 1], [0, 3]])[1][0][0] == 2  # unchecked again
+    with pytest.raises(AssertionError, match="SNF product check failed"):
+        token = abelian.SNF_VERIFY.set(True)
+        try:
+            abelian.snf_full([[2, 1], [0, 3]])
+        finally:
+            abelian.SNF_VERIFY.reset(token)

@@ -15,6 +15,7 @@ import itertools
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import kernels
 from .errors import GroupMismatch, NotAComplex
@@ -110,54 +111,63 @@ def _diagonal(s):
     return out
 
 
+def smith_diagonal(mat):
+    """The nonzero invariant factors of mat, in order; none if it is empty."""
+    return _diagonal(snf_full(mat)[1]) if mat else []
+
+
 def _back_substitute(u, diag, b, ring, v=None):
     """The canonical solution of M x = b from a factorization U M V = S.
 
-    ``diag`` is the nonzero diagonal of S and ``ring`` one of "Z", "Q"
-    and "Q/Z".  With t = U b, the entries of t past the rank must vanish
-    (Z, Q) or be integers (Q/Z); pivot coordinates are t_j / s_j, which
-    over Z must be integers, and free coordinates are zero.  Returns
-    x = V y, reduced mod 1 over Q/Z, or y itself when ``v`` is None (the
-    coordinates of b in the lattice basis s_j * (column j of U^-1)).
+    ``diag`` is the nonzero diagonal of S and ``ring`` one of "Z", "Q",
+    "Q/Z" or an integer m > 1 (Z/m).  With t = U b, the entries of t past
+    the rank must vanish (Z, Q), be integers (Q/Z) or vanish mod m.  At
+    pivot j, y_j = t_j / s_j, which over Z must be an integer; over Z/m,
+    g = gcd(s_j, m) must divide t_j and y_j = (t_j/g) (s_j/g)^-1 mod m/g.
+    Free coordinates are zero.  Returns x = V y, reduced mod 1 over Q/Z
+    and mod m over Z/m, or y itself when ``v`` is None (the coordinates of
+    b in the lattice basis s_j * (column j of U^-1)).
     """
     t = mat_vec(u, b)
     r = len(diag)
-    if ring == "Q/Z":
-        if any(tj.denominator != 1 for tj in t[r:]):
+    if ring in ("Q", "Q/Z"):
+        m = 1 if ring == "Q/Z" else 0
+        if any(tj.denominator != 1 if m else tj for tj in t[r:]):
             return None
-    elif any(t[r:]):
-        return None
-    if ring == "Z":
-        y = []
-        for tj, sj in zip(t, diag):
-            q, rem = divmod(tj, sj)
-            if rem:
-                return None
-            y.append(q)
-        zero = 0
-    else:
         y = [Fraction(tj) / sj for tj, sj in zip(t, diag)]
         zero = Fraction(0)
+    else:
+        m = 0 if ring == "Z" else ring
+        if any(tj % m if m else tj for tj in t[r:]):
+            return None
+        y = []
+        for tj, sj in zip(t, diag):
+            g = gcd(sj, m)
+            if tj % g:
+                return None
+            y.append(tj // g * pow(sj // g, -1, m // g) % (m // g) if m else tj // g)
+        zero = 0
     if v is None:
         return y
     x = mat_vec(v, y + [zero] * (len(v) - r))
-    return [xi % 1 for xi in x] if ring == "Q/Z" else x
+    return [xi % m for xi in x] if m else x
 
 
 def solve(mat, b, ring, ncols=None):
-    """A particular solution x of mat @ x = b over Z, Q or Q/Z, or None.
+    """A particular solution x of mat @ x = b over Z, Z/m, Q or Q/Z, or None.
 
-    ``ring`` is "Z" (integer x), "Q" (rational x) or "Q/Z" (rational x
-    with the equations taken mod 1, entries reduced into [0, 1)).  The
-    representative is the canonical one of Smith back-substitution:
-    free coordinates of the diagonalized system are zero.
+    ``ring`` is "Z" (integer x), an integer m > 1 (x in [0, m), equations
+    taken mod m), "Q" (rational x) or "Q/Z" (rational x with the equations
+    taken mod 1, entries reduced into [0, 1)).  The representative is the
+    canonical one of Smith back-substitution: free coordinates of the
+    diagonalized system are zero.
     """
-    if ring not in ("Z", "Q", "Q/Z"):
-        raise ValueError(f"unknown ring {ring!r}; expected 'Z', 'Q' or 'Q/Z'")
+    if ring not in ("Z", "Q", "Q/Z") and not (type(ring) is int and ring > 1):
+        raise ValueError(f"unknown ring {ring!r}; expected 'Z', 'Q', 'Q/Z' or an int m > 1")
     m = len(mat)
     n = ncols if ncols is not None else (len(mat[0]) if m else 0)
     if m == 0:
-        return [0 if ring == "Z" else Fraction(0)] * n
+        return [Fraction(0) if ring in ("Q", "Q/Z") else 0] * n
     u, s, v, _, _ = snf_full(mat)
     return _back_substitute(u, _diagonal(s), b, ring, v)
 
@@ -442,8 +452,8 @@ class Presentation:
 
     The columns of M generate a lattice L; ``_umatrix`` is U, ``_uinv``
     its inverse and ``_diag`` the nonzero diagonal of S (V and S are not
-    kept).  They give the basis of L, the coordinates of a vector in that
-    basis, and the invariant-factor quotient Z^n / L: ``group``,
+    kept).  They give the coordinates of a vector in the basis of L (s_j
+    times column j of U^-1) and the quotient Z^n / L: ``group``,
     ``coords_of`` (an integer vector's coordinates there) and
     ``generators`` (each canonical generator lifted back to Z^n).
     """
@@ -454,14 +464,8 @@ class Presentation:
     _uinv: list
     _diag: list
 
-    @property
-    def basis(self):
-        """Independent columns spanning L: s_j times column j of U^-1."""
-        n = len(self._uinv)
-        return [[self._uinv[i][j] * d for i in range(n)] for j, d in enumerate(self._diag)]
-
     def lattice_coords(self, vec):
-        """Coordinates of vec in ``basis``, or None when vec is not in L."""
+        """Coordinates of vec in the basis of L, or None when vec is not in L."""
         return _back_substitute(self._umatrix, self._diag, vec, "Z")
 
     def coords_of(self, vec):
@@ -658,71 +662,68 @@ class ShortExactSequence:
 class CyclicFactorCohomology:
     """ker/im data for one cyclic coefficient factor Z/m (m=0 is Z).
 
-    ``cocycles`` factors the cocycle lattice in Z^dim; ``presentation``
-    is the quotient by the coboundaries, in coordinates of its basis.
+    Built on U @ d_next @ V = S.  With y = V^-1 x, an integer vector x is
+    a Z/m-cocycle exactly when s_i * y_i = 0 mod m at each pivot, that is
+    when y_i is a multiple of ``steps[i]``: m / gcd(s_i, m) at a pivot (0
+    over Z: y_i = 0) and 1 past the rank.  The cocycle coordinates are
+    z_i = y_i / steps[i], of order m / steps[i]; ``kept`` lists those that
+    can be nonzero and ``presentation`` is their quotient by coboundaries.
     """
 
     modulus: int
     dim: int
-    cocycles: Presentation
-    presentation: Presentation
+    _v: list
+    _vinv: list
+    steps: list
+    kept: list
+    presentation: Presentation = None
+
+    def cocycle_coords(self, vec):
+        """The kept z-coordinates of an integer vector, or None off the cocycles."""
+        y = mat_vec(self._vinv, vec)
+        if any(yi % c if c else yi for yi, c in zip(y, self.steps)):
+            return None
+        return [y[i] // self.steps[i] for i in self.kept]
 
     def coords_of(self, vec):
         """Quotient coordinates of an integer cocycle vector."""
-        t = self.cocycles.lattice_coords(vec)
-        if t is None:
+        z = self.cocycle_coords(vec)
+        if z is None:
             raise ValueError("vector is not a cocycle for this coefficient factor")
-        return self.presentation.coords_of(t)
+        return self.presentation.coords_of(z)
 
     def generator_vectors(self):
         """One cocycle vector per invariant factor of the quotient."""
-        basis = self.cocycles.basis
         out = []
         for gen in self.presentation.generators:
-            vec = [0] * self.dim
-            for j, col in enumerate(basis):
-                for i in range(self.dim):
-                    vec[i] += gen[j] * col[i]
-            out.append(vec)
+            y = [0] * self.dim
+            for i, zi in zip(self.kept, gen):
+                y[i] = self.steps[i] * zi
+            out.append(mat_vec(self._v, y))
         return out
 
 
-def cyclic_cohomology(d_prev, d_next, modulus, dim):
-    """Cohomology at the middle of Z^a -> Z^dim -> Z^k over Z/modulus."""
-    # cocycle lattice
-    if modulus == 0:
-        zgens = kernel_basis(d_next, ncols=dim)
-    else:
-        k = len(d_next)
-        aug = [d_next[i][:] + [modulus if j == i else 0 for j in range(k)] for i in range(k)]
-        basis = kernel_basis(aug, ncols=dim + k)
-        zgens = [col[:dim] for col in basis]
-        zgens.extend([[modulus if i == j else 0 for i in range(dim)] for j in range(dim)])
-    cocycles = presentation_from_relations(dim, zgens)
-    # coboundary lattice, expressed in the cocycle basis
-    bgens = [[row[j] for row in d_prev] for j in range(len(d_prev[0]) if d_prev else 0)]
-    if modulus:
-        bgens.extend([[modulus if i == j else 0 for i in range(dim)] for j in range(dim)])
+def cyclic_cohomology(d_prev, modulus, v, vinv, diag):
+    """Cohomology at the middle of Z^a -> Z^dim -> Z^k over Z/modulus.
+
+    ``v``, ``vinv`` and ``diag`` (the nonzero diagonal of S) come from the
+    factorization U @ d_next @ V = S that every coefficient factor shares.
+    """
+    m = modulus
+    steps = [m // gcd(s, m) for s in diag] + [1] * (len(v) - len(diag))
+    kept = [i for i, c in enumerate(steps) if c and m // c != 1]
+    fac = CyclicFactorCohomology(m, len(v), v, vinv, steps, kept)
     rel = []
-    for g in bgens:
-        t = cocycles.lattice_coords(g)
-        if t is None:
-            raise NotAComplex("coboundaries do not lie inside cocycles")
-        rel.append(t)
-    pres = presentation_from_relations(len(cocycles._diag), rel)
-    return CyclicFactorCohomology(modulus, dim, cocycles, pres)
-
-
-def _check_complex(d_prev, d_next, moduli):
-    comp = mat_mul(d_next, d_prev) if d_prev and d_next else []
-    for row in comp:
-        for x in row:
-            for m in moduli:
-                if m == 0:
-                    if x != 0:
-                        raise NotAComplex("d_next o d_prev is nonzero over Z")
-                elif x % m != 0:
-                    raise NotAComplex(f"d_next o d_prev is nonzero mod {m}")
+    for j in range(len(d_prev[0]) if d_prev else 0):
+        z = fac.cocycle_coords([row[j] for row in d_prev])
+        if z is None:
+            raise NotAComplex(f"d_next o d_prev is nonzero {f'mod {m}' if m else 'over Z'}")
+        rel.append(z)
+    if m:
+        for k, i in enumerate(kept):
+            rel.append([m // steps[i] if j == k else 0 for j in range(len(kept))])
+    fac.presentation = presentation_from_relations(len(kept), rel)
+    return fac
 
 
 @dataclass
@@ -772,10 +773,14 @@ def cohomology_with_coords(d_prev, d_next, coefficients, dim):
     """
     if not isinstance(coefficients, FgAbelianGroup):
         raise ValueError("constant coefficients must be an FgAbelianGroup")
-    if coefficients.moduli:
-        _check_complex(d_prev, d_next, coefficients.moduli)
+    if d_next:
+        _, s, v, _, vinv = snf_full(d_next)
+        diag = _diagonal(s)
+    else:
+        v = vinv = identity_matrix(dim)
+        diag = []
     factors = [
-        cyclic_cohomology(d_prev, d_next, m, dim) for m in coefficients.moduli
+        cyclic_cohomology(d_prev, m, v, vinv, diag) for m in coefficients.moduli
     ]
     raw = []
     for fac in factors:

@@ -177,10 +177,9 @@ def _fg_vectors(x, simps):
 def is_coboundary(x):
     """A witness y with delta y = x, or None.
 
-    The decision is exact: componentwise modular solves for fg
-    coefficients, denominator-clearing for circle coefficients.  The
-    witness is the canonical representative of the underlying linear
-    solve.  Raises NotACocycle when delta x != 0.
+    The decision is exact: one Smith back-substitution over Z, Z/m (per
+    cyclic coefficient factor), Q or Q/Z.  The witness is the canonical
+    representative of that solve.  Raises NotACocycle when delta x != 0.
     """
     if not coboundary(x).is_zero():
         raise NotACocycle("input cochain is not a cocycle")
@@ -195,7 +194,7 @@ def is_coboundary(x):
         vecs = _fg_vectors(x, rows)
         per_factor = []
         for m, vec in zip(x.group.moduli, vecs):
-            sol = abelian.solve_linear(delta, vec, m, ncols=len(cols))
+            sol = abelian.solve(delta, vec, m or "Z", ncols=len(cols))
             if sol is None:
                 return None
             per_factor.append(sol)
@@ -385,11 +384,12 @@ def verify_good_cover(cover, nerve_, max_degree=None):
         comps = w.connected_component_count()
         if comps != 1:
             failures.append((s, 0, FgAbelianGroup((0,) * (comps - 1))))
+        # H^q(W; Z) = Z^(n_q - rank d_q - rank d_{q-1}) + Z/s for every
+        # invariant factor s > 1 of d_{q-1}
+        diags = [abelian.smith_diagonal(w.coboundary_matrix(q)) for q in range(max_degree + 1)]
         for q in range(1, max_degree + 1):
-            dim = len(w.simplices_of_dim(q))
-            d_prev = w.coboundary_matrix(q - 1)
-            d_next = w.coboundary_matrix(q)
-            h = abelian.cohomology_of(d_prev, d_next, FgAbelianGroup((0,)), dim=dim)
+            free = len(w.simplices_of_dim(q)) - len(diags[q]) - len(diags[q - 1])
+            h = FgAbelianGroup([d for d in diags[q - 1] if d > 1] + [0] * free)
             if not h.is_trivial():
                 failures.append((s, q, h))
     return GoodnessReport(max_degree, tuple(failures))

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import abelian
 from .abelian import CIRCLE, CircleElement, QQ
-from .cochains import Cochain, coboundary, verify_good_cover
+from .cochains import Cochain, _perm_sign_and_sort, coboundary, verify_good_cover
 from .complexes import Cover, Nerve, SimplicialComplex, chain_boundary, nerve
 from .errors import (
     CoverNotGood,
@@ -75,18 +75,10 @@ class DoubleCochain:
 
     def cech_value(self, indices, s):
         """Alternating evaluation: Cech tuple in any order, one simplex."""
-        idx = list(indices)
-        if len(set(idx)) != len(idx):
+        canon, sign = _perm_sign_and_sort(indices)
+        if sign == 0:
             return Fraction(0)
-        sign = 1
-        for i in range(1, len(idx)):
-            j = i
-            while j > 0 and idx[j - 1] > idx[j]:
-                idx[j - 1], idx[j] = idx[j], idx[j - 1]
-                sign = -sign
-                j -= 1
-        v = self.values.get(tuple(idx), {}).get(tuple(s), Fraction(0))
-        return sign * v
+        return sign * self.values.get(canon, {}).get(tuple(s), Fraction(0))
 
     def is_zero(self):
         return not self.values
@@ -517,22 +509,16 @@ def _solve_local_d(inter, q, rhs_local, shuffle=None):
     selects a different exact solution from the same affine space; the
     holonomy value must not depend on it.
     """
-    cols = list(inter.simplices_of_dim(q))
-    rows = list(inter.simplices_of_dim(q + 1))
+    simps = inter.simplices_of_dim(q)
+    order = list(range(len(simps)))
     if shuffle is not None:
-        shuffle.shuffle(cols)
-    col_index = {s: i for i, s in enumerate(cols)}
-    mat = [[0] * len(cols) for _ in rows]
-    for ridx, s in enumerate(rows):
-        for j in range(len(s)):
-            face = s[:j] + s[j + 1 :]
-            if face in col_index:
-                mat[ridx][col_index[face]] += (-1) ** j
-    b = [rhs_local.get(s, Fraction(0)) for s in rows]
-    sol = abelian.solve(mat, b, "Q", ncols=len(cols))
+        shuffle.shuffle(order)
+    mat = [[row[k] for k in order] for row in inter.coboundary_matrix(q)]
+    b = [rhs_local.get(s, Fraction(0)) for s in inter.simplices_of_dim(q + 1)]
+    sol = abelian.solve(mat, b, "Q", ncols=len(simps))
     if sol is None:
         raise CoverNotGoodOnV("local solve failed on a supposedly acyclic piece")
-    return {s: sol[i] for s, i in col_index.items() if sol[i]}
+    return {simps[k]: x for k, x in zip(order, sol) if x}
 
 
 def holonomy_trivialization(pkg, shuffle=None):
@@ -619,9 +605,4 @@ def holonomy(pkg, v, z, shuffle=None):
         raise NoFundamentalCycle("chain is not a cycle")
     restricted = restrict_package(pkg, v)
     triv = holonomy_trivialization(restricted, shuffle)
-    total = Fraction(0)
-    for s, coeff in z.coefficients.items():
-        val = triv.global_form.values.get(s)
-        if val:
-            total += coeff * val
-    return CircleElement(total)
+    return CircleElement(pair(triv.global_form, z))

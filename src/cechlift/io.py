@@ -13,8 +13,16 @@ from fractions import Fraction
 from . import abelian, deligne, tower
 from .abelian import CIRCLE, CircleElement, FgAbelianGroup, GroupElement, Homomorphism, ShortExactSequence
 from .cochains import Cochain
-from .complexes import Chain, Cover, SimplicialComplex, nerve, star_cover, validate_complex
-from .errors import FormatError
+from .complexes import (
+    Chain,
+    Cover,
+    SimplicialComplex,
+    downward_closure,
+    nerve,
+    star_cover,
+    validate_complex,
+)
+from .errors import DuplicateVertexInSimplex, FormatError, InvalidCover
 
 
 def _require(obj, key, kind):
@@ -45,33 +53,45 @@ def kind_of(obj):
 
 # -- complexes --------------------------------------------------------------
 
+def _maximal_faces(simplices):
+    """The simplices that are not a facet of any simplex, sorted, as lists."""
+    facets = {s[:j] + s[j + 1 :] for s in simplices for j in range(len(s))}
+    return [list(s) for s in sorted(simplices) if s not in facets]
+
+
+def _raw_faces(raw, vertices, what):
+    """Check raw faces before any closure is taken; return them as tuples.
+
+    Every face must be a list of JSON integers in [0, vertices) (no
+    bound when ``vertices`` is None) with no vertex repeated.
+    """
+    if not isinstance(raw, list) or not all(isinstance(face, list) for face in raw):
+        raise FormatError(f"{what} must be a list of vertex lists")
+    bound = float("inf") if vertices is None else vertices
+    for face in raw:
+        if not all(type(v) is int and 0 <= v < bound for v in face):
+            raise FormatError(f"{what}: {face} is not a list of integer vertices in [0, {bound})")
+        if len(set(face)) != len(face):
+            raise DuplicateVertexInSimplex(f"{what}: repeated vertex in {tuple(face)}")
+    return [tuple(face) for face in raw]
+
+
 def complex_to_json(k):
-    maximal = [list(s) for s in sorted(k.simplices) if not any(
-        set(s) < set(t) for t in k.simplices
-    )]
-    return {"kind": "complex", "vertices": k.vertex_count, "simplices": maximal}
+    return {"kind": "complex", "vertices": k.vertex_count, "simplices": _maximal_faces(k.simplices)}
 
 
 def complex_from_json(obj):
-    simps = _require(obj, "simplices", "complex")
+    raw = _require(obj, "simplices", "complex")
     vertices = obj.get("vertices")
-    try:
-        return validate_complex([tuple(s) for s in simps], vertex_count=vertices)
-    except TypeError as exc:
-        raise FormatError(f"malformed complex: {exc}") from exc
+    if vertices is not None and not (type(vertices) is int and vertices >= 0):
+        raise FormatError(f"complex: 'vertices' must be an integer >= 0, not {vertices!r}")
+    return validate_complex(_raw_faces(raw, vertices, "complex simplices"), vertex_count=vertices)
 
 
 # -- covers -----------------------------------------------------------------
 
 def cover_to_json(c):
-    pieces = []
-    for piece in c.pieces:
-        maximal = [
-            list(s)
-            for s in sorted(piece.simplices)
-            if not any(set(s) < set(t) for t in piece.simplices)
-        ]
-        pieces.append(maximal)
+    pieces = [_maximal_faces(piece.simplices) for piece in c.pieces]
     return {"kind": "cover", "base": complex_to_json(c.base), "pieces": pieces}
 
 
@@ -80,12 +100,14 @@ def cover_from_json(obj):
     if obj.get("star_cover"):
         return star_cover(base)
     pieces_raw = _require(obj, "pieces", "cover")
-    from .complexes import downward_closure
-
+    if not isinstance(pieces_raw, list):
+        raise FormatError("cover 'pieces' must be a list")
     pieces = []
-    for praw in pieces_raw:
-        simps = downward_closure([tuple(sorted(s)) for s in praw])
-        pieces.append(SimplicialComplex(base.vertex_count, simps))
+    for i, praw in enumerate(pieces_raw):
+        faces = [tuple(sorted(s)) for s in _raw_faces(praw, base.vertex_count, f"cover piece {i}")]
+        if not all(base.has_simplex(s) for s in faces if s):
+            raise InvalidCover(f"piece {i} is not a subcomplex of the base")
+        pieces.append(SimplicialComplex(base.vertex_count, downward_closure(faces)))
     return Cover(base, tuple(pieces))
 
 

@@ -52,14 +52,19 @@ def cli_env():
     return env
 
 
-def run_cli(args, cwd):
-    """Run ``python -m cechlift.cli *args`` in `cwd`, capturing its output."""
+def run_cli(args, cwd, timeout=None):
+    """Run ``python -m cechlift.cli *args`` in `cwd`, capturing its output.
+
+    A child still running after ``timeout`` seconds is killed and
+    ``subprocess.TimeoutExpired`` is raised.
+    """
     return subprocess.run(
         [sys.executable, "-m", "cechlift.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=cli_env(),
+        timeout=timeout,
     )
 
 

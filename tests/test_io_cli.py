@@ -134,6 +134,39 @@ class TestRoundTrips:
             io.load_typed(path, expect="cover")
 
 
+def _triangle(simplices, vertices=3):
+    return {"kind": "complex", "vertices": vertices, "simplices": simplices}
+
+
+def _path_cover(n, pieces):
+    """A cover of the path on n vertices with the given raw pieces."""
+    return {
+        "kind": "cover",
+        "base": _triangle([[i, i + 1] for i in range(n - 1)], vertices=n),
+        "pieces": pieces,
+    }
+
+
+#: case -> (raw JSON object, typed error the CLI must report)
+BAD_FACES = {
+    "string-vertex": (_triangle([["a", 1]]), "FormatError"),
+    "float-vertex": (_triangle([[0, 1.5]]), "FormatError"),
+    "bool-vertex": (_triangle([[True, 2]]), "FormatError"),
+    "negative-vertex": (_triangle([[-1, 2]]), "FormatError"),
+    "float-vertex-count": (_triangle([[0, 1]], vertices=1e9), "FormatError"),
+    "string-vertex-count": (_triangle([[0, 1]], vertices="3"), "FormatError"),
+    "simplices-not-lists": (_triangle([0, 1]), "FormatError"),
+    "24-vertex-simplex-in-3-vertex-complex": (_triangle([list(range(24))]), "FormatError"),
+    "repeated-vertex": (_triangle([[0, 1, 1]]), "DuplicateVertexInSimplex"),
+    "string-in-cover-piece": (_path_cover(3, [[[0, "1"]], [[1, 2]]]), "FormatError"),
+    "cover-vertex-out-of-range": (_path_cover(3, [[[0, 1]], [[1, 3]]]), "FormatError"),
+    "cover-piece-outside-base": (
+        _path_cover(20, [[list(range(20))]]),
+        "InvalidCover",
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli")
@@ -271,6 +304,17 @@ class TestCLI:
         res = run_cli(["cohomology", "bad.cplx", "z.grp", "-p", "1"], workdir)
         assert res.returncode == 1
         assert "error [FormatError]:" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("case", sorted(BAD_FACES))
+    def test_bad_faces_are_refused_before_closure(self, workdir, case):
+        """Each raw face is checked before the downward closure is taken."""
+        obj, error = BAD_FACES[case]
+        name = f"{case}.{'cov' if obj['kind'] == 'cover' else 'cplx'}"
+        io.dump_json(obj, os.path.join(workdir, name))
+        res = run_cli(["cohomology", name, "z.grp", "-p", "1"], workdir, timeout=20)
+        assert res.returncode == 1, res.stderr
+        assert f"error [{error}]:" in res.stderr
         assert "Traceback" not in res.stderr
 
     def test_verify_full_mode(self, workdir):

@@ -1,0 +1,108 @@
+"""Property tests: independent routes to the same cohomology and solutions.
+
+Random small complexes (and random subcomplexes of the minimal RP^2,
+which carry 2-torsion) are drawn by ``hypothesis``.  The Z/m answers of
+the diagonal Smith solve are checked against the universal coefficient
+theorem, against the coboundary that produced them, and against the
+augmented ``[A | m*I]`` solve and exhaustive search.
+"""
+
+from __future__ import annotations
+
+import itertools
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cechlift import abelian, fixtures
+from cechlift.abelian import FgAbelianGroup
+from cechlift.cochains import Cochain, coboundary, cohomology_classes, is_coboundary
+from cechlift.complexes import validate_complex
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+RP2_TRIANGLES = sorted(fixtures.rp2_minimal().simplices_of_dim(2))
+
+
+@st.composite
+def complexes(draw):
+    """A random complex on up to 6 vertices, or a random piece of RP^2."""
+    if draw(st.booleans()):
+        faces = draw(
+            st.lists(st.sampled_from(RP2_TRIANGLES), min_size=1, max_size=10, unique=True)
+        )
+        return validate_complex(faces, vertex_count=6)
+    n = draw(st.integers(2, 6))
+    cells = draw(
+        st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4), min_size=1, max_size=6)
+    )
+    return validate_complex([tuple(sorted(c)) for c in cells], vertex_count=n)
+
+
+moduli = st.sampled_from([2, 3, 4, 6, 9])
+
+
+def _uct_prediction(h_p, h_next, m):
+    """H^p(Z) (x) Z/m + Tor(H^{p+1}(Z), Z/m), in invariant-factor form."""
+    raw = [m if d == 0 else gcd(d, m) for d in h_p.moduli]
+    raw += [gcd(d, m) for d in h_next.moduli if d]
+    return abelian.canonical_group(raw)[0]
+
+
+@SETTINGS
+@given(complexes(), moduli)
+def test_mod_m_cohomology_obeys_universal_coefficients(k, m):
+    z = FgAbelianGroup((0,))
+    for p in range(k.dim + 1):
+        h_p = cohomology_classes(k, z, p).group
+        h_next = cohomology_classes(k, z, p + 1).group
+        got = cohomology_classes(k, FgAbelianGroup((m,)), p).group
+        assert got == _uct_prediction(h_p, h_next, m), (p, h_p, h_next)
+
+
+@SETTINGS
+@given(complexes(), moduli, st.data())
+def test_coboundaries_get_mod_m_witnesses(k, m, data):
+    group = FgAbelianGroup((m, 2 * m)) if data.draw(st.booleans()) else FgAbelianGroup((m,))
+    p = data.draw(st.integers(1, max(1, k.dim)))
+    values = {
+        s: tuple(data.draw(st.integers(-20, 20)) for _ in group.moduli)
+        for s in k.simplices_of_dim(p - 1)
+    }
+    x = coboundary(Cochain(k, p - 1, group, values))
+    w = is_coboundary(x)
+    assert w is not None
+    assert coboundary(w) == x
+    assert all(0 <= c < mod for v in w.values.values() for c, mod in zip(v.coords, group.moduli))
+
+
+small_systems = st.integers(1, 3).flatmap(
+    lambda rows: st.integers(1, 3).flatmap(
+        lambda cols: st.tuples(
+            st.lists(
+                st.lists(st.integers(-6, 6), min_size=cols, max_size=cols),
+                min_size=rows,
+                max_size=rows,
+            ),
+            st.lists(st.integers(-6, 6), min_size=rows, max_size=rows),
+        )
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems, st.integers(2, 12))
+def test_diagonal_mod_m_solve_agrees_with_augmented_solve(system, m):
+    mat, b = system
+    x = abelian.solve(mat, b, m)
+    assert (x is None) == (abelian.solve_linear(mat, b, m) is None)
+    if m <= 6:
+        feasible = any(
+            all((sum(a * c for a, c in zip(row, cand)) - bi) % m == 0 for row, bi in zip(mat, b))
+            for cand in itertools.product(range(m), repeat=len(mat[0]))
+        )
+        assert (x is not None) == feasible
+    if x is not None:
+        assert all(0 <= xi < m for xi in x)
+        assert all((ax - bi) % m == 0 for ax, bi in zip(abelian.mat_vec(mat, x), b))

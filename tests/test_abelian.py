@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cechlift import abelian
+from cechlift import abelian, kernels
 from cechlift.abelian import (
     FgAbelianGroup,
     Homomorphism,
@@ -73,6 +73,25 @@ class TestSmithNormalForm:
             _, s, _ = smith_normal_form(mat)
             lib = [d for d in diag_of(s) if d]
             assert lib == oracle_determinantal_divisors(mat)
+
+    def test_incidence_style_matrices(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            m = rng.randint(5, 25)
+            n = rng.randint(5, 25)
+            mat = [
+                [rng.choice((-1, 0, 0, 0, 1)) for _ in range(n)] for _ in range(m)
+            ]
+            u, s, v, ui, vi = kernels.snf_with_transforms(mat)
+            assert abelian.mat_mul(abelian.mat_mul(u, mat), v) == s
+            assert abelian.mat_mul(u, ui) == abelian.identity_matrix(m)
+            assert abelian.mat_mul(vi, v) == abelian.identity_matrix(n)
+
+    def test_backend_reported(self):
+        # benchmarks time the kernel by wrapping the functions defined in
+        # cechlift.kernels, and stamp BACKEND into every run
+        assert kernels.snf_with_transforms.__module__ == "cechlift.kernels"
+        assert kernels.BACKEND == "python"
 
 
 class TestSolveLinear:

@@ -177,9 +177,11 @@ def _fg_vectors(x, simps):
 def is_coboundary(x):
     """A witness y with delta y = x, or None.
 
-    The decision is exact: one Smith back-substitution over Z, Z/m (per
-    cyclic coefficient factor), Q or Q/Z.  The witness is the canonical
-    representative of that solve.  Raises NotACocycle when delta x != 0.
+    The decision is exact: delta is factored once, and x is solved over
+    Z, Z/m (per cyclic coefficient factor, all on that one
+    factorization), Q or Q/Z by Smith back-substitution.  The witness is
+    the canonical representative of that solve.  Raises NotACocycle when
+    delta x != 0.
     """
     if not coboundary(x).is_zero():
         raise NotACocycle("input cochain is not a cocycle")
@@ -188,13 +190,20 @@ def is_coboundary(x):
         # only the zero 0-cochain is a coboundary
         return zero_cochain(x.carrier, 0, x.group) if x.is_zero() else None
     rows = x.carrier.simplices_of_dim(p)
+    if not rows:
+        # without p-simplices x is zero
+        return zero_cochain(x.carrier, p - 1, x.group)
     cols = x.carrier.simplices_of_dim(p - 1)
-    delta = x.carrier.coboundary_matrix(p - 1)
+    u, smith, v, _, _ = abelian.snf_full(x.carrier.coboundary_matrix(p - 1))
+    diag = abelian._diagonal(smith)
+
+    def solve(b, ring):
+        return abelian._back_substitute(u, diag, b, ring, v)
+
     if isinstance(x.group, FgAbelianGroup):
-        vecs = _fg_vectors(x, rows)
         per_factor = []
-        for m, vec in zip(x.group.moduli, vecs):
-            sol = abelian.solve(delta, vec, m or "Z", ncols=len(cols))
+        for m, vec in zip(x.group.moduli, _fg_vectors(x, rows)):
+            sol = solve(vec, m or "Z")
             if sol is None:
                 return None
             per_factor.append(sol)
@@ -203,14 +212,14 @@ def is_coboundary(x):
             values[s] = GroupElement(x.group, tuple(f[i] for f in per_factor))
         return Cochain(x.carrier, p - 1, x.group, values)
     if isinstance(x.group, CircleGroup):
-        sol = abelian.solve(delta, [x.value(s).value for s in rows], "Q/Z", ncols=len(cols))
+        sol = solve([x.value(s).value for s in rows], "Q/Z")
         if sol is None:
             return None
         return Cochain(
             x.carrier, p - 1, x.group, {s: CircleElement(sol[i]) for i, s in enumerate(cols)}
         )
     if isinstance(x.group, RationalGroup):
-        sol = abelian.solve(delta, [x.value(s) for s in rows], "Q", ncols=len(cols))
+        sol = solve([x.value(s) for s in rows], "Q")
         if sol is None:
             return None
         return Cochain(x.carrier, p - 1, x.group, dict(zip(cols, sol)))

@@ -14,8 +14,10 @@ import pytest
 
 from cechlift import abelian, fixtures, kernels
 from cechlift.abelian import FgAbelianGroup
-from cechlift.cochains import cohomology_classes, verify_good_cover
+from cechlift.cochains import coboundary, cohomology_classes, is_coboundary, verify_good_cover
 from cechlift.complexes import nerve, product_complex, star_cover
+
+from conftest import random_cochain
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +71,18 @@ def test_goodness_factors_each_local_coboundary_once(snf_calls, name, ok, budget
     del snf_calls[:]
     assert verify_good_cover(cov, nrv).ok is ok
     assert len(snf_calls) <= budget, snf_calls
+
+
+def test_is_coboundary_factors_delta_once_for_all_factors(snf_calls):
+    """Every cyclic coefficient factor is solved on one factorization of delta."""
+    nrv = nerve(fixtures.torus_product()[1])
+    group = FgAbelianGroup((2, 4))
+    y = random_cochain(random.Random(3), nrv, group, 0)
+    x = coboundary(y)
+    del snf_calls[:]
+    w = is_coboundary(x)
+    assert len(snf_calls) <= 1, snf_calls
+    assert w is not None and coboundary(w) == x
 
 
 def test_class_coords_reuses_the_built_lattice(torus36, snf_calls):

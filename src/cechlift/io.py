@@ -53,6 +53,11 @@ def kind_of(obj):
 
 # -- complexes --------------------------------------------------------------
 
+#: Most simplices the downward closure of raw faces may produce; far above
+#: the largest complex the library is used on (the double barycentric
+#: subdivision of the torus has 7,776 simplices), far below a hang.
+MAX_CLOSURE_SIMPLICES = 2**20
+
 def _maximal_faces(simplices):
     """The simplices that are not a facet of any simplex, sorted, as lists."""
     facets = {s[:j] + s[j + 1 :] for s in simplices for j in range(len(s))}
@@ -63,7 +68,9 @@ def _raw_faces(raw, vertices, what):
     """Check raw faces before any closure is taken; return them as tuples.
 
     Every face must be a list of JSON integers in [0, vertices) (no
-    bound when ``vertices`` is None) with no vertex repeated.
+    bound when ``vertices`` is None) with no vertex repeated, and the
+    closure bound sum(2^|f| - 1) over the faces at most
+    MAX_CLOSURE_SIMPLICES.
     """
     if not isinstance(raw, list) or not all(isinstance(face, list) for face in raw):
         raise FormatError(f"{what} must be a list of vertex lists")
@@ -73,6 +80,14 @@ def _raw_faces(raw, vertices, what):
             raise FormatError(f"{what}: {face} is not a list of integer vertices in [0, {bound})")
         if len(set(face)) != len(face):
             raise DuplicateVertexInSimplex(f"{what}: repeated vertex in {tuple(face)}")
+    closure = sum(2 ** len(face) - 1 for face in raw)
+    if closure > MAX_CLOSURE_SIMPLICES:
+        largest = max(raw, key=len)
+        raise FormatError(
+            f"{what}: the downward closure may hold up to {closure} simplices, over the "
+            f"limit {MAX_CLOSURE_SIMPLICES}; the largest face {tuple(largest)} has "
+            f"{len(largest)} vertices"
+        )
     return [tuple(face) for face in raw]
 
 

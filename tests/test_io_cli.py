@@ -158,6 +158,14 @@ BAD_FACES = {
     "simplices-not-lists": (_triangle([0, 1]), "FormatError"),
     "24-vertex-simplex-in-3-vertex-complex": (_triangle([list(range(24))]), "FormatError"),
     "repeated-vertex": (_triangle([[0, 1, 1]]), "DuplicateVertexInSimplex"),
+    "22-vertex-simplex-without-vertex-count": (
+        {"kind": "complex", "simplices": [list(range(22))]},
+        "FormatError",
+    ),
+    "22-vertex-simplex-in-22-vertex-complex": (
+        _triangle([list(range(22))], vertices=22),
+        "FormatError",
+    ),
     "string-in-cover-piece": (_path_cover(3, [[[0, "1"]], [[1, 2]]]), "FormatError"),
     "cover-vertex-out-of-range": (_path_cover(3, [[[0, 1]], [[1, 3]]]), "FormatError"),
     "cover-piece-outside-base": (

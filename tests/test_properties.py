@@ -4,7 +4,10 @@ Random small complexes (and random subcomplexes of the minimal RP^2,
 which carry 2-torsion) are drawn by ``hypothesis``.  The Z/m answers of
 the diagonal Smith solve are checked against the universal coefficient
 theorem, against the coboundary that produced them, and against the
-augmented ``[A | m*I]`` solve and exhaustive search.
+augmented ``[A | m*I]`` solve and exhaustive search.  The Smith kernel
+is checked against the Euler characteristic, which counts simplices,
+and against barycentric subdivision, which factors other matrices for
+the same groups.
 """
 
 from __future__ import annotations
@@ -59,6 +62,30 @@ def test_mod_m_cohomology_obeys_universal_coefficients(k, m):
         h_next = cohomology_classes(k, z, p + 1).group
         got = cohomology_classes(k, FgAbelianGroup((m,)), p).group
         assert got == _uct_prediction(h_p, h_next, m), (p, h_p, h_next)
+
+
+#: Complexes of dimension at most 2, so that their subdivisions stay small.
+surfaces = complexes().filter(lambda k: k.dim <= 2)
+
+
+@SETTINGS
+@given(surfaces)
+def test_euler_characteristic_is_alternating_sum_of_free_ranks(k):
+    z = FgAbelianGroup((0,))
+    ranks = [cohomology_classes(k, z, p).group.moduli.count(0) for p in range(k.dim + 1)]
+    assert k.euler_characteristic() == sum((-1) ** p * r for p, r in enumerate(ranks))
+
+
+@SETTINGS
+@given(surfaces, moduli)
+def test_cohomology_is_invariant_under_subdivision(k, m):
+    bsd, _ = fixtures.barycentric_subdivision(k)
+    for coefficients in (FgAbelianGroup((0,)), FgAbelianGroup((m,))):
+        for p in range(k.dim + 1):
+            assert (
+                cohomology_classes(bsd, coefficients, p).group
+                == cohomology_classes(k, coefficients, p).group
+            ), (p, coefficients)
 
 
 @SETTINGS

@@ -58,6 +58,7 @@ def kind_of(obj):
 #: subdivision of the torus has 7,776 simplices), far below a hang.
 MAX_CLOSURE_SIMPLICES = 2**20
 
+
 def _maximal_faces(simplices):
     """The simplices that are not a facet of any simplex, sorted, as lists."""
     facets = {s[:j] + s[j + 1 :] for s in simplices for j in range(len(s))}

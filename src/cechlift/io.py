@@ -135,14 +135,23 @@ def group_to_json(g):
     return {"kind": "group", "moduli": list(g.moduli)}
 
 
-def group_from_json(obj):
-    if obj.get("circle"):
-        return CIRCLE
-    moduli = _require(obj, "moduli", "group")
+def _moduli_group(obj, what):
+    """The FgAbelianGroup of ``{"moduli": [...]}``, every modulus a JSON integer."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must be an object with 'moduli'")
+    moduli = _require(obj, "moduli", what)
+    if not isinstance(moduli, list) or not all(type(m) is int for m in moduli):
+        raise FormatError(f"{what}: 'moduli' must be a list of integers, not {moduli!r}")
     try:
-        return FgAbelianGroup(tuple(moduli))
+        return FgAbelianGroup(moduli)
     except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+        raise FormatError(f"{what}: {exc}") from exc
+
+
+def group_from_json(obj):
+    if isinstance(obj, dict) and obj.get("circle"):
+        return CIRCLE
+    return _moduli_group(obj, "group")
 
 
 def element_to_json(v):
@@ -250,7 +259,7 @@ def extension_to_json(e):
 
 def extension_from_json(obj):
     base = finite_group_from_json(_require(obj, "base", "extension"))
-    kernel = FgAbelianGroup(tuple(_require(obj, "kernel", "extension")["moduli"]))
+    kernel = _moduli_group(_require(obj, "kernel", "extension"), "extension kernel")
     fs = _require(obj, "factor_set", "extension")
     return tower.build_extension(base, kernel, fs)
 
@@ -294,14 +303,23 @@ def ses_to_json(s):
     }
 
 
+def _integer_rows(obj, key):
+    """The ses matrix under ``key``: a list of rows of JSON integers."""
+    raw = _require(obj, key, "ses")
+    if not isinstance(raw, list) or not all(
+        isinstance(row, list) and all(type(v) is int for v in row) for row in raw
+    ):
+        raise FormatError(f"ses '{key}' must be a list of integer rows, not {raw!r}")
+    return tuple(map(tuple, raw))
+
+
 def ses_from_json(obj):
-    a = FgAbelianGroup(tuple(_require(obj, "A", "ses")["moduli"]))
-    b = FgAbelianGroup(tuple(_require(obj, "B", "ses")["moduli"]))
-    c = FgAbelianGroup(tuple(_require(obj, "C", "ses")["moduli"]))
-    inject = Homomorphism(a, b, tuple(tuple(r) for r in _require(obj, "inject", "ses")))
-    project = Homomorphism(b, c, tuple(tuple(r) for r in _require(obj, "project", "ses")))
+    a, b, c = (_moduli_group(_require(obj, k, "ses"), f"ses {k}") for k in "ABC")
+    inject, project = _integer_rows(obj, "inject"), _integer_rows(obj, "project")
     try:
-        return ShortExactSequence(a, b, c, inject, project)
+        return ShortExactSequence(
+            a, b, c, Homomorphism(a, b, inject), Homomorphism(b, c, project)
+        )
     except ValueError as exc:
         raise FormatError(f"not a short exact sequence: {exc}") from exc
 

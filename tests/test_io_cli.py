@@ -175,6 +175,49 @@ BAD_FACES = {
 }
 
 
+def _ses(**changes):
+    """The z2z4z2 sequence file with some entries replaced."""
+    obj = {
+        "kind": "ses",
+        "A": {"moduli": [2]},
+        "B": {"moduli": [4]},
+        "C": {"moduli": [2]},
+        "inject": [[2]],
+        "project": [[1]],
+    }
+    obj.update(changes)
+    return obj
+
+
+def _z2_z4_extension(kernel):
+    return {
+        "kind": "extension",
+        "base": {"kind": "finite_group", "order": 2, "identity": 0, "table": [[0, 1], [1, 0]]},
+        "kernel": kernel,
+        "factor_set": [[[0], [0]], [[0], [1]]],
+    }
+
+
+#: case -> (file name, raw JSON object, CLI arguments that load it)
+BAD_ALGEBRA = {
+    "ses-moduli-not-invariant": ("bad.ses", _ses(A={"moduli": [3, 2]}), ["bockstein", "w1.cochain"]),
+    "ses-moduli-string": ("bad.ses", _ses(A={"moduli": ["x"]}), ["bockstein", "w1.cochain"]),
+    "ses-group-not-an-object": ("bad.ses", _ses(A=2), ["bockstein", "w1.cochain"]),
+    "ses-inject-wrong-width": ("bad.ses", _ses(inject=[[2, 0]]), ["bockstein", "w1.cochain"]),
+    "ses-inject-not-a-matrix": ("bad.ses", _ses(inject=2), ["bockstein", "w1.cochain"]),
+    "ses-inject-float": ("bad.ses", _ses(inject=[[2.5]]), ["bockstein", "w1.cochain"]),
+    "group-float-modulus": (
+        "bad.grp", {"kind": "group", "moduli": [2.7]}, ["cohomology", "rp2.cplx"]
+    ),
+    "extension-kernel-float-modulus": (
+        "bad.ext", _z2_z4_extension({"moduli": [2.0]}), ["obstruct", "rp2.cov", "w1.trn"]
+    ),
+    "extension-kernel-not-invariant": (
+        "bad.ext", _z2_z4_extension({"moduli": [3, 2]}), ["obstruct", "rp2.cov", "w1.trn"]
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli")
@@ -323,6 +366,18 @@ class TestCLI:
         res = run_cli(["cohomology", name, "z.grp", "-p", "1"], workdir, timeout=20)
         assert res.returncode == 1, res.stderr
         assert f"error [{error}]:" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("case", sorted(BAD_ALGEBRA))
+    def test_malformed_algebra_is_a_format_error(self, workdir, case):
+        """Moduli and sequence matrices must be JSON integers forming valid maps."""
+        name, obj, args = BAD_ALGEBRA[case]
+        path = os.path.join(workdir, f"{case}-{name}")
+        io.dump_json(obj, path)
+        extra = ["-p", "1"] if args[0] == "cohomology" else []
+        res = run_cli([*args, path, *extra], workdir)
+        assert res.returncode == 1, (res.stdout, res.stderr)
+        assert "error [FormatError]:" in res.stderr
         assert "Traceback" not in res.stderr
 
     def test_verify_full_mode(self, workdir):

@@ -21,7 +21,6 @@ from .abelian import (
     ShortExactSequence,
     cohomology_of,
     smith_normal_form,
-    solve_linear,
 )
 from .cochains import (
     Cochain,

@@ -15,14 +15,17 @@ import itertools
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from . import kernels
 from .errors import GroupMismatch, NotAComplex
 
-#: When true, every Smith decomposition is re-checked (U@M@V == S and
-#: |det U| = |det V| = 1).  The CLI's --verify full sets it for one
-#: command; being a context variable, it never leaks into other threads.
+#: When true, every Smith decomposition computed is re-checked (U@M@V == S
+#: and |det U| = |det V| = 1).  A factorization is kept by the object
+#: that owns its matrix, so this checks those built while it is set.  The
+#: CLI's --verify full sets it for one command; being a context variable,
+#: it never leaks into other threads.
 SNF_VERIFY = ContextVar("cechlift_snf_verify", default=False)
 
 
@@ -153,6 +156,19 @@ def _back_substitute(u, diag, b, ring, v=None):
     return [xi % m for xi in x] if m else x
 
 
+def factor(mat, ncols):
+    """The Smith factorization (U, diag, V, V^-1) of mat, with U @ mat @ V = S.
+
+    ``diag`` is the nonzero diagonal of S.  A matrix without rows gets
+    identity transforms on its ``ncols`` columns.
+    """
+    if not mat:
+        ident = identity_matrix(ncols)
+        return [], [], ident, ident
+    u, s, v, _, vinv = snf_full(mat)
+    return u, _diagonal(s), v, vinv
+
+
 def solve(mat, b, ring, ncols=None):
     """A particular solution x of mat @ x = b over Z, Z/m, Q or Q/Z, or None.
 
@@ -164,56 +180,9 @@ def solve(mat, b, ring, ncols=None):
     """
     if ring not in ("Z", "Q", "Q/Z") and not (type(ring) is int and ring > 1):
         raise ValueError(f"unknown ring {ring!r}; expected 'Z', 'Q', 'Q/Z' or an int m > 1")
-    m = len(mat)
-    n = ncols if ncols is not None else (len(mat[0]) if m else 0)
-    if m == 0:
-        return [Fraction(0) if ring in ("Q", "Q/Z") else 0] * n
-    u, s, v, _, _ = snf_full(mat)
-    return _back_substitute(u, _diagonal(s), b, ring, v)
-
-
-def solve_linear(mat, b, moduli, ncols=None):
-    """Solve mat @ x = b componentwise mod the target moduli, or None.
-
-    ``moduli`` is an int applied to every row or a per-row list; modulus
-    0 means equality over the integers.  Infeasible systems return
-    None.  The representative is the canonical one obtained by Smith
-    back-substitution with vanishing free coordinates.
-    """
-    m = len(mat)
-    n = ncols if ncols is not None else (len(mat[0]) if m else 0)
-    if isinstance(moduli, int):
-        moduli = [moduli] * m
-    if len(moduli) != m or len(b) != m:
-        raise ValueError("dimension mismatch in solve_linear")
-    aug = [row[:] for row in mat]
-    for i, md in enumerate(moduli):
-        if md:
-            for r in range(m):
-                aug[r].append(md if r == i else 0)
-    sol = solve(aug, b, "Z", ncols=n + sum(1 for md in moduli if md))
-    if sol is None:
-        return None
-    return sol[:n]
-
-
-def kernel_basis(mat, ncols=None):
-    """Columns generating the integer kernel lattice of mat."""
-    m = len(mat)
-    n = ncols if ncols is not None else (len(mat[0]) if m else 0)
-    if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    _, s, v, _, _ = snf_full(mat)
-    r = len(_diagonal(s))
-    return [[v[i][j] for i in range(n)] for j in range(r, n)]
-
-
-def lattices_equal(gens_a, gens_b, length):
-    a = presentation_from_relations(length, gens_a)
-    b = presentation_from_relations(length, gens_b)
-    return all(a.lattice_coords(g) is not None for g in gens_b) and all(
-        b.lattice_coords(g) is not None for g in gens_a
-    )
+    n = ncols if ncols is not None else (len(mat[0]) if mat else 0)
+    u, diag, v, _ = factor(mat, n)
+    return _back_substitute(u, diag, b, ring, v)
 
 
 # ---------------------------------------------------------------------------
@@ -569,16 +538,22 @@ class Homomorphism:
         coords = mat_vec(list(map(list, self.matrix)), list(el.coords))
         return GroupElement(self.codomain, tuple(coords))
 
+    @cached_property
+    def _factored(self):
+        """The factorization of [M | R], R the codomain relations, built on first use.
+
+        [M | R] (x, k) = b says M x = b in the codomain, so this one
+        factorization gives the kernel (V past the rank), surjectivity (a
+        full diagonal of units) and preimages (back-substitution).
+        """
+        extra = _relation_lattice(self.codomain.moduli)
+        aug = [list(row) + [g[i] for g in extra] for i, row in enumerate(self.matrix)]
+        return factor(aug, self.domain.rank + len(extra))
+
     def kernel_lattice(self):
         """Generators of {x in Z^dom : M x in relation lattice of codomain}."""
-        rows = [list(r) for r in self.matrix]
-        extra = _relation_lattice(self.codomain.moduli)
-        ncols = self.domain.rank + len(extra)
-        aug = [
-            rows[i] + [g[i] for g in extra] for i in range(self.codomain.rank)
-        ]
-        basis = kernel_basis(aug, ncols=ncols)
-        gens = [col[: self.domain.rank] for col in basis]
+        _, diag, v, _ = self._factored
+        gens = [[v[i][j] for i in range(self.domain.rank)] for j in range(len(diag), len(v))]
         gens.extend(_relation_lattice(self.domain.moduli))
         return gens
 
@@ -588,10 +563,16 @@ class Homomorphism:
         )
 
     def is_surjective(self):
-        gens = [
-            [row[k] for row in self.matrix] for k in range(self.domain.rank)
-        ] + _relation_lattice(self.codomain.moduli)
-        return presentation_from_relations(self.codomain.rank, gens).group.is_trivial()
+        diag = self._factored[1]
+        return len(diag) == self.codomain.rank and all(d == 1 for d in diag)
+
+    def preimage(self, el):
+        """The canonical domain element mapping to el, or None off the image."""
+        if el.group != self.codomain:
+            raise GroupMismatch("element not in the codomain")
+        u, diag, v, _ = self._factored
+        x = _back_substitute(u, diag, list(el.coords), "Z", v)
+        return None if x is None else GroupElement(self.domain, tuple(x[: self.domain.rank]))
 
 
 @dataclass(frozen=True)
@@ -617,41 +598,22 @@ class ShortExactSequence:
             raise ValueError("inject is not injective")
         if not self.project.is_surjective():
             raise ValueError("project is not surjective")
-        # image(inject) = kernel(project), compared as lattices in Z^B.
-        im = [
-            [row[k] for row in self.inject.matrix] for k in range(self.A.rank)
-        ] + _relation_lattice(self.B.moduli)
-        ker = self.project.kernel_lattice()
-        if not lattices_equal(im, ker, self.B.rank):
-            raise ValueError("image of inject differs from kernel of project")
+        # image(inject) contains kernel(project); the converse is the
+        # vanishing of project o inject above
+        for g in self.project.kernel_lattice():
+            if self.inject.preimage(GroupElement(self.B, tuple(g))) is None:
+                raise ValueError("image of inject differs from kernel of project")
 
     def section(self, el):
         """Canonical set-section of project: the minimal B-representative."""
-        if el.group != self.C:
-            raise GroupMismatch("element not in C")
-        x = solve_linear(
-            [list(r) for r in self.project.matrix],
-            list(el.coords),
-            list(self.C.moduli),
-            ncols=self.B.rank,
-        )
-        if x is None:
-            raise ValueError("section failed; project is not surjective")
-        return GroupElement(self.B, tuple(x))
+        return self.project.preimage(el)
 
     def kernel_part(self, el):
         """The unique A-element mapping to el under inject."""
-        if el.group != self.B:
-            raise GroupMismatch("element not in B")
-        x = solve_linear(
-            [list(r) for r in self.inject.matrix],
-            list(el.coords),
-            list(self.B.moduli),
-            ncols=self.A.rank,
-        )
+        x = self.inject.preimage(el)
         if x is None:
             raise ValueError("element is not in the image of inject")
-        return GroupElement(self.A, tuple(x))
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -765,20 +727,16 @@ class CohomologyData:
         return out
 
 
-def cohomology_with_coords(d_prev, d_next, coefficients, dim):
+def cohomology_with_coords(d_prev, factored_next, coefficients):
     """ker(d_next)/im(d_prev) over an fg coefficient group, with coords.
 
-    ``dim`` is the rank of the middle term (the matrices may be empty).
-    Raises NotAComplex when the composite differential is nonzero.
+    ``factored_next`` is ``factor(d_next, dim)``, with dim the rank of the
+    middle term (the matrices may be empty).  Raises NotAComplex when the
+    composite differential is nonzero.
     """
     if not isinstance(coefficients, FgAbelianGroup):
         raise ValueError("constant coefficients must be an FgAbelianGroup")
-    if d_next:
-        _, s, v, _, vinv = snf_full(d_next)
-        diag = _diagonal(s)
-    else:
-        v = vinv = identity_matrix(dim)
-        diag = []
+    _, diag, v, vinv = factored_next
     factors = [
         cyclic_cohomology(d_prev, m, v, vinv, diag) for m in coefficients.moduli
     ]
@@ -798,4 +756,4 @@ def cohomology_of(d_prev, d_next, coefficients, dim=None):
     """
     if dim is None:
         dim = len(d_next[0]) if d_next else (len(d_prev) if d_prev else 0)
-    return cohomology_with_coords(d_prev, d_next, coefficients, dim).group
+    return cohomology_with_coords(d_prev, factor(d_next, dim), coefficients).group

@@ -177,11 +177,10 @@ def _fg_vectors(x, simps):
 def is_coboundary(x):
     """A witness y with delta y = x, or None.
 
-    The decision is exact: delta is factored once, and x is solved over
-    Z, Z/m (per cyclic coefficient factor, all on that one
-    factorization), Q or Q/Z by Smith back-substitution.  The witness is
-    the canonical representative of that solve.  Raises NotACocycle when
-    delta x != 0.
+    The decision is exact: x is solved over Z, Z/m (per cyclic
+    coefficient factor), Q or Q/Z by Smith back-substitution on the
+    carrier's one factorization of delta.  The witness is the canonical
+    representative of that solve.  Raises NotACocycle when delta x != 0.
     """
     if not coboundary(x).is_zero():
         raise NotACocycle("input cochain is not a cocycle")
@@ -194,8 +193,7 @@ def is_coboundary(x):
         # without p-simplices x is zero
         return zero_cochain(x.carrier, p - 1, x.group)
     cols = x.carrier.simplices_of_dim(p - 1)
-    u, smith, v, _, _ = abelian.snf_full(x.carrier.coboundary_matrix(p - 1))
-    diag = abelian._diagonal(smith)
+    u, diag, v, _ = x.carrier.factored_coboundary(p - 1)
 
     def solve(b, ring):
         return abelian._back_substitute(u, diag, b, ring, v)
@@ -275,8 +273,7 @@ def cohomology_classes(carrier, coefficients, p):
         raise DegreeMismatch("negative degree")
     dim = len(carrier.simplices_of_dim(p))
     d_prev = carrier.coboundary_matrix(p - 1) if p > 0 else [[] for _ in range(dim)]
-    d_next = carrier.coboundary_matrix(p)
-    data = abelian.cohomology_with_coords(d_prev, d_next, coefficients, dim)
+    data = abelian.cohomology_with_coords(d_prev, carrier.factored_coboundary(p), coefficients)
     return CohomologyClasses(carrier, p, coefficients, data)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .abelian import factor
 from .errors import (
     DuplicateVertexInSimplex,
     InvalidComplex,
@@ -37,10 +38,23 @@ def _coboundary_matrix(carrier, p):
     return mat
 
 
+def _factored_coboundary(carrier, p):
+    """The Smith factorization (U, diag, V, V^-1) of coboundary_matrix(p).
+
+    Built on first use and kept by the carrier, which is immutable; two
+    threads that race here compute the same deterministic value.
+    """
+    fac = carrier._factored.get(p)
+    if fac is None:
+        fac = factor(carrier.coboundary_matrix(p), len(carrier.simplices_of_dim(p)))
+        carrier._factored[p] = fac
+    return fac
+
+
 class SimplicialComplex:
     """A downward-closed set of strictly increasing vertex tuples."""
 
-    __slots__ = ("vertex_count", "simplices", "_by_dim")
+    __slots__ = ("vertex_count", "simplices", "_by_dim", "_factored")
 
     def __init__(self, vertex_count, simplices):
         self.vertex_count = int(vertex_count)
@@ -59,6 +73,7 @@ class SimplicialComplex:
                 if face and face not in self.simplices:
                     raise InvalidComplex(f"missing face {face} of {s}")
         self._by_dim = {d: tuple(sorted(v)) for d, v in by_dim.items()}
+        self._factored = {}
 
     def simplices_of_dim(self, d):
         return self._by_dim.get(d, ())
@@ -100,6 +115,7 @@ class SimplicialComplex:
         return mat
 
     coboundary_matrix = _coboundary_matrix
+    factored_coboundary = _factored_coboundary
 
     def connected_component_count(self):
         verts = [s[0] for s in self.simplices_of_dim(0)]
@@ -213,7 +229,7 @@ class Nerve:
     intersection subcomplex.
     """
 
-    __slots__ = ("cover", "simplices", "intersection_of", "_by_dim")
+    __slots__ = ("cover", "simplices", "intersection_of", "_by_dim", "_factored")
 
     def __init__(self, cover, simplices, intersection_of):
         self.cover = cover
@@ -223,6 +239,7 @@ class Nerve:
         for s in self.simplices:
             by_dim.setdefault(len(s) - 1, []).append(s)
         self._by_dim = {d: tuple(sorted(v)) for d, v in by_dim.items()}
+        self._factored = {}
 
     def simplices_of_dim(self, d):
         return self._by_dim.get(d, ())
@@ -235,6 +252,7 @@ class Nerve:
         return tuple(s) in self.simplices
 
     coboundary_matrix = _coboundary_matrix
+    factored_coboundary = _factored_coboundary
 
     def __repr__(self):
         counts = [len(self.simplices_of_dim(d)) for d in range(self.dim + 1)]

@@ -179,6 +179,18 @@ def oracle_determinantal_divisors(mat):
     return divisors
 
 
+def oracle_augmented_solve(mat, b, m):
+    """x with mat @ x = b mod m, or None, from the augmented system [mat | m*I].
+
+    Solves over Z for (x, k) with mat x + m k = b and keeps x: the route
+    the library took before Z/m was solved on the Smith diagonal.
+    """
+    rows = len(mat)
+    aug = [list(row) + [m if r == i else 0 for r in range(rows)] for i, row in enumerate(mat)]
+    sol = abelian.solve(aug, b, "Z")
+    return None if sol is None else sol[: len(mat[0])]
+
+
 def oracle_cohomology_group_Z(d_prev, d_next, dim):
     """H = ker(d_next)/im(d_prev) over Z from the reduction oracle.
 

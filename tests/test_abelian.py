@@ -11,7 +11,6 @@ from cechlift.abelian import (
     Homomorphism,
     ShortExactSequence,
     smith_normal_form,
-    solve_linear,
 )
 from cechlift.errors import NotAComplex
 
@@ -94,11 +93,25 @@ class TestSmithNormalForm:
         assert kernels.BACKEND == "python"
 
 
+def _free(rank):
+    return FgAbelianGroup((0,) * rank)
+
+
+def _preimage(mat, b, codomain):
+    """Homomorphism.preimage of b under mat from a free domain, as coordinates."""
+    hom = Homomorphism(_free(len(mat[0])), codomain, tuple(map(tuple, mat)))
+    x = hom.preimage(codomain.element(b))
+    return None if x is None else list(x.coords)
+
+
 class TestSolveLinear:
+    """Solving M x = b row-wise mod the codomain moduli, by preimage."""
+
     def test_frozen_examples(self):
-        assert solve_linear([[2]], [1], 4) is None
-        assert solve_linear([[2]], [2], 4) == [1]
-        assert solve_linear([[1, 1]], [5], 0) == [5, 0]
+        z4 = FgAbelianGroup((4,))
+        assert _preimage([[2]], [1], z4) is None
+        assert _preimage([[2]], [2], z4) == [1]
+        assert _preimage([[1, 1]], [5], _free(1)) == [5, 0]
 
     def test_solutions_and_infeasibility_vs_exhaustive(self):
         rng = random.Random(77)
@@ -108,7 +121,7 @@ class TestSolveLinear:
             mod = rng.randint(2, 6)
             mat = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
             b = [rng.randint(-5, 5) for _ in range(rows)]
-            x = solve_linear(mat, b, mod)
+            x = _preimage(mat, b, FgAbelianGroup((mod,) * rows))
             feasible = any(
                 all(
                     sum(mat[i][j] * cand[j] for j in range(cols)) % mod == b[i] % mod
@@ -124,13 +137,13 @@ class TestSolveLinear:
                     assert sum(mat[i][j] * x[j] for j in range(cols)) % mod == b[i] % mod
 
     def test_mixed_moduli_rows(self):
-        # first row over Z, second mod 3
-        x = solve_linear([[1, 0], [0, 2]], [4, 1], [0, 3])
+        # first row mod 3, second over Z
+        x = _preimage([[0, 2], [1, 0]], [1, 4], FgAbelianGroup((3, 0)))
         assert x is not None
         assert x[0] == 4 and (2 * x[1]) % 3 == 1
 
     def test_exact_row_infeasible(self):
-        assert solve_linear([[2]], [1], 0) is None
+        assert _preimage([[2]], [1], _free(1)) is None
 
 
 class TestGroups:
@@ -209,6 +222,17 @@ class TestHomomorphisms:
                 z2,
                 Homomorphism(z2, z2z2, ((1,), (0,))),
                 Homomorphism(z2z2, z2, ((1, 0),)),
+            )
+        with pytest.raises(ValueError, match="project is not surjective"):
+            # doubling on Z/4 has full rank but image {0, 2}; exact elsewhere
+            ShortExactSequence(
+                z2, z4, z4, Homomorphism(z2, z4, ((2,),)), Homomorphism(z4, z4, ((2,),))
+            )
+        z = FgAbelianGroup((0,))
+        with pytest.raises(ValueError, match="image of inject differs from kernel"):
+            # 4Z is a proper sublattice of the kernel 2Z of Z -> Z/2
+            ShortExactSequence(
+                z, z, z2, Homomorphism(z, z, ((4,),)), Homomorphism(z, z2, ((1,),))
             )
 
     def test_split_sequence_accepted(self):

@@ -1,8 +1,9 @@
 """Each Smith factorization is computed once and reused.
 
-Counts calls of the Smith kernel while cohomology is built and queried
-and while cover goodness is checked, and checks the one
-back-substitution against independent solvers.
+Counts calls of the Smith kernel while cohomology is built and queried,
+while cover goodness is checked, while exact sequences are built and
+used, and over whole CLI commands; and checks the one back-substitution
+against independent solvers.
 """
 
 from __future__ import annotations
@@ -12,31 +13,43 @@ from fractions import Fraction
 
 import pytest
 
-from cechlift import abelian, fixtures, kernels
-from cechlift.abelian import FgAbelianGroup
+from cechlift import abelian, cli, fixtures, kernels
+from cechlift.abelian import FgAbelianGroup, Homomorphism, ShortExactSequence
 from cechlift.cochains import coboundary, cohomology_classes, is_coboundary, verify_good_cover
 from cechlift.complexes import nerve, product_complex, star_cover
 
 from conftest import random_cochain
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def torus36():
     hexagon = fixtures.hexagon()
     return product_complex(hexagon, hexagon)[0]
 
 
-@pytest.fixture
-def snf_calls(monkeypatch):
+def _record_snf(monkeypatch, note):
+    """Note every matrix handed to the Smith kernel, in order."""
     calls = []
     real = kernels.snf_with_transforms
 
-    def counting(mat):
-        calls.append((len(mat), len(mat[0]) if mat else 0))
+    def recording(mat):
+        calls.append(note(mat))
         return real(mat)
 
-    monkeypatch.setattr(kernels, "snf_with_transforms", counting)
+    monkeypatch.setattr(kernels, "snf_with_transforms", recording)
     return calls
+
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    """The shape of every matrix the Smith kernel factors."""
+    return _record_snf(monkeypatch, lambda mat: (len(mat), len(mat[0]) if mat else 0))
+
+
+@pytest.fixture
+def snf_inputs(monkeypatch):
+    """Every matrix the Smith kernel factors, as a tuple of row tuples."""
+    return _record_snf(monkeypatch, lambda mat: tuple(map(tuple, mat)))
 
 
 @pytest.mark.parametrize(
@@ -91,6 +104,97 @@ def test_class_coords_reuses_the_built_lattice(torus36, snf_calls):
     del snf_calls[:]
     assert [classes.class_coords(g) for g in gens] == [(1, 0), (0, 1)]
     assert snf_calls == []
+
+
+@pytest.mark.parametrize("query", ["cohomology_classes", "is_coboundary"])
+def test_second_query_on_a_carrier_refactors_no_coboundary(snf_inputs, query):
+    """The carrier keeps its factorization of delta_p for every later query.
+
+    A second ``is_coboundary`` factors nothing; a second
+    ``cohomology_classes`` still presents its quotient (a matrix built
+    from d_prev in the coordinates of that factorization) but never
+    factors delta again.
+    """
+    nrv = nerve(fixtures.torus_product()[1])
+    group = FgAbelianGroup((2, 4))
+    x = coboundary(random_cochain(random.Random(3), nrv, group, 0))
+
+    def run():
+        if query == "is_coboundary":
+            return is_coboundary(x).values
+        return [g.values for g in cohomology_classes(nrv, group, 1).generators()]
+
+    deltas = {tuple(map(tuple, nrv.coboundary_matrix(p))) for p in (0, 1)}
+    first = run()
+    assert sum(m in deltas for m in snf_inputs) == 1
+    del snf_inputs[:]
+    assert run() == first
+    assert sum(m in deltas for m in snf_inputs) == 0
+    if query == "is_coboundary":
+        assert len(snf_inputs) == 0
+
+
+def _sequence_data():
+    """(A, B, C, inject matrix, project matrix) of three exact sequences."""
+    z2, z4 = FgAbelianGroup((2,)), FgAbelianGroup((4,))
+    derived = fixtures.z2_tower(3).derived_sequence(2)
+    return {
+        "z2-z4-z2": (z2, z4, z2, ((2,),), ((1,),)),
+        "derived": (
+            derived.A, derived.B, derived.C, derived.inject.matrix, derived.project.matrix
+        ),
+        # B = Z/3 + Z has a finite and a free factor: 0 -> Z -> Z/3 + Z -> Z/6 -> 0
+        "mixed": (
+            FgAbelianGroup((0,)), FgAbelianGroup((3, 0)), FgAbelianGroup((6,)),
+            ((0,), (2,)), ((2, 3),),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["z2-z4-z2", "derived", "mixed"])
+def test_exact_sequence_factors_each_map_once(snf_calls, name):
+    """Exactness costs one factorization per map; section and kernel_part none."""
+    a, b, c, inject, project = _sequence_data()[name]
+    del snf_calls[:]
+    ses = ShortExactSequence(a, b, c, Homomorphism(a, b, inject), Homomorphism(b, c, project))
+    assert len(snf_calls) <= 2, snf_calls
+    del snf_calls[:]
+    for z in _some_elements(c):
+        y = ses.section(z)
+        assert ses.project.apply(y) == z
+        for x in _some_elements(a):
+            assert ses.kernel_part(ses.inject.apply(x)) == x
+    assert snf_calls == []
+
+
+def _some_elements(group):
+    if group.is_finite():
+        return list(group.elements())
+    return [group.element((k,) * group.rank) for k in range(-3, 4)]
+
+
+@pytest.fixture(scope="module")
+def fixture_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fixtures")
+    for name in ("rp2", "circle"):
+        assert cli.main(["fixtures", name, "--out", str(d)]) == 0
+    return d
+
+
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        (["bockstein", "w1.cochain", "z2z4z2.ses"], 4),
+        (["tower", "rp2.cov", "w1.trn", "rp2_tower.twr"], 5),
+    ],
+    ids=["bockstein", "rp2-tower"],
+)
+def test_cli_example_smith_budget(fixture_dir, snf_calls, capsys, argv, budget):
+    """A README example factors each of its matrices once, end to end."""
+    del snf_calls[:]
+    args = [argv[0], *(str(fixture_dir / name) for name in argv[1:])]
+    assert cli.main(args) == 0, capsys.readouterr().err
+    assert len(snf_calls) <= budget, snf_calls
 
 
 def _oracle_solve_mod1(mat, b, denominators):

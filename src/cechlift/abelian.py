@@ -16,7 +16,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from . import kernels
 from .errors import GroupMismatch, NotAComplex
@@ -49,7 +49,8 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, x):
-    return [sum(row[k] * x[k] for k in range(len(x))) for row in a]
+    nz = [(k, xk) for k, xk in enumerate(x) if xk]
+    return [sum(row[k] * xk for k, xk in nz) for row in a]
 
 
 def transpose(a, ncols=None):
@@ -119,7 +120,7 @@ def smith_diagonal(mat):
     return _diagonal(snf_full(mat)[1]) if mat else []
 
 
-def _back_substitute(u, diag, b, ring, v=None):
+def _back_substitute(u, diag, b, ring, v):
     """The canonical solution of M x = b from a factorization U M V = S.
 
     ``diag`` is the nonzero diagonal of S and ``ring`` one of "Z", "Q",
@@ -128,32 +129,40 @@ def _back_substitute(u, diag, b, ring, v=None):
     pivot j, y_j = t_j / s_j, which over Z must be an integer; over Z/m,
     g = gcd(s_j, m) must divide t_j and y_j = (t_j/g) (s_j/g)^-1 mod m/g.
     Free coordinates are zero.  Returns x = V y, reduced mod 1 over Q/Z
-    and mod m over Z/m, or y itself when ``v`` is None (the coordinates of
-    b in the lattice basis s_j * (column j of U^-1)).
+    and mod m over Z/m.
+
+    Every product is on integers.  Over Q and Q/Z the denominators of b
+    are cleared once: with den their lcm, t = U (den b) is integral, U b
+    is integral exactly when den divides t, and D = den lcm(s_j) is a
+    multiple of every den s_j, so x = V (D y) / D with D y integral.
     """
-    t = mat_vec(u, b)
     r = len(diag)
-    if ring in ("Q", "Q/Z"):
-        m = 1 if ring == "Q/Z" else 0
-        if any(tj.denominator != 1 if m else tj for tj in t[r:]):
-            return None
-        y = [Fraction(tj) / sj for tj, sj in zip(t, diag)]
-        zero = Fraction(0)
+    rational = ring in ("Q", "Q/Z")
+    if rational:
+        den = lcm(*(bi.denominator for bi in b))
+        b = [bi.numerator * (den // bi.denominator) for bi in b]
+        m = den if ring == "Q/Z" else 0
     else:
         m = 0 if ring == "Z" else ring
-        if any(tj % m if m else tj for tj in t[r:]):
-            return None
+    t = mat_vec(u, b)
+    if any(tj % m if m else tj for tj in t[r:]):
+        return None
+    if rational:
+        scale = lcm(*diag)
+        y = [tj * (scale // sj) for tj, sj in zip(t, diag)]
+        den *= scale
+        m = den if ring == "Q/Z" else 0
+    else:
         y = []
         for tj, sj in zip(t, diag):
             g = gcd(sj, m)
             if tj % g:
                 return None
             y.append(tj // g * pow(sj // g, -1, m // g) % (m // g) if m else tj // g)
-        zero = 0
-    if v is None:
-        return y
-    x = mat_vec(v, y + [zero] * (len(v) - r))
-    return [xi % m for xi in x] if m else x
+    x = mat_vec(v, y + [0] * (len(v) - r))
+    if m:
+        x = [xi % m for xi in x]
+    return [Fraction(xi, den) for xi in x] if rational else x
 
 
 def factor(mat, ncols):
@@ -419,11 +428,9 @@ def is_zero_value(group, value):
 class Presentation:
     """One Smith factorization U @ M @ V = S of a matrix M of columns in Z^n.
 
-    The columns of M generate a lattice L; ``_umatrix`` is U, ``_uinv``
-    its inverse and ``_diag`` the nonzero diagonal of S (V and S are not
-    kept).  They give the coordinates of a vector in the basis of L (s_j
-    times column j of U^-1) and the quotient Z^n / L: ``group``,
-    ``coords_of`` (an integer vector's coordinates there) and
+    The columns of M generate a lattice L; ``_umatrix`` is U and ``_uinv``
+    its inverse (V and S are not kept).  They give the quotient Z^n / L:
+    ``group``, ``coords_of`` (an integer vector's coordinates there) and
     ``generators`` (each canonical generator lifted back to Z^n).
     """
 
@@ -431,11 +438,6 @@ class Presentation:
     _umatrix: list
     _kept: list
     _uinv: list
-    _diag: list
-
-    def lattice_coords(self, vec):
-        """Coordinates of vec in the basis of L, or None when vec is not in L."""
-        return _back_substitute(self._umatrix, self._diag, vec, "Z")
 
     def coords_of(self, vec):
         full = mat_vec(self._umatrix, vec)
@@ -453,20 +455,27 @@ class Presentation:
         return [[self._uinv[i][pos] for i in range(n)] for pos in self._kept]
 
 
+def _identity_presentation(group):
+    """The presentation of a group in invariant-factor form by its own moduli.
+
+    The Smith form of diag(moduli) is that matrix itself with U = V = I,
+    so no factorization is needed.
+    """
+    ident = identity_matrix(group.rank)
+    return Presentation(group, ident, list(range(group.rank)), ident)
+
+
 def presentation_from_relations(n, relation_cols):
     """Factor the lattice spanned by the given columns of Z^n, once."""
-    if relation_cols:
-        rel = [[col[i] for col in relation_cols] for i in range(n)]
-        u, s, _, uinv, _ = snf_full(rel)
-        nonzero = _diagonal(s)
-    else:
-        u = identity_matrix(n)
-        uinv = identity_matrix(n)
-        nonzero = []
+    if not relation_cols:
+        return _identity_presentation(FgAbelianGroup((0,) * n))
+    rel = [[col[i] for col in relation_cols] for i in range(n)]
+    u, s, _, uinv, _ = snf_full(rel)
+    nonzero = _diagonal(s)
     diag = nonzero + [0] * (n - len(nonzero))
     kept = [i for i, d in enumerate(diag) if d != 1]
     moduli = tuple(diag[i] for i in kept)
-    return Presentation(FgAbelianGroup(moduli), u, kept, uinv, nonzero)
+    return Presentation(FgAbelianGroup(moduli), u, kept, uinv)
 
 
 def canonical_group(raw_moduli):
@@ -740,11 +749,15 @@ def cohomology_with_coords(d_prev, factored_next, coefficients):
     factors = [
         cyclic_cohomology(d_prev, m, v, vinv, diag) for m in coefficients.moduli
     ]
-    raw = []
-    for fac in factors:
-        raw.extend(fac.presentation.group.moduli)
-    rel = [[raw[j] if i == j else 0 for i in range(len(raw))] for j in range(len(raw))]
-    combine = presentation_from_relations(len(raw), rel)
+    if len(factors) == 1:
+        # one factor's quotient is already in invariant-factor form
+        combine = _identity_presentation(factors[0].presentation.group)
+    else:
+        raw = []
+        for fac in factors:
+            raw.extend(fac.presentation.group.moduli)
+        rel = [[raw[j] if i == j else 0 for i in range(len(raw))] for j in range(len(raw))]
+        combine = presentation_from_relations(len(raw), rel)
     return CohomologyData(combine.group, coefficients, factors, combine)
 
 

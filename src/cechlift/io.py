@@ -31,6 +31,24 @@ def _require(obj, key, kind):
     return obj[key]
 
 
+def _integer(value, what):
+    """A JSON integer (not a float or a bool), else FormatError."""
+    if type(value) is not int:
+        raise FormatError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _fraction(obj, what):
+    """The Fraction of a ``{"num": p, "den": q}`` object, p and q integers, q != 0."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must be a {{'num':p,'den':q}} object, not {obj!r}")
+    num = _integer(_require(obj, "num", what), f"{what} 'num'")
+    den = _integer(_require(obj, "den", what), f"{what} 'den'")
+    if den == 0:
+        raise FormatError(f"{what}: 'den' must be nonzero")
+    return Fraction(num, den)
+
+
 def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -166,11 +184,11 @@ def element_to_json(v):
 
 def element_from_json(group, obj):
     if isinstance(group, abelian.CircleGroup):
-        if not isinstance(obj, dict) or "num" not in obj or "den" not in obj:
-            raise FormatError("circle elements are {'num':p,'den':q} objects")
-        return CircleElement(Fraction(obj["num"], obj["den"]))
-    if isinstance(obj, dict):
-        raise FormatError("fg group elements are integer arrays")
+        return CircleElement(_fraction(obj, "circle element"))
+    if not (isinstance(obj, list) and len(obj) == group.rank and all(type(c) is int for c in obj)):
+        raise FormatError(
+            f"elements of {group} are integer lists of length {group.rank}, not {obj!r}"
+        )
     return GroupElement(group, tuple(obj))
 
 
@@ -190,7 +208,9 @@ def chain_from_json(obj, complex_):
     degree = _require(obj, "degree", "chain")
     coeffs = {}
     for cell in _require(obj, "cells", "chain"):
-        coeffs[tuple(cell["simplex"])] = int(cell["coeff"])
+        coeffs[tuple(_require(cell, "simplex", "chain cell"))] = _integer(
+            _require(cell, "coeff", "chain cell"), "chain coefficient"
+        )
     return Chain(complex_, degree, coeffs)
 
 
@@ -286,7 +306,12 @@ def transitions_to_json(g):
 def transitions_from_json(obj, nerve_, group):
     g = {}
     for e in _require(obj, "edges", "transitions"):
-        g[(int(e["i"]), int(e["j"]))] = int(e["g"])
+        if not isinstance(e, dict):
+            raise FormatError(f"transitions edges are {{'i','j','g'}} objects, not {e!r}")
+        i, j, v = (
+            _integer(_require(e, k, "transitions edge"), f"transitions edge '{k}'") for k in "ijg"
+        )
+        g[(i, j)] = v
     return tower.TransitionCocycle(nerve_, group, g)
 
 
@@ -368,9 +393,7 @@ def package_from_json(obj):
         for entry in block["values"]:
             loc = {}
             for cell in entry["cochain"]:
-                loc[tuple(cell["simplex"])] = Fraction(
-                    cell["value"]["num"], cell["value"]["den"]
-                )
+                loc[tuple(cell["simplex"])] = _fraction(cell["value"], "package value")
             values[tuple(entry["indices"])] = loc
         layers[q] = deligne.DoubleCochain(
             cover, nerve_, q, block["form_degree"], values
@@ -397,7 +420,7 @@ def rational_cochain_to_json(x, complex_):
 def rational_cochain_from_json(obj):
     complex_ = complex_from_json(_require(obj, "complex", "rational_cochain"))
     values = {
-        tuple(e["simplex"]): Fraction(e["num"], e["den"])
+        tuple(e["simplex"]): _fraction(e, "rational cochain value")
         for e in _require(obj, "values", "rational_cochain")
     }
     return Cochain(complex_, _require(obj, "degree", "rational_cochain"), abelian.QQ, values)
@@ -408,7 +431,7 @@ def circle_value_to_json(v):
 
 
 def circle_value_from_json(obj):
-    return CircleElement(Fraction(_require(obj, "num", "circle_value"), obj["den"]))
+    return CircleElement(_fraction(obj, "circle_value"))
 
 
 # -- dispatch -------------------------------------------------------------------

@@ -183,6 +183,8 @@ def _min_abs_position(a, t, m, n):
 
 def _non_divisible_position(a, t, m, n):
     p = a[t][t]
+    if p in (1, -1):
+        return None
     for i in range(t + 1, m):
         row = a[i]
         for j in range(t + 1, n):

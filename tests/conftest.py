@@ -12,6 +12,7 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -189,6 +190,25 @@ def oracle_augmented_solve(mat, b, m):
     aug = [list(row) + [m if r == i else 0 for r in range(rows)] for i, row in enumerate(mat)]
     sol = abelian.solve(aug, b, "Z")
     return None if sol is None else sol[: len(mat[0])]
+
+
+def oracle_fraction_back_substitute(mat, b, ring):
+    """x with mat @ x = b over "Q" or "Q/Z" (mod 1), or None, in Fractions.
+
+    Back-substitutes through the library's factorization U mat V = S with
+    every product taken on Fractions: t = U b must vanish past the rank
+    (be integral over Q/Z), y_j = t_j / s_j with free coordinates zero,
+    and x = V y, reduced mod 1 over Q/Z.  This is how the library solved
+    over Q and Q/Z before it cleared denominators once.
+    """
+    u, diag, v, _ = abelian.factor(mat, len(mat[0]) if mat else 0)
+    t = [sum((ui * Fraction(bi) for ui, bi in zip(row, b)), Fraction(0)) for row in u]
+    r = len(diag)
+    if any(tj.denominator != 1 if ring == "Q/Z" else tj for tj in t[r:]):
+        return None
+    y = [tj / sj for tj, sj in zip(t, diag)] + [Fraction(0)] * (len(v) - r)
+    x = [sum((vi * yi for vi, yi in zip(row, y)), Fraction(0)) for row in v]
+    return [xi % 1 for xi in x] if ring == "Q/Z" else x
 
 
 def oracle_cohomology_group_Z(d_prev, d_next, dim):

@@ -218,6 +218,43 @@ BAD_ALGEBRA = {
 }
 
 
+#: case -> (shipped fixture file, edit of its JSON, CLI arguments with "@" for the edited copy)
+BAD_NUMBERS = {
+    "transition-float-value": (
+        "w1.trn", lambda o: o["edges"][0].update(g=1.7), ["obstruct", "rp2.cov", "@", "z2-z4.ext"]
+    ),
+    "transition-float-index": (
+        "w1.trn", lambda o: o["edges"][0].update(i=0.0), ["obstruct", "rp2.cov", "@", "z2-z4.ext"]
+    ),
+    "transition-without-value": (
+        "w1.trn", lambda o: o["edges"][0].pop("g"), ["obstruct", "rp2.cov", "@", "z2-z4.ext"]
+    ),
+    "fg-value-float": (
+        "w1.cochain", lambda o: o["values"][0].update(value=[0.5]), ["bockstein", "@", "z2z4z2.ses"]
+    ),
+    "fg-value-wrong-rank": (
+        "w1.cochain",
+        lambda o: o["values"][0].update(value=[1, 0]),
+        ["bockstein", "@", "z2z4z2.ses"],
+    ),
+    "circle-value-float-num": (
+        "theta.cochain",
+        lambda o: o["values"][0].update(value={"num": 1.5, "den": 3}),
+        ["descent", "circle.cov", "@"],
+    ),
+    "circle-value-zero-den": (
+        "theta.cochain",
+        lambda o: o["values"][0].update(value={"num": 1, "den": 0}),
+        ["descent", "circle.cov", "@"],
+    ),
+    "chain-float-coeff": (
+        "hexcycle.chn",
+        lambda o: o["cells"][0].update(coeff=1.5),
+        ["holonomy", "flat_bundle.pkg", "@"],
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli")
@@ -376,6 +413,19 @@ class TestCLI:
         io.dump_json(obj, path)
         extra = ["-p", "1"] if args[0] == "cohomology" else []
         res = run_cli([*args, path, *extra], workdir)
+        assert res.returncode == 1, (res.stdout, res.stderr)
+        assert "error [FormatError]:" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+    def test_non_integer_numbers_are_a_format_error(self, workdir, case):
+        """Transitions, fg and circle values and chain coefficients must be JSON integers."""
+        source, edit, args = BAD_NUMBERS[case]
+        obj = io.load_json(os.path.join(workdir, source))
+        edit(obj)
+        path = os.path.join(workdir, f"{case}-{source}")
+        io.dump_json(obj, path)
+        res = run_cli([path if a == "@" else a for a in args], workdir)
         assert res.returncode == 1, (res.stdout, res.stderr)
         assert "error [FormatError]:" in res.stderr
         assert "Traceback" not in res.stderr

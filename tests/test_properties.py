@@ -4,10 +4,11 @@ Random small complexes (and random subcomplexes of the minimal RP^2,
 which carry 2-torsion) are drawn by ``hypothesis``.  The Z/m answers of
 the diagonal Smith solve are checked against the universal coefficient
 theorem, against the coboundary that produced them, and against the
-augmented ``[A | m*I]`` solve and exhaustive search.  The Smith kernel
-is checked against the Euler characteristic, which counts simplices,
-and against barycentric subdivision, which factors other matrices for
-the same groups.  Giraud obstructions of random transition cocycles on
+augmented ``[A | m*I]`` solve and exhaustive search; the Q and Q/Z
+answers, computed on integers, against back-substitution in Fractions.
+The Smith kernel is checked against the Euler characteristic, which
+counts simplices, and against barycentric subdivision, which factors
+other matrices for the same groups.  Giraud obstructions of random transition cocycles on
 the shipped nerves obey the cocycle law, and their classes do not depend
 on the section of the extension.
 """
@@ -15,6 +16,7 @@ on the section of the extension.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from cechlift.cochains import Cochain, coboundary, cohomology_classes, is_coboun
 from cechlift.complexes import nerve, validate_complex
 from cechlift.tower import TransitionCocycle, giraud_obstruction, obstruction_class
 
-from conftest import oracle_augmented_solve
+from conftest import oracle_augmented_solve, oracle_fraction_back_substitute
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -138,6 +140,41 @@ def test_diagonal_mod_m_solve_agrees_with_augmented_solve(system, m):
     if x is not None:
         assert all(0 <= xi < m for xi in x)
         assert all((ax - bi) % m == 0 for ax, bi in zip(abelian.mat_vec(mat, x), b))
+
+
+rationals = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 8, 9]))
+
+
+@st.composite
+def rational_systems(draw):
+    """(A, b): a small integer matrix A, often with invariant factors > 1, and b rational.
+
+    Half the time b = A x + k for a rational x and an integer vector k,
+    so the system is solvable over Q/Z (and over Q when k = 0); otherwise
+    b is drawn freely, with mixed denominators.
+    """
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1, 1, 2, 3, 4, 6]))
+    entries = st.integers(-4, 4)
+    mat = [[scale * draw(entries) for _ in range(cols)] for _ in range(rows)]
+    if draw(st.booleans()):
+        x = [draw(rationals) for _ in range(cols)]
+        shift = draw(st.lists(st.sampled_from([0, 0, 1, -2]), min_size=rows, max_size=rows))
+        b = [sum(a * xi for a, xi in zip(row, x)) + k for row, k in zip(mat, shift)]
+    else:
+        b = [draw(rationals) for _ in range(rows)]
+    return mat, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_systems(), st.sampled_from(["Q", "Q/Z"]))
+def test_integer_back_substitution_matches_fraction_oracle(system, ring):
+    """Clearing denominators once gives the Fraction solution, value for value."""
+    mat, b = system
+    x = abelian.solve(mat, b, ring)
+    assert x == oracle_fraction_back_substitute(mat, b, ring)
+    if x is not None:
+        assert all(type(xi) is Fraction for xi in x)
 
 
 #: The shipped nerves: the three-arc cover of the hexagon, the dual-block

@@ -8,6 +8,7 @@ shared and hashed freely.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 
@@ -51,10 +52,53 @@ def _factored_coboundary(carrier, p):
     return fac
 
 
+def _greedy_collapse(complex_, shuffle=None):
+    """The (free face, coface) pairs of a greedy elementary collapse, or None.
+
+    Simplices are tried in (dimension, tuple) order, or in the order
+    ``shuffle.shuffle`` makes of it; the smallest free face (a simplex
+    with exactly one remaining proper coface, which is then maximal and
+    one dimension up) is removed with its coface until none is left.
+    The pairs are returned in collapse order when a single vertex
+    remains, and None otherwise.
+    """
+    order = sorted(complex_.simplices, key=lambda s: (len(s), s))
+    if shuffle is not None:
+        shuffle.shuffle(order)
+    rank = {s: i for i, s in enumerate(order)}
+    cofaces = {s: set() for s in order}
+    for t in order:
+        if len(t) > 1:
+            for j in range(len(t)):
+                cofaces[t[:j] + t[j + 1 :]].add(t)
+    free = [rank[s] for s in order if len(cofaces[s]) == 1]
+    heapq.heapify(free)
+    pairs = []
+    while free:
+        sigma = order[heapq.heappop(free)]
+        if len(cofaces.get(sigma, ())) != 1:
+            continue
+        (tau,) = cofaces.pop(sigma)
+        del cofaces[tau]
+        pairs.append((sigma, tau))
+        for cell in (tau, sigma):
+            for j in range(len(cell)):
+                face = cell[:j] + cell[j + 1 :]
+                up = cofaces.get(face)
+                if up is not None:
+                    up.remove(cell)
+                    if len(up) == 1:
+                        heapq.heappush(free, rank[face])
+    return tuple(pairs) if len(cofaces) == 1 else None
+
+
+_UNBUILT = object()
+
+
 class SimplicialComplex:
     """A downward-closed set of strictly increasing vertex tuples."""
 
-    __slots__ = ("vertex_count", "simplices", "_by_dim", "_factored")
+    __slots__ = ("vertex_count", "simplices", "_by_dim", "_factored", "_collapse")
 
     def __init__(self, vertex_count, simplices):
         self.vertex_count = int(vertex_count)
@@ -74,6 +118,7 @@ class SimplicialComplex:
                     raise InvalidComplex(f"missing face {face} of {s}")
         self._by_dim = {d: tuple(sorted(v)) for d, v in by_dim.items()}
         self._factored = {}
+        self._collapse = _UNBUILT
 
     def simplices_of_dim(self, d):
         return self._by_dim.get(d, ())
@@ -81,6 +126,23 @@ class SimplicialComplex:
     @property
     def dim(self):
         return max(self._by_dim, default=-1)
+
+    def collapse(self, shuffle=None):
+        """A collapse certificate: (free face, coface) pairs down to a vertex.
+
+        A complex with a certificate is acyclic, and the pairs read in
+        reverse are a chain contraction.  None when the greedy collapse
+        stops early, which a complex that is not acyclic always does and
+        an acyclic one (the dunce hat) may.  The certificate of the
+        sorted order is built on first use and kept; a ``shuffle``
+        (a ``random.Random``) reorders the free faces of a fresh,
+        unkept one.
+        """
+        if shuffle is not None:
+            return _greedy_collapse(self, shuffle)
+        if self._collapse is _UNBUILT:
+            self._collapse = _greedy_collapse(self)
+        return self._collapse
 
     def euler_characteristic(self):
         return sum((-1) ** d * len(v) for d, v in self._by_dim.items())

@@ -505,10 +505,47 @@ class HolonomyTrivialization:
 def _solve_local_d(inter, q, rhs_local, shuffle=None):
     """Solve D v = rhs on one acyclic intersection, exactly.
 
-    ``q`` is the form degree of the unknown v.  A shuffled column order
-    selects a different exact solution from the same affine space; the
-    holonomy value must not depend on it.
+    ``q`` is the form degree of the unknown v.  With a collapse
+    certificate the solve is a back-substitution: walking the pairs
+    (q-simplex s, (q+1)-simplex t) in reverse collapse order,
+    v(s) = [t:s] (rhs(t) - sum of [t:r] v(r) over the other faces r of
+    t), and every other q-simplex gets 0.  An intersection without one
+    is solved by Smith over Q.  A ``shuffle`` reorders the free faces of
+    the collapse (or the Smith columns) and so selects a different exact
+    solution from the same affine space; the holonomy value must not
+    depend on it.
     """
+    pairs = inter.collapse(shuffle)
+    if pairs is None:
+        return _smith_solve_local_d(inter, q, rhs_local, shuffle)
+    v = {}
+    paired = set()
+    for s, t in reversed(pairs):
+        if len(s) == q + 1:
+            paired.add(t)
+            # v(s) is still unset, so the face sum runs over the other faces
+            acc = rhs_local.get(t, 0) - _face_sum(v, t)
+            j = next((k for k, x in enumerate(s) if x != t[k]), len(s))
+            if acc:
+                v[s] = acc if j % 2 == 0 else -acc
+    for t in inter.simplices_of_dim(q + 1):
+        if t not in paired and _face_sum(v, t) != rhs_local.get(t, 0):
+            raise CoverNotGoodOnV("local solve failed on a supposedly acyclic piece")
+    return v
+
+
+def _face_sum(v, t):
+    """(D v)(t) = sum of [t:r] v(r) over the faces r of t, v a local cochain."""
+    total = Fraction(0)
+    for j in range(len(t)):
+        x = v.get(t[:j] + t[j + 1 :])
+        if x:
+            total += x if j % 2 == 0 else -x
+    return total
+
+
+def _smith_solve_local_d(inter, q, rhs_local, shuffle=None):
+    """Solve D v = rhs by Smith over Q, columns shuffled on request."""
     simps = inter.simplices_of_dim(q)
     order = list(range(len(simps)))
     if shuffle is not None:
@@ -591,7 +628,12 @@ def holonomy(pkg, v, z, shuffle=None):
     ``v`` must be a d-dimensional subcomplex whose restricted cover is
     good, and ``z`` a degree-d fundamental cycle supported on it.  The
     result is the pairing of the trivialized global d-cochain with z,
-    mod 1; it is independent of all solver choices.
+    mod 1; it is independent of all solver choices.  Goodness and the
+    local solves use each intersection's collapse certificate, and Smith
+    only where there is none.  A ``shuffle`` (a ``random.Random``)
+    reorders the free faces of fresh certificates, the Smith columns of
+    the rest, and the piece assignment of the collapse to a global
+    cochain.
     """
     d = pkg.degree
     if v.dim != d:

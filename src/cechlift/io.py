@@ -26,6 +26,8 @@ from .errors import DuplicateVertexInSimplex, FormatError, InvalidCover
 
 
 def _require(obj, key, kind):
+    if not isinstance(obj, dict):
+        raise FormatError(f"{kind} must be an object, not {obj!r}")
     if key not in obj:
         raise FormatError(f"{kind} object is missing '{key}'")
     return obj[key]
@@ -36,6 +38,29 @@ def _integer(value, what):
     if type(value) is not int:
         raise FormatError(f"{what} must be an integer, not {value!r}")
     return value
+
+
+def _list(value, what):
+    """A JSON list, else FormatError."""
+    if not isinstance(value, list):
+        raise FormatError(f"{what} must be a list, not {value!r}")
+    return value
+
+
+def _simplex(value, what):
+    """The tuple of a list of JSON integers, else FormatError."""
+    if not (isinstance(value, list) and all(type(v) is int for v in value)):
+        raise FormatError(f"{what} must be a list of integers, not {value!r}")
+    return tuple(value)
+
+
+def _integer_rows(raw, what):
+    """A matrix given as a list of rows of JSON integers, as a tuple of tuples."""
+    if not isinstance(raw, list) or not all(
+        isinstance(row, list) and all(type(v) is int for v in row) for row in raw
+    ):
+        raise FormatError(f"{what} must be a list of integer rows, not {raw!r}")
+    return tuple(map(tuple, raw))
 
 
 def _fraction(obj, what):
@@ -205,10 +230,10 @@ def chain_to_json(z):
 
 
 def chain_from_json(obj, complex_):
-    degree = _require(obj, "degree", "chain")
+    degree = _integer(_require(obj, "degree", "chain"), "chain 'degree'")
     coeffs = {}
-    for cell in _require(obj, "cells", "chain"):
-        coeffs[tuple(_require(cell, "simplex", "chain cell"))] = _integer(
+    for cell in _list(_require(obj, "cells", "chain"), "chain 'cells'"):
+        coeffs[_simplex(_require(cell, "simplex", "chain cell"), "chain simplex")] = _integer(
             _require(cell, "coeff", "chain cell"), "chain coefficient"
         )
     return Chain(complex_, degree, coeffs)
@@ -240,10 +265,11 @@ def cochain_from_json(obj, carrier=None):
         cover = cover_from_json(obj["cover"])
         carrier = nerve(cover)
     group = group_from_json(_require(obj, "coefficients", "cochain"))
-    degree = _require(obj, "degree", "cochain")
+    degree = _integer(_require(obj, "degree", "cochain"), "cochain 'degree'")
     values = {}
-    for entry in _require(obj, "values", "cochain"):
-        values[tuple(entry["indices"])] = element_from_json(group, entry["value"])
+    for entry in _list(_require(obj, "values", "cochain"), "cochain 'values'"):
+        indices = _simplex(_require(entry, "indices", "cochain value"), "cochain indices")
+        values[indices] = element_from_json(group, _require(entry, "value", "cochain value"))
     x = Cochain(carrier, degree, group, values)
     return (x, cover) if cover is not None else x
 
@@ -260,8 +286,12 @@ def finite_group_to_json(g):
 
 
 def finite_group_from_json(obj):
+    table = _integer_rows(_require(obj, "table", "finite_group"), "finite_group 'table'")
+    identity = obj.get("identity")
+    if identity is not None:
+        _integer(identity, "finite_group 'identity'")
     try:
-        return tower.FiniteGroup(_require(obj, "table", "finite_group"), obj.get("identity"))
+        return tower.FiniteGroup(table, identity)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -280,7 +310,11 @@ def extension_to_json(e):
 def extension_from_json(obj):
     base = finite_group_from_json(_require(obj, "base", "extension"))
     kernel = _moduli_group(_require(obj, "kernel", "extension"), "extension kernel")
-    fs = _require(obj, "factor_set", "extension")
+    raw = _list(_require(obj, "factor_set", "extension"), "extension 'factor_set'")
+    n = base.order
+    if len(raw) != n or not all(isinstance(row, list) and len(row) == n for row in raw):
+        raise FormatError(f"extension 'factor_set' must be {n} rows of {n} kernel elements")
+    fs = [[element_from_json(kernel, v) for v in row] for row in raw]
     return tower.build_extension(base, kernel, fs)
 
 
@@ -292,7 +326,8 @@ def tower_from_json(obj):
     if isinstance(obj, list):
         exts = [extension_from_json(e) for e in obj]
     else:
-        exts = [extension_from_json(e) for e in _require(obj, "extensions", "tower")]
+        raw = _list(_require(obj, "extensions", "tower"), "tower 'extensions'")
+        exts = [extension_from_json(e) for e in raw]
     return tower.ExtensionTower(exts)
 
 
@@ -305,7 +340,7 @@ def transitions_to_json(g):
 
 def transitions_from_json(obj, nerve_, group):
     g = {}
-    for e in _require(obj, "edges", "transitions"):
+    for e in _list(_require(obj, "edges", "transitions"), "transitions 'edges'"):
         if not isinstance(e, dict):
             raise FormatError(f"transitions edges are {{'i','j','g'}} objects, not {e!r}")
         i, j, v = (
@@ -328,19 +363,11 @@ def ses_to_json(s):
     }
 
 
-def _integer_rows(obj, key):
-    """The ses matrix under ``key``: a list of rows of JSON integers."""
-    raw = _require(obj, key, "ses")
-    if not isinstance(raw, list) or not all(
-        isinstance(row, list) and all(type(v) is int for v in row) for row in raw
-    ):
-        raise FormatError(f"ses '{key}' must be a list of integer rows, not {raw!r}")
-    return tuple(map(tuple, raw))
-
-
 def ses_from_json(obj):
     a, b, c = (_moduli_group(_require(obj, k, "ses"), f"ses {k}") for k in "ABC")
-    inject, project = _integer_rows(obj, "inject"), _integer_rows(obj, "project")
+    inject, project = (
+        _integer_rows(_require(obj, k, "ses"), f"ses '{k}'") for k in ("inject", "project")
+    )
     try:
         return ShortExactSequence(
             a, b, c, Homomorphism(a, b, inject), Homomorphism(b, c, project)
@@ -384,20 +411,24 @@ def package_to_json(p):
 def package_from_json(obj):
     cover = cover_from_json(_require(obj, "cover", "package"))
     nerve_ = nerve(cover)
-    degree = _require(obj, "degree", "package")
+    degree = _integer(_require(obj, "degree", "package"), "package 'degree'")
     cocycle = cochain_from_json(_require(obj, "cocycle", "package"), carrier=nerve_)
     layers = {}
-    for block in _require(obj, "layers", "package"):
-        q = block["cech_degree"]
-        values = {}
-        for entry in block["values"]:
-            loc = {}
-            for cell in entry["cochain"]:
-                loc[tuple(cell["simplex"])] = _fraction(cell["value"], "package value")
-            values[tuple(entry["indices"])] = loc
-        layers[q] = deligne.DoubleCochain(
-            cover, nerve_, q, block["form_degree"], values
+    for block in _list(_require(obj, "layers", "package"), "package 'layers'"):
+        q, form_degree = (
+            _integer(_require(block, k, "package layer"), f"package layer '{k}'")
+            for k in ("cech_degree", "form_degree")
         )
+        values = {}
+        for entry in _list(_require(block, "values", "package layer"), "package layer 'values'"):
+            loc = {}
+            cells = _require(entry, "cochain", "package block")
+            for cell in _list(cells, "package block 'cochain'"):
+                s = _simplex(_require(cell, "simplex", "package cell"), "package simplex")
+                loc[s] = _fraction(_require(cell, "value", "package cell"), "package value")
+            indices = _require(entry, "indices", "package block")
+            values[_simplex(indices, "package block indices")] = loc
+        layers[q] = deligne.DoubleCochain(cover, nerve_, q, form_degree, values)
     pkg = deligne.DelignePackage(cover, nerve_, degree, cocycle, layers)
     pkg.validate()
     return pkg
@@ -419,11 +450,14 @@ def rational_cochain_to_json(x, complex_):
 
 def rational_cochain_from_json(obj):
     complex_ = complex_from_json(_require(obj, "complex", "rational_cochain"))
+    raw = _list(_require(obj, "values", "rational_cochain"), "rational_cochain 'values'")
     values = {
-        tuple(e["simplex"]): _fraction(e, "rational cochain value")
-        for e in _require(obj, "values", "rational_cochain")
+        _simplex(_require(e, "simplex", "rational cochain value"), "rational cochain simplex"):
+        _fraction(e, "rational cochain value")
+        for e in raw
     }
-    return Cochain(complex_, _require(obj, "degree", "rational_cochain"), abelian.QQ, values)
+    degree = _integer(_require(obj, "degree", "rational_cochain"), "rational_cochain 'degree'")
+    return Cochain(complex_, degree, abelian.QQ, values)
 
 
 def circle_value_to_json(v):

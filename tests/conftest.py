@@ -241,6 +241,50 @@ def oracle_cohomology_order_mod(d_prev, d_next, modulus, dim):
     return ker_size // im_prev
 
 
+def oracle_goodness_failures(cover, nerve_, max_degree=None):
+    """The failures of verify_good_cover, from components and invariant factors.
+
+    Every intersection is checked, collapsible or not, with
+    ``oracle_invariant_factors`` in place of the Smith kernel.
+    """
+    from cechlift.abelian import FgAbelianGroup
+
+    if max_degree is None:
+        max_degree = cover.base.dim + 1
+    failures = []
+    for s in sorted(nerve_.simplices):
+        w = nerve_.intersection_of[s]
+        comps = w.connected_component_count()
+        if comps != 1:
+            failures.append((s, 0, FgAbelianGroup((0,) * (comps - 1))))
+        diags = [oracle_invariant_factors(w.coboundary_matrix(q)) for q in range(max_degree + 1)]
+        for q in range(1, max_degree + 1):
+            free = len(w.simplices_of_dim(q)) - len(diags[q]) - len(diags[q - 1])
+            h = FgAbelianGroup([d for d in diags[q - 1] if d > 1] + [0] * free)
+            if not h.is_trivial():
+                failures.append((s, q, h))
+    return tuple(failures)
+
+
+# ---------------------------------------------------------------------------
+# the dunce hat
+# ---------------------------------------------------------------------------
+
+#: A triangle with boundary word a a a^-1, each side subdivided in three
+#: (corners and side points labelled 0, 1, 2) and five interior vertices
+#: 3..7: 8 vertices, 24 edges, 17 triangles.  Every edge lies on two or
+#: three triangles, so no face is free, yet the complex is contractible.
+DUNCE_HAT_TRIANGLES = (
+    (0, 1, 3), (1, 2, 3), (0, 2, 4), (0, 1, 4), (1, 2, 5), (0, 2, 5),
+    (0, 2, 6), (1, 2, 6), (0, 1, 7), (2, 3, 4), (1, 4, 5), (0, 5, 6),
+    (1, 6, 7), (0, 3, 7), (3, 4, 5), (3, 5, 6), (3, 6, 7),
+)
+
+
+def dunce_hat():
+    return validate_complex(DUNCE_HAT_TRIANGLES, vertex_count=8)
+
+
 # ---------------------------------------------------------------------------
 # random generators (seeded by each test)
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cechlift import fixtures
-from cechlift.abelian import CIRCLE, FgAbelianGroup
+from cechlift.abelian import CIRCLE, QQ, FgAbelianGroup
 from cechlift.cochains import (
     Cochain,
     cech_cohomology,
@@ -20,9 +20,10 @@ from cechlift.cochains import (
     zero_cochain,
 )
 from cechlift.complexes import Cover, nerve, star_cover, validate_complex
+from cechlift.deligne import _solve_local_d
 from cechlift.errors import NoProduct, NotACocycle
 
-from conftest import random_complex, random_cover, random_cochain, random_fg_group
+from conftest import dunce_hat, random_complex, random_cover, random_cochain, random_fg_group
 
 Z = FgAbelianGroup((0,))
 Z2 = FgAbelianGroup((2,))
@@ -291,3 +292,50 @@ class TestGoodCover:
     def test_torus_product_cover_good(self, torus_cover, torus_nerve):
         _, cov = torus_cover
         assert verify_good_cover(cov, torus_nerve).ok
+
+    def test_bd3_star_cover_report_is_unchanged(self, bd3):
+        """Eleven failures, with the text they had before collapse certificates."""
+        cov = star_cover(bd3)
+        report = verify_good_cover(cov, nerve(cov))
+        assert report.max_degree == 3
+        assert [(s, q, str(h)) for s, q, h in report.failures] == [
+            ((0, 1), 1, "Z"),
+            ((0, 1, 2), 1, "Z + Z"),
+            ((0, 1, 2, 3), 1, "Z + Z + Z"),
+            ((0, 1, 3), 1, "Z + Z"),
+            ((0, 2), 1, "Z"),
+            ((0, 2, 3), 1, "Z + Z"),
+            ((0, 3), 1, "Z"),
+            ((1, 2), 1, "Z"),
+            ((1, 2, 3), 1, "Z + Z"),
+            ((1, 3), 1, "Z"),
+            ((2, 3), 1, "Z"),
+        ]
+        assert report.describe() == (
+            "(0, 1) H^1=Z, (0, 1, 2) H^1=Z + Z, (0, 1, 2, 3) H^1=Z + Z + Z, (0, 1, 3) H^1=Z + Z"
+        )
+
+
+class TestCollapseFallback:
+    """The dunce hat is acyclic but has no free face, so it never collapses."""
+
+    def test_no_certificate_in_any_order(self):
+        k = dunce_hat()
+        assert [len(k.simplices_of_dim(d)) for d in range(3)] == [8, 24, 17]
+        assert k.collapse() is None
+        assert k.collapse(random.Random(1)) is None
+
+    def test_goodness_falls_back_to_smith(self):
+        k = dunce_hat()
+        cov = Cover(k, (k,))
+        assert verify_good_cover(cov, nerve(cov)).ok
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_local_solve_falls_back_to_smith(self, q):
+        k = dunce_hat()
+        rng = random.Random(q)
+        x = {s: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for s in k.simplices_of_dim(q)}
+        rhs = coboundary(Cochain(k, q, QQ, x)).values
+        for shuffle in (None, random.Random(2)):
+            v = _solve_local_d(k, q, rhs, shuffle)
+            assert coboundary(Cochain(k, q, QQ, v)).values == rhs

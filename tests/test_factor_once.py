@@ -14,9 +14,21 @@ from fractions import Fraction
 import pytest
 
 from cechlift import abelian, cli, fixtures, kernels
-from cechlift.abelian import FgAbelianGroup, Homomorphism, ShortExactSequence
-from cechlift.cochains import coboundary, cohomology_classes, is_coboundary, verify_good_cover
+from cechlift.abelian import QQ, FgAbelianGroup, Homomorphism, ShortExactSequence
+from cechlift.cochains import (
+    Cochain,
+    coboundary,
+    cohomology_classes,
+    is_coboundary,
+    verify_good_cover,
+)
 from cechlift.complexes import nerve, product_complex, star_cover
+from cechlift.deligne import (
+    add_global_datum,
+    holonomy,
+    holonomy_trivialization,
+    restrict_package,
+)
 
 from conftest import random_cochain
 
@@ -84,6 +96,59 @@ def test_goodness_factors_each_local_coboundary_once(snf_calls, name, ok, budget
     del snf_calls[:]
     assert verify_good_cover(cov, nrv).ok is ok
     assert len(snf_calls) <= budget, snf_calls
+
+
+@pytest.mark.parametrize(
+    "cover",
+    [lambda: fixtures.torus_product()[1], lambda: fixtures.rp2_good_cover()[0]],
+    ids=["torus.cov", "rp2-dual-block"],
+)
+def test_good_covers_need_no_smith(snf_calls, cover):
+    """Every intersection of these good covers has a collapse certificate."""
+    cov = cover()
+    nrv = nerve(cov)
+    del snf_calls[:]
+    assert verify_good_cover(cov, nrv).ok
+    assert snf_calls == []
+
+
+@pytest.fixture(scope="module")
+def torus_gerbe():
+    """The flat torus gerbe with holonomy 1/3, gauged by D f for a seeded rational f.
+
+    The gauge makes every local equation of holonomy nonzero.
+    """
+    torus, _ = fixtures.torus_product()
+    rng = random.Random(11)
+    f = Cochain(
+        torus,
+        1,
+        QQ,
+        {s: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for s in torus.simplices_of_dim(1)},
+    )
+    pkg = add_global_datum(fixtures.torus_flat_gerbe(Fraction(1, 3)), f)
+    return pkg, torus, fixtures.torus_cycle(torus)
+
+
+def test_holonomy_on_a_collapsible_cover_needs_no_smith(snf_calls, torus_gerbe):
+    """Goodness and every local solve of holonomy run on collapse certificates."""
+    pkg, torus, z = torus_gerbe
+    del snf_calls[:]
+    assert holonomy(pkg, torus, z).value == Fraction(1, 3)
+    assert snf_calls == []
+
+
+def test_shuffle_still_varies_the_potentials(torus_gerbe):
+    """A shuffled collapse order picks other exact potentials, same holonomy."""
+    pkg, torus, z = torus_gerbe
+    restricted = restrict_package(pkg, torus)
+    default = holonomy_trivialization(restricted).potentials
+    differ = 0
+    for trial in range(4):
+        shuffled = holonomy_trivialization(restricted, shuffle=random.Random(trial)).potentials
+        differ += any(shuffled[q] != default[q] for q in default)
+        assert holonomy(pkg, torus, z, shuffle=random.Random(trial)).value == Fraction(1, 3)
+    assert differ >= 1
 
 
 def test_is_coboundary_factors_delta_once_for_all_factors(snf_calls):

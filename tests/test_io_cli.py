@@ -254,6 +254,53 @@ BAD_NUMBERS = {
     ),
 }
 
+# Edits of the shipped fixtures whose structure (not a number value) is
+# malformed: every one must be a FormatError, never a traceback or exit 0.
+BAD_STRUCTURE = {
+    "cochain-float-degree": (
+        "w1.cochain", lambda o: o.update(degree=1.5), ["bockstein", "@", "z2z4z2.ses"]
+    ),
+    "cochain-value-without-indices": (
+        "w1.cochain", lambda o: o["values"][0].pop("indices"), ["bockstein", "@", "z2z4z2.ses"]
+    ),
+    "transitions-edges-not-a-list": (
+        "w1.trn", lambda o: o.update(edges=5), ["obstruct", "rp2.cov", "@", "z2-z4.ext"]
+    ),
+    "factor-set-float-entry": (
+        "z2-z4.ext",
+        lambda o: o["factor_set"][1].__setitem__(1, [0.5]),
+        ["obstruct", "rp2.cov", "w1.trn", "@"],
+    ),
+    "factor-set-missing-row": (
+        "z2-z4.ext", lambda o: o["factor_set"].pop(), ["obstruct", "rp2.cov", "w1.trn", "@"]
+    ),
+    "group-table-float-entry": (
+        "z2-z4.ext",
+        lambda o: o["base"]["table"][1].__setitem__(1, 0.0),
+        ["obstruct", "rp2.cov", "w1.trn", "@"],
+    ),
+    "package-float-degree": (
+        "flat_bundle.pkg", lambda o: o.update(degree=1.0), ["holonomy", "@", "hexcycle.chn"]
+    ),
+    "package-layer-without-cech-degree": (
+        "flat_bundle.pkg",
+        lambda o: o["layers"][0].pop("cech_degree"),
+        ["holonomy", "@", "hexcycle.chn"],
+    ),
+    "chain-float-degree": (
+        "hexcycle.chn", lambda o: o.update(degree=1.0), ["holonomy", "flat_bundle.pkg", "@"]
+    ),
+}
+
+
+def _run_on_edited_fixture(workdir, case, source, edit, args):
+    """Run the CLI with ``@`` replaced by an edited copy of a shipped fixture."""
+    obj = io.load_json(os.path.join(workdir, source))
+    edit(obj)
+    path = os.path.join(workdir, f"{case}-{source}")
+    io.dump_json(obj, path)
+    return run_cli([path if a == "@" else a for a in args], workdir)
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -420,12 +467,15 @@ class TestCLI:
     @pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
     def test_non_integer_numbers_are_a_format_error(self, workdir, case):
         """Transitions, fg and circle values and chain coefficients must be JSON integers."""
-        source, edit, args = BAD_NUMBERS[case]
-        obj = io.load_json(os.path.join(workdir, source))
-        edit(obj)
-        path = os.path.join(workdir, f"{case}-{source}")
-        io.dump_json(obj, path)
-        res = run_cli([path if a == "@" else a for a in args], workdir)
+        res = _run_on_edited_fixture(workdir, case, *BAD_NUMBERS[case])
+        assert res.returncode == 1, (res.stdout, res.stderr)
+        assert "error [FormatError]:" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("case", sorted(BAD_STRUCTURE))
+    def test_malformed_structure_is_a_format_error(self, workdir, case):
+        """Degrees, list shapes, required keys, factor sets and group tables are checked."""
+        res = _run_on_edited_fixture(workdir, case, *BAD_STRUCTURE[case])
         assert res.returncode == 1, (res.stdout, res.stderr)
         assert "error [FormatError]:" in res.stderr
         assert "Traceback" not in res.stderr

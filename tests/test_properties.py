@@ -10,12 +10,15 @@ The Smith kernel is checked against the Euler characteristic, which
 counts simplices, and against barycentric subdivision, which factors
 other matrices for the same groups.  Giraud obstructions of random transition cocycles on
 the shipped nerves obey the cocycle law, and their classes do not depend
-on the section of the extension.
+on the section of the extension.  A collapse certificate of a cover
+intersection implies the invariant factors find it acyclic, and its
+contraction solves D v = rhs exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -23,12 +26,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cechlift import abelian, fixtures
-from cechlift.abelian import FgAbelianGroup
-from cechlift.cochains import Cochain, coboundary, cohomology_classes, is_coboundary
-from cechlift.complexes import nerve, validate_complex
+from cechlift.abelian import QQ, FgAbelianGroup
+from cechlift.cochains import (
+    Cochain,
+    coboundary,
+    cohomology_classes,
+    is_coboundary,
+    verify_good_cover,
+)
+from cechlift.complexes import nerve, product_cover, star_cover, validate_complex
+from cechlift.deligne import _solve_local_d
 from cechlift.tower import TransitionCocycle, giraud_obstruction, obstruction_class
 
-from conftest import oracle_augmented_solve, oracle_fraction_back_substitute
+from conftest import (
+    oracle_augmented_solve,
+    oracle_invariant_factors,
+    oracle_fraction_back_substitute,
+    oracle_goodness_failures,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -240,3 +255,71 @@ def test_giraud_obstruction_is_a_cocycle_whose_class_ignores_the_section(nrv, ex
     coords = obstruction_class(c).coords
     assert obstruction_class(twisted).coords == coords
     assert (is_coboundary(c) is None) == any(coords)
+
+
+# ---------------------------------------------------------------------------
+# collapse certificates
+# ---------------------------------------------------------------------------
+
+#: The shipped covers: the three-arc cover of the hexagon, the dual-block
+#: cover of RP^2, the torus product cover and the star cover of the
+#: boundary of the 3-simplex (11 of its intersections are not acyclic).
+COVERS = (
+    fixtures.three_arc_cover(),
+    fixtures.rp2_good_cover()[0],
+    fixtures.torus_product()[1],
+    star_cover(fixtures.boundary_delta3()),
+)
+
+
+@st.composite
+def covers(draw):
+    """A shipped cover, a star cover, or a product of two star covers."""
+    kind = draw(st.sampled_from(["shipped", "star", "product"]))
+    if kind == "shipped":
+        return draw(st.sampled_from(COVERS))
+    if kind == "star":
+        return star_cover(draw(complexes()))
+    a, b = (draw(complexes().filter(lambda k: k.dim <= 1 and k.vertex_count <= 4)) for _ in "ab")
+    return product_cover(star_cover(a), star_cover(b))
+
+
+@st.composite
+def intersections(draw):
+    nrv = nerve(draw(covers()))
+    return nrv.intersection_of[draw(st.sampled_from(sorted(nrv.simplices)))]
+
+
+@SETTINGS
+@given(covers())
+def test_goodness_report_equals_the_invariant_factor_check(cover):
+    """Skipping collapsible intersections leaves every report as it was."""
+    nrv = nerve(cover)
+    for max_degree in (None, 1):
+        report = verify_good_cover(cover, nrv, max_degree)
+        assert report.failures == oracle_goodness_failures(cover, nrv, max_degree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(intersections(), st.integers(0, 10**6), st.booleans())
+def test_a_collapse_certificate_proves_acyclicity_and_solves_exactly(w, seed, shuffled):
+    """(a) A certificate implies the invariant factors find every reduced H^q trivial.
+
+    (b) For rhs = D x, x a random rational q-cochain, the contraction
+    solve (of the kept certificate, or of a shuffled one) gives D v = rhs.
+    """
+    pairs = w.collapse()
+    if pairs is None:
+        return
+    assert w.connected_component_count() == 1
+    for q in range(1, w.dim + 2):
+        d_prev = oracle_invariant_factors(w.coboundary_matrix(q - 1))
+        d_next = oracle_invariant_factors(w.coboundary_matrix(q))
+        assert all(d == 1 for d in d_prev), q
+        assert len(w.simplices_of_dim(q)) == len(d_prev) + len(d_next), q
+    rng = random.Random(seed)
+    for q in range(w.dim):
+        x = {s: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for s in w.simplices_of_dim(q)}
+        rhs = coboundary(Cochain(w, q, QQ, x)).values
+        v = _solve_local_d(w, q, rhs, random.Random(seed) if shuffled else None)
+        assert coboundary(Cochain(w, q, QQ, v)).values == rhs, q

@@ -40,10 +40,14 @@ def _integer(value, what):
     return value
 
 
-def _list(value, what):
-    """A JSON list, else FormatError."""
+def _require_integer(obj, key, kind):
+    return _integer(_require(obj, key, kind), f"{kind} '{key}'")
+
+
+def _require_list(obj, key, kind):
+    value = _require(obj, key, kind)
     if not isinstance(value, list):
-        raise FormatError(f"{what} must be a list, not {value!r}")
+        raise FormatError(f"{kind} '{key}' must be a list, not {value!r}")
     return value
 
 
@@ -67,8 +71,8 @@ def _fraction(obj, what):
     """The Fraction of a ``{"num": p, "den": q}`` object, p and q integers, q != 0."""
     if not isinstance(obj, dict):
         raise FormatError(f"{what} must be a {{'num':p,'den':q}} object, not {obj!r}")
-    num = _integer(_require(obj, "num", what), f"{what} 'num'")
-    den = _integer(_require(obj, "den", what), f"{what} 'den'")
+    num = _require_integer(obj, "num", what)
+    den = _require_integer(obj, "den", what)
     if den == 0:
         raise FormatError(f"{what}: 'den' must be nonzero")
     return Fraction(num, den)
@@ -230,9 +234,9 @@ def chain_to_json(z):
 
 
 def chain_from_json(obj, complex_):
-    degree = _integer(_require(obj, "degree", "chain"), "chain 'degree'")
+    degree = _require_integer(obj, "degree", "chain")
     coeffs = {}
-    for cell in _list(_require(obj, "cells", "chain"), "chain 'cells'"):
+    for cell in _require_list(obj, "cells", "chain"):
         coeffs[_simplex(_require(cell, "simplex", "chain cell"), "chain simplex")] = _integer(
             _require(cell, "coeff", "chain cell"), "chain coefficient"
         )
@@ -265,9 +269,9 @@ def cochain_from_json(obj, carrier=None):
         cover = cover_from_json(obj["cover"])
         carrier = nerve(cover)
     group = group_from_json(_require(obj, "coefficients", "cochain"))
-    degree = _integer(_require(obj, "degree", "cochain"), "cochain 'degree'")
+    degree = _require_integer(obj, "degree", "cochain")
     values = {}
-    for entry in _list(_require(obj, "values", "cochain"), "cochain 'values'"):
+    for entry in _require_list(obj, "values", "cochain"):
         indices = _simplex(_require(entry, "indices", "cochain value"), "cochain indices")
         values[indices] = element_from_json(group, _require(entry, "value", "cochain value"))
     x = Cochain(carrier, degree, group, values)
@@ -310,7 +314,7 @@ def extension_to_json(e):
 def extension_from_json(obj):
     base = finite_group_from_json(_require(obj, "base", "extension"))
     kernel = _moduli_group(_require(obj, "kernel", "extension"), "extension kernel")
-    raw = _list(_require(obj, "factor_set", "extension"), "extension 'factor_set'")
+    raw = _require_list(obj, "factor_set", "extension")
     n = base.order
     if len(raw) != n or not all(isinstance(row, list) and len(row) == n for row in raw):
         raise FormatError(f"extension 'factor_set' must be {n} rows of {n} kernel elements")
@@ -326,8 +330,7 @@ def tower_from_json(obj):
     if isinstance(obj, list):
         exts = [extension_from_json(e) for e in obj]
     else:
-        raw = _list(_require(obj, "extensions", "tower"), "tower 'extensions'")
-        exts = [extension_from_json(e) for e in raw]
+        exts = [extension_from_json(e) for e in _require_list(obj, "extensions", "tower")]
     return tower.ExtensionTower(exts)
 
 
@@ -340,12 +343,10 @@ def transitions_to_json(g):
 
 def transitions_from_json(obj, nerve_, group):
     g = {}
-    for e in _list(_require(obj, "edges", "transitions"), "transitions 'edges'"):
+    for e in _require_list(obj, "edges", "transitions"):
         if not isinstance(e, dict):
             raise FormatError(f"transitions edges are {{'i','j','g'}} objects, not {e!r}")
-        i, j, v = (
-            _integer(_require(e, k, "transitions edge"), f"transitions edge '{k}'") for k in "ijg"
-        )
+        i, j, v = (_require_integer(e, k, "transitions edge") for k in "ijg")
         g[(i, j)] = v
     return tower.TransitionCocycle(nerve_, group, g)
 
@@ -411,19 +412,16 @@ def package_to_json(p):
 def package_from_json(obj):
     cover = cover_from_json(_require(obj, "cover", "package"))
     nerve_ = nerve(cover)
-    degree = _integer(_require(obj, "degree", "package"), "package 'degree'")
+    degree = _require_integer(obj, "degree", "package")
     cocycle = cochain_from_json(_require(obj, "cocycle", "package"), carrier=nerve_)
     layers = {}
-    for block in _list(_require(obj, "layers", "package"), "package 'layers'"):
-        q, form_degree = (
-            _integer(_require(block, k, "package layer"), f"package layer '{k}'")
-            for k in ("cech_degree", "form_degree")
-        )
+    for block in _require_list(obj, "layers", "package"):
+        q = _require_integer(block, "cech_degree", "package layer")
+        form_degree = _require_integer(block, "form_degree", "package layer")
         values = {}
-        for entry in _list(_require(block, "values", "package layer"), "package layer 'values'"):
+        for entry in _require_list(block, "values", "package layer"):
             loc = {}
-            cells = _require(entry, "cochain", "package block")
-            for cell in _list(cells, "package block 'cochain'"):
+            for cell in _require_list(entry, "cochain", "package block"):
                 s = _simplex(_require(cell, "simplex", "package cell"), "package simplex")
                 loc[s] = _fraction(_require(cell, "value", "package cell"), "package value")
             indices = _require(entry, "indices", "package block")
@@ -450,13 +448,12 @@ def rational_cochain_to_json(x, complex_):
 
 def rational_cochain_from_json(obj):
     complex_ = complex_from_json(_require(obj, "complex", "rational_cochain"))
-    raw = _list(_require(obj, "values", "rational_cochain"), "rational_cochain 'values'")
     values = {
         _simplex(_require(e, "simplex", "rational cochain value"), "rational cochain simplex"):
         _fraction(e, "rational cochain value")
-        for e in raw
+        for e in _require_list(obj, "values", "rational_cochain")
     }
-    degree = _integer(_require(obj, "degree", "rational_cochain"), "rational_cochain 'degree'")
+    degree = _require_integer(obj, "degree", "rational_cochain")
     return Cochain(complex_, degree, abelian.QQ, values)
 
 

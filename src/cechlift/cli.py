@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import abelian, io
 from .abelian import CIRCLE, FgAbelianGroup
-from .cochains import cohomology_classes, is_coboundary, verify_good_cover
+from .cochains import cohomology_classes, verify_good_cover
 from .complexes import downward_closure, nerve, SimplicialComplex, chain_boundary
 from .deligne import curvature, descent_chain, holonomy
 from .errors import CechliftError, FormatError
@@ -29,10 +29,6 @@ def _fmt_coords(coords):
     return "(" + ",".join(str(c) for c in coords) + ")"
 
 
-def _fmt_fraction(v):
-    return str(v)
-
-
 class Report:
     def __init__(self, command):
         self.lines = [f"cechlift {command}"]
@@ -44,16 +40,15 @@ class Report:
         sys.stdout.write("\n".join(self.lines) + "\n")
 
 
-def _read_json(path):
+def _load(path, *kinds):
+    """The JSON object in ``path``; it must exist and be of one of ``kinds``."""
     if not os.path.exists(path):
         raise UsageError(f"input file not found: {path}")
-    return io.load_json(path)
-
-
-def _load_file(path, expect=None):
-    if not os.path.exists(path):
-        raise UsageError(f"input file not found: {path}")
-    return io.load_typed(path, expect=expect)
+    obj = io.load_json(path)
+    kind = io.kind_of(obj)
+    if kind not in kinds:
+        raise FormatError(f"{path}: expected a {' or '.join(kinds)} file, found {kind}")
+    return obj
 
 
 class UsageError(Exception):
@@ -64,8 +59,8 @@ def _nerve_counts(n):
     return [len(n.simplices_of_dim(d)) for d in range(n.dim + 1)]
 
 
-def _goodness_line(cover, nrv, max_degree=None):
-    rep = verify_good_cover(cover, nrv, max_degree)
+def _goodness_line(cover, nrv):
+    rep = verify_good_cover(cover, nrv)
     if rep.ok:
         return f"good cover: yes (acyclic intersections up to degree {rep.max_degree})"
     return f"good cover: NO ({rep.describe()})"
@@ -77,9 +72,9 @@ def _goodness_line(cover, nrv, max_degree=None):
 
 def cmd_cohomology(args):
     rep = Report("cohomology")
-    obj = _read_json(args.space)
-    kind = io.kind_of(obj)
-    group = _load_file(args.group, expect="group")
+    obj = _load(args.space, "complex", "cover")
+    kind = obj["kind"]
+    group = io.group_from_json(_load(args.group, "group"))
     if not isinstance(group, FgAbelianGroup):
         raise CechliftError("cohomology needs finitely generated coefficients")
     p = args.degree
@@ -89,14 +84,12 @@ def cmd_cohomology(args):
     if kind == "complex":
         carrier = io.complex_from_json(obj)
         rep.add(f"complex: {carrier.vertex_count} vertices, dim {carrier.dim}")
-    elif kind == "cover":
+    else:
         cover = io.cover_from_json(obj)
         carrier = nerve(cover)
         rep.add(f"cover: {len(cover.pieces)} pieces")
         rep.add(f"nerve: {_nerve_counts(carrier)}")
-        rep.add(_goodness_line(cover, carrier, args.max_check_degree))
-    else:
-        raise FormatError(f"{args.space}: expected a complex or cover file")
+        rep.add(_goodness_line(cover, carrier))
     classes = cohomology_classes(carrier, group, p)
     rep.add(f"H^{p} = {classes.group}")
     if args.out:
@@ -108,13 +101,10 @@ def cmd_cohomology(args):
 
 def cmd_obstruct(args):
     rep = Report("obstruct")
-    cover = _load_file(args.cover, expect="cover")
+    cover = io.cover_from_json(_load(args.cover, "cover"))
     nrv = nerve(cover)
-    ext = _load_file(args.extension, expect="extension")
-    tobj = _read_json(args.transitions)
-    if io.kind_of(tobj) != "transitions":
-        raise FormatError(f"{args.transitions}: expected a transitions file")
-    g = io.transitions_from_json(tobj, nrv, ext.base)
+    ext = io.extension_from_json(_load(args.extension, "extension"))
+    g = io.transitions_from_json(_load(args.transitions, "transitions"), nrv, ext.base)
     rep.add(f"cover: {len(cover.pieces)} pieces; nerve {_nerve_counts(nrv)}")
     rep.add(
         f"extension: base order {ext.base.order}, kernel {ext.kernel}, "
@@ -129,8 +119,7 @@ def cmd_obstruct(args):
     rep.add(f"class: {_fmt_coords(coords)}")
     for s, v in c.items():
         rep.add(f"  c{s} = {_fmt_coords(v.coords)}")
-    witness = is_coboundary(c)
-    rep.add(f"liftable: {'yes' if witness is not None else 'no'}")
+    rep.add(f"liftable: {'no' if any(coords) else 'yes'}")
     if args.out:
         io.dump_json(io.cochain_to_json(c, include_cover=cover), args.out)
         rep.add(f"wrote: {args.out}")
@@ -140,10 +129,10 @@ def cmd_obstruct(args):
 
 def cmd_tower(args):
     rep = Report("tower")
-    cover = _load_file(args.cover, expect="cover")
+    cover = io.cover_from_json(_load(args.cover, "cover"))
     nrv = nerve(cover)
-    twr = _load_file(args.tower, expect="tower")
-    tobj = _read_json(args.transitions)
+    twr = io.tower_from_json(_load(args.tower, "tower"))
+    tobj = _load(args.transitions, "transitions")
     g = io.transitions_from_json(tobj, nrv, twr.extensions[0].base)
     rep.add(f"cover: {len(cover.pieces)} pieces; nerve {_nerve_counts(nrv)}")
     rep.add(f"tower: {len(twr)} extensions, kernels "
@@ -184,13 +173,11 @@ def cmd_tower(args):
 
 def cmd_bockstein(args):
     rep = Report("bockstein")
-    cobj = _read_json(args.cochain)
-    if io.kind_of(cobj) != "cochain":
-        raise FormatError(f"{args.cochain}: expected a cochain file")
+    cobj = _load(args.cochain, "cochain")
     if "cover" not in cobj:
         raise FormatError(f"{args.cochain}: bockstein needs a cochain file with an embedded cover")
     x, cover = io.cochain_from_json(cobj)
-    ses = _load_file(args.ses, expect="ses")
+    ses = io.ses_from_json(_load(args.ses, "ses"))
     nrv = x.carrier
     rep.add(f"cochain: degree {x.degree}, coefficients {x.group}, support {len(x.values)}")
     rep.add(f"sequence: 0 -> {ses.A} -> {ses.B} -> {ses.C} -> 0 (exactness verified)")
@@ -210,17 +197,14 @@ def cmd_bockstein(args):
 
 def cmd_descent(args):
     rep = Report("descent")
-    cover = _load_file(args.cover, expect="cover")
+    cover = io.cover_from_json(_load(args.cover, "cover"))
     nrv = nerve(cover)
-    cobj = _read_json(args.cocycle)
-    if io.kind_of(cobj) != "cochain":
-        raise FormatError(f"{args.cocycle}: expected a cochain file")
-    c = io.cochain_from_json(cobj, carrier=nrv)
+    c = io.cochain_from_json(_load(args.cocycle, "cochain"), carrier=nrv)
     if c.group != CIRCLE:
         raise FormatError("descent needs a circle-valued classifying cocycle")
     rep.add(f"cover: {len(cover.pieces)} pieces; nerve {_nerve_counts(nrv)}")
-    rep.add(_goodness_line(cover, nrv, max(c.degree + 1, args.max_check_degree or 0)))
-    pkg = descent_chain(c, cover, nrv, max_check_degree=args.max_check_degree)
+    rep.add(_goodness_line(cover, nrv))
+    pkg = descent_chain(c, cover, nrv)
     rep.add(f"package: degree {pkg.degree}, layers {sorted(pkg.layers)}")
     rep.add("descent equations: verified exactly")
     for q in sorted(pkg.layers):
@@ -234,14 +218,14 @@ def cmd_descent(args):
 
 def cmd_curvature(args):
     rep = Report("curvature")
-    pkg = _load_file(args.package, expect="package")
+    pkg = io.package_from_json(_load(args.package, "package"))
     rep.add(f"package: degree {pkg.degree} (equations re-verified)")
     f = curvature(pkg)
     rep.add(f"curvature: degree {f.degree}, support {len(f.values)}")
     rep.add("glued consistently on overlaps: yes")
     rep.add("closed (D F = 0): yes")
     for s, v in f.items():
-        rep.add(f"  F{s} = {_fmt_fraction(v)}")
+        rep.add(f"  F{s} = {v}")
     if args.out:
         io.dump_json(io.rational_cochain_to_json(f, pkg.cover.base), args.out)
         rep.add(f"wrote: {args.out}")
@@ -251,11 +235,8 @@ def cmd_curvature(args):
 
 def cmd_holonomy(args):
     rep = Report("holonomy")
-    pkg = _load_file(args.package, expect="package")
-    zobj = _read_json(args.cycle)
-    if io.kind_of(zobj) != "chain":
-        raise FormatError(f"{args.cycle}: expected a chain file")
-    z = io.chain_from_json(zobj, pkg.cover.base)
+    pkg = io.package_from_json(_load(args.package, "package"))
+    z = io.chain_from_json(_load(args.cycle, "chain"), pkg.cover.base)
     support = downward_closure(z.coefficients.keys())
     v = SimplicialComplex(pkg.cover.base.vertex_count, support)
     rep.add(f"package: degree {pkg.degree} (equations re-verified)")
@@ -263,7 +244,7 @@ def cmd_holonomy(args):
             f"{'yes' if not chain_boundary(z).coefficients else 'no'}")
     rep.add(f"restriction subcomplex: {len(v.simplices)} simplices, dim {v.dim}")
     h = holonomy(pkg, v, z)
-    rep.add(f"holonomy = {_fmt_fraction(h.value)} (mod 1)")
+    rep.add(f"holonomy = {h.value} (mod 1)")
     if args.out:
         io.dump_json(io.circle_value_to_json(h), args.out)
         rep.add(f"wrote: {args.out}")
@@ -385,12 +366,6 @@ def _build_parser():
             choices=("fast", "full"),
             default="fast",
             help="full re-checks every Smith decomposition",
-        )
-        p.add_argument(
-            "--max-check-degree",
-            type=int,
-            default=None,
-            help="degree bound for cover goodness verification",
         )
 
     p = sub.add_parser("cohomology", help="cohomology of a complex or cover nerve")

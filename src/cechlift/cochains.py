@@ -361,7 +361,8 @@ class GoodnessReport:
     """Result of an acyclicity check of all nerve intersections.
 
     ``failures`` lists (nerve simplex, degree, reduced cohomology) for
-    every non-acyclic intersection up to the checked degree.
+    every non-acyclic intersection; ``max_degree`` is the highest degree
+    checked, dim(base) + 1.
     """
 
     max_degree: int
@@ -376,19 +377,18 @@ class GoodnessReport:
         return ", ".join(f"{s} H^{q}={h}" for s, q, h in self.failures[:4])
 
 
-def verify_good_cover(cover, nerve_, max_degree=None):
-    """Check every non-empty intersection is acyclic over Z.
+def verify_good_cover(cover, nerve_):
+    """Check every non-empty intersection is acyclic over Z in every degree.
 
     An intersection with a collapse certificate (``collapse()``) is
     acyclic and costs no Smith call.  Any other one is checked by its
     connected components and the Smith diagonals of its coboundaries up
-    to ``max_degree``, which defaults to dim(base) + 1, enough for every
-    zigzag this library performs; that check also settles acyclic
-    intersections that do not collapse greedily.  Failure is a value,
-    not an error.
+    to dim(base) + 1, which is every degree: an intersection W is a
+    subcomplex of the base, so H^q(W) = 0 for q > dim(base).  That check
+    also settles acyclic intersections that do not collapse greedily.
+    Failure is a value, not an error.
     """
-    if max_degree is None:
-        max_degree = cover.base.dim + 1
+    max_degree = cover.base.dim + 1
     failures = []
     for s in sorted(nerve_.simplices):
         w = nerve_.intersection_of[s]

@@ -163,19 +163,6 @@ class SimplicialComplex:
     def is_subcomplex_of(self, other):
         return self.simplices <= other.simplices and self.vertex_count == other.vertex_count
 
-    def boundary_matrix(self, d):
-        """Rows = (d-1)-simplices, columns = d-simplices, entries (-1)^j."""
-        rows = self.simplices_of_dim(d - 1)
-        cols = self.simplices_of_dim(d)
-        index = {s: i for i, s in enumerate(rows)}
-        mat = [[0] * len(cols) for _ in rows]
-        for cidx, s in enumerate(cols):
-            for j in range(len(s)):
-                face = s[:j] + s[j + 1 :]
-                if face:
-                    mat[index[face]][cidx] += (-1) ** j
-        return mat
-
     coboundary_matrix = _coboundary_matrix
     factored_coboundary = _factored_coboundary
 

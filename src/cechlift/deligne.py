@@ -129,10 +129,6 @@ class DoubleCochain:
         )
 
 
-def zero_double(cover, nerve_, p, q):
-    return DoubleCochain(cover, nerve_, p, q)
-
-
 def cech_delta(x):
     """Cech coboundary: alternating sum of restrictions to the deeper
     intersection."""
@@ -160,12 +156,7 @@ def form_d(x):
         inter = x.nerve.intersection_of[t]
         acc = {}
         for s in inter.simplices_of_dim(x.form_degree + 1):
-            total = Fraction(0)
-            for j in range(len(s)):
-                face = s[:j] + s[j + 1 :]
-                v = loc.get(face)
-                if v is not None:
-                    total += v if j % 2 == 0 else -v
+            total = _face_sum(loc, s)
             if total:
                 acc[s] = total
         out[t] = acc
@@ -284,7 +275,7 @@ def _not_good(what, report):
     return f"{what} is not good ({count} non-acyclic intersections): {report.describe()}"
 
 
-def descent_chain(c, cover, nerve_=None, max_check_degree=None):
+def descent_chain(c, cover, nerve_=None):
     """Build the layers of a connective structure under a good cover.
 
     The cover is verified good first (CoverNotGood reports the bad
@@ -296,7 +287,7 @@ def descent_chain(c, cover, nerve_=None, max_check_degree=None):
     d = c.degree
     if d < 1:
         raise DegreeMismatch("packages need classifying degree >= 1")
-    report = verify_good_cover(cover, nerve_, max_check_degree if max_check_degree is not None else d + 1)
+    report = verify_good_cover(cover, nerve_)
     if not report.ok:
         raise CoverNotGood(_not_good("cover", report))
     if c.group != CIRCLE:
@@ -462,7 +453,7 @@ def restrict_package(pkg, v):
         raise NoFundamentalCycle("restriction target is not a subcomplex of the base")
     cover_v = _restrict_cover(pkg.cover, v)
     nerve_v = nerve(cover_v)
-    report = verify_good_cover(cover_v, nerve_v, v.dim + 1)
+    report = verify_good_cover(cover_v, nerve_v)
     if not report.ok:
         raise CoverNotGoodOnV(_not_good("restricted cover", report))
     layers = {

@@ -93,6 +93,9 @@ def dump_json(obj, path):
 
 
 def kind_of(obj):
+    """The "kind" of a container object; a bare list of extensions is a tower."""
+    if isinstance(obj, list):
+        return "tower"
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("top-level object must carry a 'kind' discriminator")
     return obj["kind"]
@@ -484,7 +487,7 @@ _LOADERS = {
 def load_typed(path, expect=None):
     """Load a container file, optionally enforcing its kind."""
     obj = load_json(path)
-    kind = kind_of(obj) if not isinstance(obj, list) else "tower"
+    kind = kind_of(obj)
     if expect is not None and kind != expect:
         raise FormatError(f"{path}: expected a {expect} file, found {kind}")
     loader = _LOADERS.get(kind)

@@ -347,10 +347,9 @@ class Obstruction:
         return all(c == 0 for c in self.coords)
 
 
-def obstruction_class(c, nerve_=None):
+def obstruction_class(c):
     """Class coordinates of a kernel-valued 2-cocycle, as an Obstruction."""
-    carrier = nerve_ if nerve_ is not None else c.carrier
-    classes = cohomology_classes(carrier, c.group, c.degree)
+    classes = cohomology_classes(c.carrier, c.group, c.degree)
     return Obstruction(c, classes.group, classes.class_coords(c))
 
 

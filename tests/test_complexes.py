@@ -235,7 +235,7 @@ class TestChains:
             simps = k.simplices_of_dim(d)
             if not simps or len(simps) > 6:
                 continue
-            bmat = k.boundary_matrix(d)
+            bmat = abelian.transpose(k.coboundary_matrix(d - 1))
             for sv in itertools.product((1, -1), repeat=len(simps)):
                 in_kernel = all(
                     sum(bmat[r][c] * sv[c] for c in range(len(simps))) == 0

@@ -266,8 +266,9 @@ def fixture_dir(tmp_path_factory):
     [
         (["bockstein", "w1.cochain", "z2z4z2.ses"], 4),
         (["tower", "rp2.cov", "w1.trn", "rp2_tower.twr"], 5),
+        (["obstruct", "rp2.cov", "w1.trn", "z2-z4.ext"], 1),
     ],
-    ids=["bockstein", "rp2-tower"],
+    ids=["bockstein", "rp2-tower", "rp2-obstruct"],
 )
 def test_cli_example_smith_budget(fixture_dir, snf_calls, capsys, argv, budget):
     """A README example factors each of its matrices once, end to end."""

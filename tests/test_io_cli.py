@@ -266,6 +266,9 @@ BAD_STRUCTURE = {
     "transitions-edges-not-a-list": (
         "w1.trn", lambda o: o.update(edges=5), ["obstruct", "rp2.cov", "@", "z2-z4.ext"]
     ),
+    "tower-transitions-of-another-kind": (
+        "dbl.trn", lambda o: o.update(kind="chain"), ["tower", "circle.cov", "@", "z2-z4.twr"]
+    ),
     "factor-set-float-entry": (
         "z2-z4.ext",
         lambda o: o["factor_set"][1].__setitem__(1, [0.5]),
@@ -318,6 +321,9 @@ def workdir(tmp_path_factory):
     for name in ("circle", "rp2", "torus", "delta3"):
         res = run_cli(["fixtures", name], d)
         assert res.returncode == 0, res.stderr
+    # a degree-1 circle cochain with no values, a cocycle on every nerve
+    zero = {"kind": "cochain", "degree": 1, "coefficients": io.group_to_json(CIRCLE), "values": []}
+    io.dump_json(zero, os.path.join(d, "zero1.cochain"))
     return d
 
 
@@ -431,6 +437,23 @@ class TestCLI:
             "good cover: NO ((0, 1) H^1=Z, (0, 1, 2) H^1=Z + Z, "
             "(0, 1, 2, 3) H^1=Z + Z + Z, (0, 1, 3) H^1=Z + Z)\n"
         ) in res2.stdout
+
+    def test_goodness_degree_cannot_be_lowered(self, workdir):
+        """Goodness is checked in every degree; no option can lower it."""
+        res = run_cli(["descent", "delta3_star.cov", "zero1.cochain", "--max-check-degree", "0"], workdir)
+        assert res.returncode == 2, res.stdout
+        res = run_cli(["descent", "delta3_star.cov", "zero1.cochain"], workdir)
+        assert res.returncode == 1, res.stdout
+        assert res.stderr.startswith("error [CoverNotGood]:")
+
+    def test_descent_reports_the_goodness_it_enforces(self, workdir):
+        """descent prints the goodness line cohomology prints for the same cover."""
+        res = run_cli(["descent", "torus.cov", "zero1.cochain"], workdir)
+        assert res.returncode == 0, res.stderr
+        res2 = run_cli(["cohomology", "torus.cov", "z.grp", "-p", "1"], workdir)
+        assert res2.returncode == 0, res2.stderr
+        line = "good cover: yes (acyclic intersections up to degree 3)\n"
+        assert line in res.stdout and line in res2.stdout
 
     def test_malformed_json_exit_1(self, workdir):
         bad = os.path.join(workdir, "bad.cplx")

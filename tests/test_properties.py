@@ -295,9 +295,9 @@ def intersections(draw):
 def test_goodness_report_equals_the_invariant_factor_check(cover):
     """Skipping collapsible intersections leaves every report as it was."""
     nrv = nerve(cover)
-    for max_degree in (None, 1):
-        report = verify_good_cover(cover, nrv, max_degree)
-        assert report.failures == oracle_goodness_failures(cover, nrv, max_degree)
+    report = verify_good_cover(cover, nrv)
+    assert report.max_degree == cover.base.dim + 1
+    assert report.failures == oracle_goodness_failures(cover, nrv)
 
 
 @settings(max_examples=100, deadline=None)

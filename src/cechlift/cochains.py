@@ -1,11 +1,8 @@
-"""Cech cochain complexes on a nerve (or simplicial cochains on a complex).
+"""Cochains on a simplicial complex; on a Nerve they are Cech cochains.
 
 A cochain stores values only on canonical increasing tuples; evaluation
-on arbitrary orderings applies the alternating sign on demand.  The
-carrier can be a Nerve (Cech cochains, tuples of cover indices) or a
-SimplicialComplex (simplicial cochains, tuples of vertices): the
-coboundary is the same alternating face sum in both cases, which is the
-single sign convention the whole library is built on.
+on arbitrary orderings applies the alternating sign on demand, the single
+sign convention the whole library is built on.
 """
 
 from __future__ import annotations
@@ -61,10 +58,9 @@ class Cochain:
         self.group = group
         vals = {}
         if values:
-            simps = set(carrier.simplices_of_dim(self.degree))
             for s, v in values.items():
                 s = tuple(s)
-                if s not in simps:
+                if len(s) != self.degree + 1 or s not in carrier.simplices:
                     raise DegreeMismatch(
                         f"{s} is not a degree-{self.degree} simplex of the carrier"
                     )
@@ -103,10 +99,7 @@ class Cochain:
         return not self.values
 
     def _same_shape(self, other):
-        if (
-            self.carrier is not other.carrier
-            and getattr(self.carrier, "simplices", None) != getattr(other.carrier, "simplices", None)
-        ):
+        if self.carrier is not other.carrier and self.carrier != other.carrier:
             raise GroupMismatch("cochains on different carriers")
         if self.degree != other.degree or self.group != other.group:
             raise DegreeMismatch("cochains of different shape")
@@ -250,9 +243,6 @@ class CohomologyClasses:
         simps = self.carrier.simplices_of_dim(self.degree)
         return self.data.class_coords(_fg_vectors(x, simps))
 
-    def class_element(self, x):
-        return GroupElement(self.group, self.class_coords(x))
-
     def generators(self):
         simps = self.carrier.simplices_of_dim(self.degree)
         moduli = self.coefficients.moduli
@@ -332,9 +322,7 @@ def cup(a, b):
     the Leibniz rule delta(a cup b) = delta a cup b + (-1)^p a cup
     delta b.
     """
-    if a.carrier is not b.carrier and getattr(a.carrier, "simplices", None) != getattr(
-        b.carrier, "simplices", None
-    ):
+    if a.carrier is not b.carrier and a.carrier != b.carrier:
         raise GroupMismatch("cup of cochains on different carriers")
     target, mul = _cup_target(a.group, b.group)
     p, q = a.degree, b.degree

@@ -21,37 +21,6 @@ from .errors import (
 )
 
 
-def _coboundary_matrix(carrier, p):
-    """Rows = (p+1)-simplices, columns = p-simplices, entries (-1)^j.
-
-    Shared by SimplicialComplex and Nerve, whose simplices are both
-    increasing tuples listed by ``simplices_of_dim``.
-    """
-    rows = carrier.simplices_of_dim(p + 1)
-    cols = carrier.simplices_of_dim(p)
-    index = {s: i for i, s in enumerate(cols)}
-    mat = [[0] * len(cols) for _ in rows]
-    for ridx, s in enumerate(rows):
-        for j in range(len(s)):
-            face = s[:j] + s[j + 1 :]
-            if face:
-                mat[ridx][index[face]] += (-1) ** j
-    return mat
-
-
-def _factored_coboundary(carrier, p):
-    """The Smith factorization (U, diag, V, V^-1) of coboundary_matrix(p).
-
-    Built on first use and kept by the carrier, which is immutable; two
-    threads that race here compute the same deterministic value.
-    """
-    fac = carrier._factored.get(p)
-    if fac is None:
-        fac = factor(carrier.coboundary_matrix(p), len(carrier.simplices_of_dim(p)))
-        carrier._factored[p] = fac
-    return fac
-
-
 def _greedy_collapse(complex_, shuffle=None):
     """The (free face, coface) pairs of a greedy elementary collapse, or None.
 
@@ -153,18 +122,33 @@ class SimplicialComplex:
     def has_simplex(self, s):
         return tuple(s) in self.simplices
 
-    def vertices(self):
-        return self.simplices_of_dim(0)
-
-    def subcomplex(self, simplices):
-        """The subcomplex on the given simplices (must be closed)."""
-        return SimplicialComplex(self.vertex_count, simplices)
-
     def is_subcomplex_of(self, other):
         return self.simplices <= other.simplices and self.vertex_count == other.vertex_count
 
-    coboundary_matrix = _coboundary_matrix
-    factored_coboundary = _factored_coboundary
+    def coboundary_matrix(self, p):
+        """Rows = (p+1)-simplices, columns = p-simplices, entries (-1)^j."""
+        rows = self.simplices_of_dim(p + 1)
+        cols = self.simplices_of_dim(p)
+        index = {s: i for i, s in enumerate(cols)}
+        mat = [[0] * len(cols) for _ in rows]
+        for ridx, s in enumerate(rows):
+            for j in range(len(s)):
+                face = s[:j] + s[j + 1 :]
+                if face:
+                    mat[ridx][index[face]] += (-1) ** j
+        return mat
+
+    def factored_coboundary(self, p):
+        """The Smith factorization (U, diag, V, V^-1) of coboundary_matrix(p).
+
+        Built on first use and kept by the complex, which is immutable;
+        two threads that race here compute the same deterministic value.
+        """
+        fac = self._factored.get(p)
+        if fac is None:
+            fac = factor(self.coboundary_matrix(p), len(self.simplices_of_dim(p)))
+            self._factored[p] = fac
+        return fac
 
     def connected_component_count(self):
         verts = [s[0] for s in self.simplices_of_dim(0)]
@@ -194,7 +178,7 @@ class SimplicialComplex:
 
     def __repr__(self):
         counts = [len(self.simplices_of_dim(d)) for d in range(self.dim + 1)]
-        return f"SimplicialComplex(vertices={self.vertex_count}, counts={counts})"
+        return f"{type(self).__name__}(vertices={self.vertex_count}, counts={counts})"
 
 
 def downward_closure(simplices):
@@ -271,41 +255,20 @@ def star_cover(complex_):
     return Cover(complex_, tuple(pieces))
 
 
-class Nerve:
-    """All index tuples of the cover with non-empty intersection.
+class Nerve(SimplicialComplex):
+    """The complex on a cover's piece indices whose simplices are the index
+    tuples with non-empty intersection.
 
-    ``intersection_of`` maps each nerve simplex to the corresponding
-    intersection subcomplex.
+    ``intersection_of`` maps each nerve simplex (its keys are exactly the
+    simplices) to the corresponding intersection subcomplex.
     """
 
-    __slots__ = ("cover", "simplices", "intersection_of", "_by_dim", "_factored")
+    __slots__ = ("cover", "intersection_of")
 
-    def __init__(self, cover, simplices, intersection_of):
+    def __init__(self, cover, intersection_of):
+        super().__init__(len(cover.pieces), intersection_of)
         self.cover = cover
-        self.simplices = frozenset(simplices)
         self.intersection_of = dict(intersection_of)
-        by_dim = {}
-        for s in self.simplices:
-            by_dim.setdefault(len(s) - 1, []).append(s)
-        self._by_dim = {d: tuple(sorted(v)) for d, v in by_dim.items()}
-        self._factored = {}
-
-    def simplices_of_dim(self, d):
-        return self._by_dim.get(d, ())
-
-    @property
-    def dim(self):
-        return max(self._by_dim, default=-1)
-
-    def has_simplex(self, s):
-        return tuple(s) in self.simplices
-
-    coboundary_matrix = _coboundary_matrix
-    factored_coboundary = _factored_coboundary
-
-    def __repr__(self):
-        counts = [len(self.simplices_of_dim(d)) for d in range(self.dim + 1)]
-        return f"Nerve(counts={counts})"
 
 
 def nerve(cover):
@@ -314,13 +277,11 @@ def nerve(cover):
     Candidates of each dimension extend nerve simplices one index at a
     time; downward closure of the nerve makes this exhaustive.
     """
-    simplices = []
     intersections = {}
     current = []
     for i, piece in enumerate(cover.pieces):
         if not piece.is_empty():
             t = (i,)
-            simplices.append(t)
             intersections[t] = piece
             current.append(t)
     while current:
@@ -330,12 +291,10 @@ def nerve(cover):
                 cand = t + (j,)
                 inter = intersections[t].simplices & cover.pieces[j].simplices
                 if inter:
-                    sub = SimplicialComplex(cover.base.vertex_count, inter)
-                    simplices.append(cand)
-                    intersections[cand] = sub
+                    intersections[cand] = SimplicialComplex(cover.base.vertex_count, inter)
                     nxt.append(cand)
         current = nxt
-    return Nerve(cover, simplices, intersections)
+    return Nerve(cover, intersections)
 
 
 # ---------------------------------------------------------------------------

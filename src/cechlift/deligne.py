@@ -50,10 +50,9 @@ class DoubleCochain:
         self.form_degree = int(form_degree)
         vals = {}
         if values:
-            simps = set(nerve_.simplices_of_dim(self.cech_degree))
             for t, local in values.items():
                 t = tuple(t)
-                if t not in simps:
+                if len(t) != self.cech_degree + 1 or t not in nerve_.simplices:
                     raise DegreeMismatch(f"{t} is not a nerve {self.cech_degree}-simplex")
                 inter = nerve_.intersection_of[t]
                 clean = {}

@@ -51,6 +51,13 @@ def _require_list(obj, key, kind):
     return value
 
 
+def _put(mapping, key, value, what):
+    """Set ``mapping[key]``; a key given twice is a FormatError naming it."""
+    if key in mapping:
+        raise FormatError(f"{what} {key} is given more than once")
+    mapping[key] = value
+
+
 def _simplex(value, what):
     """The tuple of a list of JSON integers, else FormatError."""
     if not (isinstance(value, list) and all(type(v) is int for v in value)):
@@ -240,9 +247,9 @@ def chain_from_json(obj, complex_):
     degree = _require_integer(obj, "degree", "chain")
     coeffs = {}
     for cell in _require_list(obj, "cells", "chain"):
-        coeffs[_simplex(_require(cell, "simplex", "chain cell"), "chain simplex")] = _integer(
-            _require(cell, "coeff", "chain cell"), "chain coefficient"
-        )
+        s = _simplex(_require(cell, "simplex", "chain cell"), "chain simplex")
+        _put(coeffs, s, _integer(_require(cell, "coeff", "chain cell"), "chain coefficient"),
+             "chain simplex")
     return Chain(complex_, degree, coeffs)
 
 
@@ -276,7 +283,8 @@ def cochain_from_json(obj, carrier=None):
     values = {}
     for entry in _require_list(obj, "values", "cochain"):
         indices = _simplex(_require(entry, "indices", "cochain value"), "cochain indices")
-        values[indices] = element_from_json(group, _require(entry, "value", "cochain value"))
+        _put(values, indices, element_from_json(group, _require(entry, "value", "cochain value")),
+             "cochain indices")
     x = Cochain(carrier, degree, group, values)
     return (x, cover) if cover is not None else x
 
@@ -330,11 +338,10 @@ def tower_to_json(t):
 
 
 def tower_from_json(obj):
-    if isinstance(obj, list):
-        exts = [extension_from_json(e) for e in obj]
-    else:
-        exts = [extension_from_json(e) for e in _require_list(obj, "extensions", "tower")]
-    return tower.ExtensionTower(exts)
+    raw = obj if isinstance(obj, list) else _require_list(obj, "extensions", "tower")
+    if not raw:
+        raise FormatError("a tower needs at least one extension")
+    return tower.ExtensionTower([extension_from_json(e) for e in raw])
 
 
 def transitions_to_json(g):
@@ -350,7 +357,7 @@ def transitions_from_json(obj, nerve_, group):
         if not isinstance(e, dict):
             raise FormatError(f"transitions edges are {{'i','j','g'}} objects, not {e!r}")
         i, j, v = (_require_integer(e, k, "transitions edge") for k in "ijg")
-        g[(i, j)] = v
+        _put(g, (i, j), v, "transitions edge")
     return tower.TransitionCocycle(nerve_, group, g)
 
 
@@ -423,13 +430,15 @@ def package_from_json(obj):
         form_degree = _require_integer(block, "form_degree", "package layer")
         values = {}
         for entry in _require_list(block, "values", "package layer"):
+            t = _simplex(_require(entry, "indices", "package block"), "package block indices")
             loc = {}
             for cell in _require_list(entry, "cochain", "package block"):
                 s = _simplex(_require(cell, "simplex", "package cell"), "package simplex")
-                loc[s] = _fraction(_require(cell, "value", "package cell"), "package value")
-            indices = _require(entry, "indices", "package block")
-            values[_simplex(indices, "package block indices")] = loc
-        layers[q] = deligne.DoubleCochain(cover, nerve_, q, form_degree, values)
+                _put(loc, s, _fraction(_require(cell, "value", "package cell"), "package value"),
+                     f"package block {t} simplex")
+            _put(values, t, loc, f"package layer {q} block")
+        _put(layers, q, deligne.DoubleCochain(cover, nerve_, q, form_degree, values),
+             "package layer cech_degree")
     pkg = deligne.DelignePackage(cover, nerve_, degree, cocycle, layers)
     pkg.validate()
     return pkg
@@ -451,11 +460,10 @@ def rational_cochain_to_json(x, complex_):
 
 def rational_cochain_from_json(obj):
     complex_ = complex_from_json(_require(obj, "complex", "rational_cochain"))
-    values = {
-        _simplex(_require(e, "simplex", "rational cochain value"), "rational cochain simplex"):
-        _fraction(e, "rational cochain value")
-        for e in _require_list(obj, "values", "rational_cochain")
-    }
+    values = {}
+    for e in _require_list(obj, "values", "rational_cochain"):
+        s = _simplex(_require(e, "simplex", "rational cochain value"), "rational cochain simplex")
+        _put(values, s, _fraction(e, "rational cochain value"), "rational cochain simplex")
     degree = _require_integer(obj, "degree", "rational_cochain")
     return Cochain(complex_, degree, abelian.QQ, values)
 

@@ -262,9 +262,8 @@ class TransitionCocycle:
         self.nerve = nerve_
         self.group = group
         vals = {}
-        edges = set(nerve_.simplices_of_dim(1))
         for (i, j), v in g.items():
-            if (i, j) not in edges:
+            if (i, j) not in nerve_.simplices:
                 raise GroupMismatch(f"({i},{j}) is not a nerve edge")
             v = int(v)
             if v < 0 or v >= group.order:

@@ -9,6 +9,7 @@ from cechlift import abelian
 from cechlift.complexes import (
     Chain,
     Cover,
+    Nerve,
     SimplicialComplex,
     chain_boundary,
     fundamental_cycle,
@@ -107,6 +108,22 @@ class TestNerve:
         k = validate_complex([(0, 1, 2)])
         n = nerve(Cover(k, (k,)))
         assert sorted(n.simplices) == [(0,)]
+
+    def test_nerve_is_a_complex_on_the_piece_indices(self, circle_cover):
+        n = nerve(circle_cover)
+        assert isinstance(n, SimplicialComplex)
+        assert n.vertex_count == len(circle_cover.pieces)
+
+    def test_collapse_of_nerves(self, circle_cover):
+        # the three-arc nerve is a hollow triangle: no collapse
+        assert nerve(circle_cover).collapse() is None
+        k = validate_complex([(0, 1, 2)])
+        assert nerve(Cover(k, (k,))).collapse() == ()
+
+    def test_nerve_without_its_vertices_is_refused(self, circle_cover):
+        edge = circle_cover.pieces[0]
+        with pytest.raises(InvalidComplex):
+            Nerve(circle_cover, {(0, 1): edge})
 
     def test_bd3_star_nerve_contains_full_tuple(self, bd3):
         n = nerve(star_cover(bd3))

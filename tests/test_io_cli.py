@@ -125,6 +125,15 @@ class TestRoundTrips:
         z = fixtures.torus_cycle(torus)
         assert holonomy(loaded, loaded.cover.base, z).value == Fraction(2, 5)
 
+    def test_rational_cochain_with_a_repeated_simplex(self):
+        from cechlift.errors import FormatError
+
+        value = {"simplex": [0, 1], "num": 1, "den": 2}
+        obj = {"kind": "rational_cochain", "complex": _triangle([[0, 1, 2]]), "degree": 1,
+               "values": [value, dict(value, num=1, den=3)]}
+        with pytest.raises(FormatError, match=r"\(0, 1\) is given more than once"):
+            io.rational_cochain_from_json(obj)
+
     def test_kind_mismatch(self, tmp_path, hexagon):
         path = tmp_path / "k.cplx"
         io.dump_json(io.complex_to_json(hexagon), path)
@@ -293,7 +302,47 @@ BAD_STRUCTURE = {
     "chain-float-degree": (
         "hexcycle.chn", lambda o: o.update(degree=1.0), ["holonomy", "flat_bundle.pkg", "@"]
     ),
+    # a key given twice is refused, not silently overwritten by the later entry
+    "cochain-repeated-indices": (
+        "theta.cochain",
+        lambda o: o["values"].append({"indices": [0, 1], "value": {"num": 1, "den": 5}}),
+        ["descent", "circle.cov", "@"],
+    ),
+    "chain-repeated-cell": (
+        "hexcycle.chn",
+        lambda o: o["cells"].append({"simplex": [0, 1], "coeff": 2}),
+        ["holonomy", "flat_bundle.pkg", "@"],
+    ),
+    "transitions-repeated-edge": (
+        "w1.trn",
+        lambda o: o["edges"].append({"i": 0, "j": 1, "g": 0}),
+        ["obstruct", "rp2.cov", "@", "z2-z4.ext"],
+    ),
+    "package-repeated-layer": (
+        "flat_bundle.pkg",
+        lambda o: o["layers"].append(o["layers"][0]),
+        ["holonomy", "@", "hexcycle.chn"],
+    ),
+    "package-repeated-block": (
+        "flat_bundle.pkg",
+        lambda o: o["layers"][0]["values"].extend([
+            {"indices": [0], "cochain": [{"simplex": [0, 1], "value": {"num": 1, "den": 2}}]},
+            {"indices": [0], "cochain": []},
+        ]),
+        ["holonomy", "@", "hexcycle.chn"],
+    ),
+    "package-repeated-cell": (
+        "flat_bundle.pkg",
+        lambda o: o["layers"][0]["values"].append({"indices": [0], "cochain": [
+            {"simplex": [0, 1], "value": {"num": 1, "den": 2}},
+            {"simplex": [0, 1], "value": {"num": 0, "den": 1}},
+        ]}),
+        ["holonomy", "@", "hexcycle.chn"],
+    ),
 }
+
+#: An empty tower, as a bare list and as an object: ``tower circle.cov dbl.trn`` on each.
+EMPTY_TOWERS = {"bare-list": [], "object": {"kind": "tower", "extensions": []}}
 
 
 def _run_on_edited_fixture(workdir, case, source, edit, args):
@@ -497,8 +546,17 @@ class TestCLI:
 
     @pytest.mark.parametrize("case", sorted(BAD_STRUCTURE))
     def test_malformed_structure_is_a_format_error(self, workdir, case):
-        """Degrees, list shapes, required keys, factor sets and group tables are checked."""
+        """Degrees, list shapes, required and repeated keys, factor sets and group tables."""
         res = _run_on_edited_fixture(workdir, case, *BAD_STRUCTURE[case])
+        assert res.returncode == 1, (res.stdout, res.stderr)
+        assert "error [FormatError]:" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("case", sorted(EMPTY_TOWERS))
+    def test_empty_tower_is_a_format_error(self, workdir, case):
+        path = os.path.join(workdir, f"empty-{case}.twr")
+        io.dump_json(EMPTY_TOWERS[case], path)
+        res = run_cli(["tower", "circle.cov", "dbl.trn", path], workdir)
         assert res.returncode == 1, (res.stdout, res.stderr)
         assert "error [FormatError]:" in res.stderr
         assert "Traceback" not in res.stderr

@@ -12,7 +12,8 @@ other matrices for the same groups.  Giraud obstructions of random transition co
 the shipped nerves obey the cocycle law, and their classes do not depend
 on the section of the extension.  A collapse certificate of a cover
 intersection implies the invariant factors find it acyclic, and its
-contraction solves D v = rhs exactly.
+contraction solves D v = rhs exactly.  The nerve of the dual block cover
+of a complex is that complex.
 """
 
 from __future__ import annotations
@@ -96,6 +97,18 @@ def test_euler_characteristic_is_alternating_sum_of_free_ranks(k):
     z = FgAbelianGroup((0,))
     ranks = [cohomology_classes(k, z, p).group.moduli.count(0) for p in range(k.dim + 1)]
     assert k.euler_characteristic() == sum((-1) ** p * r for p, r in enumerate(ranks))
+
+
+@SETTINGS
+@given(
+    st.one_of(
+        complexes().filter(lambda k: len(k.simplices_of_dim(0)) == k.vertex_count),
+        st.sampled_from([fixtures.rp2_minimal(), fixtures.boundary_delta3()]),
+    )
+)
+def test_nerve_of_the_dual_block_cover_is_the_complex(k):
+    """The pieces of vertices v_0..v_q meet exactly when v_0..v_q span a simplex."""
+    assert nerve(fixtures.dual_block_cover(k)) == k
 
 
 @SETTINGS

@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 on domain errors (reported with location),
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -349,7 +350,9 @@ def cmd_fixtures(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once: ``parse_args`` does not change it."""
     parser = argparse.ArgumentParser(
         prog="cechlift",
         description=(

@@ -218,6 +218,7 @@ class Cover:
 
     base: SimplicialComplex
     pieces: tuple
+    _restrictions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(self.pieces))
@@ -234,6 +235,24 @@ class Cover:
 
     def __len__(self):
         return len(self.pieces)
+
+    def restricted_to(self, v):
+        """(the cover of v by each piece cut down to v, its nerve).
+
+        ``v`` must be a subcomplex of the base.  Built on first use and
+        kept by the cover, which is immutable, so the restricted nerve and
+        the collapse certificates of its intersections are built once per
+        subcomplex.
+        """
+        kept = self._restrictions.get(v)
+        if kept is None:
+            pieces = tuple(
+                SimplicialComplex(v.vertex_count, piece.simplices & v.simplices)
+                for piece in self.pieces
+            )
+            cover_v = Cover(v, pieces)
+            kept = self._restrictions[v] = (cover_v, nerve(cover_v))
+        return kept
 
 
 def star_cover(complex_):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import abelian
 from .abelian import CIRCLE, CircleElement, QQ
 from .cochains import Cochain, _perm_sign_and_sort, coboundary, verify_good_cover
-from .complexes import Cover, Nerve, SimplicialComplex, chain_boundary, nerve
+from .complexes import Cover, Nerve, chain_boundary, nerve
 from .errors import (
     CoverNotGood,
     CoverNotGoodOnV,
@@ -69,6 +69,27 @@ class DoubleCochain:
                     vals[t] = clean
         self.values = vals
 
+    @classmethod
+    def _trusted(cls, cover, nerve_, cech_degree, form_degree, values):
+        """A double cochain whose values are valid by construction.
+
+        Every key must be a nerve simplex of the Cech degree and every
+        local value a Fraction on a simplex of the form degree in its
+        intersection; only zero entries and empty locals are dropped.
+        """
+        self = cls.__new__(cls)
+        self.cover = cover
+        self.nerve = nerve_
+        self.cech_degree = cech_degree
+        self.form_degree = form_degree
+        vals = {}
+        for t, local in values.items():
+            clean = {s: v for s, v in local.items() if v}
+            if clean:
+                vals[t] = clean
+        self.values = vals
+        return self
+
     def local(self, t):
         return self.values.get(tuple(t), {})
 
@@ -93,13 +114,13 @@ class DoubleCochain:
             dst = out.setdefault(t, {})
             for s, v in loc.items():
                 dst[s] = dst.get(s, Fraction(0)) + v
-        return DoubleCochain(self.cover, self.nerve, self.cech_degree, self.form_degree, out)
+        return DoubleCochain._trusted(self.cover, self.nerve, self.cech_degree, self.form_degree, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return DoubleCochain(
+        return DoubleCochain._trusted(
             self.cover,
             self.nerve,
             self.cech_degree,
@@ -142,10 +163,10 @@ def cech_delta(x):
                 continue
             sgn = 1 if j % 2 == 0 else -1
             for s, v in loc.items():
-                if inter.has_simplex(s):
+                if s in inter.simplices:
                     acc[s] = acc.get(s, Fraction(0)) + sgn * v
         out[t] = acc
-    return DoubleCochain(x.cover, x.nerve, x.cech_degree + 1, x.form_degree, out)
+    return DoubleCochain._trusted(x.cover, x.nerve, x.cech_degree + 1, x.form_degree, out)
 
 
 def form_d(x):
@@ -159,7 +180,7 @@ def form_d(x):
             if total:
                 acc[s] = total
         out[t] = acc
-    return DoubleCochain(x.cover, x.nerve, x.cech_degree, x.form_degree + 1, out)
+    return DoubleCochain._trusted(x.cover, x.nerve, x.cech_degree, x.form_degree + 1, out)
 
 
 def _min_piece_assignment(cover, shuffle=None):
@@ -172,11 +193,10 @@ def _min_piece_assignment(cover, shuffle=None):
     order = list(range(len(cover.pieces)))
     if shuffle is not None:
         shuffle.shuffle(order)
-    for s in cover.base.simplices:
-        for i in order:
-            if cover.pieces[i].has_simplex(s):
-                assign[s] = i
-                break
+    # the first piece in order is written last, so it wins
+    for i in reversed(order):
+        for s in cover.pieces[i].simplices:
+            assign[s] = i
     return assign
 
 
@@ -195,7 +215,7 @@ def cech_homotopy(x, assign):
             if v:
                 acc[s] = v
         out[t] = acc
-    return DoubleCochain(x.cover, x.nerve, p - 1, x.form_degree, out)
+    return DoubleCochain._trusted(x.cover, x.nerve, p - 1, x.form_degree, out)
 
 
 def collapse_to_global(x, assign):
@@ -226,7 +246,7 @@ def lift_cocycle(c, cover, nerve_):
         rep = v.value
         inter = nerve_.intersection_of[t]
         values[t] = {s: rep for s in inter.simplices_of_dim(0)}
-    return DoubleCochain(cover, nerve_, c.degree, 0, values)
+    return DoubleCochain._trusted(cover, nerve_, c.degree, 0, values)
 
 
 @dataclass
@@ -313,20 +333,17 @@ def curvature(pkg):
     """
     d = pkg.degree
     bottom = form_d(pkg.layers[0])
-    base = pkg.cover.base
-    values = {}
-    for s in base.simplices_of_dim(d + 1):
-        found = None
-        for i, piece in enumerate(pkg.cover.pieces):
-            if piece.has_simplex(s):
-                v = bottom.values.get((i,), {}).get(s, Fraction(0))
-                if found is None:
-                    found = v
-                elif found != v:
-                    raise NotACocycle(f"curvature does not glue at {s}")
-        if found:
-            values[s] = found
-    out = Cochain(base, d + 1, QQ, values)
+    glued = {}
+    clashes = []
+    for i, piece in enumerate(pkg.cover.pieces):
+        local = bottom.values.get((i,), {})
+        for s in piece.simplices_of_dim(d + 1):
+            v = local.get(s, Fraction(0))
+            if glued.setdefault(s, v) != v:
+                clashes.append(s)
+    if clashes:
+        raise NotACocycle(f"curvature does not glue at {min(clashes)}")
+    out = Cochain(pkg.cover.base, d + 1, QQ, {s: v for s, v in glued.items() if v})
     if not coboundary(out).is_zero():
         raise NotACocycle("curvature is not closed")
     return out
@@ -420,13 +437,6 @@ def shift_cocycle(pkg, eta):
 # restriction and holonomy
 # ---------------------------------------------------------------------------
 
-def _restrict_cover(cover, v):
-    pieces = []
-    for piece in cover.pieces:
-        pieces.append(SimplicialComplex(v.vertex_count, piece.simplices & v.simplices))
-    return Cover(v, tuple(pieces))
-
-
 def _restrict_cochain(c, nerve_v):
     values = {
         t: val for t, val in c.values.items() if nerve_v.has_simplex(t)
@@ -437,21 +447,24 @@ def _restrict_cochain(c, nerve_v):
 def _restrict_double(x, cover_v, nerve_v):
     out = {}
     for t, loc in x.values.items():
-        if not nerve_v.has_simplex(t):
-            continue
-        inter = nerve_v.intersection_of[t]
-        kept = {s: v for s, v in loc.items() if inter.has_simplex(s)}
-        if kept:
-            out[t] = kept
-    return DoubleCochain(cover_v, nerve_v, x.cech_degree, x.form_degree, out)
+        inter = nerve_v.intersection_of.get(t)
+        if inter is not None:
+            out[t] = {s: v for s, v in loc.items() if s in inter.simplices}
+    return DoubleCochain._trusted(cover_v, nerve_v, x.cech_degree, x.form_degree, out)
 
 
 def restrict_package(pkg, v):
-    """The package restricted to a subcomplex, with goodness verified."""
+    """The package restricted to a subcomplex, with goodness verified.
+
+    The restricted cover and its nerve are kept by the package's cover
+    (``Cover.restricted_to``), so a repeated subcomplex reuses them and
+    the collapse certificates of their intersections.  Goodness is
+    checked again on every call; only the layers and the cocycle are
+    restricted per package.
+    """
     if not v.is_subcomplex_of(pkg.cover.base):
         raise NoFundamentalCycle("restriction target is not a subcomplex of the base")
-    cover_v = _restrict_cover(pkg.cover, v)
-    nerve_v = nerve(cover_v)
+    cover_v, nerve_v = pkg.cover.restricted_to(v)
     report = verify_good_cover(cover_v, nerve_v)
     if not report.ok:
         raise CoverNotGoodOnV(_not_good("restricted cover", report))
@@ -569,7 +582,7 @@ def holonomy_trivialization(pkg, shuffle=None):
             local = _solve_local_d(inter, d - q - 1, defect.local(t), shuffle)
             if local:
                 out[t] = local
-        prev = DoubleCochain(pkg.cover, pkg.nerve, q, d - q - 1, out)
+        prev = DoubleCochain._trusted(pkg.cover, pkg.nerve, q, d - q - 1, out)
         potentials[q] = prev
     residual = lift_cocycle(pkg.cocycle, pkg.cover, pkg.nerve) - cech_delta(potentials[d - 1])
     if not form_d(residual).is_zero():
@@ -609,7 +622,7 @@ def _epsilon_of_global(c, like):
             if v:
                 loc[s] = v
         values[t] = loc
-    return DoubleCochain(like.cover, like.nerve, 0, like.form_degree, values)
+    return DoubleCochain._trusted(like.cover, like.nerve, 0, like.form_degree, values)
 
 
 def holonomy(pkg, v, z, shuffle=None):
@@ -618,12 +631,14 @@ def holonomy(pkg, v, z, shuffle=None):
     ``v`` must be a d-dimensional subcomplex whose restricted cover is
     good, and ``z`` a degree-d fundamental cycle supported on it.  The
     result is the pairing of the trivialized global d-cochain with z,
-    mod 1; it is independent of all solver choices.  Goodness and the
-    local solves use each intersection's collapse certificate, and Smith
-    only where there is none.  A ``shuffle`` (a ``random.Random``)
-    reorders the free faces of fresh certificates, the Smith columns of
-    the rest, and the piece assignment of the collapse to a global
-    cochain.
+    mod 1; it is independent of all solver choices.  The package's cover
+    keeps its restriction to ``v`` and the restricted nerve, so a
+    repeated ``v`` builds neither again; goodness of the restricted cover
+    is re-checked on every call.  Goodness and the local solves use each
+    intersection's collapse certificate, and Smith only where there is
+    none.  A ``shuffle`` (a ``random.Random``) reorders the free faces of
+    fresh certificates, the Smith columns of the rest, and the piece
+    assignment of the collapse to a global cochain.
     """
     d = pkg.degree
     if v.dim != d:

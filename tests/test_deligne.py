@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cechlift import abelian, fixtures
 from cechlift.abelian import CIRCLE, CircleElement, FgAbelianGroup
@@ -17,6 +19,7 @@ from cechlift.complexes import (
     validate_complex,
 )
 from cechlift.deligne import (
+    DelignePackage,
     DoubleCochain,
     add_exact_datum,
     add_global_datum,
@@ -34,7 +37,7 @@ from cechlift.deligne import (
     shift_cocycle,
     _min_piece_assignment,
 )
-from cechlift.errors import CoverNotGood, DegreeMismatch, NoFundamentalCycle
+from cechlift.errors import CoverNotGood, DegreeMismatch, NoFundamentalCycle, NotACocycle
 
 Z = FgAbelianGroup((0,))
 
@@ -46,22 +49,39 @@ def torus_circle_two_cocycle(nrv, t):
     return Cochain(nrv, 2, CIRCLE, values)
 
 
+def random_double(rng, cov, nrv, p, q, value):
+    """A (p, q) double cochain with value() on about 40 % of each local q-simplex."""
+    values = {}
+    for t in nrv.simplices_of_dim(p):
+        inter = nrv.intersection_of[t]
+        loc = {s: value() for s in inter.simplices_of_dim(q) if rng.random() < 0.4}
+        if loc:
+            values[t] = loc
+    return DoubleCochain(cov, nrv, p, q, values)
+
+
+def scan_piece_assignment(cover, shuffle=None):
+    """Oracle: each base simplex goes to the first piece in order that holds it."""
+    order = list(range(len(cover.pieces)))
+    if shuffle is not None:
+        shuffle.shuffle(order)
+    assign = {}
+    for s in cover.base.simplices:
+        for i in order:
+            if cover.pieces[i].has_simplex(s):
+                assign[s] = i
+                break
+    return assign
+
+
 class TestDoubleComplex:
     def test_differentials_commute_and_square_to_zero(self, torus_cover, torus_nerve):
         rng = random.Random(14)
         _, cov = torus_cover
         for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            values = {}
-            for t in torus_nerve.simplices_of_dim(p):
-                inter = torus_nerve.intersection_of[t]
-                loc = {
-                    s: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                    for s in inter.simplices_of_dim(q)
-                    if rng.random() < 0.4
-                }
-                if loc:
-                    values[t] = loc
-            x = DoubleCochain(cov, torus_nerve, p, q, values)
+            x = random_double(
+                rng, cov, torus_nerve, p, q, lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            )
             assert cech_delta(cech_delta(x)).is_zero()
             assert form_d(form_d(x)).is_zero()
             assert cech_delta(form_d(x)) == form_d(cech_delta(x))
@@ -72,19 +92,44 @@ class TestDoubleComplex:
         _, cov = torus_cover
         assign = _min_piece_assignment(cov)
         for p, q in ((1, 0), (1, 1), (2, 0)):
-            values = {}
-            for t in torus_nerve.simplices_of_dim(p):
-                inter = torus_nerve.intersection_of[t]
-                loc = {
-                    s: Fraction(rng.randint(-4, 4))
-                    for s in inter.simplices_of_dim(q)
-                    if rng.random() < 0.4
-                }
-                if loc:
-                    values[t] = loc
-            x = DoubleCochain(cov, torus_nerve, p, q, values)
+            x = random_double(rng, cov, torus_nerve, p, q, lambda: Fraction(rng.randint(-4, 4)))
             lhs = cech_delta(cech_homotopy(x, assign)) + cech_homotopy(cech_delta(x), assign)
             assert lhs == x
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]))
+    def test_unchecked_results_pass_the_checks(self, torus_cover, torus_nerve, seed, bidegree):
+        """Sums, negatives, both differentials and lifted cocycles skip the
+        constructor's checks; the checking constructor takes each result
+        back unchanged."""
+        rng = random.Random(seed)
+        _, cov = torus_cover
+        p, q = bidegree
+
+        def value():
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+        x = random_double(rng, cov, torus_nerve, p, q, value)
+        y = random_double(rng, cov, torus_nerve, p, q, value)
+        c = Cochain(torus_nerve, p, CIRCLE, {
+            t: CircleElement(value()) for t in torus_nerve.simplices_of_dim(p) if rng.random() < 0.5
+        })
+        for r in (x + y, x - y, -x, x - x, cech_delta(x), form_d(x), lift_cocycle(c, cov, torus_nerve)):
+            checked = DoubleCochain(cov, torus_nerve, r.cech_degree, r.form_degree, r.values)
+            assert r == checked
+            assert all(type(v) is Fraction for loc in r.values.values() for v in loc.values())
+
+    @pytest.mark.parametrize("name", ["torus", "rp2", "circle"])
+    def test_piece_assignment_matches_the_scan(self, request, name):
+        cov = {
+            "torus": lambda: request.getfixturevalue("torus_cover")[1],
+            "rp2": lambda: request.getfixturevalue("rp2_cover_nerve")[0],
+            "circle": lambda: request.getfixturevalue("circle_cover"),
+        }[name]()
+        assert _min_piece_assignment(cov) == scan_piece_assignment(cov)
+        for trial in range(20):
+            shuffled = _min_piece_assignment(cov, random.Random(trial))
+            assert shuffled == scan_piece_assignment(cov, random.Random(trial))
 
 
 class TestDescent:
@@ -163,6 +208,30 @@ class TestDescent:
 
 
 class TestCurvature:
+    def test_unglued_bottom_layer_names_the_smallest_clash(self):
+        """An unvalidated package whose D A^(0) disagrees on two overlaps.
+
+        The later piece clashes at the smaller triangle; the error names
+        the smallest clash, as a scan of the base in sorted order finds.
+        """
+        strip = [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5)]
+        base = validate_complex(strip)
+        pieces = (base, validate_complex([strip[3]], 6), validate_complex([strip[1]], 6))
+        cov = Cover(base, pieces)
+        nrv = nerve(cov)
+        layer = DoubleCochain(cov, nrv, 0, 1, {(1,): {(3, 4): 1}, (2,): {(1, 2): 1}})
+        pkg = DelignePackage(cov, nrv, 1, Cochain(nrv, 1, CIRCLE, {}), {0: layer})
+        bottom = form_d(layer)
+        clashes = [
+            s
+            for s in base.simplices_of_dim(2)
+            if len({bottom.local((i,)).get(s, 0) for i, p in enumerate(pieces) if p.has_simplex(s)}) > 1
+        ]
+        assert clashes == [(1, 2, 3), (3, 4, 5)]
+        with pytest.raises(NotACocycle) as err:
+            curvature(pkg)
+        assert str(err.value) == "curvature does not glue at (1, 2, 3)"
+
     def test_zero_package(self, circle_cover, circle_nerve):
         pkg = descent_chain(Cochain(circle_nerve, 1, CIRCLE, {}), circle_cover, circle_nerve)
         f = curvature(pkg)

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from cechlift import abelian, cli, fixtures, kernels
-from cechlift.abelian import QQ, FgAbelianGroup, Homomorphism, ShortExactSequence
+from cechlift import abelian, cli, complexes, fixtures, kernels
+from cechlift.abelian import CIRCLE, QQ, FgAbelianGroup, Homomorphism, ShortExactSequence
 from cechlift.cochains import (
     Cochain,
     coboundary,
@@ -22,13 +22,15 @@ from cechlift.cochains import (
     is_coboundary,
     verify_good_cover,
 )
-from cechlift.complexes import nerve, product_complex, star_cover
+from cechlift.complexes import Chain, Cover, nerve, product_complex, star_cover, validate_complex
 from cechlift.deligne import (
     add_global_datum,
+    descent_chain,
     holonomy,
     holonomy_trivialization,
     restrict_package,
 )
+from cechlift.errors import CoverNotGoodOnV
 
 from conftest import random_cochain
 
@@ -39,29 +41,33 @@ def torus36():
     return product_complex(hexagon, hexagon)[0]
 
 
-def _record_snf(monkeypatch, note):
-    """Note every matrix handed to the Smith kernel, in order."""
+def _record_calls(monkeypatch, module, name, note=lambda first: first):
+    """Note the first argument of every call of ``module.name``, in order."""
     calls = []
-    real = kernels.snf_with_transforms
+    real = getattr(module, name)
 
-    def recording(mat):
-        calls.append(note(mat))
-        return real(mat)
+    def recording(first, *rest):
+        calls.append(note(first))
+        return real(first, *rest)
 
-    monkeypatch.setattr(kernels, "snf_with_transforms", recording)
+    monkeypatch.setattr(module, name, recording)
     return calls
 
 
 @pytest.fixture
 def snf_calls(monkeypatch):
     """The shape of every matrix the Smith kernel factors."""
-    return _record_snf(monkeypatch, lambda mat: (len(mat), len(mat[0]) if mat else 0))
+    return _record_calls(
+        monkeypatch, kernels, "snf_with_transforms", lambda mat: (len(mat), len(mat[0]) if mat else 0)
+    )
 
 
 @pytest.fixture
 def snf_inputs(monkeypatch):
     """Every matrix the Smith kernel factors, as a tuple of row tuples."""
-    return _record_snf(monkeypatch, lambda mat: tuple(map(tuple, mat)))
+    return _record_calls(
+        monkeypatch, kernels, "snf_with_transforms", lambda mat: tuple(map(tuple, mat))
+    )
 
 
 @pytest.mark.parametrize(
@@ -149,6 +155,47 @@ def test_shuffle_still_varies_the_potentials(torus_gerbe):
         differ += any(shuffled[q] != default[q] for q in default)
         assert holonomy(pkg, torus, z, shuffle=random.Random(trial)).value == Fraction(1, 3)
     assert differ >= 1
+
+
+def test_repeated_holonomy_reuses_the_kept_restriction(monkeypatch, snf_calls):
+    """The cover keeps its restriction to V, with the collapse certificates of
+    the restricted nerve: a second holonomy on the same V builds no nerve, no
+    certificate and no Smith factorization.  A shuffled one builds fresh
+    certificates, so the solver choices still vary."""
+    pkg = fixtures.torus_flat_gerbe(Fraction(1, 3))
+    torus = pkg.cover.base
+    z = fixtures.torus_cycle(torus)
+    nerves = _record_calls(monkeypatch, complexes, "nerve")
+    collapses = _record_calls(monkeypatch, complexes, "_greedy_collapse")
+    first = holonomy(pkg, torus, z)
+    assert len(nerves) == 1 and collapses
+    del nerves[:], collapses[:], snf_calls[:]
+    assert holonomy(pkg, torus, z) == first
+    assert nerves == collapses == snf_calls == []
+    assert holonomy(pkg, torus, z, shuffle=random.Random(5)) == first
+    assert nerves == [] and collapses
+
+
+def test_packages_on_one_cover_share_the_restricted_nerve(torus_gerbe):
+    """Two packages on one cover restrict through one kept cover and nerve."""
+    pkg, torus, _ = torus_gerbe
+    edge = torus.simplices_of_dim(1)[0]
+    other = add_global_datum(pkg, Cochain(torus, 1, QQ, {edge: 1}))
+    first, second = restrict_package(pkg, torus), restrict_package(other, torus)
+    assert second.nerve is first.nerve and second.cover is first.cover
+    assert second.layers[0] != first.layers[0]
+
+
+def test_cover_not_good_on_v_fails_on_every_call():
+    """The failing goodness report is not kept: every call checks and raises."""
+    disk = validate_complex([(0, 1, 2)])
+    cov = Cover(disk, (disk,))
+    pkg = descent_chain(Cochain(nerve(cov), 1, CIRCLE, {}), cov)
+    rim = validate_complex([(0, 1), (1, 2), (0, 2)], 3)
+    z = Chain(rim, 1, {(0, 1): 1, (1, 2): 1, (0, 2): -1})
+    for _ in range(2):
+        with pytest.raises(CoverNotGoodOnV, match="restricted cover is not good"):
+            holonomy(pkg, rim, z)
 
 
 def test_is_coboundary_factors_delta_once_for_all_factors(snf_calls):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cechlift
-from cechlift import fixtures, io
+from cechlift import cli, fixtures, io
 from cechlift.abelian import CIRCLE, FgAbelianGroup
 
 from conftest import cli_env, run_cli
@@ -345,13 +345,26 @@ BAD_STRUCTURE = {
 EMPTY_TOWERS = {"bare-list": [], "object": {"kind": "tower", "extensions": []}}
 
 
-def _run_on_edited_fixture(workdir, case, source, edit, args):
-    """Run the CLI with ``@`` replaced by an edited copy of a shipped fixture."""
+def _main_in(workdir, args, capsys, monkeypatch):
+    """Run ``cli.main(args)`` in this process from `workdir`, capturing its output.
+
+    An exception that escapes ``main`` fails the calling test with its
+    traceback; the result has the fields of a finished child process.
+    """
+    monkeypatch.chdir(workdir)
+    capsys.readouterr()
+    code = cli.main(args)
+    out, err = capsys.readouterr()
+    return subprocess.CompletedProcess(args, code, out, err)
+
+
+def _run_on_edited_fixture(workdir, case, source, edit, args, capsys, monkeypatch):
+    """Run the CLI in process with ``@`` replaced by an edited copy of a shipped fixture."""
     obj = io.load_json(os.path.join(workdir, source))
     edit(obj)
     path = os.path.join(workdir, f"{case}-{source}")
     io.dump_json(obj, path)
-    return run_cli([path if a == "@" else a for a in args], workdir)
+    return _main_in(workdir, [path if a == "@" else a for a in args], capsys, monkeypatch)
 
 
 @pytest.fixture(scope="module")
@@ -525,38 +538,38 @@ class TestCLI:
         assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("case", sorted(BAD_ALGEBRA))
-    def test_malformed_algebra_is_a_format_error(self, workdir, case):
+    def test_malformed_algebra_is_a_format_error(self, workdir, case, capsys, monkeypatch):
         """Moduli and sequence matrices must be JSON integers forming valid maps."""
         name, obj, args = BAD_ALGEBRA[case]
         path = os.path.join(workdir, f"{case}-{name}")
         io.dump_json(obj, path)
         extra = ["-p", "1"] if args[0] == "cohomology" else []
-        res = run_cli([*args, path, *extra], workdir)
+        res = _main_in(workdir, [*args, path, *extra], capsys, monkeypatch)
         assert res.returncode == 1, (res.stdout, res.stderr)
         assert "error [FormatError]:" in res.stderr
         assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
-    def test_non_integer_numbers_are_a_format_error(self, workdir, case):
+    def test_non_integer_numbers_are_a_format_error(self, workdir, case, capsys, monkeypatch):
         """Transitions, fg and circle values and chain coefficients must be JSON integers."""
-        res = _run_on_edited_fixture(workdir, case, *BAD_NUMBERS[case])
+        res = _run_on_edited_fixture(workdir, case, *BAD_NUMBERS[case], capsys, monkeypatch)
         assert res.returncode == 1, (res.stdout, res.stderr)
         assert "error [FormatError]:" in res.stderr
         assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("case", sorted(BAD_STRUCTURE))
-    def test_malformed_structure_is_a_format_error(self, workdir, case):
+    def test_malformed_structure_is_a_format_error(self, workdir, case, capsys, monkeypatch):
         """Degrees, list shapes, required and repeated keys, factor sets and group tables."""
-        res = _run_on_edited_fixture(workdir, case, *BAD_STRUCTURE[case])
+        res = _run_on_edited_fixture(workdir, case, *BAD_STRUCTURE[case], capsys, monkeypatch)
         assert res.returncode == 1, (res.stdout, res.stderr)
         assert "error [FormatError]:" in res.stderr
         assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("case", sorted(EMPTY_TOWERS))
-    def test_empty_tower_is_a_format_error(self, workdir, case):
+    def test_empty_tower_is_a_format_error(self, workdir, case, capsys, monkeypatch):
         path = os.path.join(workdir, f"empty-{case}.twr")
         io.dump_json(EMPTY_TOWERS[case], path)
-        res = run_cli(["tower", "circle.cov", "dbl.trn", path], workdir)
+        res = _main_in(workdir, ["tower", "circle.cov", "dbl.trn", path], capsys, monkeypatch)
         assert res.returncode == 1, (res.stdout, res.stderr)
         assert "error [FormatError]:" in res.stderr
         assert "Traceback" not in res.stderr
@@ -607,3 +620,21 @@ def test_verify_full_checks_only_during_its_command(tmp_path, monkeypatch):
             abelian.snf_full([[2, 1], [0, 3]])
         finally:
             abelian.SNF_VERIFY.reset(token)
+
+
+def test_main_runs_again_after_a_usage_error(tmp_path, monkeypatch, capsys):
+    """The parser is built once per process and serves every later call."""
+    golden = Path(__file__).resolve().parent / "golden"
+    for name in ("rp2.cplx", "z2.grp"):
+        (tmp_path / name).write_bytes((golden / "fixtures" / name).read_bytes())
+    assert _main_in(tmp_path, ["nonsense"], capsys, monkeypatch).returncode == 2
+    res = _main_in(
+        tmp_path, ["cohomology", "rp2.cplx", "z2.grp", "-p", "2", "--out", "h2.grp"],
+        capsys, monkeypatch,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (golden / "cli" / "cohomology-rp2-z2-p2.stdout").read_text()
+    assert (tmp_path / "h2.grp").read_bytes() == (
+        golden / "cli" / "cohomology-rp2-z2-p2.out"
+    ).read_bytes()
+    assert cli._build_parser() is cli._build_parser()

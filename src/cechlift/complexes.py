@@ -242,7 +242,8 @@ class Cover:
         ``v`` must be a subcomplex of the base.  Built on first use and
         kept by the cover, which is immutable, so the restricted nerve and
         the collapse certificates of its intersections are built once per
-        subcomplex.
+        subcomplex.  Nothing is evicted: the cover holds one entry for
+        every distinct ``v`` it was asked for, for as long as it lives.
         """
         kept = self._restrictions.get(v)
         if kept is None:

@@ -104,6 +104,8 @@ class DoubleCochain:
         return not self.values
 
     def _same_shape(self, other):
+        if self.cover is not other.cover and self.cover != other.cover:
+            raise DegreeMismatch("double cochains on different covers")
         if self.cech_degree != other.cech_degree or self.form_degree != other.form_degree:
             raise DegreeMismatch("double cochains of different bidegree")
 

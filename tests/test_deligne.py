@@ -206,6 +206,30 @@ class TestDescent:
         p3 = shift_cocycle(p2, eta)
         p3.validate()
 
+    def test_gauge_datum_on_another_cover_is_refused(self, torus_cover, torus_nerve, rp2_cover_nerve):
+        rng = random.Random(17)
+        _, cov = torus_cover
+        pkg = descent_chain(torus_circle_two_cocycle(torus_nerve, Fraction(1, 3)), cov, torus_nerve)
+        rp2_cov, rp2_nrv = rp2_cover_nerve
+        rho = random_double(rng, rp2_cov, rp2_nrv, 0, 1, lambda: Fraction(rng.randint(1, 3), 2))
+        assert not rho.is_zero()
+        with pytest.raises(DegreeMismatch, match="different covers"):
+            add_exact_datum(pkg, 0, rho)
+
+    def test_sums_need_equal_covers_not_the_same_object(self, torus_cover, torus_nerve, circle_cover, circle_nerve):
+        rng = random.Random(18)
+        _, cov = torus_cover
+        _, twin = fixtures.torus_product()
+        assert twin is not cov and twin == cov
+        twin_nerve = nerve(twin)
+        x = random_double(rng, cov, torus_nerve, 0, 1, lambda: Fraction(rng.randint(1, 3)))
+        y = random_double(rng, twin, twin_nerve, 0, 1, lambda: Fraction(rng.randint(1, 3)))
+        assert (x + y) - y == x
+        z = random_double(rng, circle_cover, circle_nerve, 0, 1, lambda: Fraction(rng.randint(1, 3)))
+        for op in (lambda: x + z, lambda: z - x):
+            with pytest.raises(DegreeMismatch, match="different covers"):
+                op()
+
 
 class TestCurvature:
     def test_unglued_bottom_layer_names_the_smallest_clash(self):

@@ -19,7 +19,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from . import kernels
-from .errors import GroupMismatch, NotAComplex
+from .errors import GroupMismatch, NotAComplex, NotACocycle
 
 #: When true, every Smith decomposition computed is re-checked (U@M@V == S
 #: and |det U| = |det V| = 1).  A factorization is kept by the object
@@ -113,11 +113,6 @@ def _diagonal(s):
             break
         out.append(row[i])
     return out
-
-
-def smith_diagonal(mat):
-    """The nonzero invariant factors of mat, in order; none if it is empty."""
-    return _diagonal(snf_full(mat)[1]) if mat else []
 
 
 def _back_substitute(u, diag, b, ring, v):
@@ -424,20 +419,26 @@ def is_zero_value(group, value):
 # presentations and canonical forms
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Presentation:
-    """One Smith factorization U @ M @ V = S of a matrix M of columns in Z^n.
+    """A quotient Z^n / L, from one diagonalization U @ M @ V = S.
 
-    The columns of M generate a lattice L; ``_umatrix`` is U and ``_uinv``
-    its inverse (V and S are not kept).  They give the quotient Z^n / L:
-    ``group``, ``coords_of`` (an integer vector's coordinates there) and
+    The columns of M generate L, and S is its Smith form or, for a
+    diagonal M, M itself.  ``diag`` is the full diagonal of S: n
+    entries, 0 past the rank.  ``_umatrix`` is U and ``_uinv`` its
+    inverse (V is not kept).  The coordinates whose diagonal entry is
+    not 1, taken in the order ``_kept``, carry the quotient: ``group``,
+    ``coords_of`` (an integer vector's coordinates there) and
     ``generators`` (each canonical generator lifted back to Z^n).
     """
 
-    group: FgAbelianGroup
-    _umatrix: list
-    _kept: list
-    _uinv: list
+    __slots__ = ("diag", "group", "_umatrix", "_uinv", "_kept")
+
+    def __init__(self, diag, umatrix, uinv, kept=None):
+        self.diag = diag
+        self._umatrix = umatrix
+        self._uinv = uinv
+        self._kept = [i for i, d in enumerate(diag) if d != 1] if kept is None else kept
+        self.group = FgAbelianGroup(diag[i] for i in self._kept)
 
     def coords_of(self, vec):
         full = mat_vec(self._umatrix, vec)
@@ -455,27 +456,31 @@ class Presentation:
         return [[self._uinv[i][pos] for i in range(n)] for pos in self._kept]
 
 
-def _identity_presentation(group):
-    """The presentation of a group in invariant-factor form by its own moduli.
-
-    The Smith form of diag(moduli) is that matrix itself with U = V = I,
-    so no factorization is needed.
-    """
-    ident = identity_matrix(group.rank)
-    return Presentation(group, ident, list(range(group.rank)), ident)
-
-
 def presentation_from_relations(n, relation_cols):
     """Factor the lattice spanned by the given columns of Z^n, once."""
-    if not relation_cols:
-        return _identity_presentation(FgAbelianGroup((0,) * n))
     rel = [[col[i] for col in relation_cols] for i in range(n)]
+    if not (rel and rel[0]):
+        return _canonical_presentation([0] * n)
     u, s, _, uinv, _ = snf_full(rel)
     nonzero = _diagonal(s)
-    diag = nonzero + [0] * (n - len(nonzero))
-    kept = [i for i, d in enumerate(diag) if d != 1]
-    moduli = tuple(diag[i] for i in kept)
-    return Presentation(FgAbelianGroup(moduli), u, kept, uinv)
+    return Presentation(nonzero + [0] * (n - len(nonzero)), u, uinv)
+
+
+def _canonical_presentation(orders):
+    """The sum of the cyclic groups Z/o (o = 0: Z), in invariant-factor form.
+
+    When the orders other than 1, sorted with the zeros last, already
+    divide in turn, U is the identity and only the order of the
+    coordinates changes; otherwise diag(orders) is factored once.
+    """
+    n = len(orders)
+    kept = [i for i, o in enumerate(orders) if o != 1]
+    kept.sort(key=lambda i: (not orders[i], orders[i]))
+    if _is_invariant_chain([orders[i] for i in kept]):
+        ident = identity_matrix(n)
+        return Presentation(list(orders), ident, ident, kept)
+    rel = [[o if i == j else 0 for i in range(n)] for j, o in enumerate(orders)]
+    return presentation_from_relations(n, rel)
 
 
 def canonical_group(raw_moduli):
@@ -484,9 +489,7 @@ def canonical_group(raw_moduli):
     Returns (group, convert) where convert maps raw coordinate tuples to
     canonical ones.
     """
-    n = len(raw_moduli)
-    rel = [[raw_moduli[j] if i == j else 0 for i in range(n)] for j in range(n)]
-    pres = presentation_from_relations(n, rel)
+    pres = _canonical_presentation(raw_moduli)
     return pres.group, pres.coords_of
 
 
@@ -630,108 +633,57 @@ class ShortExactSequence:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class CyclicFactorCohomology:
-    """ker/im data for one cyclic coefficient factor Z/m (m=0 is Z).
-
-    Built on U @ d_next @ V = S.  With y = V^-1 x, an integer vector x is
-    a Z/m-cocycle exactly when s_i * y_i = 0 mod m at each pivot, that is
-    when y_i is a multiple of ``steps[i]``: m / gcd(s_i, m) at a pivot (0
-    over Z: y_i = 0) and 1 past the rank.  The cocycle coordinates are
-    z_i = y_i / steps[i], of order m / steps[i]; ``kept`` lists those that
-    can be nonzero and ``presentation`` is their quotient by coboundaries.
-    """
-
-    modulus: int
-    dim: int
-    _v: list
-    _vinv: list
-    steps: list
-    kept: list
-    presentation: Presentation = None
-
-    def cocycle_coords(self, vec):
-        """The kept z-coordinates of an integer vector, or None off the cocycles."""
-        y = mat_vec(self._vinv, vec)
-        if any(yi % c if c else yi for yi, c in zip(y, self.steps)):
-            return None
-        return [y[i] // self.steps[i] for i in self.kept]
-
-    def coords_of(self, vec):
-        """Quotient coordinates of an integer cocycle vector."""
-        z = self.cocycle_coords(vec)
-        if z is None:
-            raise ValueError("vector is not a cocycle for this coefficient factor")
-        return self.presentation.coords_of(z)
-
-    def generator_vectors(self):
-        """One cocycle vector per invariant factor of the quotient."""
-        out = []
-        for gen in self.presentation.generators:
-            y = [0] * self.dim
-            for i, zi in zip(self.kept, gen):
-                y[i] = self.steps[i] * zi
-            out.append(mat_vec(self._v, y))
-        return out
-
-
-def cyclic_cohomology(d_prev, modulus, v, vinv, diag):
-    """Cohomology at the middle of Z^a -> Z^dim -> Z^k over Z/modulus.
-
-    ``v``, ``vinv`` and ``diag`` (the nonzero diagonal of S) come from the
-    factorization U @ d_next @ V = S that every coefficient factor shares.
-    """
-    m = modulus
-    steps = [m // gcd(s, m) for s in diag] + [1] * (len(v) - len(diag))
-    kept = [i for i, c in enumerate(steps) if c and m // c != 1]
-    fac = CyclicFactorCohomology(m, len(v), v, vinv, steps, kept)
-    rel = []
-    for j in range(len(d_prev[0]) if d_prev else 0):
-        z = fac.cocycle_coords([row[j] for row in d_prev])
-        if z is None:
-            raise NotAComplex(f"d_next o d_prev is nonzero {f'mod {m}' if m else 'over Z'}")
-        rel.append(z)
-    if m:
-        for k, i in enumerate(kept):
-            rel.append([m // steps[i] if j == k else 0 for j in range(len(kept))])
-    fac.presentation = presentation_from_relations(len(kept), rel)
-    return fac
-
-
-@dataclass
 class CohomologyData:
-    """Cohomology group of a two-step complex with coordinate access."""
+    """ker(d_next)/im(d_prev) over an fg coefficient group, with coordinates.
+
+    Built on U @ d_next @ V = S with pivots s_1..s_r.  With y = V^-1 x,
+    an integer vector x is a Z/m-cocycle exactly when s_i * y_i = 0 mod m
+    at each pivot, and V^-1 @ d_prev is zero at the pivot rows, so its
+    other rows R present every ring at once.  ``_tail`` factors R, with
+    diagonal t_j.  Over Z/m (m = 0 is Z) the cocycle coordinates are
+    z = U_R y past the pivots, of order gcd(t_j, m), then z_i = y_i / c_i
+    at each pivot, c_i = m / gcd(s_i, m), of order gcd(s_i, m) (1 over
+    Z): H^p(Z) (x) Z/m, then Tor(H^p+1(Z), Z/m).  ``_combine`` puts the
+    coordinates of order other than 1, over all coefficient factors, in
+    invariant-factor form; ``_orders`` lists every coordinate's order,
+    per coefficient factor.
+    """
 
     group: FgAbelianGroup
     coefficients: FgAbelianGroup
-    factors: list
+    _v: list
+    _vinv: list
+    _pivots: list
+    _tail: Presentation
+    _orders: list
     _combine: Presentation
 
     def class_coords(self, vectors):
         """Coordinates of a cocycle given per-coefficient-factor vectors."""
-        concat = []
-        for fac, vec in zip(self.factors, vectors):
-            concat.extend(fac.coords_of(vec))
-        return self._combine.coords_of(concat)
+        r = len(self._pivots)
+        raw = []
+        for m, orders, vec in zip(self.coefficients.moduli, self._orders, vectors):
+            y = mat_vec(self._vinv, vec)
+            z = mat_vec(self._tail._umatrix, y[r:])
+            for yi, s in zip(y, self._pivots):
+                c = m // gcd(s, m)
+                if yi % c if c else yi:
+                    raise NotACocycle("class of a non-cocycle requested")
+                z.append(yi // c if c else 0)
+            raw.extend(zi for zi, o in zip(z, orders) if o != 1)
+        return self._combine.coords_of(raw)
 
     def generator_vectors(self):
         """Per canonical generator, per-factor integer cocycle vectors."""
-        blocks = []
-        offset = 0
-        for fac in self.factors:
-            gens = fac.generator_vectors()
-            blocks.append((offset, gens, fac.dim))
-            offset += len(gens)
+        k = len(self._tail.diag)
         out = []
         for gen in self._combine.generators:
+            gen = iter(gen)
             per_factor = []
-            for (off, gens, dim), fac in zip(blocks, self.factors):
-                vec = [0] * dim
-                for j, g in enumerate(gens):
-                    w = gen[off + j]
-                    if w:
-                        for i in range(dim):
-                            vec[i] += w * g[i]
-                per_factor.append(vec)
+            for m, orders in zip(self.coefficients.moduli, self._orders):
+                z = [next(gen) if o != 1 else 0 for o in orders]
+                y = [m // gcd(s, m) * zi for s, zi in zip(self._pivots, z[k:])]
+                per_factor.append(mat_vec(self._v, y + mat_vec(self._tail._uinv, z[:k])))
             out.append(per_factor)
         return out
 
@@ -741,24 +693,25 @@ def cohomology_with_coords(d_prev, factored_next, coefficients):
 
     ``factored_next`` is ``factor(d_next, dim)``, with dim the rank of the
     middle term (the matrices may be empty).  Raises NotAComplex when the
-    composite differential is nonzero.
+    composite differential is nonzero over Z.
     """
     if not isinstance(coefficients, FgAbelianGroup):
         raise ValueError("constant coefficients must be an FgAbelianGroup")
     _, diag, v, vinv = factored_next
-    factors = [
-        cyclic_cohomology(d_prev, m, v, vinv, diag) for m in coefficients.moduli
+    r = len(diag)
+    rel = []
+    for j in range(len(d_prev[0]) if d_prev else 0):
+        y = mat_vec(vinv, [row[j] for row in d_prev])
+        if any(y[:r]):
+            raise NotAComplex("d_next o d_prev is nonzero")
+        rel.append(y[r:])
+    tail = presentation_from_relations(len(v) - r, rel)
+    orders = [
+        [gcd(t, m) for t in tail.diag] + [gcd(s, m) if m else 1 for s in diag]
+        for m in coefficients.moduli
     ]
-    if len(factors) == 1:
-        # one factor's quotient is already in invariant-factor form
-        combine = _identity_presentation(factors[0].presentation.group)
-    else:
-        raw = []
-        for fac in factors:
-            raw.extend(fac.presentation.group.moduli)
-        rel = [[raw[j] if i == j else 0 for i in range(len(raw))] for j in range(len(raw))]
-        combine = presentation_from_relations(len(raw), rel)
-    return CohomologyData(combine.group, coefficients, factors, combine)
+    combine = _canonical_presentation([o for per in orders for o in per if o != 1])
+    return CohomologyData(combine.group, coefficients, v, vinv, diag, tail, orders, combine)
 
 
 def cohomology_of(d_prev, d_next, coefficients, dim=None):

@@ -238,8 +238,6 @@ class CohomologyClasses:
     def class_coords(self, x):
         if x.degree != self.degree or x.group != self.coefficients:
             raise DegreeMismatch("cochain does not match this cohomology")
-        if not coboundary(x).is_zero():
-            raise NotACocycle("class of a non-cocycle requested")
         simps = self.carrier.simplices_of_dim(self.degree)
         return self.data.class_coords(_fg_vectors(x, simps))
 
@@ -371,7 +369,8 @@ def verify_good_cover(cover, nerve_):
     An intersection with a collapse certificate (``collapse()``) is
     acyclic and costs no Smith call.  Any other one is checked by its
     connected components and the Smith diagonals of its coboundaries up
-    to dim(base) + 1, which is every degree: an intersection W is a
+    to dim(base) + 1, read from the factorizations W keeps
+    (``factored_coboundary``), which is every degree: an intersection W is a
     subcomplex of the base, so H^q(W) = 0 for q > dim(base).  That check
     also settles acyclic intersections that do not collapse greedily.
     Failure is a value, not an error.
@@ -387,7 +386,7 @@ def verify_good_cover(cover, nerve_):
             failures.append((s, 0, FgAbelianGroup((0,) * (comps - 1))))
         # H^q(W; Z) = Z^(n_q - rank d_q - rank d_{q-1}) + Z/s for every
         # invariant factor s > 1 of d_{q-1}
-        diags = [abelian.smith_diagonal(w.coboundary_matrix(q)) for q in range(max_degree + 1)]
+        diags = [w.factored_coboundary(q)[1] for q in range(max_degree + 1)]
         for q in range(1, max_degree + 1):
             free = len(w.simplices_of_dim(q)) - len(diags[q]) - len(diags[q - 1])
             h = FgAbelianGroup([d for d in diags[q - 1] if d > 1] + [0] * free)

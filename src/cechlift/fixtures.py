@@ -6,6 +6,7 @@ subcommand share these constructions.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .abelian import CIRCLE, CircleElement, FgAbelianGroup, GroupElement
@@ -110,20 +111,23 @@ def barycentric_subdivision(k):
 
     Simplices of the subdivision are the chains of the face poset;
     vertex ids follow the (dimension, lexicographic) order of k's
-    simplices, so chains are strictly increasing tuples.
+    simplices, so chains are strictly increasing tuples.  Each chain is
+    extended through an index of the proper cofaces of its top simplex,
+    so the work is linear in the number of chains.
     """
     order = sorted(k.simplices, key=lambda s: (len(s), s))
     vertex_of = {s: i for i, s in enumerate(order)}
-    chains = set()
-
-    def extend(chain, top):
-        chains.add(tuple(vertex_of[s] for s in chain))
-        for s in order:
-            if len(s) > len(top) and set(top) < set(s):
-                extend(chain + [s], s)
-
-    for s in order:
-        extend([s], s)
+    cofaces = [[] for _ in order]
+    for t in order:
+        for size in range(1, len(t)):
+            for face in itertools.combinations(t, size):
+                cofaces[vertex_of[face]].append(vertex_of[t])
+    chains = []
+    stack = [(i,) for i in range(len(order))]
+    while stack:
+        chain = stack.pop()
+        chains.append(chain)
+        stack.extend(chain + (j,) for j in cofaces[chain[-1]])
     return SimplicialComplex(len(order), chains), vertex_of
 
 
@@ -134,17 +138,16 @@ def dual_block_cover(k):
     The nerve of this cover is k itself, and for the surface fixtures
     every intersection is acyclic (re-verified at runtime), which makes
     it the good cover used for the projective-plane bundle fixtures.
+    Each chain is handed to the vertices of its minimal simplex in one
+    pass.
     """
     bsd, vertex_of = barycentric_subdivision(k)
     simplex_of = {i: s for s, i in vertex_of.items()}
-    pieces = []
-    for (v,) in sorted(k.simplices_of_dim(0)):
-        simps = set()
-        for chain in bsd.simplices:
-            if v in simplex_of[chain[0]]:
-                simps.add(chain)
-        pieces.append(SimplicialComplex(bsd.vertex_count, simps))
-    return Cover(bsd, tuple(pieces))
+    blocks = {v: [] for (v,) in k.simplices_of_dim(0)}
+    for chain in bsd.simplices:
+        for v in simplex_of[chain[0]]:
+            blocks[v].append(chain)
+    return Cover(bsd, tuple(SimplicialComplex(bsd.vertex_count, b) for b in blocks.values()))
 
 
 def rp2_good_cover():

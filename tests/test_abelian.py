@@ -288,6 +288,11 @@ class TestCohomologyOf:
         with pytest.raises(NotAComplex):
             abelian.cohomology_of([[1], [0]], [[1, 1]], FgAbelianGroup((0,)), dim=2)
 
+    def test_a_complex_only_mod_m_is_not_a_complex(self):
+        # d_next o d_prev = 2 vanishes mod 2 but not over Z
+        with pytest.raises(NotAComplex, match="d_next o d_prev is nonzero"):
+            abelian.cohomology_of([[1]], [[2]], FgAbelianGroup((2,)), dim=1)
+
     def test_random_complexes_match_oracle(self):
         from conftest import oracle_cohomology_group_Z, oracle_cohomology_order_mod
         from conftest import random_complex

@@ -27,6 +27,7 @@ from conftest import dunce_hat, random_complex, random_cover, random_cochain, ra
 
 Z = FgAbelianGroup((0,))
 Z2 = FgAbelianGroup((2,))
+Z4 = FgAbelianGroup((4,))
 
 
 class TestCoboundary:
@@ -190,7 +191,9 @@ class TestCechCohomology:
 
         z6 = FgAbelianGroup((6,))
         for p in (1, 2):
-            assert simplicial_cohomology(rp2, z6, p).moduli == (2,)
+            classes = cohomology_classes(rp2, z6, p)
+            assert classes.group.moduli == (2,)
+            assert [classes.class_coords(g) for g in classes.generators()] == [(1,)]
             dim = len(rp2.simplices_of_dim(p))
             assert (
                 oracle_cohomology_order_mod(
@@ -214,6 +217,37 @@ class TestCechCohomology:
         h2 = simplicial_cohomology(rp2, g, 2)
         # H^2(RP2;Z) = Z/2 and H^2(RP2;Z/2) = Z/2, so the sum is Z/2 + Z/2
         assert h2.moduli == (2, 2)
+
+    def test_tor_summand_over_z4(self, rp2):
+        # H^1(RP2; Z/4) = Tor(H^2(RP2; Z), Z/4) = Z/2: its generator is twice
+        # an integer cochain, so every value is even mod 4
+        classes = cohomology_classes(rp2, Z4, 1)
+        assert classes.group.moduli == (2,)
+        (g,) = classes.generators()
+        assert coboundary(g).is_zero()
+        assert g.values and all(v.coords[0] in (0, 2) for v in g.values.values())
+        dy = coboundary(random_cochain(random.Random(4), rp2, Z4, 0))
+        assert classes.class_coords(g) == (1,)
+        assert classes.class_coords(g + g) == (0,)
+        assert classes.class_coords(g + g + g + dy) == (1,)
+
+    def test_orders_that_are_not_a_chain(self, rp2):
+        # RP2 plus a circle over Z/3 + Z/6: the circle gives orders 3 and 6,
+        # the Tor summand of RP2 order 2, so combining them takes a Smith call
+        k = validate_complex([*rp2.simplices_of_dim(2), (6, 7), (7, 8), (6, 8)])
+        classes = cohomology_classes(k, FgAbelianGroup((3, 6)), 1)
+        assert classes.group.moduli == (6, 6)
+        gens = classes.generators()
+        for i, g in enumerate(gens):
+            assert coboundary(g).is_zero()
+            assert classes.class_coords(g) == tuple(int(i == j) for j in range(len(gens)))
+
+    def test_class_of_a_non_cocycle_is_refused(self, torus_nerve):
+        classes = cohomology_classes(torus_nerve, Z2, 1)
+        x = Cochain(torus_nerve, 1, Z2, {torus_nerve.simplices_of_dim(1)[0]: (1,)})
+        assert not coboundary(x).is_zero()
+        with pytest.raises(NotACocycle, match="class of a non-cocycle requested"):
+            classes.class_coords(x)
 
 
 class TestCup:

@@ -32,7 +32,7 @@ from cechlift.deligne import (
 )
 from cechlift.errors import CoverNotGoodOnV
 
-from conftest import random_cochain
+from conftest import dunce_hat, random_cochain
 
 
 @pytest.fixture
@@ -72,14 +72,15 @@ def snf_inputs(monkeypatch):
 
 @pytest.mark.parametrize(
     "moduli, group, budget",
-    [((2,), "Z/2 + Z/2", 2), ((0,), "Z + Z", 2), ((2, 4), "Z/2 + Z/2 + Z/4 + Z/4", 4)],
+    [((2,), "Z/2 + Z/2", 2), ((0,), "Z + Z", 2), ((2, 4), "Z/2 + Z/2 + Z/4 + Z/4", 2)],
     ids=["2", "0", "2-4"],
 )
 def test_h1_torus36_factors_each_matrix_once(torus36, snf_calls, moduli, group, budget):
     """d_next is factored once for all coefficient factors, never augmented.
 
-    One Smith call for d_next, one quotient per coefficient factor and,
-    with more than one factor, one to combine them.
+    One Smith call for d_next and one for the integral relations, which
+    present every coefficient factor; orders that already divide in turn
+    are combined without a Smith call.
     """
     classes = cohomology_classes(torus36, FgAbelianGroup(moduli), 1)
     assert str(classes.group) == group
@@ -102,6 +103,21 @@ def test_goodness_factors_each_local_coboundary_once(snf_calls, name, ok, budget
     del snf_calls[:]
     assert verify_good_cover(cov, nrv).ok is ok
     assert len(snf_calls) <= budget, snf_calls
+
+
+def test_goodness_keeps_the_local_factorizations(snf_calls):
+    """An intersection without a collapse certificate is factored on the
+    first check only: it keeps its factorizations of delta."""
+    k = dunce_hat()
+    cov = Cover(k, (k,))
+    nrv = nerve(cov)
+    del snf_calls[:]
+    assert verify_good_cover(cov, nrv).ok
+    assert sorted(snf_calls) == [(17, 24), (24, 8)]
+    del snf_calls[:]
+    for _ in range(2):
+        assert verify_good_cover(cov, nrv).ok
+    assert snf_calls == []
 
 
 @pytest.mark.parametrize(
@@ -223,9 +239,10 @@ def test_second_query_on_a_carrier_refactors_no_coboundary(snf_inputs, query):
     """The carrier keeps its factorization of delta_p for every later query.
 
     A second ``is_coboundary`` factors nothing; a second
-    ``cohomology_classes`` still presents its quotient (a matrix built
-    from d_prev in the coordinates of that factorization) but never
-    factors delta again.
+    ``cohomology_classes`` still presents its quotient once (the integral
+    relations, built from d_prev in the coordinates of that
+    factorization, serve both coefficient factors) but never factors
+    delta again.
     """
     nrv = nerve(fixtures.torus_product()[1])
     group = FgAbelianGroup((2, 4))
@@ -242,15 +259,14 @@ def test_second_query_on_a_carrier_refactors_no_coboundary(snf_inputs, query):
     del snf_inputs[:]
     assert run() == first
     assert sum(m in deltas for m in snf_inputs) == 0
-    if query == "is_coboundary":
-        assert len(snf_inputs) == 0
+    assert len(snf_inputs) == (0 if query == "is_coboundary" else 1)
 
 
 def test_cyclic_coefficients_need_no_combine_factorization(snf_calls):
     """With one coefficient factor, a repeated query presents only its quotient.
 
-    That factor's quotient is already in invariant-factor form, so the
-    presentation that combines the factors is the identity.
+    Its orders already divide in turn, so the presentation that combines
+    them is the identity.
     """
     nrv = nerve(fixtures.torus_product()[1])
     first = cohomology_classes(nrv, FgAbelianGroup((2,)), 1)

@@ -4,11 +4,14 @@ Random small complexes (and random subcomplexes of the minimal RP^2,
 which carry 2-torsion) are drawn by ``hypothesis``.  The Z/m answers of
 the diagonal Smith solve are checked against the universal coefficient
 theorem, against the coboundary that produced them, and against the
-augmented ``[A | m*I]`` solve and exhaustive search; the Q and Q/Z
+augmented ``[A | m*I]`` solve and exhaustive search; class coordinates
+over Z/m and mixed groups read back the combination of generators that
+made a cocycle; the Q and Q/Z
 answers, computed on integers, against back-substitution in Fractions.
 The Smith kernel is checked against the Euler characteristic, which
 counts simplices, and against barycentric subdivision, which factors
-other matrices for the same groups.  Giraud obstructions of random transition cocycles on
+other matrices for the same groups; the subdivision and the dual block
+cover against a brute-force enumeration of face-poset chains.  Giraud obstructions of random transition cocycles on
 the shipped nerves obey the cocycle law, and their classes do not depend
 on the section of the extension.  A collapse certificate of a cover
 intersection implies the invariant factors find it acyclic, and its
@@ -44,6 +47,7 @@ from conftest import (
     oracle_invariant_factors,
     oracle_fraction_back_substitute,
     oracle_goodness_failures,
+    random_cochain,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -87,6 +91,35 @@ def test_mod_m_cohomology_obeys_universal_coefficients(k, m):
         assert got == _uct_prediction(h_p, h_next, m), (p, h_p, h_next)
 
 
+#: Cyclic and mixed coefficient groups.  Z/2 + Z/3 is not in
+#: invariant-factor form; it enters as the Z/6 it is isomorphic to.
+COEFFICIENTS = [FgAbelianGroup((m,)) for m in (2, 3, 4, 6, 9)] + [
+    FgAbelianGroup((2, 4)),
+    FgAbelianGroup((3, 6)),
+    abelian.canonical_group([2, 3])[0],
+    FgAbelianGroup((4, 0)),
+]
+
+
+@SETTINGS
+@given(complexes(), st.sampled_from(COEFFICIENTS), st.randoms(use_true_random=False))
+def test_class_coordinates_read_combinations_of_generators(k, group, rng):
+    """Generators are cocycles with unit coordinates, and the class of
+    a_1 g_1 + ... + a_n g_n + delta y has coordinates a reduced by the orders."""
+    for p in range(k.dim + 1):
+        classes = cohomology_classes(k, group, p)
+        gens = classes.generators()
+        for i, g in enumerate(gens):
+            assert coboundary(g).is_zero()
+            assert classes.class_coords(g) == tuple(int(i == j) for j in range(len(gens)))
+        a = [rng.randint(-20, 20) for _ in gens]
+        x = coboundary(random_cochain(rng, k, group, p - 1)) if p else Cochain(k, 0, group)
+        for ai, g in zip(a, gens):
+            x = x + Cochain(k, p, group, {s: ai * v for s, v in g.values.items()})
+        orders = classes.group.moduli
+        assert classes.class_coords(x) == tuple(ai % o if o else ai for ai, o in zip(a, orders))
+
+
 #: Complexes of dimension at most 2, so that their subdivisions stay small.
 surfaces = complexes().filter(lambda k: k.dim <= 2)
 
@@ -109,6 +142,41 @@ def test_euler_characteristic_is_alternating_sum_of_free_ranks(k):
 def test_nerve_of_the_dual_block_cover_is_the_complex(k):
     """The pieces of vertices v_0..v_q meet exactly when v_0..v_q span a simplex."""
     assert nerve(fixtures.dual_block_cover(k)) == k
+
+
+def _face_poset_chains(k):
+    """Every chain s_0 < s_1 < ... of simplices of k, by brute force."""
+    by_dim = [k.simplices_of_dim(d) for d in range(k.dim + 1)]
+    for size in range(1, k.dim + 2):
+        for dims in itertools.combinations(range(k.dim + 1), size):
+            for chain in itertools.product(*(by_dim[d] for d in dims)):
+                if all(set(a) < set(b) for a, b in zip(chain, chain[1:])):
+                    yield chain
+
+
+@SETTINGS
+@given(
+    st.one_of(
+        complexes().filter(lambda k: len(k.simplices_of_dim(0)) == k.vertex_count),
+        st.sampled_from([fixtures.rp2_minimal(), fixtures.boundary_delta3()]),
+    )
+)
+def test_subdivision_and_dual_blocks_match_brute_force_chains(k):
+    """bsd(k) is the complex of face-poset chains, vertices numbered in
+    (dimension, tuple) order, and piece v of the dual block cover holds the
+    chains whose minimal simplex contains v."""
+    bsd, vertex_of = fixtures.barycentric_subdivision(k)
+    order = sorted(k.simplices, key=lambda s: (len(s), s))
+    assert vertex_of == {s: i for i, s in enumerate(order)}
+    chains = list(_face_poset_chains(k))
+    assert bsd.vertex_count == len(order)
+    assert bsd.simplices == {tuple(vertex_of[s] for s in c) for c in chains}
+    cover = fixtures.dual_block_cover(k)
+    assert cover.base.simplices == bsd.simplices
+    assert [piece.simplices for piece in cover.pieces] == [
+        {tuple(vertex_of[s] for s in c) for c in chains if v in c[0]}
+        for (v,) in k.simplices_of_dim(0)
+    ]
 
 
 @SETTINGS

@@ -21,107 +21,63 @@ from math import gcd, lcm
 from . import kernels
 from .errors import GroupMismatch, NotAComplex, NotACocycle
 
-#: When true, every Smith decomposition computed is re-checked (U@M@V == S
-#: and |det U| = |det V| = 1).  A factorization is kept by the object
-#: that owns its matrix, so this checks those built while it is set.  The
+#: When true, every Smith factorization computed is re-checked: both logs
+#: replayed on M give S, and every logged combine has determinant 1, so
+#: U and V are unimodular.  A factorization is kept by the object that
+#: owns its matrix, so this checks those built while it is set.  The
 #: CLI's --verify full sets it for one command; being a context variable,
 #: it never leaks into other threads.
 SNF_VERIFY = ContextVar("cechlift_snf_verify", default=False)
 
 
 # ---------------------------------------------------------------------------
-# integer matrices (lists of lists)
+# integer matrices (lists of lists) and their Smith factorizations
 # ---------------------------------------------------------------------------
-
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    if not a:
-        return []
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    out = []
-    for row in a:
-        out.append([sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)])
-    return out
-
 
 def mat_vec(a, x):
     nz = [(k, xk) for k, xk in enumerate(x) if xk]
     return [sum(row[k] * xk for k, xk in nz) for row in a]
 
 
-def transpose(a, ncols=None):
-    rows = len(a)
-    if ncols is None:
-        ncols = len(a[0]) if rows else 0
-    return [[a[i][j] for i in range(rows)] for j in range(ncols)]
-
-
-def det_int(m):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def snf_full(mat):
-    """(U, S, V, Uinv, Vinv) with U@mat@V = S, optionally re-verified."""
-    u, s, v, uinv, vinv = kernels.snf_with_transforms(mat)
+    """The ``kernels.Factorization`` U @ mat @ V = S, optionally re-verified."""
+    fac = kernels.snf_with_transforms(mat)
     if SNF_VERIFY.get():
-        if mat and mat_mul(mat_mul(u, mat), v) != s:
+        if fac.product(mat) != {(i, i): d for i, d in enumerate(fac.diag)}:
             raise AssertionError("SNF product check failed")
-        if abs(det_int(u)) != 1 or abs(det_int(v)) != 1:
+        if not fac.is_unimodular():
             raise AssertionError("SNF transform not unimodular")
-    return u, s, v, uinv, vinv
+    return fac
 
 
 def smith_normal_form(mat):
     """Smith normal form of an integer matrix.
 
     Returns (U, S, V) with U @ mat @ V = S, S diagonal non-negative with
-    S[0][0] | S[1][1] | ..., and U, V unimodular.
+    S[0][0] | S[1][1] | ..., and U, V unimodular, as lists of lists built
+    from the factorization's logs.
     """
-    u, s, v, _, _ = snf_full(mat)
-    return u, s, v
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    fac = snf_full(mat)
+
+    def matrix(apply, size):
+        cols = [apply([int(i == j) for i in range(size)]) for j in range(size)]
+        return [[col[i] for col in cols] for i in range(size)]
+
+    s = [[0] * n for _ in range(m)]
+    for i, d in enumerate(fac.diag):
+        s[i][i] = d
+    return matrix(fac.u_times, m), s, matrix(fac.v_times, n)
 
 
-def _diagonal(s):
-    """The nonzero diagonal entries of a Smith form, in order."""
-    out = []
-    for i, row in enumerate(s):
-        if i >= len(row) or not row[i]:
-            break
-        out.append(row[i])
-    return out
-
-
-def _back_substitute(u, diag, b, ring, v):
+def _back_substitute(fac, b, ring):
     """The canonical solution of M x = b from a factorization U M V = S.
 
-    ``diag`` is the nonzero diagonal of S and ``ring`` one of "Z", "Q",
-    "Q/Z" or an integer m > 1 (Z/m).  With t = U b, the entries of t past
-    the rank must vanish (Z, Q), be integers (Q/Z) or vanish mod m.  At
-    pivot j, y_j = t_j / s_j, which over Z must be an integer; over Z/m,
+    ``ring`` is one of "Z", "Q", "Q/Z" or an integer m > 1 (Z/m).  With
+    s_j the diagonal of S and t = U b, the entries of t past the rank
+    must vanish (Z, Q), be integers (Q/Z) or vanish mod m.  At pivot j,
+    y_j = t_j / s_j, which over Z must be an integer; over Z/m,
     g = gcd(s_j, m) must divide t_j and y_j = (t_j/g) (s_j/g)^-1 mod m/g.
     Free coordinates are zero.  Returns x = V y, reduced mod 1 over Q/Z
     and mod m over Z/m.
@@ -131,6 +87,7 @@ def _back_substitute(u, diag, b, ring, v):
     is integral exactly when den divides t, and D = den lcm(s_j) is a
     multiple of every den s_j, so x = V (D y) / D with D y integral.
     """
+    diag = fac.diag
     r = len(diag)
     rational = ring in ("Q", "Q/Z")
     if rational:
@@ -139,7 +96,7 @@ def _back_substitute(u, diag, b, ring, v):
         m = den if ring == "Q/Z" else 0
     else:
         m = 0 if ring == "Z" else ring
-    t = mat_vec(u, b)
+    t = fac.u_times(b)
     if any(tj % m if m else tj for tj in t[r:]):
         return None
     if rational:
@@ -154,23 +111,21 @@ def _back_substitute(u, diag, b, ring, v):
             if tj % g:
                 return None
             y.append(tj // g * pow(sj // g, -1, m // g) % (m // g) if m else tj // g)
-    x = mat_vec(v, y + [0] * (len(v) - r))
+    x = fac.v_times(y + [0] * (len(fac.col_at) - r))
     if m:
         x = [xi % m for xi in x]
     return [Fraction(xi, den) for xi in x] if rational else x
 
 
 def factor(mat, ncols):
-    """The Smith factorization (U, diag, V, V^-1) of mat, with U @ mat @ V = S.
+    """The Smith factorization of mat (a ``kernels.Factorization``).
 
-    ``diag`` is the nonzero diagonal of S.  A matrix without rows gets
-    identity transforms on its ``ncols`` columns.
+    A matrix without rows gets identity transforms on its ``ncols``
+    columns.
     """
     if not mat:
-        ident = identity_matrix(ncols)
-        return [], [], ident, ident
-    u, s, v, _, vinv = snf_full(mat)
-    return u, _diagonal(s), v, vinv
+        return kernels.Factorization.identity(0, ncols)
+    return snf_full(mat)
 
 
 def solve(mat, b, ring, ncols=None):
@@ -185,8 +140,7 @@ def solve(mat, b, ring, ncols=None):
     if ring not in ("Z", "Q", "Q/Z") and not (type(ring) is int and ring > 1):
         raise ValueError(f"unknown ring {ring!r}; expected 'Z', 'Q', 'Q/Z' or an int m > 1")
     n = ncols if ncols is not None else (len(mat[0]) if mat else 0)
-    u, diag, v, _ = factor(mat, n)
-    return _back_substitute(u, diag, b, ring, v)
+    return _back_substitute(factor(mat, n), b, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -424,24 +378,24 @@ class Presentation:
 
     The columns of M generate L, and S is its Smith form or, for a
     diagonal M, M itself.  ``diag`` is the full diagonal of S: n
-    entries, 0 past the rank.  ``_umatrix`` is U and ``_uinv`` its
-    inverse (V is not kept).  The coordinates whose diagonal entry is
-    not 1, taken in the order ``_kept``, carry the quotient: ``group``,
-    ``coords_of`` (an integer vector's coordinates there) and
-    ``generators`` (each canonical generator lifted back to Z^n).
+    entries, 0 past the rank.  ``_fac`` is the factorization of M (only
+    its U is used, and it is the identity for a diagonal M).  The
+    coordinates whose diagonal entry is not 1, taken in the order
+    ``_kept``, carry the quotient: ``group``, ``coords_of`` (an integer
+    vector's coordinates there) and ``generators`` (each canonical
+    generator lifted back to Z^n).
     """
 
-    __slots__ = ("diag", "group", "_umatrix", "_uinv", "_kept")
+    __slots__ = ("diag", "group", "_fac", "_kept")
 
-    def __init__(self, diag, umatrix, uinv, kept=None):
+    def __init__(self, diag, fac, kept=None):
         self.diag = diag
-        self._umatrix = umatrix
-        self._uinv = uinv
+        self._fac = fac
         self._kept = [i for i, d in enumerate(diag) if d != 1] if kept is None else kept
         self.group = FgAbelianGroup(diag[i] for i in self._kept)
 
     def coords_of(self, vec):
-        full = mat_vec(self._umatrix, vec)
+        full = self._fac.u_times(vec)
         out = []
         for pos, m in zip(self._kept, self.group.moduli):
             out.append(full[pos] % m if m else full[pos])
@@ -452,18 +406,22 @@ class Presentation:
 
     @property
     def generators(self):
-        n = len(self._umatrix)
-        return [[self._uinv[i][pos] for i in range(n)] for pos in self._kept]
+        n = len(self.diag)
+        return [self._fac.uinv_times([int(i == pos) for i in range(n)]) for pos in self._kept]
 
 
 def presentation_from_relations(n, relation_cols):
     """Factor the lattice spanned by the given columns of Z^n, once."""
-    rel = [[col[i] for col in relation_cols] for i in range(n)]
+    return _presentation([[col[i] for col in relation_cols] for i in range(n)])
+
+
+def _presentation(rel):
+    """Factor the lattice spanned by the columns of the matrix rel, once."""
+    n = len(rel)
     if not (rel and rel[0]):
         return _canonical_presentation([0] * n)
-    u, s, _, uinv, _ = snf_full(rel)
-    nonzero = _diagonal(s)
-    return Presentation(nonzero + [0] * (n - len(nonzero)), u, uinv)
+    fac = snf_full(rel)
+    return Presentation(fac.diag + [0] * (n - len(fac.diag)), fac)
 
 
 def _canonical_presentation(orders):
@@ -477,10 +435,8 @@ def _canonical_presentation(orders):
     kept = [i for i, o in enumerate(orders) if o != 1]
     kept.sort(key=lambda i: (not orders[i], orders[i]))
     if _is_invariant_chain([orders[i] for i in kept]):
-        ident = identity_matrix(n)
-        return Presentation(list(orders), ident, ident, kept)
-    rel = [[o if i == j else 0 for i in range(n)] for j, o in enumerate(orders)]
-    return presentation_from_relations(n, rel)
+        return Presentation(list(orders), kernels.Factorization.identity(n, n), kept)
+    return _presentation([[o if i == j else 0 for j in range(n)] for i, o in enumerate(orders)])
 
 
 def canonical_group(raw_moduli):
@@ -547,8 +503,7 @@ class Homomorphism:
     def apply(self, el):
         if el.group != self.domain:
             raise GroupMismatch("element not in the domain")
-        coords = mat_vec(list(map(list, self.matrix)), list(el.coords))
-        return GroupElement(self.codomain, tuple(coords))
+        return GroupElement(self.codomain, tuple(mat_vec(self.matrix, el.coords)))
 
     @cached_property
     def _factored(self):
@@ -564,8 +519,12 @@ class Homomorphism:
 
     def kernel_lattice(self):
         """Generators of {x in Z^dom : M x in relation lattice of codomain}."""
-        _, diag, v, _ = self._factored
-        gens = [[v[i][j] for i in range(self.domain.rank)] for j in range(len(diag), len(v))]
+        fac = self._factored
+        n = len(fac.col_at)
+        gens = [
+            fac.v_times([int(i == j) for i in range(n)])[: self.domain.rank]
+            for j in range(len(fac.diag), n)
+        ]
         gens.extend(_relation_lattice(self.domain.moduli))
         return gens
 
@@ -575,15 +534,14 @@ class Homomorphism:
         )
 
     def is_surjective(self):
-        diag = self._factored[1]
+        diag = self._factored.diag
         return len(diag) == self.codomain.rank and all(d == 1 for d in diag)
 
     def preimage(self, el):
         """The canonical domain element mapping to el, or None off the image."""
         if el.group != self.codomain:
             raise GroupMismatch("element not in the codomain")
-        u, diag, v, _ = self._factored
-        x = _back_substitute(u, diag, list(el.coords), "Z", v)
+        x = _back_substitute(self._factored, el.coords, "Z")
         return None if x is None else GroupElement(self.domain, tuple(x[: self.domain.rank]))
 
 
@@ -602,8 +560,9 @@ class ShortExactSequence:
             raise ValueError("inject must map A to B")
         if self.project.domain != self.B or self.project.codomain != self.C:
             raise ValueError("project must map B to C")
-        comp = mat_mul(list(map(list, self.project.matrix)), list(map(list, self.inject.matrix)))
-        for col in transpose(comp, ncols=self.A.rank):
+        inject = self.inject.matrix
+        for k in range(self.A.rank):
+            col = mat_vec(self.project.matrix, [row[k] for row in inject])
             if not _in_relation_lattice(self.C.moduli, col):
                 raise ValueError("project o inject is nonzero")
         if not self.inject.is_injective():
@@ -636,36 +595,35 @@ class ShortExactSequence:
 class CohomologyData:
     """ker(d_next)/im(d_prev) over an fg coefficient group, with coordinates.
 
-    Built on U @ d_next @ V = S with pivots s_1..s_r.  With y = V^-1 x,
-    an integer vector x is a Z/m-cocycle exactly when s_i * y_i = 0 mod m
-    at each pivot, and V^-1 @ d_prev is zero at the pivot rows, so its
-    other rows R present every ring at once.  ``_tail`` factors R, with
-    diagonal t_j.  Over Z/m (m = 0 is Z) the cocycle coordinates are
-    z = U_R y past the pivots, of order gcd(t_j, m), then z_i = y_i / c_i
-    at each pivot, c_i = m / gcd(s_i, m), of order gcd(s_i, m) (1 over
-    Z): H^p(Z) (x) Z/m, then Tor(H^p+1(Z), Z/m).  ``_combine`` puts the
-    coordinates of order other than 1, over all coefficient factors, in
-    invariant-factor form; ``_orders`` lists every coordinate's order,
-    per coefficient factor.
+    Built on U @ d_next @ V = S (``_next``) with pivots s_1..s_r.  With
+    y = V^-1 x, an integer vector x is a Z/m-cocycle exactly when
+    s_i * y_i = 0 mod m at each pivot, and V^-1 @ d_prev is zero at the
+    pivot rows, so its other rows R present every ring at once.
+    ``_tail`` factors R, with diagonal t_j.  Over Z/m (m = 0 is Z) the
+    cocycle coordinates are z = U_R y past the pivots, of order
+    gcd(t_j, m), then z_i = y_i / c_i at each pivot, c_i = m / gcd(s_i, m),
+    of order gcd(s_i, m) (1 over Z): H^p(Z) (x) Z/m, then
+    Tor(H^p+1(Z), Z/m).  ``_combine`` puts the coordinates of order other
+    than 1, over all coefficient factors, in invariant-factor form;
+    ``_orders`` lists every coordinate's order, per coefficient factor.
     """
 
     group: FgAbelianGroup
     coefficients: FgAbelianGroup
-    _v: list
-    _vinv: list
-    _pivots: list
+    _next: kernels.Factorization
     _tail: Presentation
     _orders: list
     _combine: Presentation
 
     def class_coords(self, vectors):
         """Coordinates of a cocycle given per-coefficient-factor vectors."""
-        r = len(self._pivots)
+        pivots = self._next.diag
+        r = len(pivots)
         raw = []
         for m, orders, vec in zip(self.coefficients.moduli, self._orders, vectors):
-            y = mat_vec(self._vinv, vec)
-            z = mat_vec(self._tail._umatrix, y[r:])
-            for yi, s in zip(y, self._pivots):
+            y = self._next.vinv_times(vec)
+            z = self._tail._fac.u_times(y[r:])
+            for yi, s in zip(y, pivots):
                 c = m // gcd(s, m)
                 if yi % c if c else yi:
                     raise NotACocycle("class of a non-cocycle requested")
@@ -675,6 +633,7 @@ class CohomologyData:
 
     def generator_vectors(self):
         """Per canonical generator, per-factor integer cocycle vectors."""
+        pivots = self._next.diag
         k = len(self._tail.diag)
         out = []
         for gen in self._combine.generators:
@@ -682,8 +641,8 @@ class CohomologyData:
             per_factor = []
             for m, orders in zip(self.coefficients.moduli, self._orders):
                 z = [next(gen) if o != 1 else 0 for o in orders]
-                y = [m // gcd(s, m) * zi for s, zi in zip(self._pivots, z[k:])]
-                per_factor.append(mat_vec(self._v, y + mat_vec(self._tail._uinv, z[:k])))
+                y = [m // gcd(s, m) * zi for s, zi in zip(pivots, z[k:])]
+                per_factor.append(self._next.v_times(y + self._tail._fac.uinv_times(z[:k])))
             out.append(per_factor)
         return out
 
@@ -693,25 +652,30 @@ def cohomology_with_coords(d_prev, factored_next, coefficients):
 
     ``factored_next`` is ``factor(d_next, dim)``, with dim the rank of the
     middle term (the matrices may be empty).  Raises NotAComplex when the
-    composite differential is nonzero over Z.
+    composite differential is nonzero over Z.  V^-1 @ d_prev is one
+    replay of the column log over the sparse rows of d_prev.
     """
     if not isinstance(coefficients, FgAbelianGroup):
         raise ValueError("constant coefficients must be an FgAbelianGroup")
-    _, diag, v, vinv = factored_next
+    diag = factored_next.diag
     r = len(diag)
+    rows = factored_next.vinv_matrix(d_prev)
+    if any(rows[:r]):
+        raise NotAComplex("d_next o d_prev is nonzero")
+    ncols = len(d_prev[0]) if d_prev else 0
     rel = []
-    for j in range(len(d_prev[0]) if d_prev else 0):
-        y = mat_vec(vinv, [row[j] for row in d_prev])
-        if any(y[:r]):
-            raise NotAComplex("d_next o d_prev is nonzero")
-        rel.append(y[r:])
-    tail = presentation_from_relations(len(v) - r, rel)
+    for row in rows[r:]:
+        dense = [0] * ncols
+        for j, x in row.items():
+            dense[j] = x
+        rel.append(dense)
+    tail = _presentation(rel)
     orders = [
         [gcd(t, m) for t in tail.diag] + [gcd(s, m) if m else 1 for s in diag]
         for m in coefficients.moduli
     ]
     combine = _canonical_presentation([o for per in orders for o in per if o != 1])
-    return CohomologyData(combine.group, coefficients, v, vinv, diag, tail, orders, combine)
+    return CohomologyData(combine.group, coefficients, factored_next, tail, orders, combine)
 
 
 def cohomology_of(d_prev, d_next, coefficients, dim=None):

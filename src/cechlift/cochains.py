@@ -186,10 +186,10 @@ def is_coboundary(x):
         # without p-simplices x is zero
         return zero_cochain(x.carrier, p - 1, x.group)
     cols = x.carrier.simplices_of_dim(p - 1)
-    u, diag, v, _ = x.carrier.factored_coboundary(p - 1)
+    fac = x.carrier.factored_coboundary(p - 1)
 
     def solve(b, ring):
-        return abelian._back_substitute(u, diag, b, ring, v)
+        return abelian._back_substitute(fac, b, ring)
 
     if isinstance(x.group, FgAbelianGroup):
         per_factor = []
@@ -386,7 +386,7 @@ def verify_good_cover(cover, nerve_):
             failures.append((s, 0, FgAbelianGroup((0,) * (comps - 1))))
         # H^q(W; Z) = Z^(n_q - rank d_q - rank d_{q-1}) + Z/s for every
         # invariant factor s > 1 of d_{q-1}
-        diags = [w.factored_coboundary(q)[1] for q in range(max_degree + 1)]
+        diags = [w.factored_coboundary(q).diag for q in range(max_degree + 1)]
         for q in range(1, max_degree + 1):
             free = len(w.simplices_of_dim(q)) - len(diags[q]) - len(diags[q - 1])
             h = FgAbelianGroup([d for d in diags[q - 1] if d > 1] + [0] * free)

@@ -139,7 +139,7 @@ class SimplicialComplex:
         return mat
 
     def factored_coboundary(self, p):
-        """The Smith factorization (U, diag, V, V^-1) of coboundary_matrix(p).
+        """The Smith factorization (``abelian.factor``) of coboundary_matrix(p).
 
         Built on first use and kept by the complex, which is immutable;
         two threads that race here compute the same deterministic value.

@@ -7,13 +7,32 @@ Deterministic rules (part of the library contract, since canonical
 solution representatives are derived from these transforms): pivots are
 the smallest absolute nonzero entry of the remaining submatrix with
 row-major tie-breaking, and clearing uses extended-gcd two-row (resp.
-two-column) unimodular combines in index order.
+two-column) unimodular combines in index order.  When the cleared pivot
+does not divide the rest of the submatrix, the first row (in row-major
+order) holding an entry it does not divide is added to the pivot row and
+the step repeats.  A negative pivot has its row negated.
+
+The elimination runs on sparse rows (one dict per row, with a column ->
+rows index) and keeps no transform matrix.  It records the operations
+instead: a row log and a column log of adds, two-by-two combines of
+determinant 1 and (rows only) negations, each of determinant +-1, on
+row and column labels that never move; swaps only reorder positions,
+kept as two permutations.  With U @ M @ V = S, a ``Factorization``
+replays these logs: U b forward on the rows, V y backward on the
+columns, V^-1 x forward with each column operation inverted, and U^-1 z
+backward with each row operation inverted.
 """
 
 from __future__ import annotations
 
 #: The kernel that runs; reported by benchmarks next to their timings.
 BACKEND = "python"
+
+# A log entry on labels i, j:
+#   (i,)                 negate i
+#   (i, j, k)            i += k * j
+#   (i, j, a, b, c, d)   (i, j) <- (a * i + b * j, c * i + d * j), ad - bc = 1
+# where i and j are rows (row log) or columns (column log) of M.
 
 
 def _xgcd(a, b):
@@ -31,163 +50,301 @@ def _xgcd(a, b):
     return g, x, y
 
 
-def snf_with_transforms(mat):
-    """Diagonalize an integer matrix by unimodular transformations.
+class Factorization:
+    """U @ M @ V = S for an m x n integer matrix M, kept as its elimination log.
 
-    Returns ``(U, S, V, Uinv, Vinv)`` as lists of lists with
-    ``U @ mat @ V == S``, ``S`` diagonal with non-negative entries in a
-    divisibility chain ``S[0][0] | S[1][1] | ...``, and ``U``, ``V``
-    unimodular with their exact inverses accumulated alongside.
+    ``diag`` is the nonzero diagonal of S, a divisibility chain of
+    positive integers.  Rows and columns of M are labelled by their
+    index in M; ``row_at[p]`` (``col_at[p]``) is the label that ends at
+    position p of S, so ``len(col_at)`` is n.  Vectors indexed like the
+    rows (columns) of M are in labels, vectors indexed like S in
+    positions.  Replays take any numbers that add and multiply by
+    integers, Fractions too.
+    """
+
+    __slots__ = ("diag", "row_at", "col_at", "_rows", "_cols")
+
+    def __init__(self, diag, row_at, col_at, row_log, col_log):
+        self.diag = diag
+        self.row_at = row_at
+        self.col_at = col_at
+        self._rows = row_log
+        self._cols = col_log
+
+    @classmethod
+    def identity(cls, m, n):
+        """U = I_m, V = I_n and an empty diagonal: the factorization of 0."""
+        return cls([], list(range(m)), list(range(n)), [], [])
+
+    def u_times(self, b):
+        """U b, for b indexed by the rows of M; indexed by positions."""
+        b = list(b)
+        for op in self._rows:
+            if len(op) == 3:
+                i, j, k = op
+                b[i] += k * b[j]
+            elif len(op) == 1:
+                i = op[0]
+                b[i] = -b[i]
+            else:
+                i, j, c11, c12, c21, c22 = op
+                x, y = b[i], b[j]
+                b[i] = c11 * x + c12 * y
+                b[j] = c21 * x + c22 * y
+        return [b[i] for i in self.row_at]
+
+    def uinv_times(self, z):
+        """U^-1 z, for z indexed by positions; indexed by the rows of M."""
+        b = [0] * len(z)
+        for p, i in enumerate(self.row_at):
+            b[i] = z[p]
+        for op in reversed(self._rows):
+            if len(op) == 3:
+                i, j, k = op
+                b[i] -= k * b[j]
+            elif len(op) == 1:
+                i = op[0]
+                b[i] = -b[i]
+            else:
+                i, j, c11, c12, c21, c22 = op
+                x, y = b[i], b[j]
+                b[i] = c22 * x - c12 * y
+                b[j] = c11 * y - c21 * x
+        return b
+
+    def v_times(self, y):
+        """V y, for y indexed by positions; indexed by the columns of M."""
+        x = [0] * len(y)
+        for p, j in enumerate(self.col_at):
+            x[j] = y[p]
+        for op in reversed(self._cols):
+            if len(op) == 3:
+                i, j, k = op
+                x[j] += k * x[i]
+            else:
+                i, j, c11, c12, c21, c22 = op
+                a, b = x[i], x[j]
+                x[i] = c11 * a + c21 * b
+                x[j] = c12 * a + c22 * b
+        return x
+
+    def vinv_times(self, x):
+        """V^-1 x, for x indexed by the columns of M; indexed by positions."""
+        x = list(x)
+        for op in self._cols:
+            if len(op) == 3:
+                i, j, k = op
+                x[j] -= k * x[i]
+            else:
+                i, j, c11, c12, c21, c22 = op
+                a, b = x[i], x[j]
+                x[i] = c22 * a - c21 * b
+                x[j] = c11 * b - c12 * a
+        return [x[j] for j in self.col_at]
+
+    def vinv_matrix(self, mat):
+        """V^-1 @ mat, for a matrix with one row per column of M; its rows
+        in positions, as {column: value} dicts of the nonzeros.
+
+        One forward pass over the column log, each operation applied to
+        whole sparse rows, so the cost follows the log and the nonzeros
+        rather than the number of columns of mat.
+        """
+        rows = [{j: x for j, x in enumerate(r) if x} for r in mat]
+        _replay(rows, map(_inverse_on_rows, self._cols))
+        return [rows[j] for j in self.col_at]
+
+    def product(self, mat):
+        """U @ mat @ V by replaying both logs on mat's sparse rows, as
+        {(row position, column position): value} over the nonzeros."""
+        rows = [{j: x for j, x in enumerate(r) if x} for r in mat]
+        _replay(rows, self._rows)
+        cols = [{} for _ in self.col_at]
+        for p, i in enumerate(self.row_at):
+            for j, x in rows[i].items():
+                cols[j][p] = x
+        _replay(cols, self._cols)
+        return {(p, q): x for q, j in enumerate(self.col_at) for p, x in cols[j].items()}
+
+    def is_unimodular(self):
+        """Whether every logged combine has determinant 1 (adds and
+        negations have determinant +-1 by their form)."""
+        return all(
+            op[2] * op[5] - op[3] * op[4] == 1
+            for op in (*self._rows, *self._cols)
+            if len(op) == 6
+        )
+
+
+def _inverse_on_rows(op):
+    """The row operation by which C^-1 acts, C a logged column operation."""
+    if len(op) == 3:
+        i, j, k = op
+        return j, i, -k
+    i, j, c11, c12, c21, c22 = op
+    return i, j, c22, -c21, -c12, c11
+
+
+def _add_row(ri, rj, k):
+    """ri += k * rj on {column: value} dicts, dropping zeros."""
+    for c, x in rj.items():
+        v = ri.get(c, 0) + k * x
+        if v:
+            ri[c] = v
+        else:
+            del ri[c]
+
+
+def _combine_rows(ri, rj, c11, c12, c21, c22):
+    """(c11 ri + c12 rj, c21 ri + c22 rj) as new dicts, zeros dropped."""
+    new_i, new_j = {}, {}
+    for c in ri.keys() | rj.keys():
+        x, y = ri.get(c, 0), rj.get(c, 0)
+        v = c11 * x + c12 * y
+        if v:
+            new_i[c] = v
+        v = c21 * x + c22 * y
+        if v:
+            new_j[c] = v
+    return new_i, new_j
+
+
+def _replay(rows, log):
+    """Apply a log's operations, in order, to sparse rows (in place)."""
+    for op in log:
+        if len(op) == 3:
+            _add_row(rows[op[0]], rows[op[1]], op[2])
+        elif len(op) == 1:
+            r = rows[op[0]]
+            for c in r:
+                r[c] = -r[c]
+        else:
+            i, j, c11, c12, c21, c22 = op
+            rows[i], rows[j] = _combine_rows(rows[i], rows[j], c11, c12, c21, c22)
+
+
+def snf_with_transforms(mat):
+    """Diagonalize an integer matrix by logged unimodular operations.
+
+    ``mat`` is a list of rows, read once for its nonzeros.  Returns the
+    ``Factorization`` U @ mat @ V = S, S diagonal with non-negative
+    entries in a divisibility chain S[0][0] | S[1][1] | ....
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
-    a = [[int(x) for x in row] for row in mat]
-    u = _identity(m)
-    uinv = _identity(m)
-    v = _identity(n)
-    vinv = _identity(n)
+    a = [{j: int(x) for j, x in enumerate(row) if x} for row in mat]
+    where = [set() for _ in range(n)]  # column label -> row labels with an entry
+    for i, row in enumerate(a):
+        for j in row:
+            where[j].add(i)
+    row_at, row_pos = list(range(m)), list(range(m))
+    col_at, col_pos = list(range(n)), list(range(n))
+    row_log, col_log, diag = [], [], []
 
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
+    def put(i, j, v):
+        if v:
+            if j not in a[i]:
+                where[j].add(i)
+            a[i][j] = v
+        elif j in a[i]:
+            del a[i][j]
+            where[j].discard(i)
 
     def row_add(i, j, k):
         # row_i += k * row_j
-        ai, aj = a[i], a[j]
-        for c in range(n):
-            ai[c] += k * aj[c]
-        ui, uj = u[i], u[j]
-        for c in range(m):
-            ui[c] += k * uj[c]
-        for r in uinv:
-            r[j] -= k * r[i]
+        ri = a[i]
+        for c, x in a[j].items():
+            put(i, c, ri.get(c, 0) + k * x)
+        row_log.append((i, j, k))
+
+    def row_combine(i, j, c11, c12, c21, c22):
+        ri, rj = a[i], a[j]
+        for c in ri.keys() | rj.keys():
+            x, y = ri.get(c, 0), rj.get(c, 0)
+            put(i, c, c11 * x + c12 * y)
+            put(j, c, c21 * x + c22 * y)
+        row_log.append((i, j, c11, c12, c21, c22))
 
     def col_add(i, j, k):
         # col_i += k * col_j
-        for r in a:
-            r[i] += k * r[j]
-        for r in v:
-            r[i] += k * r[j]
-        vi, vj = vinv[i], vinv[j]
-        for c in range(n):
-            vj[c] -= k * vi[c]
-
-    def row_combine(i, j, c11, c12, c21, c22):
-        # (row_i, row_j) <- (c11*row_i + c12*row_j, c21*row_i + c22*row_j),
-        # where the 2x2 block has determinant 1.
-        for mat_ in (a, u):
-            ri, rj = mat_[i], mat_[j]
-            for c in range(len(ri)):
-                x, y = ri[c], rj[c]
-                ri[c] = c11 * x + c12 * y
-                rj[c] = c21 * x + c22 * y
-        for r in uinv:
-            x, y = r[i], r[j]
-            r[i] = c22 * x - c21 * y
-            r[j] = -c12 * x + c11 * y
+        for r in where[j]:
+            put(r, i, a[r].get(i, 0) + k * a[r][j])
+        col_log.append((i, j, k))
 
     def col_combine(i, j, c11, c12, c21, c22):
-        # (col_i, col_j) <- (c11*col_i + c12*col_j, c21*col_i + c22*col_j)
-        for mat_ in (a, v):
-            for r in mat_:
-                x, y = r[i], r[j]
-                r[i] = c11 * x + c12 * y
-                r[j] = c21 * x + c22 * y
-        ri, rj = vinv[i], vinv[j]
-        for c in range(n):
-            x, y = ri[c], rj[c]
-            ri[c] = c22 * x - c21 * y
-            rj[c] = -c12 * x + c11 * y
+        for r in where[i] | where[j]:
+            x, y = a[r].get(i, 0), a[r].get(j, 0)
+            put(r, i, c11 * x + c12 * y)
+            put(r, j, c21 * x + c22 * y)
+        col_log.append((i, j, c11, c12, c21, c22))
 
-    t = 0
-    while t < min(m, n):
-        pivot = _min_abs_position(a, t, m, n)
+    def swap(at, pos, p, q):
+        at[p], at[q] = at[q], at[p]
+        pos[at[p]], pos[at[q]] = p, q
+
+    for t in range(min(m, n)):
+        pivot = _pivot(a, row_at, col_pos, t)
         if pivot is None:
             break
-        pi, pj = pivot
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
-
+        swap(row_at, row_pos, t, row_pos[pivot[0]])
+        swap(col_at, col_pos, t, col_pos[pivot[1]])
+        r, c = row_at[t], col_at[t]
         while True:
-            for i in range(t + 1, m):
-                w = a[i][t]
-                if w == 0:
-                    continue
-                p = a[t][t]
+            for i in sorted(where[c] - {r}, key=row_pos.__getitem__):
+                w, p = a[i][c], a[r][c]
                 if w % p == 0:
-                    row_add(i, t, -(w // p))
+                    row_add(i, r, -(w // p))
                 else:
                     g, x, y = _xgcd(p, w)
-                    row_combine(t, i, x, y, -(w // g), p // g)
+                    row_combine(r, i, x, y, -(w // g), p // g)
             clean = True
-            for j in range(t + 1, n):
-                w = a[t][j]
-                if w == 0:
-                    continue
-                p = a[t][t]
+            for j in sorted(a[r].keys() - {c}, key=col_pos.__getitem__):
+                w, p = a[r][j], a[r][c]
                 if w % p == 0:
-                    col_add(j, t, -(w // p))
+                    col_add(j, c, -(w // p))
                 else:
                     g, x, y = _xgcd(p, w)
-                    col_combine(t, j, x, y, -(w // g), p // g)
-                    clean = False  # gcd column combine dirties column t
-            if not clean or any(a[i][t] for i in range(t + 1, m)):
+                    col_combine(c, j, x, y, -(w // g), p // g)
+                    clean = False  # gcd column combine dirties column c
+            if not clean or len(where[c]) > 1:
                 continue
-            bad = _non_divisible_position(a, t, m, n)
+            bad = _non_divisible_row(a, row_at, t, a[r][c])
             if bad is None:
                 break
-            row_add(t, bad[0], 1)
-
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-            for r in uinv:
-                r[t] = -r[t]
-        t += 1
-
-    return u, a, v, uinv, vinv
+            row_add(r, bad, 1)
+        if a[r][c] < 0:
+            row_log.append((r,))
+        diag.append(abs(a[r][c]))
+    return Factorization(diag, row_at, col_at, row_log, col_log)
 
 
-def _identity(k):
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+def _pivot(a, row_at, col_pos, t):
+    """(row, column) labels of the smallest |entry| left, row-major first.
 
-
-def _min_abs_position(a, t, m, n):
+    The rows at positions >= t hold exactly the remaining submatrix,
+    so the first of them with a unit entry holds the pivot.
+    """
     best = None
-    best_val = None
-    for i in range(t, m):
+    for p in range(t, len(row_at)):
+        i = row_at[p]
         row = a[i]
-        for j in range(t, n):
-            x = row[j]
-            if x == 0:
-                continue
-            if x < 0:
-                x = -x
-            if best_val is None or x < best_val:
-                best, best_val = (i, j), x
-                if x == 1:
-                    return best
-    return best
+        if not row:
+            continue
+        units = [j for j, x in row.items() if x in (1, -1)]
+        if units:
+            return i, min(units, key=col_pos.__getitem__)
+        j = min(row, key=lambda j: (abs(row[j]), col_pos[j]))
+        if best is None or abs(row[j]) < best[0]:
+            best = abs(row[j]), i, j
+    return None if best is None else best[1:]
 
 
-def _non_divisible_position(a, t, m, n):
-    p = a[t][t]
+def _non_divisible_row(a, row_at, t, p):
+    """The first row after position t with an entry p does not divide."""
     if p in (1, -1):
         return None
-    for i in range(t + 1, m):
-        row = a[i]
-        for j in range(t + 1, n):
-            if row[j] % p != 0:
-                return i, j
+    for q in range(t + 1, len(row_at)):
+        i = row_at[q]
+        if any(x % p for x in a[i].values()):
+            return i
     return None

@@ -120,7 +120,8 @@ def oracle_invariant_factors(mat):
                         a[r][j] -= q * a[r][t]
             if any(a[i][t] for i in range(t + 1, m)):
                 continue
-            bad = next(
+            # a unit pivot divides every entry: nothing to scan
+            bad = None if a[t][t] in (1, -1) else next(
                 (
                     (i, j)
                     for i in range(t + 1, m)
@@ -201,13 +202,13 @@ def oracle_fraction_back_substitute(mat, b, ring):
     and x = V y, reduced mod 1 over Q/Z.  This is how the library solved
     over Q and Q/Z before it cleared denominators once.
     """
-    u, diag, v, _ = abelian.factor(mat, len(mat[0]) if mat else 0)
-    t = [sum((ui * Fraction(bi) for ui, bi in zip(row, b)), Fraction(0)) for row in u]
-    r = len(diag)
+    fac = abelian.factor(mat, len(mat[0]) if mat else 0)
+    t = fac.u_times([Fraction(bi) for bi in b])
+    r = len(fac.diag)
     if any(tj.denominator != 1 if ring == "Q/Z" else tj for tj in t[r:]):
         return None
-    y = [tj / sj for tj, sj in zip(t, diag)] + [Fraction(0)] * (len(v) - r)
-    x = [sum((vi * yi for vi, yi in zip(row, y)), Fraction(0)) for row in v]
+    y = [tj / sj for tj, sj in zip(t, fac.diag)] + [Fraction(0)] * (len(fac.col_at) - r)
+    x = fac.v_times(y)
     return [xi % 1 for xi in x] if ring == "Q/Z" else x
 
 

@@ -15,6 +15,7 @@ from cechlift.abelian import (
 from cechlift.errors import NotAComplex
 
 from conftest import oracle_invariant_factors, oracle_determinantal_divisors
+from snf_oracle import det_int, identity_matrix, mat_mul, materialize
 
 
 def diag_of(s):
@@ -25,7 +26,7 @@ class TestSmithNormalForm:
     def test_frozen_example(self):
         u, s, v = smith_normal_form([[2, 4], [6, 8]])
         assert diag_of(s) == [2, 4]
-        assert abelian.mat_mul(abelian.mat_mul(u, [[2, 4], [6, 8]]), v) == s
+        assert mat_mul(mat_mul(u, [[2, 4], [6, 8]]), v) == s
 
     def test_zero_matrix(self):
         _, s, _ = smith_normal_form([[0, 0], [0, 0]])
@@ -42,9 +43,9 @@ class TestSmithNormalForm:
             n = rng.randint(1, 5)
             mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
             u, s, v = smith_normal_form(mat)
-            assert abelian.mat_mul(abelian.mat_mul(u, mat), v) == s
-            assert abs(abelian.det_int(u)) == 1
-            assert abs(abelian.det_int(v)) == 1
+            assert mat_mul(mat_mul(u, mat), v) == s
+            assert abs(det_int(u)) == 1
+            assert abs(det_int(v)) == 1
             diag = diag_of(s)
             for i, d in enumerate(diag):
                 assert d >= 0
@@ -81,10 +82,10 @@ class TestSmithNormalForm:
             mat = [
                 [rng.choice((-1, 0, 0, 0, 1)) for _ in range(n)] for _ in range(m)
             ]
-            u, s, v, ui, vi = kernels.snf_with_transforms(mat)
-            assert abelian.mat_mul(abelian.mat_mul(u, mat), v) == s
-            assert abelian.mat_mul(u, ui) == abelian.identity_matrix(m)
-            assert abelian.mat_mul(vi, v) == abelian.identity_matrix(n)
+            u, s, v, ui, vi = materialize(kernels.snf_with_transforms(mat), m, n)
+            assert mat_mul(mat_mul(u, mat), v) == s
+            assert mat_mul(u, ui) == identity_matrix(m)
+            assert mat_mul(vi, v) == identity_matrix(n)
 
     def test_backend_reported(self):
         # benchmarks time the kernel by wrapping the functions defined in
@@ -326,8 +327,8 @@ class TestCohomologyOf:
         base = abelian.cohomology_of(d_prev, d_next, z, dim=n)
         for _ in range(10):
             # random unimodular change of basis of the middle chain group
-            p = abelian.identity_matrix(n)
-            pinv = abelian.identity_matrix(n)
+            p = identity_matrix(n)
+            pinv = identity_matrix(n)
             for _ in range(15):
                 i, j = rng.sample(range(n), 2)
                 k = rng.randint(-2, 2)
@@ -335,6 +336,6 @@ class TestCohomologyOf:
                     p[i][r] += k * p[j][r]
                 for r in range(n):
                     pinv[r][j] -= k * pinv[r][i]
-            dp = abelian.mat_mul(p, d_prev)
-            dn = abelian.mat_mul(d_next, pinv)
+            dp = mat_mul(p, d_prev)
+            dn = mat_mul(d_next, pinv)
             assert abelian.cohomology_of(dp, dn, z, dim=n) == base

@@ -176,6 +176,22 @@ class TestCechCohomology:
         for p in (0, 1, 2):
             assert cech_cohomology(nrv, Z, p) == simplicial_cohomology(bd3, Z, p)
 
+    def test_subdivided_torus36(self):
+        """H^1 of the 216-vertex rung, bsd(torus36), against the oracles."""
+        from conftest import oracle_cohomology_group_Z, oracle_cohomology_order_mod
+
+        k = fixtures.barycentric_subdivision(fixtures.torus_product()[0])[0]
+        assert k.vertex_count == 216
+        d_prev, d_next = k.coboundary_matrix(0), k.coboundary_matrix(1)
+        dim = len(k.simplices_of_dim(1))
+        classes = cohomology_classes(k, Z, 1)
+        assert classes.group.moduli == (0, 0)
+        assert classes.group == oracle_cohomology_group_Z(d_prev, d_next, dim)
+        assert [classes.class_coords(g) for g in classes.generators()] == [(1, 0), (0, 1)]
+        h = simplicial_cohomology(k, Z2, 1)
+        assert h.moduli == (2, 2)
+        assert h.order() == oracle_cohomology_order_mod(d_prev, d_next, 2, dim)
+
     def test_class_coords_of_generators(self, torus_nerve):
         classes = cohomology_classes(torus_nerve, Z, 1)
         gens = classes.generators()

@@ -601,11 +601,10 @@ def test_verify_full_checks_only_during_its_command(tmp_path, monkeypatch):
     real = kernels.snf_with_transforms
 
     def corrupted(mat):
-        u, s, v, uinv, vinv = real(mat)
-        s = [row[:] for row in s]
-        if s and s[0]:
-            s[0][0] += 1
-        return u, s, v, uinv, vinv
+        fac = real(mat)
+        if fac.diag:
+            fac.diag = [fac.diag[0] + 1, *fac.diag[1:]]
+        return fac
 
     io.dump_json(io.complex_to_json(fixtures.rp2_minimal()), tmp_path / "rp2.cplx")
     io.dump_json(io.group_to_json(FgAbelianGroup((2,))), tmp_path / "z2.grp")
@@ -613,7 +612,7 @@ def test_verify_full_checks_only_during_its_command(tmp_path, monkeypatch):
     argv = [str(tmp_path / "rp2.cplx"), str(tmp_path / "z2.grp"), "-p", "2"]
     with pytest.raises(AssertionError, match="SNF product check failed"):
         cli.main(["cohomology", *argv, "--verify", "full"])
-    assert abelian.snf_full([[2, 1], [0, 3]])[1][0][0] == 2  # unchecked again
+    assert abelian.snf_full([[2, 1], [0, 3]]).diag[0] == 2  # unchecked again
     with pytest.raises(AssertionError, match="SNF product check failed"):
         token = abelian.SNF_VERIFY.set(True)
         try:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import index
 
 from . import kernels
 from .errors import GroupMismatch, NotAComplex, NotACocycle
@@ -235,8 +236,9 @@ class GroupElement:
     def __post_init__(self):
         if len(self.coords) != self.group.rank:
             raise ValueError("coordinate length does not match group rank")
+        # index() refuses Fractions and floats instead of truncating them
         reduced = tuple(
-            c % m if m else int(c) for c, m in zip(self.coords, self.group.moduli)
+            index(c) % m if m else index(c) for c, m in zip(self.coords, self.group.moduli)
         )
         object.__setattr__(self, "coords", reduced)
 

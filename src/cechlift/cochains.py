@@ -69,6 +69,21 @@ class Cochain:
                     vals[s] = v
         self.values = vals
 
+    @classmethod
+    def _trusted(cls, carrier, degree, group, values):
+        """A cochain whose values are valid by construction.
+
+        Every key must be a canonical degree-``degree`` simplex of the
+        carrier and every value a nonzero element of the group, of the
+        type it uses; nothing is checked or coerced.
+        """
+        self = cls.__new__(cls)
+        self.carrier = carrier
+        self.degree = degree
+        self.group = group
+        self.values = values
+        return self
+
     def _coerce(self, v):
         g = self.group
         if isinstance(g, FgAbelianGroup):
@@ -109,15 +124,23 @@ class Cochain:
         out = dict(self.values)
         for s, v in other.values.items():
             w = out.get(s)
-            out[s] = v if w is None else w + v
-        return Cochain(self.carrier, self.degree, self.group, out)
+            if w is None:
+                out[s] = v
+            else:
+                w = w + v
+                if abelian.is_zero_value(self.group, w):
+                    del out[s]
+                else:
+                    out[s] = w
+        return Cochain._trusted(self.carrier, self.degree, self.group, out)
 
     def __sub__(self, other):
         self._same_shape(other)
         return self + (-other)
 
     def __neg__(self):
-        return Cochain(
+        # -v is zero only when v is
+        return Cochain._trusted(
             self.carrier, self.degree, self.group, {s: -v for s, v in self.values.items()}
         )
 
@@ -141,18 +164,71 @@ def zero_cochain(carrier, degree, group):
     return Cochain(carrier, degree, group)
 
 
-def coboundary(x):
-    """(delta x)(i_0..i_{p+1}) = sum_j (-1)^j x(i_0..îj..i_{p+1})."""
+def _elements(group, raw):
+    """The nonzero entries of ``raw`` as elements of the group.
+
+    ``raw`` maps simplices to plain values: integer coordinate sequences
+    for an fg group, Fractions for Q and Q/Z.  Each value is reduced
+    (mod every m_i, mod 1) before it is tested for zero.
+    """
     out = {}
-    for s in x.carrier.simplices_of_dim(x.degree + 1):
-        acc = _zero_of(x.group)
+    if isinstance(group, FgAbelianGroup):
+        moduli = group.moduli
+        for s, coords in raw.items():
+            coords = tuple(c % m if m else c for c, m in zip(coords, moduli))
+            if any(coords):
+                out[s] = GroupElement(group, coords)
+    elif isinstance(group, CircleGroup):
+        for s, v in raw.items():
+            v %= 1
+            if v:
+                out[s] = CircleElement(v)
+    else:
+        out = {s: v for s, v in raw.items() if v}
+    return out
+
+
+def _face_sums(simps, raw):
+    """Per simplex s, sum_j (-1)^j raw(s without vertex j), where nonzero."""
+    out = {}
+    if not raw:
+        return out
+    get = raw.get
+    for s in simps:
+        acc = 0
         for j in range(len(s)):
-            face = s[:j] + s[j + 1 :]
-            v = x.values.get(face)
+            v = get(s[:j] + s[j + 1 :])
             if v is not None:
-                acc = acc + v if j % 2 == 0 else acc - v
-        out[s] = acc
-    return Cochain(x.carrier, x.degree + 1, x.group, out)
+                acc = acc - v if j & 1 else acc + v
+        if acc:
+            out[s] = acc
+    return out
+
+
+def coboundary(x):
+    """(delta x)(i_0..i_{p+1}) = sum_j (-1)^j x(i_0..îj..i_{p+1}).
+
+    The sums run on plain values (integer coordinates per factor,
+    Fractions over Q and Q/Z) and are reduced once, at the end.
+    """
+    simps = x.carrier.simplices_of_dim(x.degree + 1)
+    g = x.group
+    if isinstance(g, FgAbelianGroup):
+        raw = {}
+        for j in range(g.rank):
+            sums = _face_sums(simps, {s: v.coords[j] for s, v in x.values.items()})
+            for s, c in sums.items():
+                raw.setdefault(s, [0] * g.rank)[j] = c
+    elif isinstance(g, CircleGroup):
+        raw = _face_sums(simps, {s: v.value for s, v in x.values.items()})
+    else:
+        raw = _face_sums(simps, x.values)
+    return Cochain._trusted(x.carrier, x.degree + 1, g, _elements(g, raw))
+
+
+def _require_cocycle(x):
+    if not coboundary(x).is_zero():
+        raise NotACocycle("input cochain is not a cocycle")
 
 
 def _fg_vectors(x, simps):
@@ -172,49 +248,47 @@ def is_coboundary(x):
 
     The decision is exact: x is solved over Z, Z/m (per cyclic
     coefficient factor), Q or Q/Z by Smith back-substitution on the
-    carrier's one factorization of delta.  The witness is the canonical
-    representative of that solve.  Raises NotACocycle when delta x != 0.
+    carrier's one factorization of delta_{p-1}.  The witness is the
+    canonical representative of that solve.  Raises NotACocycle when
+    delta x != 0.
+
+    A solved x is delta y, so delta x = delta delta y = 0 over every
+    coefficient ring: the cocycle law needs testing only when a solve
+    refuses.  It is tested then, and up front in degree 0 and without
+    p-simplices, where there is nothing to solve; the test is one
+    coboundary and never factors delta_p.
     """
-    if not coboundary(x).is_zero():
-        raise NotACocycle("input cochain is not a cocycle")
     p = x.degree
-    if p == 0:
-        # only the zero 0-cochain is a coboundary
-        return zero_cochain(x.carrier, 0, x.group) if x.is_zero() else None
     rows = x.carrier.simplices_of_dim(p)
-    if not rows:
+    if p == 0 or not rows:
+        _require_cocycle(x)
+        if p == 0:
+            # only the zero 0-cochain is a coboundary
+            return zero_cochain(x.carrier, 0, x.group) if x.is_zero() else None
         # without p-simplices x is zero
         return zero_cochain(x.carrier, p - 1, x.group)
     cols = x.carrier.simplices_of_dim(p - 1)
     fac = x.carrier.factored_coboundary(p - 1)
-
-    def solve(b, ring):
-        return abelian._back_substitute(fac, b, ring)
-
-    if isinstance(x.group, FgAbelianGroup):
-        per_factor = []
-        for m, vec in zip(x.group.moduli, _fg_vectors(x, rows)):
-            sol = solve(vec, m or "Z")
-            if sol is None:
-                return None
-            per_factor.append(sol)
-        values = {}
-        for i, s in enumerate(cols):
-            values[s] = GroupElement(x.group, tuple(f[i] for f in per_factor))
-        return Cochain(x.carrier, p - 1, x.group, values)
-    if isinstance(x.group, CircleGroup):
-        sol = solve([x.value(s).value for s in rows], "Q/Z")
-        if sol is None:
-            return None
-        return Cochain(
-            x.carrier, p - 1, x.group, {s: CircleElement(sol[i]) for i, s in enumerate(cols)}
+    g = x.group
+    get = x.values.get
+    if isinstance(g, FgAbelianGroup):
+        per_factor = [
+            abelian._back_substitute(fac, vec, m or "Z")
+            for m, vec in zip(g.moduli, _fg_vectors(x, rows))
+        ]
+        sol = None if None in per_factor else zip(*per_factor)
+    elif isinstance(g, CircleGroup):
+        sol = abelian._back_substitute(
+            fac, [v.value if (v := get(s)) is not None else 0 for s in rows], "Q/Z"
         )
-    if isinstance(x.group, RationalGroup):
-        sol = solve([x.value(s) for s in rows], "Q")
-        if sol is None:
-            return None
-        return Cochain(x.carrier, p - 1, x.group, dict(zip(cols, sol)))
-    raise GroupMismatch("unsupported coefficient group")
+    elif isinstance(g, RationalGroup):
+        sol = abelian._back_substitute(fac, [get(s, 0) for s in rows], "Q")
+    else:
+        raise GroupMismatch("unsupported coefficient group")
+    if sol is None:
+        _require_cocycle(x)
+        return None
+    return Cochain._trusted(x.carrier, p - 1, g, _elements(g, dict(zip(cols, sol))))
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +317,10 @@ class CohomologyClasses:
 
     def generators(self):
         simps = self.carrier.simplices_of_dim(self.degree)
-        moduli = self.coefficients.moduli
         out = []
         for per_factor in self.data.generator_vectors():
-            values = {}
-            for i, s in enumerate(simps):
-                coords = tuple(vec[i] for vec in per_factor)
-                values[s] = GroupElement(self.coefficients, coords)
-            out.append(Cochain(self.carrier, self.degree, self.coefficients, values))
+            values = _elements(self.coefficients, dict(zip(simps, zip(*per_factor))))
+            out.append(Cochain._trusted(self.carrier, self.degree, self.coefficients, values))
         return out
 
 
@@ -334,8 +404,10 @@ def cup(a, b):
         vb = b.values.get(back)
         if vb is None:
             continue
-        out[s] = mul(va, vb)
-    return Cochain(a.carrier, p + q, target, out)
+        v = mul(va, vb)
+        if not abelian.is_zero_value(target, v):
+            out[s] = v
+    return Cochain._trusted(a.carrier, p + q, target, out)
 
 
 # ---------------------------------------------------------------------------

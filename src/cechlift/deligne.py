@@ -227,7 +227,7 @@ def collapse_to_global(x, assign):
         v = x.values.get((assign[s],), {}).get(s)
         if v:
             values[s] = v
-    return Cochain(x.cover.base, x.form_degree, QQ, values)
+    return Cochain._trusted(x.cover.base, x.form_degree, QQ, values)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +345,7 @@ def curvature(pkg):
                 clashes.append(s)
     if clashes:
         raise NotACocycle(f"curvature does not glue at {min(clashes)}")
-    out = Cochain(pkg.cover.base, d + 1, QQ, {s: v for s, v in glued.items() if v})
+    out = Cochain._trusted(pkg.cover.base, d + 1, QQ, {s: v for s, v in glued.items() if v})
     if not coboundary(out).is_zero():
         raise NotACocycle("curvature is not closed")
     return out
@@ -443,7 +443,7 @@ def _restrict_cochain(c, nerve_v):
     values = {
         t: val for t, val in c.values.items() if nerve_v.has_simplex(t)
     }
-    return Cochain(nerve_v, c.degree, c.group, values)
+    return Cochain._trusted(nerve_v, c.degree, c.group, values)
 
 
 def _restrict_double(x, cover_v, nerve_v):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -173,9 +174,14 @@ class TestGroups:
         assert (-a).coords == (1, 1)
         assert (3 * a).coords == (1, 1)
 
-    def test_circle_elements(self):
-        from fractions import Fraction
+    @pytest.mark.parametrize("moduli", [(0,), (2,)], ids=["Z", "Z/2"])
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, 1.0])
+    def test_non_integer_coordinates_are_refused(self, moduli, bad):
+        """A Fraction or float coordinate is an error, never truncated or kept."""
+        with pytest.raises(TypeError):
+            abelian.GroupElement(FgAbelianGroup(moduli), (bad,))
 
+    def test_circle_elements(self):
         c = abelian.CircleElement(Fraction(5, 3))
         assert c.value == Fraction(2, 3)
         assert (c + c).value == Fraction(1, 3)

@@ -24,6 +24,7 @@ from cechlift.deligne import _solve_local_d
 from cechlift.errors import NoProduct, NotACocycle
 
 from conftest import dunce_hat, random_complex, random_cover, random_cochain, random_fg_group
+import cochain_oracle
 
 Z = FgAbelianGroup((0,))
 Z2 = FgAbelianGroup((2,))
@@ -264,6 +265,46 @@ class TestCechCohomology:
         assert not coboundary(x).is_zero()
         with pytest.raises(NotACocycle, match="class of a non-cocycle requested"):
             classes.class_coords(x)
+
+
+class TestNoStoredZeros:
+    """Results built from plain coordinates store no value that reduces to 0."""
+
+    @staticmethod
+    def _clean(x):
+        assert not any(v.is_zero() for v in x.values.values())
+        assert x == Cochain(x.carrier, x.degree, x.group, dict(x.values))
+        return x
+
+    def test_arithmetic_and_coboundary_over_z_mod_m(self, rp2):
+        z6 = FgAbelianGroup((6,))
+        (a, b, c) = t = rp2.simplices_of_dim(2)[0]
+        x = Cochain(rp2, 1, z6, {(a, b): (2,), (b, c): (1,)})
+        y = Cochain(rp2, 1, z6, {(a, b): (4,), (b, c): (1,)})
+        total = self._clean(x + y)  # 2 + 4 cancels mod 6
+        assert total.values == {(b, c): z6.element((2,))}
+        assert self._clean(x - x).values == {}
+        assert self._clean(-x).values[(a, b)].coords == (4,)
+        # (b,c) - (a,c) + (a,b) sums to 2, which is 0 mod 2
+        odd = Cochain(rp2, 1, Z2, {(a, b): (1,), (b, c): (1,)})
+        assert t not in self._clean(coboundary(odd)).values
+        assert coboundary(odd) == cochain_oracle.coboundary(odd)
+        # 2 * 3 is 0 mod 6
+        product = self._clean(
+            cup(Cochain(rp2, 1, z6, {(a, b): (2,)}), Cochain(rp2, 1, z6, {(b, c): (3,)}))
+        )
+        assert product.values == {}
+
+    def test_witness_and_generators_over_z_mod_m(self, rp2):
+        y = random_cochain(random.Random(4), rp2, Z4, 0)
+        w = self._clean(is_coboundary(coboundary(y)))
+        assert coboundary(w) == coboundary(y)
+        classes = cohomology_classes(rp2, Z2, 1)
+        [vector] = classes.data.generator_vectors()[0]
+        reduced = [s for s, c in zip(rp2.simplices_of_dim(1), vector) if c and c % 2 == 0]
+        assert reduced  # a generator coordinate such as -2 that reduces to 0
+        [gen] = classes.generators()
+        assert not set(reduced) & set(self._clean(gen).values)
 
 
 class TestCup:

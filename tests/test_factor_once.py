@@ -30,7 +30,7 @@ from cechlift.deligne import (
     holonomy_trivialization,
     restrict_package,
 )
-from cechlift.errors import CoverNotGoodOnV
+from cechlift.errors import CoverNotGoodOnV, NotACocycle
 
 from conftest import dunce_hat, random_cochain
 
@@ -224,6 +224,35 @@ def test_is_coboundary_factors_delta_once_for_all_factors(snf_calls):
     w = is_coboundary(x)
     assert len(snf_calls) <= 1, snf_calls
     assert w is not None and coboundary(w) == x
+
+
+@pytest.mark.parametrize("case", ["exact", "refused", "not a cocycle"])
+def test_is_coboundary_factors_only_the_previous_coboundary(torus36, snf_calls, case):
+    """The cocycle law is read off the solve, so delta_1 is never factored.
+
+    A solved cochain is exact; the law is tested (one coboundary, no
+    Smith call) only when the solve refuses.
+    """
+    group = FgAbelianGroup((2,))
+    edges = torus36.simplices_of_dim(1)
+    if case == "exact":
+        x = coboundary(random_cochain(random.Random(5), torus36, group, 0))
+    elif case == "refused":
+        # a generator of H^1, found on a copy of the carrier
+        hexagon = fixtures.hexagon()
+        copy = product_complex(hexagon, hexagon)[0]
+        x = Cochain(torus36, 1, group, cohomology_classes(copy, group, 1).generators()[0].values)
+    else:
+        x = Cochain(torus36, 1, group, {edges[0]: (1,)})
+    del snf_calls[:]
+    if case == "not a cocycle":
+        with pytest.raises(NotACocycle):
+            is_coboundary(x)
+    else:
+        w = is_coboundary(x)
+        assert (w is not None) == (case == "exact")
+        assert w is None or coboundary(w) == x
+    assert snf_calls == [(len(edges), len(torus36.simplices_of_dim(0)))]
 
 
 def test_class_coords_reuses_the_built_lattice(torus36, snf_calls):

@@ -18,7 +18,10 @@ the shipped nerves obey the cocycle law, and their classes do not depend
 on the section of the extension.  A collapse certificate of a cover
 intersection implies the invariant factors find it acyclic, and its
 contraction solves D v = rhs exactly.  The nerve of the dual block cover
-of a complex is that complex.
+of a complex is that complex.  The coboundary summed on plain coordinates
+equals the term-by-term face sum of ``cochain_oracle`` over Z, Z/2, Z/6,
+Z + Z/2, Q and Q/Z, and ``is_coboundary`` refuses exactly the
+non-cocycles and finds a witness exactly for the exact cocycles.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cechlift import abelian, fixtures, kernels
-from cechlift.abelian import QQ, FgAbelianGroup
+from cechlift.abelian import CIRCLE, QQ, FgAbelianGroup
 from cechlift.cochains import (
     Cochain,
     coboundary,
@@ -43,6 +46,7 @@ from cechlift.cochains import (
 )
 from cechlift.complexes import nerve, product_complex, product_cover, star_cover, validate_complex
 from cechlift.deligne import _solve_local_d
+from cechlift.errors import NotACocycle
 from cechlift.tower import TransitionCocycle, giraud_obstruction, obstruction_class
 
 from conftest import (
@@ -52,6 +56,7 @@ from conftest import (
     oracle_goodness_failures,
     random_cochain,
 )
+import cochain_oracle
 import snf_oracle
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -270,6 +275,95 @@ def test_coboundaries_get_mod_m_witnesses(k, m, data):
     assert w is not None
     assert coboundary(w) == x
     assert all(0 <= c < mod for v in w.values.values() for c, mod in zip(v.coords, group.moduli))
+
+
+#: Z, Z/2, Z/6, Z + Z/2, Q and Q/Z.
+RAW_GROUPS = [FgAbelianGroup(m) for m in ((0,), (2,), (6,), (2, 0))] + [QQ, CIRCLE]
+Z = FgAbelianGroup((0,))
+
+#: Random complexes, or a circle, RP^2 and a 2-sphere, whose cocycles
+#: are often not exact.
+carriers = st.one_of(
+    complexes(),
+    st.sampled_from([fixtures.hexagon(), fixtures.rp2_minimal(), fixtures.boundary_delta3()]),
+)
+
+
+def _draw_cochain(data, k, group, p):
+    """A cochain with random values on every simplex or on a random
+    support (built by the validating constructor)."""
+    simps = k.simplices_of_dim(p)
+    if simps and not data.draw(st.booleans()):
+        simps = data.draw(st.lists(st.sampled_from(simps), unique=True))
+    if isinstance(group, FgAbelianGroup):
+        value = st.tuples(*(st.integers(-8, 8) for _ in group.moduli))
+    else:
+        value = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 6))
+    return Cochain(k, p, group, {s: data.draw(value) for s in simps})
+
+
+@SETTINGS
+@given(carriers, st.sampled_from(RAW_GROUPS), st.data())
+def test_coboundary_matches_the_term_by_term_oracle(k, group, data):
+    """Sums of plain coordinates, reduced once, equal the element-wise face sum."""
+    x = _draw_cochain(data, k, group, data.draw(st.integers(0, k.dim)))
+    dx = coboundary(x)
+    assert (dx.degree, dx.group) == (x.degree + 1, group)
+    assert dx.values == cochain_oracle.coboundary(x).values
+    assert not any(abelian.is_zero_value(group, v) for v in dx.values.values())
+
+
+def _cocycle(data, k, group, p):
+    """A cocycle whose exactness is known from elsewhere.
+
+    Over an fg group: a random combination of the generators of H^p, to
+    be read back by ``class_coords``.  Over Q and Q/Z: half of a free
+    generator of H^p(Z), which is not exact, or None without one.
+    """
+    if isinstance(group, FgAbelianGroup):
+        x = Cochain(k, p, group)
+        for g in cohomology_classes(k, group, p).generators():
+            a = data.draw(st.integers(1, 4))
+            x = x + Cochain(k, p, group, {s: a * v for s, v in g.values.items()})
+        return x
+    classes = cohomology_classes(k, Z, p)
+    free = [g for g, o in zip(classes.generators(), classes.group.moduli) if o == 0]
+    if not free:
+        return None
+    g = data.draw(st.sampled_from(free))
+    return Cochain(k, p, group, {s: Fraction(v.coords[0], 2) for s, v in g.values.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(carriers, st.sampled_from(RAW_GROUPS), st.data())
+def test_is_coboundary_decides_exactness_and_refuses_non_cocycles(k, group, data):
+    """NotACocycle exactly when delta x != 0 (degree 0, degrees without
+    simplices and higher degrees alike); otherwise a witness exactly when
+    x is exact, and it solves delta w = x."""
+    # degree 0, a degree without simplices, and twice as often each degree between
+    p = data.draw(st.sampled_from([0, k.dim + 1, *range(1, k.dim + 1), *range(1, k.dim + 1)]))
+    kind = data.draw(st.sampled_from(["random", "exact", "cocycle"]))
+    x = _cocycle(data, k, group, p) if kind == "cocycle" else None
+    inexact = x is not None and not isinstance(group, FgAbelianGroup)
+    if x is None:
+        x = Cochain(k, p, group) if kind == "exact" else _draw_cochain(data, k, group, p)
+    if p and kind != "random":
+        x = x + coboundary(_draw_cochain(data, k, group, p - 1))
+    if not cochain_oracle.coboundary(x).is_zero():
+        with pytest.raises(NotACocycle):
+            is_coboundary(x)
+        return
+    w = is_coboundary(x)
+    if p == 0:
+        assert (w is not None) == x.is_zero()
+        return
+    if isinstance(group, FgAbelianGroup):
+        assert (w is not None) == (not any(cohomology_classes(k, group, p).class_coords(x)))
+    elif kind == "exact" or inexact:
+        assert (w is not None) == (kind == "exact")
+    if w is not None:
+        assert coboundary(w) == x
+        assert not any(abelian.is_zero_value(group, v) for v in w.values.values())
 
 
 small_systems = st.integers(1, 3).flatmap(

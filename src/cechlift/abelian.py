@@ -242,6 +242,15 @@ class GroupElement:
         )
         object.__setattr__(self, "coords", reduced)
 
+    @classmethod
+    def _trusted(cls, group, coords):
+        """An element whose coords are a tuple of ints already reduced mod
+        each modulus of the group; nothing is checked."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coords", coords)
+        return self
+
     def _check(self, other):
         if self.group != other.group:
             raise GroupMismatch("elements of different groups")

@@ -177,7 +177,7 @@ def _elements(group, raw):
         for s, coords in raw.items():
             coords = tuple(c % m if m else c for c, m in zip(coords, moduli))
             if any(coords):
-                out[s] = GroupElement(group, coords)
+                out[s] = GroupElement._trusted(group, coords)
     elif isinstance(group, CircleGroup):
         for s, v in raw.items():
             v %= 1
@@ -263,8 +263,8 @@ def is_coboundary(x):
     if p == 0 or not rows:
         _require_cocycle(x)
         if p == 0:
-            # only the zero 0-cochain is a coboundary
-            return zero_cochain(x.carrier, 0, x.group) if x.is_zero() else None
+            # only the zero 0-cochain is a coboundary, of the zero (-1)-cochain
+            return zero_cochain(x.carrier, -1, x.group) if x.is_zero() else None
         # without p-simplices x is zero
         return zero_cochain(x.carrier, p - 1, x.group)
     cols = x.carrier.simplices_of_dim(p - 1)

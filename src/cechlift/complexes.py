@@ -4,6 +4,15 @@ Simplices are canonical strictly increasing vertex tuples; every
 alternating sign in the library derives from this single ordering
 convention.  Complexes are immutable after validation, so they can be
 shared and hashed freely.
+
+``SimplicialComplex(vertex_count, simplices)`` validates its input.  The
+private ``SimplicialComplex._trusted`` checks nothing and is used only
+where the result is a complex by construction: the intersections and the
+nerve built by ``nerve``, the pieces of ``Cover.restricted_to``,
+``star_cover`` and ``product_cover``, ``validate_complex`` after its own
+checks, cover pieces read by ``io.cover_from_json`` (closures of faces
+checked against the base), and the support subcomplex of ``cechlift
+holonomy`` (the closure of a chain on the base).
 """
 
 from __future__ import annotations
@@ -70,21 +79,39 @@ class SimplicialComplex:
     __slots__ = ("vertex_count", "simplices", "_by_dim", "_factored", "_collapse")
 
     def __init__(self, vertex_count, simplices):
-        self.vertex_count = int(vertex_count)
-        self.simplices = frozenset(tuple(s) for s in simplices)
-        by_dim = {}
-        for s in self.simplices:
+        vertex_count = int(vertex_count)
+        simplices = frozenset(tuple(s) for s in simplices)
+        for s in simplices:
             if not all(isinstance(v, int) for v in s):
                 raise InvalidComplex(f"non-integer vertex in {s}")
             if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
                 raise InvalidComplex(f"simplex {s} is not strictly increasing")
-            if s and (s[0] < 0 or s[-1] >= self.vertex_count):
+            if s and (s[0] < 0 or s[-1] >= vertex_count):
                 raise InvalidComplex(f"vertex out of range in {s}")
-            by_dim.setdefault(len(s) - 1, []).append(s)
-        for s in self.simplices:
+        for s in simplices:
             for face in itertools.combinations(s, len(s) - 1):
-                if face and face not in self.simplices:
+                if face and face not in simplices:
                     raise InvalidComplex(f"missing face {face} of {s}")
+        self._set(vertex_count, simplices)
+
+    @classmethod
+    def _trusted(cls, vertex_count, simplices):
+        """A complex that is valid by construction; nothing is checked.
+
+        ``vertex_count`` must be an int and ``simplices`` a downward-closed
+        set of strictly increasing integer tuples with vertices in
+        [0, vertex_count).
+        """
+        self = cls.__new__(cls)
+        self._set(vertex_count, frozenset(simplices))
+        return self
+
+    def _set(self, vertex_count, simplices):
+        by_dim = {}
+        for s in simplices:
+            by_dim.setdefault(len(s) - 1, []).append(s)
+        self.vertex_count = vertex_count
+        self.simplices = simplices
         self._by_dim = {d: tuple(sorted(v)) for d, v in by_dim.items()}
         self._factored = {}
         self._collapse = _UNBUILT
@@ -194,22 +221,26 @@ def validate_complex(raw, vertex_count=None):
     """Build the complex generated by the given simplices.
 
     Input tuples may be unsorted; repeating a vertex inside a tuple is
-    an error.  The result is the downward closure, canonically ordered.
+    an error, and so is a vertex outside [0, vertex_count).  The result is
+    the downward closure, canonically ordered.
     """
     sorted_simplices = []
-    max_vertex = -1
+    largest = ()
     for s in raw:
         t = tuple(sorted(int(v) for v in s))
         if len(set(t)) != len(t):
             raise DuplicateVertexInSimplex(f"repeated vertex in {tuple(s)}")
         if t and t[0] < 0:
             raise InvalidComplex(f"negative vertex in {tuple(s)}")
-        if t:
-            max_vertex = max(max_vertex, t[-1])
+        if t and (not largest or t[-1] > largest[-1]):
+            largest = t
         sorted_simplices.append(t)
     if vertex_count is None:
-        vertex_count = max_vertex + 1
-    return SimplicialComplex(vertex_count, downward_closure(sorted_simplices))
+        vertex_count = largest[-1] + 1 if largest else 0
+    vertex_count = int(vertex_count)
+    if largest and largest[-1] >= vertex_count:
+        raise InvalidComplex(f"vertex out of range in {largest}")
+    return SimplicialComplex._trusted(vertex_count, downward_closure(sorted_simplices))
 
 
 @dataclass(frozen=True)
@@ -248,7 +279,7 @@ class Cover:
         kept = self._restrictions.get(v)
         if kept is None:
             pieces = tuple(
-                SimplicialComplex(v.vertex_count, piece.simplices & v.simplices)
+                SimplicialComplex._trusted(v.vertex_count, piece.simplices & v.simplices)
                 for piece in self.pieces
             )
             cover_v = Cover(v, pieces)
@@ -271,7 +302,7 @@ def star_cover(complex_):
             merged = tuple(sorted(set(s) | {v}))
             if merged in complex_.simplices:
                 star.add(s)
-        pieces.append(SimplicialComplex(complex_.vertex_count, star))
+        pieces.append(SimplicialComplex._trusted(complex_.vertex_count, star))
     return Cover(complex_, tuple(pieces))
 
 
@@ -311,10 +342,15 @@ def nerve(cover):
                 cand = t + (j,)
                 inter = intersections[t].simplices & cover.pieces[j].simplices
                 if inter:
-                    intersections[cand] = SimplicialComplex(cover.base.vertex_count, inter)
+                    intersections[cand] = SimplicialComplex._trusted(
+                        cover.base.vertex_count, inter
+                    )
                     nxt.append(cand)
         current = nxt
-    return Nerve(cover, intersections)
+    out = Nerve._trusted(len(cover.pieces), intersections)
+    out.cover = cover
+    out.intersection_of = intersections
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +412,7 @@ def product_cover(cover_a, cover_b):
                 sb = tuple(sorted({v % nb for v in s}))
                 if pa.has_simplex(sa) and pb.has_simplex(sb):
                     simps.add(s)
-            pieces.append(SimplicialComplex(product.vertex_count, simps))
+            pieces.append(SimplicialComplex._trusted(product.vertex_count, simps))
     return Cover(product, tuple(pieces))
 
 

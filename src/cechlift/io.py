@@ -180,7 +180,7 @@ def cover_from_json(obj):
         faces = [tuple(sorted(s)) for s in _raw_faces(praw, base.vertex_count, f"cover piece {i}")]
         if not all(base.has_simplex(s) for s in faces if s):
             raise InvalidCover(f"piece {i} is not a subcomplex of the base")
-        pieces.append(SimplicialComplex(base.vertex_count, downward_closure(faces)))
+        pieces.append(SimplicialComplex._trusted(base.vertex_count, downward_closure(faces)))
     return Cover(base, tuple(pieces))
 
 

@@ -35,7 +35,9 @@ class FiniteGroup:
 
     Associativity, identity and inverses are verified exhaustively at
     construction; fixtures here are small enough that the cubic check
-    is immediate.
+    is immediate.  The total group of a checked ``CentralExtension`` is a
+    group by the cocycle law and is built by ``_trusted``, which checks
+    none of this again.
     """
 
     __slots__ = ("order", "table", "identity", "inverse")
@@ -74,6 +76,20 @@ class FiniteGroup:
         self.table = table
         self.identity = e
         self.inverse = tuple(inverse)
+
+    @classmethod
+    def _trusted(cls, table, identity):
+        """The group of a table already known to be a group with this identity.
+
+        ``table`` is a tuple of tuples of ints; only the inverses are
+        computed, each the one entry of its row equal to the identity.
+        """
+        self = cls.__new__(cls)
+        self.order = len(table)
+        self.table = table
+        self.identity = identity
+        self.inverse = tuple(row.index(identity) for row in table)
+        return self
 
     @classmethod
     def cyclic(cls, m):
@@ -146,6 +162,11 @@ class CentralExtension:
     (a, h)(b, k) = (ab, h + k + f(a, b)); the canonical section is
     s(a) = (a, 0), which realizes the local-sections hypothesis with an
     exactly computable kernel part.
+
+    The base is a checked ``FiniteGroup`` and the factor set is checked
+    for normalization and the cocycle law, on kernel coordinates reduced
+    mod each modulus.  By that law the total is a group with identity
+    (e, 0), so its table is not checked again.
     """
 
     __slots__ = ("base", "kernel", "factor_set", "total", "_kernel_elements", "_kernel_index")
@@ -167,42 +188,55 @@ class CentralExtension:
                     raise GroupMismatch("factor set value outside the kernel")
                 row.append(v)
             fs.append(tuple(row))
-        fs = tuple(fs)
-        e = base.identity
-        for a in range(n):
-            if not fs[e][a].is_zero() or not fs[a][e].is_zero():
-                raise NotNormalized(f"factor set nonzero on identity at {a}")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    lhs = fs[a][b] + fs[base.mul(a, b)][c]
-                    rhs = fs[b][c] + fs[a][base.mul(b, c)]
-                    if lhs != rhs:
-                        raise NotACocycle2((a, b, c))
         self.base = base
         self.kernel = kernel
-        self.factor_set = fs
+        self.factor_set = tuple(fs)
         self._kernel_elements = tuple(kernel.elements())
         self._kernel_index = {el.coords: i for i, el in enumerate(self._kernel_elements)}
-        self.total = self._build_total()
+        # kernel elements as indices; the zero element is index 0
+        add = self._kernel_addition()
+        f = [[self._kernel_index[v.coords] for v in row] for row in fs]
+        e = base.identity
+        for a in range(n):
+            if f[e][a] or f[a][e]:
+                raise NotNormalized(f"factor set nonzero on identity at {a}")
+        mul = base.table
+        for a in range(n):
+            fa, mul_a = f[a], mul[a]
+            for b in range(n):
+                fab_row, fb, mul_b = f[mul_a[b]], f[b], mul[b]
+                add_fab = add[fa[b]]
+                for c in range(n):
+                    if add_fab[fab_row[c]] != add[fb[c]][fa[mul_b[c]]]:
+                        raise NotACocycle2((a, b, c))
+        self.total = self._build_total(f, add)
 
-    def _build_total(self):
+    def _kernel_addition(self):
+        """add[i][j] = the index of kernel element i + kernel element j."""
+        moduli = self.kernel.moduli
+        index = self._kernel_index
+        return tuple(
+            tuple(
+                index[tuple((x + y) % m for x, y, m in zip(h.coords, k.coords, moduli))]
+                for k in self._kernel_elements
+            )
+            for h in self._kernel_elements
+        )
+
+    def _build_total(self, f, add):
+        """The table of (a, h)(b, k) = (ab, h + k + f(a, b)) on a * |kernel| + h."""
         n = self.base.order
         k = len(self._kernel_elements)
-        size = n * k
-
-        def idx(a, h):
-            return a * k + self._kernel_index[h.coords]
-
-        table = [[0] * size for _ in range(size)]
+        mul = self.base.table
+        table = []
         for a in range(n):
-            for hi, h in enumerate(self._kernel_elements):
+            for h in range(k):
+                row = []
                 for b in range(n):
-                    for ki, kk in enumerate(self._kernel_elements):
-                        table[a * k + hi][b * k + ki] = idx(
-                            self.base.mul(a, b), h + kk + self.factor_set[a][b]
-                        )
-        return FiniteGroup(table, identity=idx(self.base.identity, self.kernel.zero()))
+                    offset = mul[a][b] * k
+                    row.extend(offset + x for x in add[add[h][f[a][b]]])
+                table.append(tuple(row))
+        return FiniteGroup._trusted(tuple(table), self.base.identity * k)
 
     @property
     def kernel_size(self):

@@ -1,0 +1,171 @@
+"""Results built without re-checking equal the checked ones, and input is still checked.
+
+Complexes built by ``SimplicialComplex._trusted`` (nerves, their
+intersections, restrictions, star and product pieces, loaded cover
+pieces, ``validate_complex``) must pass the validating constructor
+unchanged.  Extension totals built on kernel indices must equal the
+``GroupElement``-built oracle in ``extension_oracle`` and pass the
+exhaustive ``FiniteGroup`` check.  The checks on outside input stay.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from cechlift import fixtures, io
+from cechlift.abelian import FgAbelianGroup
+from cechlift.complexes import (
+    Nerve,
+    SimplicialComplex,
+    downward_closure,
+    nerve,
+    product_cover,
+    star_cover,
+    validate_complex,
+)
+from cechlift.errors import InvalidComplex, InvalidCover, NotACocycle2, NotNormalized
+from cechlift.tower import FiniteGroup, build_extension, split_extension
+
+from conftest import klein_four, random_extension, random_factor_set
+
+import extension_oracle
+
+
+def assert_checked(k):
+    """k equals the complex the validating constructor builds from its parts."""
+    assert type(k.vertex_count) is int
+    ref = SimplicialComplex(k.vertex_count, k.simplices)
+    assert k == ref
+    for d in range(-1, ref.dim + 2):
+        assert k.simplices_of_dim(d) == ref.simplices_of_dim(d)
+
+
+def assert_nerve_checked(n):
+    for w in n.intersection_of.values():
+        assert_checked(w)
+    ref = Nerve(n.cover, n.intersection_of)
+    assert n == ref and n.intersection_of == ref.intersection_of
+    for d in range(-1, ref.dim + 2):
+        assert n.simplices_of_dim(d) == ref.simplices_of_dim(d)
+
+
+def _cycle_support(chain):
+    return downward_closure(chain.coefficients)
+
+
+def _rp2():
+    cover, _ = fixtures.rp2_good_cover()
+    return cover, downward_closure(cover.base.simplices_of_dim(1)[:5])
+
+
+def _torus():
+    torus, cover = fixtures.torus_product()
+    return cover, _cycle_support(fixtures.torus_cycle(torus))
+
+
+#: name -> () -> (cover, a subcomplex of its base to restrict to, or None)
+COVERS = {
+    "circle": lambda: (fixtures.three_arc_cover(), _cycle_support(fixtures.hexagon_cycle())),
+    "torus": _torus,
+    "rp2": _rp2,
+    "delta3-star": lambda: (
+        star_cover(fixtures.boundary_delta3()),
+        downward_closure([(0, 1, 2)]),
+    ),
+    "bsd-torus-dual-blocks": lambda: (
+        fixtures.dual_block_cover(fixtures.barycentric_subdivision(fixtures.torus_product()[0])[0]),
+        None,
+    ),
+    "product": lambda: (
+        product_cover(star_cover(validate_complex([(0, 1)])), fixtures.three_arc_cover()),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COVERS))
+def test_trusted_complexes_pass_the_checks(name):
+    cover, support = COVERS[name]()
+    assert_checked(cover.base)
+    for piece in cover.pieces:
+        assert_checked(piece)
+    assert_nerve_checked(nerve(cover))
+    loaded = io.cover_from_json(io.cover_to_json(cover))
+    assert loaded == cover
+    for piece in loaded.pieces:
+        assert_checked(piece)
+    if support is not None:
+        v = SimplicialComplex(cover.base.vertex_count, support)
+        cover_v, nerve_v = cover.restricted_to(v)
+        for piece in cover_v.pieces:
+            assert_checked(piece)
+        assert_nerve_checked(nerve_v)
+
+
+def test_validate_complex_refuses_a_vertex_past_the_count():
+    with pytest.raises(InvalidComplex, match=r"vertex out of range in \(1, 5\)"):
+        validate_complex([(0, 1), (5, 1)], vertex_count=4)
+    assert_checked(validate_complex([(2, 0, 1), (3,)], vertex_count=6))
+
+
+def test_cover_piece_outside_its_base_is_refused():
+    obj = io.cover_to_json(fixtures.three_arc_cover())
+    obj["pieces"][0].append([0, 3])
+    with pytest.raises(InvalidCover, match="piece 0 is not a subcomplex of the base"):
+        io.cover_from_json(obj)
+
+
+def _carry_z4_by_z2z2():
+    z4, z2z2 = FiniteGroup.cyclic(4), FgAbelianGroup((2, 2))
+    return build_extension(z4, z2z2, random_factor_set(random.Random(3), z4, z2z2))
+
+
+#: name -> () -> a CentralExtension
+EXTENSIONS = {
+    **{f"z2-tower-{i + 1}": (lambda i=i: fixtures.z2_tower(4).extensions[i]) for i in range(4)},
+    "z2-z4": fixtures.z2_z4_extension,
+    "z4-z8": fixtures.z4_z8_extension,
+    "split-z3-by-z2z2": lambda: split_extension(FiniteGroup.cyclic(3), FgAbelianGroup((2, 2))),
+    "split-v4-by-z2z4": lambda: split_extension(klein_four(), FgAbelianGroup((2, 4))),
+    "carry-z4-by-z2z2": _carry_z4_by_z2z2,
+    **{f"random-{s}": (lambda s=s: random_extension(random.Random(s))) for s in range(8)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSIONS))
+def test_extension_total_equals_the_element_oracle(name):
+    ext = EXTENSIONS[name]()
+    total = ext.total
+    assert total.table == extension_oracle.total_table(ext)
+    checked = FiniteGroup(total.table, total.identity)
+    assert checked == total
+    assert checked.inverse == total.inverse
+
+
+def _broken_factor_set(rng):
+    """A Z/2+Z/2-valued factor set on Z/4 with one entry off the cocycle law."""
+    z4, z2z2 = FiniteGroup.cyclic(4), FgAbelianGroup((2, 2))
+    fs = [list(row) for row in random_factor_set(rng, z4, z2z2)]
+    a, b = rng.randrange(1, 4), rng.randrange(1, 4)
+    fs[a][b] = fs[a][b] + z2z2.element((0, 1))
+    return z4, z2z2, fs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cocycle_failure_is_reported_at_the_first_triple(seed):
+    base, kernel, fs = _broken_factor_set(random.Random(seed))
+    expected = extension_oracle.first_cocycle_failure(base, fs)
+    assert expected is not None
+    with pytest.raises(NotACocycle2) as err:
+        build_extension(base, kernel, fs)
+    assert err.value.triple == expected
+
+
+def test_non_normalized_factor_set_is_refused():
+    z4, z2z2 = FiniteGroup.cyclic(4), FgAbelianGroup((2, 2))
+    fs = [list(row) for row in random_factor_set(random.Random(1), z4, z2z2)]
+    fs[z4.identity][2] = z2z2.element((1, 0))
+    with pytest.raises(NotNormalized, match="at 2"):
+        build_extension(z4, z2z2, fs)

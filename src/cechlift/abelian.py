@@ -201,7 +201,8 @@ class FgAbelianGroup:
         return n
 
     def zero(self):
-        return GroupElement(self, (0,) * self.rank)
+        # the all-zero tuple is reduced mod every modulus
+        return GroupElement._trusted(self, (0,) * self.rank)
 
     def element(self, coords):
         return GroupElement(self, tuple(coords))

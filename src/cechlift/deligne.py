@@ -12,16 +12,29 @@ The logarithm of a circle value is its canonical rational
 representative in [0, 1), so the Cech coboundary of a lifted
 classifying cocycle is integer-valued; holonomy is well defined mod 1
 because every collapse residue is integer-valued (asserted at runtime).
+
+The operators delta, D and the partition-of-unity contraction h are
++-1 integer maps, so they run on integer numerators over one common
+denominator N: a private kernel holds each double cochain as
+``{nerve simplex: {simplex: int}}`` with value numerator / N.  N is the
+lcm of the denominators of a package's classifying cocycle and of every
+layer entry (of the cocycle alone in ``descent_chain``), taken once per
+call.  Fractions appear only at the boundary: the values of every
+returned DoubleCochain and rational Cochain are numerator / N, equal to
+what Fraction arithmetic gives.  In the collapse checks of the holonomy,
+"integral" means "divisible by N".
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import abelian
 from .abelian import CIRCLE, CircleElement, QQ
-from .cochains import Cochain, _perm_sign_and_sort, coboundary, verify_good_cover
+from .cochains import Cochain, coboundary, verify_good_cover
 from .complexes import Cover, Nerve, chain_boundary, nerve
 from .errors import (
     CoverNotGood,
@@ -36,9 +49,9 @@ class DoubleCochain:
     """Cech p-cochain of rational simplicial q-cochains on intersections.
 
     ``values`` maps each canonical nerve p-simplex to a dict from
-    simplices of the corresponding intersection subcomplex to Fractions;
-    missing entries are zero.  Evaluation on permuted Cech tuples is
-    alternating.
+    simplices of the corresponding intersection subcomplex to Fractions
+    (the constructor takes ints and Fractions and refuses any other
+    number); missing entries are zero.
     """
 
     __slots__ = ("cover", "nerve", "cech_degree", "form_degree", "values")
@@ -62,6 +75,8 @@ class DoubleCochain:
                         raise DegreeMismatch(
                             f"{s} is not a {self.form_degree}-simplex of the intersection {t}"
                         )
+                    if not isinstance(v, numbers.Rational):
+                        raise TypeError(f"double cochain value {v!r} is not an int or a Fraction")
                     v = Fraction(v)
                     if v:
                         clean[s] = v
@@ -92,13 +107,6 @@ class DoubleCochain:
 
     def local(self, t):
         return self.values.get(tuple(t), {})
-
-    def cech_value(self, indices, s):
-        """Alternating evaluation: Cech tuple in any order, one simplex."""
-        canon, sign = _perm_sign_and_sort(indices)
-        if sign == 0:
-            return Fraction(0)
-        return sign * self.values.get(canon, {}).get(tuple(s), Fraction(0))
 
     def is_zero(self):
         return not self.values
@@ -139,11 +147,6 @@ class DoubleCochain:
             and self.values == other.values
         )
 
-    def is_integral(self):
-        return all(
-            v.denominator == 1 for loc in self.values.values() for v in loc.values()
-        )
-
     def __repr__(self):
         return (
             f"DoubleCochain(cech={self.cech_degree}, form={self.form_degree}, "
@@ -151,38 +154,182 @@ class DoubleCochain:
         )
 
 
+# ---------------------------------------------------------------------------
+# the integer kernel: a Cech level is {nerve simplex: {simplex: int}}, the
+# numerators over one denominator N; every level it returns keeps only
+# nonzero entries and nonempty locals, so levels compare with ==
+# ---------------------------------------------------------------------------
+
+def _denominator_of(values):
+    """The lcm of the denominators of a double cochain's Fraction values."""
+    return lcm(*{v.denominator for loc in values.values() for v in loc.values()})
+
+
+def _cocycle_denominator(c):
+    """The lcm of the denominators of a circle cochain's values."""
+    return lcm(*{v.value.denominator for v in c.values.values()})
+
+
+def _package_denominator(pkg):
+    """N of a package: the lcm of the denominators of its classifying
+    cocycle and of every layer entry."""
+    layers = (_denominator_of(layer.values) for layer in pkg.layers.values())
+    return lcm(_cocycle_denominator(pkg.cocycle), *layers)
+
+
+def _scaled(values, n):
+    """The numerators over n of Fraction values whose denominators divide n."""
+    return {
+        t: {s: v.numerator * (n // v.denominator) for s, v in loc.items()}
+        for t, loc in values.items()
+    }
+
+
+def _fractions(cover, nerve_, p, q, x, n):
+    """The (p, q) double cochain with values x / n."""
+    values = {t: {s: Fraction(v, n) for s, v in loc.items()} for t, loc in x.items()}
+    return DoubleCochain._trusted(cover, nerve_, p, q, values)
+
+
+def _add(x, y, sign=1):
+    """x + sign * y, entry by entry, for sign +-1."""
+    out = {t: dict(loc) for t, loc in x.items()}
+    for t, loc in y.items():
+        dst = out.get(t)
+        if dst is None:
+            out[t] = {s: sign * v for s, v in loc.items()}
+            continue
+        for s, v in loc.items():
+            w = dst.get(s, 0) + sign * v
+            if w:
+                dst[s] = w
+            else:
+                del dst[s]
+        if not dst:
+            del out[t]
+    return out
+
+
+def _divisible(x, n):
+    return all(v % n == 0 for loc in x.values() for v in loc.values())
+
+
+def _delta(nerve_, p, x):
+    """Cech delta of a Cech p-level: alternating sum of the restrictions
+    of its faces to the deeper intersection."""
+    out = {}
+    if not x:
+        return out
+    intersection_of = nerve_.intersection_of
+    for t in nerve_.simplices_of_dim(p + 1):
+        acc = None
+        for j in range(len(t)):
+            loc = x.get(t[:j] + t[j + 1 :])
+            if not loc:
+                continue
+            if acc is None:
+                acc = {}
+                inside = intersection_of[t].simplices
+            for s, v in loc.items():
+                if s in inside:
+                    acc[s] = acc.get(s, 0) - v if j & 1 else acc.get(s, 0) + v
+        if acc:
+            acc = {s: v for s, v in acc.items() if v}
+            if acc:
+                out[t] = acc
+    return out
+
+
+def _d(nerve_, q, x):
+    """The local D of a level of form degree q: a face sum per
+    (q+1)-simplex of each intersection."""
+    out = {}
+    intersection_of = nerve_.intersection_of
+    for t, loc in x.items():
+        acc = {}
+        for s in intersection_of[t].simplices_of_dim(q + 1):
+            total = _face_sum(loc, s)
+            if total:
+                acc[s] = total
+        if acc:
+            out[t] = acc
+    return out
+
+
+def _h(x, assign):
+    """The contraction h of a Cech p-level, p >= 1.
+
+    (h x)_t(s) = x_{assign(s) t}(s), read through the alternating
+    extension.  Each nonzero value comes from the one entry x_T(s) with
+    assign(s) in T: t is T without assign(s), and moving assign(s) from
+    position k of T to the front takes k transpositions, so the value is
+    (-1)^k x_T(s).
+    """
+    out = {}
+    for big, loc in x.items():
+        for s, v in loc.items():
+            i = assign[s]
+            if i in big:
+                k = big.index(i)
+                t = big[:k] + big[k + 1 :]
+                dst = out.get(t)
+                if dst is None:
+                    dst = out[t] = {}
+                dst[s] = -v if k & 1 else v
+    return out
+
+
+def _lift(nerve_, c, n):
+    """n times the lift of a circle cocycle: each value's representative
+    in [0, 1), spread over the vertices of its intersection."""
+    out = {}
+    for t in nerve_.simplices_of_dim(c.degree):
+        v = c.values.get(t)
+        if v is not None:
+            rep = v.value.numerator * (n // v.value.denominator)
+            out[t] = {s: rep for s in nerve_.intersection_of[t].simplices_of_dim(0)}
+    return out
+
+
+def _collapse(base, q, x, assign):
+    """The global q-cochain tau -> x_{assign(tau)}(tau) of a Cech 0-level."""
+    out = {}
+    for s in base.simplices_of_dim(q):
+        loc = x.get((assign[s],))
+        if loc:
+            v = loc.get(s)
+            if v:
+                out[s] = v
+    return out
+
+
+def _epsilon(nerve_, q, g):
+    """The Cech 0-level of the restrictions of a global q-cochain."""
+    out = {}
+    for t in nerve_.simplices_of_dim(0):
+        loc = {s: g[s] for s in nerve_.intersection_of[t].simplices_of_dim(q) if s in g}
+        if loc:
+            out[t] = loc
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the double complex on Fraction values
+# ---------------------------------------------------------------------------
+
 def cech_delta(x):
     """Cech coboundary: alternating sum of restrictions to the deeper
     intersection."""
-    out = {}
-    for t in x.nerve.simplices_of_dim(x.cech_degree + 1):
-        inter = x.nerve.intersection_of[t]
-        acc = {}
-        for j in range(len(t)):
-            face = t[:j] + t[j + 1 :]
-            loc = x.values.get(face)
-            if not loc:
-                continue
-            sgn = 1 if j % 2 == 0 else -1
-            for s, v in loc.items():
-                if s in inter.simplices:
-                    acc[s] = acc.get(s, Fraction(0)) + sgn * v
-        out[t] = acc
-    return DoubleCochain._trusted(x.cover, x.nerve, x.cech_degree + 1, x.form_degree, out)
+    n = _denominator_of(x.values)
+    raw = _delta(x.nerve, x.cech_degree, _scaled(x.values, n))
+    return _fractions(x.cover, x.nerve, x.cech_degree + 1, x.form_degree, raw, n)
 
 
 def form_d(x):
     """Local simplicial coboundary applied on every intersection."""
-    out = {}
-    for t, loc in x.values.items():
-        inter = x.nerve.intersection_of[t]
-        acc = {}
-        for s in inter.simplices_of_dim(x.form_degree + 1):
-            total = _face_sum(loc, s)
-            if total:
-                acc[s] = total
-        out[t] = acc
-    return DoubleCochain._trusted(x.cover, x.nerve, x.cech_degree, x.form_degree + 1, out)
+    n = _denominator_of(x.values)
+    raw = _d(x.nerve, x.form_degree, _scaled(x.values, n))
+    return _fractions(x.cover, x.nerve, x.cech_degree, x.form_degree + 1, raw, n)
 
 
 def _min_piece_assignment(cover, shuffle=None):
@@ -207,26 +354,16 @@ def cech_homotopy(x, assign):
 
     (h x)_{i_0..i_{p-1}}(tau) = x_{assign(tau), i_0..i_{p-1}}(tau).
     """
-    p = x.cech_degree
-    out = {}
-    for t in x.nerve.simplices_of_dim(p - 1):
-        inter = x.nerve.intersection_of[t]
-        acc = {}
-        for s in inter.simplices_of_dim(x.form_degree):
-            v = x.cech_value((assign[s],) + t, s)
-            if v:
-                acc[s] = v
-        out[t] = acc
-    return DoubleCochain._trusted(x.cover, x.nerve, p - 1, x.form_degree, out)
+    n = _denominator_of(x.values)
+    raw = _h(_scaled(x.values, n), assign) if x.cech_degree else {}
+    return _fractions(x.cover, x.nerve, x.cech_degree - 1, x.form_degree, raw, n)
 
 
 def collapse_to_global(x, assign):
     """The global cochain tau -> x_{assign(tau)}(tau) of a Cech 0-level."""
-    values = {}
-    for s in x.cover.base.simplices_of_dim(x.form_degree):
-        v = x.values.get((assign[s],), {}).get(s)
-        if v:
-            values[s] = v
+    n = _denominator_of(x.values)
+    raw = _collapse(x.cover.base, x.form_degree, _scaled(x.values, n), assign)
+    values = {s: Fraction(v, n) for s, v in raw.items()}
     return Cochain._trusted(x.cover.base, x.form_degree, QQ, values)
 
 
@@ -240,15 +377,8 @@ def lift_cocycle(c, cover, nerve_):
     Each circle value is replaced by its representative in [0, 1),
     spread over the vertices of its intersection subcomplex.
     """
-    values = {}
-    for t in nerve_.simplices_of_dim(c.degree):
-        v = c.values.get(t)
-        if v is None:
-            continue
-        rep = v.value
-        inter = nerve_.intersection_of[t]
-        values[t] = {s: rep for s in inter.simplices_of_dim(0)}
-    return DoubleCochain._trusted(cover, nerve_, c.degree, 0, values)
+    n = _cocycle_denominator(c)
+    return _fractions(cover, nerve_, c.degree, 0, _lift(nerve_, c, n), n)
 
 
 @dataclass
@@ -280,12 +410,13 @@ class DelignePackage:
             layer = self.layers.get(q)
             if layer is None or layer.cech_degree != q or layer.form_degree != d - q:
                 raise DegreeMismatch(f"layer {q} missing or of wrong bidegree")
-        top = cech_delta(self.layers[d - 1])
-        rhs = form_d(lift_cocycle(self.cocycle, self.cover, self.nerve))
-        if top != rhs:
+        n = _package_denominator(self)
+        nrv = self.nerve
+        layers = {q: _scaled(self.layers[q].values, n) for q in range(d)}
+        if _delta(nrv, d - 1, layers[d - 1]) != _d(nrv, 0, _lift(nrv, self.cocycle, n)):
             raise NotACocycle("top descent equation fails")
         for q in range(1, d):
-            if form_d(self.layers[q]) != cech_delta(self.layers[q - 1]):
+            if _d(nrv, d - q, layers[q]) != _delta(nrv, q - 1, layers[q - 1]):
                 raise NotACocycle(f"middle descent equation fails at layer {q}")
         return True
 
@@ -316,12 +447,14 @@ def descent_chain(c, cover, nerve_=None):
     if not coboundary(c).is_zero():
         raise NotACocycle("classifying cochain is not a cocycle")
     assign = _min_piece_assignment(cover)
-    layers = {}
-    rhs = form_d(lift_cocycle(c, cover, nerve_))
+    n = _cocycle_denominator(c)
+    raw = {}
+    rhs = _d(nerve_, 0, _lift(nerve_, c, n))
     for q in range(d - 1, -1, -1):
-        layer = cech_homotopy(rhs, assign)
-        layers[q] = layer
-        rhs = form_d(layer)
+        raw[q] = _h(rhs, assign)
+        if q:
+            rhs = _d(nerve_, d - q, raw[q])
+    layers = {q: _fractions(cover, nerve_, q, d - q, x, n) for q, x in raw.items()}
     pkg = DelignePackage(cover, nerve_, d, c, layers)
     pkg.validate()
     return pkg
@@ -334,18 +467,21 @@ def curvature(pkg):
     agreement of every covering index and the closedness are asserted.
     """
     d = pkg.degree
-    bottom = form_d(pkg.layers[0])
+    layer = pkg.layers[0]
+    n = _denominator_of(layer.values)
+    bottom = _d(pkg.nerve, layer.form_degree, _scaled(layer.values, n))
     glued = {}
     clashes = []
     for i, piece in enumerate(pkg.cover.pieces):
-        local = bottom.values.get((i,), {})
+        local = bottom.get((i,), {})
         for s in piece.simplices_of_dim(d + 1):
-            v = local.get(s, Fraction(0))
+            v = local.get(s, 0)
             if glued.setdefault(s, v) != v:
                 clashes.append(s)
     if clashes:
         raise NotACocycle(f"curvature does not glue at {min(clashes)}")
-    out = Cochain._trusted(pkg.cover.base, d + 1, QQ, {s: v for s, v in glued.items() if v})
+    values = {s: Fraction(v, n) for s, v in glued.items() if v}
+    out = Cochain._trusted(pkg.cover.base, d + 1, QQ, values)
     if not coboundary(out).is_zero():
         raise NotACocycle("curvature is not closed")
     return out
@@ -492,19 +628,40 @@ class HolonomyTrivialization:
     global_form: Cochain
 
     def verify(self):
-        d = self.package.degree
-        prev = None
+        pkg = self.package
+        d = pkg.degree
         for q in range(d):
-            lhs = self.package.layers[q]
-            rhs = form_d(self.potentials[q])
-            if prev is not None:
-                rhs = rhs + cech_delta(prev)
-            if lhs != rhs:
+            v = self.potentials[q]
+            if v.cech_degree != q or v.form_degree != d - q - 1:
                 raise NotACocycle(f"trivialization equation fails at layer {q}")
-            prev = self.potentials[q]
-        if not form_d(self.residual).is_zero():
-            raise NotACocycle("holonomy residual is not locally constant")
+        n = lcm(
+            _package_denominator(pkg),
+            _denominator_of(self.residual.values),
+            *(_denominator_of(self.potentials[q].values) for q in range(d)),
+        )
+        _check_trivialization(
+            pkg.nerve,
+            d,
+            {q: _scaled(pkg.layers[q].values, n) for q in range(d)},
+            {q: _scaled(self.potentials[q].values, n) for q in range(d)},
+            _scaled(self.residual.values, n),
+        )
         return True
+
+
+def _check_trivialization(nerve_, d, layers, potentials, residual):
+    """A^(q) = delta v^(q-1) + D v^(q) for every q, and D residual = 0,
+    on numerators over one denominator."""
+    prev = None
+    for q in range(d):
+        rhs = _d(nerve_, d - q - 1, potentials[q])
+        if prev is not None:
+            rhs = _add(rhs, _delta(nerve_, q - 1, prev))
+        if layers[q] != rhs:
+            raise NotACocycle(f"trivialization equation fails at layer {q}")
+        prev = potentials[q]
+    if _d(nerve_, 0, residual):
+        raise NotACocycle("holonomy residual is not locally constant")
 
 
 def _solve_local_d(inter, q, rhs_local, shuffle=None):
@@ -518,7 +675,8 @@ def _solve_local_d(inter, q, rhs_local, shuffle=None):
     is solved by Smith over Q.  A ``shuffle`` reorders the free faces of
     the collapse (or the Smith columns) and so selects a different exact
     solution from the same affine space; the holonomy value must not
-    depend on it.
+    depend on it.  The back-substitution works on any numbers: an int
+    right side gives int values, a Fraction one Fractions.
     """
     pairs = inter.collapse(shuffle)
     if pairs is None:
@@ -541,7 +699,7 @@ def _solve_local_d(inter, q, rhs_local, shuffle=None):
 
 def _face_sum(v, t):
     """(D v)(t) = sum of [t:r] v(r) over the faces r of t, v a local cochain."""
-    total = Fraction(0)
+    total = 0
     for j in range(len(t)):
         x = v.get(t[:j] + t[j + 1 :])
         if x:
@@ -550,17 +708,73 @@ def _face_sum(v, t):
 
 
 def _smith_solve_local_d(inter, q, rhs_local, shuffle=None):
-    """Solve D v = rhs by Smith over Q, columns shuffled on request."""
+    """Solve D v = rhs by Smith over Q, columns shuffled on request.
+
+    An intersection that passed the goodness check is acyclic over Z, so
+    every invariant factor of D is 1 and an int right side has an
+    integral solution, returned as ints; anything else is refused.
+    """
     simps = inter.simplices_of_dim(q)
     order = list(range(len(simps)))
     if shuffle is not None:
         shuffle.shuffle(order)
     mat = [[row[k] for k in order] for row in inter.coboundary_matrix(q)]
-    b = [rhs_local.get(s, Fraction(0)) for s in inter.simplices_of_dim(q + 1)]
+    b = [rhs_local.get(s, 0) for s in inter.simplices_of_dim(q + 1)]
     sol = abelian.solve(mat, b, "Q", ncols=len(simps))
     if sol is None:
         raise CoverNotGoodOnV("local solve failed on a supposedly acyclic piece")
+    if all(type(x) is int for x in b):
+        if any(x.denominator != 1 for x in sol):
+            raise CoverNotGoodOnV("local solve over Q is not integral on a supposedly acyclic piece")
+        sol = [x.numerator for x in sol]
     return {simps[k]: x for k, x in zip(order, sol) if x}
+
+
+def _trivialize(pkg, shuffle=None):
+    """The checked trivialization of a flat package on numerators over N.
+
+    Returns (N, potentials, residual, global form), each a numerator
+    level (the global form a {simplex: int} map); see
+    ``holonomy_trivialization``.
+    """
+    d = pkg.degree
+    nrv = pkg.nerve
+    n = _package_denominator(pkg)
+    layers = {q: _scaled(pkg.layers[q].values, n) for q in range(d)}
+    potentials = {}
+    prev = None
+    for q in range(d):
+        defect = layers[q] if prev is None else _add(layers[q], _delta(nrv, q - 1, prev), -1)
+        out = {}
+        for t in nrv.simplices_of_dim(q):
+            local = _solve_local_d(nrv.intersection_of[t], d - q - 1, defect.get(t, {}), shuffle)
+            if local:
+                out[t] = local
+        potentials[q] = prev = out
+    residual = _add(_lift(nrv, pkg.cocycle, n), _delta(nrv, d - 1, prev), -1)
+    if _d(nrv, 0, residual):
+        raise NotACocycle("holonomy residual is not locally constant")
+    # collapse the residual to a global d-cochain; every discarded
+    # integer level certifies well-definedness mod 1
+    assign = _min_piece_assignment(pkg.cover, shuffle)
+    current = residual
+    for p in range(d, 0, -1):
+        u = _h(current, assign)
+        if not _divisible(_add(current, _delta(nrv, p - 1, u), -1), n):
+            raise NotACocycle("collapse residue is not integral")
+        current = _d(nrv, d - p, u)
+        if (p - 1) % 2 == 0:
+            current = _add({}, current, -1)
+    # contraction identity at Cech level 0: current = epsilon(global) + gauge
+    # with gauge = h(delta current); gauge integral certifies mod-1 soundness
+    gauge = _h(_delta(nrv, 0, current), assign)
+    if not _divisible(gauge, n):
+        raise NotACocycle("level-0 collapse residue is not integral")
+    global_form = _collapse(pkg.cover.base, d, current, assign)
+    if _add(current, gauge, -1) != _epsilon(nrv, d, global_form):
+        raise NotACocycle("collapse did not reach a global cochain")
+    _check_trivialization(nrv, d, layers, potentials, residual)
+    return n, potentials, residual, global_form
 
 
 def holonomy_trivialization(pkg, shuffle=None):
@@ -569,62 +783,18 @@ def holonomy_trivialization(pkg, shuffle=None):
     Stage q solves D v^(q) = A^(q) - delta v^(q-1) on every acyclic
     intersection; flatness of the restriction (top-degree vanishing of
     the curvature) makes stage 0 solvable and the descent equations make
-    every later defect D-closed.
+    every later defect D-closed.  The solves, the collapse and the
+    re-verification of the equations run on numerators over N; the
+    returned fields are their Fractions.
     """
+    n, potentials, residual, global_form = _trivialize(pkg, shuffle)
     d = pkg.degree
-    potentials = {}
-    prev = None
-    for q in range(d):
-        defect = pkg.layers[q]
-        if prev is not None:
-            defect = defect - cech_delta(prev)
-        out = {}
-        for t in pkg.nerve.simplices_of_dim(q):
-            inter = pkg.nerve.intersection_of[t]
-            local = _solve_local_d(inter, d - q - 1, defect.local(t), shuffle)
-            if local:
-                out[t] = local
-        prev = DoubleCochain._trusted(pkg.cover, pkg.nerve, q, d - q - 1, out)
-        potentials[q] = prev
-    residual = lift_cocycle(pkg.cocycle, pkg.cover, pkg.nerve) - cech_delta(potentials[d - 1])
-    if not form_d(residual).is_zero():
-        raise NotACocycle("holonomy residual is not locally constant")
-    # collapse the residual to a global d-cochain; every discarded
-    # integer level certifies well-definedness mod 1
-    assign = _min_piece_assignment(pkg.cover, shuffle)
-    current = residual
-    for p in range(d, 0, -1):
-        u = cech_homotopy(current, assign)
-        leftover = current - cech_delta(u)
-        if not leftover.is_integral():
-            raise NotACocycle("collapse residue is not integral")
-        sign = 1 if (p - 1) % 2 == 0 else -1
-        current = -form_d(u) if sign == 1 else form_d(u)
-    # contraction identity at Cech level 0: current = epsilon(global) + gauge
-    # with gauge = h(delta current); gauge integral certifies mod-1 soundness
-    gauge = cech_homotopy(cech_delta(current), assign)
-    if not gauge.is_integral():
-        raise NotACocycle("level-0 collapse residue is not integral")
-    global_form = collapse_to_global(current, assign)
-    if current - gauge != _epsilon_of_global(global_form, current):
-        raise NotACocycle("collapse did not reach a global cochain")
-    triv = HolonomyTrivialization(pkg, potentials, residual, global_form)
-    triv.verify()
-    return triv
-
-
-def _epsilon_of_global(c, like):
-    """The Cech 0-level obtained by restricting a global cochain."""
-    values = {}
-    for t in like.nerve.simplices_of_dim(0):
-        inter = like.nerve.intersection_of[t]
-        loc = {}
-        for s in inter.simplices_of_dim(like.form_degree):
-            v = c.values.get(s)
-            if v:
-                loc[s] = v
-        values[t] = loc
-    return DoubleCochain._trusted(like.cover, like.nerve, 0, like.form_degree, values)
+    return HolonomyTrivialization(
+        pkg,
+        {q: _fractions(pkg.cover, pkg.nerve, q, d - q - 1, x, n) for q, x in potentials.items()},
+        _fractions(pkg.cover, pkg.nerve, d, 0, residual, n),
+        Cochain._trusted(pkg.cover.base, d, QQ, {s: Fraction(v, n) for s, v in global_form.items()}),
+    )
 
 
 def holonomy(pkg, v, z, shuffle=None):
@@ -652,6 +822,6 @@ def holonomy(pkg, v, z, shuffle=None):
             raise NoFundamentalCycle(f"cycle supported outside the subcomplex at {s}")
     if chain_boundary(z).coefficients:
         raise NoFundamentalCycle("chain is not a cycle")
-    restricted = restrict_package(pkg, v)
-    triv = holonomy_trivialization(restricted, shuffle)
-    return CircleElement(pair(triv.global_form, z))
+    n, _, _, global_form = _trivialize(restrict_package(pkg, v), shuffle)
+    total = sum(coeff * global_form.get(s, 0) for s, coeff in z.coefficients.items())
+    return CircleElement(Fraction(total, n))

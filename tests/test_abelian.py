@@ -181,6 +181,15 @@ class TestGroups:
         with pytest.raises(TypeError):
             abelian.GroupElement(FgAbelianGroup(moduli), (bad,))
 
+    @pytest.mark.parametrize("moduli", [(0,), (2,), (6, 0), ()], ids=["Z", "Z/2", "Z/6+Z", "0"])
+    def test_zero_equals_the_checked_element(self, moduli):
+        """zero() skips the coordinate checks and builds the element they would."""
+        g = FgAbelianGroup(moduli)
+        zero = g.zero()
+        assert zero == abelian.GroupElement(g, (0,) * g.rank)
+        assert zero.group is g and type(zero.coords) is tuple
+        assert all(type(c) is int for c in zero.coords)
+
     def test_circle_elements(self):
         c = abelian.CircleElement(Fraction(5, 3))
         assert c.value == Fraction(2, 3)

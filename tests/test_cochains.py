@@ -21,7 +21,7 @@ from cechlift.cochains import (
 )
 from cechlift.complexes import Cover, nerve, star_cover, validate_complex
 from cechlift.deligne import _solve_local_d
-from cechlift.errors import NoProduct, NotACocycle
+from cechlift.errors import CoverNotGoodOnV, NoProduct, NotACocycle
 
 from conftest import dunce_hat, random_complex, random_cover, random_cochain, random_fg_group
 import cochain_oracle
@@ -430,3 +430,28 @@ class TestCollapseFallback:
         for shuffle in (None, random.Random(2)):
             v = _solve_local_d(k, q, rhs, shuffle)
             assert coboundary(Cochain(k, q, QQ, v)).values == rhs
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_local_solve_on_integers_returns_the_rational_solution_as_ints(self, q):
+        """The dunce hat is acyclic over Z, so an int right side solves in ints."""
+        k = dunce_hat()
+        rng = random.Random(10 + q)
+        x = {s: rng.randint(-5, 5) for s in k.simplices_of_dim(q)}
+        rhs = {s: v.numerator for s, v in coboundary(Cochain(k, q, QQ, x)).values.items()}
+        assert rhs and all(type(v) is int for v in rhs.values())
+        for seed in (None, 2):
+            v = _solve_local_d(k, q, rhs, None if seed is None else random.Random(seed))
+            want = _solve_local_d(
+                k, q, {s: Fraction(b) for s, b in rhs.items()}, None if seed is None else random.Random(seed)
+            )
+            assert all(type(c) is int for c in v.values())
+            assert v == want
+            assert coboundary(Cochain(k, q, QQ, v)).values == rhs
+
+    def test_integer_solve_is_refused_where_only_q_solves(self, rp2):
+        """RP^2 is acyclic over Q but not over Z: one triangle is a rational
+        coboundary and not an integral one, so its int solve is refused."""
+        tri = rp2.simplices_of_dim(2)[0]
+        assert _solve_local_d(rp2, 1, {tri: Fraction(1)}) != {}
+        with pytest.raises(CoverNotGoodOnV, match="not integral"):
+            _solve_local_d(rp2, 1, {tri: 1})

@@ -1,13 +1,14 @@
 """Descent packages, curvature, characteristic forms, holonomy."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cechlift import abelian, fixtures
+from cechlift import abelian, deligne, fixtures
 from cechlift.abelian import CIRCLE, CircleElement, FgAbelianGroup
 from cechlift.cochains import Cochain, coboundary, cohomology_classes, cup
 from cechlift.complexes import (
@@ -16,11 +17,13 @@ from cechlift.complexes import (
     SimplicialComplex,
     downward_closure,
     nerve,
+    star_cover,
     validate_complex,
 )
 from cechlift.deligne import (
     DelignePackage,
     DoubleCochain,
+    HolonomyTrivialization,
     add_exact_datum,
     add_global_datum,
     cech_delta,
@@ -38,6 +41,8 @@ from cechlift.deligne import (
     _min_piece_assignment,
 )
 from cechlift.errors import CoverNotGood, DegreeMismatch, NoFundamentalCycle, NotACocycle
+
+import deligne_oracle
 
 Z = FgAbelianGroup((0,))
 
@@ -118,6 +123,19 @@ class TestDoubleComplex:
             checked = DoubleCochain(cov, torus_nerve, r.cech_degree, r.form_degree, r.values)
             assert r == checked
             assert all(type(v) is Fraction for loc in r.values.values() for v in loc.values())
+
+    @pytest.mark.parametrize("bad", [0.1, "1/2", Decimal("0.5"), 1j])
+    def test_constructor_refuses_values_that_are_not_rational(self, circle_cover, circle_nerve, bad):
+        """A float would scale every entry of its package by its binary
+        denominator (0.1 is 3602879701896397 / 2**55)."""
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            DoubleCochain(circle_cover, circle_nerve, 0, 1, {(0,): {(0, 1): bad}})
+
+    def test_constructor_takes_ints_and_fractions(self, circle_cover, circle_nerve):
+        values = {(0,): {(0, 1): 2, (1, 2): Fraction(1, 3)}, (1,): {(2, 3): 0}}
+        x = DoubleCochain(circle_cover, circle_nerve, 0, 1, values)
+        assert x.values == {(0,): {(0, 1): Fraction(2), (1, 2): Fraction(1, 3)}}
+        assert all(type(v) is Fraction for v in x.values[(0,)].values())
 
     @pytest.mark.parametrize("name", ["torus", "rp2", "circle"])
     def test_piece_assignment_matches_the_scan(self, request, name):
@@ -229,6 +247,79 @@ class TestDescent:
         for op in (lambda: x + z, lambda: z - x):
             with pytest.raises(DegreeMismatch, match="different covers"):
                 op()
+
+
+def _refusal(check):
+    """The NotACocycle message a check raises, or None when it passes."""
+    try:
+        check()
+    except NotACocycle as exc:
+        return str(exc)
+    return None
+
+
+@pytest.fixture(scope="module")
+def star_gerbe(torus_cover):
+    """(torus, a degree-2 package on the star cover of the torus).
+
+    Its pairwise intersections carry triangles and its triple ones
+    edges, so every descent and trivialization equation has entries to
+    fail on; on the product cover they are too thin for that.
+    """
+    torus, _ = torus_cover
+    cov = star_cover(torus)
+    nrv = nerve(cov)
+    rng = random.Random(22)
+    eta = {e: CircleElement(Fraction(rng.randrange(7), 7)) for e in nrv.simplices_of_dim(1)}
+    return torus, descent_chain(coboundary(Cochain(nrv, 1, CIRCLE, eta)), cov, nrv)
+
+
+class TestChecksRefuse:
+    """The package and trivialization checks, run on numerators, refuse
+    exactly what the Fraction oracle refuses, with the same message."""
+
+    def test_validate_on_perturbed_layers(self, star_gerbe):
+        rng = random.Random(20)
+        _, pkg = star_gerbe
+        messages = set()
+        for trial in range(6):
+            q = trial % 2
+            bump = random_double(rng, pkg.cover, pkg.nerve, q, 2 - q, lambda: Fraction(rng.randint(1, 4), 7))
+            layers = dict(pkg.layers)
+            layers[q] = layers[q] + bump
+            bad = DelignePackage(pkg.cover, pkg.nerve, 2, pkg.cocycle, layers)
+            want = _refusal(lambda: deligne_oracle.validate(bad))
+            assert _refusal(bad.validate) == want
+            messages.add(want)
+        assert messages == {"top descent equation fails", "middle descent equation fails at layer 1"}
+
+    def test_verify_on_perturbed_potentials_and_residual(self, star_gerbe):
+        rng = random.Random(21)
+        torus, pkg = star_gerbe
+        restricted = restrict_package(pkg, torus)
+        triv = holonomy_trivialization(restricted)
+        messages = set()
+        for trial in range(6):
+            q = trial % 3
+            potentials = dict(triv.potentials)
+            residual = triv.residual
+            bidegree = (q, 1 - q) if q < 2 else (2, 0)
+            bump = random_double(
+                rng, restricted.cover, restricted.nerve, *bidegree, lambda: Fraction(rng.randint(1, 4), 5)
+            )
+            if q < 2:
+                potentials[q] = potentials[q] + bump
+            else:
+                residual = residual + bump
+            bad = HolonomyTrivialization(restricted, potentials, residual, triv.global_form)
+            want = _refusal(lambda: deligne_oracle.verify(bad))
+            assert _refusal(bad.verify) == want
+            messages.add(want)
+        assert messages == {
+            "trivialization equation fails at layer 0",
+            "trivialization equation fails at layer 1",
+            "holonomy residual is not locally constant",
+        }
 
 
 class TestCurvature:
@@ -544,3 +635,20 @@ class TestHolonomy:
         restricted = restrict_package(pkg, torus)
         triv = holonomy_trivialization(restricted)
         assert triv.verify()
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        deligne.descent_chain,
+        deligne.DelignePackage.validate,
+        deligne.curvature,
+        deligne.characteristic_form,
+        deligne.holonomy,
+    ],
+    ids=lambda fn: fn.__qualname__,
+)
+def test_counted_entry_points_are_defined_in_the_deligne_module(fn):
+    """The benchmark's tracer counts these by ``__module__``; one defined in
+    another module and imported here would read zero without an error."""
+    assert fn.__module__ == "cechlift.deligne"

@@ -21,7 +21,10 @@ contraction solves D v = rhs exactly.  The nerve of the dual block cover
 of a complex is that complex.  The coboundary summed on plain coordinates
 equals the term-by-term face sum of ``cochain_oracle`` over Z, Z/2, Z/6,
 Z + Z/2, Q and Q/Z, and ``is_coboundary`` refuses exactly the
-non-cocycles and finds a witness exactly for the exact cocycles.
+non-cocycles and finds a witness exactly for the exact cocycles.  The
+Deligne double complex on integer numerators gives the layers,
+potentials, residual, global form and holonomy of the Fraction
+arithmetic in ``deligne_oracle``.
 """
 
 from __future__ import annotations
@@ -36,16 +39,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cechlift import abelian, fixtures, kernels
-from cechlift.abelian import CIRCLE, QQ, FgAbelianGroup
+from cechlift.abelian import CIRCLE, QQ, CircleElement, FgAbelianGroup
 from cechlift.cochains import (
     Cochain,
     coboundary,
     cohomology_classes,
+    cup,
     is_coboundary,
     verify_good_cover,
 )
-from cechlift.complexes import nerve, product_complex, product_cover, star_cover, validate_complex
-from cechlift.deligne import _solve_local_d
+from cechlift.complexes import (
+    Chain,
+    SimplicialComplex,
+    downward_closure,
+    nerve,
+    product_complex,
+    product_cover,
+    star_cover,
+    validate_complex,
+)
+from cechlift.deligne import (
+    DelignePackage,
+    DoubleCochain,
+    _min_piece_assignment,
+    _solve_local_d,
+    add_global_datum,
+    cech_delta,
+    cech_homotopy,
+    descent_chain,
+    form_d,
+    holonomy,
+    holonomy_trivialization,
+    pair,
+    restrict_package,
+)
 from cechlift.errors import NotACocycle
 from cechlift.tower import TransitionCocycle, giraud_obstruction, obstruction_class
 
@@ -57,6 +84,7 @@ from conftest import (
     random_cochain,
 )
 import cochain_oracle
+import deligne_oracle
 import snf_oracle
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -562,3 +590,117 @@ def test_a_collapse_certificate_proves_acyclicity_and_solves_exactly(w, seed, sh
         rhs = coboundary(Cochain(w, q, QQ, x)).values
         v = _solve_local_d(w, q, rhs, random.Random(seed) if shuffled else None)
         assert coboundary(Cochain(w, q, QQ, v)).values == rhs, q
+
+
+# ---------------------------------------------------------------------------
+# the Deligne double complex on numerators against the Fraction oracle
+# ---------------------------------------------------------------------------
+
+def _torus_loop(torus):
+    """The hexagon x {0} inside the torus fixture, with its oriented cycle."""
+    edges = [(a * 6, b * 6) for a, b in fixtures.hexagon().simplices_of_dim(1)]
+    v = SimplicialComplex(torus.vertex_count, downward_closure(edges))
+    signs = {e: 1 for e in edges}
+    signs[(0, 30)] = -1
+    return v, Chain(v, 1, signs)
+
+
+def _deligne_cases():
+    """(cover, nerve, degree, integral generator cocycles, v, z) per fixture.
+
+    The three-arc circle cover, the torus product cover in degrees 1 and
+    2, and the RP^2 dual-block cover in degree 2, where every circle
+    2-cocycle is a coboundary and the trivialization runs on the whole
+    base with no cycle to pair with.
+    """
+    circle = fixtures.three_arc_cover()
+    circle_nerve = nerve(circle)
+    torus, torus_cover = fixtures.torus_product()
+    torus_nerve = nerve(torus_cover)
+    x, y = fixtures.torus_nerve_generators(torus_nerve)
+    rp2, rp2_nerve = fixtures.rp2_good_cover()
+
+    def ints(c):
+        return {s: v.coords[0] for s, v in c.values.items()}
+
+    loop, loop_cycle = _torus_loop(torus)
+    return {
+        "circle": (circle, circle_nerve, 1, [{(0, 1): 1}], circle.base, fixtures.hexagon_cycle()),
+        "torus-1": (torus_cover, torus_nerve, 1, [ints(x), ints(y)], loop, loop_cycle),
+        "torus-2": (torus_cover, torus_nerve, 2, [ints(cup(x, y))], torus, fixtures.torus_cycle(torus)),
+        "rp2-2": (rp2, rp2_nerve, 2, [], rp2.base, None),
+    }
+
+
+DELIGNE_CASES = _deligne_cases()
+
+
+def _random_package(case, seed):
+    """A descent package of sum t_i g_i + delta eta, all denominators in 2..30,
+    and a second one moved by a global datum of prime denominator > 30
+    (so coprime to them) and, in degree 1, made non-flat by a global 1-form."""
+    cover, nrv, d, gens, _, _ = case
+    rng = random.Random(seed)
+
+    def fraction():
+        den = rng.randint(2, 30)
+        return Fraction(rng.randrange(den), den)
+
+    terms = [(fraction(), g) for g in gens]
+    values = {s: sum((t * g.get(s, 0) for t, g in terms), Fraction(0)) for s in nrv.simplices_of_dim(d)}
+    eta = {s: fraction() for s in nrv.simplices_of_dim(d - 1) if rng.random() < 0.6}
+    eta = Cochain(nrv, d - 1, CIRCLE, eta)
+    c = Cochain(nrv, d, CIRCLE, values) + coboundary(eta)
+    pkg = descent_chain(c, cover, nrv)
+    prime = rng.choice([31, 37, 41, 43])
+    base = cover.base
+    f = Cochain(base, d - 1, QQ, {
+        s: Fraction(rng.randint(-5, 5), prime) for s in base.simplices_of_dim(d - 1) if rng.random() < 0.5
+    })
+    moved = add_global_datum(pkg, f)
+    if d == 1:
+        a = {s: Fraction(rng.randint(-3, 3), prime) for s in base.simplices_of_dim(1) if rng.random() < 0.5}
+        local = {(i,): {s: a[s] for s in p.simplices_of_dim(1) if s in a} for i, p in enumerate(cover.pieces)}
+        layer = moved.layers[0] + DoubleCochain(cover, nrv, 0, 1, local)
+        moved = DelignePackage(cover, nrv, 1, c, {0: layer})
+        moved.validate()
+    return c, pkg, moved
+
+
+def _all_fractions(*doubles):
+    return all(type(v) is Fraction for x in doubles for loc in x.values.values() for v in loc.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(DELIGNE_CASES)), st.integers(0, 2**32 - 1))
+def test_deligne_numerators_equal_the_fraction_oracle(name, seed):
+    """Layers, potentials, residual, global form and holonomy computed on
+    numerators over one denominator equal those of Fraction arithmetic,
+    for the default and a shuffled solve."""
+    case = DELIGNE_CASES[name]
+    cover, nrv, d, _, v, z = case
+    c, pkg, moved = _random_package(case, seed)
+    want = deligne_oracle.descent_chain(c, cover, nrv)
+    assert pkg.layers == want.layers and list(pkg.layers) == list(want.layers)
+    assert _all_fractions(*pkg.layers.values())
+    layer = moved.layers[d - 1]
+    assert cech_delta(layer) == deligne_oracle.cech_delta(layer)
+    assert form_d(layer) == deligne_oracle.form_d(layer)
+    assign = _min_piece_assignment(cover, random.Random(seed))
+    bottom = form_d(moved.layers[0])
+    assert cech_homotopy(bottom, assign) == deligne_oracle.cech_homotopy(bottom, assign)
+    for p in (pkg, moved):
+        restricted = restrict_package(p, v)
+        for shuffled in (False, True):
+            def shuffle():
+                return random.Random(seed) if shuffled else None
+
+            got = holonomy_trivialization(restricted, shuffle())
+            ref = deligne_oracle.holonomy_trivialization(restricted, shuffle())
+            assert got.potentials == ref.potentials
+            assert got.residual == ref.residual
+            assert got.global_form == ref.global_form
+            assert _all_fractions(got.residual, *got.potentials.values())
+            assert got.verify() and deligne_oracle.verify(got)
+            if z is not None:
+                assert holonomy(p, v, z, shuffle()) == CircleElement(pair(ref.global_form, z))

@@ -20,7 +20,6 @@ from .abelian import (
     RationalGroup,
     ShortExactSequence,
     cohomology_of,
-    smith_normal_form,
 )
 from .cochains import (
     Cochain,

@@ -32,44 +32,12 @@ SNF_VERIFY = ContextVar("cechlift_snf_verify", default=False)
 
 
 # ---------------------------------------------------------------------------
-# integer matrices (lists of lists) and their Smith factorizations
+# integer matrices and their Smith factorizations
 # ---------------------------------------------------------------------------
 
 def mat_vec(a, x):
     nz = [(k, xk) for k, xk in enumerate(x) if xk]
     return [sum(row[k] * xk for k, xk in nz) for row in a]
-
-
-def snf_full(mat):
-    """The ``kernels.Factorization`` U @ mat @ V = S, optionally re-verified."""
-    fac = kernels.snf_with_transforms(mat)
-    if SNF_VERIFY.get():
-        if fac.product(mat) != {(i, i): d for i, d in enumerate(fac.diag)}:
-            raise AssertionError("SNF product check failed")
-        if not fac.is_unimodular():
-            raise AssertionError("SNF transform not unimodular")
-    return fac
-
-
-def smith_normal_form(mat):
-    """Smith normal form of an integer matrix.
-
-    Returns (U, S, V) with U @ mat @ V = S, S diagonal non-negative with
-    S[0][0] | S[1][1] | ..., and U, V unimodular, as lists of lists built
-    from the factorization's logs.
-    """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    fac = snf_full(mat)
-
-    def matrix(apply, size):
-        cols = [apply([int(i == j) for i in range(size)]) for j in range(size)]
-        return [[col[i] for col in cols] for i in range(size)]
-
-    s = [[0] * n for _ in range(m)]
-    for i, d in enumerate(fac.diag):
-        s[i][i] = d
-    return matrix(fac.u_times, m), s, matrix(fac.v_times, n)
 
 
 def _back_substitute(fac, b, ring):
@@ -118,20 +86,28 @@ def _back_substitute(fac, b, ring):
     return [Fraction(xi, den) for xi in x] if rational else x
 
 
-def factor(mat, ncols):
-    """The Smith factorization of mat (a ``kernels.Factorization``).
+def factor(rows, ncols):
+    """The ``kernels.Factorization`` U @ M @ V = S of an integer matrix M.
 
-    A matrix without rows gets identity transforms on its ``ncols``
-    columns.
+    M has ``ncols`` columns and one {column: value} dict of its nonzero
+    entries per row.  A matrix without entries gets identity transforms.
+    While ``SNF_VERIFY`` is set, the factorization is re-checked.
     """
-    if not mat:
-        return kernels.Factorization.identity(0, ncols)
-    return snf_full(mat)
+    if not any(rows):
+        return kernels.Factorization.identity(len(rows), ncols)
+    fac = kernels.snf_with_transforms(rows, ncols)
+    if SNF_VERIFY.get():
+        if fac.product(rows) != {(i, i): d for i, d in enumerate(fac.diag)}:
+            raise AssertionError("SNF product check failed")
+        if not fac.is_unimodular():
+            raise AssertionError("SNF transform not unimodular")
+    return fac
 
 
-def solve(mat, b, ring, ncols=None):
-    """A particular solution x of mat @ x = b over Z, Z/m, Q or Q/Z, or None.
+def solve(rows, b, ring, ncols):
+    """A particular solution x of M x = b over Z, Z/m, Q or Q/Z, or None.
 
+    M has ``ncols`` columns and one {column: value} row per entry of b.
     ``ring`` is "Z" (integer x), an integer m > 1 (x in [0, m), equations
     taken mod m), "Q" (rational x) or "Q/Z" (rational x with the equations
     taken mod 1, entries reduced into [0, 1)).  The representative is the
@@ -140,8 +116,7 @@ def solve(mat, b, ring, ncols=None):
     """
     if ring not in ("Z", "Q", "Q/Z") and not (type(ring) is int and ring > 1):
         raise ValueError(f"unknown ring {ring!r}; expected 'Z', 'Q', 'Q/Z' or an int m > 1")
-    n = ncols if ncols is not None else (len(mat[0]) if mat else 0)
-    return _back_substitute(factor(mat, n), b, ring)
+    return _back_substitute(factor(rows, ncols), b, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -256,22 +231,25 @@ class GroupElement:
         if self.group != other.group:
             raise GroupMismatch("elements of different groups")
 
+    def _reduced(self, coords):
+        """The element with these int coords, reduced mod each modulus."""
+        return GroupElement._trusted(
+            self.group, tuple(c % m if m else c for c, m in zip(coords, self.group.moduli))
+        )
+
     def __add__(self, other):
         self._check(other)
-        return GroupElement(
-            self.group, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        return self._reduced(a + b for a, b in zip(self.coords, other.coords))
 
     def __sub__(self, other):
         self._check(other)
-        return GroupElement(
-            self.group, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
+        return self._reduced(a - b for a, b in zip(self.coords, other.coords))
 
     def __neg__(self):
-        return GroupElement(self.group, tuple(-a for a in self.coords))
+        return self._reduced(-a for a in self.coords)
 
     def __mul__(self, k):
+        # the validating constructor: index() refuses a Fraction or float k
         return GroupElement(self.group, tuple(k * a for a in self.coords))
 
     __rmul__ = __mul__
@@ -424,16 +402,18 @@ class Presentation:
 
 def presentation_from_relations(n, relation_cols):
     """Factor the lattice spanned by the given columns of Z^n, once."""
-    return _presentation([[col[i] for col in relation_cols] for i in range(n)])
+    rows = [{} for _ in range(n)]
+    for j, col in enumerate(relation_cols):
+        for i, x in enumerate(col):
+            if x:
+                rows[i][j] = x
+    return _presentation(rows, len(relation_cols))
 
 
-def _presentation(rel):
-    """Factor the lattice spanned by the columns of the matrix rel, once."""
-    n = len(rel)
-    if not (rel and rel[0]):
-        return _canonical_presentation([0] * n)
-    fac = snf_full(rel)
-    return Presentation(fac.diag + [0] * (n - len(fac.diag)), fac)
+def _presentation(rows, ncols):
+    """Factor the lattice spanned by the columns of the matrix, once."""
+    fac = factor(rows, ncols)
+    return Presentation(fac.diag + [0] * (len(rows) - len(fac.diag)), fac)
 
 
 def _canonical_presentation(orders):
@@ -448,7 +428,7 @@ def _canonical_presentation(orders):
     kept.sort(key=lambda i: (not orders[i], orders[i]))
     if _is_invariant_chain([orders[i] for i in kept]):
         return Presentation(list(orders), kernels.Factorization.identity(n, n), kept)
-    return _presentation([[o if i == j else 0 for j in range(n)] for i, o in enumerate(orders)])
+    return _presentation([{i: o} if o else {} for i, o in enumerate(orders)], n)
 
 
 def canonical_group(raw_moduli):
@@ -525,9 +505,13 @@ class Homomorphism:
         factorization gives the kernel (V past the rank), surjectivity (a
         full diagonal of units) and preimages (back-substitution).
         """
-        extra = _relation_lattice(self.codomain.moduli)
-        aug = [list(row) + [g[i] for g in extra] for i, row in enumerate(self.matrix)]
-        return factor(aug, self.domain.rank + len(extra))
+        n = self.domain.rank
+        aug = [{j: x for j, x in enumerate(row) if x} for row in self.matrix]
+        for i, m in enumerate(self.codomain.moduli):
+            if m:
+                aug[i][n] = m
+                n += 1
+        return factor(aug, n)
 
     def kernel_lattice(self):
         """Generators of {x in Z^dom : M x in relation lattice of codomain}."""
@@ -659,13 +643,15 @@ class CohomologyData:
         return out
 
 
-def cohomology_with_coords(d_prev, factored_next, coefficients):
+def cohomology_with_coords(d_prev, factored_next, coefficients, prev_dim):
     """ker(d_next)/im(d_prev) over an fg coefficient group, with coords.
 
     ``factored_next`` is ``factor(d_next, dim)``, with dim the rank of the
-    middle term (the matrices may be empty).  Raises NotAComplex when the
+    middle term; ``d_prev`` has dim {column: value} rows and ``prev_dim``
+    columns (the matrices may be empty).  Raises NotAComplex when the
     composite differential is nonzero over Z.  V^-1 @ d_prev is one
-    replay of the column log over the sparse rows of d_prev.
+    replay of the column log over the rows of d_prev, and its rows past
+    the pivots are the relations R, factored as they are.
     """
     if not isinstance(coefficients, FgAbelianGroup):
         raise ValueError("constant coefficients must be an FgAbelianGroup")
@@ -674,14 +660,7 @@ def cohomology_with_coords(d_prev, factored_next, coefficients):
     rows = factored_next.vinv_matrix(d_prev)
     if any(rows[:r]):
         raise NotAComplex("d_next o d_prev is nonzero")
-    ncols = len(d_prev[0]) if d_prev else 0
-    rel = []
-    for row in rows[r:]:
-        dense = [0] * ncols
-        for j, x in row.items():
-            dense[j] = x
-        rel.append(dense)
-    tail = _presentation(rel)
+    tail = _presentation(rows[r:], prev_dim)
     orders = [
         [gcd(t, m) for t in tail.diag] + [gcd(s, m) if m else 1 for s in diag]
         for m in coefficients.moduli
@@ -690,12 +669,11 @@ def cohomology_with_coords(d_prev, factored_next, coefficients):
     return CohomologyData(combine.group, coefficients, factored_next, tail, orders, combine)
 
 
-def cohomology_of(d_prev, d_next, coefficients, dim=None):
+def cohomology_of(d_prev, d_next, coefficients, prev_dim, dim):
     """The cohomology group ker(d_next)/im(d_prev) with G coefficients.
 
-    Matrices act componentwise on G-valued vectors; the result is in
-    invariant-factor form.
+    The matrices are {column: value} rows, with ``prev_dim`` and ``dim``
+    columns.  They act componentwise on G-valued vectors; the result is
+    in invariant-factor form.
     """
-    if dim is None:
-        dim = len(d_next[0]) if d_next else (len(d_prev) if d_prev else 0)
-    return cohomology_with_coords(d_prev, factor(d_next, dim), coefficients).group
+    return cohomology_with_coords(d_prev, factor(d_next, dim), coefficients, prev_dim).group

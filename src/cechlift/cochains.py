@@ -329,9 +329,11 @@ def cohomology_classes(carrier, coefficients, p):
     class coordinates in the invariant-factor presentation."""
     if p < 0:
         raise DegreeMismatch("negative degree")
-    dim = len(carrier.simplices_of_dim(p))
-    d_prev = carrier.coboundary_matrix(p - 1) if p > 0 else [[] for _ in range(dim)]
-    data = abelian.cohomology_with_coords(d_prev, carrier.factored_coboundary(p), coefficients)
+    d_prev = carrier.coboundary_matrix(p - 1)
+    prev_dim = len(carrier.simplices_of_dim(p - 1))
+    data = abelian.cohomology_with_coords(
+        d_prev, carrier.factored_coboundary(p), coefficients, prev_dim
+    )
     return CohomologyClasses(carrier, p, coefficients, data)
 
 

@@ -153,17 +153,18 @@ class SimplicialComplex:
         return self.simplices <= other.simplices and self.vertex_count == other.vertex_count
 
     def coboundary_matrix(self, p):
-        """Rows = (p+1)-simplices, columns = p-simplices, entries (-1)^j."""
-        rows = self.simplices_of_dim(p + 1)
-        cols = self.simplices_of_dim(p)
-        index = {s: i for i, s in enumerate(cols)}
-        mat = [[0] * len(cols) for _ in rows]
-        for ridx, s in enumerate(rows):
-            for j in range(len(s)):
-                face = s[:j] + s[j + 1 :]
-                if face:
-                    mat[ridx][index[face]] += (-1) ** j
-        return mat
+        """Rows = (p+1)-simplices, columns = p-simplices, entries (-1)^j.
+
+        One {column: +-1} dict per row, over the p + 2 faces of its
+        simplex; the matrix has ``len(simplices_of_dim(p))`` columns.
+        """
+        if p < 0:
+            return [{} for _ in self.simplices_of_dim(p + 1)]
+        index = {s: i for i, s in enumerate(self.simplices_of_dim(p))}
+        return [
+            {index[s[:j] + s[j + 1 :]]: -1 if j % 2 else 1 for j in range(len(s))}
+            for s in self.simplices_of_dim(p + 1)
+        ]
 
     def factored_coboundary(self, p):
         """The Smith factorization (``abelian.factor``) of coboundary_matrix(p).

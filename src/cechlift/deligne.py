@@ -716,9 +716,11 @@ def _smith_solve_local_d(inter, q, rhs_local, shuffle=None):
     """
     simps = inter.simplices_of_dim(q)
     order = list(range(len(simps)))
+    mat = inter.coboundary_matrix(q)
     if shuffle is not None:
         shuffle.shuffle(order)
-    mat = [[row[k] for k in order] for row in inter.coboundary_matrix(q)]
+        at = {k: p for p, k in enumerate(order)}
+        mat = [{at[k]: x for k, x in row.items()} for row in mat]
     b = [rhs_local.get(s, 0) for s in inter.simplices_of_dim(q + 1)]
     sol = abelian.solve(mat, b, "Q", ncols=len(simps))
     if sol is None:

@@ -12,7 +12,9 @@ does not divide the rest of the submatrix, the first row (in row-major
 order) holding an entry it does not divide is added to the pivot row and
 the step repeats.  A negative pivot has its row negated.
 
-The elimination runs on sparse rows (one dict per row, with a column ->
+A matrix is given as its number of columns and one {column: value}
+dict of the nonzero entries per row, the one integer matrix form of the
+library.  The elimination runs on copies of these rows (with a column ->
 rows index) and keeps no transform matrix.  It records the operations
 instead: a row log and a column log of adds, two-by-two combines of
 determinant 1 and (rows only) negations, each of determinant +-1, on
@@ -142,22 +144,23 @@ class Factorization:
                 x[j] = c11 * b - c12 * a
         return [x[j] for j in self.col_at]
 
-    def vinv_matrix(self, mat):
-        """V^-1 @ mat, for a matrix with one row per column of M; its rows
-        in positions, as {column: value} dicts of the nonzeros.
+    def vinv_matrix(self, rows):
+        """V^-1 @ mat, for a matrix with one {column: value} row per column
+        of M; its rows in positions, in the same form.
 
         One forward pass over the column log, each operation applied to
         whole sparse rows, so the cost follows the log and the nonzeros
         rather than the number of columns of mat.
         """
-        rows = [{j: x for j, x in enumerate(r) if x} for r in mat]
+        rows = [dict(r) for r in rows]
         _replay(rows, map(_inverse_on_rows, self._cols))
         return [rows[j] for j in self.col_at]
 
-    def product(self, mat):
-        """U @ mat @ V by replaying both logs on mat's sparse rows, as
-        {(row position, column position): value} over the nonzeros."""
-        rows = [{j: x for j, x in enumerate(r) if x} for r in mat]
+    def product(self, rows):
+        """U @ mat @ V by replaying both logs on a copy of mat's
+        {column: value} rows, as {(row position, column position): value}
+        over the nonzeros."""
+        rows = [dict(r) for r in rows]
         _replay(rows, self._rows)
         cols = [{} for _ in self.col_at]
         for p, i in enumerate(self.row_at):
@@ -223,16 +226,16 @@ def _replay(rows, log):
             rows[i], rows[j] = _combine_rows(rows[i], rows[j], c11, c12, c21, c22)
 
 
-def snf_with_transforms(mat):
+def snf_with_transforms(rows, ncols):
     """Diagonalize an integer matrix by logged unimodular operations.
 
-    ``mat`` is a list of rows, read once for its nonzeros.  Returns the
-    ``Factorization`` U @ mat @ V = S, S diagonal with non-negative
+    The matrix has ``ncols`` columns and one {column: value} dict of its
+    nonzero entries per row; the rows are copied, never changed.  Returns
+    the ``Factorization`` U @ mat @ V = S, S diagonal with non-negative
     entries in a divisibility chain S[0][0] | S[1][1] | ....
     """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    a = [{j: int(x) for j, x in enumerate(row) if x} for row in mat]
+    m, n = len(rows), ncols
+    a = [dict(row) for row in rows]
     where = [set() for _ in range(n)]  # column label -> row labels with an entry
     for i, row in enumerate(a):
         for j in row:

@@ -28,6 +28,7 @@ from cechlift.complexes import (
     validate_complex,
 )
 from cechlift.tower import FiniteGroup
+from snf_oracle import dense
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +73,11 @@ def run_cli(args, cwd, timeout=None):
 # ---------------------------------------------------------------------------
 # independent linear-algebra oracles
 # ---------------------------------------------------------------------------
+
+def dense_coboundary(k, p):
+    """coboundary_matrix(p) of the complex k as a list of lists."""
+    return dense(k.coboundary_matrix(p), len(k.simplices_of_dim(p)))
+
 
 def oracle_invariant_factors(mat):
     """Invariant factors by plain gcd reduction, no transforms.
@@ -181,28 +187,29 @@ def oracle_determinantal_divisors(mat):
     return divisors
 
 
-def oracle_augmented_solve(mat, b, m):
-    """x with mat @ x = b mod m, or None, from the augmented system [mat | m*I].
+def oracle_augmented_solve(rows, ncols, b, m):
+    """x with M x = b mod m, or None, from the augmented system [M | m*I].
 
-    Solves over Z for (x, k) with mat x + m k = b and keeps x: the route
-    the library took before Z/m was solved on the Smith diagonal.
+    M has ``ncols`` columns and the given {column: value} rows.  Solves
+    over Z for (x, k) with M x + m k = b and keeps x: the route the
+    library took before Z/m was solved on the Smith diagonal.
     """
-    rows = len(mat)
-    aug = [list(row) + [m if r == i else 0 for r in range(rows)] for i, row in enumerate(mat)]
-    sol = abelian.solve(aug, b, "Z")
-    return None if sol is None else sol[: len(mat[0])]
+    aug = [{**row, ncols + i: m} for i, row in enumerate(rows)]
+    sol = abelian.solve(aug, b, "Z", ncols + len(rows))
+    return None if sol is None else sol[:ncols]
 
 
-def oracle_fraction_back_substitute(mat, b, ring):
-    """x with mat @ x = b over "Q" or "Q/Z" (mod 1), or None, in Fractions.
+def oracle_fraction_back_substitute(rows, ncols, b, ring):
+    """x with M x = b over "Q" or "Q/Z" (mod 1), or None, in Fractions.
 
-    Back-substitutes through the library's factorization U mat V = S with
+    M has ``ncols`` columns and the given {column: value} rows.
+    Back-substitutes through the library's factorization U M V = S with
     every product taken on Fractions: t = U b must vanish past the rank
     (be integral over Q/Z), y_j = t_j / s_j with free coordinates zero,
     and x = V y, reduced mod 1 over Q/Z.  This is how the library solved
     over Q and Q/Z before it cleared denominators once.
     """
-    fac = abelian.factor(mat, len(mat[0]) if mat else 0)
+    fac = abelian.factor(rows, ncols)
     t = fac.u_times([Fraction(bi) for bi in b])
     r = len(fac.diag)
     if any(tj.denominator != 1 if ring == "Q/Z" else tj for tj in t[r:]):
@@ -258,7 +265,7 @@ def oracle_goodness_failures(cover, nerve_, max_degree=None):
         comps = w.connected_component_count()
         if comps != 1:
             failures.append((s, 0, FgAbelianGroup((0,) * (comps - 1))))
-        diags = [oracle_invariant_factors(w.coboundary_matrix(q)) for q in range(max_degree + 1)]
+        diags = [oracle_invariant_factors(dense_coboundary(w, q)) for q in range(max_degree + 1)]
         for q in range(1, max_degree + 1):
             free = len(w.simplices_of_dim(q)) - len(diags[q]) - len(diags[q - 1])
             h = FgAbelianGroup([d for d in diags[q - 1] if d > 1] + [0] * free)

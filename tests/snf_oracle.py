@@ -5,10 +5,25 @@ accumulates U, S, V, U^-1 and V^-1 as matrices, with the pivot, combine
 and repair rules of ``cechlift.kernels``; the library kernel must give
 the same five matrices bit for bit.  ``mat_mul``, ``det_int``,
 ``identity_matrix`` and ``transpose`` are the dense helpers the tests
-check products with.
+check products with.  The library takes a matrix as {column: value}
+rows and a column count: ``dense`` turns that form into a list of
+lists, ``sparse`` a list of lists into rows, and ``smith_normal_form``
+gives the dense U, S and V of the library's factorization.
 """
 
 from __future__ import annotations
+
+from cechlift import abelian
+
+
+def dense(rows, ncols):
+    """The list of lists of a matrix given as {column: value} rows."""
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+def sparse(mat):
+    """The {column: value} rows of the nonzero entries of a list of lists."""
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
 
 
 def identity_matrix(n):
@@ -76,6 +91,12 @@ def materialize(fac, m, n):
     )
 
 
+def smith_normal_form(rows, ncols):
+    """(U, S, V) with U @ mat @ V = S, as lists of lists, from the library's
+    factorization of the matrix with these {column: value} rows."""
+    return materialize(abelian.factor(rows, ncols), len(rows), ncols)[:3]
+
+
 def _xgcd(a, b):
     """(g, x, y) with g = gcd(a,b) >= 0 and x*a + y*b = g."""
     x, nx = 1, 0
@@ -91,8 +112,8 @@ def _xgcd(a, b):
     return g, x, y
 
 
-def snf_with_transforms(mat):
-    """Diagonalize an integer matrix by unimodular transformations.
+def snf_with_transforms(mat, n):
+    """Diagonalize an m x n integer matrix by unimodular transformations.
 
     Returns ``(U, S, V, Uinv, Vinv)`` as lists of lists with
     ``U @ mat @ V == S``, ``S`` diagonal with non-negative entries in a
@@ -100,7 +121,6 @@ def snf_with_transforms(mat):
     unimodular with their exact inverses accumulated alongside.
     """
     m = len(mat)
-    n = len(mat[0]) if m else 0
     a = [[int(x) for x in row] for row in mat]
     u = identity_matrix(m)
     uinv = identity_matrix(m)

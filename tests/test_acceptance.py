@@ -44,6 +44,7 @@ from cechlift.tower import (
 )
 
 from conftest import (
+    dense_coboundary,
     coboundary_transitions,
     free_circle_transitions,
     oracle_cohomology_group_Z,
@@ -129,8 +130,8 @@ def test_criterion_02_cohomology_fixtures(hexagon, circle_nerve, bd3, rp2, rp2_c
     # independent oracle (first-nonzero-pivot reduction, no transforms)
     def oracle_side(carrier, p):
         dim = len(carrier.simplices_of_dim(p))
-        d_prev = carrier.coboundary_matrix(p - 1) if p else [[] for _ in range(dim)]
-        return oracle_cohomology_group_Z(d_prev, carrier.coboundary_matrix(p), dim)
+        d_prev, d_next = dense_coboundary(carrier, p - 1), dense_coboundary(carrier, p)
+        return oracle_cohomology_group_Z(d_prev, d_next, dim)
 
     checks.append(("oracle H1(S1)", oracle_side(hexagon, 1).moduli == (0,)))
     checks.append(("oracle H1(S2)", oracle_side(bd3, 1).moduli == ()))
@@ -141,8 +142,8 @@ def test_criterion_02_cohomology_fixtures(hexagon, circle_nerve, bd3, rp2, rp2_c
 
     def oracle_mod2_order(carrier, p):
         dim = len(carrier.simplices_of_dim(p))
-        d_prev = carrier.coboundary_matrix(p - 1) if p else [[] for _ in range(dim)]
-        return oracle_cohomology_order_mod(d_prev, carrier.coboundary_matrix(p), 2, dim)
+        d_prev, d_next = dense_coboundary(carrier, p - 1), dense_coboundary(carrier, p)
+        return oracle_cohomology_order_mod(d_prev, d_next, 2, dim)
 
     checks.append(("oracle H1(RP2;Z/2)", oracle_mod2_order(rp2, 1) == 2))
     checks.append(("oracle H2(RP2;Z/2)", oracle_mod2_order(rp2, 2) == 2))

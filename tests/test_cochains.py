@@ -23,7 +23,14 @@ from cechlift.complexes import Cover, nerve, star_cover, validate_complex
 from cechlift.deligne import _solve_local_d
 from cechlift.errors import CoverNotGoodOnV, NoProduct, NotACocycle
 
-from conftest import dunce_hat, random_complex, random_cover, random_cochain, random_fg_group
+from conftest import (
+    dense_coboundary,
+    dunce_hat,
+    random_complex,
+    random_cover,
+    random_cochain,
+    random_fg_group,
+)
 import cochain_oracle
 
 Z = FgAbelianGroup((0,))
@@ -183,7 +190,7 @@ class TestCechCohomology:
 
         k = fixtures.barycentric_subdivision(fixtures.torus_product()[0])[0]
         assert k.vertex_count == 216
-        d_prev, d_next = k.coboundary_matrix(0), k.coboundary_matrix(1)
+        d_prev, d_next = dense_coboundary(k, 0), dense_coboundary(k, 1)
         dim = len(k.simplices_of_dim(1))
         classes = cohomology_classes(k, Z, 1)
         assert classes.group.moduli == (0, 0)
@@ -214,7 +221,7 @@ class TestCechCohomology:
             dim = len(rp2.simplices_of_dim(p))
             assert (
                 oracle_cohomology_order_mod(
-                    rp2.coboundary_matrix(p - 1), rp2.coboundary_matrix(p), 6, dim
+                    dense_coboundary(rp2, p - 1), dense_coboundary(rp2, p), 6, dim
                 )
                 == 2
             )

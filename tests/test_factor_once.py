@@ -33,6 +33,8 @@ from cechlift.deligne import (
 from cechlift.errors import CoverNotGoodOnV, NotACocycle
 
 from conftest import dunce_hat, random_cochain
+from snf_oracle import sparse
+from test_golden import CLI_CASES, FIXTURE_SETS
 
 
 @pytest.fixture
@@ -41,14 +43,15 @@ def torus36():
     return product_complex(hexagon, hexagon)[0]
 
 
-def _record_calls(monkeypatch, module, name, note=lambda first: first):
-    """Note the first argument of every call of ``module.name``, in order."""
+def _record_calls(monkeypatch, module, name, note=lambda first, *rest: first):
+    """Note the arguments of every call of ``module.name``, in order (by
+    default the first)."""
     calls = []
     real = getattr(module, name)
 
-    def recording(first, *rest):
-        calls.append(note(first))
-        return real(first, *rest)
+    def recording(*args):
+        calls.append(note(*args))
+        return real(*args)
 
     monkeypatch.setattr(module, name, recording)
     return calls
@@ -58,15 +61,15 @@ def _record_calls(monkeypatch, module, name, note=lambda first: first):
 def snf_calls(monkeypatch):
     """The shape of every matrix the Smith kernel factors."""
     return _record_calls(
-        monkeypatch, kernels, "snf_with_transforms", lambda mat: (len(mat), len(mat[0]) if mat else 0)
+        monkeypatch, kernels, "snf_with_transforms", lambda rows, ncols: (len(rows), ncols)
     )
 
 
 @pytest.fixture
 def snf_inputs(monkeypatch):
-    """Every matrix the Smith kernel factors, as a tuple of row tuples."""
+    """The rows of every matrix the Smith kernel factors, as it gets them."""
     return _record_calls(
-        monkeypatch, kernels, "snf_with_transforms", lambda mat: tuple(map(tuple, mat))
+        monkeypatch, kernels, "snf_with_transforms", lambda rows, ncols: list(rows)
     )
 
 
@@ -282,7 +285,7 @@ def test_second_query_on_a_carrier_refactors_no_coboundary(snf_inputs, query):
             return is_coboundary(x).values
         return [g.values for g in cohomology_classes(nrv, group, 1).generators()]
 
-    deltas = {tuple(map(tuple, nrv.coboundary_matrix(p))) for p in (0, 1)}
+    deltas = [nrv.coboundary_matrix(p) for p in (0, 1)]
     first = run()
     assert sum(m in deltas for m in snf_inputs) == 1
     del snf_inputs[:]
@@ -370,6 +373,23 @@ def test_cli_example_smith_budget(fixture_dir, snf_calls, capsys, argv, budget):
     assert len(snf_calls) <= budget, snf_calls
 
 
+def test_no_dense_matrix_reaches_the_kernel(tmp_path, monkeypatch, snf_inputs, capsys):
+    """Every README example, run in process, and the exact sequences above
+    (maps with zero entries among them) hand the Smith kernel only
+    {column: value} rows of nonzero entries."""
+    monkeypatch.chdir(tmp_path)
+    for name in FIXTURE_SETS:
+        assert cli.main(["fixtures", name]) == 0
+    for case, args, artifact in CLI_CASES:
+        assert cli.main([*args, "--out", artifact]) == 0, case
+    capsys.readouterr()
+    for a, b, c, inject, project in _sequence_data().values():
+        ShortExactSequence(a, b, c, Homomorphism(a, b, inject), Homomorphism(b, c, project))
+    assert snf_inputs
+    for rows in snf_inputs:
+        assert all(type(row) is dict and all(row.values()) for row in rows), rows
+
+
 def _oracle_solve_mod1(mat, b, denominators):
     """Brute force over y in (1/D)Z / Z: some rational y with mat y = b mod 1."""
     ncols = len(mat[0])
@@ -397,9 +417,10 @@ class TestOneBackSubstitution:
         for _ in range(60):
             m, n = rng.randint(1, 3), rng.randint(1, 3)
             mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+            rows = sparse(mat)
             b_int = [rng.randint(-4, 4) for _ in range(m)]
             b_q = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)]
-            x = abelian.solve(mat, b_int, "Z")
+            x = abelian.solve(rows, b_int, "Z", n)
             if x is not None:
                 assert abelian.mat_vec(mat, x) == b_int
                 assert all(isinstance(v, int) for v in x)
@@ -409,12 +430,12 @@ class TestOneBackSubstitution:
                 assert not any(
                     abelian.mat_vec(mat, list(c)) == b_int for c in _box(box, n)
                 )
-            y = abelian.solve(mat, b_q, "Q")
+            y = abelian.solve(rows, b_q, "Q", n)
             if y is not None:
                 assert abelian.mat_vec(mat, y) == b_q
             # an integer solution is rational, a rational one solves mod 1
-            assert x is None or abelian.solve(mat, b_int, "Q") is not None
-            w = abelian.solve(mat, b_q, "Q/Z")
+            assert x is None or abelian.solve(rows, b_int, "Q", n) is not None
+            w = abelian.solve(rows, b_q, "Q/Z", n)
             assert y is None or w is not None
             if w is not None:
                 assert all(0 <= v < 1 for v in w)
@@ -428,12 +449,12 @@ class TestOneBackSubstitution:
 
     def test_unknown_ring_is_refused(self):
         with pytest.raises(ValueError, match="unknown ring"):
-            abelian.solve([[1]], [1], "Z/2")
+            abelian.solve([{0: 1}], [1], "Z/2", 1)
 
     def test_rational_rank_deficient(self):
-        assert abelian.solve([[2, 4]], [Fraction(1)], "Q") is not None
-        assert abelian.solve([[1], [1]], [Fraction(1), Fraction(2)], "Q") is None
-        assert abelian.solve([[2]], [Fraction(1)], "Z") is None
+        assert abelian.solve([{0: 2, 1: 4}], [Fraction(1)], "Q", 2) is not None
+        assert abelian.solve([{0: 1}, {0: 1}], [Fraction(1), Fraction(2)], "Q", 1) is None
+        assert abelian.solve([{0: 2}], [Fraction(1)], "Z", 1) is None
 
 
 def test_lattice_coordinates_and_quotient_share_one_factorization(snf_calls):

@@ -600,8 +600,8 @@ def test_verify_full_checks_only_during_its_command(tmp_path, monkeypatch):
 
     real = kernels.snf_with_transforms
 
-    def corrupted(mat):
-        fac = real(mat)
+    def corrupted(rows, ncols):
+        fac = real(rows, ncols)
         if fac.diag:
             fac.diag = [fac.diag[0] + 1, *fac.diag[1:]]
         return fac
@@ -612,11 +612,11 @@ def test_verify_full_checks_only_during_its_command(tmp_path, monkeypatch):
     argv = [str(tmp_path / "rp2.cplx"), str(tmp_path / "z2.grp"), "-p", "2"]
     with pytest.raises(AssertionError, match="SNF product check failed"):
         cli.main(["cohomology", *argv, "--verify", "full"])
-    assert abelian.snf_full([[2, 1], [0, 3]]).diag[0] == 2  # unchecked again
+    assert abelian.factor([{0: 2, 1: 1}, {1: 3}], 2).diag[0] == 2  # unchecked again
     with pytest.raises(AssertionError, match="SNF product check failed"):
         token = abelian.SNF_VERIFY.set(True)
         try:
-            abelian.snf_full([[2, 1], [0, 3]])
+            abelian.factor([{0: 2, 1: 1}, {1: 3}], 2)
         finally:
             abelian.SNF_VERIFY.reset(token)
 

@@ -12,7 +12,8 @@ The Smith kernel is checked against the Euler characteristic, which
 counts simplices, and against barycentric subdivision, which factors
 other matrices for the same groups; the transforms replayed from its
 log equal those of the dense kernel in ``snf_oracle`` bit for bit, on
-random integer matrices and on coboundary matrices; the subdivision and the dual block
+random integer matrices and on coboundary matrices, whose sparse rows
+equal the face incidence term by term; the subdivision and the dual block
 cover against a brute-force enumeration of face-poset chains.  Giraud obstructions of random transition cocycles on
 the shipped nerves obey the cocycle law, and their classes do not depend
 on the section of the extension.  A collapse certificate of a cover
@@ -77,6 +78,7 @@ from cechlift.errors import NotACocycle
 from cechlift.tower import TransitionCocycle, giraud_obstruction, obstruction_class
 
 from conftest import (
+    dense_coboundary,
     oracle_augmented_solve,
     oracle_invariant_factors,
     oracle_fraction_back_substitute,
@@ -86,6 +88,7 @@ from conftest import (
 import cochain_oracle
 import deligne_oracle
 import snf_oracle
+from snf_oracle import dense, sparse
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -230,46 +233,65 @@ def test_cohomology_is_invariant_under_subdivision(k, m):
 
 @st.composite
 def integer_matrices(draw):
-    """Entries in -6..6 times a scale, so that pivots need not be units,
-    with some rows and columns zeroed; 0 x n is the empty list and n x 0
-    a list of empty rows."""
+    """(rows, ncols): entries in -6..6 times a scale, so that pivots need
+    not be units, with some rows and columns zeroed; 0 x n has no rows
+    and n x 0 has n empty rows."""
     rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     scale = draw(st.sampled_from([1, 1, 2, 3, 4, 6]))
     zero_rows = draw(st.sets(st.integers(0, 5), max_size=2))
     zero_cols = draw(st.sets(st.integers(0, 5), max_size=2))
-    return [
+    mat = [
         [0 if i in zero_rows or j in zero_cols else scale * draw(st.integers(-6, 6)) for j in range(cols)]
         for i in range(rows)
     ]
+    return sparse(mat), cols
 
 
-def _agrees_with_the_dense_oracle(mat):
-    """U, S, V, U^-1 and V^-1 replayed from the log equal the dense
-    kernel's bit for bit; the verify replay gives S and V^-1 of a whole
-    matrix replayed on rows equals the dense product."""
-    m, n = len(mat), len(mat[0]) if mat else 0
-    fac = kernels.snf_with_transforms(mat)
-    dense = snf_oracle.snf_with_transforms(mat)
-    assert snf_oracle.materialize(fac, m, n) == dense
-    assert fac.product(mat) == {(i, i): d for i, d in enumerate(fac.diag)}
+def _agrees_with_the_dense_oracle(rows, n):
+    """The library kernel on the {column: value} rows and the dense kernel
+    on their list of lists agree: U, S, V, U^-1 and V^-1 replayed from the
+    log equal the dense kernel's bit for bit; the verify replay gives S and
+    V^-1 of a whole matrix replayed on rows equals the dense product."""
+    m, mat = len(rows), dense(rows, n)
+    fac = kernels.snf_with_transforms(rows, n)
+    oracle = snf_oracle.snf_with_transforms(mat, n)
+    assert snf_oracle.materialize(fac, m, n) == oracle
+    assert fac.product(rows) == {(i, i): d for i, d in enumerate(fac.diag)}
     assert fac.is_unimodular()
     d = snf_oracle.transpose(mat, n)
-    assert [[row.get(j, 0) for j in range(m)] for row in fac.vinv_matrix(d)] == snf_oracle.mat_mul(
-        dense[4], d
-    )
+    assert dense(fac.vinv_matrix(sparse(d)), m) == snf_oracle.mat_mul(oracle[4], d)
 
 
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices())
-def test_logged_kernel_matches_the_dense_oracle(mat):
-    _agrees_with_the_dense_oracle(mat)
+def test_logged_kernel_matches_the_dense_oracle(matrix):
+    _agrees_with_the_dense_oracle(*matrix)
 
 
 @SETTINGS
 @given(complexes())
 def test_logged_kernel_matches_the_dense_oracle_on_incidence_matrices(k):
     for p in range(k.dim + 1):
-        _agrees_with_the_dense_oracle(k.coboundary_matrix(p))
+        _agrees_with_the_dense_oracle(k.coboundary_matrix(p), len(k.simplices_of_dim(p)))
+
+
+@SETTINGS
+@given(complexes())
+def test_coboundary_matrix_is_the_face_incidence(k):
+    """Row t of delta_p holds [t : s] = (-1)^j at each face s of t, the
+    face without vertex j: p + 2 entries of +-1 and no stored zero."""
+    for p in range(k.dim):
+        cols = k.simplices_of_dim(p)
+        rows = k.coboundary_matrix(p)
+        assert len(rows) == len(k.simplices_of_dim(p + 1))
+        for t, row in zip(k.simplices_of_dim(p + 1), rows):
+            oracle = {}
+            for j in range(len(t)):
+                face = t[:j] + t[j + 1 :]
+                oracle[cols.index(face)] = oracle.get(cols.index(face), 0) + (-1) ** j
+            assert row == oracle
+            assert len(row) == p + 2
+            assert all(x in (1, -1) for x in row.values())
 
 
 def _cycle(n):
@@ -286,7 +308,8 @@ NAMED_COMPLEXES = {
 @pytest.mark.parametrize("p", [0, 1])
 @pytest.mark.parametrize("name", sorted(NAMED_COMPLEXES))
 def test_logged_kernel_matches_the_dense_oracle_on_ladder_complexes(name, p):
-    _agrees_with_the_dense_oracle(NAMED_COMPLEXES[name]().coboundary_matrix(p))
+    k = NAMED_COMPLEXES[name]()
+    _agrees_with_the_dense_oracle(k.coboundary_matrix(p), len(k.simplices_of_dim(p)))
 
 
 @SETTINGS
@@ -411,8 +434,9 @@ small_systems = st.integers(1, 3).flatmap(
 @given(small_systems, st.integers(2, 12))
 def test_diagonal_mod_m_solve_agrees_with_augmented_solve(system, m):
     mat, b = system
-    x = abelian.solve(mat, b, m)
-    assert (x is None) == (oracle_augmented_solve(mat, b, m) is None)
+    rows, n = sparse(mat), len(mat[0])
+    x = abelian.solve(rows, b, m, n)
+    assert (x is None) == (oracle_augmented_solve(rows, n, b, m) is None)
     if m <= 6:
         feasible = any(
             all((sum(a * c for a, c in zip(row, cand)) - bi) % m == 0 for row, bi in zip(mat, b))
@@ -453,8 +477,9 @@ def rational_systems(draw):
 def test_integer_back_substitution_matches_fraction_oracle(system, ring):
     """Clearing denominators once gives the Fraction solution, value for value."""
     mat, b = system
-    x = abelian.solve(mat, b, ring)
-    assert x == oracle_fraction_back_substitute(mat, b, ring)
+    rows, n = sparse(mat), len(mat[0])
+    x = abelian.solve(rows, b, ring, n)
+    assert x == oracle_fraction_back_substitute(rows, n, b, ring)
     if x is not None:
         assert all(type(xi) is Fraction for xi in x)
 
@@ -580,8 +605,8 @@ def test_a_collapse_certificate_proves_acyclicity_and_solves_exactly(w, seed, sh
         return
     assert w.connected_component_count() == 1
     for q in range(1, w.dim + 2):
-        d_prev = oracle_invariant_factors(w.coboundary_matrix(q - 1))
-        d_next = oracle_invariant_factors(w.coboundary_matrix(q))
+        d_prev = oracle_invariant_factors(dense_coboundary(w, q - 1))
+        d_next = oracle_invariant_factors(dense_coboundary(w, q))
         assert all(d == 1 for d in d_prev), q
         assert len(w.simplices_of_dim(q)) == len(d_prev) + len(d_next), q
     rng = random.Random(seed)

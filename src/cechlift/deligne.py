@@ -14,15 +14,14 @@ classifying cocycle is integer-valued; holonomy is well defined mod 1
 because every collapse residue is integer-valued (asserted at runtime).
 
 The operators delta, D and the partition-of-unity contraction h are
-+-1 integer maps, so they run on integer numerators over one common
-denominator N: a private kernel holds each double cochain as
-``{nerve simplex: {simplex: int}}`` with value numerator / N.  N is the
-lcm of the denominators of a package's classifying cocycle and of every
-layer entry (of the cocycle alone in ``descent_chain``), taken once per
-call.  Fractions appear only at the boundary: the values of every
-returned DoubleCochain and rational Cochain are numerator / N, equal to
-what Fraction arithmetic gives.  In the collapse checks of the holonomy,
-"integral" means "divisible by N".
++-1 integer maps, so a DoubleCochain holds exactly what they compute
+on: ``num``, a ``{nerve simplex: {simplex: int}}`` map, over ``den``,
+the least common denominator of its values, and the kernel below runs
+on ``num`` directly.  Where two double cochains meet, both are taken
+over the lcm of their dens (over N, the lcm of the classifying
+cocycle's denominators and every layer's den, for a package).  The
+Fraction ``values`` are derived on request; in the collapse checks of
+the holonomy, "integral" means "divisible by N".
 """
 
 from __future__ import annotations
@@ -30,11 +29,11 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import abelian
 from .abelian import CIRCLE, CircleElement, QQ
-from .cochains import Cochain, coboundary, verify_good_cover
+from .cochains import Cochain, _face_sums, coboundary, verify_good_cover
 from .complexes import Cover, Nerve, chain_boundary, nerve
 from .errors import (
     CoverNotGood,
@@ -48,27 +47,30 @@ from .errors import (
 class DoubleCochain:
     """Cech p-cochain of rational simplicial q-cochains on intersections.
 
-    ``values`` maps each canonical nerve p-simplex to a dict from
-    simplices of the corresponding intersection subcomplex to Fractions
-    (the constructor takes ints and Fractions and refuses any other
-    number); missing entries are zero.
+    The value at a canonical nerve p-simplex t and a simplex s of the
+    corresponding intersection subcomplex is ``num[t][s] / den``;
+    missing entries are zero.  ``num`` keeps no zero entry and no empty
+    local, and ``den`` is the least common denominator of the values
+    (1 for zero), so equal double cochains have equal ``(num, den)``.
+    The constructor takes ints and Fractions and refuses any other
+    number; ``values`` gives the Fractions.
     """
 
-    __slots__ = ("cover", "nerve", "cech_degree", "form_degree", "values")
+    __slots__ = ("cover", "nerve", "cech_degree", "form_degree", "num", "den")
 
     def __init__(self, cover, nerve_, cech_degree, form_degree, values=None):
         self.cover = cover
         self.nerve = nerve_
         self.cech_degree = int(cech_degree)
         self.form_degree = int(form_degree)
-        vals = {}
+        checked = {}
         if values:
             for t, local in values.items():
                 t = tuple(t)
                 if len(t) != self.cech_degree + 1 or t not in nerve_.simplices:
                     raise DegreeMismatch(f"{t} is not a nerve {self.cech_degree}-simplex")
                 inter = nerve_.intersection_of[t]
-                clean = {}
+                out = checked[t] = {}
                 for s, v in local.items():
                     s = tuple(s)
                     if len(s) != self.form_degree + 1 or not inter.has_simplex(s):
@@ -77,39 +79,49 @@ class DoubleCochain:
                         )
                     if not isinstance(v, numbers.Rational):
                         raise TypeError(f"double cochain value {v!r} is not an int or a Fraction")
-                    v = Fraction(v)
-                    if v:
-                        clean[s] = v
-                if clean:
-                    vals[t] = clean
-        self.values = vals
+                    out[s] = v
+        n = lcm(*{v.denominator for loc in checked.values() for v in loc.values()})
+        num = {
+            t: {s: v.numerator * (n // v.denominator) for s, v in loc.items()}
+            for t, loc in checked.items()
+        }
+        self.num, self.den = _lowest(num, n)
 
     @classmethod
-    def _trusted(cls, cover, nerve_, cech_degree, form_degree, values):
-        """A double cochain whose values are valid by construction.
+    def _trusted(cls, cover, nerve_, cech_degree, form_degree, num, n):
+        """The double cochain num / n, whose keys are valid by construction.
 
-        Every key must be a nerve simplex of the Cech degree and every
-        local value a Fraction on a simplex of the form degree in its
-        intersection; only zero entries and empty locals are dropped.
+        Every key of ``num`` must be a nerve simplex of the Cech degree
+        and every local key a simplex of the form degree in its
+        intersection, with int values; n > 0.
         """
         self = cls.__new__(cls)
         self.cover = cover
         self.nerve = nerve_
         self.cech_degree = cech_degree
         self.form_degree = form_degree
-        vals = {}
-        for t, local in values.items():
-            clean = {s: v for s, v in local.items() if v}
-            if clean:
-                vals[t] = clean
-        self.values = vals
+        self.num, self.den = _lowest(num, n)
         return self
 
+    @property
+    def values(self):
+        """``{nerve simplex: {simplex: Fraction}}``, without zero entries."""
+        n = self.den
+        return {t: {s: Fraction(v, n) for s, v in loc.items()} for t, loc in self.num.items()}
+
     def local(self, t):
-        return self.values.get(tuple(t), {})
+        n = self.den
+        return {s: Fraction(v, n) for s, v in self.num.get(tuple(t), {}).items()}
+
+    def _over(self, n):
+        """The numerators over n, a multiple of den."""
+        if n == self.den:
+            return self.num
+        k = n // self.den
+        return {t: {s: v * k for s, v in loc.items()} for t, loc in self.num.items()}
 
     def is_zero(self):
-        return not self.values
+        return not self.num
 
     def _same_shape(self, other):
         if self.cover is not other.cover and self.cover != other.cover:
@@ -117,26 +129,21 @@ class DoubleCochain:
         if self.cech_degree != other.cech_degree or self.form_degree != other.form_degree:
             raise DegreeMismatch("double cochains of different bidegree")
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
         self._same_shape(other)
-        out = {t: dict(loc) for t, loc in self.values.items()}
-        for t, loc in other.values.items():
-            dst = out.setdefault(t, {})
-            for s, v in loc.items():
-                dst[s] = dst.get(s, Fraction(0)) + v
-        return DoubleCochain._trusted(self.cover, self.nerve, self.cech_degree, self.form_degree, out)
+        n = lcm(self.den, other.den)
+        raw = _add(self._over(n), other._over(n), sign)
+        return self._trusted(self.cover, self.nerve, self.cech_degree, self.form_degree, raw, n)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return DoubleCochain._trusted(
-            self.cover,
-            self.nerve,
-            self.cech_degree,
-            self.form_degree,
-            {t: {s: -v for s, v in loc.items()} for t, loc in self.values.items()},
-        )
+        raw = _add({}, self.num, -1)
+        return self._trusted(self.cover, self.nerve, self.cech_degree, self.form_degree, raw, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, DoubleCochain):
@@ -144,13 +151,14 @@ class DoubleCochain:
         return (
             self.cech_degree == other.cech_degree
             and self.form_degree == other.form_degree
-            and self.values == other.values
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __repr__(self):
         return (
             f"DoubleCochain(cech={self.cech_degree}, form={self.form_degree}, "
-            f"support={len(self.values)})"
+            f"support={len(self.num)})"
         )
 
 
@@ -160,9 +168,20 @@ class DoubleCochain:
 # nonzero entries and nonempty locals, so levels compare with ==
 # ---------------------------------------------------------------------------
 
-def _denominator_of(values):
-    """The lcm of the denominators of a double cochain's Fraction values."""
-    return lcm(*{v.denominator for loc in values.values() for v in loc.values()})
+def _lowest(num, n):
+    """(num, n) in lowest terms: zero entries and empty locals dropped,
+    gcd(n, *num) divided out."""
+    out = {}
+    g = n
+    for t, loc in num.items():
+        loc = {s: v for s, v in loc.items() if v}
+        if loc:
+            out[t] = loc
+            if g != 1:
+                g = gcd(g, *loc.values())
+    if g != 1:
+        out = {t: {s: v // g for s, v in loc.items()} for t, loc in out.items()}
+    return out, n // g
 
 
 def _cocycle_denominator(c):
@@ -172,23 +191,8 @@ def _cocycle_denominator(c):
 
 def _package_denominator(pkg):
     """N of a package: the lcm of the denominators of its classifying
-    cocycle and of every layer entry."""
-    layers = (_denominator_of(layer.values) for layer in pkg.layers.values())
-    return lcm(_cocycle_denominator(pkg.cocycle), *layers)
-
-
-def _scaled(values, n):
-    """The numerators over n of Fraction values whose denominators divide n."""
-    return {
-        t: {s: v.numerator * (n // v.denominator) for s, v in loc.items()}
-        for t, loc in values.items()
-    }
-
-
-def _fractions(cover, nerve_, p, q, x, n):
-    """The (p, q) double cochain with values x / n."""
-    values = {t: {s: Fraction(v, n) for s, v in loc.items()} for t, loc in x.items()}
-    return DoubleCochain._trusted(cover, nerve_, p, q, values)
+    cocycle and of every layer."""
+    return lcm(_cocycle_denominator(pkg.cocycle), *(layer.den for layer in pkg.layers.values()))
 
 
 def _add(x, y, sign=1):
@@ -246,11 +250,7 @@ def _d(nerve_, q, x):
     out = {}
     intersection_of = nerve_.intersection_of
     for t, loc in x.items():
-        acc = {}
-        for s in intersection_of[t].simplices_of_dim(q + 1):
-            total = _face_sum(loc, s)
-            if total:
-                acc[s] = total
+        acc = _face_sums(intersection_of[t].simplices_of_dim(q + 1), loc)
         if acc:
             out[t] = acc
     return out
@@ -314,22 +314,20 @@ def _epsilon(nerve_, q, g):
 
 
 # ---------------------------------------------------------------------------
-# the double complex on Fraction values
+# the double complex
 # ---------------------------------------------------------------------------
 
 def cech_delta(x):
     """Cech coboundary: alternating sum of restrictions to the deeper
     intersection."""
-    n = _denominator_of(x.values)
-    raw = _delta(x.nerve, x.cech_degree, _scaled(x.values, n))
-    return _fractions(x.cover, x.nerve, x.cech_degree + 1, x.form_degree, raw, n)
+    raw = _delta(x.nerve, x.cech_degree, x.num)
+    return DoubleCochain._trusted(x.cover, x.nerve, x.cech_degree + 1, x.form_degree, raw, x.den)
 
 
 def form_d(x):
     """Local simplicial coboundary applied on every intersection."""
-    n = _denominator_of(x.values)
-    raw = _d(x.nerve, x.form_degree, _scaled(x.values, n))
-    return _fractions(x.cover, x.nerve, x.cech_degree, x.form_degree + 1, raw, n)
+    raw = _d(x.nerve, x.form_degree, x.num)
+    return DoubleCochain._trusted(x.cover, x.nerve, x.cech_degree, x.form_degree + 1, raw, x.den)
 
 
 def _min_piece_assignment(cover, shuffle=None):
@@ -354,17 +352,8 @@ def cech_homotopy(x, assign):
 
     (h x)_{i_0..i_{p-1}}(tau) = x_{assign(tau), i_0..i_{p-1}}(tau).
     """
-    n = _denominator_of(x.values)
-    raw = _h(_scaled(x.values, n), assign) if x.cech_degree else {}
-    return _fractions(x.cover, x.nerve, x.cech_degree - 1, x.form_degree, raw, n)
-
-
-def collapse_to_global(x, assign):
-    """The global cochain tau -> x_{assign(tau)}(tau) of a Cech 0-level."""
-    n = _denominator_of(x.values)
-    raw = _collapse(x.cover.base, x.form_degree, _scaled(x.values, n), assign)
-    values = {s: Fraction(v, n) for s, v in raw.items()}
-    return Cochain._trusted(x.cover.base, x.form_degree, QQ, values)
+    raw = _h(x.num, assign) if x.cech_degree else {}
+    return DoubleCochain._trusted(x.cover, x.nerve, x.cech_degree - 1, x.form_degree, raw, x.den)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +367,7 @@ def lift_cocycle(c, cover, nerve_):
     spread over the vertices of its intersection subcomplex.
     """
     n = _cocycle_denominator(c)
-    return _fractions(cover, nerve_, c.degree, 0, _lift(nerve_, c, n), n)
+    return DoubleCochain._trusted(cover, nerve_, c.degree, 0, _lift(nerve_, c, n), n)
 
 
 @dataclass
@@ -412,7 +401,7 @@ class DelignePackage:
                 raise DegreeMismatch(f"layer {q} missing or of wrong bidegree")
         n = _package_denominator(self)
         nrv = self.nerve
-        layers = {q: _scaled(self.layers[q].values, n) for q in range(d)}
+        layers = {q: self.layers[q]._over(n) for q in range(d)}
         if _delta(nrv, d - 1, layers[d - 1]) != _d(nrv, 0, _lift(nrv, self.cocycle, n)):
             raise NotACocycle("top descent equation fails")
         for q in range(1, d):
@@ -454,7 +443,7 @@ def descent_chain(c, cover, nerve_=None):
         raw[q] = _h(rhs, assign)
         if q:
             rhs = _d(nerve_, d - q, raw[q])
-    layers = {q: _fractions(cover, nerve_, q, d - q, x, n) for q, x in raw.items()}
+    layers = {q: DoubleCochain._trusted(cover, nerve_, q, d - q, x, n) for q, x in raw.items()}
     pkg = DelignePackage(cover, nerve_, d, c, layers)
     pkg.validate()
     return pkg
@@ -468,8 +457,8 @@ def curvature(pkg):
     """
     d = pkg.degree
     layer = pkg.layers[0]
-    n = _denominator_of(layer.values)
-    bottom = _d(pkg.nerve, layer.form_degree, _scaled(layer.values, n))
+    n = layer.den
+    bottom = _d(pkg.nerve, layer.form_degree, layer.num)
     glued = {}
     clashes = []
     for i, piece in enumerate(pkg.cover.pieces):
@@ -544,14 +533,8 @@ def add_global_datum(pkg, f):
     no other layer moves."""
     if f.degree != pkg.degree - 1 or f.group != QQ:
         raise DegreeMismatch("global gauge datum must be a rational (d-1)-cochain")
-    df = coboundary(f)
-    values = {}
-    for t in pkg.nerve.simplices_of_dim(0):
-        inter = pkg.nerve.intersection_of[t]
-        loc = {s: df.values[s] for s in inter.simplices_of_dim(pkg.degree) if s in df.values}
-        if loc:
-            values[t] = loc
-    shift = DoubleCochain(pkg.cover, pkg.nerve, 0, pkg.degree, values)
+    shift = _epsilon(pkg.nerve, pkg.degree, coboundary(f).values)
+    shift = DoubleCochain(pkg.cover, pkg.nerve, 0, pkg.degree, shift)
     layers = dict(pkg.layers)
     layers[0] = layers[0] + shift
     out = DelignePackage(pkg.cover, pkg.nerve, pkg.degree, pkg.cocycle, layers)
@@ -584,11 +567,11 @@ def _restrict_cochain(c, nerve_v):
 
 def _restrict_double(x, cover_v, nerve_v):
     out = {}
-    for t, loc in x.values.items():
+    for t, loc in x.num.items():
         inter = nerve_v.intersection_of.get(t)
         if inter is not None:
             out[t] = {s: v for s, v in loc.items() if s in inter.simplices}
-    return DoubleCochain._trusted(cover_v, nerve_v, x.cech_degree, x.form_degree, out)
+    return DoubleCochain._trusted(cover_v, nerve_v, x.cech_degree, x.form_degree, out, x.den)
 
 
 def restrict_package(pkg, v):
@@ -634,17 +617,14 @@ class HolonomyTrivialization:
             v = self.potentials[q]
             if v.cech_degree != q or v.form_degree != d - q - 1:
                 raise NotACocycle(f"trivialization equation fails at layer {q}")
-        n = lcm(
-            _package_denominator(pkg),
-            _denominator_of(self.residual.values),
-            *(_denominator_of(self.potentials[q].values) for q in range(d)),
-        )
+        dens = [self.potentials[q].den for q in range(d)]
+        n = lcm(_package_denominator(pkg), self.residual.den, *dens)
         _check_trivialization(
             pkg.nerve,
             d,
-            {q: _scaled(pkg.layers[q].values, n) for q in range(d)},
-            {q: _scaled(self.potentials[q].values, n) for q in range(d)},
-            _scaled(self.residual.values, n),
+            {q: pkg.layers[q]._over(n) for q in range(d)},
+            {q: self.potentials[q]._over(n) for q in range(d)},
+            self.residual._over(n),
         )
         return True
 
@@ -710,19 +690,25 @@ def _face_sum(v, t):
 def _smith_solve_local_d(inter, q, rhs_local, shuffle=None):
     """Solve D v = rhs by Smith over Q, columns shuffled on request.
 
+    Unshuffled, the solve reads the factorization of D that the
+    intersection keeps (``factored_coboundary``, built by the goodness
+    check); shuffled columns are a new matrix and are factored here.
+
     An intersection that passed the goodness check is acyclic over Z, so
     every invariant factor of D is 1 and an int right side has an
     integral solution, returned as ints; anything else is refused.
     """
     simps = inter.simplices_of_dim(q)
     order = list(range(len(simps)))
-    mat = inter.coboundary_matrix(q)
-    if shuffle is not None:
+    if shuffle is None:
+        fac = inter.factored_coboundary(q)
+    else:
         shuffle.shuffle(order)
         at = {k: p for p, k in enumerate(order)}
-        mat = [{at[k]: x for k, x in row.items()} for row in mat]
+        mat = [{at[k]: x for k, x in row.items()} for row in inter.coboundary_matrix(q)]
+        fac = abelian.factor(mat, len(simps))
     b = [rhs_local.get(s, 0) for s in inter.simplices_of_dim(q + 1)]
-    sol = abelian.solve(mat, b, "Q", ncols=len(simps))
+    sol = abelian._back_substitute(fac, b, "Q")
     if sol is None:
         raise CoverNotGoodOnV("local solve failed on a supposedly acyclic piece")
     if all(type(x) is int for x in b):
@@ -742,7 +728,7 @@ def _trivialize(pkg, shuffle=None):
     d = pkg.degree
     nrv = pkg.nerve
     n = _package_denominator(pkg)
-    layers = {q: _scaled(pkg.layers[q].values, n) for q in range(d)}
+    layers = {q: pkg.layers[q]._over(n) for q in range(d)}
     potentials = {}
     prev = None
     for q in range(d):
@@ -787,14 +773,17 @@ def holonomy_trivialization(pkg, shuffle=None):
     the curvature) makes stage 0 solvable and the descent equations make
     every later defect D-closed.  The solves, the collapse and the
     re-verification of the equations run on numerators over N; the
-    returned fields are their Fractions.
+    returned fields hold them in lowest terms.
     """
     n, potentials, residual, global_form = _trivialize(pkg, shuffle)
     d = pkg.degree
     return HolonomyTrivialization(
         pkg,
-        {q: _fractions(pkg.cover, pkg.nerve, q, d - q - 1, x, n) for q, x in potentials.items()},
-        _fractions(pkg.cover, pkg.nerve, d, 0, residual, n),
+        {
+            q: DoubleCochain._trusted(pkg.cover, pkg.nerve, q, d - q - 1, x, n)
+            for q, x in potentials.items()
+        },
+        DoubleCochain._trusted(pkg.cover, pkg.nerve, d, 0, residual, n),
         Cochain._trusted(pkg.cover.base, d, QQ, {s: Fraction(v, n) for s, v in global_form.items()}),
     )
 

@@ -7,8 +7,10 @@ by sorting each index tuple with its sign; ``descent_chain``, ``validate``,
 every check of the collapse on those Fractions.  The library's
 ``cechlift.deligne`` runs the same operators on integer numerators over
 one common denominator; both must give equal layers, potentials,
-residuals and global forms.  The local solve ``_solve_local_d`` and the
-piece assignment are shared: they do not depend on the number type.
+residuals and global forms.  Results are built through the validating
+``DoubleCochain`` constructor, which takes these Fractions.  The local
+solve ``_solve_local_d`` and the piece assignment are shared: they do
+not depend on the number type.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ def _face_sum(v, t):
     return total
 
 
-def cech_value(x, indices, s):
-    """x on a Cech tuple in any order, at one simplex."""
+def cech_value(values, indices, s):
+    """Fraction values on a Cech tuple in any order, at one simplex."""
     canon, sign = _perm_sign_and_sort(indices)
     if sign == 0:
         return Fraction(0)
-    return sign * x.values.get(canon, {}).get(s, Fraction(0))
+    return sign * values.get(canon, {}).get(s, Fraction(0))
 
 
 def is_integral(x):
@@ -50,13 +52,14 @@ def is_integral(x):
 
 
 def cech_delta(x):
+    values = x.values
     out = {}
     for t in x.nerve.simplices_of_dim(x.cech_degree + 1):
         inter = x.nerve.intersection_of[t]
         acc = {}
         for j in range(len(t)):
             face = t[:j] + t[j + 1 :]
-            loc = x.values.get(face)
+            loc = values.get(face)
             if not loc:
                 continue
             sgn = 1 if j % 2 == 0 else -1
@@ -64,7 +67,7 @@ def cech_delta(x):
                 if s in inter.simplices:
                     acc[s] = acc.get(s, Fraction(0)) + sgn * v
         out[t] = acc
-    return DoubleCochain._trusted(x.cover, x.nerve, x.cech_degree + 1, x.form_degree, out)
+    return DoubleCochain(x.cover, x.nerve, x.cech_degree + 1, x.form_degree, out)
 
 
 def form_d(x):
@@ -77,27 +80,29 @@ def form_d(x):
             if total:
                 acc[s] = total
         out[t] = acc
-    return DoubleCochain._trusted(x.cover, x.nerve, x.cech_degree, x.form_degree + 1, out)
+    return DoubleCochain(x.cover, x.nerve, x.cech_degree, x.form_degree + 1, out)
 
 
 def cech_homotopy(x, assign):
     p = x.cech_degree
+    values = x.values
     out = {}
     for t in x.nerve.simplices_of_dim(p - 1):
         inter = x.nerve.intersection_of[t]
         acc = {}
         for s in inter.simplices_of_dim(x.form_degree):
-            v = cech_value(x, (assign[s],) + t, s)
+            v = cech_value(values, (assign[s],) + t, s)
             if v:
                 acc[s] = v
         out[t] = acc
-    return DoubleCochain._trusted(x.cover, x.nerve, p - 1, x.form_degree, out)
+    return DoubleCochain(x.cover, x.nerve, p - 1, x.form_degree, out)
 
 
 def collapse_to_global(x, assign):
+    level = x.values
     values = {}
     for s in x.cover.base.simplices_of_dim(x.form_degree):
-        v = x.values.get((assign[s],), {}).get(s)
+        v = level.get((assign[s],), {}).get(s)
         if v:
             values[s] = v
     return Cochain._trusted(x.cover.base, x.form_degree, QQ, values)
@@ -111,7 +116,7 @@ def lift_cocycle(c, cover, nerve_):
             continue
         inter = nerve_.intersection_of[t]
         values[t] = {s: v.value for s in inter.simplices_of_dim(0)}
-    return DoubleCochain._trusted(cover, nerve_, c.degree, 0, values)
+    return DoubleCochain(cover, nerve_, c.degree, 0, values)
 
 
 def validate(pkg):
@@ -175,7 +180,7 @@ def _epsilon_of_global(c, like):
             if v:
                 loc[s] = v
         values[t] = loc
-    return DoubleCochain._trusted(like.cover, like.nerve, 0, like.form_degree, values)
+    return DoubleCochain(like.cover, like.nerve, 0, like.form_degree, values)
 
 
 def holonomy_trivialization(pkg, shuffle=None):
@@ -192,7 +197,7 @@ def holonomy_trivialization(pkg, shuffle=None):
             local = _solve_local_d(inter, d - q - 1, defect.local(t), shuffle)
             if local:
                 out[t] = local
-        prev = DoubleCochain._trusted(pkg.cover, pkg.nerve, q, d - q - 1, out)
+        prev = DoubleCochain(pkg.cover, pkg.nerve, q, d - q - 1, out)
         potentials[q] = prev
     residual = lift_cocycle(pkg.cocycle, pkg.cover, pkg.nerve) - cech_delta(potentials[d - 1])
     if not form_d(residual).is_zero():

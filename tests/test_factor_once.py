@@ -17,6 +17,7 @@ from cechlift import abelian, cli, complexes, fixtures, kernels
 from cechlift.abelian import CIRCLE, QQ, FgAbelianGroup, Homomorphism, ShortExactSequence
 from cechlift.cochains import (
     Cochain,
+    _face_sums,
     coboundary,
     cohomology_classes,
     is_coboundary,
@@ -24,6 +25,7 @@ from cechlift.cochains import (
 )
 from cechlift.complexes import Chain, Cover, nerve, product_complex, star_cover, validate_complex
 from cechlift.deligne import (
+    _solve_local_d,
     add_global_datum,
     descent_chain,
     holonomy,
@@ -33,7 +35,7 @@ from cechlift.deligne import (
 from cechlift.errors import CoverNotGoodOnV, NotACocycle
 
 from conftest import dunce_hat, random_cochain
-from snf_oracle import sparse
+from snf_oracle import dense, sparse
 from test_golden import CLI_CASES, FIXTURE_SETS
 
 
@@ -121,6 +123,33 @@ def test_goodness_keeps_the_local_factorizations(snf_calls):
     for _ in range(2):
         assert verify_good_cover(cov, nrv).ok
     assert snf_calls == []
+
+
+def test_local_solve_without_a_certificate_reads_the_kept_factorization(snf_calls):
+    """The dunce hat has no collapse certificate, so D v = rhs on it is
+    solved by Smith: unshuffled, on the factorization goodness kept, with
+    the solution of a fresh ``abelian.solve``; shuffled, on one new one."""
+    k = dunce_hat()
+    cov = Cover(k, (k,))
+    nrv = nerve(cov)
+    assert verify_good_cover(cov, nrv).ok
+    inter = nrv.intersection_of[(0,)]
+    rng = random.Random(4)
+    for q in (0, 1):
+        rows = inter.coboundary_matrix(q)
+        simps = inter.simplices_of_dim(q)
+        v = [rng.randint(-3, 3) for _ in simps]
+        b = abelian.mat_vec(dense(rows, len(simps)), v)
+        rhs = {t: x for t, x in zip(inter.simplices_of_dim(q + 1), b) if x}
+        del snf_calls[:]
+        got = _solve_local_d(inter, q, rhs)
+        assert snf_calls == []
+        want = abelian.solve(rows, b, "Q", len(simps))
+        assert got == {s: x.numerator for s, x in zip(simps, want) if x}
+        del snf_calls[:]
+        shuffled = _solve_local_d(inter, q, rhs, random.Random(q))
+        assert snf_calls == [(len(rows), len(simps))]
+        assert _face_sums(inter.simplices_of_dim(q + 1), shuffled) == rhs
 
 
 @pytest.mark.parametrize(

@@ -692,6 +692,71 @@ def _random_package(case, seed):
     return c, pkg, moved
 
 
+DOUBLE_COCHAIN_COVERS = {name: DELIGNE_CASES[name][:2] for name in ("circle", "torus-1", "rp2-2")}
+
+
+def _random_double_values(rng, nrv, p, q):
+    """Values of bidegree (p, q): ints and Fractions of several
+    denominators, zeros included."""
+    def value():
+        v = rng.randint(-6, 6)
+        return v if rng.random() < 0.3 else Fraction(v, rng.choice([1, 2, 3, 4, 6, 9, 10]))
+
+    return {
+        t: {s: value() for s in nrv.intersection_of[t].simplices_of_dim(q) if rng.random() < 0.5}
+        for t in nrv.simplices_of_dim(p)
+        if rng.random() < 0.7
+    }
+
+
+def _entrywise(op, a, b):
+    """op on two Fraction value maps, entry by entry, zeros dropped."""
+    out = {}
+    for t in set(a) | set(b):
+        x, y = a.get(t, {}), b.get(t, {})
+        loc = {s: op(x.get(s, 0), y.get(s, 0)) for s in set(x) | set(y)}
+        loc = {s: v for s, v in loc.items() if v}
+        if loc:
+            out[t] = loc
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(DOUBLE_COCHAIN_COVERS)), st.integers(0, 2**32 - 1))
+def test_double_cochains_are_numerators_over_the_least_denominator(name, seed):
+    """A DoubleCochain holds its values as numerators over their least
+    common denominator: ``values`` round-trips, == is equality of values,
+    and + and - across different denominators are Fraction arithmetic."""
+    cover, nrv = DOUBLE_COCHAIN_COVERS[name]
+    rng = random.Random(seed)
+    p, q = rng.randint(0, nrv.dim), rng.randint(0, 2)
+    a = _random_double_values(rng, nrv, p, q)
+    x = DoubleCochain(cover, nrv, p, q, a)
+    assert x.values == _entrywise(lambda u, v: Fraction(u), a, {})
+    assert DoubleCochain(cover, nrv, p, q, x.values) == x
+    # the same values written otherwise, one entry moved, or fresh values
+    kind = rng.randrange(3)
+    if kind < 2:
+        b = {t: {s: Fraction(3 * v, 3) for s, v in loc.items()} for t, loc in a.items()}
+        b.setdefault(nrv.simplices_of_dim(p)[0], {})
+        if kind and any(b.values()):
+            t = rng.choice([t for t, loc in b.items() if loc])
+            s = rng.choice(sorted(b[t]))
+            b[t][s] += Fraction(rng.choice([-1, 1]), rng.choice([1, 5, 7]))
+    else:
+        b = _random_double_values(rng, nrv, p, q)
+    y = DoubleCochain(cover, nrv, p, q, b)
+    assert (x == y) is (x.values == y.values)
+    total, diff = x + y, x - y
+    assert total.values == _entrywise(lambda u, v: u + v, x.values, y.values)
+    assert diff.values == _entrywise(lambda u, v: u - v, x.values, y.values)
+    assert (-x).values == _entrywise(lambda u, v: -u, x.values, {})
+    for r in (x, y, total, diff, -x):
+        assert gcd(r.den, *(v for loc in r.num.values() for v in loc.values())) == 1
+    zero = x - x
+    assert zero.is_zero() and zero.num == {} and zero.den == 1
+
+
 def _all_fractions(*doubles):
     return all(type(v) is Fraction for x in doubles for loc in x.values.values() for v in loc.values())
 

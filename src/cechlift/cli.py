@@ -209,7 +209,7 @@ def cmd_descent(args):
     rep.add(f"package: degree {pkg.degree}, layers {sorted(pkg.layers)}")
     rep.add("descent equations: verified exactly")
     for q in sorted(pkg.layers):
-        rep.add(f"layer {q}: bidegree ({q},{pkg.degree - q}), support {len(pkg.layers[q].values)}")
+        rep.add(f"layer {q}: bidegree ({q},{pkg.degree - q}), support {len(pkg.layers[q].num)}")
     if args.out:
         io.dump_json(io.package_to_json(pkg), args.out)
         rep.add(f"wrote: {args.out}")

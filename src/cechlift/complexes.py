@@ -13,6 +13,18 @@ nerve built by ``nerve``, the pieces of ``Cover.restricted_to``,
 checks, cover pieces read by ``io.cover_from_json`` (closures of faces
 checked against the base), and the support subcomplex of ``cechlift
 holonomy`` (the closure of a chain on the base).
+
+A complex stores its simplices as a frozenset and groups them by
+dimension, sorted, on the first ``simplices_of_dim``, ``dim`` or
+``euler_characteristic``; a nerve intersection that is only built is
+never sorted.  The greedy collapse runs on a face graph of integer
+indices (``_collapse_graph``): the simplices in (dimension, tuple)
+order, the facet indices of each, and the count and xor of its coface
+indices.  The sorted certificate is kept and its graph dropped; the
+graph is kept only once a shuffled collapse has been asked for, so that
+repeated shuffled holonomies copy its counts instead of rebuilding it.
+``nerve`` finds the pieces that meet a nerve simplex's intersection
+through an index of the pieces at each vertex.
 """
 
 from __future__ import annotations
@@ -30,44 +42,80 @@ from .errors import (
 )
 
 
-def _greedy_collapse(complex_, shuffle=None):
+def _group_by_dim(simplices):
+    """``{dimension: simplices of that dimension in tuple order}``."""
+    by_dim = {}
+    for s in simplices:
+        by_dim.setdefault(len(s) - 1, []).append(s)
+    return {d: tuple(sorted(v)) for d, v in by_dim.items()}
+
+
+def _collapse_graph(complex_):
+    """The face graph a greedy collapse runs on: (simplices, faces, count, xor).
+
+    ``simplices`` in (dimension, tuple) order; ``faces[i]`` the indices of
+    the facets of simplex i (none for a vertex); ``count[i]`` the number
+    of its cofaces one dimension up and ``xor[i]`` the xor of their
+    indices, which is the index of the coface when there is only one.
+    """
+    simplices = tuple(itertools.chain.from_iterable(
+        complex_.simplices_of_dim(d) for d in range(complex_.dim + 1)
+    ))
+    index = {s: i for i, s in enumerate(simplices)}
+    count = [0] * len(simplices)
+    xor = [0] * len(simplices)
+    faces = []
+    for i, s in enumerate(simplices):
+        fs = tuple(index[s[:j] + s[j + 1 :]] for j in range(len(s))) if len(s) > 1 else ()
+        for f in fs:
+            count[f] += 1
+            xor[f] ^= i
+        faces.append(fs)
+    return simplices, tuple(faces), count, xor
+
+
+def _greedy_collapse(graph, shuffle=None):
     """The (free face, coface) pairs of a greedy elementary collapse, or None.
 
-    Simplices are tried in (dimension, tuple) order, or in the order
-    ``shuffle.shuffle`` makes of it; the smallest free face (a simplex
-    with exactly one remaining proper coface, which is then maximal and
-    one dimension up) is removed with its coface until none is left.
-    The pairs are returned in collapse order when a single vertex
-    remains, and None otherwise.
+    Runs on a ``_collapse_graph``.  Simplices are tried in (dimension,
+    tuple) order, or in the order ``shuffle.shuffle`` makes of it; the
+    smallest free face (a simplex with exactly one remaining proper
+    coface, which is then maximal and one dimension up) is removed with
+    its coface until none is left.  Removing a cell takes it out of the
+    count and the xor of each of its facets, so a free face's coface is
+    its xor, and a removed face has count 0.  The pairs are returned in
+    collapse order when a single vertex remains, and None otherwise.
     """
-    order = sorted(complex_.simplices, key=lambda s: (len(s), s))
-    if shuffle is not None:
+    simplices, faces, count, xor = graph
+    count, xor = count[:], xor[:]
+    n = len(simplices)
+    if shuffle is None:
+        order = rank = range(n)
+    else:
+        order = list(range(n))
         shuffle.shuffle(order)
-    rank = {s: i for i, s in enumerate(order)}
-    cofaces = {s: set() for s in order}
-    for t in order:
-        if len(t) > 1:
-            for j in range(len(t)):
-                cofaces[t[:j] + t[j + 1 :]].add(t)
-    free = [rank[s] for s in order if len(cofaces[s]) == 1]
+        rank = [0] * n
+        for r, i in enumerate(order):
+            rank[i] = r
+    free = [rank[i] for i in range(n) if count[i] == 1]
     heapq.heapify(free)
+    push, pop = heapq.heappush, heapq.heappop
     pairs = []
     while free:
-        sigma = order[heapq.heappop(free)]
-        if len(cofaces.get(sigma, ())) != 1:
+        sigma = order[pop(free)]
+        if count[sigma] != 1:
             continue
-        (tau,) = cofaces.pop(sigma)
-        del cofaces[tau]
+        tau = xor[sigma]
         pairs.append((sigma, tau))
         for cell in (tau, sigma):
-            for j in range(len(cell)):
-                face = cell[:j] + cell[j + 1 :]
-                up = cofaces.get(face)
-                if up is not None:
-                    up.remove(cell)
-                    if len(up) == 1:
-                        heapq.heappush(free, rank[face])
-    return tuple(pairs) if len(cofaces) == 1 else None
+            for f in faces[cell]:
+                c = count[f] = count[f] - 1
+                xor[f] ^= cell
+                if c == 1:
+                    push(free, rank[f])
+    if n - 2 * len(pairs) != 1:
+        return None
+    return tuple([(simplices[s], simplices[t]) for s, t in pairs])
 
 
 _UNBUILT = object()
@@ -76,7 +124,9 @@ _UNBUILT = object()
 class SimplicialComplex:
     """A downward-closed set of strictly increasing vertex tuples."""
 
-    __slots__ = ("vertex_count", "simplices", "_by_dim", "_factored", "_collapse")
+    __slots__ = (
+        "vertex_count", "simplices", "_by_dim", "_factored", "_collapse", "_collapse_graph"
+    )
 
     def __init__(self, vertex_count, simplices):
         vertex_count = int(vertex_count)
@@ -107,21 +157,25 @@ class SimplicialComplex:
         return self
 
     def _set(self, vertex_count, simplices):
-        by_dim = {}
-        for s in simplices:
-            by_dim.setdefault(len(s) - 1, []).append(s)
         self.vertex_count = vertex_count
         self.simplices = simplices
-        self._by_dim = {d: tuple(sorted(v)) for d, v in by_dim.items()}
+        self._by_dim = None
         self._factored = {}
         self._collapse = _UNBUILT
+        self._collapse_graph = None
+
+    def _dims(self):
+        """The simplices grouped by dimension, sorted on first use and kept."""
+        if self._by_dim is None:
+            self._by_dim = _group_by_dim(self.simplices)
+        return self._by_dim
 
     def simplices_of_dim(self, d):
-        return self._by_dim.get(d, ())
+        return (self._by_dim or self._dims()).get(d, ())
 
     @property
     def dim(self):
-        return max(self._by_dim, default=-1)
+        return max(self._dims(), default=-1)
 
     def collapse(self, shuffle=None):
         """A collapse certificate: (free face, coface) pairs down to a vertex.
@@ -130,18 +184,22 @@ class SimplicialComplex:
         reverse are a chain contraction.  None when the greedy collapse
         stops early, which a complex that is not acyclic always does and
         an acyclic one (the dunce hat) may.  The certificate of the
-        sorted order is built on first use and kept; a ``shuffle``
-        (a ``random.Random``) reorders the free faces of a fresh,
-        unkept one.
+        sorted order is built on first use and kept, and the face graph
+        it ran on (``_collapse_graph``) is dropped.  A ``shuffle`` (a
+        ``random.Random``) reorders the free faces of a fresh, unkept
+        certificate; the first one builds the face graph and keeps it,
+        so that every later shuffled collapse only copies its counts.
         """
         if shuffle is not None:
-            return _greedy_collapse(self, shuffle)
+            if self._collapse_graph is None:
+                self._collapse_graph = _collapse_graph(self)
+            return _greedy_collapse(self._collapse_graph, shuffle)
         if self._collapse is _UNBUILT:
-            self._collapse = _greedy_collapse(self)
+            self._collapse = _greedy_collapse(self._collapse_graph or _collapse_graph(self))
         return self._collapse
 
     def euler_characteristic(self):
-        return sum((-1) ** d * len(v) for d, v in self._by_dim.items())
+        return sum((-1) ** d * len(v) for d, v in self._dims().items())
 
     def is_empty(self):
         return not self.simplices
@@ -327,28 +385,40 @@ def nerve(cover):
     """Enumerate every non-empty intersection, up to the full index set.
 
     Candidates of each dimension extend nerve simplices one index at a
-    time; downward closure of the nerve makes this exhaustive.
+    time; downward closure of the nerve makes this exhaustive.  Two
+    subcomplexes meet exactly when they share a vertex, so a nerve
+    simplex t is extended only by the pieces j > t[-1] that contain a
+    vertex of its intersection, found through an index of the pieces at
+    each vertex and tried in ascending order.
     """
+    pieces = cover.pieces
     intersections = {}
+    pieces_at = {}
     current = []
-    for i, piece in enumerate(cover.pieces):
+    for i, piece in enumerate(pieces):
         if not piece.is_empty():
             t = (i,)
             intersections[t] = piece
             current.append(t)
+            for s in piece.simplices:
+                if len(s) == 1:
+                    pieces_at.setdefault(s[0], []).append(i)
     while current:
         nxt = []
         for t in current:
-            for j in range(t[-1] + 1, len(cover.pieces)):
+            inter = intersections[t].simplices
+            last = t[-1]
+            meeting = sorted({
+                j for s in inter if len(s) == 1 for j in pieces_at[s[0]] if j > last
+            })
+            for j in meeting:
                 cand = t + (j,)
-                inter = intersections[t].simplices & cover.pieces[j].simplices
-                if inter:
-                    intersections[cand] = SimplicialComplex._trusted(
-                        cover.base.vertex_count, inter
-                    )
-                    nxt.append(cand)
+                intersections[cand] = SimplicialComplex._trusted(
+                    cover.base.vertex_count, inter & pieces[j].simplices
+                )
+                nxt.append(cand)
         current = nxt
-    out = Nerve._trusted(len(cover.pieces), intersections)
+    out = Nerve._trusted(len(pieces), intersections)
     out.cover = cover
     out.intersection_of = intersections
     return out

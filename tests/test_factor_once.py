@@ -224,6 +224,57 @@ def test_repeated_holonomy_reuses_the_kept_restriction(monkeypatch, snf_calls):
     assert nerves == [] and collapses
 
 
+def test_a_second_shuffled_holonomy_builds_no_face_graph(monkeypatch):
+    """The first shuffled holonomy on V keeps the face graph of every
+    restricted intersection it collapsed; a second one, with another
+    seed, builds none and still varies nothing but the potentials."""
+    pkg = fixtures.torus_flat_gerbe(Fraction(1, 3))
+    torus = pkg.cover.base
+    z = fixtures.torus_cycle(torus)
+    graphs = _record_calls(monkeypatch, complexes, "_collapse_graph")
+    first = holonomy(pkg, torus, z, shuffle=random.Random(5))
+    assert graphs
+    _, nrv = pkg.cover.restricted_to(torus)
+    assert any(w._collapse_graph is not None for w in nrv.intersection_of.values())
+    del graphs[:]
+    assert holonomy(pkg, torus, z, shuffle=random.Random(6)) == first
+    assert graphs == []
+
+
+def test_goodness_and_the_sorted_certificate_keep_no_face_graph(monkeypatch):
+    """An unshuffled collapse builds the face graph once, keeps only the
+    certificate and drops the graph, so a cover that is only checked for
+    goodness holds no graph."""
+    cov = fixtures.torus_product()[1]
+    nrv = nerve(cov)
+    graphs = _record_calls(monkeypatch, complexes, "_collapse_graph")
+    assert verify_good_cover(cov, nrv).ok
+    assert len(graphs) == len(nrv.simplices)
+    assert nrv.collapse() is None
+    assert len(graphs) == len(nrv.simplices) + 1
+    assert nrv._collapse_graph is None
+    assert all(w._collapse_graph is None for w in nrv.intersection_of.values())
+    del graphs[:]
+    assert verify_good_cover(cov, nrv).ok and nrv.collapse() is None
+    assert graphs == []
+
+
+def test_nerve_sorts_no_intersection(monkeypatch):
+    """``nerve`` and ``Cover.restricted_to`` group no simplices by dimension;
+    goodness then sorts each intersection once, for its collapse."""
+    cover = fixtures.dual_block_cover(fixtures.rp2_minimal())
+    sorts = _record_calls(monkeypatch, complexes, "_group_by_dim", id)
+    nrv = nerve(cover)
+    cover.restricted_to(cover.base)
+    assert sorts == []
+    assert verify_good_cover(cover, nrv).ok
+    inters = {id(w.simplices) for w in nrv.intersection_of.values()}
+    assert sorted(sorts) == sorted(inters | {id(cover.base.simplices)})
+    del sorts[:]
+    assert verify_good_cover(cover, nrv).ok
+    assert sorts == []
+
+
 def test_packages_on_one_cover_share_the_restricted_nerve(torus_gerbe):
     """Two packages on one cover restrict through one kept cover and nerve."""
     pkg, torus, _ = torus_gerbe

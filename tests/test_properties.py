@@ -18,8 +18,11 @@ cover against a brute-force enumeration of face-poset chains.  Giraud obstructio
 the shipped nerves obey the cocycle law, and their classes do not depend
 on the section of the extension.  A collapse certificate of a cover
 intersection implies the invariant factors find it acyclic, and its
-contraction solves D v = rhs exactly.  The nerve of the dual block cover
-of a complex is that complex.  The coboundary summed on plain coordinates
+contraction solves D v = rhs exactly; the collapse on face indices
+returns the pairs of the set-based ``collapse_oracle`` and draws the same
+random numbers.  The nerve of the dual block cover of a complex is that
+complex, and the nerve built through the vertex index equals the
+brute-force nerve, key order included.  The coboundary summed on plain coordinates
 equals the term-by-term face sum of ``cochain_oracle`` over Z, Z/2, Z/6,
 Z + Z/2, Q and Q/Z, and ``is_coboundary`` refuses exactly the
 non-cocycles and finds a witness exactly for the exact cocycles.  The
@@ -51,6 +54,7 @@ from cechlift.cochains import (
 )
 from cechlift.complexes import (
     Chain,
+    Cover,
     SimplicialComplex,
     downward_closure,
     nerve,
@@ -79,6 +83,7 @@ from cechlift.tower import TransitionCocycle, giraud_obstruction, obstruction_cl
 
 from conftest import (
     dense_coboundary,
+    dunce_hat,
     oracle_augmented_solve,
     oracle_invariant_factors,
     oracle_fraction_back_substitute,
@@ -86,6 +91,7 @@ from conftest import (
     random_cochain,
 )
 import cochain_oracle
+import collapse_oracle
 import deligne_oracle
 import snf_oracle
 from snf_oracle import dense, sparse
@@ -615,6 +621,98 @@ def test_a_collapse_certificate_proves_acyclicity_and_solves_exactly(w, seed, sh
         rhs = coboundary(Cochain(w, q, QQ, x)).values
         v = _solve_local_d(w, q, rhs, random.Random(seed) if shuffled else None)
         assert coboundary(Cochain(w, q, QQ, v)).values == rhs, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        intersections(),
+        complexes(),
+        st.sampled_from([dunce_hat(), fixtures.triangle_boundary(), SimplicialComplex(0, ())]),
+    ),
+    st.integers(0, 2**32),
+    st.booleans(),
+)
+def test_indexed_collapse_equals_the_set_based_oracle(k, seed, shuffled_first):
+    """The collapse on face indices returns the oracle's pairs, sorted and
+    shuffled, and draws the same numbers from the ``random.Random``; the
+    second shuffled collapse runs on the kept face graph."""
+    w = SimplicialComplex._trusted(k.vertex_count, k.simplices)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    if not shuffled_first:
+        assert w.collapse() == collapse_oracle.greedy_collapse(k)
+    for _ in range(2):
+        assert w.collapse(ours) == collapse_oracle.greedy_collapse(k, theirs)
+        assert ours.getstate() == theirs.getstate()
+    assert w.collapse() == collapse_oracle.greedy_collapse(k)
+
+
+def brute_force_nerve(cover):
+    """{index tuple: its intersection} over every index subset with a
+    non-empty intersection, by size and then lexicographically.
+
+    A subset is extended by every later index; the supersets of a subset
+    with an empty intersection are empty too and are not tried.
+    """
+    out = {}
+    level = [((), None)]
+    while level:
+        nxt = []
+        for t, inter in level:
+            for j in range(t[-1] + 1 if t else 0, len(cover.pieces)):
+                piece = cover.pieces[j].simplices
+                meet = piece if inter is None else inter & piece
+                if meet:
+                    nxt.append((t + (j,), meet))
+        out.update(nxt)
+        level = nxt
+    return out
+
+
+@st.composite
+def random_covers(draw):
+    """A cover of a random complex whose pieces include empty ones,
+    duplicates and single vertices, which meet the others in one vertex."""
+    k = draw(complexes())
+    simps = sorted(k.simplices)
+    pieces = []
+    for _ in range(draw(st.integers(0, 4))):
+        chosen = draw(st.lists(st.sampled_from(simps), max_size=4))
+        pieces.append(SimplicialComplex(k.vertex_count, downward_closure(chosen)))
+    vertices = [s for s in simps if len(s) == 1]
+    for v in draw(st.lists(st.sampled_from(vertices), max_size=2)):
+        pieces.append(SimplicialComplex(k.vertex_count, {v}))
+    if pieces and draw(st.booleans()):
+        pieces.append(draw(st.sampled_from(pieces)))
+    if draw(st.booleans()):
+        pieces.append(SimplicialComplex(k.vertex_count, ()))
+    pieces.append(k)
+    order = draw(st.permutations(range(len(pieces))))
+    return Cover(k, tuple(pieces[i] for i in order))
+
+
+def _assert_nerve_is_the_brute_force_nerve(cover):
+    nrv = nerve(cover)
+    expected = brute_force_nerve(cover)
+    assert list(nrv.intersection_of) == list(expected)
+    assert {t: w.simplices for t, w in nrv.intersection_of.items()} == expected
+    assert nrv.simplices == frozenset(expected)
+
+
+@SETTINGS
+@given(random_covers())
+def test_nerve_through_the_vertex_index_is_the_brute_force_nerve(cover):
+    """Same intersections, in the same key order, as trying every subset."""
+    _assert_nerve_is_the_brute_force_nerve(cover)
+
+
+def test_nerve_of_181_dual_blocks_is_the_brute_force_nerve():
+    bsd2, _ = fixtures.barycentric_subdivision(
+        fixtures.barycentric_subdivision(fixtures.rp2_minimal())[0]
+    )
+    cover = fixtures.dual_block_cover(bsd2)
+    assert len(cover) == 181
+    _assert_nerve_is_the_brute_force_nerve(cover)
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ class SimplicialComplex:
     """A downward-closed set of strictly increasing vertex tuples."""
 
     __slots__ = (
-        "vertex_count", "simplices", "_by_dim", "_factored", "_collapse", "_collapse_graph"
+        "vertex_count", "simplices", "_by_dim", "_factored", "_collapse", "_graph"
     )
 
     def __init__(self, vertex_count, simplices):
@@ -162,7 +162,7 @@ class SimplicialComplex:
         self._by_dim = None
         self._factored = {}
         self._collapse = _UNBUILT
-        self._collapse_graph = None
+        self._graph = None
 
     def _dims(self):
         """The simplices grouped by dimension, sorted on first use and kept."""
@@ -171,7 +171,7 @@ class SimplicialComplex:
         return self._by_dim
 
     def simplices_of_dim(self, d):
-        return (self._by_dim or self._dims()).get(d, ())
+        return self._dims().get(d, ())
 
     @property
     def dim(self):
@@ -187,15 +187,16 @@ class SimplicialComplex:
         sorted order is built on first use and kept, and the face graph
         it ran on (``_collapse_graph``) is dropped.  A ``shuffle`` (a
         ``random.Random``) reorders the free faces of a fresh, unkept
-        certificate; the first one builds the face graph and keeps it,
-        so that every later shuffled collapse only copies its counts.
+        certificate; the first one builds the face graph and keeps it in
+        ``_graph``, so that every later shuffled collapse only copies its
+        counts.
         """
         if shuffle is not None:
-            if self._collapse_graph is None:
-                self._collapse_graph = _collapse_graph(self)
-            return _greedy_collapse(self._collapse_graph, shuffle)
+            if self._graph is None:
+                self._graph = _collapse_graph(self)
+            return _greedy_collapse(self._graph, shuffle)
         if self._collapse is _UNBUILT:
-            self._collapse = _greedy_collapse(self._collapse_graph or _collapse_graph(self))
+            self._collapse = _greedy_collapse(self._graph or _collapse_graph(self))
         return self._collapse
 
     def euler_characteristic(self):

@@ -235,7 +235,7 @@ def test_a_second_shuffled_holonomy_builds_no_face_graph(monkeypatch):
     first = holonomy(pkg, torus, z, shuffle=random.Random(5))
     assert graphs
     _, nrv = pkg.cover.restricted_to(torus)
-    assert any(w._collapse_graph is not None for w in nrv.intersection_of.values())
+    assert any(w._graph is not None for w in nrv.intersection_of.values())
     del graphs[:]
     assert holonomy(pkg, torus, z, shuffle=random.Random(6)) == first
     assert graphs == []
@@ -252,8 +252,8 @@ def test_goodness_and_the_sorted_certificate_keep_no_face_graph(monkeypatch):
     assert len(graphs) == len(nrv.simplices)
     assert nrv.collapse() is None
     assert len(graphs) == len(nrv.simplices) + 1
-    assert nrv._collapse_graph is None
-    assert all(w._collapse_graph is None for w in nrv.intersection_of.values())
+    assert nrv._graph is None
+    assert all(w._graph is None for w in nrv.intersection_of.values())
     del graphs[:]
     assert verify_good_cover(cov, nrv).ok and nrv.collapse() is None
     assert graphs == []

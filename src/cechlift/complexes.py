@@ -9,10 +9,13 @@ shared and hashed freely.
 private ``SimplicialComplex._trusted`` checks nothing and is used only
 where the result is a complex by construction: the intersections and the
 nerve built by ``nerve``, the pieces of ``Cover.restricted_to``,
-``star_cover`` and ``product_cover``, ``validate_complex`` after its own
-checks, cover pieces read by ``io.cover_from_json`` (closures of faces
-checked against the base), and the support subcomplex of ``cechlift
-holonomy`` (the closure of a chain on the base).
+``star_cover`` and ``product_cover``, the staircase product of
+``product_complex`` (a downward closure), the barycentric subdivision
+and the dual-block pieces of ``fixtures`` (subchains of face-poset
+chains are chains), ``validate_complex`` after its own checks, cover
+pieces read by ``io.cover_from_json`` (closures of faces checked against
+the base), and the support subcomplex of ``cechlift holonomy`` (the
+closure of a chain on the base).
 
 A complex stores its simplices as a frozenset and groups them by
 dimension, sorted, on the first ``simplices_of_dim``, ``dim`` or
@@ -465,7 +468,7 @@ def product_complex(a, b):
                         j += 1
                     verts.append(vid(sa[i], sb[j]))
                 top.add(tuple(verts))
-    product = SimplicialComplex(a.vertex_count * nb, downward_closure(top))
+    product = SimplicialComplex._trusted(a.vertex_count * nb, downward_closure(top))
     proj_a = tuple(x // nb for x in range(a.vertex_count * nb))
     proj_b = tuple(x % nb for x in range(a.vertex_count * nb))
     return product, proj_a, proj_b

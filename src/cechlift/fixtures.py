@@ -113,7 +113,8 @@ def barycentric_subdivision(k):
     vertex ids follow the (dimension, lexicographic) order of k's
     simplices, so chains are strictly increasing tuples.  Each chain is
     extended through an index of the proper cofaces of its top simplex,
-    so the work is linear in the number of chains.
+    so the work is linear in the number of chains.  Every subchain of a
+    chain is a chain, so the result is built without re-checking faces.
     """
     order = sorted(k.simplices, key=lambda s: (len(s), s))
     vertex_of = {s: i for i, s in enumerate(order)}
@@ -128,7 +129,7 @@ def barycentric_subdivision(k):
         chain = stack.pop()
         chains.append(chain)
         stack.extend(chain + (j,) for j in cofaces[chain[-1]])
-    return SimplicialComplex(len(order), chains), vertex_of
+    return SimplicialComplex._trusted(len(order), chains), vertex_of
 
 
 def dual_block_cover(k):
@@ -139,7 +140,8 @@ def dual_block_cover(k):
     every intersection is acyclic (re-verified at runtime), which makes
     it the good cover used for the projective-plane bundle fixtures.
     Each chain is handed to the vertices of its minimal simplex in one
-    pass.
+    pass.  A subchain's minimal simplex contains that of the chain, so
+    each piece is downward closed and built without re-checking faces.
     """
     bsd, vertex_of = barycentric_subdivision(k)
     simplex_of = {i: s for s, i in vertex_of.items()}
@@ -147,7 +149,7 @@ def dual_block_cover(k):
     for chain in bsd.simplices:
         for v in simplex_of[chain[0]]:
             blocks[v].append(chain)
-    return Cover(bsd, tuple(SimplicialComplex(bsd.vertex_count, b) for b in blocks.values()))
+    return Cover(bsd, tuple(SimplicialComplex._trusted(bsd.vertex_count, b) for b in blocks.values()))
 
 
 def rp2_good_cover():

@@ -4,8 +4,12 @@ This module makes the obstruction theory executable: a bundle is a
 transition cocycle on a nerve, a central extension is a normalized
 factor set, and the failure of the transitions to lift through the
 extension is the degree-2 kernel-valued cocycle built from the
-canonical section.  Higher obstructions of an extension tower are
-produced by connecting operators of the derived quotient sequences.
+canonical section.  ``lift_transitions`` decides a lift with one such
+cocycle and one solve, and returns the lift or a nonzero ``Obstruction``;
+``tower_obstructions`` runs it once per level of an extension tower.
+After the first blocked level the higher obstructions are the
+connecting-operator images through the derived quotient sequences.
+Every class is read by ``obstruction_class``.
 """
 
 from __future__ import annotations
@@ -370,18 +374,26 @@ def giraud_obstruction(g, ext, section_twist=None):
 
 @dataclass
 class Obstruction:
-    """A nonzero lifting obstruction: the cocycle and its class."""
+    """A cocycle and its class: the cohomology group and the coordinates in it."""
 
     cocycle: Cochain
     cohomology: FgAbelianGroup
     coords: tuple
 
+    @property
+    def degree(self):
+        return self.cocycle.degree
+
+    @property
+    def coefficients(self):
+        return self.cocycle.group
+
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
 
 def obstruction_class(c):
-    """Class coordinates of a kernel-valued 2-cocycle, as an Obstruction."""
+    """The class of a cocycle in the cohomology of its carrier, as an Obstruction."""
     classes = cohomology_classes(c.carrier, c.group, c.degree)
     return Obstruction(c, classes.group, classes.class_coords(c))
 
@@ -391,8 +403,10 @@ def lift_transitions(g, ext, section_twist=None, witness_shift=None):
 
     When the Giraud cocycle is a coboundary with witness y, the lift is
     g'_ij = s(g_ij) * embed(-y_ij), re-validated against the nonabelian
-    cocycle law; it projects back to g exactly.  Otherwise the nonzero
-    obstruction class is returned.
+    cocycle law; it projects back to g exactly, and is the certificate
+    that the class vanishes.  Otherwise the obstruction class is returned;
+    it is nonzero, or ``NotACocycle`` is raised, since a cocycle the solve
+    refuses is not a coboundary.
 
     ``witness_shift`` adds a kernel-valued 1-cocycle to the chosen
     witness, selecting a different valid trivialization (used by the
@@ -401,7 +415,10 @@ def lift_transitions(g, ext, section_twist=None, witness_shift=None):
     c = giraud_obstruction(g, ext, section_twist)
     y = is_coboundary(c)
     if y is None:
-        return obstruction_class(c)
+        obs = obstruction_class(c)
+        if obs.is_zero():
+            raise NotACocycle("the solve refused an obstruction whose class vanishes")
+        return obs
     if witness_shift is not None:
         if not coboundary(witness_shift).is_zero():
             raise NotACocycle("witness shift must be a cocycle")
@@ -566,16 +583,10 @@ def _group_generator_members(group, fg, coords_of):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ObstructionEntry:
-    level: int
-    degree: int
-    coefficients: FgAbelianGroup
-    cocycle: Cochain
-    cohomology: FgAbelianGroup
-    coords: tuple
+class ObstructionEntry(Obstruction):
+    """The Obstruction recorded at one level of a tower run."""
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
+    level: int
 
 
 @dataclass
@@ -603,13 +614,14 @@ class ObstructionSequence:
 def tower_obstructions(g, tower, witness_shifts=None):
     """Run the lifting pipeline of a tower on a transition cocycle.
 
-    At each level the degree-2 obstruction of the current transitions
-    is computed against the level's extension.  A vanishing class
-    records the zero tower class one degree up (the zero representative
-    is chosen, which is what makes the next level exact) and the
-    transitions are replaced by the lift.  A nonzero class blocks the
-    tower; every later class is the connecting-operator image of the
-    previous one through the derived quotient sequence.
+    Each level is decided by one ``lift_transitions`` of the current
+    transitions through the level's extension: one Giraud cocycle and
+    one solve.  A lift records the zero tower class one degree up (the
+    zero representative is chosen, which is what makes the next level
+    exact) and replaces the transitions.  An ``Obstruction`` blocks the
+    tower and is recorded as it is; every later class is the
+    connecting-operator image of the previous one through the derived
+    quotient sequence, read by ``obstruction_class``.
 
     ``witness_shifts`` optionally maps a level to a kernel-valued
     1-cocycle added to that level's coboundary witness.
@@ -620,45 +632,23 @@ def tower_obstructions(g, tower, witness_shifts=None):
     nerve_ = g.nerve
     entries = []
     current = g
-    blocked = None
     n = len(tower)
     for level in range(1, n + 1):
         ext = tower.extensions[level - 1]
-        c = giraud_obstruction(current, ext)
-        classes = cohomology_classes(nerve_, ext.kernel, 2)
-        coords = classes.class_coords(c)
-        if any(coords):
-            entries.append(
-                ObstructionEntry(level, 2, ext.kernel, c, classes.group, coords)
-            )
-            blocked = level
-            break
-        shift = witness_shifts.get(level)
-        lifted = lift_transitions(current, ext, witness_shift=shift)
+        lifted = lift_transitions(current, ext, witness_shift=witness_shifts.get(level))
         if isinstance(lifted, Obstruction):
-            raise NotACocycle("class vanished but the lift failed")
-        zero_classes = cohomology_classes(nerve_, ext.kernel, level + 1)
+            entries.append(ObstructionEntry(lifted.cocycle, lifted.cohomology, lifted.coords, level))
+            break
+        zero = cohomology_classes(nerve_, ext.kernel, level + 1).group
         entries.append(
-            ObstructionEntry(
-                level,
-                level + 1,
-                ext.kernel,
-                zero_cochain(nerve_, level + 1, ext.kernel),
-                zero_classes.group,
-                (0,) * zero_classes.group.rank,
-            )
+            ObstructionEntry(zero_cochain(nerve_, level + 1, ext.kernel), zero, (0,) * zero.rank, level)
         )
         current = lifted
-    if blocked is None:
+    else:
         return ObstructionSequence(entries, ("lifted", n))
-    c = entries[-1].cocycle
+    blocked, c = level, lifted.cocycle
     for level in range(blocked + 1, n + 1):
-        ses = tower.derived_sequence(level - 1)
-        c = bockstein(c, ses)
-        classes = cohomology_classes(nerve_, ses.A, c.degree)
-        entries.append(
-            ObstructionEntry(
-                level, c.degree, ses.A, c, classes.group, classes.class_coords(c)
-            )
-        )
+        obs = obstruction_class(bockstein(c, tower.derived_sequence(level - 1)))
+        c = obs.cocycle
+        entries.append(ObstructionEntry(c, obs.cohomology, obs.coords, level))
     return ObstructionSequence(entries, ("blocked", blocked))

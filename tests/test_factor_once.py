@@ -2,8 +2,9 @@
 
 Counts calls of the Smith kernel while cohomology is built and queried,
 while cover goodness is checked, while exact sequences are built and
-used, and over whole CLI commands; and checks the one back-substitution
-against independent solvers.
+used, and over whole CLI commands; counts the Giraud cocycles and class
+readings of a tower run; and checks the one back-substitution against
+independent solvers.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from cechlift import abelian, cli, complexes, fixtures, kernels
+from cechlift import abelian, cli, cochains, complexes, fixtures, kernels, tower
 from cechlift.abelian import CIRCLE, QQ, FgAbelianGroup, Homomorphism, ShortExactSequence
 from cechlift.cochains import (
     Cochain,
@@ -451,6 +452,43 @@ def test_cli_example_smith_budget(fixture_dir, snf_calls, capsys, argv, budget):
     args = [argv[0], *(str(fixture_dir / name) for name in argv[1:])]
     assert cli.main(args) == 0, capsys.readouterr().err
     assert len(snf_calls) <= budget, snf_calls
+
+
+def _rp2_tower_input(shift_level):
+    _, nrv = fixtures.rp2_good_cover()
+    if shift_level is None:
+        return fixtures.rp2_orientation_transitions(nrv), None
+    g = tower.TransitionCocycle(nrv, fixtures.z2_tower(1).extensions[0].base, {})
+    return g, {shift_level: fixtures.rp2_orientation_cocycle(nrv)}
+
+
+def _circle_tower_input():
+    return fixtures.circle_double_cover_transitions(nerve(fixtures.three_arc_cover())), None
+
+
+@pytest.mark.parametrize(
+    "make_input, status, class_degrees",
+    [
+        (_circle_tower_input, ("lifted", 3), []),
+        (lambda: _rp2_tower_input(None), ("blocked", 1), [2, 3, 4]),
+        (lambda: _rp2_tower_input(1), ("blocked", 2), [2, 3]),
+    ],
+    ids=["circle-lifted", "rp2-blocked-1", "rp2-blocked-2"],
+)
+def test_tower_builds_one_giraud_cocycle_per_level(monkeypatch, make_input, status, class_degrees):
+    """One Giraud cocycle per level up to the first block; classes are read
+    only on the blocked level and the connecting-operator images."""
+    g, shifts = make_input()
+    giraud = _record_calls(monkeypatch, tower, "giraud_obstruction", lambda g, ext, *twist: ext)
+    coords = _record_calls(
+        monkeypatch, cochains.CohomologyClasses, "class_coords", lambda classes, c: c.degree
+    )
+    z2_tower = fixtures.z2_tower(3)
+    seq = tower.tower_obstructions(g, z2_tower, witness_shifts=shifts)
+    assert seq.status == status
+    levels = status[1]
+    assert giraud == list(z2_tower.extensions[:levels])
+    assert coords == class_degrees
 
 
 def test_no_dense_matrix_reaches_the_kernel(tmp_path, monkeypatch, snf_inputs, capsys):

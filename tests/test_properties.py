@@ -16,7 +16,10 @@ random integer matrices and on coboundary matrices, whose sparse rows
 equal the face incidence term by term; the subdivision and the dual block
 cover against a brute-force enumeration of face-poset chains.  Giraud obstructions of random transition cocycles on
 the shipped nerves obey the cocycle law, and their classes do not depend
-on the section of the extension.  A collapse certificate of a cover
+on the section of the extension; a tower run, one lift per level, gives
+the entries and status of the class-first run in ``tower_oracle``, with
+and without witness shifts, and a lift is refused exactly when the
+Giraud class is nonzero.  A collapse certificate of a cover
 intersection implies the invariant factors find it acyclic, and its
 contraction solves D v = rhs exactly; the collapse on face indices
 returns the pairs of the set-based ``collapse_oracle`` and draws the same
@@ -79,7 +82,17 @@ from cechlift.deligne import (
     restrict_package,
 )
 from cechlift.errors import NotACocycle
-from cechlift.tower import TransitionCocycle, giraud_obstruction, obstruction_class
+from cechlift.tower import (
+    ExtensionTower,
+    FiniteGroup,
+    Obstruction,
+    TransitionCocycle,
+    giraud_obstruction,
+    lift_transitions,
+    obstruction_class,
+    split_extension,
+    tower_obstructions,
+)
 
 from conftest import (
     dense_coboundary,
@@ -94,6 +107,7 @@ import cochain_oracle
 import collapse_oracle
 import deligne_oracle
 import snf_oracle
+import tower_oracle
 from snf_oracle import dense, sparse
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -553,6 +567,87 @@ def test_giraud_obstruction_is_a_cocycle_whose_class_ignores_the_section(nrv, ex
     coords = obstruction_class(c).coords
     assert obstruction_class(twisted).coords == coords
     assert (is_coboundary(c) is None) == any(coords)
+
+
+def _split_tower():
+    ext1 = split_extension(FiniteGroup.cyclic(2), FgAbelianGroup((2, 2)))
+    return ExtensionTower([ext1, split_extension(ext1.total, FgAbelianGroup((2,)))])
+
+
+#: The Z/2 towers of one to three levels and a split tower whose first
+#: kernel is Z/2 + Z/2.
+TOWERS = (*(fixtures.z2_tower(n) for n in (1, 2, 3)), _split_tower())
+
+
+@st.composite
+def tower_inputs(draw, nrv, tower):
+    """Transitions on the base of the tower, and witness shifts for some levels.
+
+    The transitions are drawn on the total of a random level and projected
+    to the base, so they lift at least that far; the shifts are random
+    kernel-valued 1-cocycles, a coboundary plus a combination of the
+    generators of H^1.
+    """
+    top = draw(st.integers(0, len(tower)))
+    group = tower.extensions[top - 1].total if top else tower.extensions[0].base
+    g = draw(transition_cocycles(nrv, group))
+    values = {}
+    for e in nrv.simplices_of_dim(1):
+        v = g.value(*e)
+        for ext in reversed(tower.extensions[:top]):
+            v = ext.project(v)
+        values[e] = v
+    shifts = {}
+    for level, ext in enumerate(tower.extensions, 1):
+        if draw(st.booleans()):
+            rng = random.Random(draw(st.integers(0, 2**16)))
+            shift = coboundary(random_cochain(rng, nrv, ext.kernel, 0))
+            for gen in cohomology_classes(nrv, ext.kernel, 1).generators():
+                if draw(st.booleans()):
+                    shift = shift + gen
+            shifts[level] = shift
+    return TransitionCocycle(nrv, tower.extensions[0].base, values), shifts
+
+
+def _assert_tower_run_equals_the_oracle(g, tower, shifts):
+    """The entries and status of the class-first oracle; and each level's
+    lift is refused exactly when its Giraud class is nonzero."""
+    seq = tower_obstructions(g, tower, witness_shifts=shifts)
+    entries, status = tower_oracle.tower_obstructions(g, tower, witness_shifts=shifts)
+    assert seq.status == status
+    assert len(seq.entries) == len(entries)
+    for got, want in zip(seq.entries, entries):
+        assert got.level == want.level and got.degree == want.degree
+        assert got.coefficients == want.coefficients and got.cocycle == want.cocycle
+        assert got.cohomology == want.cohomology and got.coords == want.coords
+    current = g
+    for level, ext in enumerate(tower.extensions, 1):
+        lifted = lift_transitions(current, ext, witness_shift=(shifts or {}).get(level))
+        blocked = not obstruction_class(giraud_obstruction(current, ext)).is_zero()
+        assert isinstance(lifted, Obstruction) == blocked
+        if blocked:
+            return
+        current = lifted
+
+
+TOWER_IDS = ["z2-1", "z2-2", "z2-3", "split"]
+
+
+@pytest.mark.parametrize("tower", TOWERS, ids=TOWER_IDS)
+@pytest.mark.parametrize("nrv", NERVES, ids=["circle", "rp2", "torus"])
+@settings(max_examples=15, deadline=None)
+@given(shifted=st.booleans(), data=st.data())
+def test_tower_run_equals_the_class_first_oracle(nrv, tower, shifted, data):
+    g, shifts = data.draw(tower_inputs(nrv, tower))
+    _assert_tower_run_equals_the_oracle(g, tower, shifts if shifted else None)
+
+
+@pytest.mark.parametrize("tower", TOWERS, ids=TOWER_IDS)
+def test_shipped_rp2_tower_runs_equal_the_class_first_oracle(tower):
+    """The orientation bundle of RP^2 blocks the Z/2 towers at level 1 and
+    then runs the connecting operators."""
+    _, nrv = fixtures.rp2_good_cover()
+    _assert_tower_run_equals_the_oracle(fixtures.rp2_orientation_transitions(nrv), tower, None)
 
 
 # ---------------------------------------------------------------------------

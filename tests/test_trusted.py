@@ -1,7 +1,8 @@
 """Results built without re-checking equal the checked ones, and input is still checked.
 
 Complexes built by ``SimplicialComplex._trusted`` (nerves, their
-intersections, restrictions, star and product pieces, loaded cover
+intersections, restrictions, star and product pieces, staircase
+products, barycentric subdivisions and their dual blocks, loaded cover
 pieces, ``validate_complex``) must pass the validating constructor
 unchanged.  Extension totals built on kernel indices must equal the
 ``GroupElement``-built oracle in ``extension_oracle`` and pass the
@@ -17,10 +18,12 @@ import pytest
 from cechlift import fixtures, io
 from cechlift.abelian import FgAbelianGroup
 from cechlift.complexes import (
+    Cover,
     Nerve,
     SimplicialComplex,
     downward_closure,
     nerve,
+    product_complex,
     product_cover,
     star_cover,
     validate_complex,
@@ -65,6 +68,19 @@ def _torus():
     return cover, _cycle_support(fixtures.torus_cycle(torus))
 
 
+def _whole(k):
+    """The one-piece cover of k, so that k itself is checked."""
+    return Cover(k, (k,))
+
+
+def _bsd_rp2():
+    return fixtures.barycentric_subdivision(fixtures.rp2_minimal())[0]
+
+
+def _cycle(n):
+    return validate_complex([(i, (i + 1) % n) for i in range(n)])
+
+
 #: name -> () -> (cover, a subcomplex of its base to restrict to, or None)
 COVERS = {
     "circle": lambda: (fixtures.three_arc_cover(), _cycle_support(fixtures.hexagon_cycle())),
@@ -78,6 +94,9 @@ COVERS = {
         fixtures.dual_block_cover(fixtures.barycentric_subdivision(fixtures.torus_product()[0])[0]),
         None,
     ),
+    "bsd-rp2": lambda: (_whole(_bsd_rp2()), None),
+    "bsd-rp2-dual-blocks": lambda: (fixtures.dual_block_cover(_bsd_rp2()), None),
+    "product-c4-c6": lambda: (_whole(product_complex(_cycle(4), fixtures.hexagon())[0]), None),
     "product": lambda: (
         product_cover(star_cover(validate_complex([(0, 1)])), fixtures.three_arc_cover()),
         None,

@@ -149,13 +149,14 @@ class FgAbelianGroup:
     moduli.
     """
 
-    __slots__ = ("moduli",)
+    __slots__ = ("moduli", "rings")
 
     def __init__(self, moduli):
-        moduli = tuple(int(m) for m in moduli)
+        moduli = tuple(index(m) for m in moduli)
         if not _is_invariant_chain(moduli):
             raise ValueError(f"moduli {moduli} are not in invariant-factor form")
         self.moduli = moduli
+        self.rings = tuple(m or "Z" for m in moduli)
 
     @property
     def rank(self):
@@ -180,7 +181,35 @@ class FgAbelianGroup:
         return GroupElement._trusted(self, (0,) * self.rank)
 
     def element(self, coords):
+        if isinstance(coords, GroupElement) and coords.group == self:
+            return coords
+        _refuse_foreign(coords, self)
         return GroupElement(self, tuple(coords))
+
+    def split(self, values):
+        """Per coefficient factor, the {key: int coordinate} map of ``values``."""
+        return [{s: v.coords[j] for s, v in values.items()} for j in range(self.rank)]
+
+    def join(self, maps):
+        """The {key: element} map with coordinate j taken from ``maps[j]``
+        (missing keys are 0), reduced mod each modulus, zeros dropped."""
+        if self.rank == 1:
+            (m,) = self.moduli
+            (raw,) = maps
+            trusted = GroupElement._trusted
+            if m:
+                return {s: trusted(self, (c,)) for s, x in raw.items() if (c := x % m)}
+            return {s: trusted(self, (c,)) for s, c in raw.items() if c}
+        coords = {}
+        for j, raw in enumerate(maps):
+            for s, c in raw.items():
+                coords.setdefault(s, [0] * self.rank)[j] = c
+        out = {}
+        for s, cs in coords.items():
+            cs = tuple(c % m if m else c for c, m in zip(cs, self.moduli))
+            if any(cs):
+                out[s] = GroupElement._trusted(self, cs)
+        return out
 
     def elements(self):
         if not self.is_finite():
@@ -262,6 +291,7 @@ class CircleGroup:
     """The additive rational circle Q/Z (exact representatives in [0,1))."""
 
     _instance = None
+    rings = ("Q/Z",)
 
     def __new__(cls):
         if cls._instance is None:
@@ -272,7 +302,20 @@ class CircleGroup:
         return CircleElement(Fraction(0))
 
     def element(self, value):
+        if isinstance(value, CircleElement):
+            return value
+        _refuse_foreign(value, self)
         return CircleElement(Fraction(value))
+
+    def split(self, values):
+        """The {key: Fraction in [0, 1)} map of ``values``, as a list of one."""
+        return [{s: v.value for s, v in values.items()}]
+
+    def join(self, maps):
+        """The {key: element} map of the one Fraction map, reduced mod 1,
+        zeros dropped."""
+        (raw,) = maps
+        return {s: CircleElement(x) for s, x in raw.items() if x % 1}
 
     def __eq__(self, other):
         return isinstance(other, CircleGroup)
@@ -323,6 +366,7 @@ class RationalGroup:
     """
 
     _instance = None
+    rings = ("Q",)
 
     def __new__(cls):
         if cls._instance is None:
@@ -333,7 +377,17 @@ class RationalGroup:
         return Fraction(0)
 
     def element(self, value):
+        _refuse_foreign(value, self)
         return Fraction(value)
+
+    def split(self, values):
+        """``values`` itself, as a list of one map; callers only read it."""
+        return [values]
+
+    def join(self, maps):
+        """The one Fraction map without its zeros."""
+        (raw,) = maps
+        return {s: x for s, x in raw.items() if x}
 
     def __eq__(self, other):
         return isinstance(other, RationalGroup)
@@ -349,6 +403,13 @@ class RationalGroup:
 
 
 QQ = RationalGroup()
+
+
+def _refuse_foreign(value, group):
+    """Raise GroupMismatch when ``value`` is an element of another group."""
+    if isinstance(value, (GroupElement, CircleElement)):
+        raise GroupMismatch(f"{value!r} is not an element of {group}")
+
 
 INTEGERS = FgAbelianGroup((0,))
 
@@ -398,16 +459,6 @@ class Presentation:
     def generators(self):
         n = len(self.diag)
         return [self._fac.uinv_times([int(i == pos) for i in range(n)]) for pos in self._kept]
-
-
-def presentation_from_relations(n, relation_cols):
-    """Factor the lattice spanned by the given columns of Z^n, once."""
-    rows = [{} for _ in range(n)]
-    for j, col in enumerate(relation_cols):
-        for i, x in enumerate(col):
-            if x:
-                rows[i][j] = x
-    return _presentation(rows, len(relation_cols))
 
 
 def _presentation(rows, ncols):
@@ -477,7 +528,7 @@ class Homomorphism:
     matrix: tuple
 
     def __post_init__(self):
-        mat = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        mat = tuple(tuple(index(x) for x in row) for row in self.matrix)
         object.__setattr__(self, "matrix", mat)
         if len(mat) != self.codomain.rank:
             raise ValueError("matrix row count does not match codomain rank")

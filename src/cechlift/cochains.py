@@ -3,23 +3,21 @@
 A cochain stores values only on canonical increasing tuples; evaluation
 on arbitrary orderings applies the alternating sign on demand, the single
 sign convention the whole library is built on.
+
+Every operation runs one path for Z, Z/m, Q and Q/Z.  The coefficient
+group splits the values into one map of plain numbers per coefficient
+ring (``rings``: an int m for Z/m, "Z", "Q" or "Q/Z"), the operation
+works on those maps (face sums, one back-substitution per ring, products)
+and the group joins the results back into reduced, nonzero elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import index
 
 from . import abelian
-from .abelian import (
-    CIRCLE,
-    QQ,
-    CircleElement,
-    CircleGroup,
-    FgAbelianGroup,
-    GroupElement,
-    RationalGroup,
-)
+from .abelian import CircleGroup, FgAbelianGroup, RationalGroup
 from .errors import DegreeMismatch, GroupMismatch, NoProduct, NotACocycle
 
 
@@ -47,14 +45,17 @@ class Cochain:
     """A degree-p assignment of coefficient values to carrier p-simplices.
 
     Missing simplices are zero.  Values must live in the coefficient
-    group: GroupElement, CircleElement or Fraction according to it.
+    group: GroupElement, CircleElement or Fraction according to it;
+    ``group.element`` coerces each one.
     """
 
     __slots__ = ("carrier", "degree", "group", "values")
 
     def __init__(self, carrier, degree, group, values=None):
+        if not isinstance(group, (FgAbelianGroup, CircleGroup, RationalGroup)):
+            raise GroupMismatch(f"unsupported coefficient group {group!r}")
         self.carrier = carrier
-        self.degree = int(degree)
+        self.degree = index(degree)
         self.group = group
         vals = {}
         if values:
@@ -64,7 +65,7 @@ class Cochain:
                     raise DegreeMismatch(
                         f"{s} is not a degree-{self.degree} simplex of the carrier"
                     )
-                v = self._coerce(v)
+                v = group.element(v)
                 if not abelian.is_zero_value(group, v):
                     vals[s] = v
         self.values = vals
@@ -83,22 +84,6 @@ class Cochain:
         self.group = group
         self.values = values
         return self
-
-    def _coerce(self, v):
-        g = self.group
-        if isinstance(g, FgAbelianGroup):
-            if isinstance(v, GroupElement):
-                if v.group != g:
-                    raise GroupMismatch("value in a different group")
-                return v
-            return GroupElement(g, tuple(v))
-        if isinstance(g, CircleGroup):
-            if isinstance(v, CircleElement):
-                return v
-            return CircleElement(Fraction(v))
-        if isinstance(g, RationalGroup):
-            return Fraction(v)
-        raise GroupMismatch(f"unsupported coefficient group {g!r}")
 
     def value(self, indices):
         """Alternating-extension value on an arbitrary index tuple."""
@@ -164,30 +149,6 @@ def zero_cochain(carrier, degree, group):
     return Cochain(carrier, degree, group)
 
 
-def _elements(group, raw):
-    """The nonzero entries of ``raw`` as elements of the group.
-
-    ``raw`` maps simplices to plain values: integer coordinate sequences
-    for an fg group, Fractions for Q and Q/Z.  Each value is reduced
-    (mod every m_i, mod 1) before it is tested for zero.
-    """
-    out = {}
-    if isinstance(group, FgAbelianGroup):
-        moduli = group.moduli
-        for s, coords in raw.items():
-            coords = tuple(c % m if m else c for c, m in zip(coords, moduli))
-            if any(coords):
-                out[s] = GroupElement._trusted(group, coords)
-    elif isinstance(group, CircleGroup):
-        for s, v in raw.items():
-            v %= 1
-            if v:
-                out[s] = CircleElement(v)
-    else:
-        out = {s: v for s, v in raw.items() if v}
-    return out
-
-
 def _face_sums(simps, raw):
     """Per simplex s, sum_j (-1)^j raw(s without vertex j), where nonzero."""
     out = {}
@@ -208,22 +169,13 @@ def _face_sums(simps, raw):
 def coboundary(x):
     """(delta x)(i_0..i_{p+1}) = sum_j (-1)^j x(i_0..îj..i_{p+1}).
 
-    The sums run on plain values (integer coordinates per factor,
-    Fractions over Q and Q/Z) and are reduced once, at the end.
+    The sums run on the plain values of each ring (integer coordinates
+    per factor, Fractions over Q and Q/Z) and are reduced once, by join.
     """
     simps = x.carrier.simplices_of_dim(x.degree + 1)
     g = x.group
-    if isinstance(g, FgAbelianGroup):
-        raw = {}
-        for j in range(g.rank):
-            sums = _face_sums(simps, {s: v.coords[j] for s, v in x.values.items()})
-            for s, c in sums.items():
-                raw.setdefault(s, [0] * g.rank)[j] = c
-    elif isinstance(g, CircleGroup):
-        raw = _face_sums(simps, {s: v.value for s, v in x.values.items()})
-    else:
-        raw = _face_sums(simps, x.values)
-    return Cochain._trusted(x.carrier, x.degree + 1, g, _elements(g, raw))
+    sums = [_face_sums(simps, raw) for raw in g.split(x.values)]
+    return Cochain._trusted(x.carrier, x.degree + 1, g, g.join(sums))
 
 
 def _require_cocycle(x):
@@ -231,25 +183,18 @@ def _require_cocycle(x):
         raise NotACocycle("input cochain is not a cocycle")
 
 
-def _fg_vectors(x, simps):
-    """Per coefficient factor, the integer coordinate vector of x."""
-    moduli = x.group.moduli
-    vecs = [[0] * len(simps) for _ in moduli]
-    for i, s in enumerate(simps):
-        v = x.values.get(s)
-        if v is not None:
-            for j, c in enumerate(v.coords):
-                vecs[j][i] = c
-    return vecs
+def _vectors(x, simps):
+    """Per coefficient ring, the vector of x's plain values on simps."""
+    return [[raw.get(s, 0) for s in simps] for raw in x.group.split(x.values)]
 
 
 def is_coboundary(x):
     """A witness y with delta y = x, or None.
 
-    The decision is exact: x is solved over Z, Z/m (per cyclic
-    coefficient factor), Q or Q/Z by Smith back-substitution on the
+    The decision is exact: x is solved over each coefficient ring (Z,
+    Z/m per cyclic factor, Q or Q/Z) by Smith back-substitution on the
     carrier's one factorization of delta_{p-1}.  The witness is the
-    canonical representative of that solve.  Raises NotACocycle when
+    canonical representative of those solves.  Raises NotACocycle when
     delta x != 0.
 
     A solved x is delta y, so delta x = delta delta y = 0 over every
@@ -270,25 +215,14 @@ def is_coboundary(x):
     cols = x.carrier.simplices_of_dim(p - 1)
     fac = x.carrier.factored_coboundary(p - 1)
     g = x.group
-    get = x.values.get
-    if isinstance(g, FgAbelianGroup):
-        per_factor = [
-            abelian._back_substitute(fac, vec, m or "Z")
-            for m, vec in zip(g.moduli, _fg_vectors(x, rows))
-        ]
-        sol = None if None in per_factor else zip(*per_factor)
-    elif isinstance(g, CircleGroup):
-        sol = abelian._back_substitute(
-            fac, [v.value if (v := get(s)) is not None else 0 for s in rows], "Q/Z"
-        )
-    elif isinstance(g, RationalGroup):
-        sol = abelian._back_substitute(fac, [get(s, 0) for s in rows], "Q")
-    else:
-        raise GroupMismatch("unsupported coefficient group")
-    if sol is None:
-        _require_cocycle(x)
-        return None
-    return Cochain._trusted(x.carrier, p - 1, g, _elements(g, dict(zip(cols, sol))))
+    sols = []
+    for ring, vec in zip(g.rings, _vectors(x, rows)):
+        sol = abelian._back_substitute(fac, vec, ring)
+        if sol is None:
+            _require_cocycle(x)
+            return None
+        sols.append(dict(zip(cols, sol)))
+    return Cochain._trusted(x.carrier, p - 1, g, g.join(sols))
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +247,15 @@ class CohomologyClasses:
         if x.degree != self.degree or x.group != self.coefficients:
             raise DegreeMismatch("cochain does not match this cohomology")
         simps = self.carrier.simplices_of_dim(self.degree)
-        return self.data.class_coords(_fg_vectors(x, simps))
+        return self.data.class_coords(_vectors(x, simps))
 
     def generators(self):
         simps = self.carrier.simplices_of_dim(self.degree)
+        g = self.coefficients
         out = []
         for per_factor in self.data.generator_vectors():
-            values = _elements(self.coefficients, dict(zip(simps, zip(*per_factor))))
-            out.append(Cochain._trusted(self.carrier, self.degree, self.coefficients, values))
+            values = g.join([dict(zip(simps, v)) for v in per_factor])
+            out.append(Cochain._trusted(self.carrier, self.degree, g, values))
         return out
 
 
@@ -352,36 +287,17 @@ def simplicial_cohomology(complex_, coefficients, p):
 # ---------------------------------------------------------------------------
 
 def _cup_target(ga, gb):
-    """Resolve the declared bilinear product of two coefficient groups."""
-    def is_cyclic(g):
-        return isinstance(g, FgAbelianGroup) and g.rank == 1
+    """The target of the declared bilinear product of two coefficient groups.
 
-    if is_cyclic(ga) and is_cyclic(gb):
-        ma, mb = ga.moduli[0], gb.moduli[0]
-        if ma == mb:
-            target = ga
-        elif ma == 0:
-            target = gb
-        elif mb == 0:
-            target = ga
-        else:
-            raise NoProduct(f"no declared product for {ga} x {gb}")
-        m = target.moduli[0]
-
-        def mul(a, b, m=m, target=target):
-            return GroupElement(target, (a.coords[0] * b.coords[0],))
-
-        return target, mul
-    if is_cyclic(ga) and ga.moduli[0] == 0 and isinstance(gb, CircleGroup):
-        return CIRCLE, lambda a, b: CircleElement(a.coords[0] * b.value)
-    if isinstance(ga, CircleGroup) and is_cyclic(gb) and gb.moduli[0] == 0:
-        return CIRCLE, lambda a, b: CircleElement(a.value * b.coords[0])
-    if isinstance(ga, RationalGroup) and isinstance(gb, RationalGroup):
-        return QQ, lambda a, b: a * b
-    if is_cyclic(ga) and ga.moduli[0] == 0 and isinstance(gb, RationalGroup):
-        return QQ, lambda a, b: a.coords[0] * b
-    if isinstance(ga, RationalGroup) and is_cyclic(gb) and gb.moduli[0] == 0:
-        return QQ, lambda a, b: a * b.coords[0]
+    Z acts on every group with one ring, and Z/m and Q multiply within
+    themselves; Q/Z x Q/Z and every group of more than one ring have no
+    product.
+    """
+    if len(ga.rings) == 1 == len(gb.rings):
+        if ga.rings == ("Z",):
+            return gb
+        if gb.rings == ("Z",) or (ga == gb and ga.rings != ("Q/Z",)):
+            return ga
     raise NoProduct(f"no declared product for {ga} x {gb}")
 
 
@@ -390,26 +306,25 @@ def cup(a, b):
 
     (a cup b)(i_0..i_{p+q}) = a(i_0..i_p) * b(i_p..i_{p+q}); satisfies
     the Leibniz rule delta(a cup b) = delta a cup b + (-1)^p a cup
-    delta b.
+    delta b.  The products run on the plain values of the one ring of
+    each side and the target joins them.
     """
     if a.carrier is not b.carrier and a.carrier != b.carrier:
         raise GroupMismatch("cup of cochains on different carriers")
-    target, mul = _cup_target(a.group, b.group)
+    target = _cup_target(a.group, b.group)
+    (fa,) = a.group.split(a.values)
+    (fb,) = b.group.split(b.values)
     p, q = a.degree, b.degree
     out = {}
     for s in a.carrier.simplices_of_dim(p + q):
-        front = s[: p + 1]
-        back = s[p:]
-        va = a.values.get(front)
+        va = fa.get(s[: p + 1])
         if va is None:
             continue
-        vb = b.values.get(back)
+        vb = fb.get(s[p:])
         if vb is None:
             continue
-        v = mul(va, vb)
-        if not abelian.is_zero_value(target, v):
-            out[s] = v
-    return Cochain._trusted(a.carrier, p + q, target, out)
+        out[s] = va * vb
+    return Cochain._trusted(a.carrier, p + q, target, target.join([out]))
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .abelian import factor
@@ -132,7 +133,7 @@ class SimplicialComplex:
     )
 
     def __init__(self, vertex_count, simplices):
-        vertex_count = int(vertex_count)
+        vertex_count = operator.index(vertex_count)
         simplices = frozenset(tuple(s) for s in simplices)
         for s in simplices:
             if not all(isinstance(v, int) for v in s):
@@ -290,7 +291,7 @@ def validate_complex(raw, vertex_count=None):
     sorted_simplices = []
     largest = ()
     for s in raw:
-        t = tuple(sorted(int(v) for v in s))
+        t = tuple(sorted(operator.index(v) for v in s))
         if len(set(t)) != len(t):
             raise DuplicateVertexInSimplex(f"repeated vertex in {tuple(s)}")
         if t and t[0] < 0:
@@ -300,7 +301,7 @@ def validate_complex(raw, vertex_count=None):
         sorted_simplices.append(t)
     if vertex_count is None:
         vertex_count = largest[-1] + 1 if largest else 0
-    vertex_count = int(vertex_count)
+    vertex_count = operator.index(vertex_count)
     if largest and largest[-1] >= vertex_count:
         raise InvalidComplex(f"vertex out of range in {largest}")
     return SimplicialComplex._trusted(vertex_count, downward_closure(sorted_simplices))
@@ -511,8 +512,9 @@ class Chain:
                 raise NotACycle(f"simplex {s} has wrong degree")
             if not self.complex.has_simplex(s):
                 raise InvalidComplex(f"chain supported on missing simplex {s}")
+            c = operator.index(c)
             if c:
-                coeffs[s] = int(c)
+                coeffs[s] = c
         object.__setattr__(self, "coefficients", coeffs)
 
     def __add__(self, other):
@@ -550,7 +552,7 @@ def fundamental_cycle(complex_, d, signs):
     for s in simps:
         if s not in signs:
             raise NotACycle(f"no orientation assigned to {s}")
-        sign = int(signs[s])
+        sign = operator.index(signs[s])
         if sign not in (1, -1):
             raise NotACycle(f"orientation of {s} must be +1 or -1")
         coeffs[s] = sign

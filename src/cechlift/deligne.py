@@ -30,6 +30,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 from . import abelian
 from .abelian import CIRCLE, CircleElement, QQ
@@ -61,8 +62,8 @@ class DoubleCochain:
     def __init__(self, cover, nerve_, cech_degree, form_degree, values=None):
         self.cover = cover
         self.nerve = nerve_
-        self.cech_degree = int(cech_degree)
-        self.form_degree = int(form_degree)
+        self.cech_degree = index(cech_degree)
+        self.form_degree = index(form_degree)
         checked = {}
         if values:
             for t, local in values.items():

@@ -14,6 +14,7 @@ Every class is read by ``obstruction_class``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import abelian
@@ -47,7 +48,7 @@ class FiniteGroup:
     __slots__ = ("order", "table", "identity", "inverse")
 
     def __init__(self, table, identity=None):
-        table = tuple(tuple(int(x) for x in row) for row in table)
+        table = tuple(tuple(operator.index(x) for x in row) for row in table)
         n = len(table)
         for row in table:
             if len(row) != n or any(x < 0 or x >= n for x in row):
@@ -59,7 +60,7 @@ class FiniteGroup:
             )
             if identity is None:
                 raise ValueError("table has no identity")
-        e = int(identity)
+        e = operator.index(identity)
         if any(table[e][b] != b or table[b][e] != b for b in range(n)):
             raise ValueError("claimed identity is not an identity")
         inverse = [None] * n
@@ -136,7 +137,9 @@ def abelian_invariants(group):
     if not group.is_abelian():
         raise NotAbelian("group is not commutative")
     n = group.order
-    rels = []
+    # one {column: value} row per element, one column per nonzero relation
+    rows = [{} for _ in range(n)]
+    ncols = 0
     for a in range(n):
         for b in range(a, n):
             vec = [0] * n
@@ -144,8 +147,11 @@ def abelian_invariants(group):
             vec[b] += 1
             vec[group.mul(a, b)] -= 1
             if any(vec):
-                rels.append(vec)
-    pres = abelian.presentation_from_relations(n, rels)
+                for i, x in enumerate(vec):
+                    if x:
+                        rows[i][ncols] = x
+                ncols += 1
+    pres = abelian._presentation(rows, ncols)
 
     def coords(idx):
         vec = [0] * n
@@ -303,7 +309,7 @@ class TransitionCocycle:
         for (i, j), v in g.items():
             if (i, j) not in nerve_.simplices:
                 raise GroupMismatch(f"({i},{j}) is not a nerve edge")
-            v = int(v)
+            v = operator.index(v)
             if v < 0 or v >= group.order:
                 raise GroupMismatch(f"invalid group element {v}")
             if v != group.identity:

@@ -21,7 +21,7 @@ from cechlift.cochains import (
 )
 from cechlift.complexes import Cover, nerve, star_cover, validate_complex
 from cechlift.deligne import _solve_local_d
-from cechlift.errors import CoverNotGoodOnV, NoProduct, NotACocycle
+from cechlift.errors import CoverNotGoodOnV, GroupMismatch, NoProduct, NotACocycle
 
 from conftest import (
     dense_coboundary,
@@ -272,6 +272,29 @@ class TestCechCohomology:
         assert not coboundary(x).is_zero()
         with pytest.raises(NotACocycle, match="class of a non-cocycle requested"):
             classes.class_coords(x)
+
+
+class TestCoefficients:
+    def test_unsupported_group_is_refused_without_values(self, hexagon):
+        with pytest.raises(GroupMismatch, match="unsupported coefficient group"):
+            Cochain(hexagon, 0, object())
+        with pytest.raises(GroupMismatch, match="unsupported coefficient group"):
+            Cochain(hexagon, 0, object(), {(0,): 1})
+
+    @pytest.mark.parametrize(
+        "group, value",
+        [
+            (Z2, Z4.element((1,))),
+            (Z, CIRCLE.element(Fraction(1, 2))),
+            (CIRCLE, Z2.element((1,))),
+            (QQ, CIRCLE.element(Fraction(1, 2))),
+            (QQ, Z.element((1,))),
+        ],
+        ids=["Z/4 in Z/2", "Q/Z in Z", "Z/2 in Q/Z", "Q/Z in Q", "Z in Q"],
+    )
+    def test_element_of_another_group_is_refused(self, hexagon, group, value):
+        with pytest.raises(GroupMismatch):
+            Cochain(hexagon, 0, group, {(0,): value})
 
 
 class TestNoStoredZeros:

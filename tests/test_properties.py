@@ -27,8 +27,11 @@ random numbers.  The nerve of the dual block cover of a complex is that
 complex, and the nerve built through the vertex index equals the
 brute-force nerve, key order included.  The coboundary summed on plain coordinates
 equals the term-by-term face sum of ``cochain_oracle`` over Z, Z/2, Z/6,
-Z + Z/2, Q and Q/Z, and ``is_coboundary`` refuses exactly the
-non-cocycles and finds a witness exactly for the exact cocycles.  The
+Z + Z/2, Z/2 + Z/4 + Z, Q and Q/Z, and ``is_coboundary`` refuses exactly the
+non-cocycles and finds a witness exactly for the exact cocycles; its
+witnesses and refusals, class coordinates and generators equal the
+per-coefficient-type routes of ``cochain_oracle``, and so do cup
+products, or both sides refuse the pair of groups.  The
 Deligne double complex on integer numerators gives the layers,
 potentials, residual, global form and holonomy of the Fraction
 arithmetic in ``deligne_oracle``.
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -81,7 +85,7 @@ from cechlift.deligne import (
     pair,
     restrict_package,
 )
-from cechlift.errors import NotACocycle
+from cechlift.errors import NoProduct, NotACocycle
 from cechlift.tower import (
     ExtensionTower,
     FiniteGroup,
@@ -348,8 +352,8 @@ def test_coboundaries_get_mod_m_witnesses(k, m, data):
     assert all(0 <= c < mod for v in w.values.values() for c, mod in zip(v.coords, group.moduli))
 
 
-#: Z, Z/2, Z/6, Z + Z/2, Q and Q/Z.
-RAW_GROUPS = [FgAbelianGroup(m) for m in ((0,), (2,), (6,), (2, 0))] + [QQ, CIRCLE]
+#: Z, Z/2, Z/6, Z + Z/2, Z/2 + Z/4 + Z, Q and Q/Z.
+RAW_GROUPS = [FgAbelianGroup(m) for m in ((0,), (2,), (6,), (2, 0), (2, 4, 0))] + [QQ, CIRCLE]
 Z = FgAbelianGroup((0,))
 
 #: Random complexes, or a circle, RP^2 and a 2-sphere, whose cocycles
@@ -410,7 +414,8 @@ def _cocycle(data, k, group, p):
 def test_is_coboundary_decides_exactness_and_refuses_non_cocycles(k, group, data):
     """NotACocycle exactly when delta x != 0 (degree 0, degrees without
     simplices and higher degrees alike); otherwise a witness exactly when
-    x is exact, and it solves delta w = x."""
+    x is exact, and it solves delta w = x.  The witness or refusal, the
+    class coordinates and the generators equal those of the oracle."""
     # degree 0, a degree without simplices, and twice as often each degree between
     p = data.draw(st.sampled_from([0, k.dim + 1, *range(1, k.dim + 1), *range(1, k.dim + 1)]))
     kind = data.draw(st.sampled_from(["random", "exact", "cocycle"]))
@@ -421,19 +426,50 @@ def test_is_coboundary_decides_exactness_and_refuses_non_cocycles(k, group, data
     if p and kind != "random":
         x = x + coboundary(_draw_cochain(data, k, group, p - 1))
     if not cochain_oracle.coboundary(x).is_zero():
-        with pytest.raises(NotACocycle):
-            is_coboundary(x)
+        for decide in (is_coboundary, cochain_oracle.is_coboundary):
+            with pytest.raises(NotACocycle):
+                decide(x)
         return
     w = is_coboundary(x)
+    assert w == cochain_oracle.is_coboundary(x)
+    if isinstance(group, FgAbelianGroup):
+        classes = cohomology_classes(k, group, p)
+        coords = classes.class_coords(x)
+        assert coords == cochain_oracle.class_coords(classes, x)
+        assert classes.generators() == cochain_oracle.generators(classes)
     if p == 0:
         assert (w is not None) == x.is_zero()
     elif isinstance(group, FgAbelianGroup):
-        assert (w is not None) == (not any(cohomology_classes(k, group, p).class_coords(x)))
+        assert (w is not None) == (not any(coords))
     elif kind == "exact" or inexact:
         assert (w is not None) == (kind == "exact")
     if w is not None:
         assert coboundary(w) == x
         assert not any(abelian.is_zero_value(group, v) for v in w.values.values())
+
+
+#: Z, Z/2, Z/3, Q, Q/Z and Z/2 + Z/2: every declared product and refusals.
+CUP_GROUPS = [FgAbelianGroup(m) for m in ((0,), (2,), (3,), (2, 2))] + [QQ, CIRCLE]
+
+
+@SETTINGS
+@given(carriers, st.data())
+def test_cup_equals_the_product_table_oracle(k, data):
+    """On every pair of groups, products of split values joined by the
+    target equal the table's per-pair products, or both sides refuse the
+    pair with the same NoProduct."""
+    p = data.draw(st.integers(0, k.dim))
+    q = data.draw(st.integers(0, k.dim - p))
+    fronts = [_draw_cochain(data, k, g, p) for g in CUP_GROUPS]
+    backs = [_draw_cochain(data, k, g, q) for g in CUP_GROUPS]
+    for a, b in itertools.product(fronts, backs):
+        try:
+            expected = cochain_oracle.cup(a, b)
+        except NoProduct as refusal:
+            with pytest.raises(NoProduct, match=re.escape(str(refusal))):
+                cup(a, b)
+            continue
+        assert cup(a, b) == expected
 
 
 small_systems = st.integers(1, 3).flatmap(

@@ -6,30 +6,36 @@ products, barycentric subdivisions and their dual blocks, loaded cover
 pieces, ``validate_complex``) must pass the validating constructor
 unchanged.  Extension totals built on kernel indices must equal the
 ``GroupElement``-built oracle in ``extension_oracle`` and pass the
-exhaustive ``FiniteGroup`` check.  The checks on outside input stay.
+exhaustive ``FiniteGroup`` check.  The checks on outside input stay, and
+a caller's number that must be an integer is refused, not truncated.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from cechlift import fixtures, io
-from cechlift.abelian import FgAbelianGroup
+from cechlift.abelian import INTEGERS, FgAbelianGroup, Homomorphism
+from cechlift.cochains import Cochain
 from cechlift.complexes import (
+    Chain,
     Cover,
     Nerve,
     SimplicialComplex,
     downward_closure,
+    fundamental_cycle,
     nerve,
     product_complex,
     product_cover,
     star_cover,
     validate_complex,
 )
+from cechlift.deligne import DoubleCochain
 from cechlift.errors import InvalidComplex, InvalidCover, NotACocycle2, NotNormalized
-from cechlift.tower import FiniteGroup, build_extension, split_extension
+from cechlift.tower import FiniteGroup, TransitionCocycle, build_extension, split_extension
 
 from conftest import klein_four, random_extension, random_factor_set
 
@@ -188,3 +194,52 @@ def test_non_normalized_factor_set_is_refused():
     fs[z4.identity][2] = z2z2.element((1, 0))
     with pytest.raises(NotNormalized, match="at 2"):
         build_extension(z4, z2z2, fs)
+
+
+def _circle_cover_and_nerve():
+    cover = fixtures.three_arc_cover()
+    return cover, nerve(cover)
+
+
+#: Per site where the library turns a caller's number into an int: the
+#: build that reads it, projected to what the number became, and a
+#: valid integer input.
+INTEGER_SITES = {
+    "moduli": (lambda x: FgAbelianGroup((x,)).moduli, 0),
+    "homomorphism matrix": (lambda x: Homomorphism(INTEGERS, INTEGERS, ((x,),)).matrix, 1),
+    "group table": (lambda x: FiniteGroup(((0, x), (x, 0))).table, 1),
+    "group identity": (lambda x: FiniteGroup(((0, 1), (1, 0)), identity=x).identity, 0),
+    "transition value": (
+        lambda x: TransitionCocycle(
+            _circle_cover_and_nerve()[1], FiniteGroup.cyclic(2), {(0, 1): x}
+        ).g,
+        1,
+    ),
+    "chain coefficient": (lambda x: Chain(fixtures.hexagon(), 1, {(0, 1): x}).coefficients, 1),
+    "cycle sign": (
+        lambda x: fundamental_cycle(validate_complex([(0,)]), 0, {(0,): x}).coefficients,
+        1,
+    ),
+    "vertex": (lambda x: sorted(validate_complex([(0, x)]).simplices), 1),
+    "vertex count": (lambda x: validate_complex([(0,)], vertex_count=x).vertex_count, 1),
+    "complex vertex count": (lambda x: SimplicialComplex(x, [(0,)]).vertex_count, 1),
+    "cochain degree": (lambda x: Cochain(fixtures.hexagon(), x, INTEGERS).degree, 1),
+    "double cochain degrees": (
+        lambda x: (
+            DoubleCochain(*_circle_cover_and_nerve(), x, 0).cech_degree,
+            DoubleCochain(*_circle_cover_and_nerve(), 0, x).form_degree,
+        ),
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_non_integer_numbers_are_refused_not_truncated(site):
+    """2.5 and 9/2 are a TypeError; an int and the equal bool give the
+    same plain ints as before."""
+    build, good = INTEGER_SITES[site]
+    for bad in (2.5, Fraction(9, 2)):
+        with pytest.raises(TypeError):
+            build(bad)
+    assert repr(build(bool(good))) == repr(build(good))

@@ -193,23 +193,16 @@ class FgAbelianGroup:
     def join(self, maps):
         """The {key: element} map with coordinate j taken from ``maps[j]``
         (missing keys are 0), reduced mod each modulus, zeros dropped."""
-        if self.rank == 1:
-            (m,) = self.moduli
-            (raw,) = maps
-            trusted = GroupElement._trusted
-            if m:
-                return {s: trusted(self, (c,)) for s, x in raw.items() if (c := x % m)}
-            return {s: trusted(self, (c,)) for s, c in raw.items() if c}
+        rank = self.rank
         coords = {}
-        for j, raw in enumerate(maps):
+        for j, (raw, m) in enumerate(zip(maps, self.moduli)):
             for s, c in raw.items():
-                coords.setdefault(s, [0] * self.rank)[j] = c
-        out = {}
-        for s, cs in coords.items():
-            cs = tuple(c % m if m else c for c, m in zip(cs, self.moduli))
-            if any(cs):
-                out[s] = GroupElement._trusted(self, cs)
-        return out
+                if m:
+                    c %= m
+                if c:
+                    coords.setdefault(s, [0] * rank)[j] = c
+        trusted = GroupElement._trusted
+        return {s: trusted(self, tuple(cs)) for s, cs in coords.items()}
 
     def elements(self):
         if not self.is_finite():

@@ -15,6 +15,7 @@ Every class is read by ``obstruction_class``.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 
 from . import abelian
@@ -137,20 +138,18 @@ def abelian_invariants(group):
     if not group.is_abelian():
         raise NotAbelian("group is not commutative")
     n = group.order
-    # one {column: value} row per element, one column per nonzero relation
+    # one {column: value} row per element, one column per relation; the
+    # coefficients of a relation sum to 1, so none cancels to zero
     rows = [{} for _ in range(n)]
     ncols = 0
     for a in range(n):
         for b in range(a, n):
-            vec = [0] * n
-            vec[a] += 1
-            vec[b] += 1
-            vec[group.mul(a, b)] -= 1
-            if any(vec):
-                for i, x in enumerate(vec):
-                    if x:
-                        rows[i][ncols] = x
-                ncols += 1
+            rel = Counter((a, b))
+            rel[group.mul(a, b)] -= 1
+            for i, x in rel.items():
+                if x:
+                    rows[i][ncols] = x
+            ncols += 1
     pres = abelian._presentation(rows, ncols)
 
     def coords(idx):
@@ -187,17 +186,7 @@ class CentralExtension:
         if not isinstance(kernel, FgAbelianGroup) or not kernel.is_finite():
             raise GroupMismatch("kernel must be a finite FgAbelianGroup")
         n = base.order
-        fs = []
-        for a in range(n):
-            row = []
-            for b in range(n):
-                v = factor_set[a][b]
-                if not isinstance(v, GroupElement):
-                    v = GroupElement(kernel, tuple(v))
-                elif v.group != kernel:
-                    raise GroupMismatch("factor set value outside the kernel")
-                row.append(v)
-            fs.append(tuple(row))
+        fs = [tuple(kernel.element(factor_set[a][b]) for b in range(n)) for a in range(n)]
         self.base = base
         self.kernel = kernel
         self.factor_set = tuple(fs)

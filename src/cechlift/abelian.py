@@ -12,6 +12,7 @@ produced here reproducible.
 from __future__ import annotations
 
 import itertools
+import numbers
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
@@ -297,8 +298,7 @@ class CircleGroup:
     def element(self, value):
         if isinstance(value, CircleElement):
             return value
-        _refuse_foreign(value, self)
-        return CircleElement(Fraction(value))
+        return CircleElement(_exact_rational(value, self))
 
     def split(self, values):
         """The {key: Fraction in [0, 1)} map of ``values``, as a list of one."""
@@ -370,8 +370,7 @@ class RationalGroup:
         return Fraction(0)
 
     def element(self, value):
-        _refuse_foreign(value, self)
-        return Fraction(value)
+        return _exact_rational(value, self)
 
     def split(self, values):
         """``values`` itself, as a list of one map; callers only read it."""
@@ -402,6 +401,16 @@ def _refuse_foreign(value, group):
     """Raise GroupMismatch when ``value`` is an element of another group."""
     if isinstance(value, (GroupElement, CircleElement)):
         raise GroupMismatch(f"{value!r} is not an element of {group}")
+
+
+def _exact_rational(value, group):
+    """``value`` as a Fraction, for Q or Q/Z.  Refuses an element of
+    another group, and with TypeError every number that is not an int or
+    a Fraction: a float would be kept as its binary expansion."""
+    _refuse_foreign(value, group)
+    if not isinstance(value, numbers.Rational):
+        raise TypeError(f"{group} value {value!r} is not an int or a Fraction")
+    return Fraction(value)
 
 
 INTEGERS = FgAbelianGroup((0,))
@@ -438,6 +447,12 @@ class Presentation:
         self._kept = [i for i, d in enumerate(diag) if d != 1] if kept is None else kept
         self.group = FgAbelianGroup(diag[i] for i in self._kept)
 
+    @classmethod
+    def of(cls, fac):
+        """The quotient of Z^rows by the columns of a factored matrix: its
+        diagonal padded with zeros to the row count."""
+        return cls(fac.diag + [0] * (len(fac.row_at) - len(fac.diag)), fac)
+
     def coords_of(self, vec):
         full = self._fac.u_times(vec)
         out = []
@@ -456,8 +471,7 @@ class Presentation:
 
 def _presentation(rows, ncols):
     """Factor the lattice spanned by the columns of the matrix, once."""
-    fac = factor(rows, ncols)
-    return Presentation(fac.diag + [0] * (len(rows) - len(fac.diag)), fac)
+    return Presentation.of(factor(rows, ncols))
 
 
 def _canonical_presentation(orders):
@@ -639,13 +653,16 @@ class CohomologyData:
     y = V^-1 x, an integer vector x is a Z/m-cocycle exactly when
     s_i * y_i = 0 mod m at each pivot, and V^-1 @ d_prev is zero at the
     pivot rows, so its other rows R present every ring at once.
-    ``_tail`` factors R, with diagonal t_j.  Over Z/m (m = 0 is Z) the
-    cocycle coordinates are z = U_R y past the pivots, of order
-    gcd(t_j, m), then z_i = y_i / c_i at each pivot, c_i = m / gcd(s_i, m),
-    of order gcd(s_i, m) (1 over Z): H^p(Z) (x) Z/m, then
-    Tor(H^p+1(Z), Z/m).  ``_combine`` puts the coordinates of order other
-    than 1, over all coefficient factors, in invariant-factor form;
-    ``_orders`` lists every coordinate's order, per coefficient factor.
+    ``_tail`` is the presentation of R (``cohomology_presentation``),
+    with diagonal t_j; it does not depend on the coefficients, so a
+    carrier keeps one per degree and every coefficient group reads it.
+    Over Z/m (m = 0 is Z) the cocycle coordinates are z = U_R y past the
+    pivots, of order gcd(t_j, m), then z_i = y_i / c_i at each pivot,
+    c_i = m / gcd(s_i, m), of order gcd(s_i, m) (1 over Z): H^p(Z) (x)
+    Z/m, then Tor(H^p+1(Z), Z/m).  ``_combine`` puts the coordinates of
+    order other than 1, over all coefficient factors, in invariant-factor
+    form; ``_orders`` lists every coordinate's order, per coefficient
+    factor.
     """
 
     group: FgAbelianGroup
@@ -687,30 +704,41 @@ class CohomologyData:
         return out
 
 
-def cohomology_with_coords(d_prev, factored_next, coefficients, prev_dim):
-    """ker(d_next)/im(d_prev) over an fg coefficient group, with coords.
+def cohomology_presentation(d_prev, factored_next, prev_dim):
+    """The integral relations R of ker(d_next)/im(d_prev), presented once.
 
     ``factored_next`` is ``factor(d_next, dim)``, with dim the rank of the
     middle term; ``d_prev`` has dim {column: value} rows and ``prev_dim``
-    columns (the matrices may be empty).  Raises NotAComplex when the
-    composite differential is nonzero over Z.  V^-1 @ d_prev is one
-    replay of the column log over the rows of d_prev, and its rows past
-    the pivots are the relations R, factored as they are.
+    columns (the matrices may be empty).  V^-1 @ d_prev is one replay of
+    the column log over the rows of d_prev; its rows at the pivots must
+    be zero, else the composite differential is nonzero over Z and
+    NotAComplex is raised, and its rows past the pivots are R, factored
+    as they are.  R does not depend on the coefficient group.
+    """
+    r = len(factored_next.diag)
+    rows = factored_next.vinv_matrix(d_prev)
+    if any(rows[:r]):
+        raise NotAComplex("d_next o d_prev is nonzero")
+    return _presentation(rows[r:], prev_dim)
+
+
+def cohomology_with_coords(relations, factored_next, coefficients):
+    """ker(d_next)/im(d_prev) over an fg coefficient group, with coords.
+
+    ``relations`` is the ``cohomology_presentation`` built on
+    ``factored_next``; both are read, never factored again, so a carrier
+    that keeps them answers every coefficient group without a Smith call
+    unless the orders of its factors do not divide in turn.
     """
     if not isinstance(coefficients, FgAbelianGroup):
         raise ValueError("constant coefficients must be an FgAbelianGroup")
     diag = factored_next.diag
-    r = len(diag)
-    rows = factored_next.vinv_matrix(d_prev)
-    if any(rows[:r]):
-        raise NotAComplex("d_next o d_prev is nonzero")
-    tail = _presentation(rows[r:], prev_dim)
     orders = [
-        [gcd(t, m) for t in tail.diag] + [gcd(s, m) if m else 1 for s in diag]
+        [gcd(t, m) for t in relations.diag] + [gcd(s, m) if m else 1 for s in diag]
         for m in coefficients.moduli
     ]
     combine = _canonical_presentation([o for per in orders for o in per if o != 1])
-    return CohomologyData(combine.group, coefficients, factored_next, tail, orders, combine)
+    return CohomologyData(combine.group, coefficients, factored_next, relations, orders, combine)
 
 
 def cohomology_of(d_prev, d_next, coefficients, prev_dim, dim):
@@ -720,4 +748,6 @@ def cohomology_of(d_prev, d_next, coefficients, prev_dim, dim):
     columns.  They act componentwise on G-valued vectors; the result is
     in invariant-factor form.
     """
-    return cohomology_with_coords(d_prev, factor(d_next, dim), coefficients, prev_dim).group
+    factored_next = factor(d_next, dim)
+    relations = cohomology_presentation(d_prev, factored_next, prev_dim)
+    return cohomology_with_coords(relations, factored_next, coefficients).group

@@ -101,8 +101,10 @@ class Cochain:
     def _same_shape(self, other):
         if self.carrier is not other.carrier and self.carrier != other.carrier:
             raise GroupMismatch("cochains on different carriers")
-        if self.degree != other.degree or self.group != other.group:
-            raise DegreeMismatch("cochains of different shape")
+        if self.degree != other.degree:
+            raise DegreeMismatch("cochains of different degrees")
+        if self.group != other.group:
+            raise GroupMismatch(f"cochains with coefficients {self.group} and {other.group}")
 
     def __add__(self, other):
         self._same_shape(other)
@@ -244,8 +246,12 @@ class CohomologyClasses:
         return self.data.group
 
     def class_coords(self, x):
-        if x.degree != self.degree or x.group != self.coefficients:
-            raise DegreeMismatch("cochain does not match this cohomology")
+        if x.degree != self.degree:
+            raise DegreeMismatch(f"a degree-{x.degree} cochain has no class in H^{self.degree}")
+        if x.group != self.coefficients:
+            raise GroupMismatch(
+                f"a {x.group} cochain has no class with {self.coefficients} coefficients"
+            )
         simps = self.carrier.simplices_of_dim(self.degree)
         return self.data.class_coords(_vectors(x, simps))
 
@@ -264,10 +270,8 @@ def cohomology_classes(carrier, coefficients, p):
     class coordinates in the invariant-factor presentation."""
     if p < 0:
         raise DegreeMismatch("negative degree")
-    d_prev = carrier.coboundary_matrix(p - 1)
-    prev_dim = len(carrier.simplices_of_dim(p - 1))
     data = abelian.cohomology_with_coords(
-        d_prev, carrier.factored_coboundary(p), coefficients, prev_dim
+        carrier.cohomology_presentation(p), carrier.factored_coboundary(p), coefficients
     )
     return CohomologyClasses(carrier, p, coefficients, data)
 

@@ -37,7 +37,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .abelian import factor
+from .abelian import Presentation, cohomology_presentation, factor
 from .errors import (
     DuplicateVertexInSimplex,
     InvalidComplex,
@@ -129,7 +129,8 @@ class SimplicialComplex:
     """A downward-closed set of strictly increasing vertex tuples."""
 
     __slots__ = (
-        "vertex_count", "simplices", "_by_dim", "_factored", "_collapse", "_graph"
+        "vertex_count", "simplices", "_by_dim", "_factored", "_presented", "_collapse",
+        "_graph",
     )
 
     def __init__(self, vertex_count, simplices):
@@ -165,6 +166,7 @@ class SimplicialComplex:
         self.simplices = simplices
         self._by_dim = None
         self._factored = {}
+        self._presented = {}
         self._collapse = _UNBUILT
         self._graph = None
 
@@ -240,6 +242,28 @@ class SimplicialComplex:
             fac = factor(self.coboundary_matrix(p), len(self.simplices_of_dim(p)))
             self._factored[p] = fac
         return fac
+
+    def cohomology_presentation(self, p):
+        """The presentation of the relations R of H^p, for every coefficient group.
+
+        ``abelian.cohomology_presentation`` of coboundary_matrix(p - 1) on
+        the kept factorization of delta_p, built on first use and kept
+        next to it.  Where delta_p has rank 0, as in the top degree, V_p is
+        the identity and R is delta_{p-1} itself: its kept factorization
+        presents it, and no Smith call is made for R.
+        """
+        pres = self._presented.get(p)
+        if pres is None:
+            factored_next = self.factored_coboundary(p)
+            if factored_next.diag:
+                pres = cohomology_presentation(
+                    self.coboundary_matrix(p - 1), factored_next,
+                    len(self.simplices_of_dim(p - 1)),
+                )
+            else:
+                pres = Presentation.of(self.factored_coboundary(p - 1))
+            self._presented[p] = pres
+        return pres
 
     def connected_component_count(self):
         verts = [s[0] for s in self.simplices_of_dim(0)]

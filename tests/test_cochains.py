@@ -21,7 +21,13 @@ from cechlift.cochains import (
 )
 from cechlift.complexes import Cover, nerve, star_cover, validate_complex
 from cechlift.deligne import _solve_local_d
-from cechlift.errors import CoverNotGoodOnV, GroupMismatch, NoProduct, NotACocycle
+from cechlift.errors import (
+    CoverNotGoodOnV,
+    DegreeMismatch,
+    GroupMismatch,
+    NoProduct,
+    NotACocycle,
+)
 
 from conftest import (
     dense_coboundary,
@@ -295,6 +301,32 @@ class TestCoefficients:
     def test_element_of_another_group_is_refused(self, hexagon, group, value):
         with pytest.raises(GroupMismatch):
             Cochain(hexagon, 0, group, {(0,): value})
+
+    @pytest.mark.parametrize("group", [QQ, CIRCLE], ids=["Q", "Q/Z"])
+    def test_rational_values_are_exact(self, hexagon, group):
+        """A float is refused, not stored as its binary expansion."""
+        for bad in (0.1, 0.5, "1/3"):
+            with pytest.raises(TypeError, match="is not an int or a Fraction"):
+                Cochain(hexagon, 0, group, {(0,): bad})
+        x = Cochain(hexagon, 0, group, {(0,): Fraction(1, 10), (1,): 3})
+        assert x == Cochain(hexagon, 0, group, {(0,): group.element(Fraction(1, 10)), (1,): 3})
+        assert x.value((1,)) == group.element(3)
+
+    def test_sum_of_other_coefficients_is_a_group_mismatch(self, hexagon):
+        edge = hexagon.simplices_of_dim(1)[0]
+        x = Cochain(hexagon, 1, Z2, {edge: (1,)})
+        with pytest.raises(GroupMismatch, match="coefficients Z/2 and Z"):
+            x + Cochain(hexagon, 1, Z, {edge: (1,)})
+        with pytest.raises(DegreeMismatch, match="different degrees"):
+            x - Cochain(hexagon, 0, Z2, {(0,): (1,)})
+
+    def test_class_of_other_coefficients_is_a_group_mismatch(self, hexagon):
+        classes = cohomology_classes(hexagon, Z2, 1)
+        edge = hexagon.simplices_of_dim(1)[0]
+        with pytest.raises(GroupMismatch, match="a Z cochain has no class"):
+            classes.class_coords(Cochain(hexagon, 1, Z, {edge: (1,)}))
+        with pytest.raises(DegreeMismatch, match="degree-0 cochain has no class in H\\^1"):
+            classes.class_coords(Cochain(hexagon, 0, Z2, {(0,): (1,)}))
 
 
 class TestNoStoredZeros:

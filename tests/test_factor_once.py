@@ -13,6 +13,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cechlift import abelian, cli, cochains, complexes, fixtures, kernels, tower
 from cechlift.abelian import CIRCLE, QQ, FgAbelianGroup, Homomorphism, ShortExactSequence
@@ -24,7 +26,15 @@ from cechlift.cochains import (
     is_coboundary,
     verify_good_cover,
 )
-from cechlift.complexes import Chain, Cover, nerve, product_complex, star_cover, validate_complex
+from cechlift.complexes import (
+    Chain,
+    Cover,
+    SimplicialComplex,
+    nerve,
+    product_complex,
+    star_cover,
+    validate_complex,
+)
 from cechlift.deligne import (
     _solve_local_d,
     add_global_datum,
@@ -33,11 +43,13 @@ from cechlift.deligne import (
     holonomy_trivialization,
     restrict_package,
 )
-from cechlift.errors import CoverNotGoodOnV, NotACocycle
+from cechlift.errors import CoverNotGoodOnV, NotACocycle, NotAComplex
 
 from conftest import dunce_hat, random_cochain
 from snf_oracle import dense, sparse
 from test_golden import CLI_CASES, FIXTURE_SETS
+from test_properties import COEFFICIENTS
+from test_properties import complexes as small_complexes
 
 
 @pytest.fixture
@@ -351,11 +363,10 @@ def test_class_coords_reuses_the_built_lattice(torus36, snf_calls):
 def test_second_query_on_a_carrier_refactors_no_coboundary(snf_inputs, query):
     """The carrier keeps its factorization of delta_p for every later query.
 
-    A second ``is_coboundary`` factors nothing; a second
-    ``cohomology_classes`` still presents its quotient once (the integral
-    relations, built from d_prev in the coordinates of that
-    factorization, serve both coefficient factors) but never factors
-    delta again.
+    A second ``is_coboundary`` factors nothing, and neither does a second
+    ``cohomology_classes``: the carrier keeps the presentation of the
+    integral relations too, and the orders of Z/2 + Z/4 on the torus
+    already divide in turn.
     """
     nrv = nerve(fixtures.torus_product()[1])
     group = FgAbelianGroup((2, 4))
@@ -371,23 +382,93 @@ def test_second_query_on_a_carrier_refactors_no_coboundary(snf_inputs, query):
     assert sum(m in deltas for m in snf_inputs) == 1
     del snf_inputs[:]
     assert run() == first
-    assert sum(m in deltas for m in snf_inputs) == 0
-    assert len(snf_inputs) == (0 if query == "is_coboundary" else 1)
+    assert snf_inputs == []
 
 
 def test_cyclic_coefficients_need_no_combine_factorization(snf_calls):
-    """With one coefficient factor, a repeated query presents only its quotient.
+    """With one coefficient factor, a repeated query makes no Smith call.
 
-    Its orders already divide in turn, so the presentation that combines
-    them is the identity.
+    The carrier keeps the presentation of the relations, and the orders
+    of one factor already divide in turn, so the presentation that
+    combines them is the identity.
     """
     nrv = nerve(fixtures.torus_product()[1])
     first = cohomology_classes(nrv, FgAbelianGroup((2,)), 1)
     del snf_calls[:]
     second = cohomology_classes(nrv, FgAbelianGroup((2,)), 1)
-    assert len(snf_calls) == 1, snf_calls
+    assert snf_calls == []
     assert second.group == first.group
     assert [g.values for g in second.generators()] == [g.values for g in first.generators()]
+
+
+def test_one_presentation_per_degree_serves_every_coefficient_group(torus36, snf_calls):
+    """H^1 over Z, Z/2 and Z/3 on one carrier factors delta_1 and the
+    relations R once each: R does not depend on the coefficients."""
+    got = [str(cohomology_classes(torus36, FgAbelianGroup((m,)), 1).group) for m in (0, 2, 3)]
+    assert got == ["Z + Z", "Z/2 + Z/2", "Z/3 + Z/3"]
+    n0, n1, n2 = (len(torus36.simplices_of_dim(q)) for q in range(3))
+    assert snf_calls == [(n2, n1), (n1 - len(torus36.factored_coboundary(1).diag), n0)]
+
+
+def test_top_degree_class_reads_the_factorization_of_the_solve(snf_calls):
+    """In the top degree the relations are delta_{p-1} itself: once
+    ``is_coboundary`` has factored it, ``obstruction_class`` makes no
+    Smith call."""
+    _, nrv = fixtures.rp2_good_cover()
+    transitions = fixtures.rp2_orientation_transitions(nrv)
+    c = tower.giraud_obstruction(transitions, fixtures.z2_z4_extension())
+    fresh = nerve(nrv.cover)
+    c = Cochain(fresh, 2, c.group, c.values)
+    assert c.degree == fresh.dim
+    del snf_calls[:]
+    assert is_coboundary(c) is None
+    assert snf_calls == [(len(fresh.simplices_of_dim(2)), len(fresh.simplices_of_dim(1)))]
+    del snf_calls[:]
+    obs = tower.obstruction_class(c)
+    assert snf_calls == []
+    assert str(obs.cohomology) == "Z/2" and obs.coords == (1,)
+
+
+def test_cohomology_of_refuses_a_pair_that_is_not_a_complex():
+    """The relations are built only on a complex, kept or not."""
+    d_prev, d_next = [{0: 1}, {}], [{0: 1, 1: 1}]
+    with pytest.raises(NotAComplex, match="d_next o d_prev is nonzero"):
+        abelian.cohomology_of(d_prev, d_next, FgAbelianGroup((0,)), 1, 2)
+    with pytest.raises(NotAComplex, match="d_next o d_prev is nonzero"):
+        abelian.cohomology_presentation(d_prev, abelian.factor(d_next, 2), 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes(), st.data())
+def test_kept_presentations_answer_like_a_fresh_carrier_per_query(k, data):
+    """Queries on one carrier, in any order of degrees and coefficient
+    groups, give the group, generators and class coordinates of a fresh
+    carrier per query, and of the unkept path through ``abelian``."""
+    groups = [FgAbelianGroup((0,)), *COEFFICIENTS]
+    queries = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, k.dim + 1), st.sampled_from(groups)), min_size=1, max_size=6
+        )
+    )
+    for p, group in queries:
+        kept = cohomology_classes(k, group, p)
+        fresh = cohomology_classes(SimplicialComplex(k.vertex_count, k.simplices), group, p)
+        assert kept.group == fresh.group
+        gens = kept.generators()
+        assert [g.values for g in gens] == [g.values for g in fresh.generators()]
+        rng = random.Random(data.draw(st.integers(0, 99)))
+        x = coboundary(random_cochain(rng, k, group, p - 1)) if p else Cochain(k, 0, group)
+        for g in gens:
+            a = rng.randint(-5, 5)
+            x = x + Cochain(k, p, group, {s: a * v for s, v in g.values.items()})
+        assert kept.class_coords(x) == fresh.class_coords(Cochain(fresh.carrier, p, group, x.values))
+        factored_next = abelian.factor(k.coboundary_matrix(p), len(k.simplices_of_dim(p)))
+        relations = abelian.cohomology_presentation(
+            k.coboundary_matrix(p - 1), factored_next, len(k.simplices_of_dim(p - 1))
+        )
+        unkept = abelian.cohomology_with_coords(relations, factored_next, group)
+        assert unkept.group == kept.group
+        assert unkept.generator_vectors() == kept.data.generator_vectors()
 
 
 def _sequence_data():
@@ -441,7 +522,7 @@ def fixture_dir(tmp_path_factory):
     "argv, budget",
     [
         (["bockstein", "w1.cochain", "z2z4z2.ses"], 4),
-        (["tower", "rp2.cov", "w1.trn", "rp2_tower.twr"], 5),
+        (["tower", "rp2.cov", "w1.trn", "rp2_tower.twr"], 4),
         (["obstruct", "rp2.cov", "w1.trn", "z2-z4.ext"], 1),
     ],
     ids=["bockstein", "rp2-tower", "rp2-obstruct"],

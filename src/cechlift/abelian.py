@@ -331,7 +331,10 @@ class CircleElement:
     value: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value) % 1)
+        value = self.value
+        if type(value) is not Fraction:
+            value = _exact_rational(value, CIRCLE)
+        object.__setattr__(self, "value", value % 1)
 
     def __add__(self, other):
         return CircleElement(self.value + other.value)
@@ -343,7 +346,8 @@ class CircleElement:
         return CircleElement(-self.value)
 
     def __mul__(self, k):
-        return CircleElement(k * self.value)
+        # Q/Z is a Z-module only: index() refuses a Fraction or float k
+        return CircleElement(index(k) * self.value)
 
     __rmul__ = __mul__
 

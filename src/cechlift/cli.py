@@ -1,5 +1,13 @@
 """Batch front-end: parse input files, dispatch, emit deterministic reports.
 
+``main`` owns the skeleton every command shares.  It starts the report
+with its ``cechlift <command>`` header and calls the command, which
+appends its lines and returns a zero-argument callable that builds its
+artifact (or None).  ``main`` then writes that artifact to ``--out``,
+when one is given, with a ``wrote:`` line, and prints the report.  A
+command that raises prints no report and writes no artifact; every
+artifact format lives in ``io``.
+
 Exit codes: 0 on success, 1 on domain errors (reported with location),
 2 on usage errors.  Identical inputs produce byte-identical reports.
 """
@@ -13,13 +21,13 @@ import sys
 from fractions import Fraction
 
 from . import abelian, io
+from . import fixtures as fx
 from .abelian import CIRCLE, FgAbelianGroup
 from .cochains import cohomology_classes, verify_good_cover
-from .complexes import downward_closure, nerve, SimplicialComplex, chain_boundary
+from .complexes import SimplicialComplex, chain_boundary, downward_closure, nerve, star_cover
 from .deligne import curvature, descent_chain, holonomy
 from .errors import CechliftError, FormatError
-from .tower import bockstein, giraud_obstruction, obstruction_class, tower_obstructions
-from . import fixtures as fx
+from .tower import ExtensionTower, bockstein, giraud_obstruction, obstruction_class, tower_obstructions
 
 
 def _fmt_coords(coords):
@@ -30,26 +38,11 @@ def _fmt_coords(coords):
     return "(" + ",".join(str(c) for c in coords) + ")"
 
 
-class Report:
-    def __init__(self, command):
-        self.lines = [f"cechlift {command}"]
-
-    def add(self, line):
-        self.lines.append(line)
-
-    def emit(self):
-        sys.stdout.write("\n".join(self.lines) + "\n")
-
-
 def _load(path, *kinds):
     """The JSON object in ``path``; it must exist and be of one of ``kinds``."""
     if not os.path.exists(path):
         raise UsageError(f"input file not found: {path}")
-    obj = io.load_json(path)
-    kind = io.kind_of(obj)
-    if kind not in kinds:
-        raise FormatError(f"{path}: expected a {' or '.join(kinds)} file, found {kind}")
-    return obj
+    return io.load_container(path, *kinds)
 
 
 class UsageError(Exception):
@@ -68,187 +61,138 @@ def _goodness_line(cover, nrv):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each appends its report lines to ``rep`` and returns a
+# callable that builds its --out artifact
 # ---------------------------------------------------------------------------
 
-def cmd_cohomology(args):
-    rep = Report("cohomology")
+def cmd_cohomology(args, rep):
     obj = _load(args.space, "complex", "cover")
-    kind = obj["kind"]
+    kind = io.kind_of(obj)
     group = io.group_from_json(_load(args.group, "group"))
     if not isinstance(group, FgAbelianGroup):
         raise CechliftError("cohomology needs finitely generated coefficients")
     p = args.degree
-    rep.add(f"input: {os.path.basename(args.space)} ({kind})")
-    rep.add(f"coefficients: {group}")
-    rep.add(f"degree: {p}")
+    rep.append(f"input: {os.path.basename(args.space)} ({kind})")
+    rep.append(f"coefficients: {group}")
+    rep.append(f"degree: {p}")
     if kind == "complex":
         carrier = io.complex_from_json(obj)
-        rep.add(f"complex: {carrier.vertex_count} vertices, dim {carrier.dim}")
+        rep.append(f"complex: {carrier.vertex_count} vertices, dim {carrier.dim}")
     else:
         cover = io.cover_from_json(obj)
         carrier = nerve(cover)
-        rep.add(f"cover: {len(cover.pieces)} pieces")
-        rep.add(f"nerve: {_nerve_counts(carrier)}")
-        rep.add(_goodness_line(cover, carrier))
+        rep.append(f"cover: {len(cover.pieces)} pieces")
+        rep.append(f"nerve: {_nerve_counts(carrier)}")
+        rep.append(_goodness_line(cover, carrier))
     classes = cohomology_classes(carrier, group, p)
-    rep.add(f"H^{p} = {classes.group}")
-    if args.out:
-        io.dump_json(io.group_to_json(classes.group), args.out)
-        rep.add(f"wrote: {args.out}")
-    rep.emit()
-    return 0
+    rep.append(f"H^{p} = {classes.group}")
+    return lambda: io.group_to_json(classes.group)
 
 
-def cmd_obstruct(args):
-    rep = Report("obstruct")
+def cmd_obstruct(args, rep):
     cover = io.cover_from_json(_load(args.cover, "cover"))
     nrv = nerve(cover)
     ext = io.extension_from_json(_load(args.extension, "extension"))
     g = io.transitions_from_json(_load(args.transitions, "transitions"), nrv, ext.base)
-    rep.add(f"cover: {len(cover.pieces)} pieces; nerve {_nerve_counts(nrv)}")
-    rep.add(
+    rep.append(f"cover: {len(cover.pieces)} pieces; nerve {_nerve_counts(nrv)}")
+    rep.append(
         f"extension: base order {ext.base.order}, kernel {ext.kernel}, "
         f"total order {ext.total.order}"
     )
-    rep.add(f"transitions: {len(g.g)} nontrivial edges (cocycle law verified)")
+    rep.append(f"transitions: {len(g.g)} nontrivial edges (cocycle law verified)")
     c = giraud_obstruction(g, ext)
-    rep.add("obstruction cocycle: delta c = 0 verified")
+    rep.append("obstruction cocycle: delta c = 0 verified")
     obs = obstruction_class(c)
-    rep.add(f"H^2(nerve; {ext.kernel}) = {obs.cohomology}")
-    rep.add(f"class: {_fmt_coords(obs.coords)}")
+    rep.append(f"H^2(nerve; {ext.kernel}) = {obs.cohomology}")
+    rep.append(f"class: {_fmt_coords(obs.coords)}")
     for s, v in c.items():
-        rep.add(f"  c{s} = {_fmt_coords(v.coords)}")
-    rep.add(f"liftable: {'yes' if obs.is_zero() else 'no'}")
-    if args.out:
-        io.dump_json(io.cochain_to_json(c, include_cover=cover), args.out)
-        rep.add(f"wrote: {args.out}")
-    rep.emit()
-    return 0
+        rep.append(f"  c{s} = {_fmt_coords(v.coords)}")
+    rep.append(f"liftable: {'yes' if obs.is_zero() else 'no'}")
+    return lambda: io.cochain_to_json(c, include_cover=cover)
 
 
-def cmd_tower(args):
-    rep = Report("tower")
+def cmd_tower(args, rep):
     cover = io.cover_from_json(_load(args.cover, "cover"))
     nrv = nerve(cover)
     twr = io.tower_from_json(_load(args.tower, "tower"))
     tobj = _load(args.transitions, "transitions")
     g = io.transitions_from_json(tobj, nrv, twr.extensions[0].base)
-    rep.add(f"cover: {len(cover.pieces)} pieces; nerve {_nerve_counts(nrv)}")
-    rep.add(f"tower: {len(twr)} extensions, kernels "
-            + ", ".join(str(e.kernel) for e in twr.extensions))
+    rep.append(f"cover: {len(cover.pieces)} pieces; nerve {_nerve_counts(nrv)}")
+    rep.append(f"tower: {len(twr)} extensions, kernels "
+               + ", ".join(str(e.kernel) for e in twr.extensions))
     seq = tower_obstructions(g, twr)
     status, level = seq.status
     name = "LiftedTo" if status == "lifted" else "BlockedAt"
     classes_str = ", ".join(_fmt_coords(e.coords) for e in seq.entries)
-    rep.add(f"status: {name}({level}), classes: [{classes_str}]")
+    rep.append(f"status: {name}({level}), classes: [{classes_str}]")
     for e in seq.entries:
-        rep.add(
+        rep.append(
             f"level {e.level}: degree {e.degree}, coefficients {e.coefficients}, "
             f"H = {e.cohomology}, class {_fmt_coords(e.coords)}"
         )
         for s, v in e.cocycle.items():
-            rep.add(f"  c{s} = {_fmt_coords(v.coords)}")
-    if args.out:
-        payload = {
-            "kind": "obstruction_sequence",
-            "status": [status, level],
-            "entries": [
-                {
-                    "level": e.level,
-                    "degree": e.degree,
-                    "coefficients": list(e.coefficients.moduli),
-                    "cohomology": list(e.cohomology.moduli),
-                    "class": list(e.coords),
-                    "cocycle": io.cochain_to_json(e.cocycle),
-                }
-                for e in seq.entries
-            ],
-        }
-        io.dump_json(payload, args.out)
-        rep.add(f"wrote: {args.out}")
-    rep.emit()
-    return 0
+            rep.append(f"  c{s} = {_fmt_coords(v.coords)}")
+    return lambda: io.obstruction_sequence_to_json(seq)
 
 
-def cmd_bockstein(args):
-    rep = Report("bockstein")
+def cmd_bockstein(args, rep):
     cobj = _load(args.cochain, "cochain")
     if "cover" not in cobj:
         raise FormatError(f"{args.cochain}: bockstein needs a cochain file with an embedded cover")
     x, cover = io.cochain_from_json(cobj)
     ses = io.ses_from_json(_load(args.ses, "ses"))
-    rep.add(f"cochain: degree {x.degree}, coefficients {x.group}, support {len(x.values)}")
-    rep.add(f"sequence: 0 -> {ses.A} -> {ses.B} -> {ses.C} -> 0 (exactness verified)")
+    rep.append(f"cochain: degree {x.degree}, coefficients {x.group}, support {len(x.values)}")
+    rep.append(f"sequence: 0 -> {ses.A} -> {ses.B} -> {ses.C} -> 0 (exactness verified)")
     out = bockstein(x, ses)
-    rep.add(f"result: degree {out.degree}, coefficients {out.group} (delta = 0 verified)")
+    rep.append(f"result: degree {out.degree}, coefficients {out.group} (delta = 0 verified)")
     obs = obstruction_class(out)
-    rep.add(f"H^{out.degree}(nerve; {ses.A}) = {obs.cohomology}")
-    rep.add(f"class: {_fmt_coords(obs.coords)}")
+    rep.append(f"H^{out.degree}(nerve; {ses.A}) = {obs.cohomology}")
+    rep.append(f"class: {_fmt_coords(obs.coords)}")
     for s, v in out.items():
-        rep.add(f"  b{s} = {_fmt_coords(v.coords)}")
-    if args.out:
-        io.dump_json(io.cochain_to_json(out, include_cover=cover), args.out)
-        rep.add(f"wrote: {args.out}")
-    rep.emit()
-    return 0
+        rep.append(f"  b{s} = {_fmt_coords(v.coords)}")
+    return lambda: io.cochain_to_json(out, include_cover=cover)
 
 
-def cmd_descent(args):
-    rep = Report("descent")
+def cmd_descent(args, rep):
     cover = io.cover_from_json(_load(args.cover, "cover"))
     nrv = nerve(cover)
     c = io.cochain_from_json(_load(args.cocycle, "cochain"), carrier=nrv)
     if c.group != CIRCLE:
         raise FormatError("descent needs a circle-valued classifying cocycle")
-    rep.add(f"cover: {len(cover.pieces)} pieces; nerve {_nerve_counts(nrv)}")
+    rep.append(f"cover: {len(cover.pieces)} pieces; nerve {_nerve_counts(nrv)}")
     pkg = descent_chain(c, cover, nrv)
-    rep.add(f"good cover: yes (acyclic intersections up to degree {cover.base.dim + 1})")
-    rep.add(f"package: degree {pkg.degree}, layers {sorted(pkg.layers)}")
-    rep.add("descent equations: verified exactly")
+    rep.append(f"good cover: yes (acyclic intersections up to degree {cover.base.dim + 1})")
+    rep.append(f"package: degree {pkg.degree}, layers {sorted(pkg.layers)}")
+    rep.append("descent equations: verified exactly")
     for q in sorted(pkg.layers):
-        rep.add(f"layer {q}: bidegree ({q},{pkg.degree - q}), support {len(pkg.layers[q].num)}")
-    if args.out:
-        io.dump_json(io.package_to_json(pkg), args.out)
-        rep.add(f"wrote: {args.out}")
-    rep.emit()
-    return 0
+        rep.append(f"layer {q}: bidegree ({q},{pkg.degree - q}), support {len(pkg.layers[q].num)}")
+    return lambda: io.package_to_json(pkg)
 
 
-def cmd_curvature(args):
-    rep = Report("curvature")
+def cmd_curvature(args, rep):
     pkg = io.package_from_json(_load(args.package, "package"))
-    rep.add(f"package: degree {pkg.degree} (equations re-verified)")
+    rep.append(f"package: degree {pkg.degree} (equations re-verified)")
     f = curvature(pkg)
-    rep.add(f"curvature: degree {f.degree}, support {len(f.values)}")
-    rep.add("glued consistently on overlaps: yes")
-    rep.add("closed (D F = 0): yes")
+    rep.append(f"curvature: degree {f.degree}, support {len(f.values)}")
+    rep.append("glued consistently on overlaps: yes")
+    rep.append("closed (D F = 0): yes")
     for s, v in f.items():
-        rep.add(f"  F{s} = {v}")
-    if args.out:
-        io.dump_json(io.rational_cochain_to_json(f, pkg.cover.base), args.out)
-        rep.add(f"wrote: {args.out}")
-    rep.emit()
-    return 0
+        rep.append(f"  F{s} = {v}")
+    return lambda: io.rational_cochain_to_json(f, pkg.cover.base)
 
 
-def cmd_holonomy(args):
-    rep = Report("holonomy")
+def cmd_holonomy(args, rep):
     pkg = io.package_from_json(_load(args.package, "package"))
     z = io.chain_from_json(_load(args.cycle, "chain"), pkg.cover.base)
     support = downward_closure(z.coefficients.keys())
     v = SimplicialComplex._trusted(pkg.cover.base.vertex_count, support)
-    rep.add(f"package: degree {pkg.degree} (equations re-verified)")
-    rep.add(f"cycle: degree {z.degree}, {len(z.coefficients)} cells; boundary zero: "
-            f"{'yes' if not chain_boundary(z).coefficients else 'no'}")
-    rep.add(f"restriction subcomplex: {len(v.simplices)} simplices, dim {v.dim}")
+    rep.append(f"package: degree {pkg.degree} (equations re-verified)")
+    rep.append(f"cycle: degree {z.degree}, {len(z.coefficients)} cells; boundary zero: "
+               f"{'yes' if not chain_boundary(z).coefficients else 'no'}")
+    rep.append(f"restriction subcomplex: {len(v.simplices)} simplices, dim {v.dim}")
     h = holonomy(pkg, v, z)
-    rep.add(f"holonomy = {h.value} (mod 1)")
-    if args.out:
-        io.dump_json(io.circle_value_to_json(h), args.out)
-        rep.add(f"wrote: {args.out}")
-    rep.emit()
-    return 0
+    rep.append(f"holonomy = {h.value} (mod 1)")
+    return lambda: io.circle_value_to_json(h)
 
 
 # ---------------------------------------------------------------------------
@@ -256,92 +200,73 @@ def cmd_holonomy(args):
 # ---------------------------------------------------------------------------
 
 def _fixture_files(name):
-    from .io import (
-        chain_to_json,
-        complex_to_json,
-        cover_to_json,
-        extension_to_json,
-        group_to_json,
-        package_to_json,
-        tower_to_json,
-        transitions_to_json,
-    )
-    from .tower import ExtensionTower
-
     z = FgAbelianGroup((0,))
     z2 = FgAbelianGroup((2,))
     if name == "circle":
-        from .io import cochain_to_json
-
         hexa = fx.hexagon()
         cov = fx.three_arc_cover(hexa)
         nrv = nerve(cov)
         files = {
-            "circle.cplx": complex_to_json(hexa),
-            "circle.cov": cover_to_json(cov),
-            "hexcycle.chn": chain_to_json(fx.hexagon_cycle(hexa)),
-            "dbl.trn": transitions_to_json(fx.circle_double_cover_transitions(nrv)),
-            "z2-z4.twr": tower_to_json(ExtensionTower([fx.z2_z4_extension()])),
-            "z2-z4.ext": extension_to_json(fx.z2_z4_extension()),
-            "flat_bundle.pkg": package_to_json(fx.circle_flat_package(Fraction(1, 3))),
-            "theta.cochain": cochain_to_json(
-                fx.circle_flat_cocycle(nrv, Fraction(1, 3))
-            ),
-            "z.grp": group_to_json(z),
-            "z2.grp": group_to_json(z2),
-            "qz.grp": group_to_json(CIRCLE),
+            "circle.cplx": io.complex_to_json(hexa),
+            "circle.cov": io.cover_to_json(cov),
+            "hexcycle.chn": io.chain_to_json(fx.hexagon_cycle(hexa)),
+            "dbl.trn": io.transitions_to_json(fx.circle_double_cover_transitions(nrv)),
+            "z2-z4.twr": io.tower_to_json(ExtensionTower([fx.z2_z4_extension()])),
+            "z2-z4.ext": io.extension_to_json(fx.z2_z4_extension()),
+            "flat_bundle.pkg": io.package_to_json(fx.circle_flat_package(Fraction(1, 3))),
+            "theta.cochain": io.cochain_to_json(fx.circle_flat_cocycle(nrv, Fraction(1, 3))),
+            "z.grp": io.group_to_json(z),
+            "z2.grp": io.group_to_json(z2),
+            "qz.grp": io.group_to_json(CIRCLE),
         }
     elif name == "delta3":
-        from .complexes import star_cover
-
         bd3 = fx.boundary_delta3()
         files = {
-            "delta3.cplx": complex_to_json(bd3),
-            "delta3_star.cov": cover_to_json(star_cover(bd3)),
-            "delta3cycle.chn": chain_to_json(fx.boundary_delta3_cycle(bd3)),
-            "z.grp": group_to_json(z),
+            "delta3.cplx": io.complex_to_json(bd3),
+            "delta3_star.cov": io.cover_to_json(star_cover(bd3)),
+            "delta3cycle.chn": io.chain_to_json(fx.boundary_delta3_cycle(bd3)),
+            "z.grp": io.group_to_json(z),
         }
     elif name == "rp2":
-        from .io import cochain_to_json, ses_to_json
-
         cover, nrv = fx.rp2_good_cover()
         twr = fx.z2_tower(2)
         files = {
-            "rp2.cplx": complex_to_json(fx.rp2_minimal()),
-            "rp2.cov": cover_to_json(cover),
-            "w1.trn": transitions_to_json(fx.rp2_orientation_transitions(nrv)),
-            "w1.cochain": cochain_to_json(fx.rp2_orientation_cocycle(nrv), include_cover=cover),
-            "z2-z4.ext": extension_to_json(fx.z2_z4_extension()),
-            "rp2_tower.twr": tower_to_json(twr),
-            "z2z4z2.ses": ses_to_json(twr.derived_sequence(1)),
-            "z.grp": group_to_json(z),
-            "z2.grp": group_to_json(z2),
+            "rp2.cplx": io.complex_to_json(fx.rp2_minimal()),
+            "rp2.cov": io.cover_to_json(cover),
+            "w1.trn": io.transitions_to_json(fx.rp2_orientation_transitions(nrv)),
+            "w1.cochain": io.cochain_to_json(
+                fx.rp2_orientation_cocycle(nrv), include_cover=cover
+            ),
+            "z2-z4.ext": io.extension_to_json(fx.z2_z4_extension()),
+            "rp2_tower.twr": io.tower_to_json(twr),
+            "z2z4z2.ses": io.ses_to_json(twr.derived_sequence(1)),
+            "z.grp": io.group_to_json(z),
+            "z2.grp": io.group_to_json(z2),
         }
     elif name == "torus":
         torus, cov = fx.torus_product()
         files = {
-            "torus.cplx": complex_to_json(torus),
-            "torus.cov": cover_to_json(cov),
-            "torus_cycle.chn": chain_to_json(fx.torus_cycle(torus)),
-            "flat_gerbe.pkg": package_to_json(fx.torus_flat_gerbe(Fraction(1, 3))),
-            "z.grp": group_to_json(z),
+            "torus.cplx": io.complex_to_json(torus),
+            "torus.cov": io.cover_to_json(cov),
+            "torus_cycle.chn": io.chain_to_json(fx.torus_cycle(torus)),
+            "flat_gerbe.pkg": io.package_to_json(fx.torus_flat_gerbe(Fraction(1, 3))),
+            "z.grp": io.group_to_json(z),
         }
     else:
         raise UsageError(f"unknown fixture {name!r}; choose from circle, delta3, rp2, torus")
     return files
 
 
-def cmd_fixtures(args):
-    rep = Report("fixtures")
+def cmd_fixtures(args, rep):
+    """Write the fixture files into the directory ``--out`` (default: the
+    current one); there is no artifact for ``main`` to write."""
     outdir = args.out or "."
     files = _fixture_files(args.name)
     os.makedirs(outdir, exist_ok=True)
     for fname in sorted(files):
         path = os.path.join(outdir, fname)
         io.dump_json(files[fname], path)
-        rep.add(f"wrote: {path}")
-    rep.emit()
-    return 0
+        rep.append(f"wrote: {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +347,19 @@ def _build_parser():
 
 
 def main(argv=None):
+    """Run the command ``argv`` names (default: ``sys.argv[1:]``); the exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    token = abelian.SNF_VERIFY.set(getattr(args, "verify", "fast") == "full")
+    token = abelian.SNF_VERIFY.set(args.verify == "full")
+    rep = [f"cechlift {args.command}"]
     try:
-        return args.func(args)
+        artifact = args.func(args, rep)
+        if artifact is not None and args.out:
+            io.dump_json(artifact(), args.out)
+            rep.append(f"wrote: {args.out}")
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
@@ -438,6 +368,8 @@ def main(argv=None):
         return 1
     finally:
         abelian.SNF_VERIFY.reset(token)
+    sys.stdout.write("\n".join(rep) + "\n")
+    return 0
 
 
 if __name__ == "__main__":

@@ -360,13 +360,12 @@ def verify_good_cover(cover, nerve_):
     """Check every non-empty intersection is acyclic over Z in every degree.
 
     An intersection with a collapse certificate (``collapse()``) is
-    acyclic and costs no Smith call.  Any other one is checked by its
-    connected components and the Smith diagonals of its coboundaries up
-    to dim(base) + 1, read from the factorizations W keeps
-    (``factored_coboundary``), which is every degree: an intersection W is a
-    subcomplex of the base, so H^q(W) = 0 for q > dim(base).  That check
-    also settles acyclic intersections that do not collapse greedily.
-    Failure is a value, not an error.
+    acyclic and costs no Smith call.  Any other one is checked by the
+    Smith diagonals of its coboundaries up to dim(base) + 1, read from the
+    factorizations W keeps (``factored_coboundary``), which is every
+    degree: an intersection W is a subcomplex of the base, so H^q(W) = 0
+    for q > dim(base).  That check also settles acyclic intersections
+    that do not collapse greedily.  Failure is a value, not an error.
     """
     max_degree = cover.base.dim + 1
     failures = []
@@ -374,15 +373,13 @@ def verify_good_cover(cover, nerve_):
         w = nerve_.intersection_of[s]
         if w.collapse() is not None:
             continue
-        comps = w.connected_component_count()
-        if comps != 1:
-            failures.append((s, 0, FgAbelianGroup((0,) * (comps - 1))))
-        # H^q(W; Z) = Z^(n_q - rank d_q - rank d_{q-1}) + Z/s for every
-        # invariant factor s > 1 of d_{q-1}
-        diags = [w.factored_coboundary(q).diag for q in range(max_degree + 1)]
-        for q in range(1, max_degree + 1):
-            free = len(w.simplices_of_dim(q)) - len(diags[q]) - len(diags[q - 1])
-            h = FgAbelianGroup([d for d in diags[q - 1] if d > 1] + [0] * free)
+        # reduced H^q(W; Z) = Z^(n_q - rank d_q - rank d_{q-1}) + Z/s for
+        # every invariant factor s > 1 of d_{q-1}; d_{-1} is the
+        # augmentation Z -> C^0, a column of ones with Smith diagonal (1)
+        diags = [[1]] + [w.factored_coboundary(q).diag for q in range(max_degree + 1)]
+        for q in range(max_degree + 1):
+            free = len(w.simplices_of_dim(q)) - len(diags[q + 1]) - len(diags[q])
+            h = FgAbelianGroup([d for d in diags[q] if d > 1] + [0] * free)
             if not h.is_trivial():
                 failures.append((s, q, h))
     return GoodnessReport(max_degree, tuple(failures))

@@ -265,22 +265,6 @@ class SimplicialComplex:
             self._presented[p] = pres
         return pres
 
-    def connected_component_count(self):
-        verts = [s[0] for s in self.simplices_of_dim(0)]
-        parent = {v: v for v in verts}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.simplices_of_dim(1):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(v) for v in verts})
-
     def __eq__(self, other):
         return (
             isinstance(other, SimplicialComplex)

@@ -34,7 +34,7 @@ from operator import index
 
 from . import abelian
 from .abelian import CIRCLE, CircleElement, QQ
-from .cochains import Cochain, _face_sums, coboundary, verify_good_cover
+from .cochains import Cochain, _face_sums, coboundary, cup, verify_good_cover
 from .complexes import Cover, Nerve, chain_boundary, nerve
 from .errors import (
     CoverNotGood,
@@ -479,8 +479,6 @@ def curvature(pkg):
 
 def characteristic_form(pkg, power):
     """The cup power curvature^power: a closed (power*(d+1))-cochain."""
-    from .cochains import cup
-
     if power < 1:
         raise DegreeMismatch("monomial degree must be >= 1")
     f = curvature(pkg)

@@ -10,7 +10,7 @@ import itertools
 from fractions import Fraction
 
 from .abelian import CIRCLE, CircleElement, FgAbelianGroup, GroupElement
-from .cochains import Cochain, cohomology_classes
+from .cochains import Cochain, cohomology_classes, cup
 from .complexes import (
     Cover,
     SimplicialComplex,
@@ -20,6 +20,8 @@ from .complexes import (
     shuffle_product_chain,
     validate_complex,
 )
+from .deligne import descent_chain
+from .tower import ExtensionTower, FiniteGroup, TransitionCocycle, build_extension
 
 
 def triangle_boundary():
@@ -192,8 +194,6 @@ def circle_flat_cocycle(nerve_, theta):
 
 def z2_z4_extension():
     """The nonsplit extension of Z/2 by Z/2 with total group Z/4."""
-    from .tower import FiniteGroup, build_extension
-
     z2 = FgAbelianGroup((2,))
     zero, one = z2.zero(), z2.element((1,))
     return build_extension(FiniteGroup.cyclic(2), z2, ((zero, zero), (zero, one)))
@@ -205,8 +205,6 @@ def z4_z8_extension(ext1=None):
     The factor set is the carry cocycle pulled back along the pair
     isomorphism (a, h) -> a + 2h.
     """
-    from .tower import build_extension
-
     ext1 = ext1 if ext1 is not None else z2_z4_extension()
     z2 = ext1.kernel
     zero, one = z2.zero(), z2.element((1,))
@@ -229,8 +227,6 @@ def z2_tower(levels=2):
     Each step pulls the carry cocycle back along a discrete logarithm of
     the (cyclic) previous total group, taken at its first generator.
     """
-    from .tower import ExtensionTower, build_extension
-
     z2 = FgAbelianGroup((2,))
     zero, one = z2.zero(), z2.element((1,))
     exts = [z2_z4_extension()]
@@ -262,15 +258,11 @@ def _element_order(group, g):
 
 def circle_double_cover_transitions(nerve_):
     """Z/2 transitions of the nontrivial double cover of the circle."""
-    from .tower import FiniteGroup, TransitionCocycle
-
     return TransitionCocycle(nerve_, FiniteGroup.cyclic(2), {(0, 2): 1})
 
 
 def rp2_orientation_transitions(nerve_):
     """Z/2 transitions of the orientation double cover of RP^2."""
-    from .tower import FiniteGroup, TransitionCocycle
-
     w = rp2_orientation_cocycle(nerve_)
     g = {e: w.value(e).coords[0] for e in nerve_.simplices_of_dim(1)}
     return TransitionCocycle(nerve_, FiniteGroup.cyclic(2), g)
@@ -278,8 +270,6 @@ def rp2_orientation_transitions(nerve_):
 
 def circle_flat_package(theta):
     """Flat circle-bundle package on the 3-arc hexagon cover."""
-    from .deligne import descent_chain
-
     cov = three_arc_cover()
     nrv = nerve(cov)
     return descent_chain(circle_flat_cocycle(nrv, theta), cov, nrv)
@@ -291,9 +281,6 @@ def torus_flat_gerbe(t):
     The classifying cocycle is t times the integer generator
     x cup y of H^2 of the product-cover nerve, reduced mod 1.
     """
-    from .cochains import cup
-    from .deligne import descent_chain
-
     torus, cov = torus_product()
     nrv = nerve(cov)
     x, y = torus_nerve_generators(nrv)

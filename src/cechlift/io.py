@@ -1,8 +1,10 @@
-"""JSON container formats for every domain object.
+"""JSON container formats for every domain object, and the CLI's artifacts.
 
 One container format with a "kind" discriminator; emitted artifacts are
 canonical (sorted keys, sorted simplices, fixed separators) so repeated
-runs are byte-identical and every artifact re-parses to an equal value.
+runs are byte-identical.  Every container ``load_typed`` knows re-parses
+to an equal value; a cochain re-parses through ``cochain_from_json``, and
+the obstruction sequence is an output only, with no loader.
 """
 
 from __future__ import annotations
@@ -106,6 +108,16 @@ def kind_of(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("top-level object must carry a 'kind' discriminator")
     return obj["kind"]
+
+
+def load_container(path, *kinds):
+    """The container object in ``path``; when ``kinds`` are given, its kind
+    must be one of them."""
+    obj = load_json(path)
+    kind = kind_of(obj)
+    if kinds and kind not in kinds:
+        raise FormatError(f"{path}: expected a {' or '.join(kinds)} file, found {kind}")
+    return obj
 
 
 # -- complexes --------------------------------------------------------------
@@ -476,6 +488,25 @@ def circle_value_from_json(obj):
     return CircleElement(_fraction(obj, "circle_value"))
 
 
+def obstruction_sequence_to_json(seq):
+    """The status and the recorded entries of a tower run."""
+    return {
+        "kind": "obstruction_sequence",
+        "status": list(seq.status),
+        "entries": [
+            {
+                "level": e.level,
+                "degree": e.degree,
+                "coefficients": list(e.coefficients.moduli),
+                "cohomology": list(e.cohomology.moduli),
+                "class": list(e.coords),
+                "cocycle": cochain_to_json(e.cocycle),
+            }
+            for e in seq.entries
+        ],
+    }
+
+
 # -- dispatch -------------------------------------------------------------------
 
 _LOADERS = {
@@ -494,10 +525,8 @@ _LOADERS = {
 
 def load_typed(path, expect=None):
     """Load a container file, optionally enforcing its kind."""
-    obj = load_json(path)
+    obj = load_container(path, expect) if expect is not None else load_container(path)
     kind = kind_of(obj)
-    if expect is not None and kind != expect:
-        raise FormatError(f"{path}: expected a {expect} file, found {kind}")
     loader = _LOADERS.get(kind)
     if loader is None:
         raise FormatError(f"{path}: no loader for kind {kind!r}")

@@ -137,6 +137,18 @@ def abelian_invariants(group):
     """
     if not group.is_abelian():
         raise NotAbelian("group is not commutative")
+    pres = _element_presentation(group)
+    n = group.order
+
+    def coords(idx):
+        return pres.coords_of([int(a == idx) for a in range(n)])
+
+    return pres.group, coords
+
+
+def _element_presentation(group):
+    """The presentation behind ``abelian_invariants``, of a group already
+    known to be commutative."""
     n = group.order
     # one {column: value} row per element, one column per relation; the
     # coefficients of a relation sum to 1, so none cancels to zero
@@ -150,14 +162,7 @@ def abelian_invariants(group):
                 if x:
                     rows[i][ncols] = x
             ncols += 1
-    pres = abelian._presentation(rows, ncols)
-
-    def coords(idx):
-        vec = [0] * n
-        vec[idx] = 1
-        return pres.coords_of(vec)
-
-    return pres.group, coords
+    return abelian._presentation(rows, ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +398,7 @@ def obstruction_class(c):
     return Obstruction(c, classes.group, classes.class_coords(c))
 
 
-def lift_transitions(g, ext, section_twist=None, witness_shift=None):
+def lift_transitions(g, ext, witness_shift=None):
     """Lift the transitions through the extension, or report the class.
 
     When the Giraud cocycle is a coboundary with witness y, the lift is
@@ -407,7 +412,7 @@ def lift_transitions(g, ext, section_twist=None, witness_shift=None):
     witness, selecting a different valid trivialization (used by the
     witness-independence tests).
     """
-    c = giraud_obstruction(g, ext, section_twist)
+    c = giraud_obstruction(g, ext)
     y = is_coboundary(c)
     if y is None:
         obs = obstruction_class(c)
@@ -420,11 +425,7 @@ def lift_transitions(g, ext, section_twist=None, witness_shift=None):
         y = y + witness_shift
     lifted = {}
     for (i, j) in g.nerve.simplices_of_dim(1):
-        a = g.value(i, j)
-        corr = -y.value((i, j))
-        if section_twist is not None:
-            corr = corr + section_twist(a)
-        lifted[(i, j)] = ext.with_kernel_offset(a, corr)
+        lifted[(i, j)] = ext.with_kernel_offset(g.value(i, j), -y.value((i, j)))
     out = TransitionCocycle(g.nerve, ext.total, lifted)
     for (i, j) in g.nerve.simplices_of_dim(1):
         if ext.project(out.value(i, j)) != g.value(i, j):
@@ -506,20 +507,15 @@ class ExtensionTower:
             if lower.project(upper.project(t)) == lower.base.identity
         ]
         index_of = {t: p for p, t in enumerate(members)}
-        n = len(members)
-        sub_table = []
-        for a in members:
-            row = []
-            for b in members:
-                ab = total.mul(a, b)
-                if ab not in index_of:
-                    raise NotAbelian("derived quotient is not closed")
-                row.append(index_of[ab])
-            sub_table.append(row)
-        ksub = FiniteGroup(sub_table)
+        # a kernel of a checked group: closed, and a group with its identity
+        ksub = FiniteGroup._trusted(
+            tuple(tuple(index_of[total.mul(a, b)] for b in members) for a in members),
+            index_of[total.identity],
+        )
         if not ksub.is_abelian():
             raise NotAbelian(f"derived quotient at level {i} is not commutative")
-        kgroup, coords_of = abelian_invariants(ksub)
+        pres = _element_presentation(ksub)
+        kgroup = pres.group
 
         # inject: H_{i+1} -> K via the kernel embedding of the upper extension
         inj_cols = []
@@ -528,8 +524,8 @@ class ExtensionTower:
                 upper.kernel,
                 tuple(1 if t == gidx else 0 for t in range(upper.kernel.rank)),
             )
-            member = upper.embed(gen)
-            inj_cols.append(list(coords_of(index_of[member])))
+            member = index_of[upper.embed(gen)]
+            inj_cols.append(pres.coords_of([int(p == member) for p in range(len(members))]))
         inject = Homomorphism(
             upper.kernel,
             kgroup,
@@ -539,13 +535,17 @@ class ExtensionTower:
             ),
         )
 
-        # project: K -> H_i by projecting to L_i and reading the kernel part
+        # project: K -> H_i, the kernel part in L_i.  It is a homomorphism,
+        # so the generator realized by sum v_p members[p] goes to sum v_p
+        # of their kernel parts.
+        parts = [lower.kernel_part(upper.project(t)).coords for t in members]
         proj_cols = []
-        pres_gens = _group_generator_members(ksub, kgroup, coords_of)
-        for member_idx in pres_gens:
-            t = members[member_idx]
-            h = lower.kernel_part(upper.project(t))
-            proj_cols.append(list(h.coords))
+        for v in pres.generators:
+            col = [0] * lower.kernel.rank
+            for p, x in enumerate(v):
+                if x:
+                    col = [c + x * h for c, h in zip(col, parts[p])]
+            proj_cols.append([c % m for c, m in zip(col, lower.kernel.moduli)])
         project = Homomorphism(
             kgroup,
             lower.kernel,
@@ -555,22 +555,6 @@ class ExtensionTower:
             ),
         )
         return ShortExactSequence(upper.kernel, kgroup, lower.kernel, inject, project)
-
-
-def _group_generator_members(group, fg, coords_of):
-    """For each canonical generator of fg, an element index realizing it."""
-    out = []
-    want = [
-        tuple(1 if t == j else 0 for t in range(fg.rank)) for j in range(fg.rank)
-    ]
-    lookup = {}
-    for idx in range(group.order):
-        lookup.setdefault(coords_of(idx), idx)
-    for w in want:
-        if w not in lookup:
-            raise NotAbelian("generator of the derived quotient not realized")
-        out.append(lookup[w])
-    return out
 
 
 # ---------------------------------------------------------------------------

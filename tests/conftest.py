@@ -27,7 +27,7 @@ from cechlift.complexes import (
     nerve,
     validate_complex,
 )
-from cechlift.tower import FiniteGroup
+from cechlift.tower import FiniteGroup, build_extension, split_extension
 from snf_oracle import dense
 
 
@@ -249,6 +249,24 @@ def oracle_cohomology_order_mod(d_prev, d_next, modulus, dim):
     return ker_size // im_prev
 
 
+def connected_component_count(k):
+    """The number of connected components of the complex k, by union-find."""
+    verts = [s[0] for s in k.simplices_of_dim(0)]
+    parent = {v: v for v in verts}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in k.simplices_of_dim(1):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return len({find(v) for v in verts})
+
+
 def oracle_goodness_failures(cover, nerve_, max_degree=None):
     """The failures of verify_good_cover, from components and invariant factors.
 
@@ -262,7 +280,7 @@ def oracle_goodness_failures(cover, nerve_, max_degree=None):
     failures = []
     for s in sorted(nerve_.simplices):
         w = nerve_.intersection_of[s]
-        comps = w.connected_component_count()
+        comps = connected_component_count(w)
         if comps != 1:
             failures.append((s, 0, FgAbelianGroup((0,) * (comps - 1))))
         diags = [oracle_invariant_factors(dense_coboundary(w, q)) for q in range(max_degree + 1)]
@@ -359,6 +377,27 @@ def klein_four():
     return FiniteGroup(
         tuple(tuple(a ^ b for b in range(4)) for a in range(4)), 0
     )
+
+
+def noncommutative_derived_extensions():
+    """Two extensions whose derived quotient at level 1 is not commutative.
+
+    The first is the product Z/2 x (Z/2 + Z/2); the second extends its
+    total by Z/2 with the factor set h_1 k_2 on the kernel coordinates h
+    and k of the two factors, a bilinear cocycle.  The elements of the
+    second total over the identity of the base Z/2 form the dihedral
+    group of order 8.
+    """
+    z2 = abelian.FgAbelianGroup((2,))
+    first = split_extension(FiniteGroup.cyclic(2), abelian.FgAbelianGroup((2, 2)))
+    h = {
+        first.with_kernel_offset(a, k): k.coords
+        for a in range(2)
+        for k in first.kernel.elements()
+    }
+    n = first.total.order
+    fs = [[z2.element((h[t][0] * h[u][1],)) for u in range(n)] for t in range(n)]
+    return first, build_extension(first.total, z2, fs)
 
 
 def symmetric_group_3():

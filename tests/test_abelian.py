@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -226,6 +227,22 @@ class TestGroups:
         assert c.value == Fraction(2, 3)
         assert (c + c).value == Fraction(1, 3)
         assert (-c).value == Fraction(1, 3)
+        assert (3 * c).value == 0 and (c * 2).value == Fraction(1, 3)
+
+    @pytest.mark.parametrize("bad", [0.1, Decimal("0.5"), "1/2", complex(0.5)])
+    def test_circle_element_refuses_values_that_are_not_rational(self, bad):
+        """A float would be kept as its binary expansion, and a cochain would keep it."""
+        with pytest.raises(TypeError):
+            abelian.CircleElement(bad)
+
+    @pytest.mark.parametrize("k", [Fraction(1, 2), 0.5])
+    def test_circle_element_scaling_takes_integers_only(self, k):
+        """Q/Z is a Z-module: 1/2 and 3/2 are one element, but their halves differ."""
+        assert abelian.CircleElement(Fraction(1, 2)) == abelian.CircleElement(Fraction(3, 2))
+        with pytest.raises(TypeError):
+            abelian.CircleElement(Fraction(1, 3)) * k
+        with pytest.raises(TypeError):
+            k * abelian.CircleElement(Fraction(1, 3))
 
     def test_order_and_enumeration(self):
         g = FgAbelianGroup((2, 4))

@@ -437,6 +437,15 @@ class TestGoodCover:
         assert quad[0][1] == 1
         assert quad[0][2].moduli == (0, 0, 0)
 
+    def test_disconnected_intersection_fails_in_degree_zero(self, hexagon):
+        """Two arcs of the hexagon meet in two edges: reduced H^0 = Z."""
+        a = validate_complex([(0, 1), (1, 2), (2, 3), (3, 4)], vertex_count=6)
+        b = validate_complex([(3, 4), (4, 5), (0, 5), (0, 1)], vertex_count=6)
+        cov = Cover(hexagon, (a, b))
+        report = verify_good_cover(cov, nerve(cov))
+        assert [(s, q, str(h)) for s, q, h in report.failures] == [((0, 1), 0, "Z")]
+        assert report.describe() == "(0, 1) H^0=Z"
+
     def test_one_piece_contractible(self):
         k = validate_complex([(0, 1, 2)])
         cov = Cover(k, (k,))

@@ -11,8 +11,12 @@ import pytest
 import cechlift
 from cechlift import cli, fixtures, io
 from cechlift.abelian import CIRCLE, FgAbelianGroup
+from cechlift.cochains import cohomology_classes
+from cechlift.complexes import SimplicialComplex, downward_closure, nerve
+from cechlift.deligne import curvature, descent_chain, holonomy
+from cechlift.tower import bockstein, giraud_obstruction, tower_obstructions
 
-from conftest import cli_env, run_cli
+from conftest import cli_env, noncommutative_derived_extensions, run_cli
 
 
 class TestRoundTrips:
@@ -592,6 +596,124 @@ class TestCLI:
                 os.path.join(d2, name), "rb"
             ) as f2:
                 assert f1.read() == f2.read()
+
+
+@pytest.fixture(scope="module")
+def command_results(workdir):
+    """Each command's (arguments, artifact) on the shipped fixtures, the
+    artifact built by the library and ``io`` without the CLI."""
+    def load(name, kind):
+        return io.load_container(os.path.join(workdir, name), kind)
+
+    rp2_cover = io.cover_from_json(load("rp2.cov", "cover"))
+    rp2_nerve = nerve(rp2_cover)
+    ext = io.extension_from_json(load("z2-z4.ext", "extension"))
+    w1 = io.transitions_from_json(load("w1.trn", "transitions"), rp2_nerve, ext.base)
+    twr = io.tower_from_json(load("rp2_tower.twr", "tower"))
+    x, x_cover = io.cochain_from_json(load("w1.cochain", "cochain"))
+    ses = io.ses_from_json(load("z2z4z2.ses", "ses"))
+    circle_cover = io.cover_from_json(load("circle.cov", "cover"))
+    circle_nerve = nerve(circle_cover)
+    theta = io.cochain_from_json(load("theta.cochain", "cochain"), carrier=circle_nerve)
+    pkg = io.package_from_json(load("flat_bundle.pkg", "package"))
+    z = io.chain_from_json(load("hexcycle.chn", "chain"), pkg.cover.base)
+    v = SimplicialComplex._trusted(pkg.cover.base.vertex_count, downward_closure(z.coefficients))
+    rp2 = io.complex_from_json(load("rp2.cplx", "complex"))
+    return {
+        "cohomology": (
+            ["cohomology", "rp2.cplx", "z2.grp", "-p", "2"],
+            io.group_to_json(cohomology_classes(rp2, FgAbelianGroup((2,)), 2).group),
+        ),
+        "obstruct": (
+            ["obstruct", "rp2.cov", "w1.trn", "z2-z4.ext"],
+            io.cochain_to_json(giraud_obstruction(w1, ext), include_cover=rp2_cover),
+        ),
+        "tower": (
+            ["tower", "rp2.cov", "w1.trn", "rp2_tower.twr"],
+            io.obstruction_sequence_to_json(tower_obstructions(w1, twr)),
+        ),
+        "bockstein": (
+            ["bockstein", "w1.cochain", "z2z4z2.ses"],
+            io.cochain_to_json(bockstein(x, ses), include_cover=x_cover),
+        ),
+        "descent": (
+            ["descent", "circle.cov", "theta.cochain"],
+            io.package_to_json(descent_chain(theta, circle_cover, circle_nerve)),
+        ),
+        "curvature": (
+            ["curvature", "flat_bundle.pkg"],
+            io.rational_cochain_to_json(curvature(pkg), pkg.cover.base),
+        ),
+        "holonomy": (
+            ["holonomy", "flat_bundle.pkg", "hexcycle.chn"],
+            io.circle_value_to_json(holonomy(pkg, v, z)),
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["cohomology", "obstruct", "tower", "bockstein", "descent", "curvature", "holonomy"],
+)
+def test_main_writes_the_artifact_io_builds(
+    workdir, command_results, command, capsys, monkeypatch
+):
+    """``--out`` holds the io format of the command's result; without it nothing is written."""
+    args, artifact = command_results[command]
+    out = f"skeleton-{command}.out"
+    expected = f"skeleton-{command}.expected"
+    io.dump_json(artifact, os.path.join(workdir, expected))
+    bare = _main_in(workdir, args, capsys, monkeypatch)
+    assert bare.returncode == 0, bare.stderr
+    assert not os.path.exists(os.path.join(workdir, out))
+    res = _main_in(workdir, [*args, "--out", out], capsys, monkeypatch)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == bare.stdout + f"wrote: {out}\n"
+    with open(os.path.join(workdir, out), "rb") as got, open(
+        os.path.join(workdir, expected), "rb"
+    ) as want:
+        assert got.read() == want.read()
+
+
+def test_curvature_artifact_reparses_to_the_curvature(workdir, capsys, monkeypatch):
+    res = _main_in(
+        workdir, ["curvature", "flat_bundle.pkg", "--out", "skeleton-f.cochain"], capsys, monkeypatch
+    )
+    assert res.returncode == 0, res.stderr
+    pkg = io.load_typed(os.path.join(workdir, "flat_bundle.pkg"), expect="package")
+    f = io.load_typed(os.path.join(workdir, "skeleton-f.cochain"), expect="rational_cochain")
+    assert f == curvature(pkg) and f.carrier == pkg.cover.base
+
+
+@pytest.mark.parametrize(
+    "args, code, error",
+    [
+        (["descent", "delta3_star.cov", "theta.cochain"], 1, "error [CoverNotGood]: "),
+        (["descent", "missing.cov", "theta.cochain"], 2, "usage error: input file not found"),
+    ],
+    ids=["domain", "usage"],
+)
+def test_a_failing_command_prints_no_report_and_writes_no_artifact(
+    workdir, args, code, error, capsys, monkeypatch
+):
+    out = os.path.join(workdir, f"skeleton-failed-{code}.pkg")
+    res = _main_in(workdir, [*args, "--out", out], capsys, monkeypatch)
+    assert res.returncode == code
+    assert res.stdout == ""
+    assert res.stderr.startswith(error)
+    assert not os.path.exists(out)
+
+
+def test_a_noncommutative_derived_quotient_is_a_domain_error(workdir, capsys, monkeypatch):
+    path = os.path.join(workdir, "noncommutative.twr")
+    extensions = [io.extension_to_json(e) for e in noncommutative_derived_extensions()]
+    io.dump_json({"kind": "tower", "extensions": extensions}, path)
+    res = _main_in(workdir, ["tower", "circle.cov", "dbl.trn", path], capsys, monkeypatch)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == (
+        "error [NotAbelian]: derived quotient at level 1 is not commutative\n"
+    )
 
 
 def test_verify_full_checks_only_during_its_command(tmp_path, monkeypatch):

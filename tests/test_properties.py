@@ -99,6 +99,7 @@ from cechlift.tower import (
 )
 
 from conftest import (
+    connected_component_count,
     dense_coboundary,
     dunce_hat,
     oracle_augmented_solve,
@@ -740,7 +741,7 @@ def test_a_collapse_certificate_proves_acyclicity_and_solves_exactly(w, seed, sh
     pairs = w.collapse()
     if pairs is None:
         return
-    assert w.connected_component_count() == 1
+    assert connected_component_count(w) == 1
     for q in range(1, w.dim + 2):
         d_prev = oracle_invariant_factors(dense_coboundary(w, q - 1))
         d_next = oracle_invariant_factors(dense_coboundary(w, q))

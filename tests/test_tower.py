@@ -9,7 +9,13 @@ from cechlift import abelian, fixtures
 from cechlift.abelian import FgAbelianGroup, GroupElement
 from cechlift.cochains import Cochain, coboundary, cohomology_classes, cup, is_coboundary
 from cechlift.complexes import nerve
-from cechlift.errors import GroupMismatch, NotACocycle, NotACocycle2, NotNormalized
+from cechlift.errors import (
+    GroupMismatch,
+    NotACocycle,
+    NotACocycle2,
+    NotAbelian,
+    NotNormalized,
+)
 from cechlift.tower import (
     ExtensionTower,
     FiniteGroup,
@@ -28,6 +34,7 @@ from conftest import (
     coboundary_transitions,
     free_circle_transitions,
     klein_four,
+    noncommutative_derived_extensions,
     random_extension,
     symmetric_group_3,
 )
@@ -59,6 +66,10 @@ class TestFiniteGroup:
         assert coords(0) == (0, 0)
         g2, _ = abelian_invariants(FiniteGroup.cyclic(6))
         assert g2.moduli == (6,)
+
+    def test_abelian_invariants_refuses_a_noncommutative_group(self):
+        with pytest.raises(NotAbelian, match="group is not commutative"):
+            abelian_invariants(symmetric_group_3())
 
 
 class TestCentralExtension:
@@ -379,6 +390,10 @@ class TestTower:
         ext1 = fixtures.z2_z4_extension()
         with pytest.raises(GroupMismatch):
             ExtensionTower([ext1, ext1])
+
+    def test_noncommutative_derived_quotient_is_refused(self):
+        with pytest.raises(NotAbelian, match="derived quotient at level 1 is not commutative"):
+            ExtensionTower(noncommutative_derived_extensions())
 
     def test_derived_sequence_is_z2_z4_z2(self):
         tower = fixtures.z2_tower(2)

@@ -19,7 +19,6 @@ from .abelian import (
     Homomorphism,
     RationalGroup,
     ShortExactSequence,
-    cohomology_of,
 )
 from .cochains import (
     Cochain,

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from operator import index
 
 from . import kernels
-from .errors import GroupMismatch, NotAComplex, NotACocycle
+from .errors import GroupMismatch
 
 #: When true, every Smith factorization computed is re-checked: both logs
 #: replayed on M give S, and every logged combine has determinant 1, so
@@ -435,7 +435,7 @@ class Presentation:
 
     The columns of M generate L, and S is its Smith form or, for a
     diagonal M, M itself.  ``diag`` is the full diagonal of S: n
-    entries, 0 past the rank.  ``_fac`` is the factorization of M (only
+    entries, 0 past the rank.  ``fac`` is the factorization of M (only
     its U is used, and it is the identity for a diagonal M).  The
     coordinates whose diagonal entry is not 1, taken in the order
     ``_kept``, carry the quotient: ``group``, ``coords_of`` (an integer
@@ -443,11 +443,11 @@ class Presentation:
     generator lifted back to Z^n).
     """
 
-    __slots__ = ("diag", "group", "_fac", "_kept")
+    __slots__ = ("diag", "group", "fac", "_kept")
 
     def __init__(self, diag, fac, kept=None):
         self.diag = diag
-        self._fac = fac
+        self.fac = fac
         self._kept = [i for i, d in enumerate(diag) if d != 1] if kept is None else kept
         self.group = FgAbelianGroup(diag[i] for i in self._kept)
 
@@ -458,7 +458,7 @@ class Presentation:
         return cls(fac.diag + [0] * (len(fac.row_at) - len(fac.diag)), fac)
 
     def coords_of(self, vec):
-        full = self._fac.u_times(vec)
+        full = self.fac.u_times(vec)
         out = []
         for pos, m in zip(self._kept, self.group.moduli):
             out.append(full[pos] % m if m else full[pos])
@@ -470,7 +470,7 @@ class Presentation:
     @property
     def generators(self):
         n = len(self.diag)
-        return [self._fac.uinv_times([int(i == pos) for i in range(n)]) for pos in self._kept]
+        return [self.fac.uinv_times([int(i == pos) for i in range(n)]) for pos in self._kept]
 
 
 def _presentation(rows, ncols):
@@ -478,12 +478,14 @@ def _presentation(rows, ncols):
     return Presentation.of(factor(rows, ncols))
 
 
-def _canonical_presentation(orders):
+def canonical_presentation(orders):
     """The sum of the cyclic groups Z/o (o = 0: Z), in invariant-factor form.
 
     When the orders other than 1, sorted with the zeros last, already
     divide in turn, U is the identity and only the order of the
-    coordinates changes; otherwise diag(orders) is factored once.
+    coordinates changes; otherwise diag(orders) is factored once.  The
+    result's ``group`` is the sum and its ``coords_of`` maps raw
+    coordinates to canonical ones.
     """
     n = len(orders)
     kept = [i for i, o in enumerate(orders) if o != 1]
@@ -491,16 +493,6 @@ def _canonical_presentation(orders):
     if _is_invariant_chain([orders[i] for i in kept]):
         return Presentation(list(orders), kernels.Factorization.identity(n, n), kept)
     return _presentation([{i: o} if o else {} for i, o in enumerate(orders)], n)
-
-
-def canonical_group(raw_moduli):
-    """Canonicalize a list of cyclic orders into invariant-factor form.
-
-    Returns (group, convert) where convert maps raw coordinate tuples to
-    canonical ones.
-    """
-    pres = _canonical_presentation(raw_moduli)
-    return pres.group, pres.coords_of
 
 
 # ---------------------------------------------------------------------------
@@ -643,115 +635,3 @@ class ShortExactSequence:
         if x is None:
             raise ValueError("element is not in the image of inject")
         return x
-
-
-# ---------------------------------------------------------------------------
-# cohomology of a two-step complex of G-modules
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CohomologyData:
-    """ker(d_next)/im(d_prev) over an fg coefficient group, with coordinates.
-
-    Built on U @ d_next @ V = S (``_next``) with pivots s_1..s_r.  With
-    y = V^-1 x, an integer vector x is a Z/m-cocycle exactly when
-    s_i * y_i = 0 mod m at each pivot, and V^-1 @ d_prev is zero at the
-    pivot rows, so its other rows R present every ring at once.
-    ``_tail`` is the presentation of R (``cohomology_presentation``),
-    with diagonal t_j; it does not depend on the coefficients, so a
-    carrier keeps one per degree and every coefficient group reads it.
-    Over Z/m (m = 0 is Z) the cocycle coordinates are z = U_R y past the
-    pivots, of order gcd(t_j, m), then z_i = y_i / c_i at each pivot,
-    c_i = m / gcd(s_i, m), of order gcd(s_i, m) (1 over Z): H^p(Z) (x)
-    Z/m, then Tor(H^p+1(Z), Z/m).  ``_combine`` puts the coordinates of
-    order other than 1, over all coefficient factors, in invariant-factor
-    form; ``_orders`` lists every coordinate's order, per coefficient
-    factor.
-    """
-
-    group: FgAbelianGroup
-    coefficients: FgAbelianGroup
-    _next: kernels.Factorization
-    _tail: Presentation
-    _orders: list
-    _combine: Presentation
-
-    def class_coords(self, vectors):
-        """Coordinates of a cocycle given per-coefficient-factor vectors."""
-        pivots = self._next.diag
-        r = len(pivots)
-        raw = []
-        for m, orders, vec in zip(self.coefficients.moduli, self._orders, vectors):
-            y = self._next.vinv_times(vec)
-            z = self._tail._fac.u_times(y[r:])
-            for yi, s in zip(y, pivots):
-                c = m // gcd(s, m)
-                if yi % c if c else yi:
-                    raise NotACocycle("class of a non-cocycle requested")
-                z.append(yi // c if c else 0)
-            raw.extend(zi for zi, o in zip(z, orders) if o != 1)
-        return self._combine.coords_of(raw)
-
-    def generator_vectors(self):
-        """Per canonical generator, per-factor integer cocycle vectors."""
-        pivots = self._next.diag
-        k = len(self._tail.diag)
-        out = []
-        for gen in self._combine.generators:
-            gen = iter(gen)
-            per_factor = []
-            for m, orders in zip(self.coefficients.moduli, self._orders):
-                z = [next(gen) if o != 1 else 0 for o in orders]
-                y = [m // gcd(s, m) * zi for s, zi in zip(pivots, z[k:])]
-                per_factor.append(self._next.v_times(y + self._tail._fac.uinv_times(z[:k])))
-            out.append(per_factor)
-        return out
-
-
-def cohomology_presentation(d_prev, factored_next, prev_dim):
-    """The integral relations R of ker(d_next)/im(d_prev), presented once.
-
-    ``factored_next`` is ``factor(d_next, dim)``, with dim the rank of the
-    middle term; ``d_prev`` has dim {column: value} rows and ``prev_dim``
-    columns (the matrices may be empty).  V^-1 @ d_prev is one replay of
-    the column log over the rows of d_prev; its rows at the pivots must
-    be zero, else the composite differential is nonzero over Z and
-    NotAComplex is raised, and its rows past the pivots are R, factored
-    as they are.  R does not depend on the coefficient group.
-    """
-    r = len(factored_next.diag)
-    rows = factored_next.vinv_matrix(d_prev)
-    if any(rows[:r]):
-        raise NotAComplex("d_next o d_prev is nonzero")
-    return _presentation(rows[r:], prev_dim)
-
-
-def cohomology_with_coords(relations, factored_next, coefficients):
-    """ker(d_next)/im(d_prev) over an fg coefficient group, with coords.
-
-    ``relations`` is the ``cohomology_presentation`` built on
-    ``factored_next``; both are read, never factored again, so a carrier
-    that keeps them answers every coefficient group without a Smith call
-    unless the orders of its factors do not divide in turn.
-    """
-    if not isinstance(coefficients, FgAbelianGroup):
-        raise ValueError("constant coefficients must be an FgAbelianGroup")
-    diag = factored_next.diag
-    orders = [
-        [gcd(t, m) for t in relations.diag] + [gcd(s, m) if m else 1 for s in diag]
-        for m in coefficients.moduli
-    ]
-    combine = _canonical_presentation([o for per in orders for o in per if o != 1])
-    return CohomologyData(combine.group, coefficients, factored_next, relations, orders, combine)
-
-
-def cohomology_of(d_prev, d_next, coefficients, prev_dim, dim):
-    """The cohomology group ker(d_next)/im(d_prev) with G coefficients.
-
-    The matrices are {column: value} rows, with ``prev_dim`` and ``dim``
-    columns.  They act componentwise on G-valued vectors; the result is
-    in invariant-factor form.
-    """
-    factored_next = factor(d_next, dim)
-    relations = cohomology_presentation(d_prev, factored_next, prev_dim)
-    return cohomology_with_coords(relations, factored_next, coefficients).group

@@ -9,7 +9,8 @@ command that raises prints no report and writes no artifact; every
 artifact format lives in ``io``.
 
 Exit codes: 0 on success, 1 on domain errors (reported with location),
-2 on usage errors.  Identical inputs produce byte-identical reports.
+2 on usage errors, a path that cannot be read or written among them.
+Identical inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -362,6 +363,10 @@ def main(argv=None):
             rep.append(f"wrote: {args.out}")
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
+        return 2
+    except OSError as exc:
+        # a path the system refuses to open, read or make; the error names it
+        sys.stderr.write(f"usage error: {exc.filename}: {exc.strerror}\n")
         return 2
     except CechliftError as exc:
         sys.stderr.write(f"error [{type(exc).__name__}]: {exc}\n")

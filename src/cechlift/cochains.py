@@ -14,9 +14,10 @@ and the group joins the results back into reduced, nonzero elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from operator import index
 
-from . import abelian
+from . import abelian, kernels
 from .abelian import CircleGroup, FgAbelianGroup, RationalGroup
 from .errors import DegreeMismatch, GroupMismatch, NoProduct, NotACocycle
 
@@ -234,34 +235,86 @@ def is_coboundary(x):
 @dataclass
 class CohomologyClasses:
     """H^p of a carrier with fg coefficients, with coordinates and
-    representative cocycles."""
+    representative cocycles.
+
+    Read from the carrier's kept factorization U @ delta_p @ V = S
+    (``_next``), with pivots s_1..s_r, and its kept presentation of the
+    relations R of H^p (``_tail``, ``cohomology_presentation(p)``), with
+    diagonal t_j; neither depends on the coefficients.  With y = V^-1 x,
+    an integer vector x is a Z/m-cocycle (m = 0 is Z) exactly when
+    s_i * y_i = 0 mod m at each pivot.  Its coordinates are z = U_R y past
+    the pivots, of order gcd(t_j, m), then z_i = y_i / c_i at each pivot,
+    c_i = m / gcd(s_i, m), of order gcd(s_i, m) (1 over Z): H^p(Z) (x) Z/m,
+    then Tor(H^p+1(Z), Z/m).  ``_orders`` lists every coordinate's order,
+    per coefficient factor, and ``_combine`` puts the coordinates of order
+    other than 1, over all factors, in invariant-factor form: ``group``.
+    """
 
     carrier: object
     degree: int
     coefficients: FgAbelianGroup
-    data: abelian.CohomologyData
+    _next: kernels.Factorization
+    _tail: abelian.Presentation
+    _orders: list
+    _combine: abelian.Presentation
 
     @property
     def group(self):
-        return self.data.group
+        return self._combine.group
 
     def class_coords(self, x):
+        """The coordinates in ``group`` of the class of the cocycle x."""
+        if x.carrier is not self.carrier and x.carrier != self.carrier:
+            raise GroupMismatch("cochains on different carriers")
         if x.degree != self.degree:
             raise DegreeMismatch(f"a degree-{x.degree} cochain has no class in H^{self.degree}")
         if x.group != self.coefficients:
             raise GroupMismatch(
                 f"a {x.group} cochain has no class with {self.coefficients} coefficients"
             )
-        simps = self.carrier.simplices_of_dim(self.degree)
-        return self.data.class_coords(_vectors(x, simps))
+        return self._coords(_vectors(x, self.carrier.simplices_of_dim(self.degree)))
+
+    def _coords(self, vectors):
+        """Class coordinates of a cocycle given as one integer vector per
+        coefficient factor."""
+        pivots = self._next.diag
+        r = len(pivots)
+        raw = []
+        for m, orders, vec in zip(self.coefficients.moduli, self._orders, vectors):
+            y = self._next.vinv_times(vec)
+            z = self._tail.fac.u_times(y[r:])
+            for yi, s in zip(y, pivots):
+                c = m // gcd(s, m)
+                if yi % c if c else yi:
+                    raise NotACocycle("class of a non-cocycle requested")
+                z.append(yi // c if c else 0)
+            raw.extend(zi for zi, o in zip(z, orders) if o != 1)
+        return self._combine.coords_of(raw)
 
     def generators(self):
+        """One representative cocycle per canonical generator of ``group``."""
         simps = self.carrier.simplices_of_dim(self.degree)
         g = self.coefficients
         out = []
-        for per_factor in self.data.generator_vectors():
+        for per_factor in self._generator_vectors():
             values = g.join([dict(zip(simps, v)) for v in per_factor])
             out.append(Cochain._trusted(self.carrier, self.degree, g, values))
+        return out
+
+    def _generator_vectors(self):
+        """Per canonical generator, one integer cocycle vector per
+        coefficient factor."""
+        pivots = self._next.diag
+        k = len(self._tail.diag)
+        out = []
+        for gen in self._combine.generators:
+            gen = iter(gen)
+            per_factor = []
+            for m, orders in zip(self.coefficients.moduli, self._orders):
+                z = [next(gen) if o != 1 else 0 for o in orders]
+                y = [m // gcd(s, m) * zi for s, zi in zip(pivots, z[k:])]
+                per_factor.append(self._next.v_times(y + self._tail.fac.uinv_times(z[:k])))
+            out.append(per_factor)
         return out
 
 
@@ -270,10 +323,16 @@ def cohomology_classes(carrier, coefficients, p):
     class coordinates in the invariant-factor presentation."""
     if p < 0:
         raise DegreeMismatch("negative degree")
-    data = abelian.cohomology_with_coords(
-        carrier.cohomology_presentation(p), carrier.factored_coboundary(p), coefficients
-    )
-    return CohomologyClasses(carrier, p, coefficients, data)
+    if not isinstance(coefficients, FgAbelianGroup):
+        raise GroupMismatch(f"cohomology classes need fg coefficients, not {coefficients}")
+    fac = carrier.factored_coboundary(p)
+    tail = carrier.cohomology_presentation(p)
+    orders = [
+        [gcd(t, m) for t in tail.diag] + [gcd(s, m) if m else 1 for s in fac.diag]
+        for m in coefficients.moduli
+    ]
+    combine = abelian.canonical_presentation([o for per in orders for o in per if o != 1])
+    return CohomologyClasses(carrier, p, coefficients, fac, tail, orders, combine)
 
 
 def cech_cohomology(nerve, coefficients, p):

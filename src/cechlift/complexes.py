@@ -37,7 +37,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .abelian import Presentation, cohomology_presentation, factor
+from .abelian import Presentation, factor
 from .errors import (
     DuplicateVertexInSimplex,
     InvalidComplex,
@@ -246,20 +246,20 @@ class SimplicialComplex:
     def cohomology_presentation(self, p):
         """The presentation of the relations R of H^p, for every coefficient group.
 
-        ``abelian.cohomology_presentation`` of coboundary_matrix(p - 1) on
-        the kept factorization of delta_p, built on first use and kept
-        next to it.  Where delta_p has rank 0, as in the top degree, V_p is
-        the identity and R is delta_{p-1} itself: its kept factorization
-        presents it, and no Smith call is made for R.
+        R is V_p^-1 @ delta_{p-1} past the rank of delta_p, one replay of
+        the kept factorization's column log (its rows at the pivots are zero,
+        as delta_p @ delta_{p-1} = 0), factored once and kept.  Where delta_p
+        has rank 0, as in the top degree, V_p is the identity and R is
+        delta_{p-1} itself: its kept factorization presents it, and no Smith
+        call is made for R.
         """
         pres = self._presented.get(p)
         if pres is None:
-            factored_next = self.factored_coboundary(p)
-            if factored_next.diag:
-                pres = cohomology_presentation(
-                    self.coboundary_matrix(p - 1), factored_next,
-                    len(self.simplices_of_dim(p - 1)),
-                )
+            fac = self.factored_coboundary(p)
+            r = len(fac.diag)
+            if r:
+                rows = fac.vinv_matrix(self.coboundary_matrix(p - 1))[r:]
+                pres = Presentation.of(factor(rows, len(self.simplices_of_dim(p - 1))))
             else:
                 pres = Presentation.of(self.factored_coboundary(p - 1))
             self._presented[p] = pres

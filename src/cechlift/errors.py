@@ -26,10 +26,6 @@ class NotACycle(CechliftError):
     pass
 
 
-class NotAComplex(CechliftError):
-    """Composite of consecutive differentials is nonzero."""
-
-
 class NotACocycle(CechliftError):
     pass
 

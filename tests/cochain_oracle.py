@@ -121,14 +121,14 @@ def is_coboundary(x):
 def class_coords(classes, x):
     """``classes.class_coords(x)`` through per-factor coordinate vectors."""
     simps = classes.carrier.simplices_of_dim(classes.degree)
-    return classes.data.class_coords(_fg_vectors(x, simps))
+    return classes._coords(_fg_vectors(x, simps))
 
 
 def generators(classes):
     """``classes.generators()`` built through ``_elements``."""
     simps = classes.carrier.simplices_of_dim(classes.degree)
     out = []
-    for per_factor in classes.data.generator_vectors():
+    for per_factor in classes._generator_vectors():
         values = _elements(classes.coefficients, dict(zip(simps, zip(*per_factor))))
         out.append(Cochain._trusted(classes.carrier, classes.degree, classes.coefficients, values))
     return out

@@ -230,8 +230,7 @@ def oracle_cohomology_group_Z(d_prev, d_next, dim):
     f_prev = [d for d in oracle_invariant_factors(d_prev) if d]
     tors = [d for d in f_prev if d > 1]
     free = dim - len(f_next) - len(f_prev)
-    group, _ = abelian.canonical_group(tors + [0] * free)
-    return group
+    return abelian.canonical_presentation(tors + [0] * free).group
 
 
 def oracle_cohomology_order_mod(d_prev, d_next, modulus, dim):
@@ -350,8 +349,7 @@ def random_fg_group(rng, max_modulus=6, max_rank=2):
         moduli.append(m * rng.randint(1, max(1, max_modulus // m)))
     if rng.random() < 0.3:
         moduli.append(0)
-    group, _ = abelian.canonical_group(moduli)
-    return group
+    return abelian.canonical_presentation(moduli).group
 
 
 def random_cochain(rng, carrier, group, degree):

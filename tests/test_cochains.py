@@ -328,6 +328,22 @@ class TestCoefficients:
         with pytest.raises(DegreeMismatch, match="degree-0 cochain has no class in H\\^1"):
             classes.class_coords(Cochain(hexagon, 0, Z2, {(0,): (1,)}))
 
+    def test_class_on_another_carrier_is_a_group_mismatch(self):
+        """A cocycle of another complex has no class, even when its simplices
+        lie in the carrier; one on an equal complex has."""
+        triangle = fixtures.triangle_boundary()
+        wedge = validate_complex([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
+        classes = cohomology_classes(wedge, Z2, 1)
+        with pytest.raises(GroupMismatch, match="cochains on different carriers"):
+            classes.class_coords(Cochain(triangle, 1, Z2, {(0, 1): (1,)}))
+        equal = validate_complex(wedge.simplices, vertex_count=wedge.vertex_count)
+        assert classes.class_coords(Cochain(equal, 1, Z2, {(0, 1): (1,)})) == (1, 0)
+
+    @pytest.mark.parametrize("group", [QQ, CIRCLE], ids=["Q", "Q/Z"])
+    def test_cohomology_classes_refuse_q_and_q_mod_z(self, hexagon, group):
+        with pytest.raises(GroupMismatch, match="need fg coefficients, not Q"):
+            cohomology_classes(hexagon, group, 1)
+
 
 class TestNoStoredZeros:
     """Results built from plain coordinates store no value that reduces to 0."""
@@ -362,7 +378,7 @@ class TestNoStoredZeros:
         w = self._clean(is_coboundary(coboundary(y)))
         assert coboundary(w) == coboundary(y)
         classes = cohomology_classes(rp2, Z2, 1)
-        [vector] = classes.data.generator_vectors()[0]
+        [vector] = classes._generator_vectors()[0]
         reduced = [s for s, c in zip(rp2.simplices_of_dim(1), vector) if c and c % 2 == 0]
         assert reduced  # a generator coordinate such as -2 that reduces to 0
         [gen] = classes.generators()

@@ -43,7 +43,7 @@ from cechlift.deligne import (
     holonomy_trivialization,
     restrict_package,
 )
-from cechlift.errors import CoverNotGoodOnV, NotACocycle, NotAComplex
+from cechlift.errors import CoverNotGoodOnV, NotACocycle
 
 from conftest import dunce_hat, random_cochain
 from snf_oracle import dense, sparse
@@ -429,21 +429,12 @@ def test_top_degree_class_reads_the_factorization_of_the_solve(snf_calls):
     assert str(obs.cohomology) == "Z/2" and obs.coords == (1,)
 
 
-def test_cohomology_of_refuses_a_pair_that_is_not_a_complex():
-    """The relations are built only on a complex, kept or not."""
-    d_prev, d_next = [{0: 1}, {}], [{0: 1, 1: 1}]
-    with pytest.raises(NotAComplex, match="d_next o d_prev is nonzero"):
-        abelian.cohomology_of(d_prev, d_next, FgAbelianGroup((0,)), 1, 2)
-    with pytest.raises(NotAComplex, match="d_next o d_prev is nonzero"):
-        abelian.cohomology_presentation(d_prev, abelian.factor(d_next, 2), 1)
-
-
 @settings(max_examples=40, deadline=None)
 @given(small_complexes(), st.data())
 def test_kept_presentations_answer_like_a_fresh_carrier_per_query(k, data):
     """Queries on one carrier, in any order of degrees and coefficient
     groups, give the group, generators and class coordinates of a fresh
-    carrier per query, and of the unkept path through ``abelian``."""
+    carrier per query."""
     groups = [FgAbelianGroup((0,)), *COEFFICIENTS]
     queries = data.draw(
         st.lists(
@@ -462,13 +453,6 @@ def test_kept_presentations_answer_like_a_fresh_carrier_per_query(k, data):
             a = rng.randint(-5, 5)
             x = x + Cochain(k, p, group, {s: a * v for s, v in g.values.items()})
         assert kept.class_coords(x) == fresh.class_coords(Cochain(fresh.carrier, p, group, x.values))
-        factored_next = abelian.factor(k.coboundary_matrix(p), len(k.simplices_of_dim(p)))
-        relations = abelian.cohomology_presentation(
-            k.coboundary_matrix(p - 1), factored_next, len(k.simplices_of_dim(p - 1))
-        )
-        unkept = abelian.cohomology_with_coords(relations, factored_next, group)
-        assert unkept.group == kept.group
-        assert unkept.generator_vectors() == kept.data.generator_vectors()
 
 
 def _sequence_data():

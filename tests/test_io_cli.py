@@ -14,6 +14,7 @@ from cechlift.abelian import CIRCLE, FgAbelianGroup
 from cechlift.cochains import cohomology_classes
 from cechlift.complexes import SimplicialComplex, downward_closure, nerve
 from cechlift.deligne import curvature, descent_chain, holonomy
+from cechlift.errors import FormatError
 from cechlift.tower import bockstein, giraud_obstruction, tower_obstructions
 
 from conftest import cli_env, noncommutative_derived_extensions, run_cli
@@ -702,6 +703,75 @@ def test_a_failing_command_prints_no_report_and_writes_no_artifact(
     assert res.stdout == ""
     assert res.stderr.startswith(error)
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "args, code, error",
+    [
+        (
+            ["cohomology", "rp2.cplx", "z2.grp", "-p", "2", "--out", "nodir/h.grp"], 2,
+            "usage error: nodir/h.grp: No such file or directory\n",
+        ),
+        (
+            ["cohomology", "rp2.cplx", "adir.grp", "-p", "2", "--out", "h.grp"], 2,
+            "usage error: adir.grp: Is a directory\n",
+        ),
+        (
+            ["fixtures", "rp2", "--out", "rp2.cplx"], 2,
+            "usage error: rp2.cplx: File exists\n",
+        ),
+        (
+            ["cohomology", "latin1.cplx", "z2.grp", "-p", "2", "--out", "h.grp"], 1,
+            "error [FormatError]: latin1.cplx: invalid JSON ('utf-8' codec can't decode",
+        ),
+        (
+            ["cohomology", "deep.cplx", "z2.grp", "-p", "2", "--out", "h.grp"], 1,
+            "error [FormatError]: deep.cplx: invalid JSON (maximum recursion depth exceeded",
+        ),
+    ],
+    ids=["out-dir-missing", "input-is-a-directory", "fixtures-out-is-a-file", "not-utf-8", "too-deep"],
+)
+def test_an_unusable_path_or_undecodable_file_is_reported_without_a_traceback(
+    tmp_path, args, code, error, capsys, monkeypatch
+):
+    """A path that cannot be read or written is a usage error, a file that
+    is not UTF-8 or nests too deeply a format error; neither prints a
+    report or creates a file."""
+    golden = Path(__file__).resolve().parent / "golden" / "fixtures"
+    for name in ("rp2.cplx", "z2.grp"):
+        (tmp_path / name).write_bytes((golden / name).read_bytes())
+    (tmp_path / "adir.grp").mkdir()
+    (tmp_path / "latin1.cplx").write_bytes('{"kind": "complex", "simplices": "\xe9"}'.encode("latin-1"))
+    (tmp_path / "deep.cplx").write_text("[" * 200_000)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    res = _main_in(tmp_path, args, capsys, monkeypatch)
+    assert (res.returncode, res.stdout) == (code, "")
+    assert res.stderr.startswith(error), res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_group_orders_are_bounded_where_they_are_read():
+    """A finite group or an extension of order MAX_GROUP_ORDER loads; one
+    past it is a FormatError naming the order, raised before any table is
+    checked or the kernel is enumerated."""
+    limit = io.MAX_GROUP_ORDER
+
+    def cyclic(n):
+        return {"kind": "finite_group", "table": [[(a + b) % n for b in range(n)] for a in range(n)]}
+
+    def extension(m):
+        return {
+            "kind": "extension", "base": cyclic(1), "kernel": {"moduli": [m]}, "factor_set": [[[0]]],
+        }
+
+    assert io.finite_group_from_json(cyclic(limit)).order == limit
+    with pytest.raises(FormatError, match=f"^finite_group: order {limit + 1} is over the limit {limit}$"):
+        io.finite_group_from_json(cyclic(limit + 1))
+    assert io.extension_from_json(extension(limit)).total.order == limit
+    with pytest.raises(FormatError, match=f"^extension: total order {limit + 1} is over the limit {limit}$"):
+        io.extension_from_json(extension(limit + 1))
+    with pytest.raises(FormatError, match="^extension: total order 200000 is over the limit"):
+        io.extension_from_json({**extension(100_000), "base": cyclic(2)})
 
 
 def test_a_noncommutative_derived_quotient_is_a_domain_error(workdir, capsys, monkeypatch):

@@ -142,7 +142,7 @@ def _uct_prediction(h_p, h_next, m):
     """H^p(Z) (x) Z/m + Tor(H^{p+1}(Z), Z/m), in invariant-factor form."""
     raw = [m if d == 0 else gcd(d, m) for d in h_p.moduli]
     raw += [gcd(d, m) for d in h_next.moduli if d]
-    return abelian.canonical_group(raw)[0]
+    return abelian.canonical_presentation(raw).group
 
 
 @SETTINGS
@@ -161,7 +161,7 @@ def test_mod_m_cohomology_obeys_universal_coefficients(k, m):
 COEFFICIENTS = [FgAbelianGroup((m,)) for m in (2, 3, 4, 6, 9)] + [
     FgAbelianGroup((2, 4)),
     FgAbelianGroup((3, 6)),
-    abelian.canonical_group([2, 3])[0],
+    abelian.canonical_presentation([2, 3]).group,
     FgAbelianGroup((4, 0)),
 ]
 

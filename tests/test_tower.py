@@ -84,9 +84,9 @@ class TestCentralExtension:
                 ext = split_extension(base, kernel)
                 assert ext.total.order == base.order * kernel.order()
                 if base.is_abelian():
-                    expected, _ = abelian.canonical_group(
+                    expected = abelian.canonical_presentation(
                         list(abelian_invariants(base)[0].moduli) + list(kernel.moduli)
-                    )
+                    ).group
                     assert abelian_invariants(ext.total)[0] == expected
 
     def test_normalization_enforced(self):

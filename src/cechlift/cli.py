@@ -260,14 +260,14 @@ def _fixture_files(name):
 
 def cmd_fixtures(args, rep):
     """Write the fixture files into the directory ``--out`` (default: the
-    current one); there is no artifact for ``main`` to write."""
+    current one), all of them or none; there is no artifact for ``main``
+    to write."""
     outdir = args.out or "."
     files = _fixture_files(args.name)
     os.makedirs(outdir, exist_ok=True)
-    for fname in sorted(files):
-        path = os.path.join(outdir, fname)
-        io.dump_json(files[fname], path)
-        rep.append(f"wrote: {path}")
+    objs = {os.path.join(outdir, fname): files[fname] for fname in sorted(files)}
+    io.dump_json_files(objs)
+    rep.extend(f"wrote: {path}" for path in objs)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,16 @@ graph is kept only once a shuffled collapse has been asked for, so that
 repeated shuffled holonomies copy its counts instead of rebuilding it.
 ``nerve`` finds the pieces that meet a nerve simplex's intersection
 through an index of the pieces at each vertex.
+
+The cover and product constructors do work proportional to what they
+output.  ``product_cover`` indexes each factor cover once as {base
+simplex: ascending indices of the pieces holding it}, projects each
+product simplex once to its pair of factor simplices and adds it to
+piece i * len(cover_b) + j for every piece i at the first and j at the
+second.  ``star_cover`` gathers every star in one pass over the
+simplices: a simplex t at v and its facet t minus v lie in the star of v.
+``product_complex`` and ``shuffle_product_chain`` build the staircase
+paths of each pair of dimensions, and their shuffle signs, once per call.
 """
 
 from __future__ import annotations
@@ -363,19 +373,23 @@ def star_cover(complex_):
     """One piece per vertex: the closed star of that vertex.
 
     The closed star of v is every simplex s with s union {v} in the
-    complex; it is downward closed and the pieces cover the base.
+    complex, that is every t at v and every t minus {v}; it is downward
+    closed and the pieces cover the base.  The stars are gathered in one
+    pass over the simplices.
     """
     if complex_.is_empty():
         raise InvalidComplex("star cover of an empty complex")
-    pieces = []
-    for (v,) in complex_.simplices_of_dim(0):
-        star = set()
-        for s in complex_.simplices:
-            merged = tuple(sorted(set(s) | {v}))
-            if merged in complex_.simplices:
-                star.add(s)
-        pieces.append(SimplicialComplex._trusted(complex_.vertex_count, star))
-    return Cover(complex_, tuple(pieces))
+    stars = {v: set() for (v,) in complex_.simplices_of_dim(0)}
+    for t in complex_.simplices:
+        for j, v in enumerate(t):
+            star = stars[v]
+            star.add(t)
+            if len(t) > 1:
+                star.add(t[:j] + t[j + 1 :])
+    pieces = tuple(
+        SimplicialComplex._trusted(complex_.vertex_count, star) for star in stars.values()
+    )
+    return Cover(complex_, pieces)
 
 
 class Nerve(SimplicialComplex):
@@ -441,10 +455,27 @@ def nerve(cover):
 # products
 # ---------------------------------------------------------------------------
 
-def _staircase_paths(p, q):
-    """Monotone lattice paths through a (p+1) x (q+1) grid, as move strings."""
-    moves = ["R"] * p + ["U"] * q
-    return sorted(set(itertools.permutations(moves)))
+def _staircases(p, q):
+    """The monotone lattice paths through a (p+1) x (q+1) grid, with signs.
+
+    Each path is a pair (its grid points (i, j) from (0, 0) to (p, q),
+    its shuffle sign), in the lexicographic order of its move string with
+    "R" (i + 1) before "U" (j + 1).  The sign is -1 to the number of
+    (U, R) pairs in the string, the inversions of the shuffle.
+    """
+    out = []
+    for path in sorted(set(itertools.permutations("R" * p + "U" * q))):
+        i = j = inv = 0
+        steps = [(0, 0)]
+        for mv in path:
+            if mv == "R":
+                i += 1
+                inv += j
+            else:
+                j += 1
+            steps.append((i, j))
+        out.append((tuple(steps), -1 if inv % 2 else 1))
+    return out
 
 
 def product_complex(a, b):
@@ -452,52 +483,64 @@ def product_complex(a, b):
 
     Vertices are pairs (x, y) numbered x * b.vertex_count + y; each cell
     sigma x tau is triangulated by the monotone staircase paths of its
-    grid.  Returns (complex, proj_a, proj_b) where the projections map
-    product vertex ids to factor vertex ids.
+    grid, built once per pair of dimensions.  Returns (complex, proj_a,
+    proj_b) where the projections map product vertex ids to factor
+    vertex ids.
     """
     if a.is_empty() or b.is_empty():
         raise InvalidComplex("product of an empty complex")
     nb = b.vertex_count
-
-    def vid(x, y):
-        return x * nb + y
-
+    staircases = {}
     top = set()
     for sa in a.simplices:
         p = len(sa) - 1
+        xa = [x * nb for x in sa]
         for sb in b.simplices:
-            q = len(sb) - 1
-            for path in _staircase_paths(p, q):
-                i = j = 0
-                verts = [vid(sa[0], sb[0])]
-                for mv in path:
-                    if mv == "R":
-                        i += 1
-                    else:
-                        j += 1
-                    verts.append(vid(sa[i], sb[j]))
-                top.add(tuple(verts))
+            key = (p, len(sb) - 1)
+            paths = staircases.get(key)
+            if paths is None:
+                paths = staircases[key] = _staircases(*key)
+            for steps, _ in paths:
+                top.add(tuple([xa[i] + sb[j] for i, j in steps]))
     product = SimplicialComplex._trusted(a.vertex_count * nb, downward_closure(top))
     proj_a = tuple(x // nb for x in range(a.vertex_count * nb))
     proj_b = tuple(x % nb for x in range(a.vertex_count * nb))
     return product, proj_a, proj_b
 
 
+def _pieces_at(cover):
+    """``{base simplex: ascending indices of the pieces holding it}``."""
+    at = {}
+    for i, piece in enumerate(cover.pieces):
+        for s in piece.simplices:
+            at.setdefault(s, []).append(i)
+    return at
+
+
 def product_cover(cover_a, cover_b):
-    """Cover of the product by staircase products of pieces, indexed by pairs."""
+    """Cover of the product by staircase products of pieces, indexed by pairs.
+
+    Piece i * len(cover_b) + j holds the product simplices whose
+    projections lie in piece i of ``cover_a`` and piece j of ``cover_b``.
+    Each product simplex is projected once and added to every piece at
+    its pair of projections, found through an index of the pieces at
+    each simplex of either factor.
+    """
     product, _, _ = product_complex(cover_a.base, cover_b.base)
     nb = cover_b.base.vertex_count
-    pieces = []
-    for pa in cover_a.pieces:
-        for pb in cover_b.pieces:
-            simps = set()
-            for s in product.simplices:
-                sa = tuple(sorted({v // nb for v in s}))
-                sb = tuple(sorted({v % nb for v in s}))
-                if pa.has_simplex(sa) and pb.has_simplex(sb):
-                    simps.add(s)
-            pieces.append(SimplicialComplex._trusted(product.vertex_count, simps))
-    return Cover(product, tuple(pieces))
+    at_a, at_b = _pieces_at(cover_a), _pieces_at(cover_b)
+    width = len(cover_b.pieces)
+    simps = [set() for _ in range(len(cover_a.pieces) * width)]
+    for s in product.simplices:
+        sa = tuple(sorted({v // nb for v in s}))
+        sb = tuple(sorted({v % nb for v in s}))
+        js = at_b[sb]
+        for i in at_a[sa]:
+            row = i * width
+            for j in js:
+                simps[row + j].add(s)
+    pieces = tuple(SimplicialComplex._trusted(product.vertex_count, ps) for ps in simps)
+    return Cover(product, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -581,35 +624,18 @@ def shuffle_product_chain(za, zb, product, proj_a_count):
     nb = product.vertex_count // proj_a_count
     p = za.degree
     q = zb.degree
+    paths = _staircases(p, q)
     coeffs = {}
     for sa, ca in za.coefficients.items():
+        xa = [x * nb for x in sa]
         for sb, cb in zb.coefficients.items():
-            for path in _staircase_paths(p, q):
-                sign = _shuffle_sign(path)
-                i = j = 0
-                verts = [sa[0] * nb + sb[0]]
-                for mv in path:
-                    if mv == "R":
-                        i += 1
-                    else:
-                        j += 1
-                    verts.append(sa[i] * nb + sb[j])
-                t = tuple(verts)
+            c = ca * cb
+            for steps, sign in paths:
+                t = tuple([xa[i] + sb[j] for i, j in steps])
                 if len(set(t)) != len(t):
                     continue
                 # staircase vertices are strictly increasing pairs; with
                 # increasing factor simplices the tuple is already sorted
-                coeffs[t] = coeffs.get(t, 0) + sign * ca * cb
+                coeffs[t] = coeffs.get(t, 0) + sign * c
     coeffs = {s: c for s, c in coeffs.items() if c}
     return Chain(product, p + q, coeffs)
-
-
-def _shuffle_sign(path):
-    inv = 0
-    ups_seen = 0
-    for mv in path:
-        if mv == "U":
-            ups_seen += 1
-        else:
-            inv += ups_seen
-    return -1 if inv % 2 else 1

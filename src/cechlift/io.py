@@ -9,8 +9,11 @@ the obstruction sequence is an output only, with no loader.
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import json
 import math
+import os
 from fractions import Fraction
 
 from . import abelian, deligne, tower
@@ -99,10 +102,46 @@ def load_json(path):
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
+def _json_text(obj):
+    """``obj`` as one line of compact, key-sorted JSON."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def dump_json(obj, path):
+    """Write ``obj`` as one line of compact, key-sorted JSON, in one write."""
+    text = _json_text(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text)
+
+
+def dump_json_files(objs):
+    """Write each ``{path: obj}`` as ``dump_json`` does: every file, or none.
+
+    Every object is encoded, and every path checked not to be a
+    directory, before anything is written.  Each text goes to
+    ``<path>.tmp`` first, and the temporaries are renamed over their
+    paths only once all of them are written; a failure removes the
+    temporaries this call opened, and one before the renames leaves
+    every path as it was.
+    """
+    texts = {path: _json_text(obj) for path, obj in objs.items()}
+    for path in texts:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    temps = []
+    try:
+        for path, text in texts.items():
+            tmp = f"{path}.tmp"
+            with open(tmp, "w", encoding="utf-8") as fh:
+                temps.append(tmp)
+                fh.write(text)
+        for tmp, path in zip(temps, texts):
+            os.replace(tmp, path)
+    except OSError:
+        for tmp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
 
 
 def kind_of(obj):

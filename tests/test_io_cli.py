@@ -750,6 +750,27 @@ def test_an_unusable_path_or_undecodable_file_is_reported_without_a_traceback(
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize(
+    "blocked, error",
+    [
+        ("rp2.cplx", "usage error: d/rp2.cplx: Is a directory\n"),
+        ("z2.grp.tmp", "usage error: d/z2.grp.tmp: Is a directory\n"),
+    ],
+    ids=["target-is-a-directory", "temporary-is-a-directory"],
+)
+def test_fixtures_that_cannot_write_one_file_write_none(tmp_path, blocked, error, capsys, monkeypatch):
+    """A fixtures run that cannot write one of its files, found before the
+    first write or while the temporaries are written, creates no file and
+    removes none it did not write, a later file's ``.tmp`` name included."""
+    (tmp_path / "d" / blocked).mkdir(parents=True)
+    (tmp_path / "d" / "z2z4z2.ses.tmp").write_text("kept")
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    res = _main_in(tmp_path, ["fixtures", "rp2", "--out", "d"], capsys, monkeypatch)
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", error)
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+    assert (tmp_path / "d" / "z2z4z2.ses.tmp").read_text() == "kept"
+
+
 def test_group_orders_are_bounded_where_they_are_read():
     """A finite group or an extension of order MAX_GROUP_ORDER loads; one
     past it is a FormatError naming the order, raised before any table is

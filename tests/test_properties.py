@@ -25,7 +25,10 @@ contraction solves D v = rhs exactly; the collapse on face indices
 returns the pairs of the set-based ``collapse_oracle`` and draws the same
 random numbers.  The nerve of the dual block cover of a complex is that
 complex, and the nerve built through the vertex index equals the
-brute-force nerve, key order included.  The coboundary summed on plain coordinates
+brute-force nerve, key order included.  Product covers (of random
+covers and of one-piece covers, piece order included), star covers (with
+isolated vertices), product complexes and shuffle chains of random
+cycles equal the quadratic constructors of ``cover_oracle``.  The coboundary summed on plain coordinates
 equals the term-by-term face sum of ``cochain_oracle`` over Z, Z/2, Z/6,
 Z + Z/2, Z/2 + Z/4 + Z, Q and Q/Z, and ``is_coboundary`` refuses exactly the
 non-cocycles and finds a witness exactly for the exact cocycles; its
@@ -63,10 +66,12 @@ from cechlift.complexes import (
     Chain,
     Cover,
     SimplicialComplex,
+    chain_boundary,
     downward_closure,
     nerve,
     product_complex,
     product_cover,
+    shuffle_product_chain,
     star_cover,
     validate_complex,
 )
@@ -107,9 +112,11 @@ from conftest import (
     oracle_fraction_back_substitute,
     oracle_goodness_failures,
     random_cochain,
+    random_cover,
 )
 import cochain_oracle
 import collapse_oracle
+import cover_oracle
 import deligne_oracle
 import snf_oracle
 import tower_oracle
@@ -242,6 +249,61 @@ def test_subdivision_and_dual_blocks_match_brute_force_chains(k):
         {tuple(vertex_of[s] for s in c) for c in chains if v in c[0]}
         for (v,) in k.simplices_of_dim(0)
     ]
+
+
+def _same_pieces(got, want):
+    """Equal bases and equal pieces in the same order."""
+    assert got.base == want.base
+    assert len(got.pieces) == len(want.pieces)
+    for i, (g, w) in enumerate(zip(got.pieces, want.pieces)):
+        assert (g.vertex_count, g.simplices) == (w.vertex_count, w.simplices), i
+
+
+@settings(max_examples=40, deadline=None)
+@given(complexes(), complexes(), st.randoms(use_true_random=False), st.booleans())
+def test_product_cover_matches_the_quadratic_oracle(a, b, rng, one_piece):
+    """The piece (i, j) of the indexed product cover is the oracle's, for
+    random covers and with a one-piece cover on either side."""
+    ca = random_cover(rng, a)
+    cb = Cover(b, (b,)) if one_piece else random_cover(rng, b)
+    for x, y in ((ca, cb), (cb, ca)):
+        _same_pieces(product_cover(x, y), cover_oracle.product_cover(x, y))
+
+
+@SETTINGS
+@given(complexes(), st.integers(0, 2), st.integers(0, 1))
+def test_star_cover_matches_the_quadratic_oracle(k, isolated, unused):
+    """The stars gathered in one pass are the oracle's, one per vertex in
+    order, also with isolated vertices and with vertex ids that are not
+    simplices."""
+    n = k.vertex_count
+    k = validate_complex(
+        sorted(k.simplices) + [(n + i,) for i in range(isolated)],
+        vertex_count=n + isolated + unused,
+    )
+    _same_pieces(star_cover(k), cover_oracle.star_cover(k))
+
+
+def _random_cycle(data, k):
+    """A random integer cycle on k: a 0-chain or the boundary of a chain."""
+    d = data.draw(st.integers(0, k.dim))
+    coeffs = {s: data.draw(st.integers(-2, 2)) for s in k.simplices_of_dim(d)}
+    chain = Chain(k, d, coeffs)
+    return chain if d == 0 else chain_boundary(chain)
+
+
+@SETTINGS
+@given(complexes(), complexes(), st.data())
+def test_product_complex_and_shuffle_chain_match_the_staircase_oracle(a, b, data):
+    """The staircases built once per call give the oracle's product complex,
+    projections and shuffle chain of random cycles, coefficient order included."""
+    got = product_complex(a, b)
+    assert got == cover_oracle.product_complex(a, b)
+    za, zb = _random_cycle(data, a), _random_cycle(data, b)
+    chain = shuffle_product_chain(za, zb, got[0], a.vertex_count)
+    want = cover_oracle.shuffle_product_chain(za, zb, got[0], a.vertex_count)
+    assert chain == want
+    assert list(chain.coefficients) == list(want.coefficients)
 
 
 @SETTINGS

@@ -23,12 +23,13 @@ from operator import index
 from . import kernels
 from .errors import GroupMismatch
 
-#: When true, every Smith factorization computed is re-checked: both logs
-#: replayed on M give S, and every logged combine has determinant 1, so
-#: U and V are unimodular.  A factorization is kept by the object that
-#: owns its matrix, so this checks those built while it is set.  The
-#: CLI's --verify full sets it for one command; being a context variable,
-#: it never leaks into other threads.
+#: When true, every Smith factorization computed is re-checked: every
+#: logged combine has determinant 1, so U and V are unimodular, and
+#: U @ M = S @ V^-1, both sides replayed forward from the logs.  A
+#: factorization is kept by the object that owns its matrix, so this
+#: checks those built while it is set.  The CLI's --verify full sets it
+#: for one command; being a context variable, it never leaks into other
+#: threads.
 SNF_VERIFY = ContextVar("cechlift_snf_verify", default=False)
 
 
@@ -97,11 +98,8 @@ def factor(rows, ncols):
     if not any(rows):
         return kernels.Factorization.identity(len(rows), ncols)
     fac = kernels.snf_with_transforms(rows, ncols)
-    if SNF_VERIFY.get():
-        if fac.product(rows) != {(i, i): d for i, d in enumerate(fac.diag)}:
-            raise AssertionError("SNF product check failed")
-        if not fac.is_unimodular():
-            raise AssertionError("SNF transform not unimodular")
+    if SNF_VERIFY.get() and not fac.is_factorization_of(rows):
+        raise AssertionError("SNF product check failed")
     return fac
 
 
@@ -284,13 +282,7 @@ class GroupElement:
 class CircleGroup:
     """The additive rational circle Q/Z (exact representatives in [0,1))."""
 
-    _instance = None
     rings = ("Q/Z",)
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def zero(self):
         return CircleElement(Fraction(0))
@@ -362,13 +354,7 @@ class RationalGroup:
     cochains), where cup products and pairings need a genuine ring.
     """
 
-    _instance = None
     rings = ("Q",)
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def zero(self):
         return Fraction(0)
@@ -499,15 +485,6 @@ def canonical_presentation(orders):
 # homomorphisms and exact sequences
 # ---------------------------------------------------------------------------
 
-def _relation_lattice(moduli):
-    """Generators of the relation lattice {m_k e_k : m_k > 0} in Z^rank."""
-    gens = []
-    for k, m in enumerate(moduli):
-        if m:
-            gens.append([m if i == k else 0 for i in range(len(moduli))])
-    return gens
-
-
 def _in_relation_lattice(moduli, vec):
     for x, m in zip(vec, moduli):
         if m == 0:
@@ -568,15 +545,19 @@ class Homomorphism:
         return factor(aug, n)
 
     def kernel_lattice(self):
-        """Generators of {x in Z^dom : M x in relation lattice of codomain}."""
+        """Generators of {x in Z^dom : M x in relation lattice of codomain}.
+
+        The columns of V past the rank, cut to the domain's coordinates.
+        They hold the domain's relations m_k e_k too: M maps each into
+        the codomain's relations, so (m_k e_k, k') is in the kernel of
+        [M | R] for some k'.
+        """
         fac = self._factored
         n = len(fac.col_at)
-        gens = [
+        return [
             fac.v_times([int(i == j) for i in range(n)])[: self.domain.rank]
             for j in range(len(fac.diag), n)
         ]
-        gens.extend(_relation_lattice(self.domain.moduli))
-        return gens
 
     def is_injective(self):
         return all(

@@ -37,7 +37,9 @@ piece i * len(cover_b) + j for every piece i at the first and j at the
 second.  ``star_cover`` gathers every star in one pass over the
 simplices: a simplex t at v and its facet t minus v lie in the star of v.
 ``product_complex`` and ``shuffle_product_chain`` build the staircase
-paths of each pair of dimensions, and their shuffle signs, once per call.
+paths of each pair of dimensions, and their shuffle signs, once per call,
+and ``product_complex`` closes only the staircases of pairs of maximal
+simplices.
 """
 
 from __future__ import annotations
@@ -299,6 +301,12 @@ def downward_closure(simplices):
     return closed
 
 
+def maximal_simplices(simplices):
+    """The simplices that are not a facet of any simplex, sorted."""
+    facets = {s[:j] + s[j + 1 :] for s in simplices for j in range(len(s))}
+    return [s for s in sorted(simplices) if s not in facets]
+
+
 def validate_complex(raw, vertex_count=None):
     """Build the complex generated by the given simplices.
 
@@ -460,20 +468,18 @@ def _staircases(p, q):
 
     Each path is a pair (its grid points (i, j) from (0, 0) to (p, q),
     its shuffle sign), in the lexicographic order of its move string with
-    "R" (i + 1) before "U" (j + 1).  The sign is -1 to the number of
+    "R" (i + 1) before "U" (j + 1), which is the lexicographic order of
+    the positions of its R moves.  The sign is -1 to the number of
     (U, R) pairs in the string, the inversions of the shuffle.
     """
     out = []
-    for path in sorted(set(itertools.permutations("R" * p + "U" * q))):
-        i = j = inv = 0
-        steps = [(0, 0)]
-        for mv in path:
-            if mv == "R":
-                i += 1
-                inv += j
-            else:
-                j += 1
-            steps.append((i, j))
+    for r_at in itertools.combinations(range(p + q), p):
+        i, steps = 0, [(0, 0)]
+        for k in range(p + q):
+            i += i < p and r_at[i] == k
+            steps.append((i, k + 1 - i))
+        # the i-th R move, at position r_at[i], follows r_at[i] - i U moves
+        inv = sum(r_at) - p * (p - 1) // 2
         out.append((tuple(steps), -1 if inv % 2 else 1))
     return out
 
@@ -482,20 +488,22 @@ def product_complex(a, b):
     """The staircase triangulation of the product, with vertex projections.
 
     Vertices are pairs (x, y) numbered x * b.vertex_count + y; each cell
-    sigma x tau is triangulated by the monotone staircase paths of its
-    grid, built once per pair of dimensions.  Returns (complex, proj_a,
-    proj_b) where the projections map product vertex ids to factor
-    vertex ids.
+    sigma x tau of maximal simplices is triangulated by the monotone
+    staircase paths of its grid, built once per pair of dimensions (a
+    staircase of faces is a face of one of these).  Returns (complex,
+    proj_a, proj_b) where the projections map product vertex ids to
+    factor vertex ids.
     """
     if a.is_empty() or b.is_empty():
         raise InvalidComplex("product of an empty complex")
     nb = b.vertex_count
+    tops_b = maximal_simplices(b.simplices)
     staircases = {}
     top = set()
-    for sa in a.simplices:
+    for sa in maximal_simplices(a.simplices):
         p = len(sa) - 1
         xa = [x * nb for x in sa]
-        for sb in b.simplices:
+        for sb in tops_b:
             key = (p, len(sb) - 1)
             paths = staircases.get(key)
             if paths is None:
@@ -632,10 +640,6 @@ def shuffle_product_chain(za, zb, product, proj_a_count):
             c = ca * cb
             for steps, sign in paths:
                 t = tuple([xa[i] + sb[j] for i, j in steps])
-                if len(set(t)) != len(t):
-                    continue
-                # staircase vertices are strictly increasing pairs; with
-                # increasing factor simplices the tuple is already sorted
                 coeffs[t] = coeffs.get(t, 0) + sign * c
     coeffs = {s: c for s, c in coeffs.items() if c}
     return Chain(product, p + q, coeffs)

@@ -652,10 +652,11 @@ def _solve_local_d(inter, q, rhs_local, shuffle=None):
     v(s) = [t:s] (rhs(t) - sum of [t:r] v(r) over the other faces r of
     t), and every other q-simplex gets 0.  An intersection without one
     is solved by Smith over Q.  A ``shuffle`` reorders the free faces of
-    the collapse (or the Smith columns) and so selects a different exact
-    solution from the same affine space; the holonomy value must not
-    depend on it.  The back-substitution works on any numbers: an int
-    right side gives int values, a Fraction one Fractions.
+    the collapse (or adds a seeded kernel vector to the Smith solution)
+    and so selects a different exact solution from the same affine
+    space; the holonomy value must not depend on it.  The
+    back-substitution works on any numbers: an int right side gives int
+    values, a Fraction one Fractions.
     """
     pairs = inter.collapse(shuffle)
     if pairs is None:
@@ -687,34 +688,32 @@ def _face_sum(v, t):
 
 
 def _smith_solve_local_d(inter, q, rhs_local, shuffle=None):
-    """Solve D v = rhs by Smith over Q, columns shuffled on request.
-
-    Unshuffled, the solve reads the factorization of D that the
+    """Solve D v = rhs by Smith over Q, on the factorization of D that the
     intersection keeps (``factored_coboundary``, built by the goodness
-    check); shuffled columns are a new matrix and are factored here.
+    check).
 
     An intersection that passed the goodness check is acyclic over Z, so
     every invariant factor of D is 1 and an int right side has an
-    integral solution, returned as ints; anything else is refused.
+    integral solution, returned as ints; anything else is refused.  A
+    ``shuffle`` adds V y to the canonical solution, y a seeded integer
+    vector on the free positions: the columns of V past the rank span
+    the kernel of D.
     """
     simps = inter.simplices_of_dim(q)
-    order = list(range(len(simps)))
-    if shuffle is None:
-        fac = inter.factored_coboundary(q)
-    else:
-        shuffle.shuffle(order)
-        at = {k: p for p, k in enumerate(order)}
-        mat = [{at[k]: x for k, x in row.items()} for row in inter.coboundary_matrix(q)]
-        fac = abelian.factor(mat, len(simps))
+    fac = inter.factored_coboundary(q)
     b = [rhs_local.get(s, 0) for s in inter.simplices_of_dim(q + 1)]
     sol = abelian._back_substitute(fac, b, "Q")
     if sol is None:
         raise CoverNotGoodOnV("local solve failed on a supposedly acyclic piece")
+    if shuffle is not None:
+        r = len(fac.diag)
+        y = [0] * r + [shuffle.randint(-2, 2) for _ in range(len(simps) - r)]
+        sol = [x + k for x, k in zip(sol, fac.v_times(y))]
     if all(type(x) is int for x in b):
         if any(x.denominator != 1 for x in sol):
             raise CoverNotGoodOnV("local solve over Q is not integral on a supposedly acyclic piece")
         sol = [x.numerator for x in sol]
-    return {simps[k]: x for k, x in zip(order, sol) if x}
+    return {s: x for s, x in zip(simps, sol) if x}
 
 
 def _trivialize(pkg, shuffle=None):

@@ -14,6 +14,7 @@ import errno
 import json
 import math
 import os
+from collections import Counter
 from fractions import Fraction
 
 from . import abelian, deligne, tower
@@ -24,6 +25,7 @@ from .complexes import (
     Cover,
     SimplicialComplex,
     downward_closure,
+    maximal_simplices,
     nerve,
     star_cover,
     validate_complex,
@@ -178,10 +180,33 @@ MAX_CLOSURE_SIMPLICES = 2**20
 MAX_GROUP_ORDER = 180
 
 
+#: Most simplices the nerve of a cover read from a file may have, bounded
+#: by sum(2^k_v - 1) over the vertices v, k_v the number of pieces at v.
+#: Measured with `cechlift cohomology` (2-core x86-64, Python 3.11): it
+#: admits every fixture and benchmark cover, dual_block_cover(bsd^2(torus36))
+#: (31,104) and the square of the 50-arc circle cover (55,000); a cover at
+#: the limit (8 pieces on a 258-vertex path) runs in 0.25-0.5 s, 31 MB.  It
+#: refuses a fan of 16 edges, a piece each (65,551: 1.2 s, 76 MB, x4-5 per 2
+#: more pieces), and the star cover of a cone over a 16-gon (131,311: 3.0 s,
+#: 136 MB).  Larger dual-block covers (6,481 pieces: 155,521) are refused.
+MAX_NERVE_SIMPLICES = 2**16
+
+
+def _check_nerve_bound(pieces_at):
+    """Refuse a cover whose nerve bound is past MAX_NERVE_SIMPLICES,
+    naming the vertex in the most pieces; ``pieces_at`` is {vertex: k_v}."""
+    bound = sum((1 << k) - 1 for k in pieces_at.values())
+    if bound > MAX_NERVE_SIMPLICES:
+        v = min(pieces_at, key=lambda v: (-pieces_at[v], v))
+        raise FormatError(
+            f"cover: the nerve may hold up to {bound} simplices, over the limit "
+            f"{MAX_NERVE_SIMPLICES}; vertex {v} lies in {pieces_at[v]} pieces"
+        )
+
+
 def _maximal_faces(simplices):
-    """The simplices that are not a facet of any simplex, sorted, as lists."""
-    facets = {s[:j] + s[j + 1 :] for s in simplices for j in range(len(s))}
-    return [list(s) for s in sorted(simplices) if s not in facets]
+    """The maximal simplices, sorted, as lists."""
+    return [list(s) for s in maximal_simplices(simplices)]
 
 
 def _raw_faces(raw, vertices, what):
@@ -233,16 +258,20 @@ def cover_to_json(c):
 def cover_from_json(obj):
     base = complex_from_json(_require(obj, "base", "cover"))
     if obj.get("star_cover"):
+        # v lies in 1 + deg v stars: its own and its neighbours'
+        _check_nerve_bound(Counter(v for s in base.simplices if len(s) <= 2 for v in s))
         return star_cover(base)
     pieces_raw = _require(obj, "pieces", "cover")
     if not isinstance(pieces_raw, list):
         raise FormatError("cover 'pieces' must be a list")
-    pieces = []
+    pieces, pieces_at = [], Counter()
     for i, praw in enumerate(pieces_raw):
         faces = [tuple(sorted(s)) for s in _raw_faces(praw, base.vertex_count, f"cover piece {i}")]
         if not all(base.has_simplex(s) for s in faces if s):
             raise InvalidCover(f"piece {i} is not a subcomplex of the base")
+        pieces_at.update({v for face in faces for v in face})
         pieces.append(SimplicialComplex._trusted(base.vertex_count, downward_closure(faces)))
+    _check_nerve_bound(pieces_at)
     return Cover(base, tuple(pieces))
 
 

@@ -19,10 +19,11 @@ rows index) and keeps no transform matrix.  It records the operations
 instead: a row log and a column log of adds, two-by-two combines of
 determinant 1 and (rows only) negations, each of determinant +-1, on
 row and column labels that never move; swaps only reorder positions,
-kept as two permutations.  With U @ M @ V = S, a ``Factorization``
-replays these logs: U b forward on the rows, V y backward on the
-columns, V^-1 x forward with each column operation inverted, and U^-1 z
-backward with each row operation inverted.
+kept as two permutations.  Both logs run in one direction: a column
+operation is logged as the operation V^-1 applies to a vector, so with
+U @ M @ V = S each log replayed forward maps M's labels to S's
+positions (U b, V^-1 x), and replayed backward, each operation
+inverted, maps positions back to labels (U^-1 z, V y).
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from __future__ import annotations
 #: The kernel that runs; reported by benchmarks next to their timings.
 BACKEND = "python"
 
-# A log entry on labels i, j:
+# A log entry on labels i, j, as it acts on b in U b (row log) or on x in
+# V^-1 x (column log; col_i += k * col_j is logged as x_j -= k * x_i):
 #   (i,)                 negate i
 #   (i, j, k)            i += k * j
 #   (i, j, a, b, c, d)   (i, j) <- (a * i + b * j, c * i + d * j), ad - bc = 1
-# where i and j are rows (row log) or columns (column log) of M.
 
 
 def _xgcd(a, b):
@@ -60,8 +61,9 @@ class Factorization:
     index in M; ``row_at[p]`` (``col_at[p]``) is the label that ends at
     position p of S, so ``len(col_at)`` is n.  Vectors indexed like the
     rows (columns) of M are in labels, vectors indexed like S in
-    positions.  Replays take any numbers that add and multiply by
-    integers, Fractions too.
+    positions.  Each log replayed forward gives U and V^-1, and replayed
+    backward, each operation inverted, U^-1 and V.  Replays take any
+    numbers that add and multiply by integers, Fractions too.
     """
 
     __slots__ = ("diag", "row_at", "col_at", "_rows", "_cols")
@@ -80,69 +82,19 @@ class Factorization:
 
     def u_times(self, b):
         """U b, for b indexed by the rows of M; indexed by positions."""
-        b = list(b)
-        for op in self._rows:
-            if len(op) == 3:
-                i, j, k = op
-                b[i] += k * b[j]
-            elif len(op) == 1:
-                i = op[0]
-                b[i] = -b[i]
-            else:
-                i, j, c11, c12, c21, c22 = op
-                x, y = b[i], b[j]
-                b[i] = c11 * x + c12 * y
-                b[j] = c21 * x + c22 * y
-        return [b[i] for i in self.row_at]
+        return _forward(self._rows, self.row_at, b)
 
     def uinv_times(self, z):
         """U^-1 z, for z indexed by positions; indexed by the rows of M."""
-        b = [0] * len(z)
-        for p, i in enumerate(self.row_at):
-            b[i] = z[p]
-        for op in reversed(self._rows):
-            if len(op) == 3:
-                i, j, k = op
-                b[i] -= k * b[j]
-            elif len(op) == 1:
-                i = op[0]
-                b[i] = -b[i]
-            else:
-                i, j, c11, c12, c21, c22 = op
-                x, y = b[i], b[j]
-                b[i] = c22 * x - c12 * y
-                b[j] = c11 * y - c21 * x
-        return b
+        return _backward(self._rows, self.row_at, z)
 
     def v_times(self, y):
         """V y, for y indexed by positions; indexed by the columns of M."""
-        x = [0] * len(y)
-        for p, j in enumerate(self.col_at):
-            x[j] = y[p]
-        for op in reversed(self._cols):
-            if len(op) == 3:
-                i, j, k = op
-                x[j] += k * x[i]
-            else:
-                i, j, c11, c12, c21, c22 = op
-                a, b = x[i], x[j]
-                x[i] = c11 * a + c21 * b
-                x[j] = c12 * a + c22 * b
-        return x
+        return _backward(self._cols, self.col_at, y)
 
     def vinv_times(self, x):
         """V^-1 x, for x indexed by the columns of M; indexed by positions."""
-        x = list(x)
-        for op in self._cols:
-            if len(op) == 3:
-                i, j, k = op
-                x[j] -= k * x[i]
-            else:
-                i, j, c11, c12, c21, c22 = op
-                a, b = x[i], x[j]
-                x[i] = c22 * a - c21 * b
-                x[j] = c11 * b - c12 * a
-        return [x[j] for j in self.col_at]
+        return _forward(self._cols, self.col_at, x)
 
     def vinv_matrix(self, rows):
         """V^-1 @ mat, for a matrix with one {column: value} row per column
@@ -153,39 +105,62 @@ class Factorization:
         rather than the number of columns of mat.
         """
         rows = [dict(r) for r in rows]
-        _replay(rows, map(_inverse_on_rows, self._cols))
+        _replay(rows, self._cols)
         return [rows[j] for j in self.col_at]
 
-    def product(self, rows):
-        """U @ mat @ V by replaying both logs on a copy of mat's
-        {column: value} rows, as {(row position, column position): value}
-        over the nonzeros."""
-        rows = [dict(r) for r in rows]
-        _replay(rows, self._rows)
-        cols = [{} for _ in self.col_at]
-        for p, i in enumerate(self.row_at):
-            for j, x in rows[i].items():
-                cols[j][p] = x
-        _replay(cols, self._cols)
-        return {(p, q): x for q, j in enumerate(self.col_at) for p, x in cols[j].items()}
-
-    def is_unimodular(self):
+    def is_factorization_of(self, rows):
         """Whether every logged combine has determinant 1 (adds and
-        negations have determinant +-1 by their form)."""
-        return all(
-            op[2] * op[5] - op[3] * op[4] == 1
-            for op in (*self._rows, *self._cols)
-            if len(op) == 6
-        )
+        negations have +-1 by their form), so U and V are unimodular, and
+        U @ M = S @ V^-1 for the M with these {column: value} rows; both
+        sides are forward replays on sparse rows, of M and of I_n."""
+        combines = (op for op in (*self._rows, *self._cols) if len(op) == 6)
+        if any(op[2] * op[5] - op[3] * op[4] != 1 for op in combines):
+            return False
+        um = [dict(r) for r in rows]
+        _replay(um, self._rows)
+        vinv = self.vinv_matrix([{j: 1} for j in range(len(self.col_at))])
+        sv = [{j: d * x for j, x in r.items()} for d, r in zip(self.diag, vinv)]
+        sv += [{}] * (len(um) - len(sv))
+        return [um[i] for i in self.row_at] == sv
 
 
-def _inverse_on_rows(op):
-    """The row operation by which C^-1 acts, C a logged column operation."""
-    if len(op) == 3:
-        i, j, k = op
-        return j, i, -k
-    i, j, c11, c12, c21, c22 = op
-    return i, j, c22, -c21, -c12, c11
+def _forward(log, at, vec):
+    """Replay a log forward on a vector in labels; the result in positions."""
+    v = list(vec)
+    for op in log:
+        if len(op) == 3:
+            i, j, k = op
+            v[i] += k * v[j]
+        elif len(op) == 1:
+            i = op[0]
+            v[i] = -v[i]
+        else:
+            i, j, c11, c12, c21, c22 = op
+            x, y = v[i], v[j]
+            v[i] = c11 * x + c12 * y
+            v[j] = c21 * x + c22 * y
+    return [v[i] for i in at]
+
+
+def _backward(log, at, vec):
+    """Replay a log backward, each operation inverted, on a vector in
+    positions; the result in labels."""
+    v = [0] * len(vec)
+    for p, i in enumerate(at):
+        v[i] = vec[p]
+    for op in reversed(log):
+        if len(op) == 3:
+            i, j, k = op
+            v[i] -= k * v[j]
+        elif len(op) == 1:
+            i = op[0]
+            v[i] = -v[i]
+        else:
+            i, j, c11, c12, c21, c22 = op
+            x, y = v[i], v[j]
+            v[i] = c22 * x - c12 * y
+            v[j] = c11 * y - c21 * x
+    return v
 
 
 def _add_row(ri, rj, k):
@@ -272,14 +247,14 @@ def snf_with_transforms(rows, ncols):
         # col_i += k * col_j
         for r in where[j]:
             put(r, i, a[r].get(i, 0) + k * a[r][j])
-        col_log.append((i, j, k))
+        col_log.append((j, i, -k))  # as V^-1 acts: x_j -= k * x_i
 
     def col_combine(i, j, c11, c12, c21, c22):
         for r in where[i] | where[j]:
             x, y = a[r].get(i, 0), a[r].get(j, 0)
             put(r, i, c11 * x + c12 * y)
             put(r, j, c21 * x + c22 * y)
-        col_log.append((i, j, c11, c12, c21, c22))
+        col_log.append((i, j, c22, -c21, -c12, c11))  # the inverse 2 x 2
 
     def swap(at, pos, p, q):
         at[p], at[q] = at[q], at[p]

@@ -140,8 +140,10 @@ def test_goodness_keeps_the_local_factorizations(snf_calls):
 
 def test_local_solve_without_a_certificate_reads_the_kept_factorization(snf_calls):
     """The dunce hat has no collapse certificate, so D v = rhs on it is
-    solved by Smith: unshuffled, on the factorization goodness kept, with
-    the solution of a fresh ``abelian.solve``; shuffled, on one new one."""
+    solved by Smith on the factorization goodness kept: unshuffled, with
+    the solution of a fresh ``abelian.solve``; shuffled, with that
+    solution plus a seeded kernel vector, so the seeds pick solutions
+    other than the unshuffled one and no Smith call is made."""
     k = dunce_hat()
     cov = Cover(k, (k,))
     nrv = nerve(cov)
@@ -160,9 +162,12 @@ def test_local_solve_without_a_certificate_reads_the_kept_factorization(snf_call
         want = abelian.solve(rows, b, "Q", len(simps))
         assert got == {s: x.numerator for s, x in zip(simps, want) if x}
         del snf_calls[:]
-        shuffled = _solve_local_d(inter, q, rhs, random.Random(q))
-        assert snf_calls == [(len(rows), len(simps))]
-        assert _face_sums(inter.simplices_of_dim(q + 1), shuffled) == rhs
+        shuffled = [_solve_local_d(inter, q, rhs, random.Random(seed)) for seed in range(4)]
+        assert snf_calls == []
+        for sol in shuffled:
+            assert _face_sums(inter.simplices_of_dim(q + 1), sol) == rhs
+            assert all(type(x) is int for x in sol.values())
+        assert any(sol != got for sol in shuffled)
 
 
 @pytest.mark.parametrize(

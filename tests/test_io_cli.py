@@ -795,6 +795,63 @@ def test_group_orders_are_bounded_where_they_are_read():
         io.extension_from_json({**extension(100_000), "base": cyclic(2)})
 
 
+def _fan_cover(n):
+    """The fan of edges (0, i), 1 <= i <= n, with one piece per edge."""
+    base = {"kind": "complex", "simplices": [[0, i] for i in range(1, n + 1)]}
+    return {"kind": "cover", "base": base, "pieces": [[[0, i]] for i in range(1, n + 1)]}
+
+
+def _cone_star_cover(n):
+    """The star cover of the cone over an n-gon: 1 + n pieces at the apex."""
+    faces = [[0, i, i % n + 1] for i in range(1, n + 1)]
+    return {"kind": "cover", "base": {"kind": "complex", "simplices": faces}, "star_cover": True}
+
+
+def _path_cover(pieces, m):
+    """The path 0..m covered by itself and pieces - 1 copies of the path
+    1..m: vertex 0 is in one piece and every other vertex in all of them."""
+    base = {"kind": "complex", "simplices": [[i, i + 1] for i in range(m)]}
+    tail = [[i, i + 1] for i in range(1, m)]
+    return {"kind": "cover", "base": base, "pieces": [base["simplices"], *[tail] * (pieces - 1)]}
+
+
+@pytest.mark.parametrize(
+    "cover, bound, vertex, pieces",
+    [
+        (_fan_cover(16), 2**16 - 1 + 16, 0, 16),
+        (_cone_star_cover(16), 2**17 - 1 + 16 * (2**4 - 1), 0, 17),
+        (_path_cover(8, 258), 1 + 258 * (2**8 - 1), 1, 8),
+    ],
+    ids=["fan", "star-cone", "one-past-the-limit"],
+)
+def test_nerve_size_is_bounded_where_covers_are_read(
+    tmp_path, capsys, monkeypatch, cover, bound, vertex, pieces
+):
+    """A cover whose nerve may hold more than MAX_NERVE_SIMPLICES simplices
+    exits 1 with a FormatError naming the vertex in the most pieces,
+    before any nerve is built."""
+    io.dump_json(cover, tmp_path / "big.cov")
+    io.dump_json(io.group_to_json(FgAbelianGroup((0,))), tmp_path / "z.grp")
+    res = _main_in(tmp_path, ["cohomology", "big.cov", "z.grp", "-p", "1"], capsys, monkeypatch)
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == (
+        f"error [FormatError]: cover: the nerve may hold up to {bound} simplices, over the "
+        f"limit {io.MAX_NERVE_SIMPLICES}; vertex {vertex} lies in {pieces} pieces\n"
+    )
+
+
+def test_a_cover_at_the_nerve_limit_runs(tmp_path, capsys, monkeypatch):
+    """8 pieces on a path of 258 vertices: sum(2^k_v - 1) is the limit itself."""
+    m = (io.MAX_NERVE_SIMPLICES - 1) // (2**8 - 1)
+    assert 1 + m * (2**8 - 1) == io.MAX_NERVE_SIMPLICES
+    io.dump_json(_path_cover(8, m), tmp_path / "limit.cov")
+    io.dump_json(io.group_to_json(FgAbelianGroup((0,))), tmp_path / "z.grp")
+    res = _main_in(tmp_path, ["cohomology", "limit.cov", "z.grp", "-p", "1"], capsys, monkeypatch)
+    assert res.returncode == 0, res.stderr
+    assert "nerve: [8, 28, 56, 70, 56, 28, 8, 1]\n" in res.stdout
+    assert res.stdout.endswith("H^1 = 0\n")
+
+
 def test_a_noncommutative_derived_quotient_is_a_domain_error(workdir, capsys, monkeypatch):
     path = os.path.join(workdir, "noncommutative.twr")
     extensions = [io.extension_to_json(e) for e in noncommutative_derived_extensions()]
@@ -832,6 +889,54 @@ def test_verify_full_checks_only_during_its_command(tmp_path, monkeypatch):
             abelian.factor([{0: 2, 1: 1}, {1: 3}], 2)
         finally:
             abelian.SNF_VERIFY.reset(token)
+
+
+def _first_add(log):
+    k = next(n for n, op in enumerate(log) if len(op) == 3)
+    i, j, c = log[k]
+    return [*log[:k], (i, j, c + 1), *log[k + 1 :]]
+
+
+def _last_combine_doubled(log):
+    k = max(n for n, op in enumerate(log) if len(op) == 6)
+    i, j, a, b, c, d = log[k]
+    return [*log[:k], (i, j, a, b, 2 * c, 2 * d), *log[k + 1 :]]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda fac: setattr(fac, "_rows", _first_add(fac._rows)),
+        lambda fac: setattr(fac, "_cols", _first_add(fac._cols)),
+        # the last column combine moves the label that ends past the rank,
+        # so S @ V^-1 is unchanged and only its determinant, 2, is wrong
+        lambda fac: setattr(fac, "_cols", _last_combine_doubled(fac._cols)),
+    ],
+    ids=["row-log", "column-log", "combine-determinant"],
+)
+def test_verify_full_catches_a_corrupted_log(monkeypatch, corrupt):
+    """The re-check sees one wrong coefficient in either log, and a combine
+    of determinant other than 1, on a matrix with a non-unit pivot."""
+    from cechlift import abelian, kernels
+
+    rows = [{0: 4, 1: 6}, {0: 6, 1: 9, 2: 3}, {2: 2}]
+    fac = kernels.snf_with_transforms(rows, 3)
+    assert fac.diag == [1, 2] and fac.is_factorization_of(rows)
+    real = kernels.snf_with_transforms
+
+    def corrupted(rows, ncols):
+        fac = real(rows, ncols)
+        corrupt(fac)
+        return fac
+
+    monkeypatch.setattr(kernels, "snf_with_transforms", corrupted)
+    assert abelian.factor(rows, 3).diag == [1, 2]  # unchecked
+    token = abelian.SNF_VERIFY.set(True)
+    try:
+        with pytest.raises(AssertionError, match="SNF product check failed"):
+            abelian.factor(rows, 3)
+    finally:
+        abelian.SNF_VERIFY.reset(token)
 
 
 def test_main_runs_again_after_a_usage_error(tmp_path, monkeypatch, capsys):

@@ -798,8 +798,8 @@ def holonomy(pkg, v, z, shuffle=None):
     is re-checked on every call.  Goodness and the local solves use each
     intersection's collapse certificate, and Smith only where there is
     none.  A ``shuffle`` (a ``random.Random``) reorders the free faces of
-    fresh certificates, the Smith columns of the rest, and the piece
-    assignment of the collapse to a global cochain.
+    fresh certificates and the piece assignment of the collapse to a global
+    cochain, and adds a seeded kernel vector V y to the Smith solutions.
     """
     d = pkg.degree
     if v.dim != d:

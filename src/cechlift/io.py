@@ -167,11 +167,6 @@ def load_container(path, *kinds):
 
 # -- complexes --------------------------------------------------------------
 
-#: Most simplices the downward closure of raw faces may produce; far above
-#: the largest complex the library is used on (the double barycentric
-#: subdivision of the torus has 7,776 simplices), far below a hang.
-MAX_CLOSURE_SIMPLICES = 2**20
-
 #: Largest order of a finite group, or of an extension's total group, read
 #: from a file.  Loading is cubic in the base order: an extension of a
 #: 180-element base, the slowest input this admits, loads in 0.9 to 1.2 s
@@ -179,29 +174,34 @@ MAX_CLOSURE_SIMPLICES = 2**20
 #: total order 32.
 MAX_GROUP_ORDER = 180
 
+#: A complex or cover file may make the library build at most BUDGET_FLOOR +
+#: BUDGET_PER_ID x L simplices in a complex's closure, in a cover's pieces and
+#: in its nerve's intersections, L the vertex ids it lists for each (for the
+#: nerve, the base's and the pieces').  Per listed id, triangles build 0.75 to
+#: 2.33 (fixtures, dual-block covers, squares of arc covers), 4-simplices 6.2,
+#: blow-ups 340 to 7,710.  The worst small files the floor admits, a 14-vertex
+#: simplex and 14 pieces of one vertex, take 1.4 s and 1.8 s (`cohomology -p 6`,
+#: 2-core x86-64, Python 3.11); a 15-vertex simplex, refused, takes 6.2 s.
+BUDGET_FLOOR = 2**14
+BUDGET_PER_ID = 8
 
-#: Most simplices the nerve of a cover read from a file may have, bounded
-#: by sum(2^k_v - 1) over the vertices v, k_v the number of pieces at v.
-#: Measured with `cechlift cohomology` (2-core x86-64, Python 3.11): it
-#: admits every fixture and benchmark cover, dual_block_cover(bsd^2(torus36))
-#: (31,104) and the square of the 50-arc circle cover (55,000); a cover at
-#: the limit (8 pieces on a 258-vertex path) runs in 0.25-0.5 s, 31 MB.  It
-#: refuses a fan of 16 edges, a piece each (65,551: 1.2 s, 76 MB, x4-5 per 2
-#: more pieces), and the star cover of a cone over a 16-gon (131,311: 3.0 s,
-#: 136 MB).  Larger dual-block covers (6,481 pieces: 155,521) are refused.
-MAX_NERVE_SIMPLICES = 2**16
+
+def _check_budget(what, built, faces, witness):
+    """Refuse ``built`` simplices past the budget of the ids ``faces`` list."""
+    listed = sum(map(len, faces))
+    limit = BUDGET_FLOOR + BUDGET_PER_ID * listed
+    if built > limit:
+        # str() refuses ints of over 4,300 digits
+        shown = built if built.bit_length() <= 64 else f"at least 2^{built.bit_length() - 1}"
+        raise FormatError(f"{what} {shown} simplices, over the limit {limit} for {listed} listed "
+                          f"vertex ids; {witness()}")
 
 
-def _check_nerve_bound(pieces_at):
-    """Refuse a cover whose nerve bound is past MAX_NERVE_SIMPLICES,
-    naming the vertex in the most pieces; ``pieces_at`` is {vertex: k_v}."""
-    bound = sum((1 << k) - 1 for k in pieces_at.values())
-    if bound > MAX_NERVE_SIMPLICES:
-        v = min(pieces_at, key=lambda v: (-pieces_at[v], v))
-        raise FormatError(
-            f"cover: the nerve may hold up to {bound} simplices, over the limit "
-            f"{MAX_NERVE_SIMPLICES}; vertex {v} lies in {pieces_at[v]} pieces"
-        )
+def _check_closure(what, faces):
+    """Refuse faces whose closure may pass their budget, naming the largest."""
+    top = max(faces, key=len, default=())
+    _check_budget(f"{what}: closing the faces may build", sum((1 << len(f)) - 1 for f in faces),
+                  faces, lambda: f"the largest face {top} has {len(top)} vertices")
 
 
 def _maximal_faces(simplices):
@@ -210,12 +210,10 @@ def _maximal_faces(simplices):
 
 
 def _raw_faces(raw, vertices, what):
-    """Check raw faces before any closure is taken; return them as tuples.
+    """Check raw faces before any closure is taken; return them as sorted tuples.
 
     Every face must be a list of JSON integers in [0, vertices) (no
-    bound when ``vertices`` is None) with no vertex repeated, and the
-    closure bound sum(2^|f| - 1) over the faces at most
-    MAX_CLOSURE_SIMPLICES.
+    bound when ``vertices`` is None) with no vertex repeated.
     """
     if not isinstance(raw, list) or not all(isinstance(face, list) for face in raw):
         raise FormatError(f"{what} must be a list of vertex lists")
@@ -225,15 +223,7 @@ def _raw_faces(raw, vertices, what):
             raise FormatError(f"{what}: {face} is not a list of integer vertices in [0, {bound})")
         if len(set(face)) != len(face):
             raise DuplicateVertexInSimplex(f"{what}: repeated vertex in {tuple(face)}")
-    closure = sum(2 ** len(face) - 1 for face in raw)
-    if closure > MAX_CLOSURE_SIMPLICES:
-        largest = max(raw, key=len)
-        raise FormatError(
-            f"{what}: the downward closure may hold up to {closure} simplices, over the "
-            f"limit {MAX_CLOSURE_SIMPLICES}; the largest face {tuple(largest)} has "
-            f"{len(largest)} vertices"
-        )
-    return [tuple(face) for face in raw]
+    return [tuple(sorted(face)) for face in raw]
 
 
 def complex_to_json(k):
@@ -245,7 +235,9 @@ def complex_from_json(obj):
     vertices = obj.get("vertices")
     if vertices is not None and not (type(vertices) is int and vertices >= 0):
         raise FormatError(f"complex: 'vertices' must be an integer >= 0, not {vertices!r}")
-    return validate_complex(_raw_faces(raw, vertices, "complex simplices"), vertex_count=vertices)
+    faces = _raw_faces(raw, vertices, "complex simplices")
+    _check_closure("complex simplices", faces)
+    return validate_complex(faces, vertex_count=vertices)
 
 
 # -- covers -----------------------------------------------------------------
@@ -257,22 +249,28 @@ def cover_to_json(c):
 
 def cover_from_json(obj):
     base = complex_from_json(_require(obj, "base", "cover"))
-    if obj.get("star_cover"):
-        # v lies in 1 + deg v stars: its own and its neighbours'
-        _check_nerve_bound(Counter(v for s in base.simplices if len(s) <= 2 for v in s))
-        return star_cover(base)
-    pieces_raw = _require(obj, "pieces", "cover")
-    if not isinstance(pieces_raw, list):
-        raise FormatError("cover 'pieces' must be a list")
-    pieces, pieces_at = [], Counter()
-    for i, praw in enumerate(pieces_raw):
-        faces = [tuple(sorted(s)) for s in _raw_faces(praw, base.vertex_count, f"cover piece {i}")]
-        if not all(base.has_simplex(s) for s in faces if s):
+    star = obj.get("star_cover", False)
+    if type(star) is not bool:
+        raise FormatError(f"cover 'star_cover' must be true or false, not {star!r}")
+    if star and "pieces" in obj:
+        raise FormatError("cover: 'star_cover' true and 'pieces' are given together")
+    pieces = []
+    for i, praw in enumerate([] if star else _require_list(obj, "pieces", "cover")):
+        pieces.append(_raw_faces(praw, base.vertex_count, f"cover piece {i}"))
+        if not all(base.has_simplex(s) for s in pieces[-1] if s):
             raise InvalidCover(f"piece {i} is not a subcomplex of the base")
-        pieces_at.update({v for face in faces for v in face})
-        pieces.append(SimplicialComplex._trusted(base.vertex_count, downward_closure(faces)))
-    _check_nerve_bound(pieces_at)
-    return Cover(base, tuple(pieces))
+    faces = [face for piece in pieces for face in piece]
+    _check_closure("cover pieces", faces)
+    closed = (SimplicialComplex._trusted(base.vertex_count, downward_closure(p)) for p in pieces)
+    cover = star_cover(base) if star else Cover(base, tuple(closed))
+    # W_t holds s for each of the 2^k - 1 nonempty sets t of the k pieces at s
+    at = Counter(s for piece in cover.pieces for s in piece.simplices)
+    built = sum((1 << k) - 1 for k in at.values())
+    most = min(at, key=lambda s: (-at[s], s), default=None)
+    listed = obj["base"]["simplices"] + faces
+    _check_budget("cover: the nerve's intersections may hold", built, listed,
+                  lambda: f"simplex {most} lies in {at[most]} pieces")
+    return cover
 
 
 # -- groups and elements ----------------------------------------------------

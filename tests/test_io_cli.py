@@ -1,6 +1,7 @@
 """Container round-trips, CLI reports, determinism, exit codes."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,15 @@ import cechlift
 from cechlift import cli, fixtures, io
 from cechlift.abelian import CIRCLE, FgAbelianGroup
 from cechlift.cochains import cohomology_classes
-from cechlift.complexes import SimplicialComplex, downward_closure, nerve
+from cechlift.complexes import (
+    Cover,
+    SimplicialComplex,
+    downward_closure,
+    nerve,
+    product_cover,
+    star_cover,
+    validate_complex,
+)
 from cechlift.deligne import curvature, descent_chain, holonomy
 from cechlift.errors import FormatError
 from cechlift.tower import bockstein, giraud_obstruction, tower_obstructions
@@ -43,6 +52,21 @@ class TestRoundTrips:
         )
         loaded = io.load_typed(path, expect="cover")
         assert loaded.pieces == star_cover(hexagon).pieces
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("no", "cover 'star_cover' must be true or false, not 'no'"),
+            (1, "cover 'star_cover' must be true or false, not 1"),
+            (None, "cover 'star_cover' must be true or false, not None"),
+            (True, "cover: 'star_cover' true and 'pieces' are given together"),
+        ],
+    )
+    def test_star_cover_flag_is_a_boolean_without_pieces(self, circle_cover, flag, message):
+        obj = {**io.cover_to_json(circle_cover), "star_cover": flag}
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            io.cover_from_json(obj)
+        assert io.cover_from_json({**obj, "star_cover": False}).pieces == circle_cover.pieces
 
     def test_groups(self, tmp_path):
         for g in (FgAbelianGroup((2, 4, 0)), CIRCLE):
@@ -807,48 +831,198 @@ def _cone_star_cover(n):
     return {"kind": "cover", "base": {"kind": "complex", "simplices": faces}, "star_cover": True}
 
 
-def _path_cover(pieces, m):
-    """The path 0..m covered by itself and pieces - 1 copies of the path
-    1..m: vertex 0 is in one piece and every other vertex in all of them."""
-    base = {"kind": "complex", "simplices": [[i, i + 1] for i in range(m)]}
-    tail = [[i, i + 1] for i in range(1, m)]
-    return {"kind": "cover", "base": base, "pieces": [base["simplices"], *[tail] * (pieces - 1)]}
+def _arc_cover(m, pieces, a):
+    """The m-cycle covered by itself and pieces - 1 copies of its arc a..m-1."""
+    base = {"kind": "complex", "simplices": [[i, (i + 1) % m] for i in range(m)]}
+    arc = [[i, i + 1] for i in range(a, m - 1)]
+    return {"kind": "cover", "base": base, "pieces": [base["simplices"], *[arc] * (pieces - 1)]}
 
 
-@pytest.mark.parametrize(
-    "cover, bound, vertex, pieces",
-    [
-        (_fan_cover(16), 2**16 - 1 + 16, 0, 16),
-        (_cone_star_cover(16), 2**17 - 1 + 16 * (2**4 - 1), 0, 17),
-        (_path_cover(8, 258), 1 + 258 * (2**8 - 1), 1, 8),
-    ],
-    ids=["fan", "star-cone", "one-past-the-limit"],
-)
-def test_nerve_size_is_bounded_where_covers_are_read(
-    tmp_path, capsys, monkeypatch, cover, bound, vertex, pieces
-):
-    """A cover whose nerve may hold more than MAX_NERVE_SIMPLICES simplices
-    exits 1 with a FormatError naming the vertex in the most pieces,
-    before any nerve is built."""
-    io.dump_json(cover, tmp_path / "big.cov")
-    io.dump_json(io.group_to_json(FgAbelianGroup((0,))), tmp_path / "z.grp")
-    res = _main_in(tmp_path, ["cohomology", "big.cov", "z.grp", "-p", "1"], capsys, monkeypatch)
-    assert (res.returncode, res.stdout) == (1, "")
-    assert res.stderr == (
-        f"error [FormatError]: cover: the nerve may hold up to {bound} simplices, over the "
-        f"limit {io.MAX_NERVE_SIMPLICES}; vertex {vertex} lies in {pieces} pieces\n"
+def _simplex_cover(pieces, n):
+    """The n-vertex simplex covered by ``pieces`` copies of itself."""
+    base = {"kind": "complex", "simplices": [list(range(n))]}
+    return {"kind": "cover", "base": base, "pieces": [base["simplices"]] * pieces}
+
+
+def _star_simplex(n):
+    """The star cover of the n-vertex simplex."""
+    return {"kind": "cover", "base": {"kind": "complex", "simplices": [list(range(n))]}, "star_cover": True}
+
+
+def _limit(listed):
+    return io.BUDGET_FLOOR + io.BUDGET_PER_ID * listed
+
+
+def _closure_refusal(n, ids):
+    return (
+        f"complex simplices: closing the faces may build {2**n - 1} simplices, over the limit "
+        f"{_limit(ids)} for {ids} listed vertex ids; the largest face {tuple(range(n))} has "
+        f"{n} vertices"
     )
 
 
+def _pieces_refusal(pieces, n):
+    return (
+        f"cover pieces: closing the faces may build {pieces * (2**n - 1)} simplices, over the "
+        f"limit {_limit(pieces * n)} for {pieces * n} listed vertex ids; the largest face "
+        f"{tuple(range(n))} has {n} vertices"
+    )
+
+
+def _nerve_refusal(built, ids, simplex, pieces):
+    return (
+        f"cover: the nerve's intersections may hold {built} simplices, over the limit "
+        f"{_limit(ids)} for {ids} listed vertex ids; simplex {simplex} lies in {pieces} pieces"
+    )
+
+
+#: case -> (file, the step that refuses it, the error it names)
+BLOW_UPS = {
+    "10-pieces-of-a-12-simplex": (_simplex_cover(10, 12), "pieces", _pieces_refusal(10, 12)),
+    "11-pieces-of-a-14-simplex": (_simplex_cover(11, 14), "pieces", _pieces_refusal(11, 14)),
+    "30-pieces-of-a-14-simplex": (_simplex_cover(30, 14), "pieces", _pieces_refusal(30, 14)),
+    "30-pieces-of-a-17-simplex": (_simplex_cover(30, 17), "complex", _closure_refusal(17, 17)),
+    "16-simplex": (
+        {"kind": "complex", "simplices": [list(range(16))]}, "complex", _closure_refusal(16, 16),
+    ),
+    "star-cover-of-a-16-simplex": (_star_simplex(16), "complex", _closure_refusal(16, 16)),
+}
+
+#: the steps that build, in the order a cover file is loaded and used
+_STEPS = ("complex", "pieces", "nerve")
+
+
+def _cohomology_of(obj, tmp_path, capsys, monkeypatch):
+    """(`cohomology -p 1` on the file ``obj``, the building steps it ran)."""
+    steps = []
+
+    def record(step, fn):
+        def recorded(*args, **kwargs):
+            steps.append(step)
+            return fn(*args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(io, "validate_complex", record("complex", io.validate_complex))
+    monkeypatch.setattr(io, "star_cover", record("pieces", io.star_cover))
+    monkeypatch.setattr(io, "downward_closure", record("pieces", io.downward_closure))
+    monkeypatch.setattr(cli, "nerve", record("nerve", cli.nerve))
+    io.dump_json(obj, tmp_path / "in.json")
+    io.dump_json(io.group_to_json(FgAbelianGroup((0,))), tmp_path / "z.grp")
+    res = _main_in(tmp_path, ["cohomology", "in.json", "z.grp", "-p", "1"], capsys, monkeypatch)
+    return res, set(steps)
+
+
+@pytest.mark.parametrize("case", list(BLOW_UPS))
+def test_blow_ups_are_refused_before_their_costly_step(tmp_path, capsys, monkeypatch, case):
+    """A file whose closure or pieces would blow up exits 1 with a
+    FormatError naming its largest face, before that step runs."""
+    obj, step, message = BLOW_UPS[case]
+    res, steps = _cohomology_of(obj, tmp_path, capsys, monkeypatch)
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error [FormatError]: {message}\n")
+    assert steps <= set(_STEPS[: _STEPS.index(step)])
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (
+            {"kind": "complex", "simplices": [list(range(5000))]},
+            f"complex simplices: closing the faces may build at least 2^4999 simplices, over the "
+            f"limit {_limit(5000)} for 5000 listed vertex ids; the largest face {tuple(range(5000))} "
+            f"has 5000 vertices",
+        ),
+        (
+            _simplex_cover(5000, 1),
+            _nerve_refusal("at least 2^4999", 5001, (0,), 5000),
+        ),
+    ],
+    ids=["closure", "nerve"],
+)
+def test_a_count_past_the_digit_limit_is_named_by_its_bits(tmp_path, capsys, monkeypatch, obj, message):
+    """str() refuses ints of more than 4,300 digits; the refusal still names
+    the count, by a lower bound, without a traceback."""
+    io.dump_json(obj, tmp_path / "big.json")
+    io.dump_json(io.group_to_json(FgAbelianGroup((0,))), tmp_path / "z.grp")
+    res = _main_in(tmp_path, ["cohomology", "big.json", "z.grp", "-p", "0"], capsys, monkeypatch)
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error [FormatError]: {message}\n")
+
+
+def _bsd(k, n):
+    for _ in range(n):
+        k = fixtures.barycentric_subdivision(k)[0]
+    return k
+
+
+def _arcs_of_a_cycle(arcs):
+    """The 2 * arcs-cycle covered by arcs closed arcs of two edges each."""
+    n = 2 * arcs
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    pieces = (validate_complex(edges[2 * i : 2 * i + 2], vertex_count=n) for i in range(arcs))
+    return Cover(validate_complex(edges, vertex_count=n), tuple(pieces))
+
+
+def _fixture_covers():
+    for name in ("circle", "delta3", "rp2", "torus"):
+        for fname, obj in sorted(cli._fixture_files(name).items()):
+            if obj.get("kind") == "cover":
+                yield pytest.param(lambda obj=obj: io.cover_from_json(obj), id=fname)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *_fixture_covers(),
+        pytest.param(
+            lambda: fixtures.dual_block_cover(_bsd(fixtures.torus_product()[0], 2)),
+            id="dual-blocks-bsd2-torus36",
+        ),
+        pytest.param(
+            lambda: fixtures.dual_block_cover(_bsd(fixtures.rp2_minimal(), 3)), id="dual-blocks-bsd3-rp2"
+        ),
+        pytest.param(
+            lambda: product_cover(_arcs_of_a_cycle(50), _arcs_of_a_cycle(50)), id="square-of-50-arcs"
+        ),
+        pytest.param(lambda: star_cover(fixtures.torus_product()[0]), id="star-cover-of-torus36"),
+    ],
+)
+def test_legitimate_covers_round_trip_within_the_budget(build):
+    """Every fixture cover and large legitimate cover is admitted, and
+    loads back as the cover it was written from."""
+    cover = build()
+    loaded = io.cover_from_json(io.cover_to_json(cover))
+    assert (loaded.base, loaded.pieces) == (cover.base, cover.pieces)
+
+
+@pytest.mark.parametrize(
+    "cover, message",
+    [
+        (_fan_cover(16), _nerve_refusal(2**16 - 1 + 32, 64, (0,), 16)),
+        (_cone_star_cover(16), _nerve_refusal(2**17 - 1 + 16 * (2 * 15 + 2 * 7), 48, (0,), 17)),
+        # one more edge in each repeated arc than at the limit
+        (_arc_cover(125, 9, 101), _nerve_refusal(203 + 47 * (2**9 - 1), 868, (101,), 9)),
+    ],
+    ids=["fan", "star-cone", "one-past-the-limit"],
+)
+def test_nerve_size_is_bounded_where_covers_are_read(tmp_path, capsys, monkeypatch, cover, message):
+    """A cover whose nerve's intersections would hold more simplices than
+    the budget for the ids it lists exits 1 with a FormatError naming the
+    simplex in the most pieces, before any nerve is built."""
+    res, steps = _cohomology_of(cover, tmp_path, capsys, monkeypatch)
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error [FormatError]: {message}\n")
+    assert "nerve" not in steps
+
+
 def test_a_cover_at_the_nerve_limit_runs(tmp_path, capsys, monkeypatch):
-    """8 pieces on a path of 258 vertices: sum(2^k_v - 1) is the limit itself."""
-    m = (io.MAX_NERVE_SIMPLICES - 1) // (2**8 - 1)
-    assert 1 + m * (2**8 - 1) == io.MAX_NERVE_SIMPLICES
-    io.dump_json(_path_cover(8, m), tmp_path / "limit.cov")
+    """The 125-cycle and 8 copies of its arc 102..124: the 45 simplices of
+    the arc lie in 9 pieces and the other 205 in one, so the nerve's
+    intersections hold the limit itself for the 852 vertex ids the file
+    lists."""
+    assert 205 + 45 * (2**9 - 1) == _limit(2 * 125 + 2 * 125 + 8 * 2 * 22)
+    io.dump_json(_arc_cover(125, 9, 102), tmp_path / "limit.cov")
     io.dump_json(io.group_to_json(FgAbelianGroup((0,))), tmp_path / "z.grp")
     res = _main_in(tmp_path, ["cohomology", "limit.cov", "z.grp", "-p", "1"], capsys, monkeypatch)
     assert res.returncode == 0, res.stderr
-    assert "nerve: [8, 28, 56, 70, 56, 28, 8, 1]\n" in res.stdout
+    assert "nerve: [9, 36, 84, 126, 126, 84, 36, 9, 1]\n" in res.stdout
     assert res.stdout.endswith("H^1 = 0\n")
 
 

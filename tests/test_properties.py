@@ -25,7 +25,10 @@ contraction solves D v = rhs exactly; the collapse on face indices
 returns the pairs of the set-based ``collapse_oracle`` and draws the same
 random numbers.  The nerve of the dual block cover of a complex is that
 complex, and the nerve built through the vertex index equals the
-brute-force nerve, key order included.  Product covers (of random
+brute-force nerve, key order included; the loader's count of the
+nerve's intersections is the sum of their sizes, and a cover file is
+admitted exactly when its closure, its pieces and its nerve are within
+the budget for the vertex ids it lists.  Product covers (of random
 covers and of one-piece covers, piece order included), star covers (with
 isolated vertices), product complexes and shuffle chains of random
 cycles equal the quadratic constructors of ``cover_oracle``.  The coboundary summed on plain coordinates
@@ -52,7 +55,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cechlift import abelian, fixtures, kernels
+from cechlift import abelian, fixtures, io, kernels
 from cechlift.abelian import CIRCLE, QQ, CircleElement, FgAbelianGroup
 from cechlift.cochains import (
     Cochain,
@@ -90,7 +93,7 @@ from cechlift.deligne import (
     pair,
     restrict_package,
 )
-from cechlift.errors import NoProduct, NotACocycle
+from cechlift.errors import FormatError, NoProduct, NotACocycle
 from cechlift.tower import (
     ExtensionTower,
     FiniteGroup,
@@ -897,6 +900,61 @@ def _assert_nerve_is_the_brute_force_nerve(cover):
 def test_nerve_through_the_vertex_index_is_the_brute_force_nerve(cover):
     """Same intersections, in the same key order, as trying every subset."""
     _assert_nerve_is_the_brute_force_nerve(cover)
+
+
+@st.composite
+def budget_covers(draw, kind):
+    """A ``conftest.random_cover``, a star cover, or a random cover with one
+    of its pieces repeated, of a random complex."""
+    k = draw(complexes())
+    if kind == "star":
+        return star_cover(k)
+    cover = random_cover(random.Random(draw(st.integers(0, 2**32 - 1))), k)
+    if kind == "repeated":
+        piece = draw(st.sampled_from(cover.pieces))
+        cover = Cover(k, cover.pieces + (piece,) * draw(st.integers(2, 6)))
+    return cover
+
+
+@pytest.mark.parametrize("kind", ["random", "star", "repeated"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), per_id=st.integers(0, 8), stage=st.integers(0, 2), offset=st.integers(-2, 2))
+def test_a_cover_file_is_admitted_exactly_within_its_budget(kind, data, per_id, stage, offset):
+    """The loader's nerve count is the sum of |W_t| over the nerve, and a
+    cover file is admitted exactly when its base's closure, its pieces and
+    its nerve are each within the budget for the vertex ids listed for
+    them: the base's, the pieces', and both together.  The floor is drawn
+    next to the budget of one stage."""
+    cover = data.draw(budget_covers(kind))
+    obj = io.cover_to_json(cover)
+    if kind == "star":
+        obj = {"kind": "cover", "base": obj["base"], "star_cover": True}
+    counted = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_check_budget", lambda what, built, *_: counted.update({what: built}))
+        io.cover_from_json(obj)
+    size = sum(len(w.simplices) for w in nerve(cover).intersection_of.values())
+    assert counted["cover: the nerve's intersections may hold"] == size
+    base = obj["base"]["simplices"]
+    pieces = [face for piece in obj.get("pieces", ()) for face in piece]
+
+    def closure(faces):
+        return sum(2 ** len(face) - 1 for face in faces)
+
+    def ids(faces):
+        return sum(len(face) for face in faces)
+
+    stages = [(closure(base), ids(base)), (closure(pieces), ids(pieces)), (size, ids(base + pieces))]
+    built, listed = stages[stage]
+    floor = max(0, built - per_id * listed + offset)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "BUDGET_FLOOR", floor)
+        mp.setattr(io, "BUDGET_PER_ID", per_id)
+        if all(built <= floor + per_id * listed for built, listed in stages):
+            assert io.cover_from_json(obj).pieces == cover.pieces
+        else:
+            with pytest.raises(FormatError, match="over the limit"):
+                io.cover_from_json(obj)
 
 
 def test_nerve_of_181_dual_blocks_is_the_brute_force_nerve():

@@ -56,7 +56,9 @@ def _back_substitute(fac, b, ring):
     Every product is on integers.  Over Q and Q/Z the denominators of b
     are cleared once: with den their lcm, t = U (den b) is integral, U b
     is integral exactly when den divides t, and D = den lcm(s_j) is a
-    multiple of every den s_j, so x = V (D y) / D with D y integral.
+    multiple of every den s_j, so x = V (D y) / D with D y integral.  A
+    Fraction is formed only for a nonzero entry of x; the zeros are one
+    shared Fraction(0).
     """
     diag = fac.diag
     r = len(diag)
@@ -85,7 +87,10 @@ def _back_substitute(fac, b, ring):
     x = fac.v_times(y + [0] * (len(fac.col_at) - r))
     if m:
         x = [xi % m for xi in x]
-    return [Fraction(xi, den) for xi in x] if rational else x
+    if not rational:
+        return x
+    zero = Fraction(0)
+    return [Fraction(xi, den) if xi else zero for xi in x]
 
 
 def factor(rows, ncols):
@@ -189,6 +194,10 @@ class FgAbelianGroup:
         """Per coefficient factor, the {key: int coordinate} map of ``values``."""
         return [{s: v.coords[j] for s, v in values.items()} for j in range(self.rank)]
 
+    def split_over(self, values):
+        """``split(values)``, already integral: the maps over the denominator 1."""
+        return self.split(values), 1
+
     def join(self, maps):
         """The {key: element} map with coordinate j taken from ``maps[j]``
         (missing keys are 0), reduced mod each modulus, zeros dropped."""
@@ -202,6 +211,10 @@ class FgAbelianGroup:
                     coords.setdefault(s, [0] * rank)[j] = c
         trusted = GroupElement._trusted
         return {s: trusted(self, tuple(cs)) for s, cs in coords.items()}
+
+    def join_over(self, maps, n):
+        """``join(maps)``; the int maps of ``split_over`` are over n = 1."""
+        return self.join(maps)
 
     def elements(self):
         if not self.is_finite():
@@ -296,11 +309,34 @@ class CircleGroup:
         """The {key: Fraction in [0, 1)} map of ``values``, as a list of one."""
         return [{s: v.value for s, v in values.items()}]
 
+    def split_over(self, values):
+        """([{key: int}], n): the values' numerators over n, the lcm of
+        their denominators."""
+        return _numerators({s: v.value for s, v in values.items()})
+
     def join(self, maps):
         """The {key: element} map of the one Fraction map, reduced mod 1,
         zeros dropped."""
         (raw,) = maps
-        return {s: CircleElement(x) for s, x in raw.items() if x % 1}
+        trusted = CircleElement._trusted
+        out = {}
+        for s, x in raw.items():
+            x %= 1
+            if x:
+                out[s] = trusted(x)
+        return out
+
+    def join_over(self, maps, n):
+        """``join`` of the one int map over n: each value is reduced mod n
+        and only the ones n does not divide become Fractions."""
+        (raw,) = maps
+        trusted = CircleElement._trusted
+        out = {}
+        for s, x in raw.items():
+            x %= n
+            if x:
+                out[s] = trusted(Fraction(x, n))
+        return out
 
     def __eq__(self, other):
         return isinstance(other, CircleGroup)
@@ -327,6 +363,14 @@ class CircleElement:
         if type(value) is not Fraction:
             value = _exact_rational(value, CIRCLE)
         object.__setattr__(self, "value", value % 1)
+
+    @classmethod
+    def _trusted(cls, value):
+        """An element whose value is a Fraction already in [0, 1); nothing
+        is checked or reduced."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "value", value)
+        return self
 
     def __add__(self, other):
         return CircleElement(self.value + other.value)
@@ -366,10 +410,20 @@ class RationalGroup:
         """``values`` itself, as a list of one map; callers only read it."""
         return [values]
 
+    def split_over(self, values):
+        """([{key: int}], n): the values' numerators over n, the lcm of
+        their denominators."""
+        return _numerators(values)
+
     def join(self, maps):
         """The one Fraction map without its zeros."""
         (raw,) = maps
         return {s: x for s, x in raw.items() if x}
+
+    def join_over(self, maps, n):
+        """The one int map over n as Fractions, zeros dropped."""
+        (raw,) = maps
+        return {s: Fraction(x, n) for s, x in raw.items() if x}
 
     def __eq__(self, other):
         return isinstance(other, RationalGroup)
@@ -385,6 +439,13 @@ class RationalGroup:
 
 
 QQ = RationalGroup()
+
+
+def _numerators(values):
+    """([{key: int}], n) with values[key] = int / n, n the lcm of the
+    values' denominators (1 for none)."""
+    n = lcm(*{v.denominator for v in values.values()})
+    return [{s: v.numerator * (n // v.denominator) for s, v in values.items()}], n
 
 
 def _refuse_foreign(value, group):

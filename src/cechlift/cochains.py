@@ -9,6 +9,12 @@ group splits the values into one map of plain numbers per coefficient
 ring (``rings``: an int m for Z/m, "Z", "Q" or "Q/Z"), the operation
 works on those maps (face sums, one back-substitution per ring, products)
 and the group joins the results back into reduced, nonzero elements.
+The plain numbers are ints for an fg group and Fractions over Q and Q/Z,
+except in ``coboundary``: there every group splits into ints over one
+denominator (``split_over``: Q and Q/Z values as numerators over the lcm
+N of their denominators, fg coordinates over 1), the face sums run on
+those ints, and ``join_over`` forms one Fraction per sum that N does not
+divide (over Q, that is not zero).
 """
 
 from __future__ import annotations
@@ -172,13 +178,19 @@ def _face_sums(simps, raw):
 def coboundary(x):
     """(delta x)(i_0..i_{p+1}) = sum_j (-1)^j x(i_0..îj..i_{p+1}).
 
-    The sums run on the plain values of each ring (integer coordinates
-    per factor, Fractions over Q and Q/Z) and are reduced once, by join.
+    The sums run on integers over one denominator n, per ring: the
+    coordinates per factor (n = 1), and over Q and Q/Z the numerators of
+    the values over n, the lcm of their denominators.  They are reduced
+    once, by ``join_over``, which makes a Fraction only of a sum that is
+    not zero (over Q) or not divisible by n (over Q/Z).
     """
     simps = x.carrier.simplices_of_dim(x.degree + 1)
     g = x.group
-    sums = [_face_sums(simps, raw) for raw in g.split(x.values)]
-    return Cochain._trusted(x.carrier, x.degree + 1, g, g.join(sums))
+    if not simps:
+        return Cochain._trusted(x.carrier, x.degree + 1, g, {})
+    maps, n = g.split_over(x.values)
+    sums = [_face_sums(simps, raw) for raw in maps]
+    return Cochain._trusted(x.carrier, x.degree + 1, g, g.join_over(sums, n))
 
 
 def _require_cocycle(x):

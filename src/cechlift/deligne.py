@@ -40,6 +40,7 @@ from .errors import (
     CoverNotGood,
     CoverNotGoodOnV,
     DegreeMismatch,
+    GroupMismatch,
     NoFundamentalCycle,
     NotACocycle,
 )
@@ -423,7 +424,7 @@ def descent_chain(c, cover, nerve_=None):
     The cover is verified good first (CoverNotGood reports the bad
     intersections); each layer solves its Cech equation through the
     deterministic partition-of-unity contraction, and the finished
-    package is re-validated term by term.
+    package is re-validated term by term, the cocycle law of c first.
     """
     nerve_ = nerve_ if nerve_ is not None else nerve(cover)
     d = c.degree
@@ -434,8 +435,6 @@ def descent_chain(c, cover, nerve_=None):
         raise CoverNotGood(_not_good("cover", report))
     if c.group != CIRCLE:
         raise NotACocycle("classifying cocycle must be circle-valued")
-    if not coboundary(c).is_zero():
-        raise NotACocycle("classifying cochain is not a cocycle")
     assign = _min_piece_assignment(cover)
     n = _cocycle_denominator(c)
     raw = {}
@@ -490,6 +489,8 @@ def characteristic_form(pkg, power):
 
 def pair(x, z):
     """Evaluate a global rational cochain on a chain: sum of coeff * value."""
+    if x.group != QQ:
+        raise GroupMismatch(f"only a Q cochain pairs with a chain, not a {x.group} one")
     if x.degree != z.degree:
         raise DegreeMismatch("pairing a cochain and chain of different degrees")
     total = Fraction(0)
@@ -646,9 +647,11 @@ def _check_trivialization(nerve_, d, layers, potentials, residual):
 def _solve_local_d(inter, q, rhs_local, shuffle=None):
     """Solve D v = rhs on one acyclic intersection, exactly.
 
-    ``q`` is the form degree of the unknown v.  With a collapse
-    certificate the solve is a back-substitution: walking the pairs
-    (q-simplex s, (q+1)-simplex t) in reverse collapse order,
+    ``q`` is the form degree of the unknown v.  An empty right side is
+    solved by v = 0 at once: no certificate is built, no Smith call is
+    made and nothing is drawn from ``shuffle``.  Otherwise, with a
+    collapse certificate the solve is a back-substitution: walking the
+    pairs (q-simplex s, (q+1)-simplex t) in reverse collapse order,
     v(s) = [t:s] (rhs(t) - sum of [t:r] v(r) over the other faces r of
     t), and every other q-simplex gets 0.  An intersection without one
     is solved by Smith over Q.  A ``shuffle`` reorders the free faces of
@@ -658,6 +661,8 @@ def _solve_local_d(inter, q, rhs_local, shuffle=None):
     back-substitution works on any numbers: an int right side gives int
     values, a Fraction one Fractions.
     """
+    if not rhs_local:
+        return {}
     pairs = inter.collapse(shuffle)
     if pairs is None:
         return _smith_solve_local_d(inter, q, rhs_local, shuffle)
@@ -797,9 +802,11 @@ def holonomy(pkg, v, z, shuffle=None):
     repeated ``v`` builds neither again; goodness of the restricted cover
     is re-checked on every call.  Goodness and the local solves use each
     intersection's collapse certificate, and Smith only where there is
-    none.  A ``shuffle`` (a ``random.Random``) reorders the free faces of
-    fresh certificates and the piece assignment of the collapse to a global
-    cochain, and adds a seeded kernel vector V y to the Smith solutions.
+    none; an intersection whose defect is zero is solved by 0 and needs
+    neither.  A ``shuffle`` (a ``random.Random``) reorders the free faces
+    of a fresh certificate for each nonzero defect and the piece
+    assignment of the collapse to a global cochain, and adds a seeded
+    kernel vector V y to the Smith solutions of nonzero defects.
     """
     d = pkg.degree
     if v.dim != d:

@@ -40,7 +40,13 @@ from cechlift.deligne import (
     shift_cocycle,
     _min_piece_assignment,
 )
-from cechlift.errors import CoverNotGood, DegreeMismatch, NoFundamentalCycle, NotACocycle
+from cechlift.errors import (
+    CoverNotGood,
+    DegreeMismatch,
+    GroupMismatch,
+    NoFundamentalCycle,
+    NotACocycle,
+)
 
 import deligne_oracle
 
@@ -180,17 +186,14 @@ class TestDescent:
             descent_chain(c, cov, nrv)
 
     def test_rejects_non_cocycle(self, torus_cover, torus_nerve):
+        """The package's validation tests the cocycle law, once, with this message."""
         _, cov = torus_cover
-        bad_vals = {}
-        for s in torus_nerve.simplices_of_dim(2):
-            bad_vals[s] = CircleElement(Fraction(1, 5))
-            break
-        bad = Cochain(torus_nerve, 2, CIRCLE, bad_vals)
-        if not coboundary(bad).is_zero():
-            from cechlift.errors import NotACocycle
-
-            with pytest.raises(NotACocycle):
-                descent_chain(bad, cov, torus_nerve)
+        s = torus_nerve.simplices_of_dim(2)[0]
+        bad = Cochain(torus_nerve, 2, CIRCLE, {s: CircleElement(Fraction(1, 5))})
+        assert not coboundary(bad).is_zero()
+        with pytest.raises(NotACocycle) as err:
+            descent_chain(bad, cov, torus_nerve)
+        assert str(err.value) == "classifying cochain is not a cocycle"
 
     def test_gauge_moves_preserve_validity(self, torus_cover, torus_nerve):
         rng = random.Random(16)
@@ -456,6 +459,14 @@ class TestPair:
         x = Cochain(hexagon, 1, abelian.QQ, {})
         z = Chain(hexagon, 0, {(0,): 1})
         with pytest.raises(DegreeMismatch):
+            pair(x, z)
+
+    @pytest.mark.parametrize("group", [CIRCLE, Z, FgAbelianGroup((3,))], ids=str)
+    def test_refuses_a_cochain_not_over_q(self, hexagon, group):
+        x = Cochain(hexagon, 1, group, {(0, 1): Fraction(1, 3) if group == CIRCLE else (1,)})
+        assert not x.is_zero()
+        z = Chain(hexagon, 1, {(0, 1): 3})
+        with pytest.raises(GroupMismatch, match=f"not a {group} one"):
             pair(x, z)
 
 

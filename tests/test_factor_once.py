@@ -184,9 +184,9 @@ def test_good_covers_need_no_smith(snf_calls, cover):
     assert snf_calls == []
 
 
-@pytest.fixture(scope="module")
-def torus_gerbe():
-    """The flat torus gerbe with holonomy 1/3, gauged by D f for a seeded rational f.
+def gauged_torus_gerbe():
+    """The flat torus gerbe with holonomy 1/3, gauged by D f for a seeded rational f,
+    on a fresh cover.
 
     The gauge makes every local equation of holonomy nonzero.
     """
@@ -200,6 +200,11 @@ def torus_gerbe():
     )
     pkg = add_global_datum(fixtures.torus_flat_gerbe(Fraction(1, 3)), f)
     return pkg, torus, fixtures.torus_cycle(torus)
+
+
+@pytest.fixture(scope="module")
+def torus_gerbe():
+    return gauged_torus_gerbe()
 
 
 def test_holonomy_on_a_collapsible_cover_needs_no_smith(snf_calls, torus_gerbe):
@@ -227,7 +232,9 @@ def test_repeated_holonomy_reuses_the_kept_restriction(monkeypatch, snf_calls):
     """The cover keeps its restriction to V, with the collapse certificates of
     the restricted nerve: a second holonomy on the same V builds no nerve, no
     certificate and no Smith factorization.  A shuffled one builds fresh
-    certificates, so the solver choices still vary."""
+    certificates where a local equation is nonzero (the gauged gerbe), so
+    the solver choices still vary; the flat gerbe's are all zero, so there
+    it builds none."""
     pkg = fixtures.torus_flat_gerbe(Fraction(1, 3))
     torus = pkg.cover.base
     z = fixtures.torus_cycle(torus)
@@ -239,24 +246,42 @@ def test_repeated_holonomy_reuses_the_kept_restriction(monkeypatch, snf_calls):
     assert holonomy(pkg, torus, z) == first
     assert nerves == collapses == snf_calls == []
     assert holonomy(pkg, torus, z, shuffle=random.Random(5)) == first
+    assert nerves == collapses == snf_calls == []
+    gauged, torus, z = gauged_torus_gerbe()
+    assert holonomy(gauged, torus, z) == first
+    del nerves[:], collapses[:]
+    assert holonomy(gauged, torus, z, shuffle=random.Random(5)) == first
     assert nerves == [] and collapses
 
 
 def test_a_second_shuffled_holonomy_builds_no_face_graph(monkeypatch):
     """The first shuffled holonomy on V keeps the face graph of every
     restricted intersection it collapsed; a second one, with another
-    seed, builds none and still varies nothing but the potentials."""
-    pkg = fixtures.torus_flat_gerbe(Fraction(1, 3))
-    torus = pkg.cover.base
-    z = fixtures.torus_cycle(torus)
-    graphs = _record_calls(monkeypatch, complexes, "_collapse_graph")
+    seed, builds none of those again and still varies nothing but the
+    potentials.  The gauge makes the first stage's defect nonzero on
+    every piece, so both collapse every piece; a later stage's defect
+    depends on the potentials before it, so the second holonomy may
+    collapse a deeper intersection that was solved by 0 in the first,
+    and only such a one gets a graph.  On the flat gerbe, whose local
+    equations are all zero, a shuffled holonomy collapses nothing, so it
+    builds and keeps no face graph."""
+    graphs = _record_calls(monkeypatch, complexes, "_collapse_graph", id)
+    pkg, torus, z = gauged_torus_gerbe()
     first = holonomy(pkg, torus, z, shuffle=random.Random(5))
     assert graphs
     _, nrv = pkg.cover.restricted_to(torus)
-    assert any(w._graph is not None for w in nrv.intersection_of.values())
+    kept = {id(w) for w in nrv.intersection_of.values() if w._graph is not None}
+    assert {id(nrv.intersection_of[t]) for t in nrv.simplices_of_dim(0)} <= kept
     del graphs[:]
     assert holonomy(pkg, torus, z, shuffle=random.Random(6)) == first
+    assert kept.isdisjoint(graphs)
+    flat = fixtures.torus_flat_gerbe(Fraction(1, 3))
+    assert holonomy(flat, torus, z) == first
+    del graphs[:]
+    assert holonomy(flat, torus, z, shuffle=random.Random(5)) == first
+    _, nrv = flat.cover.restricted_to(torus)
     assert graphs == []
+    assert all(w._graph is None for w in nrv.intersection_of.values())
 
 
 def test_goodness_and_the_sorted_certificate_keep_no_face_graph(monkeypatch):

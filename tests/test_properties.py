@@ -21,7 +21,9 @@ the entries and status of the class-first run in ``tower_oracle``, with
 and without witness shifts, and a lift is refused exactly when the
 Giraud class is nonzero.  A collapse certificate of a cover
 intersection implies the invariant factors find it acyclic, and its
-contraction solves D v = rhs exactly; the collapse on face indices
+contraction solves D v = rhs exactly; an empty right side is solved by
+zero, on the dunce hat too, with nothing built and no number drawn from
+a shuffle; the collapse on face indices
 returns the pairs of the set-based ``collapse_oracle`` and draws the same
 random numbers.  The nerve of the dual block cover of a complex is that
 complex, and the nerve built through the vertex index equals the
@@ -32,9 +34,11 @@ the budget for the vertex ids it lists.  Product covers (of random
 covers and of one-piece covers, piece order included), star covers (with
 isolated vertices), product complexes and shuffle chains of random
 cycles equal the quadratic constructors of ``cover_oracle``.  The coboundary summed on plain coordinates
+(integer numerators over Q and Q/Z)
 equals the term-by-term face sum of ``cochain_oracle`` over Z, Z/2, Z/6,
 Z + Z/2, Z/2 + Z/4 + Z, Q and Q/Z, and ``is_coboundary`` refuses exactly the
-non-cocycles and finds a witness exactly for the exact cocycles; its
+non-cocycles and finds a witness exactly for the exact cocycles; both
+hold only reduced nonzero values (Q/Z values are Fractions in (0, 1)); its
 witnesses and refusals, class coordinates and generators equal the
 per-coefficient-type routes of ``cochain_oracle``, and so do cup
 products, or both sides refuse the pair of groups.  The
@@ -66,6 +70,7 @@ from cechlift.cochains import (
     verify_good_cover,
 )
 from cechlift.complexes import (
+    _UNBUILT,
     Chain,
     Cover,
     SimplicialComplex,
@@ -429,6 +434,21 @@ carriers = st.one_of(
 )
 
 
+def _assert_reduced(group, values):
+    """Every value is a nonzero element of the group in reduced form: fg
+    coordinates in [0, m) for each modulus m, a Q value a Fraction (in
+    lowest terms, as every Fraction is), a Q/Z value such a Fraction in
+    (0, 1)."""
+    for v in values.values():
+        assert not abelian.is_zero_value(group, v)
+        if isinstance(group, FgAbelianGroup):
+            assert all(0 <= c < m for c, m in zip(v.coords, group.moduli) if m)
+        else:
+            x = v.value if group == CIRCLE else v
+            assert type(x) is Fraction and gcd(x.numerator, x.denominator) == 1
+            assert group != CIRCLE or 0 < x < 1
+
+
 def _draw_cochain(data, k, group, p):
     """A cochain with random values on every simplex or on a random
     support (built by the validating constructor)."""
@@ -445,12 +465,14 @@ def _draw_cochain(data, k, group, p):
 @SETTINGS
 @given(carriers, st.sampled_from(RAW_GROUPS), st.data())
 def test_coboundary_matches_the_term_by_term_oracle(k, group, data):
-    """Sums of plain coordinates, reduced once, equal the element-wise face sum."""
+    """Sums of plain coordinates (over Q and Q/Z, of integer numerators over
+    one denominator), reduced once, equal the element-wise face sum and
+    hold only reduced nonzero values."""
     x = _draw_cochain(data, k, group, data.draw(st.integers(0, k.dim)))
     dx = coboundary(x)
     assert (dx.degree, dx.group) == (x.degree + 1, group)
     assert dx.values == cochain_oracle.coboundary(x).values
-    assert not any(abelian.is_zero_value(group, v) for v in dx.values.values())
+    _assert_reduced(group, dx.values)
 
 
 def _cocycle(data, k, group, p):
@@ -479,8 +501,9 @@ def _cocycle(data, k, group, p):
 def test_is_coboundary_decides_exactness_and_refuses_non_cocycles(k, group, data):
     """NotACocycle exactly when delta x != 0 (degree 0, degrees without
     simplices and higher degrees alike); otherwise a witness exactly when
-    x is exact, and it solves delta w = x.  The witness or refusal, the
-    class coordinates and the generators equal those of the oracle."""
+    x is exact, and it solves delta w = x with reduced nonzero values.
+    The witness or refusal, the class coordinates and the generators
+    equal those of the oracle."""
     # degree 0, a degree without simplices, and twice as often each degree between
     p = data.draw(st.sampled_from([0, k.dim + 1, *range(1, k.dim + 1), *range(1, k.dim + 1)]))
     kind = data.draw(st.sampled_from(["random", "exact", "cocycle"]))
@@ -510,7 +533,7 @@ def test_is_coboundary_decides_exactness_and_refuses_non_cocycles(k, group, data
         assert (w is not None) == (kind == "exact")
     if w is not None:
         assert coboundary(w) == x
-        assert not any(abelian.is_zero_value(group, v) for v in w.values.values())
+        _assert_reduced(group, w.values)
 
 
 #: Z, Z/2, Z/3, Q, Q/Z and Z/2 + Z/2: every declared product and refusals.
@@ -817,6 +840,22 @@ def test_a_collapse_certificate_proves_acyclicity_and_solves_exactly(w, seed, sh
         rhs = coboundary(Cochain(w, q, QQ, x)).values
         v = _solve_local_d(w, q, rhs, random.Random(seed) if shuffled else None)
         assert coboundary(Cochain(w, q, QQ, v)).values == rhs, q
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(intersections(), st.just(dunce_hat())), st.integers(0, 10**6), st.booleans())
+def test_an_empty_right_side_is_solved_by_zero_drawing_nothing(k, seed, shuffled):
+    """D v = 0 on an acyclic complex, with a collapse certificate or (the
+    dunce hat) without, is solved by v = 0 at once: no certificate, face
+    graph or factorization is built, and a shuffle draws no number."""
+    if k.collapse() is None and k.simplices != dunce_hat().simplices:
+        return
+    w = SimplicialComplex._trusted(k.vertex_count, k.simplices)
+    rng = random.Random(seed)
+    for q in range(w.dim + 1):
+        assert _solve_local_d(w, q, {}, rng if shuffled else None) == {}
+    assert rng.getstate() == random.Random(seed).getstate()
+    assert w._collapse is _UNBUILT and w._graph is None and w._factored == {}
 
 
 @settings(max_examples=150, deadline=None)

@@ -42,37 +42,29 @@ def mat_vec(a, x):
     return [sum(row[k] * xk for k, xk in nz) for row in a]
 
 
-def _back_substitute(fac, b, ring):
-    """The canonical solution of M x = b from a factorization U M V = S.
+def _back_substitute(fac, b, ring, den=1):
+    """The canonical solution of M x = b / den from a factorization U M V = S.
 
-    ``ring`` is one of "Z", "Q", "Q/Z" or an integer m > 1 (Z/m).  With
-    s_j the diagonal of S and t = U b, the entries of t past the rank
-    must vanish (Z, Q), be integers (Q/Z) or vanish mod m.  At pivot j,
-    y_j = t_j / s_j, which over Z must be an integer; over Z/m,
+    ``b`` is an integer vector over the denominator den > 0, which is 1
+    over Z and Z/m.  ``ring`` is one of "Z", "Q", "Q/Z" or an integer
+    m > 1 (Z/m).  With s_j the diagonal of S and t = U b, the entries of
+    t past the rank must vanish (Z, Q), be divisible by den (Q/Z) or
+    vanish mod m.  Over Z, y_j = t_j / s_j must be an integer; over Z/m,
     g = gcd(s_j, m) must divide t_j and y_j = (t_j/g) (s_j/g)^-1 mod m/g.
-    Free coordinates are zero.  Returns x = V y, reduced mod 1 over Q/Z
-    and mod m over Z/m.
+    Over Q and Q/Z, with D = lcm(s_j), y_j = t_j (D / s_j) is integral
+    and the solution is over n = den D.  Free coordinates are zero.
 
-    Every product is on integers.  Over Q and Q/Z the denominators of b
-    are cleared once: with den their lcm, t = U (den b) is integral, U b
-    is integral exactly when den divides t, and D = den lcm(s_j) is a
-    multiple of every den s_j, so x = V (D y) / D with D y integral.  A
-    Fraction is formed only for a nonzero entry of x; the zeros are one
-    shared Fraction(0).
+    Returns (x, n), x = V y an integer vector over n (1 over Z and Z/m),
+    reduced mod n over Q/Z and mod m over Z/m; or None without a
+    solution.  Every product is on integers.
     """
     diag = fac.diag
     r = len(diag)
-    rational = ring in ("Q", "Q/Z")
-    if rational:
-        den = lcm(*(bi.denominator for bi in b))
-        b = [bi.numerator * (den // bi.denominator) for bi in b]
-        m = den if ring == "Q/Z" else 0
-    else:
-        m = 0 if ring == "Z" else ring
+    m = den if ring == "Q/Z" else ring if type(ring) is int else 0
     t = fac.u_times(b)
     if any(tj % m if m else tj for tj in t[r:]):
         return None
-    if rational:
+    if ring in ("Q", "Q/Z"):
         scale = lcm(*diag)
         y = [tj * (scale // sj) for tj, sj in zip(t, diag)]
         den *= scale
@@ -87,10 +79,7 @@ def _back_substitute(fac, b, ring):
     x = fac.v_times(y + [0] * (len(fac.col_at) - r))
     if m:
         x = [xi % m for xi in x]
-    if not rational:
-        return x
-    zero = Fraction(0)
-    return [Fraction(xi, den) if xi else zero for xi in x]
+    return x, den
 
 
 def factor(rows, ncols):
@@ -116,11 +105,24 @@ def solve(rows, b, ring, ncols):
     taken mod m), "Q" (rational x) or "Q/Z" (rational x with the equations
     taken mod 1, entries reduced into [0, 1)).  The representative is the
     canonical one of Smith back-substitution: free coordinates of the
-    diagonalized system are zero.
+    diagonalized system are zero.  Over Q and Q/Z, b holds ints or
+    Fractions and x Fractions: b is cleared to numerators over the lcm of
+    its denominators, and each nonzero numerator of the solution becomes
+    one Fraction, the zeros one shared ``Fraction(0)``.
     """
     if ring not in ("Z", "Q", "Q/Z") and not (type(ring) is int and ring > 1):
         raise ValueError(f"unknown ring {ring!r}; expected 'Z', 'Q', 'Q/Z' or an int m > 1")
-    return _back_substitute(factor(rows, ncols), b, ring)
+    fac = factor(rows, ncols)
+    if ring not in ("Q", "Q/Z"):
+        sol = _back_substitute(fac, b, ring)
+        return None if sol is None else sol[0]
+    (num,), den = _numerators(dict(enumerate(b)))
+    sol = _back_substitute(fac, list(num.values()), ring, den)
+    if sol is None:
+        return None
+    x, n = sol
+    zero = Fraction(0)
+    return [Fraction(xi, n) if xi else zero for xi in x]
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +193,14 @@ class FgAbelianGroup:
         return GroupElement(self, tuple(coords))
 
     def split(self, values):
-        """Per coefficient factor, the {key: int coordinate} map of ``values``."""
-        return [{s: v.coords[j] for s, v in values.items()} for j in range(self.rank)]
+        """(maps, 1): per coefficient factor, the {key: int coordinate} map
+        of ``values``, over the denominator 1."""
+        return [{s: v.coords[j] for s, v in values.items()} for j in range(self.rank)], 1
 
-    def split_over(self, values):
-        """``split(values)``, already integral: the maps over the denominator 1."""
-        return self.split(values), 1
-
-    def join(self, maps):
+    def join(self, maps, n):
         """The {key: element} map with coordinate j taken from ``maps[j]``
-        (missing keys are 0), reduced mod each modulus, zeros dropped."""
+        (missing keys are 0), reduced mod each modulus, zeros dropped; the
+        int maps are over n = 1."""
         rank = self.rank
         coords = {}
         for j, (raw, m) in enumerate(zip(maps, self.moduli)):
@@ -211,10 +211,6 @@ class FgAbelianGroup:
                     coords.setdefault(s, [0] * rank)[j] = c
         trusted = GroupElement._trusted
         return {s: trusted(self, tuple(cs)) for s, cs in coords.items()}
-
-    def join_over(self, maps, n):
-        """``join(maps)``; the int maps of ``split_over`` are over n = 1."""
-        return self.join(maps)
 
     def elements(self):
         if not self.is_finite():
@@ -306,29 +302,13 @@ class CircleGroup:
         return CircleElement(_exact_rational(value, self))
 
     def split(self, values):
-        """The {key: Fraction in [0, 1)} map of ``values``, as a list of one."""
-        return [{s: v.value for s, v in values.items()}]
-
-    def split_over(self, values):
         """([{key: int}], n): the values' numerators over n, the lcm of
         their denominators."""
         return _numerators({s: v.value for s, v in values.items()})
 
-    def join(self, maps):
-        """The {key: element} map of the one Fraction map, reduced mod 1,
-        zeros dropped."""
-        (raw,) = maps
-        trusted = CircleElement._trusted
-        out = {}
-        for s, x in raw.items():
-            x %= 1
-            if x:
-                out[s] = trusted(x)
-        return out
-
-    def join_over(self, maps, n):
-        """``join`` of the one int map over n: each value is reduced mod n
-        and only the ones n does not divide become Fractions."""
+    def join(self, maps, n):
+        """The {key: element} map of the one int map over n: each value is
+        reduced mod n and only the ones n does not divide become Fractions."""
         (raw,) = maps
         trusted = CircleElement._trusted
         out = {}
@@ -407,20 +387,11 @@ class RationalGroup:
         return _exact_rational(value, self)
 
     def split(self, values):
-        """``values`` itself, as a list of one map; callers only read it."""
-        return [values]
-
-    def split_over(self, values):
         """([{key: int}], n): the values' numerators over n, the lcm of
         their denominators."""
         return _numerators(values)
 
-    def join(self, maps):
-        """The one Fraction map without its zeros."""
-        (raw,) = maps
-        return {s: x for s, x in raw.items() if x}
-
-    def join_over(self, maps, n):
+    def join(self, maps, n):
         """The one int map over n as Fractions, zeros dropped."""
         (raw,) = maps
         return {s: Fraction(x, n) for s, x in raw.items() if x}
@@ -633,8 +604,8 @@ class Homomorphism:
         """The canonical domain element mapping to el, or None off the image."""
         if el.group != self.codomain:
             raise GroupMismatch("element not in the codomain")
-        x = _back_substitute(self._factored, el.coords, "Z")
-        return None if x is None else GroupElement(self.domain, tuple(x[: self.domain.rank]))
+        sol = _back_substitute(self._factored, el.coords, "Z")
+        return None if sol is None else GroupElement(self.domain, tuple(sol[0][: self.domain.rank]))
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,13 @@ on arbitrary orderings applies the alternating sign on demand, the single
 sign convention the whole library is built on.
 
 Every operation runs one path for Z, Z/m, Q and Q/Z.  The coefficient
-group splits the values into one map of plain numbers per coefficient
-ring (``rings``: an int m for Z/m, "Z", "Q" or "Q/Z"), the operation
-works on those maps (face sums, one back-substitution per ring, products)
-and the group joins the results back into reduced, nonzero elements.
-The plain numbers are ints for an fg group and Fractions over Q and Q/Z,
-except in ``coboundary``: there every group splits into ints over one
-denominator (``split_over``: Q and Q/Z values as numerators over the lcm
-N of their denominators, fg coordinates over 1), the face sums run on
-those ints, and ``join_over`` forms one Fraction per sum that N does not
-divide (over Q, that is not zero).
+group splits the values into one map of ints per coefficient ring
+(``rings``: an int m for Z/m, "Z", "Q" or "Q/Z"), all over one
+denominator n: the coordinates of an fg group over 1, Q and Q/Z values
+as numerators over the lcm of their denominators.  The operation works
+on those ints (face sums, one back-substitution per ring, products) and
+the group joins the results, over their denominator, back into reduced,
+nonzero elements.
 """
 
 from __future__ import annotations
@@ -178,19 +175,18 @@ def _face_sums(simps, raw):
 def coboundary(x):
     """(delta x)(i_0..i_{p+1}) = sum_j (-1)^j x(i_0..îj..i_{p+1}).
 
-    The sums run on integers over one denominator n, per ring: the
-    coordinates per factor (n = 1), and over Q and Q/Z the numerators of
-    the values over n, the lcm of their denominators.  They are reduced
-    once, by ``join_over``, which makes a Fraction only of a sum that is
-    not zero (over Q) or not divisible by n (over Q/Z).
+    The sums run on the split ints of each ring, over their one
+    denominator n, and are reduced once by ``join``, which makes a
+    Fraction only of a sum that is not zero (over Q) or not divisible by
+    n (over Q/Z).
     """
     simps = x.carrier.simplices_of_dim(x.degree + 1)
     g = x.group
     if not simps:
         return Cochain._trusted(x.carrier, x.degree + 1, g, {})
-    maps, n = g.split_over(x.values)
+    maps, n = g.split(x.values)
     sums = [_face_sums(simps, raw) for raw in maps]
-    return Cochain._trusted(x.carrier, x.degree + 1, g, g.join_over(sums, n))
+    return Cochain._trusted(x.carrier, x.degree + 1, g, g.join(sums, n))
 
 
 def _require_cocycle(x):
@@ -199,8 +195,10 @@ def _require_cocycle(x):
 
 
 def _vectors(x, simps):
-    """Per coefficient ring, the vector of x's plain values on simps."""
-    return [[raw.get(s, 0) for s in simps] for raw in x.group.split(x.values)]
+    """(vectors, n): per coefficient ring, the int vector of x's values on
+    simps, over the one denominator n of ``split``."""
+    maps, n = x.group.split(x.values)
+    return [[raw.get(s, 0) for s in simps] for raw in maps], n
 
 
 def is_coboundary(x):
@@ -230,14 +228,18 @@ def is_coboundary(x):
     cols = x.carrier.simplices_of_dim(p - 1)
     fac = x.carrier.factored_coboundary(p - 1)
     g = x.group
+    vecs, n = _vectors(x, rows)
+    # every fg factor is solved over 1; Q and Q/Z have one ring
+    den = n
     sols = []
-    for ring, vec in zip(g.rings, _vectors(x, rows)):
-        sol = abelian._back_substitute(fac, vec, ring)
+    for ring, vec in zip(g.rings, vecs):
+        sol = abelian._back_substitute(fac, vec, ring, n)
         if sol is None:
             _require_cocycle(x)
             return None
-        sols.append(dict(zip(cols, sol)))
-    return Cochain._trusted(x.carrier, p - 1, g, g.join(sols))
+        vec, den = sol
+        sols.append(dict(zip(cols, vec)))
+    return Cochain._trusted(x.carrier, p - 1, g, g.join(sols, den))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +286,7 @@ class CohomologyClasses:
             raise GroupMismatch(
                 f"a {x.group} cochain has no class with {self.coefficients} coefficients"
             )
-        return self._coords(_vectors(x, self.carrier.simplices_of_dim(self.degree)))
+        return self._coords(_vectors(x, self.carrier.simplices_of_dim(self.degree))[0])
 
     def _coords(self, vectors):
         """Class coordinates of a cocycle given as one integer vector per
@@ -309,7 +311,7 @@ class CohomologyClasses:
         g = self.coefficients
         out = []
         for per_factor in self._generator_vectors():
-            values = g.join([dict(zip(simps, v)) for v in per_factor])
+            values = g.join([dict(zip(simps, v)) for v in per_factor], 1)
             out.append(Cochain._trusted(self.carrier, self.degree, g, values))
         return out
 
@@ -381,14 +383,14 @@ def cup(a, b):
 
     (a cup b)(i_0..i_{p+q}) = a(i_0..i_p) * b(i_p..i_{p+q}); satisfies
     the Leibniz rule delta(a cup b) = delta a cup b + (-1)^p a cup
-    delta b.  The products run on the plain values of the one ring of
-    each side and the target joins them.
+    delta b.  The products run on the split ints of the one ring of
+    each side, over na and nb, and the target joins them over na * nb.
     """
     if a.carrier is not b.carrier and a.carrier != b.carrier:
         raise GroupMismatch("cup of cochains on different carriers")
     target = _cup_target(a.group, b.group)
-    (fa,) = a.group.split(a.values)
-    (fb,) = b.group.split(b.values)
+    (fa,), na = a.group.split(a.values)
+    (fb,), nb = b.group.split(b.values)
     p, q = a.degree, b.degree
     out = {}
     for s in a.carrier.simplices_of_dim(p + q):
@@ -399,7 +401,7 @@ def cup(a, b):
         if vb is None:
             continue
         out[s] = va * vb
-    return Cochain._trusted(a.carrier, p + q, target, target.join([out]))
+    return Cochain._trusted(a.carrier, p + q, target, target.join([out], na * nb))
 
 
 # ---------------------------------------------------------------------------

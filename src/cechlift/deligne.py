@@ -393,6 +393,11 @@ class DelignePackage:
 
     def validate(self):
         d = self.degree
+        if d < 1:
+            raise DegreeMismatch("packages need classifying degree >= 1")
+        for q in self.layers:
+            if q not in range(d):
+                raise DegreeMismatch(f"layer {q} is outside 0..{d - 1}")
         if self.cocycle.degree != d or self.cocycle.group != CIRCLE:
             raise NotACocycle("classifying cocycle has the wrong shape")
         if not coboundary(self.cocycle).is_zero():
@@ -469,11 +474,10 @@ def curvature(pkg):
                 clashes.append(s)
     if clashes:
         raise NotACocycle(f"curvature does not glue at {min(clashes)}")
-    values = {s: Fraction(v, n) for s, v in glued.items() if v}
-    out = Cochain._trusted(pkg.cover.base, d + 1, QQ, values)
-    if not coboundary(out).is_zero():
+    base = pkg.cover.base
+    if _face_sums(base.simplices_of_dim(d + 2), glued):
         raise NotACocycle("curvature is not closed")
-    return out
+    return Cochain._trusted(base, d + 1, QQ, QQ.join([glued], n))
 
 
 def characteristic_form(pkg, power):
@@ -493,12 +497,8 @@ def pair(x, z):
         raise GroupMismatch(f"only a Q cochain pairs with a chain, not a {x.group} one")
     if x.degree != z.degree:
         raise DegreeMismatch("pairing a cochain and chain of different degrees")
-    total = Fraction(0)
-    for s, coeff in z.coefficients.items():
-        v = x.values.get(s)
-        if v is not None:
-            total += coeff * v
-    return total
+    (num,), n = QQ.split(x.values)
+    return Fraction(sum(coeff * num.get(s, 0) for s, coeff in z.coefficients.items()), n)
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +533,9 @@ def add_global_datum(pkg, f):
     no other layer moves."""
     if f.degree != pkg.degree - 1 or f.group != QQ:
         raise DegreeMismatch("global gauge datum must be a rational (d-1)-cochain")
-    shift = _epsilon(pkg.nerve, pkg.degree, coboundary(f).values)
-    shift = DoubleCochain(pkg.cover, pkg.nerve, 0, pkg.degree, shift)
+    (num,), n = QQ.split(f.values)
+    shift = _epsilon(pkg.nerve, pkg.degree, _face_sums(f.carrier.simplices_of_dim(pkg.degree), num))
+    shift = DoubleCochain._trusted(pkg.cover, pkg.nerve, 0, pkg.degree, shift, n)
     layers = dict(pkg.layers)
     layers[0] = layers[0] + shift
     out = DelignePackage(pkg.cover, pkg.nerve, pkg.degree, pkg.cocycle, layers)
@@ -619,29 +620,21 @@ class HolonomyTrivialization:
                 raise NotACocycle(f"trivialization equation fails at layer {q}")
         dens = [self.potentials[q].den for q in range(d)]
         n = lcm(_package_denominator(pkg), self.residual.den, *dens)
-        _check_trivialization(
-            pkg.nerve,
-            d,
-            {q: pkg.layers[q]._over(n) for q in range(d)},
-            {q: self.potentials[q]._over(n) for q in range(d)},
-            self.residual._over(n),
-        )
+        nrv = pkg.nerve
+        prev = None
+        # A^(q) = delta v^(q-1) + D v^(q) for every q, and D residual = 0,
+        # on numerators over n
+        for q in range(d):
+            v = self.potentials[q]._over(n)
+            rhs = _d(nrv, d - q - 1, v)
+            if prev is not None:
+                rhs = _add(rhs, _delta(nrv, q - 1, prev))
+            if pkg.layers[q]._over(n) != rhs:
+                raise NotACocycle(f"trivialization equation fails at layer {q}")
+            prev = v
+        if _d(nrv, 0, self.residual._over(n)):
+            raise NotACocycle("holonomy residual is not locally constant")
         return True
-
-
-def _check_trivialization(nerve_, d, layers, potentials, residual):
-    """A^(q) = delta v^(q-1) + D v^(q) for every q, and D residual = 0,
-    on numerators over one denominator."""
-    prev = None
-    for q in range(d):
-        rhs = _d(nerve_, d - q - 1, potentials[q])
-        if prev is not None:
-            rhs = _add(rhs, _delta(nerve_, q - 1, prev))
-        if layers[q] != rhs:
-            raise NotACocycle(f"trivialization equation fails at layer {q}")
-        prev = potentials[q]
-    if _d(nerve_, 0, residual):
-        raise NotACocycle("holonomy residual is not locally constant")
 
 
 def _solve_local_d(inter, q, rhs_local, shuffle=None):
@@ -697,28 +690,32 @@ def _smith_solve_local_d(inter, q, rhs_local, shuffle=None):
     intersection keeps (``factored_coboundary``, built by the goodness
     check).
 
-    An intersection that passed the goodness check is acyclic over Z, so
-    every invariant factor of D is 1 and an int right side has an
-    integral solution, returned as ints; anything else is refused.  A
+    The right side is split into numerators over one denominator and
+    solved over Q on them.  An intersection that passed the goodness
+    check is acyclic over Z, so every invariant factor of D is 1 and an
+    int right side has an integral solution, returned as ints; anything
+    else is refused.  A Fraction right side gets a Fraction solution.  A
     ``shuffle`` adds V y to the canonical solution, y a seeded integer
     vector on the free positions: the columns of V past the rank span
     the kernel of D.
     """
     simps = inter.simplices_of_dim(q)
     fac = inter.factored_coboundary(q)
-    b = [rhs_local.get(s, 0) for s in inter.simplices_of_dim(q + 1)]
-    sol = abelian._back_substitute(fac, b, "Q")
+    (num,), den = QQ.split(rhs_local)
+    b = [num.get(s, 0) for s in inter.simplices_of_dim(q + 1)]
+    sol = abelian._back_substitute(fac, b, "Q", den)
     if sol is None:
         raise CoverNotGoodOnV("local solve failed on a supposedly acyclic piece")
+    x, n = sol
     if shuffle is not None:
         r = len(fac.diag)
         y = [0] * r + [shuffle.randint(-2, 2) for _ in range(len(simps) - r)]
-        sol = [x + k for x, k in zip(sol, fac.v_times(y))]
-    if all(type(x) is int for x in b):
-        if any(x.denominator != 1 for x in sol):
-            raise CoverNotGoodOnV("local solve over Q is not integral on a supposedly acyclic piece")
-        sol = [x.numerator for x in sol]
-    return {s: x for s, x in zip(simps, sol) if x}
+        x = [xi + n * k for xi, k in zip(x, fac.v_times(y))]
+    if any(type(v) is not int for v in rhs_local.values()):
+        return QQ.join([dict(zip(simps, x))], n)
+    if any(xi % n for xi in x):
+        raise CoverNotGoodOnV("local solve over Q is not integral on a supposedly acyclic piece")
+    return {s: xi // n for s, xi in zip(simps, x) if xi}
 
 
 def _trivialize(pkg, shuffle=None):
@@ -741,6 +738,9 @@ def _trivialize(pkg, shuffle=None):
             local = _solve_local_d(nrv.intersection_of[t], d - q - 1, defect.get(t, {}), shuffle)
             if local:
                 out[t] = local
+        # D v^(q) = A^(q) - delta v^(q-1) is the trivialization equation at q
+        if _d(nrv, d - q - 1, out) != defect:
+            raise NotACocycle(f"trivialization equation fails at layer {q}")
         potentials[q] = prev = out
     residual = _add(_lift(nrv, pkg.cocycle, n), _delta(nrv, d - 1, prev), -1)
     if _d(nrv, 0, residual):
@@ -764,7 +764,6 @@ def _trivialize(pkg, shuffle=None):
     global_form = _collapse(pkg.cover.base, d, current, assign)
     if _add(current, gauge, -1) != _epsilon(nrv, d, global_form):
         raise NotACocycle("collapse did not reach a global cochain")
-    _check_trivialization(nrv, d, layers, potentials, residual)
     return n, potentials, residual, global_form
 
 
@@ -774,9 +773,9 @@ def holonomy_trivialization(pkg, shuffle=None):
     Stage q solves D v^(q) = A^(q) - delta v^(q-1) on every acyclic
     intersection; flatness of the restriction (top-degree vanishing of
     the curvature) makes stage 0 solvable and the descent equations make
-    every later defect D-closed.  The solves, the collapse and the
-    re-verification of the equations run on numerators over N; the
-    returned fields hold them in lowest terms.
+    every later defect D-closed.  The solves, the check of each stage's
+    equation D v^(q) = A^(q) - delta v^(q-1) and the collapse run on
+    numerators over N; the returned fields hold them in lowest terms.
     """
     n, potentials, residual, global_form = _trivialize(pkg, shuffle)
     d = pkg.degree
@@ -787,7 +786,7 @@ def holonomy_trivialization(pkg, shuffle=None):
             for q, x in potentials.items()
         },
         DoubleCochain._trusted(pkg.cover, pkg.nerve, d, 0, residual, n),
-        Cochain._trusted(pkg.cover.base, d, QQ, {s: Fraction(v, n) for s, v in global_form.items()}),
+        Cochain._trusted(pkg.cover.base, d, QQ, QQ.join([global_form], n)),
     )
 
 

@@ -10,7 +10,11 @@ plain coordinates and reduces once; both must give equal cochains.
 route per coefficient type: a branch per group class turns values into
 plain numbers (``_fg_vectors``) and back (``_elements``), and the cup
 product reads a table of seven declared products, each with its own
-multiplication.  The library runs one path for every group, through the
+multiplication.  ``is_coboundary`` factors the coboundary matrix anew
+and solves through the public ``abelian.solve`` over Z and Z/m, and over
+Q and Q/Z through ``conftest.oracle_fraction_back_substitute``, which
+takes every product on Fractions: it shares no denominator handling with
+the library.  The library runs one path for every group, through the
 group's ``split`` and ``join``; both must give equal witnesses,
 refusals, coordinates, generators and products.
 """
@@ -29,6 +33,8 @@ from cechlift.abelian import (
 )
 from cechlift.cochains import Cochain, zero_cochain
 from cechlift.errors import GroupMismatch, NoProduct, NotACocycle
+
+from conftest import oracle_fraction_back_substitute
 
 
 def coboundary(x):
@@ -95,21 +101,21 @@ def is_coboundary(x):
             return zero_cochain(x.carrier, -1, x.group) if x.is_zero() else None
         return zero_cochain(x.carrier, p - 1, x.group)
     cols = x.carrier.simplices_of_dim(p - 1)
-    fac = x.carrier.factored_coboundary(p - 1)
+    matrix = x.carrier.coboundary_matrix(p - 1)
     g = x.group
     get = x.values.get
     if isinstance(g, FgAbelianGroup):
         per_factor = [
-            abelian._back_substitute(fac, vec, m or "Z")
+            abelian.solve(matrix, vec, m or "Z", len(cols))
             for m, vec in zip(g.moduli, _fg_vectors(x, rows))
         ]
         sol = None if None in per_factor else zip(*per_factor)
     elif isinstance(g, CircleGroup):
-        sol = abelian._back_substitute(
-            fac, [v.value if (v := get(s)) is not None else 0 for s in rows], "Q/Z"
+        sol = oracle_fraction_back_substitute(
+            matrix, len(cols), [v.value if (v := get(s)) is not None else 0 for s in rows], "Q/Z"
         )
     elif isinstance(g, RationalGroup):
-        sol = abelian._back_substitute(fac, [get(s, 0) for s in rows], "Q")
+        sol = oracle_fraction_back_substitute(matrix, len(cols), [get(s, 0) for s in rows], "Q")
     else:
         raise GroupMismatch("unsupported coefficient group")
     if sol is None:

@@ -157,6 +157,18 @@ class TestSolveLinear:
     def test_exact_row_infeasible(self):
         assert _preimage([[2]], [1], _free(1)) is None
 
+    def test_back_substitution_mod_1_keeps_a_nonzero_multiple_of_den_past_the_rank(self):
+        """2 x = 1/2 and 2 x = 3/2 as numerators (1, 3) over 2: U b past the
+        rank is a nonzero multiple of 2, so the system solves mod 1, over
+        4 = 2 lcm(s_j), and not over Q."""
+        fac = abelian.factor([{0: 2}, {0: 2}], 1)
+        past = fac.u_times([1, 3])[len(fac.diag) :]
+        assert past and any(past) and all(tj % 2 == 0 for tj in past)
+        x, n = abelian._back_substitute(fac, [1, 3], "Q/Z", 2)
+        assert n == 4 and all(type(xi) is int and 0 <= xi < n for xi in x)
+        assert all((Fraction(2 * x[0], n) - Fraction(bi, 2)).denominator == 1 for bi in (1, 3))
+        assert abelian._back_substitute(fac, [1, 3], "Q", 2) is None
+
 
 class TestGroups:
     def test_invariant_factor_validation(self):

@@ -729,6 +729,40 @@ def test_a_failing_command_prints_no_report_and_writes_no_artifact(
     assert not os.path.exists(out)
 
 
+def _degree_zero(o):
+    """Degree 0, with the classifying cocycle 1/3 on every piece: a constant
+    0-cochain, so a cocycle."""
+    third = {"num": 1, "den": 3}
+    o["degree"] = 0
+    o["cocycle"].update(
+        degree=0, values=[{"indices": [i], "value": third} for i in range(len(o["cover"]["pieces"]))]
+    )
+
+
+#: Edits of ``flat_bundle.pkg`` whose classifying degree or layers do not
+#: fit, with the DegreeMismatch message each must give.
+BAD_PACKAGE_DEGREES = {
+    "degree-0": (_degree_zero, "packages need classifying degree >= 1"),
+    "layer-3": (
+        lambda o: o["layers"].append({"cech_degree": 3, "form_degree": 0, "values": []}),
+        "layer 3 is outside 0..0",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["curvature", "holonomy"])
+@pytest.mark.parametrize("case", sorted(BAD_PACKAGE_DEGREES))
+def test_a_package_degree_or_layer_out_of_range_is_a_degree_mismatch(
+    workdir, case, command, capsys, monkeypatch
+):
+    edit, message = BAD_PACKAGE_DEGREES[case]
+    args = [command, "@", "hexcycle.chn"] if command == "holonomy" else [command, "@"]
+    res = _run_on_edited_fixture(workdir, case, "flat_bundle.pkg", edit, args, capsys, monkeypatch)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == f"error [DegreeMismatch]: {message}\n"
+
+
 @pytest.mark.parametrize(
     "args, code, error",
     [

@@ -53,7 +53,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -558,6 +558,30 @@ def test_cup_equals_the_product_table_oracle(k, data):
                 cup(a, b)
             continue
         assert cup(a, b) == expected
+
+
+@SETTINGS
+@given(st.sampled_from(CUP_GROUPS), st.data())
+def test_split_gives_ints_over_one_denominator_that_join_inverts(group, data):
+    """``split`` gives one map of ints per ring over n: 1 for an fg group,
+    the lcm of the denominators over Q and Q/Z; ``join`` gives back the
+    values."""
+    if isinstance(group, FgAbelianGroup):
+        value = st.tuples(*(st.integers(-8, 8) for _ in group.moduli))
+    else:
+        value = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 12))
+    drawn = data.draw(st.dictionaries(st.integers(0, 20), value, max_size=8))
+    values = {k: group.element(v) for k, v in drawn.items()}
+    values = {k: v for k, v in values.items() if not abelian.is_zero_value(group, v)}
+    maps, n = group.split(values)
+    assert len(maps) == len(group.rings)
+    assert all(type(x) is int for raw in maps for x in raw.values()) and type(n) is int
+    if isinstance(group, FgAbelianGroup):
+        assert n == 1
+    else:
+        fractions = [v.value if group == CIRCLE else v for v in values.values()]
+        assert n == lcm(*(x.denominator for x in fractions))
+    assert group.join(maps, n) == values
 
 
 small_systems = st.integers(1, 3).flatmap(

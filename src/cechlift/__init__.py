@@ -24,12 +24,10 @@ from .cochains import (
     Cochain,
     CohomologyClasses,
     GoodnessReport,
-    cech_cohomology,
     coboundary,
     cohomology_classes,
     cup,
     is_coboundary,
-    simplicial_cohomology,
     verify_good_cover,
 )
 from .complexes import (
@@ -64,7 +62,6 @@ from .tower import (
     ObstructionSequence,
     TransitionCocycle,
     bockstein,
-    build_extension,
     giraud_obstruction,
     lift_transitions,
     tower_obstructions,

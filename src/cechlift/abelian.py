@@ -438,12 +438,6 @@ def _exact_rational(value, group):
 INTEGERS = FgAbelianGroup((0,))
 
 
-def is_zero_value(group, value):
-    if isinstance(group, RationalGroup):
-        return value == 0
-    return value.is_zero()
-
-
 # ---------------------------------------------------------------------------
 # presentations and canonical forms
 # ---------------------------------------------------------------------------

@@ -41,10 +41,6 @@ def _perm_sign_and_sort(indices):
     return tuple(idx), sign
 
 
-def _zero_of(group):
-    return group.zero()
-
-
 class Cochain:
     """A degree-p assignment of coefficient values to carrier p-simplices.
 
@@ -63,6 +59,7 @@ class Cochain:
         self.group = group
         vals = {}
         if values:
+            zero = group.zero()
             for s, v in values.items():
                 s = tuple(s)
                 if len(s) != self.degree + 1 or s not in carrier.simplices:
@@ -70,7 +67,7 @@ class Cochain:
                         f"{s} is not a degree-{self.degree} simplex of the carrier"
                     )
                 v = group.element(v)
-                if not abelian.is_zero_value(group, v):
+                if v != zero:
                     vals[s] = v
         self.values = vals
 
@@ -93,10 +90,10 @@ class Cochain:
         """Alternating-extension value on an arbitrary index tuple."""
         canon, sign = _perm_sign_and_sort(indices)
         if sign == 0:
-            return _zero_of(self.group)
+            return self.group.zero()
         v = self.values.get(canon)
         if v is None:
-            return _zero_of(self.group)
+            return self.group.zero()
         return v if sign == 1 else -v
 
     def is_zero(self):
@@ -113,13 +110,14 @@ class Cochain:
     def __add__(self, other):
         self._same_shape(other)
         out = dict(self.values)
+        zero = self.group.zero()
         for s, v in other.values.items():
             w = out.get(s)
             if w is None:
                 out[s] = v
             else:
                 w = w + v
-                if abelian.is_zero_value(self.group, w):
+                if w == zero:
                     del out[s]
                 else:
                     out[s] = w
@@ -149,10 +147,6 @@ class Cochain:
 
     def items(self):
         return sorted(self.values.items())
-
-
-def zero_cochain(carrier, degree, group):
-    return Cochain(carrier, degree, group)
 
 
 def _face_sums(simps, raw):
@@ -222,9 +216,9 @@ def is_coboundary(x):
         _require_cocycle(x)
         if p == 0:
             # only the zero 0-cochain is a coboundary, of the zero (-1)-cochain
-            return zero_cochain(x.carrier, -1, x.group) if x.is_zero() else None
+            return Cochain(x.carrier, -1, x.group) if x.is_zero() else None
         # without p-simplices x is zero
-        return zero_cochain(x.carrier, p - 1, x.group)
+        return Cochain(x.carrier, p - 1, x.group)
     cols = x.carrier.simplices_of_dim(p - 1)
     fac = x.carrier.factored_coboundary(p - 1)
     g = x.group
@@ -347,16 +341,6 @@ def cohomology_classes(carrier, coefficients, p):
     ]
     combine = abelian.canonical_presentation([o for per in orders for o in per if o != 1])
     return CohomologyClasses(carrier, p, coefficients, fac, tail, orders, combine)
-
-
-def cech_cohomology(nerve, coefficients, p):
-    """H^p of the nerve with constant fg coefficients."""
-    return cohomology_classes(nerve, coefficients, p).group
-
-
-def simplicial_cohomology(complex_, coefficients, p):
-    """H^p of a simplicial complex with constant fg coefficients."""
-    return cohomology_classes(complex_, coefficients, p).group
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,8 @@ dimension, sorted, on the first ``simplices_of_dim``, ``dim`` or
 never sorted.  The greedy collapse runs on a face graph of integer
 indices (``_collapse_graph``): the simplices in (dimension, tuple)
 order, the facet indices of each, and the count and xor of its coface
-indices.  The sorted certificate is kept and its graph dropped; the
-graph is kept only once a shuffled collapse has been asked for, so that
-repeated shuffled holonomies copy its counts instead of rebuilding it.
+indices.  Each collapse builds its own graph and drops it; only the
+sorted certificate is kept.
 ``nerve`` finds the pieces that meet a nerve simplex's intersection
 through an index of the pieces at each vertex.
 
@@ -101,9 +100,9 @@ def _greedy_collapse(graph, shuffle=None):
     count and the xor of each of its facets, so a free face's coface is
     its xor, and a removed face has count 0.  The pairs are returned in
     collapse order when a single vertex remains, and None otherwise.
+    The graph's counts and xors are used up.
     """
     simplices, faces, count, xor = graph
-    count, xor = count[:], xor[:]
     n = len(simplices)
     if shuffle is None:
         order = rank = range(n)
@@ -140,10 +139,7 @@ _UNBUILT = object()
 class SimplicialComplex:
     """A downward-closed set of strictly increasing vertex tuples."""
 
-    __slots__ = (
-        "vertex_count", "simplices", "_by_dim", "_factored", "_presented", "_collapse",
-        "_graph",
-    )
+    __slots__ = ("vertex_count", "simplices", "_by_dim", "_factored", "_presented", "_collapse")
 
     def __init__(self, vertex_count, simplices):
         vertex_count = operator.index(vertex_count)
@@ -180,7 +176,6 @@ class SimplicialComplex:
         self._factored = {}
         self._presented = {}
         self._collapse = _UNBUILT
-        self._graph = None
 
     def _dims(self):
         """The simplices grouped by dimension, sorted on first use and kept."""
@@ -201,20 +196,16 @@ class SimplicialComplex:
         A complex with a certificate is acyclic, and the pairs read in
         reverse are a chain contraction.  None when the greedy collapse
         stops early, which a complex that is not acyclic always does and
-        an acyclic one (the dunce hat) may.  The certificate of the
-        sorted order is built on first use and kept, and the face graph
-        it ran on (``_collapse_graph``) is dropped.  A ``shuffle`` (a
-        ``random.Random``) reorders the free faces of a fresh, unkept
-        certificate; the first one builds the face graph and keeps it in
-        ``_graph``, so that every later shuffled collapse only copies its
-        counts.
+        an acyclic one (the dunce hat) may.  Each collapse runs on a face
+        graph (``_collapse_graph``) built for it and dropped after.  The
+        certificate of the sorted order is built on first use and kept.  A
+        ``shuffle`` (a ``random.Random``) reorders the free faces of a
+        fresh certificate, which is not kept.
         """
         if shuffle is not None:
-            if self._graph is None:
-                self._graph = _collapse_graph(self)
-            return _greedy_collapse(self._graph, shuffle)
+            return _greedy_collapse(_collapse_graph(self), shuffle)
         if self._collapse is _UNBUILT:
-            self._collapse = _greedy_collapse(self._graph or _collapse_graph(self))
+            self._collapse = _greedy_collapse(_collapse_graph(self))
         return self._collapse
 
     def euler_characteristic(self):

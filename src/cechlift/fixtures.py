@@ -21,7 +21,7 @@ from .complexes import (
     validate_complex,
 )
 from .deligne import descent_chain
-from .tower import ExtensionTower, FiniteGroup, TransitionCocycle, build_extension
+from .tower import CentralExtension, ExtensionTower, FiniteGroup, TransitionCocycle
 
 
 def triangle_boundary():
@@ -192,68 +192,37 @@ def circle_flat_cocycle(nerve_, theta):
     return Cochain(nerve_, 1, CIRCLE, {(0, 1): CircleElement(theta)})
 
 
-def z2_z4_extension():
-    """The nonsplit extension of Z/2 by Z/2 with total group Z/4."""
-    z2 = FgAbelianGroup((2,))
-    zero, one = z2.zero(), z2.element((1,))
-    return build_extension(FiniteGroup.cyclic(2), z2, ((zero, zero), (zero, one)))
+def _carry_extensions(levels):
+    """The first ``levels`` extensions of the tower Z/2 -> Z/4 -> Z/8 -> ...
 
-
-def z4_z8_extension(ext1=None):
-    """Extension of the Z/4 total of z2_z4_extension with total Z/8.
-
-    The factor set is the carry cocycle pulled back along the pair
-    isomorphism (a, h) -> a + 2h.
+    Each level extends the cyclic group of order m reached so far by Z/2
+    with the carry factor set: 1 exactly where log x + log y >= m, for the
+    discrete log that takes the group to Z/m.  The total element (a, h)
+    has index 2a + h and log ``log[a] + m * h``, so the next level's log
+    is read off without a search.
     """
-    ext1 = ext1 if ext1 is not None else z2_z4_extension()
-    z2 = ext1.kernel
-    zero, one = z2.zero(), z2.element((1,))
+    z2 = FgAbelianGroup((2,))
+    carry = (z2.zero(), z2.element((1,)))
+    base, log = FiniteGroup.cyclic(2), [0, 1]
+    exts = []
+    for _ in range(levels):
+        m = base.order
+        fs = tuple(tuple(carry[log[x] + log[y] >= m] for y in range(m)) for x in range(m))
+        exts.append(CentralExtension(base, z2, fs))
+        base, log = exts[-1].total, [log[a] + m * h for a in range(m) for h in (0, 1)]
+    return exts
 
-    def phi(t):
-        a = ext1.project(t)
-        h = ext1.kernel_part(ext1.total.mul(t, ext1.total.inv(ext1.section(a))))
-        return a + 2 * h.coords[0]
 
-    n = ext1.total.order
-    fs = tuple(
-        tuple(one if phi(x) + phi(y) >= 4 else zero for y in range(n)) for x in range(n)
-    )
-    return build_extension(ext1.total, z2, fs)
+def z2_z4_extension():
+    """The nonsplit extension of Z/2 by Z/2 with total group Z/4: the
+    first level of ``z2_tower``."""
+    return _carry_extensions(1)[0]
 
 
 def z2_tower(levels=2):
-    """The tower Z/2 -> Z/4 -> Z/8 -> ... with Z/2 kernels throughout.
-
-    Each step pulls the carry cocycle back along a discrete logarithm of
-    the (cyclic) previous total group, taken at its first generator.
-    """
-    z2 = FgAbelianGroup((2,))
-    zero, one = z2.zero(), z2.element((1,))
-    exts = [z2_z4_extension()]
-    while len(exts) < levels:
-        total = exts[-1].total
-        m = total.order
-        gen = next(g for g in range(m) if _element_order(total, g) == m)
-        log = {total.identity: 0}
-        cur = total.identity
-        for k in range(1, m):
-            cur = total.mul(cur, gen)
-            log[cur] = k
-        fs = tuple(
-            tuple(one if (log[x] + log[y]) >= m else zero for y in range(m))
-            for x in range(m)
-        )
-        exts.append(build_extension(total, z2, fs))
-    return ExtensionTower(exts)
-
-
-def _element_order(group, g):
-    k = 1
-    cur = g
-    while cur != group.identity:
-        cur = group.mul(cur, g)
-        k += 1
-    return k
+    """The tower Z/2 -> Z/4 -> Z/8 -> ... of ``levels`` carry extensions,
+    each by Z/2; level 2 extends Z/4 to Z/8."""
+    return ExtensionTower(_carry_extensions(levels))
 
 
 def circle_double_cover_transitions(nerve_):

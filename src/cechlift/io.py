@@ -425,7 +425,7 @@ def extension_from_json(obj):
     if len(raw) != n or not all(isinstance(row, list) and len(row) == n for row in raw):
         raise FormatError(f"extension 'factor_set' must be {n} rows of {n} kernel elements")
     fs = [[element_from_json(kernel, v) for v in row] for row in raw]
-    return tower.build_extension(base, kernel, fs)
+    return tower.CentralExtension(base, kernel, fs)
 
 
 def tower_to_json(t):

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 from . import abelian
 from .abelian import FgAbelianGroup, GroupElement, Homomorphism, ShortExactSequence
-from .cochains import (
-    Cochain,
-    coboundary,
-    cohomology_classes,
-    is_coboundary,
-    zero_cochain,
-)
+from .cochains import Cochain, coboundary, cohomology_classes, is_coboundary
 from .errors import (
     GroupMismatch,
     NotAbelian,
@@ -62,6 +56,8 @@ class FiniteGroup:
             if identity is None:
                 raise ValueError("table has no identity")
         e = operator.index(identity)
+        if not 0 <= e < n:
+            raise ValueError(f"identity {e} is not an element of a group of order {n}")
         if any(table[e][b] != b or table[b][e] != b for b in range(n)):
             raise ValueError("claimed identity is not an identity")
         inverse = [None] * n
@@ -268,11 +264,6 @@ class CentralExtension:
     def with_kernel_offset(self, a, h):
         """The total element s(a) * embed(h) = (a, h)."""
         return a * self.kernel_size + self._kernel_index[h.coords]
-
-
-def build_extension(base, kernel, factor_set):
-    """Validated central extension; errors NotNormalized / NotACocycle2."""
-    return CentralExtension(base, kernel, factor_set)
 
 
 def split_extension(base, kernel):
@@ -620,7 +611,7 @@ def tower_obstructions(g, tower, witness_shifts=None):
             break
         zero = cohomology_classes(nerve_, ext.kernel, level + 1).group
         entries.append(
-            ObstructionEntry(zero_cochain(nerve_, level + 1, ext.kernel), zero, (0,) * zero.rank, level)
+            ObstructionEntry(Cochain(nerve_, level + 1, ext.kernel), zero, (0,) * zero.rank, level)
         )
         current = lifted
     else:

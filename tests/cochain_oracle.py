@@ -31,7 +31,7 @@ from cechlift.abelian import (
     GroupElement,
     RationalGroup,
 )
-from cechlift.cochains import Cochain, zero_cochain
+from cechlift.cochains import Cochain
 from cechlift.errors import GroupMismatch, NoProduct, NotACocycle
 
 from conftest import oracle_fraction_back_substitute
@@ -98,8 +98,8 @@ def is_coboundary(x):
     if p == 0 or not rows:
         _require_cocycle(x)
         if p == 0:
-            return zero_cochain(x.carrier, -1, x.group) if x.is_zero() else None
-        return zero_cochain(x.carrier, p - 1, x.group)
+            return Cochain(x.carrier, -1, x.group) if x.is_zero() else None
+        return Cochain(x.carrier, p - 1, x.group)
     cols = x.carrier.simplices_of_dim(p - 1)
     matrix = x.carrier.coboundary_matrix(p - 1)
     g = x.group

@@ -27,7 +27,7 @@ from cechlift.complexes import (
     nerve,
     validate_complex,
 )
-from cechlift.tower import FiniteGroup, build_extension, split_extension
+from cechlift.tower import CentralExtension, FiniteGroup, split_extension
 from snf_oracle import dense
 
 
@@ -395,7 +395,7 @@ def noncommutative_derived_extensions():
     }
     n = first.total.order
     fs = [[z2.element((h[t][0] * h[u][1],)) for u in range(n)] for t in range(n)]
-    return first, build_extension(first.total, z2, fs)
+    return first, CentralExtension(first.total, z2, fs)
 
 
 def symmetric_group_3():
@@ -457,11 +457,9 @@ def random_factor_set(rng, group, kernel):
 
 
 def random_extension(rng, max_base=6, max_kernel=4):
-    from cechlift.tower import build_extension
-
     base = random_finite_group(rng, max_base)
     kernel = random_kernel(rng, max_kernel)
-    return build_extension(base, kernel, random_factor_set(rng, base, kernel))
+    return CentralExtension(base, kernel, random_factor_set(rng, base, kernel))
 
 
 def coboundary_transitions(rng, nerve_, group):

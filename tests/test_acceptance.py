@@ -14,12 +14,10 @@ from cechlift import abelian, fixtures
 from cechlift.abelian import CIRCLE, CircleElement, FgAbelianGroup, GroupElement
 from cechlift.cochains import (
     Cochain,
-    cech_cohomology,
     coboundary,
     cohomology_classes,
     cup,
     is_coboundary,
-    simplicial_cohomology,
 )
 from cechlift.complexes import Chain, chain_boundary, nerve
 from cechlift.deligne import (
@@ -110,22 +108,22 @@ def test_criterion_02_cohomology_fixtures(hexagon, circle_nerve, bd3, rp2, rp2_c
         checks.append((label, actual.moduli == tuple(moduli)))
 
     # circle
-    expect(cech_cohomology(circle_nerve, Z, 1), (0,), "Cech H1(S1;Z)")
-    expect(simplicial_cohomology(hexagon, Z, 1), (0,), "H1(S1;Z)")
+    expect(cohomology_classes(circle_nerve, Z, 1).group, (0,), "Cech H1(S1;Z)")
+    expect(cohomology_classes(hexagon, Z, 1).group, (0,), "H1(S1;Z)")
     # boundary of the tetrahedron
-    expect(simplicial_cohomology(bd3, Z, 1), (), "H1(S2;Z)")
-    expect(simplicial_cohomology(bd3, Z, 2), (0,), "H2(S2;Z)")
+    expect(cohomology_classes(bd3, Z, 1).group, (), "H1(S2;Z)")
+    expect(cohomology_classes(bd3, Z, 2).group, (0,), "H2(S2;Z)")
     # projective plane
-    expect(simplicial_cohomology(rp2, Z2, 1), (2,), "H1(RP2;Z/2)")
-    expect(simplicial_cohomology(rp2, Z2, 2), (2,), "H2(RP2;Z/2)")
-    expect(simplicial_cohomology(rp2, Z, 2), (2,), "H2(RP2;Z)")
+    expect(cohomology_classes(rp2, Z2, 1).group, (2,), "H1(RP2;Z/2)")
+    expect(cohomology_classes(rp2, Z2, 2).group, (2,), "H2(RP2;Z/2)")
+    expect(cohomology_classes(rp2, Z, 2).group, (2,), "H2(RP2;Z)")
     _, rp2n = rp2_cover_nerve
-    expect(cech_cohomology(rp2n, Z2, 1), (2,), "Cech H1(RP2;Z/2)")
-    expect(cech_cohomology(rp2n, Z2, 2), (2,), "Cech H2(RP2;Z/2)")
-    expect(cech_cohomology(rp2n, Z, 2), (2,), "Cech H2(RP2;Z)")
+    expect(cohomology_classes(rp2n, Z2, 1).group, (2,), "Cech H1(RP2;Z/2)")
+    expect(cohomology_classes(rp2n, Z2, 2).group, (2,), "Cech H2(RP2;Z/2)")
+    expect(cohomology_classes(rp2n, Z, 2).group, (2,), "Cech H2(RP2;Z)")
     # torus via the 9-piece product cover
-    expect(cech_cohomology(torus_nerve, Z, 1), (0, 0), "Cech H1(T2;Z)")
-    expect(cech_cohomology(torus_nerve, Z, 2), (0,), "Cech H2(T2;Z)")
+    expect(cohomology_classes(torus_nerve, Z, 1).group, (0, 0), "Cech H1(T2;Z)")
+    expect(cohomology_classes(torus_nerve, Z, 2).group, (0,), "Cech H2(T2;Z)")
 
     # independent oracle (first-nonzero-pivot reduction, no transforms)
     def oracle_side(carrier, p):

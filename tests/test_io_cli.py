@@ -320,6 +320,25 @@ BAD_STRUCTURE = {
         lambda o: o["base"]["table"][1].__setitem__(1, 0.0),
         ["obstruct", "rp2.cov", "w1.trn", "@"],
     ),
+    # an identity outside range(order) is refused before any table lookup
+    "group-identity-past-the-order": (
+        "z2-z4.ext", lambda o: o["base"].update(identity=2), ["obstruct", "rp2.cov", "w1.trn", "@"]
+    ),
+    "group-identity-huge": (
+        "z2-z4.ext",
+        lambda o: o["base"].update(identity=2**70),
+        ["obstruct", "rp2.cov", "w1.trn", "@"],
+    ),
+    "group-identity-negative": (
+        "z2-z4.ext",
+        lambda o: o["base"].update(identity=-1, table=[[1, 0], [0, 1]]),
+        ["obstruct", "rp2.cov", "w1.trn", "@"],
+    ),
+    "group-of-order-zero": (
+        "z2-z4.ext",
+        lambda o: o.update(base={"kind": "finite_group", "identity": 0, "table": []}, factor_set=[]),
+        ["obstruct", "rp2.cov", "w1.trn", "@"],
+    ),
     "package-float-degree": (
         "flat_bundle.pkg", lambda o: o.update(degree=1.0), ["holonomy", "@", "hexcycle.chn"]
     ),

@@ -440,7 +440,7 @@ def _assert_reduced(group, values):
     lowest terms, as every Fraction is), a Q/Z value such a Fraction in
     (0, 1)."""
     for v in values.values():
-        assert not abelian.is_zero_value(group, v)
+        assert v != group.zero()
         if isinstance(group, FgAbelianGroup):
             assert all(0 <= c < m for c, m in zip(v.coords, group.moduli) if m)
         else:
@@ -572,7 +572,7 @@ def test_split_gives_ints_over_one_denominator_that_join_inverts(group, data):
         value = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 12))
     drawn = data.draw(st.dictionaries(st.integers(0, 20), value, max_size=8))
     values = {k: group.element(v) for k, v in drawn.items()}
-    values = {k: v for k, v in values.items() if not abelian.is_zero_value(group, v)}
+    values = {k: v for k, v in values.items() if v != group.zero()}
     maps, n = group.split(values)
     assert len(maps) == len(group.rings)
     assert all(type(x) is int for raw in maps for x in raw.values()) and type(n) is int
@@ -664,7 +664,7 @@ NERVES = (
 #: and the third level of the Z/2 tower (total Z/16).
 EXTENSIONS = (
     fixtures.z2_z4_extension(),
-    fixtures.z4_z8_extension(),
+    fixtures.z2_tower(2).extensions[1],
     fixtures.z2_tower(3).extensions[2],
 )
 
@@ -879,7 +879,7 @@ def test_an_empty_right_side_is_solved_by_zero_drawing_nothing(k, seed, shuffled
     for q in range(w.dim + 1):
         assert _solve_local_d(w, q, {}, rng if shuffled else None) == {}
     assert rng.getstate() == random.Random(seed).getstate()
-    assert w._collapse is _UNBUILT and w._graph is None and w._factored == {}
+    assert w._collapse is _UNBUILT and w._factored == {}
 
 
 @settings(max_examples=150, deadline=None)

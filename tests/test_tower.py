@@ -17,19 +17,20 @@ from cechlift.errors import (
     NotNormalized,
 )
 from cechlift.tower import (
+    CentralExtension,
     ExtensionTower,
     FiniteGroup,
     Obstruction,
     TransitionCocycle,
     abelian_invariants,
     bockstein,
-    build_extension,
     giraud_obstruction,
     lift_transitions,
     split_extension,
     tower_obstructions,
 )
 
+import tower_oracle
 from conftest import (
     coboundary_transitions,
     free_circle_transitions,
@@ -55,6 +56,18 @@ class TestFiniteGroup:
         with pytest.raises(ValueError):
             # associativity failure
             FiniteGroup(((0, 1, 2), (1, 0, 0), (2, 0, 1)))
+
+    @pytest.mark.parametrize(
+        "table, identity",
+        [(((0, 1), (1, 0)), 2), (((0, 1), (1, 0)), 2**70), (((1, 0), (0, 1)), -1), ((), 0)],
+        ids=["past-the-order", "huge", "negative", "empty-table"],
+    )
+    def test_an_identity_outside_the_table_is_refused(self, table, identity):
+        """An identity outside range(order) is refused by name, before any
+        table lookup, and a table with no rows has none."""
+        msg = f"identity {identity} is not an element of a group of order {len(table)}"
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            FiniteGroup(table, identity)
 
     def test_s3_not_abelian(self):
         assert not symmetric_group_3().is_abelian()
@@ -93,7 +106,7 @@ class TestCentralExtension:
         one = Z2.element((1,))
         zero = Z2.zero()
         with pytest.raises(NotNormalized):
-            build_extension(FiniteGroup.cyclic(2), Z2, ((zero, one), (zero, zero)))
+            CentralExtension(FiniteGroup.cyclic(2), Z2, ((zero, one), (zero, zero)))
 
     def test_cocycle_law_enforced(self):
         zero = FgAbelianGroup((3,)).zero()
@@ -103,7 +116,7 @@ class TestCentralExtension:
         bad = [[zero] * 3 for _ in range(3)]
         bad[1][1] = one
         with pytest.raises(NotACocycle2) as exc:
-            build_extension(l3, FgAbelianGroup((3,)), bad)
+            CentralExtension(l3, FgAbelianGroup((3,)), bad)
         assert len(exc.value.triple) == 3
 
     def test_kernel_is_central(self):
@@ -400,6 +413,23 @@ class TestTower:
         ses = tower.derived_sequence(1)
         assert ses.B.moduli == (4,)
         assert abelian_invariants(tower.extensions[1].total)[0].moduli == (8,)
+
+    def test_z2_z4_extension_is_the_carry_of_z2(self):
+        zero, one = Z2.zero(), Z2.element((1,))
+        assert fixtures.z2_z4_extension().factor_set == ((zero, zero), (zero, one))
+
+    @pytest.mark.parametrize("levels", range(1, 6))
+    def test_carry_tower_equals_the_search_oracle(self, levels):
+        """Each level's groups, factor set and derived sequence match the
+        tower built by generator search and power walk."""
+        tower, oracle = fixtures.z2_tower(levels), tower_oracle.z2_tower(levels)
+        for ext, want in zip(tower.extensions, oracle.extensions, strict=True):
+            assert ext.base == want.base and ext.total == want.total
+            assert ext.kernel == want.kernel and ext.factor_set == want.factor_set
+        for level in range(1, levels):
+            assert tower.derived_sequence(level) == oracle.derived_sequence(level)
+        for ext, build in zip(tower.extensions, tower_oracle.FIRST_LEVELS):
+            assert ext.factor_set == build().factor_set
 
     def test_three_level_tower(self):
         tower = fixtures.z2_tower(3)

@@ -35,7 +35,7 @@ from cechlift.complexes import (
 )
 from cechlift.deligne import DoubleCochain
 from cechlift.errors import InvalidComplex, InvalidCover, NotACocycle2, NotNormalized
-from cechlift.tower import FiniteGroup, TransitionCocycle, build_extension, split_extension
+from cechlift.tower import CentralExtension, FiniteGroup, TransitionCocycle, split_extension
 
 from conftest import klein_four, random_extension, random_factor_set
 
@@ -144,14 +144,14 @@ def test_cover_piece_outside_its_base_is_refused():
 
 def _carry_z4_by_z2z2():
     z4, z2z2 = FiniteGroup.cyclic(4), FgAbelianGroup((2, 2))
-    return build_extension(z4, z2z2, random_factor_set(random.Random(3), z4, z2z2))
+    return CentralExtension(z4, z2z2, random_factor_set(random.Random(3), z4, z2z2))
 
 
 #: name -> () -> a CentralExtension
 EXTENSIONS = {
     **{f"z2-tower-{i + 1}": (lambda i=i: fixtures.z2_tower(4).extensions[i]) for i in range(4)},
     "z2-z4": fixtures.z2_z4_extension,
-    "z4-z8": fixtures.z4_z8_extension,
+    "z4-z8": lambda: fixtures.z2_tower(2).extensions[1],
     "split-z3-by-z2z2": lambda: split_extension(FiniteGroup.cyclic(3), FgAbelianGroup((2, 2))),
     "split-v4-by-z2z4": lambda: split_extension(klein_four(), FgAbelianGroup((2, 4))),
     "carry-z4-by-z2z2": _carry_z4_by_z2z2,
@@ -184,7 +184,7 @@ def test_cocycle_failure_is_reported_at_the_first_triple(seed):
     expected = extension_oracle.first_cocycle_failure(base, fs)
     assert expected is not None
     with pytest.raises(NotACocycle2) as err:
-        build_extension(base, kernel, fs)
+        CentralExtension(base, kernel, fs)
     assert err.value.triple == expected
 
 
@@ -193,7 +193,7 @@ def test_non_normalized_factor_set_is_refused():
     fs = [list(row) for row in random_factor_set(random.Random(1), z4, z2z2)]
     fs[z4.identity][2] = z2z2.element((1, 0))
     with pytest.raises(NotNormalized, match="at 2"):
-        build_extension(z4, z2z2, fs)
+        CentralExtension(z4, z2z2, fs)
 
 
 def _circle_cover_and_nerve():

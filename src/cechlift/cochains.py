@@ -422,12 +422,12 @@ def verify_good_cover(cover, nerve_):
     factorizations W keeps (``factored_coboundary``), which is every
     degree: an intersection W is a subcomplex of the base, so H^q(W) = 0
     for q > dim(base).  That check also settles acyclic intersections
-    that do not collapse greedily.  Failure is a value, not an error.
+    that do not collapse greedily.  Failure is a value, not an error;
+    failures are reported in (simplex, degree) order.
     """
     max_degree = cover.base.dim + 1
     failures = []
-    for s in sorted(nerve_.simplices):
-        w = nerve_.intersection_of[s]
+    for s, w in nerve_.intersection_of.items():
         if w.collapse() is not None:
             continue
         # reduced H^q(W; Z) = Z^(n_q - rank d_q - rank d_{q-1}) + Z/s for
@@ -439,4 +439,5 @@ def verify_good_cover(cover, nerve_):
             h = FgAbelianGroup([d for d in diags[q] if d > 1] + [0] * free)
             if not h.is_trivial():
                 failures.append((s, q, h))
+    failures.sort(key=lambda f: f[:2])
     return GoodnessReport(max_degree, tuple(failures))

@@ -15,7 +15,9 @@ and the dual-block pieces of ``fixtures`` (subchains of face-poset
 chains are chains), ``validate_complex`` after its own checks, cover
 pieces read by ``io.cover_from_json`` (closures of faces checked against
 the base), and the support subcomplex of ``cechlift holonomy`` (the
-closure of a chain on the base).
+closure of a chain on the base).  Likewise ``Chain._trusted`` builds the
+boundary of a chain in ``chain_boundary``: the faces of a validated
+chain's simplices lie in its complex.
 
 A complex stores its simplices as a frozenset and groups them by
 dimension, sorted, on the first ``simplices_of_dim``, ``dim`` or
@@ -575,20 +577,40 @@ class Chain:
             out[s] = out.get(s, 0) + c
         return Chain(self.complex, self.degree, out)
 
+    @classmethod
+    def _trusted(cls, complex_, degree, coefficients):
+        """A chain that is valid by construction; nothing is checked.
+
+        Every key must be a degree-``degree`` simplex of ``complex_`` and
+        every coefficient a nonzero int.
+        """
+        self = cls.__new__(cls)
+        object.__setattr__(self, "complex", complex_)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coefficients", coefficients)
+        return self
+
     def items(self):
         return sorted(self.coefficients.items())
 
 
 def chain_boundary(chain):
-    """The alternating-face boundary of a chain."""
+    """The alternating-face boundary of a chain.
+
+    The faces of a chain's simplices lie in its complex, so the result is
+    built by ``Chain._trusted``; a vertex's only face is empty and adds
+    nothing.
+    """
     out = {}
     for s, c in chain.coefficients.items():
+        if len(s) < 2:
+            continue
         for j in range(len(s)):
             face = s[:j] + s[j + 1 :]
-            if face:
-                out[face] = out.get(face, 0) + (-1) ** j * c
-    out = {s: c for s, c in out.items() if c}
-    return Chain(chain.complex, chain.degree - 1, out)
+            out[face] = out.get(face, 0) + (-c if j & 1 else c)
+    return Chain._trusted(
+        chain.complex, chain.degree - 1, {s: c for s, c in out.items() if c}
+    )
 
 
 def fundamental_cycle(complex_, d, signs):

@@ -285,11 +285,9 @@ def _lift(nerve_, c, n):
     """n times the lift of a circle cocycle: each value's representative
     in [0, 1), spread over the vertices of its intersection."""
     out = {}
-    for t in nerve_.simplices_of_dim(c.degree):
-        v = c.values.get(t)
-        if v is not None:
-            rep = v.value.numerator * (n // v.value.denominator)
-            out[t] = {s: rep for s in nerve_.intersection_of[t].simplices_of_dim(0)}
+    for t, v in c.values.items():
+        rep = v.value.numerator * (n // v.value.denominator)
+        out[t] = dict.fromkeys(nerve_.intersection_of[t].simplices_of_dim(0), rep)
     return out
 
 
@@ -344,8 +342,7 @@ def _min_piece_assignment(cover, shuffle=None):
         shuffle.shuffle(order)
     # the first piece in order is written last, so it wins
     for i in reversed(order):
-        for s in cover.pieces[i].simplices:
-            assign[s] = i
+        assign.update(dict.fromkeys(cover.pieces[i].simplices, i))
     return assign
 
 
@@ -735,9 +732,12 @@ def _trivialize(pkg, shuffle=None):
         defect = layers[q] if prev is None else _add(layers[q], _delta(nrv, q - 1, prev), -1)
         out = {}
         for t in nrv.simplices_of_dim(q):
-            local = _solve_local_d(nrv.intersection_of[t], d - q - 1, defect.get(t, {}), shuffle)
-            if local:
-                out[t] = local
+            # an empty defect is solved by 0, drawing nothing from shuffle
+            rhs = defect.get(t)
+            if rhs:
+                local = _solve_local_d(nrv.intersection_of[t], d - q - 1, rhs, shuffle)
+                if local:
+                    out[t] = local
         # D v^(q) = A^(q) - delta v^(q-1) is the trivialization equation at q
         if _d(nrv, d - q - 1, out) != defect:
             raise NotACocycle(f"trivialization equation fails at layer {q}")
@@ -812,9 +812,10 @@ def holonomy(pkg, v, z, shuffle=None):
         raise NoFundamentalCycle(f"subcomplex has dimension {v.dim}, expected {d}")
     if z.degree != d:
         raise NoFundamentalCycle("cycle degree does not match the package")
-    for s in z.coefficients:
-        if not v.has_simplex(s):
-            raise NoFundamentalCycle(f"cycle supported outside the subcomplex at {s}")
+    if not z.coefficients.keys() <= v.simplices:
+        for s in z.coefficients:
+            if s not in v.simplices:
+                raise NoFundamentalCycle(f"cycle supported outside the subcomplex at {s}")
     if chain_boundary(z).coefficients:
         raise NoFundamentalCycle("chain is not a cycle")
     n, _, _, global_form = _trivialize(restrict_package(pkg, v), shuffle)

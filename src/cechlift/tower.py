@@ -300,8 +300,9 @@ class TransitionCocycle:
             if v != group.identity:
                 vals[(i, j)] = v
         self.g = vals
+        table, get, e = group.table, vals.get, group.identity
         for (i, j, k) in nerve_.simplices_of_dim(2):
-            if group.mul(self.value(i, j), self.value(j, k)) != self.value(i, k):
+            if table[get((i, j), e)][get((j, k), e)] != get((i, k), e):
                 raise NotACocycle(f"transition cocycle law fails on {(i, j, k)}")
 
     def value(self, i, j):
@@ -322,42 +323,46 @@ class TransitionCocycle:
 # the lifting obstruction
 # ---------------------------------------------------------------------------
 
-def _lift_value(g, ext, twist, i, j):
-    """The chosen lift of g_ij in the total group.
-
-    For canonical pairs the lift is s(g_ij) * embed(twist(g_ij)); the
-    opposite orientation uses the exact inverse, so lifts are fixed per
-    unordered pair.
-    """
-    if i < j:
-        a = g.value(i, j)
-        h = twist(a) if twist else None
-        return ext.with_kernel_offset(a, h) if h is not None else ext.section(a)
-    t = _lift_value(g, ext, twist, j, i)
-    return ext.total.inv(t)
+def _lift_value(ext, twist, a):
+    """The chosen lift s(a) * embed(twist(a)) of a base element a."""
+    h = twist(a) if twist else None
+    return ext.with_kernel_offset(a, h) if h is not None else ext.section(a)
 
 
 def giraud_obstruction(g, ext, section_twist=None):
     """The degree-2 kernel-valued cocycle c_ijk = ker(g~_ki g~_ij g~_jk).
 
+    Each canonical nerve edge (i < j) is lifted once, by ``_lift_value``;
+    the opposite orientation is the exact inverse in the total group, so
+    lifts are fixed per unordered pair.  Each triangle is then two
+    lookups in the total's table.  Its product lies over g_ki g_ij g_jk,
+    which is the identity by the cocycle law of g, so its kernel part is
+    read off the total index.
+
     ``section_twist`` optionally replaces the canonical section by
     s'(a) = (a, twist(a)) with twist(e) = 0, which is how the
-    choice-independence property is exercised.  The result is verified
-    to be a cocycle.
+    choice-independence property is exercised.  The transitions must
+    take values in the base of the extension, the twist must vanish on
+    the identity, and the result is verified to be a cocycle.
     """
     if g.group != ext.base:
         raise GroupMismatch("transition group differs from the extension base")
     if section_twist is not None and not section_twist(ext.base.identity).is_zero():
         raise NotNormalized("section twist must vanish on the identity")
-    total = ext.total
+    e = g.group.identity
+    lift = {
+        edge: _lift_value(ext, section_twist, g.g.get(edge, e))
+        for edge in g.nerve.simplices_of_dim(1)
+    }
+    table, inv = ext.total.table, ext.total.inverse
+    size = ext.kernel_size
+    parts = ext._kernel_elements
     values = {}
     for (i, j, k) in g.nerve.simplices_of_dim(2):
-        t = total.mul(
-            total.mul(_lift_value(g, ext, section_twist, k, i), _lift_value(g, ext, section_twist, i, j)),
-            _lift_value(g, ext, section_twist, j, k),
-        )
-        values[(i, j, k)] = ext.kernel_part(t)
-    c = Cochain(g.nerve, 2, ext.kernel, values)
+        h = table[table[inv[lift[(i, k)]]][lift[(i, j)]]][lift[(j, k)]] % size
+        if h:
+            values[(i, j, k)] = parts[h]
+    c = Cochain._trusted(g.nerve, 2, ext.kernel, values)
     if not coboundary(c).is_zero():
         raise NotACocycle("obstruction cochain failed the cocycle law")
     return c
@@ -393,11 +398,13 @@ def lift_transitions(g, ext, witness_shift=None):
     """Lift the transitions through the extension, or report the class.
 
     When the Giraud cocycle is a coboundary with witness y, the lift is
-    g'_ij = s(g_ij) * embed(-y_ij), re-validated against the nonabelian
-    cocycle law; it projects back to g exactly, and is the certificate
-    that the class vanishes.  Otherwise the obstruction class is returned;
-    it is nonzero, or ``NotACocycle`` is raised, since a cocycle the solve
-    refuses is not a coboundary.
+    g'_ij = s(g_ij) * embed(-y_ij), made once per canonical edge from the
+    stored values of g and y.  It is re-validated by the
+    ``TransitionCocycle`` constructor (edges, range and the nonabelian
+    cocycle law) and checked to project back to g exactly, and it is the
+    certificate that the class vanishes.  Otherwise the obstruction class
+    is returned; it is nonzero, or ``NotACocycle`` is raised, since a
+    cocycle the solve refuses is not a coboundary.
 
     ``witness_shift`` adds a kernel-valued 1-cocycle to the chosen
     witness, selecting a different valid trivialization (used by the
@@ -414,12 +421,18 @@ def lift_transitions(g, ext, witness_shift=None):
         if not coboundary(witness_shift).is_zero():
             raise NotACocycle("witness shift must be a cocycle")
         y = y + witness_shift
+    k = ext.kernel_size
+    e = g.group.identity
+    edges = g.nerve.simplices_of_dim(1)
     lifted = {}
-    for (i, j) in g.nerve.simplices_of_dim(1):
-        lifted[(i, j)] = ext.with_kernel_offset(g.value(i, j), -y.value((i, j)))
+    for edge in edges:
+        a = g.g.get(edge, e)
+        h = y.values.get(edge)
+        lifted[edge] = a * k if h is None else ext.with_kernel_offset(a, -h)
     out = TransitionCocycle(g.nerve, ext.total, lifted)
-    for (i, j) in g.nerve.simplices_of_dim(1):
-        if ext.project(out.value(i, j)) != g.value(i, j):
+    top = ext.total.identity
+    for edge in edges:
+        if out.g.get(edge, top) // k != g.g.get(edge, e):
             raise NotACocycle("lift does not project to the input transitions")
     return out
 
@@ -440,15 +453,13 @@ def bockstein(c, ses):
         raise GroupMismatch("cocycle coefficients differ from the quotient C")
     if not coboundary(c).is_zero():
         raise NotACocycle("bockstein input is not a cocycle")
-    lifted = Cochain(
-        c.carrier,
-        c.degree,
-        ses.B,
-        {s: ses.section(v) for s, v in c.values.items()},
+    # the section and the kernel part of a nonzero value are nonzero
+    lifted = Cochain._trusted(
+        c.carrier, c.degree, ses.B, {s: ses.section(v) for s, v in c.values.items()}
     )
     delta = coboundary(lifted)
     values = {s: ses.kernel_part(v) for s, v in delta.values.items()}
-    out = Cochain(c.carrier, c.degree + 1, ses.A, values)
+    out = Cochain._trusted(c.carrier, c.degree + 1, ses.A, values)
     if not coboundary(out).is_zero():
         raise NotACocycle("bockstein output failed the cocycle law")
     return out

@@ -782,6 +782,17 @@ def test_a_package_degree_or_layer_out_of_range_is_a_degree_mismatch(
     assert res.stderr == f"error [DegreeMismatch]: {message}\n"
 
 
+def test_a_chain_that_is_not_a_cycle_has_no_holonomy(workdir, capsys, monkeypatch):
+    """The hexagon cycle less one edge is a path: holonomy refuses it, so no
+    report (and no "boundary zero" line) is printed."""
+    res = _run_on_edited_fixture(
+        workdir, "open-path", "hexcycle.chn", lambda o: o["cells"].pop(),
+        ["holonomy", "flat_bundle.pkg", "@"], capsys, monkeypatch,
+    )
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == "error [NoFundamentalCycle]: chain is not a cycle\n"
+
+
 @pytest.mark.parametrize(
     "args, code, error",
     [

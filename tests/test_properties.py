@@ -16,10 +16,13 @@ random integer matrices and on coboundary matrices, whose sparse rows
 equal the face incidence term by term; the subdivision and the dual block
 cover against a brute-force enumeration of face-poset chains.  Giraud obstructions of random transition cocycles on
 the shipped nerves obey the cocycle law, and their classes do not depend
-on the section of the extension; a tower run, one lift per level, gives
-the entries and status of the class-first run in ``tower_oracle``, with
-and without witness shifts, and a lift is refused exactly when the
-Giraud class is nonzero.  A collapse certificate of a cover
+on the section of the extension; over random extensions (the
+non-abelian S3 and the Klein four-group among the bases), with and
+without a section twist, the Giraud cocycle and the lift equal the
+per-triangle construction of ``extension_oracle``; a tower run, one
+lift per level, gives the entries and status of the class-first run in
+``tower_oracle``, with and without witness shifts, and a lift is
+refused exactly when the Giraud class is nonzero.  A collapse certificate of a cover
 intersection implies the invariant factors find it acyclic, and its
 contraction solves D v = rhs exactly; an empty right side is solved by
 zero, on the dunce hat too, with nothing built and no number drawn from
@@ -121,11 +124,13 @@ from conftest import (
     oracle_goodness_failures,
     random_cochain,
     random_cover,
+    random_extension,
 )
 import cochain_oracle
 import collapse_oracle
 import cover_oracle
 import deligne_oracle
+import extension_oracle
 import snf_oracle
 import tower_oracle
 from snf_oracle import dense, sparse
@@ -680,18 +685,18 @@ def _order(group, a):
     return next(k for k in range(1, group.order + 1) if _power(group, a, k) == group.identity)
 
 
-@st.composite
-def transition_cocycles(draw, nrv, base):
+def random_transitions(randrange, nrv, base):
     """g_ij = h_i^-1 a^w(ij) h_j, w a random Z/ord(a) 1-cocycle, h a random gauge.
 
     w is a random combination of the generators of H^1(nerve; Z/ord(a)),
     so that nontrivial bundles are drawn as well as trivial ones.
+    ``randrange(n)`` draws each number in [0, n).
     """
-    a = draw(st.integers(0, base.order - 1))
+    a = randrange(base.order)
     d = _order(base, a)
     gens = cohomology_classes(nrv, FgAbelianGroup((d,)), 1).generators() if d > 1 else []
-    weights = [draw(st.integers(0, d - 1)) for _ in gens]
-    h = [draw(st.integers(0, base.order - 1)) for _ in nrv.cover.pieces]
+    weights = [randrange(d) for _ in gens]
+    h = [randrange(base.order) for _ in nrv.cover.pieces]
     values = {}
     for e in nrv.simplices_of_dim(1):
         w = sum(k * gen.value(e).coords[0] for k, gen in zip(weights, gens))
@@ -699,22 +704,63 @@ def transition_cocycles(draw, nrv, base):
     return TransitionCocycle(nrv, base, values)
 
 
+def _drawn(draw):
+    return lambda n: draw(st.integers(0, n - 1))
+
+
+@st.composite
+def transition_cocycles(draw, nrv, base):
+    return random_transitions(_drawn(draw), nrv, base)
+
+
+def random_twist(randrange, ext):
+    """A random normalized section twist: a kernel element per base
+    element, zero on the identity."""
+    twist = {a: ext.kernel.zero() for a in range(ext.base.order)}
+    for a in twist:
+        if a != ext.base.identity:
+            twist[a] = ext.kernel.element(tuple(randrange(m) for m in ext.kernel.moduli))
+    return twist.__getitem__
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(NERVES), st.sampled_from(EXTENSIONS), st.data())
 def test_giraud_obstruction_is_a_cocycle_whose_class_ignores_the_section(nrv, ext, data):
     g = data.draw(transition_cocycles(nrv, ext.base))
-    twist = {a: ext.kernel.zero() for a in range(ext.base.order)}
-    for a in twist:
-        if a != ext.base.identity:
-            twist[a] = ext.kernel.element(
-                tuple(data.draw(st.integers(0, m - 1)) for m in ext.kernel.moduli)
-            )
+    twist = random_twist(_drawn(data.draw), ext)
     c = giraud_obstruction(g, ext)
-    twisted = giraud_obstruction(g, ext, section_twist=twist.__getitem__)
+    twisted = giraud_obstruction(g, ext, section_twist=twist)
     assert coboundary(c).is_zero() and coboundary(twisted).is_zero()
     coords = obstruction_class(c).coords
     assert obstruction_class(twisted).coords == coords
     assert (is_coboundary(c) is None) == any(coords)
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["section", "twisted"])
+@pytest.mark.parametrize("nrv", NERVES, ids=["circle", "rp2", "torus"])
+def test_giraud_and_lift_equal_the_per_triangle_oracle(nrv, twisted):
+    """One lift per canonical edge on the total's table gives the cocycle of
+    three lifts per triangle, and the lift read through ``value``.
+
+    The inputs come from seeded generators, not shrinking draws, so that
+    the non-abelian S3 base of ``random_extension`` (seeds 0, 2, 6, 23)
+    meets transitions that do not commute.
+    """
+    for seed in range(30):
+        rng = random.Random(seed)
+        ext = random_extension(rng)
+        g = random_transitions(rng.randrange, nrv, ext.base)
+        twist = random_twist(rng.randrange, ext) if twisted else None
+        assert giraud_obstruction(g, ext, section_twist=twist) == (
+            extension_oracle.giraud_obstruction(g, ext, section_twist=twist)
+        ), seed
+        got, want = lift_transitions(g, ext), extension_oracle.lift_transitions(g, ext)
+        assert type(got) is type(want), seed
+        if isinstance(want, Obstruction):
+            assert got.cocycle == want.cocycle, seed
+            assert (got.cohomology, got.coords) == (want.cohomology, want.coords), seed
+        else:
+            assert (got.nerve, got.group, got.g) == (want.nerve, want.group, want.g), seed
 
 
 def _split_tower():

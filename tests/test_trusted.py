@@ -4,10 +4,15 @@ Complexes built by ``SimplicialComplex._trusted`` (nerves, their
 intersections, restrictions, star and product pieces, staircase
 products, barycentric subdivisions and their dual blocks, loaded cover
 pieces, ``validate_complex``) must pass the validating constructor
-unchanged.  Extension totals built on kernel indices must equal the
-``GroupElement``-built oracle in ``extension_oracle`` and pass the
-exhaustive ``FiniteGroup`` check.  The checks on outside input stay, and
-a caller's number that must be an integer is refused, not truncated.
+unchanged.  Boundaries built by ``Chain._trusted`` and the cochains
+``bockstein`` builds by ``Cochain._trusted`` must equal the ones the
+validating constructors build from their parts.  Extension totals built
+on kernel indices must equal the ``GroupElement``-built oracle in
+``extension_oracle`` and pass the exhaustive ``FiniteGroup`` check, and
+the transition cocycle law, checked on the table, must fail at the
+first triangle the ``value``-based check of the oracle finds.  The
+checks on outside input stay, and a caller's number that must be an
+integer is refused, not truncated.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from fractions import Fraction
 
 import pytest
 
-from cechlift import fixtures, io
+from cechlift import fixtures, io, tower
 from cechlift.abelian import INTEGERS, FgAbelianGroup, Homomorphism
 from cechlift.cochains import Cochain
 from cechlift.complexes import (
@@ -25,6 +30,7 @@ from cechlift.complexes import (
     Cover,
     Nerve,
     SimplicialComplex,
+    chain_boundary,
     downward_closure,
     fundamental_cycle,
     nerve,
@@ -34,10 +40,28 @@ from cechlift.complexes import (
     validate_complex,
 )
 from cechlift.deligne import DoubleCochain
-from cechlift.errors import InvalidComplex, InvalidCover, NotACocycle2, NotNormalized
-from cechlift.tower import CentralExtension, FiniteGroup, TransitionCocycle, split_extension
+from cechlift.errors import (
+    InvalidComplex,
+    InvalidCover,
+    NotACocycle,
+    NotACocycle2,
+    NotNormalized,
+)
+from cechlift.tower import (
+    CentralExtension,
+    FiniteGroup,
+    TransitionCocycle,
+    bockstein,
+    split_extension,
+)
 
-from conftest import klein_four, random_extension, random_factor_set
+from conftest import (
+    coboundary_transitions,
+    klein_four,
+    random_extension,
+    random_factor_set,
+    symmetric_group_3,
+)
 
 import extension_oracle
 
@@ -129,6 +153,73 @@ def test_trusted_complexes_pass_the_checks(name):
         assert_nerve_checked(nerve_v)
 
 
+def assert_chain_checked(c):
+    """c equals the chain the validating constructor builds from its parts."""
+    assert all(type(x) is int and x for x in c.coefficients.values())
+    assert c == Chain(c.complex, c.degree, dict(c.coefficients))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_chain_boundary_equals_the_checked_chain(degree, seed):
+    rng = random.Random(seed)
+    k = fixtures.rp2_minimal() if seed % 2 else fixtures.torus_product()[0]
+    simps = k.simplices_of_dim(degree)
+    picked = rng.sample(simps, min(len(simps), 8))
+    boundary = chain_boundary(Chain(k, degree, {s: rng.randint(-2, 2) for s in picked}))
+    assert boundary.degree == degree - 1
+    assert_chain_checked(boundary)
+
+
+def test_the_boundary_of_the_torus_cycle_is_the_checked_zero_chain():
+    torus = fixtures.torus_product()[0]
+    boundary = chain_boundary(fixtures.torus_cycle(torus))
+    assert boundary == Chain(torus, 1, {})
+    assert_chain_checked(boundary)
+
+
+def test_bockstein_cochains_equal_the_checked_ones(monkeypatch):
+    """Every cochain bockstein checks, the lift through the section and the
+    kernel part included, on the RP^2 orientation class up two levels."""
+    built = []
+    checked = tower.coboundary
+
+    def recording(x):
+        built.append(x)
+        return checked(x)
+
+    monkeypatch.setattr(tower, "coboundary", recording)
+    _, nrv = fixtures.rp2_good_cover()
+    seqs = [fixtures.z2_tower(3).derived_sequence(level) for level in (1, 2)]
+    c = fixtures.rp2_orientation_cocycle(nrv)
+    for ses in seqs:
+        c = bockstein(c, ses)
+    assert [(x.degree, x.group) for x in built] == [
+        (1, seqs[0].C), (1, seqs[0].B), (2, seqs[0].A),
+        (2, seqs[1].C), (2, seqs[1].B), (3, seqs[1].A),
+    ]
+    # only the last, a degree-3 cochain, is zero
+    assert all(x.values for x in built[:5])
+    for x in built:
+        assert x == Cochain(x.carrier, x.degree, x.group, x.values)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_broken_transition_cocycle_is_refused_at_the_first_triangle(seed):
+    rng = random.Random(seed)
+    nrv = fixtures.rp2_good_cover()[1] if seed % 2 else nerve(fixtures.torus_product()[1])
+    group = symmetric_group_3()
+    broken = dict(coboundary_transitions(rng, nrv, group).g)
+    i, j, k = rng.choice(nrv.simplices_of_dim(2))
+    edge = rng.choice([(i, j), (i, k), (j, k)])
+    broken[edge] = group.mul(broken.get(edge, group.identity), rng.randrange(1, group.order))
+    expected = extension_oracle.first_transition_failure(nrv, group, broken)
+    assert expected is not None
+    with pytest.raises(NotACocycle) as err:
+        TransitionCocycle(nrv, group, broken)
+    assert str(err.value) == f"transition cocycle law fails on {expected}"
+
+
 def test_validate_complex_refuses_a_vertex_past_the_count():
     with pytest.raises(InvalidComplex, match=r"vertex out of range in \(1, 5\)"):
         validate_complex([(0, 1), (5, 1)], vertex_count=4)
@@ -151,7 +242,6 @@ def _carry_z4_by_z2z2():
 EXTENSIONS = {
     **{f"z2-tower-{i + 1}": (lambda i=i: fixtures.z2_tower(4).extensions[i]) for i in range(4)},
     "z2-z4": fixtures.z2_z4_extension,
-    "z4-z8": lambda: fixtures.z2_tower(2).extensions[1],
     "split-z3-by-z2z2": lambda: split_extension(FiniteGroup.cyclic(3), FgAbelianGroup((2, 2))),
     "split-v4-by-z2z4": lambda: split_extension(klein_four(), FgAbelianGroup((2, 4))),
     "carry-z4-by-z2z2": _carry_z4_by_z2z2,

@@ -27,7 +27,7 @@ from .abelian import CIRCLE, FgAbelianGroup
 from .cochains import cohomology_classes, verify_good_cover
 from .complexes import SimplicialComplex, downward_closure, nerve, star_cover
 from .deligne import curvature, descent_chain, holonomy
-from .errors import CechliftError, FormatError
+from .errors import CechliftError, FormatError, GroupMismatch
 from .tower import ExtensionTower, bockstein, giraud_obstruction, obstruction_class, tower_obstructions
 
 
@@ -71,7 +71,7 @@ def cmd_cohomology(args, rep):
     kind = io.kind_of(obj)
     group = io.group_from_json(_load(args.group, "group"))
     if not isinstance(group, FgAbelianGroup):
-        raise CechliftError("cohomology needs finitely generated coefficients")
+        raise GroupMismatch("cohomology needs finitely generated coefficients")
     p = args.degree
     rep.append(f"input: {os.path.basename(args.space)} ({kind})")
     rep.append(f"coefficients: {group}")

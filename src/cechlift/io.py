@@ -295,9 +295,12 @@ def _moduli_group(obj, what):
 
 
 def group_from_json(obj):
-    if isinstance(obj, dict) and obj.get("circle"):
-        return CIRCLE
-    return _moduli_group(obj, "group")
+    circle = obj.get("circle", False) if isinstance(obj, dict) else False
+    if type(circle) is not bool:
+        raise FormatError(f"group 'circle' must be true or false, not {circle!r}")
+    if circle and "moduli" in obj:
+        raise FormatError("group: 'circle' true and 'moduli' are given together")
+    return CIRCLE if circle else _moduli_group(obj, "group")
 
 
 def element_to_json(v):

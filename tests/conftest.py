@@ -9,16 +9,11 @@ cases are additionally cross-checked against determinantal divisors.
 from __future__ import annotations
 
 import itertools
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 
-import cechlift
 from cechlift import abelian, fixtures
 from cechlift.complexes import (
     Cover,
@@ -29,45 +24,6 @@ from cechlift.complexes import (
 )
 from cechlift.tower import CentralExtension, FiniteGroup, split_extension
 from snf_oracle import dense
-
-
-# ---------------------------------------------------------------------------
-# the CLI in a child process
-# ---------------------------------------------------------------------------
-
-def cli_env():
-    """Environment in which a child imports the `cechlift` under test.
-
-    The CLI tests run the child in a temporary directory, where a relative
-    PYTHONPATH entry (such as ``src``) no longer points at the package. The
-    directory holding the imported package goes first; the inherited
-    entries follow, each made absolute.
-    """
-    env = dict(os.environ)
-    root = str(Path(cechlift.__file__).resolve().parents[1])
-    inherited = [
-        os.path.abspath(p)
-        for p in env.get("PYTHONPATH", "").split(os.pathsep)
-        if p
-    ]
-    env["PYTHONPATH"] = os.pathsep.join([root, *inherited])
-    return env
-
-
-def run_cli(args, cwd, timeout=None):
-    """Run ``python -m cechlift.cli *args`` in `cwd`, capturing its output.
-
-    A child still running after ``timeout`` seconds is killed and
-    ``subprocess.TimeoutExpired`` is raised.
-    """
-    return subprocess.run(
-        [sys.executable, "-m", "cechlift.cli", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env=cli_env(),
-        timeout=timeout,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,8 @@ from conftest import (
     random_cover,
     random_extension,
     random_fg_group,
-    run_cli,
 )
+from cli_cases import CASES, check, run
 
 Z = FgAbelianGroup((0,))
 Z2 = FgAbelianGroup((2,))
@@ -511,35 +511,19 @@ def test_criterion_09_holonomy(hexagon, torus_cover, torus_nerve):
 
 
 def test_criterion_10_cli_determinism(tmp_path):
-    for name in ("circle", "rp2"):
-        res = run_cli(["fixtures", name], tmp_path)
-        assert res.returncode == 0, res.stderr
-    cases = [
-        ["cohomology", "rp2.cplx", "z2.grp", "-p", "2"],
-        ["tower", "circle.cov", "dbl.trn", "z2-z4.twr"],
-        ["holonomy", "flat_bundle.pkg", "hexcycle.chn"],
-    ]
-    expected = ["H^2 = Z/2", "LiftedTo(1), classes: [0]", "holonomy = 1/3 (mod 1)"]
     problem = None
-    for args, needle in zip(cases, expected):
-        first = run_cli(args, tmp_path)
-        second = run_cli(args, tmp_path)
-        command = "cechlift " + " ".join(args)
-        failed = next((r for r in (first, second) if r.returncode != 0), None)
-        if failed is not None:
-            problem = (
-                f"`{command}` exited {failed.returncode}: {failed.stderr.strip()}"
-            )
-        elif first.stdout != second.stdout:
-            problem = f"`{command}` printed different reports on consecutive runs"
-        elif needle not in first.stdout:
-            problem = f"`{command}` report lacks {needle!r}"
-        if problem:
+    for name in ("cohomology-rp2-z2-p2", "tower-circle", "holonomy-circle"):
+        case = CASES[name]
+        try:
+            for run_number in (1, 2):
+                check(case, run(case, tmp_path / f"{name}-{run_number}"))
+        except AssertionError as exc:
+            problem = f"`cechlift {case.argv}` on run {run_number}: {exc}"
             break
     report(
         10,
         problem is None,
         problem
-        or "three example invocations produced byte-identical reports on "
-        "consecutive runs",
+        or "three example invocations reproduced their golden reports and "
+        "artifacts byte for byte on consecutive runs",
     )

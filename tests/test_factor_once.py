@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cechlift import abelian, cli, cochains, complexes, fixtures, kernels, tower
+from cechlift import abelian, cochains, complexes, fixtures, kernels, tower
 from cechlift.abelian import CIRCLE, QQ, FgAbelianGroup, Homomorphism, ShortExactSequence
 from cechlift.cochains import (
     Cochain,
@@ -47,7 +47,7 @@ from cechlift.errors import CoverNotGoodOnV, NotACocycle
 
 from conftest import dunce_hat, random_cochain
 from snf_oracle import dense, sparse
-from test_golden import CLI_CASES, FIXTURE_SETS
+from cli_cases import CASES, check, check_cases, run
 from test_properties import COEFFICIENTS
 from test_properties import complexes as small_complexes
 
@@ -511,28 +511,14 @@ def _some_elements(group):
     return [group.element((k,) * group.rank) for k in range(-3, 4)]
 
 
-@pytest.fixture(scope="module")
-def fixture_dir(tmp_path_factory):
-    d = tmp_path_factory.mktemp("fixtures")
-    for name in ("rp2", "circle"):
-        assert cli.main(["fixtures", name, "--out", str(d)]) == 0
-    return d
-
-
 @pytest.mark.parametrize(
-    "argv, budget",
-    [
-        (["bockstein", "w1.cochain", "z2z4z2.ses"], 4),
-        (["tower", "rp2.cov", "w1.trn", "rp2_tower.twr"], 4),
-        (["obstruct", "rp2.cov", "w1.trn", "z2-z4.ext"], 1),
-    ],
+    "name, budget",
+    [("bockstein-rp2", 4), ("tower-rp2", 4), ("obstruct-rp2", 1)],
     ids=["bockstein", "rp2-tower", "rp2-obstruct"],
 )
-def test_cli_example_smith_budget(fixture_dir, snf_calls, capsys, argv, budget):
+def test_cli_example_smith_budget(tmp_path, snf_calls, name, budget):
     """A README example factors each of its matrices once, end to end."""
-    del snf_calls[:]
-    args = [argv[0], *(str(fixture_dir / name) for name in argv[1:])]
-    assert cli.main(args) == 0, capsys.readouterr().err
+    check_cases(tmp_path, name)
     assert len(snf_calls) <= budget, snf_calls
 
 
@@ -573,16 +559,13 @@ def test_tower_builds_one_giraud_cocycle_per_level(monkeypatch, make_input, stat
     assert coords == class_degrees
 
 
-def test_no_dense_matrix_reaches_the_kernel(tmp_path, monkeypatch, snf_inputs, capsys):
+def test_no_dense_matrix_reaches_the_kernel(tmp_path, snf_inputs):
     """Every README example, run in process, and the exact sequences above
     (maps with zero entries among them) hand the Smith kernel only
     {column: value} rows of nonzero entries."""
-    monkeypatch.chdir(tmp_path)
-    for name in FIXTURE_SETS:
-        assert cli.main(["fixtures", name]) == 0
-    for case, args, artifact in CLI_CASES:
-        assert cli.main([*args, "--out", artifact]) == 0, case
-    capsys.readouterr()
+    for name, case in CASES.items():
+        if case.reads_golden():
+            check(case, run(case, tmp_path / name))
     for a, b, c, inject, project in _sequence_data().values():
         ShortExactSequence(a, b, c, Homomorphism(a, b, inject), Homomorphism(b, c, project))
     assert snf_inputs

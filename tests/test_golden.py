@@ -4,11 +4,14 @@
 
 - ``fixtures/``: every file the ``fixtures`` subcommand writes;
 - ``cli/<case>.stdout`` and ``cli/<case>.out``: the report and the
-  ``--out`` artifact of each README command-line example;
+  ``--out`` artifact of each README command-line example and a few more
+  runs;
 - ``representatives.json``: cohomology generators and class coordinates
   on the torus and RP^2 nerves, and one canonical ``is_coboundary``
   witness per coefficient ring on the torus nerve.
 
+The cases of ``tests/cli_cases.py`` compare the first two in the test
+process; the test here runs them again in a second interpreter.
 Refactors of the solvers and the Smith layer must leave all of these
 unchanged.  After an intended and declared output change, rewrite them
 with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -17,58 +20,35 @@ with ``PYTHONPATH=src python tests/test_golden.py``.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import cechlift
 from cechlift import fixtures
 from cechlift.abelian import CIRCLE, QQ, CircleElement, FgAbelianGroup, GroupElement
 from cechlift.cochains import Cochain, coboundary, cohomology_classes, is_coboundary
 from cechlift.complexes import nerve
 
-from conftest import run_cli
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
-FIXTURE_SETS = ("circle", "delta3", "rp2", "torus")
-
-#: (case name, CLI arguments, --out file name); run in this order, in
-#: one directory, so ``curvature`` reads the package ``descent`` wrote.
-CLI_CASES = (
-    ("cohomology-rp2-z2-p2", ["cohomology", "rp2.cplx", "z2.grp", "-p", "2"], "h2.grp"),
-    ("cohomology-torus-z-p1", ["cohomology", "torus.cov", "z.grp", "-p", "1"], "h1.grp"),
-    ("obstruct-rp2", ["obstruct", "rp2.cov", "w1.trn", "z2-z4.ext"], "c.cochain"),
-    ("tower-circle", ["tower", "circle.cov", "dbl.trn", "z2-z4.twr"], "circle.obs"),
-    ("tower-rp2", ["tower", "rp2.cov", "w1.trn", "rp2_tower.twr"], "rp2.obs"),
-    ("bockstein-rp2", ["bockstein", "w1.cochain", "z2z4z2.ses"], "b.cochain"),
-    ("descent-circle", ["descent", "circle.cov", "theta.cochain"], "built.pkg"),
-    ("curvature-built", ["curvature", "built.pkg"], "f.cochain"),
-    ("holonomy-circle", ["holonomy", "flat_bundle.pkg", "hexcycle.chn"], "circle.val"),
-    ("holonomy-torus", ["holonomy", "flat_gerbe.pkg", "torus_cycle.chn"], "torus.val"),
-    (
-        "cohomology-rp2-verify-full",
-        ["cohomology", "rp2.cplx", "z2.grp", "-p", "2", "--verify", "full"],
-        "h2full.grp",
-    ),
-)
+from cli_cases import CASES, GOLDEN, Golden, run
 
 
-def _write_fixtures(workdir):
-    for name in FIXTURE_SETS:
-        res = run_cli(["fixtures", name], workdir)
-        assert res.returncode == 0, res.stderr
-    return sorted(p.name for p in workdir.iterdir())
-
-
-def cli_outputs(workdir):
-    """(relative golden path, bytes) for every fixture and CLI case."""
-    workdir = Path(workdir)
-    out = [(f"fixtures/{name}", (workdir / name).read_bytes()) for name in _write_fixtures(workdir)]
-    for case, args, artifact in CLI_CASES:
-        res = run_cli([*args, "--out", artifact], workdir)
-        assert res.returncode == 0, f"{case}: {res.stderr}"
-        out.append((f"cli/{case}.stdout", res.stdout.encode()))
-        out.append((f"cli/{case}.out", (workdir / artifact).read_bytes()))
-    return out
+def cli_env():
+    """Environment in which a child run in another directory imports the
+    `cechlift` under test: its directory first, then the inherited
+    PYTHONPATH entries, each made absolute."""
+    env = dict(os.environ)
+    root = str(Path(cechlift.__file__).resolve().parents[1])
+    inherited = [
+        os.path.abspath(p)
+        for p in env.get("PYTHONPATH", "").split(os.pathsep)
+        if p
+    ]
+    env["PYTHONPATH"] = os.pathsep.join([root, *inherited])
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -138,15 +118,22 @@ def representatives():
 # ---------------------------------------------------------------------------
 
 def test_cli_reports_and_artifacts_match_golden(tmp_path):
-    outputs = cli_outputs(tmp_path)
-    expected = sorted(
-        p.relative_to(GOLDEN).as_posix()
-        for sub in ("fixtures", "cli")
-        for p in (GOLDEN / sub).iterdir()
+    """Every golden CLI file is read by a case, and every case that reads
+    one gives its bytes in a second interpreter, which imports this
+    checkout's ``cechlift``."""
+    read = {
+        g for case in CASES.values() for g in (case.stdout, *case.artifacts.values())
+        if isinstance(g, Golden)
+    }
+    assert read == {
+        p.relative_to(GOLDEN).as_posix() for sub in ("fixtures", "cli") for p in (GOLDEN / sub).iterdir()
+    }
+    res = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("cli_cases.py"))],
+        capture_output=True, text=True, cwd=tmp_path, env=cli_env(),
     )
-    assert sorted(rel for rel, _ in outputs) == expected
-    differing = [rel for rel, data in outputs if (GOLDEN / rel).read_bytes() != data]
-    assert not differing, f"output differs from tests/golden/ for {differing}"
+    assert (res.returncode, res.stderr) == (0, "")
+    assert Path(res.stdout.strip()) == Path(cechlift.__file__).resolve()
 
 
 def test_representatives_match_golden():
@@ -154,13 +141,17 @@ def test_representatives_match_golden():
 
 
 def _write_golden():
-    for sub in ("fixtures", "cli"):
-        (GOLDEN / sub).mkdir(parents=True, exist_ok=True)
-        for old in (GOLDEN / sub).iterdir():
-            old.unlink()
-    with tempfile.TemporaryDirectory() as workdir:
-        for rel, data in cli_outputs(workdir):
-            (GOLDEN / rel).write_bytes(data)
+    """Rewrite every golden file from the cases that read one, in table order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, case in CASES.items():
+            if not case.reads_golden():
+                continue
+            res = run(case, Path(tmp) / name)
+            assert res.code == 0, f"{name}: {res.stderr}"
+            if isinstance(case.stdout, Golden):
+                (GOLDEN / case.stdout).write_bytes(res.stdout.encode())
+            for path, golden in case.artifacts.items():
+                (GOLDEN / golden).write_bytes(res.after[path])
     (GOLDEN / "representatives.json").write_bytes(representatives())
 
 

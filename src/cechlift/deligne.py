@@ -12,6 +12,10 @@ The logarithm of a circle value is its canonical rational
 representative in [0, 1), so the Cech coboundary of a lifted
 classifying cocycle is integer-valued; holonomy is well defined mod 1
 because every collapse residue is integer-valued (asserted at runtime).
+The lift is constant on each intersection, so D lift(c) = 0: every
+layer ``descent_chain`` builds is zero, the top package equation reads
+delta A^(d-1) = 0, and D of the holonomy residual is -D delta v^(d-1).
+None of them computes D of the lift.
 
 The operators delta, D and the partition-of-unity contraction h are
 +-1 integer maps, so a DoubleCochain holds exactly what they compute
@@ -376,10 +380,11 @@ class DelignePackage:
     Layer q has Cech degree q and form degree (degree - q); the package
     equations are
 
-        delta A^(d-1) = D lift(c)
+        delta A^(d-1) = D lift(c) = 0
         D A^(q) = delta A^(q-1)       for 0 < q <= d-1
 
-    and delta c = 0 in Q/Z.  ``validate`` re-checks everything exactly.
+    and delta c = 0 in Q/Z; D lift(c) is 0 because the lift is constant
+    on each intersection.  ``validate`` re-checks everything exactly.
     """
 
     cover: Cover
@@ -403,10 +408,11 @@ class DelignePackage:
             layer = self.layers.get(q)
             if layer is None or layer.cech_degree != q or layer.form_degree != d - q:
                 raise DegreeMismatch(f"layer {q} missing or of wrong bidegree")
-        n = _package_denominator(self)
+        n = lcm(*(self.layers[q].den for q in range(d)))
         nrv = self.nerve
         layers = {q: self.layers[q]._over(n) for q in range(d)}
-        if _delta(nrv, d - 1, layers[d - 1]) != _d(nrv, 0, _lift(nrv, self.cocycle, n)):
+        # D lift(c) = 0: the lift is constant on each intersection
+        if _delta(nrv, d - 1, layers[d - 1]):
             raise NotACocycle("top descent equation fails")
         for q in range(1, d):
             if _d(nrv, d - q, layers[q]) != _delta(nrv, q - 1, layers[q - 1]):
@@ -424,9 +430,11 @@ def descent_chain(c, cover, nerve_=None):
     """Build the layers of a connective structure under a good cover.
 
     The cover is verified good first (CoverNotGood reports the bad
-    intersections); each layer solves its Cech equation through the
-    deterministic partition-of-unity contraction, and the finished
-    package is re-validated term by term, the cocycle law of c first.
+    intersections).  Each layer solves its Cech equation through the
+    partition-of-unity contraction, starting from D lift(c), which is 0
+    since the lift is constant on each intersection; so every layer is
+    the zero double cochain, built as such.  The finished package is
+    re-validated term by term, the cocycle law of c first.
     """
     nerve_ = nerve_ if nerve_ is not None else nerve(cover)
     d = c.degree
@@ -437,15 +445,11 @@ def descent_chain(c, cover, nerve_=None):
         raise CoverNotGood(_not_good("cover", report))
     if c.group != CIRCLE:
         raise NotACocycle("classifying cocycle must be circle-valued")
-    assign = _min_piece_assignment(cover)
-    n = _cocycle_denominator(c)
-    raw = {}
-    rhs = _d(nerve_, 0, _lift(nerve_, c, n))
-    for q in range(d - 1, -1, -1):
-        raw[q] = _h(rhs, assign)
-        if q:
-            rhs = _d(nerve_, d - q, raw[q])
-    layers = {q: DoubleCochain._trusted(cover, nerve_, q, d - q, x, n) for q, x in raw.items()}
+    # D lift(c) = 0 (the lift is constant on each intersection), so the
+    # contraction solves every layer, top first, by 0
+    layers = {
+        q: DoubleCochain._trusted(cover, nerve_, q, d - q, {}, 1) for q in range(d - 1, -1, -1)
+    }
     pkg = DelignePackage(cover, nerve_, d, c, layers)
     pkg.validate()
     return pkg
@@ -575,18 +579,26 @@ def _restrict_double(x, cover_v, nerve_v):
 def restrict_package(pkg, v):
     """The package restricted to a subcomplex, with goodness verified.
 
-    The restricted cover and its nerve are kept by the package's cover
+    Restricted to its whole base the package is itself: goodness is
+    checked on its own cover and nerve, and nothing is copied.  Otherwise
+    the restricted cover and its nerve are kept by the package's cover
     (``Cover.restricted_to``), so a repeated subcomplex reuses them and
-    the collapse certificates of their intersections.  Goodness is
-    checked again on every call; only the layers and the cocycle are
-    restricted per package.
+    the collapse certificates of their intersections, and only the layers
+    and the cocycle are restricted per package.  Goodness is checked
+    again on every call.
     """
-    if not v.is_subcomplex_of(pkg.cover.base):
+    base = pkg.cover.base
+    if v == base:
+        cover_v, nerve_v = pkg.cover, pkg.nerve
+    elif v.is_subcomplex_of(base):
+        cover_v, nerve_v = pkg.cover.restricted_to(v)
+    else:
         raise NoFundamentalCycle("restriction target is not a subcomplex of the base")
-    cover_v, nerve_v = pkg.cover.restricted_to(v)
     report = verify_good_cover(cover_v, nerve_v)
     if not report.ok:
         raise CoverNotGoodOnV(_not_good("restricted cover", report))
+    if cover_v is pkg.cover:
+        return pkg
     layers = {
         q: _restrict_double(layer, cover_v, nerve_v) for q, layer in pkg.layers.items()
     }
@@ -742,9 +754,12 @@ def _trivialize(pkg, shuffle=None):
         if _d(nrv, d - q - 1, out) != defect:
             raise NotACocycle(f"trivialization equation fails at layer {q}")
         potentials[q] = prev = out
-    residual = _add(_lift(nrv, pkg.cocycle, n), _delta(nrv, d - 1, prev), -1)
-    if _d(nrv, 0, residual):
+    dprev = _delta(nrv, d - 1, prev)
+    # D residual = D lift(c) - D dprev, and D lift(c) = 0: the lift is
+    # constant on each intersection
+    if _d(nrv, 0, dprev):
         raise NotACocycle("holonomy residual is not locally constant")
+    residual = _add(_lift(nrv, pkg.cocycle, n), dprev, -1)
     # collapse the residual to a global d-cochain; every discarded
     # integer level certifies well-definedness mod 1
     assign = _min_piece_assignment(pkg.cover, shuffle)
@@ -796,16 +811,17 @@ def holonomy(pkg, v, z, shuffle=None):
     ``v`` must be a d-dimensional subcomplex whose restricted cover is
     good, and ``z`` a degree-d fundamental cycle supported on it.  The
     result is the pairing of the trivialized global d-cochain with z,
-    mod 1; it is independent of all solver choices.  The package's cover
-    keeps its restriction to ``v`` and the restricted nerve, so a
-    repeated ``v`` builds neither again; goodness of the restricted cover
-    is re-checked on every call.  Goodness and the local solves use each
-    intersection's collapse certificate, and Smith only where there is
-    none; an intersection whose defect is zero is solved by 0 and needs
-    neither.  A ``shuffle`` (a ``random.Random``) reorders the free faces
-    of a fresh certificate for each nonzero defect and the piece
-    assignment of the collapse to a global cochain, and adds a seeded
-    kernel vector V y to the Smith solutions of nonzero defects.
+    mod 1; it is independent of all solver choices.  Over the whole base
+    the package's own cover and nerve are used; over a proper ``v`` the
+    package's cover keeps its restriction to ``v`` and the restricted
+    nerve, so a repeated ``v`` builds neither again.  Goodness of the
+    restricted cover is re-checked on every call.  Goodness and the local
+    solves use each intersection's collapse certificate, and Smith only
+    where there is none; an intersection whose defect is zero is solved
+    by 0 and needs neither.  A ``shuffle`` (a ``random.Random``) reorders
+    the free faces of a fresh certificate for each nonzero defect and the
+    piece assignment of the collapse to a global cochain, and adds a
+    seeded kernel vector V y to the Smith solutions of nonzero defects.
     """
     d = pkg.degree
     if v.dim != d:

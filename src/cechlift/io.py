@@ -161,7 +161,9 @@ def load_container(path, *kinds):
     obj = load_json(path)
     kind = kind_of(obj)
     if kinds and kind not in kinds:
-        raise FormatError(f"{path}: expected a {' or '.join(kinds)} file, found {kind}")
+        wanted = " or ".join(kinds)
+        article = "an" if wanted[0] in "aeiou" else "a"
+        raise FormatError(f"{path}: expected {article} {wanted} file, found {kind}")
     return obj
 
 
@@ -266,10 +268,13 @@ def cover_from_json(obj):
     # W_t holds s for each of the 2^k - 1 nonempty sets t of the k pieces at s
     at = Counter(s for piece in cover.pieces for s in piece.simplices)
     built = sum((1 << k) - 1 for k in at.values())
-    most = min(at, key=lambda s: (-at[s], s), default=None)
     listed = obj["base"]["simplices"] + faces
-    _check_budget("cover: the nerve's intersections may hold", built, listed,
-                  lambda: f"simplex {most} lies in {at[most]} pieces")
+
+    def witness():
+        most = min(at, key=lambda s: (-at[s], s))
+        return f"simplex {most} lies in {at[most]} pieces"
+
+    _check_budget("cover: the nerve's intersections may hold", built, listed, witness)
     return cover
 
 

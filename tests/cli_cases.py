@@ -459,6 +459,9 @@ REFUSED = {
     "cohomology-of-a-transitions-file": _refused(
         "cohomology rp2.cplx w1.trn -p 1", message="w1.trn: expected a group file, found transitions"
     ),
+    "obstruct-with-a-tower-file": _refused(
+        "obstruct rp2.cov w1.trn rp2_tower.twr", message="rp2_tower.twr: expected an extension file, found tower"
+    ),
     # a file that is not UTF-8 JSON, or nests too deeply, is a FormatError
     "malformed-json": _file(
         "cohomology bad.cplx z.grp -p 1", "bad.cplx", "{not json", Start("bad.cplx: invalid JSON (")

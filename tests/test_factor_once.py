@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cechlift import abelian, cochains, complexes, fixtures, kernels, tower
-from cechlift.abelian import CIRCLE, QQ, FgAbelianGroup, Homomorphism, ShortExactSequence
+from cechlift.abelian import CIRCLE, QQ, CircleElement, FgAbelianGroup, Homomorphism, ShortExactSequence
 from cechlift.cochains import (
     Cochain,
     _face_sums,
@@ -48,7 +48,7 @@ from cechlift.errors import CoverNotGoodOnV, NotACocycle
 from conftest import dunce_hat, random_cochain
 from snf_oracle import dense, sparse
 from cli_cases import CASES, check, check_cases, run
-from test_properties import COEFFICIENTS
+from test_properties import COEFFICIENTS, _torus_loop
 from test_properties import complexes as small_complexes
 
 
@@ -229,29 +229,56 @@ def test_shuffle_still_varies_the_potentials(torus_gerbe):
 
 
 def test_repeated_holonomy_reuses_the_kept_restriction(monkeypatch, snf_calls):
-    """The cover keeps its restriction to V, with the collapse certificates of
-    the restricted nerve: a second holonomy on the same V builds no nerve, no
-    certificate and no Smith factorization.  A shuffled one builds fresh
-    certificates where a local equation is nonzero (the gauged gerbe), so
-    the solver choices still vary; the flat gerbe's are all zero, so there
-    it builds none."""
+    """Over the whole base the restriction is the package itself: a first
+    holonomy builds no nerve and no certificate, since ``descent_chain``
+    built every certificate its goodness check reads.  A shuffled one
+    builds fresh certificates where a local equation is nonzero (the
+    gauged gerbe), so the solver choices still vary; the flat gerbe's are
+    all zero, so there it builds none.  Over a proper subcomplex (a loop
+    on the torus) the cover keeps its restriction, with the collapse
+    certificates of the restricted nerve: the first holonomy builds them,
+    and a second one on the same loop builds no nerve, no certificate and
+    no Smith factorization."""
     pkg = fixtures.torus_flat_gerbe(Fraction(1, 3))
-    torus = pkg.cover.base
-    z = fixtures.torus_cycle(torus)
+    gauged, torus, z = gauged_torus_gerbe()
+    loop_pkg, loop, loop_z = _gauged_torus_circle_bundle(Fraction(2, 7))
     nerves = _record_calls(monkeypatch, complexes, "nerve")
     collapses = _record_calls(monkeypatch, complexes, "_greedy_collapse")
+    del snf_calls[:]
     first = holonomy(pkg, torus, z)
-    assert len(nerves) == 1 and collapses
-    del nerves[:], collapses[:], snf_calls[:]
-    assert holonomy(pkg, torus, z) == first
+    assert first.value == Fraction(1, 3)
     assert nerves == collapses == snf_calls == []
+    assert holonomy(pkg, torus, z) == first
     assert holonomy(pkg, torus, z, shuffle=random.Random(5)) == first
     assert nerves == collapses == snf_calls == []
-    gauged, torus, z = gauged_torus_gerbe()
     assert holonomy(gauged, torus, z) == first
-    del nerves[:], collapses[:]
+    assert nerves == collapses == []
     assert holonomy(gauged, torus, z, shuffle=random.Random(5)) == first
     assert nerves == [] and collapses
+    del collapses[:]
+    around = holonomy(loop_pkg, loop, loop_z)
+    assert around.value == Fraction(2, 7)
+    assert len(nerves) == 1 and collapses
+    del nerves[:], collapses[:], snf_calls[:]
+    assert holonomy(loop_pkg, loop, loop_z) == around
+    assert nerves == collapses == snf_calls == []
+
+
+def _gauged_torus_circle_bundle(t):
+    """The torus circle bundle t * x (x the first-factor generator of the
+    product-cover nerve) gauged by D f for a seeded rational 0-cochain f,
+    with the loop hexagon x {0} and its cycle, around which its holonomy
+    is t.  The gauge makes local equations on the loop nonzero, so its
+    holonomy solves on collapse certificates."""
+    torus, cov = fixtures.torus_product()
+    nrv = nerve(cov)
+    x, _ = fixtures.torus_nerve_generators(nrv)
+    c = Cochain(nrv, 1, CIRCLE, {s: CircleElement(t * v.coords[0]) for s, v in x.values.items()})
+    rng = random.Random(12)
+    f = Cochain(
+        torus, 0, QQ, {s: Fraction(rng.randint(1, 6), rng.randint(1, 4)) for s in torus.simplices_of_dim(0)}
+    )
+    return (add_global_datum(descent_chain(c, cov, nrv), f), *_torus_loop(torus))
 
 
 def test_a_second_shuffled_holonomy_builds_no_face_graph(monkeypatch):

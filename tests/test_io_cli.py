@@ -236,7 +236,10 @@ class TestCLI:
         check_cases(tmp_path, "input-not-found", "unknown-command")
 
     def test_domain_error_exit_1(self, tmp_path):
-        check_cases(tmp_path, "cover-not-good", "cohomology-over-q-mod-z", "cohomology-of-a-transitions-file")
+        check_cases(
+            tmp_path, "cover-not-good", "cohomology-over-q-mod-z", "cohomology-of-a-transitions-file",
+            "obstruct-with-a-tower-file",
+        )
 
     def test_cover_not_good_names_its_witnesses(self, tmp_path):
         check_cases(tmp_path, "cover-not-good", "cohomology-delta3-star-z-p1")

@@ -89,6 +89,10 @@ from cechlift.complexes import (
 from cechlift.deligne import (
     DelignePackage,
     DoubleCochain,
+    _cocycle_denominator,
+    _d,
+    _delta,
+    _lift,
     _min_piece_assignment,
     _solve_local_d,
     add_global_datum,
@@ -1213,6 +1217,67 @@ def test_double_cochains_are_numerators_over_the_least_denominator(name, seed):
         assert gcd(r.den, *(v for loc in r.num.values() for v in loc.values())) == 1
     zero = x - x
     assert zero.is_zero() and zero.num == {} and zero.den == 1
+
+
+def _level(rng, nrv, cover, kind, p, q):
+    """A random Cech p-level of form degree q, as a DoubleCochain: empty,
+    on a single face, dense (every face and simplex, no zero), or
+    cancelling (delta of a random (p-1)-level, or for p = 0 the
+    restrictions of a global q-cochain), whose delta is zero."""
+    def dense(t):
+        return {s: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+                for s in nrv.intersection_of[t].simplices_of_dim(q)}
+
+    faces = nrv.simplices_of_dim(p)
+    if kind == "empty":
+        values = {}
+    elif kind == "single":
+        t = rng.choice(faces)
+        values = {t: dense(t)}
+    elif kind == "dense":
+        values = {t: dense(t) for t in faces}
+    elif p:
+        below = DoubleCochain(cover, nrv, p - 1, q, _random_double_values(rng, nrv, p - 1, q))
+        return deligne_oracle.cech_delta(below)
+    else:
+        g = {s: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for s in cover.base.simplices_of_dim(q)}
+        values = {t: {s: g[s] for s in nrv.intersection_of[t].simplices_of_dim(q)} for t in faces}
+    return DoubleCochain(cover, nrv, p, q, values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(DOUBLE_COCHAIN_COVERS)),
+    st.sampled_from(["empty", "single", "dense", "cancelling"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_cech_delta_equals_the_oracle_on_every_kind_of_level(name, kind, seed):
+    """``_delta`` on integer numerators agrees with the oracle's Fraction
+    delta on every kind of level, and its result keeps no zero entry and
+    no empty local."""
+    cover, nrv = DOUBLE_COCHAIN_COVERS[name]
+    rng = random.Random(seed)
+    p, q = rng.randint(0, nrv.dim), rng.randint(0, 2)
+    x = _level(rng, nrv, cover, kind, p, q)
+    raw = _delta(nrv, p, x.num)
+    assert all(loc and all(loc.values()) for loc in raw.values())
+    got = DoubleCochain._trusted(cover, nrv, p + 1, q, raw, x.den)
+    assert got == cech_delta(x) == deligne_oracle.cech_delta(x)
+    if kind in ("empty", "cancelling"):
+        assert raw == {}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(DELIGNE_CASES)), st.integers(0, 2**32 - 1))
+def test_the_lift_is_locally_constant_so_every_descent_layer_is_zero(name, seed):
+    """D lift(c) = 0 for every circle cocycle c, so the contraction solves
+    every layer of ``descent_chain`` by 0."""
+    case = DELIGNE_CASES[name]
+    cover, nrv, d, _, _, _ = case
+    c, pkg, _ = _random_package(case, seed)
+    assert _d(nrv, 0, _lift(nrv, c, _cocycle_denominator(c))) == {}
+    assert deligne_oracle.form_d(deligne_oracle.lift_cocycle(c, cover, nrv)).is_zero()
+    assert all(layer.is_zero() and layer.den == 1 for layer in pkg.layers.values())
 
 
 def _all_fractions(*doubles):

@@ -240,13 +240,19 @@ def _carry_z4_by_z2z2():
 
 #: name -> () -> a CentralExtension
 EXTENSIONS = {
-    **{f"z2-tower-{i + 1}": (lambda i=i: fixtures.z2_tower(4).extensions[i]) for i in range(4)},
+    # the tower's first level is the z2-z4 extension
+    **{f"z2-tower-{i + 1}": (lambda i=i: fixtures.z2_tower(4).extensions[i]) for i in range(1, 4)},
     "z2-z4": fixtures.z2_z4_extension,
     "split-z3-by-z2z2": lambda: split_extension(FiniteGroup.cyclic(3), FgAbelianGroup((2, 2))),
     "split-v4-by-z2z4": lambda: split_extension(klein_four(), FgAbelianGroup((2, 4))),
     "carry-z4-by-z2z2": _carry_z4_by_z2z2,
     **{f"random-{s}": (lambda s=s: random_extension(random.Random(s))) for s in range(8)},
 }
+
+
+def test_the_z2_towers_first_level_is_the_z2_z4_extension():
+    first, ext = fixtures.z2_tower(4).extensions[0], fixtures.z2_z4_extension()
+    assert (first.base, first.kernel, first.factor_set) == (ext.base, ext.kernel, ext.factor_set)
 
 
 @pytest.mark.parametrize("name", sorted(EXTENSIONS))

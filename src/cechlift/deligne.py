@@ -10,12 +10,11 @@ convention's certificate.
 
 The logarithm of a circle value is its canonical rational
 representative in [0, 1), so the Cech coboundary of a lifted
-classifying cocycle is integer-valued; holonomy is well defined mod 1
-because every collapse residue is integer-valued (asserted at runtime).
-The lift is constant on each intersection, so D lift(c) = 0: every
-layer ``descent_chain`` builds is zero, the top package equation reads
-delta A^(d-1) = 0, and D of the holonomy residual is -D delta v^(d-1).
-None of them computes D of the lift.
+classifying cocycle is integer-valued.  Holonomy pairs the layers and
+the lift with chains of flags of the cycle; on a valid package this is
+independent of the piece assignment mod 1.  The lift is constant on
+each intersection, so D lift(c) = 0: every layer ``descent_chain``
+builds is zero and the top package equation reads delta A^(d-1) = 0.
 
 The operators delta, D and the partition-of-unity contraction h are
 +-1 integer maps, so a DoubleCochain holds exactly what they compute
@@ -25,14 +24,16 @@ on ``num`` directly.  Where two double cochains meet, both are taken
 over the lcm of their dens (over N, the lcm of the classifying
 cocycle's denominators and every layer's den, for a package).  The
 Fraction ``values`` are derived on request; in the collapse checks of
-the holonomy, "integral" means "divisible by N".
+the trivialization, "integral" means "divisible by N".
 """
 
 from __future__ import annotations
 
 import numbers
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from operator import index
 
@@ -431,10 +432,8 @@ def descent_chain(c, cover, nerve_=None):
 
     The cover is verified good first (CoverNotGood reports the bad
     intersections).  Each layer solves its Cech equation through the
-    partition-of-unity contraction, starting from D lift(c), which is 0
-    since the lift is constant on each intersection; so every layer is
-    the zero double cochain, built as such.  The finished package is
-    re-validated term by term, the cocycle law of c first.
+    contraction h from D lift(c) = 0, so every layer is zero, built as
+    such.  The package is re-validated, the cocycle law of c first.
     """
     nerve_ = nerve_ if nerve_ is not None else nerve(cover)
     d = c.degree
@@ -576,32 +575,29 @@ def _restrict_double(x, cover_v, nerve_v):
     return DoubleCochain._trusted(cover_v, nerve_v, x.cech_degree, x.form_degree, out, x.den)
 
 
-def restrict_package(pkg, v):
-    """The package restricted to a subcomplex, with goodness verified.
-
-    Restricted to its whole base the package is itself: goodness is
-    checked on its own cover and nerve, and nothing is copied.  Otherwise
-    the restricted cover and its nerve are kept by the package's cover
-    (``Cover.restricted_to``), so a repeated subcomplex reuses them and
-    the collapse certificates of their intersections, and only the layers
-    and the cocycle are restricted per package.  Goodness is checked
-    again on every call.
-    """
-    base = pkg.cover.base
-    if v == base:
+def _good_cover_on(pkg, v):
+    """(cover, nerve) of the package over a subcomplex v, verified good:
+    its own over its base, else its cover's kept ``restricted_to(v)``."""
+    if v == pkg.cover.base:
         cover_v, nerve_v = pkg.cover, pkg.nerve
-    elif v.is_subcomplex_of(base):
+    elif v.is_subcomplex_of(pkg.cover.base):
         cover_v, nerve_v = pkg.cover.restricted_to(v)
     else:
         raise NoFundamentalCycle("restriction target is not a subcomplex of the base")
     report = verify_good_cover(cover_v, nerve_v)
     if not report.ok:
         raise CoverNotGoodOnV(_not_good("restricted cover", report))
+    return cover_v, nerve_v
+
+
+def restrict_package(pkg, v):
+    """The package restricted to a subcomplex, with goodness verified, for
+    the trivialization route: the package itself over its base, else its
+    layers and cocycle on the restricted cover and nerve its cover keeps."""
+    cover_v, nerve_v = _good_cover_on(pkg, v)
     if cover_v is pkg.cover:
         return pkg
-    layers = {
-        q: _restrict_double(layer, cover_v, nerve_v) for q, layer in pkg.layers.items()
-    }
+    layers = {q: _restrict_double(x, cover_v, nerve_v) for q, x in pkg.layers.items()}
     return DelignePackage(cover_v, nerve_v, pkg.degree, _restrict_cochain(pkg.cocycle, nerve_v), layers)
 
 
@@ -647,22 +643,16 @@ class HolonomyTrivialization:
 
 
 def _solve_local_d(inter, q, rhs_local, shuffle=None):
-    """Solve D v = rhs on one acyclic intersection, exactly.
+    """Solve D v = rhs exactly on an acyclic intersection, v of form degree q.
 
-    ``q`` is the form degree of the unknown v.  An empty right side is
-    solved by v = 0 at once: no certificate is built, no Smith call is
-    made and nothing is drawn from ``shuffle``.  Otherwise, with a
-    collapse certificate the solve is a back-substitution: walking the
-    pairs (q-simplex s, (q+1)-simplex t) in reverse collapse order,
-    v(s) = [t:s] (rhs(t) - sum of [t:r] v(r) over the other faces r of
-    t), and every other q-simplex gets 0.  An intersection without one
-    is solved by Smith over Q.  A ``shuffle`` reorders the free faces of
-    the collapse (or adds a seeded kernel vector to the Smith solution)
-    and so selects a different exact solution from the same affine
-    space; the holonomy value must not depend on it.  The
-    back-substitution works on any numbers: an int right side gives int
-    values, a Fraction one Fractions.
-    """
+    An empty right side is solved by 0, with no certificate, Smith call or
+    draw from ``shuffle``.  With a collapse certificate the solve is a
+    back-substitution over the pairs (q-simplex s, (q+1)-simplex t) in
+    reverse collapse order: v(s) = [t:s] (rhs(t) - the other faces' terms
+    of t), 0 on every other q-simplex; ints give ints, Fractions Fractions.
+    Without one, Smith over Q.  A ``shuffle`` reorders the free faces (or
+    adds a seeded kernel vector to the Smith solution): another exact
+    solution, with the same trivialization value."""
     if not rhs_local:
         return {}
     pairs = inter.collapse(shuffle)
@@ -695,19 +685,12 @@ def _face_sum(v, t):
 
 
 def _smith_solve_local_d(inter, q, rhs_local, shuffle=None):
-    """Solve D v = rhs by Smith over Q, on the factorization of D that the
-    intersection keeps (``factored_coboundary``, built by the goodness
-    check).
-
-    The right side is split into numerators over one denominator and
-    solved over Q on them.  An intersection that passed the goodness
-    check is acyclic over Z, so every invariant factor of D is 1 and an
-    int right side has an integral solution, returned as ints; anything
-    else is refused.  A Fraction right side gets a Fraction solution.  A
-    ``shuffle`` adds V y to the canonical solution, y a seeded integer
-    vector on the free positions: the columns of V past the rank span
-    the kernel of D.
-    """
+    """Solve D v = rhs by Smith over Q on the intersection's kept
+    factorization of D (``factored_coboundary``), on numerators over one
+    denominator.  A good intersection is acyclic over Z, so an int right
+    side has an int solution (anything else is refused); a Fraction one
+    gets Fractions.  A ``shuffle`` adds V y, y seeded on the free
+    positions, whose columns of V span the kernel of D."""
     simps = inter.simplices_of_dim(q)
     fac = inter.factored_coboundary(q)
     (num,), den = QQ.split(rhs_local)
@@ -783,15 +766,12 @@ def _trivialize(pkg, shuffle=None):
 
 
 def holonomy_trivialization(pkg, shuffle=None):
-    """Solve the flat-package potentials v^(0)..v^(d-1) and the residual.
-
-    Stage q solves D v^(q) = A^(q) - delta v^(q-1) on every acyclic
-    intersection; flatness of the restriction (top-degree vanishing of
-    the curvature) makes stage 0 solvable and the descent equations make
-    every later defect D-closed.  The solves, the check of each stage's
-    equation D v^(q) = A^(q) - delta v^(q-1) and the collapse run on
-    numerators over N; the returned fields hold them in lowest terms.
-    """
+    """The second route to holonomy: the potentials v^(0)..v^(d-1) of a
+    flat (restricted) package, its residual and their global form, whose
+    pairing with a cycle is ``holonomy`` mod 1.  Stage q solves and checks
+    D v^(q) = A^(q) - delta v^(q-1) on each acyclic intersection, and
+    each residue of the collapse through h is checked integral, all on
+    numerators over N; the fields hold them in lowest terms."""
     n, potentials, residual, global_form = _trivialize(pkg, shuffle)
     d = pkg.degree
     return HolonomyTrivialization(
@@ -805,35 +785,58 @@ def holonomy_trivialization(pkg, shuffle=None):
     )
 
 
+def _flag_step(level, assign):
+    """-h*(bd Z) of a level Z = {(nerve simplex t, simplex s): int}, bd the
+    boundary of the form side and h* the transpose of ``_h``: the face f of
+    s without vertex j goes to -(-1)^(j + pos) [T; f], T being t with a(f)
+    inserted at position pos, or to 0 if a(f) is in t.  Keys merge."""
+    out = {}
+    for (t, s), w in level.items():
+        j = len(s)  # combinations drops vertex j = len(s) - 1, ..., 0 in turn
+        for f in combinations(s, j - 1):
+            j -= 1
+            i = assign[f]
+            if i not in t:
+                pos = bisect_left(t, i)
+                key = (t[:pos] + (i,) + t[pos:], f)
+                out[key] = out.get(key, 0) + (w if (j + pos) & 1 else -w)
+    return {key: w for key, w in out.items() if w}
+
+
 def holonomy(pkg, v, z, shuffle=None):
     """Circle-valued holonomy of the package around a closed subcomplex.
 
     ``v`` must be a d-dimensional subcomplex whose restricted cover is
-    good, and ``z`` a degree-d fundamental cycle supported on it.  The
-    result is the pairing of the trivialized global d-cochain with z,
-    mod 1; it is independent of all solver choices.  Over the whole base
-    the package's own cover and nerve are used; over a proper ``v`` the
-    package's cover keeps its restriction to ``v`` and the restricted
-    nerve, so a repeated ``v`` builds neither again.  Goodness of the
-    restricted cover is re-checked on every call.  Goodness and the local
-    solves use each intersection's collapse certificate, and Smith only
-    where there is none; an intersection whose defect is zero is solved
-    by 0 and needs neither.  A ``shuffle`` (a ``random.Random``) reorders
-    the free faces of a fresh certificate for each nonzero defect and the
-    piece assignment of the collapse to a global cochain, and adds a
-    seeded kernel vector V y to the Smith solutions of nonzero defects.
-    """
+    good and ``z`` a degree-d cycle on it; the package is re-validated,
+    as only on a valid one is the value free of the choices.  With a the
+    piece assignment on the cover of ``v``, Z_0 = sum z(s) [a(s); s] and
+    Z_(k+1) = ``_flag_step``(Z_k); the value is (-1)^(d(d-1)/2) times
+    <A^(0..d-1), lift(c); Z_0..Z_d> mod 1 (Gawedzki's flag formula), with
+    no local solve.  A ``shuffle`` (a ``random.Random``) reorders a only."""
     d = pkg.degree
     if v.dim != d:
         raise NoFundamentalCycle(f"subcomplex has dimension {v.dim}, expected {d}")
     if z.degree != d:
         raise NoFundamentalCycle("cycle degree does not match the package")
     if not z.coefficients.keys() <= v.simplices:
-        for s in z.coefficients:
-            if s not in v.simplices:
-                raise NoFundamentalCycle(f"cycle supported outside the subcomplex at {s}")
+        s = next(s for s in z.coefficients if s not in v.simplices)
+        raise NoFundamentalCycle(f"cycle supported outside the subcomplex at {s}")
     if chain_boundary(z).coefficients:
         raise NoFundamentalCycle("chain is not a cycle")
-    n, _, _, global_form = _trivialize(restrict_package(pkg, v), shuffle)
-    total = sum(coeff * global_form.get(s, 0) for s, coeff in z.coefficients.items())
-    return CircleElement(Fraction(total, n))
+    cover_v, _ = _good_cover_on(pkg, v)
+    pkg.validate()
+    assign = _min_piece_assignment(cover_v, shuffle)
+    n = _package_denominator(pkg)
+    level = {((assign[s],), s): w for s, w in z.coefficients.items()}
+    total = 0
+    for k in range(d):
+        num, den = pkg.layers[k].num, pkg.layers[k].den
+        if num:
+            total += n // den * sum(w * num.get(t, {}).get(s, 0) for (t, s), w in level.items())
+        level = _flag_step(level, assign)
+    c = pkg.cocycle.values
+    for (t, _), w in level.items():
+        if t in c:
+            x = c[t].value
+            total += w * x.numerator * (n // x.denominator)
+    return CircleElement(Fraction(-total if d * (d - 1) // 2 & 1 else total, n))

@@ -32,6 +32,7 @@ import tempfile
 from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, field
+from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 
@@ -256,6 +257,20 @@ def _degree_zero(o):
     )
 
 
+def _gauge_bundle(o):
+    """Layer 0 of the flat bundle becomes D f on each arc, for the rational
+    0-cochain f = (1/2, -1/3, 2/5, 0, 3/4, -1) on the hexagon's vertices."""
+    f = [Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5), Fraction(0), Fraction(3, 4), Fraction(-1)]
+
+    def cell(a, b):
+        x = f[b] - f[a]
+        return {"simplex": [a, b], "value": {"num": x.numerator, "den": x.denominator}}
+
+    o["layers"][0]["values"] = [
+        {"indices": [i], "cochain": [cell(a, b) for a, b in piece]} for i, piece in enumerate(o["cover"]["pieces"])
+    ]
+
+
 def _fan_cover(n):
     """The fan of edges (0, i), 1 <= i <= n, with one piece per edge."""
     base = {"kind": "complex", "simplices": [[0, i] for i in range(1, n + 1)]}
@@ -358,6 +373,15 @@ EXAMPLES = {
     ),
     "holonomy-circle": _golden("holonomy-circle", "holonomy flat_bundle.pkg hexcycle.chn", "circle.val"),
     "holonomy-torus": _golden("holonomy-torus", "holonomy flat_gerbe.pkg torus_cycle.chn", "torus.val"),
+    # the flat bundle gauged by a global datum: its nonzero layer pairs with
+    # the cycle, and the holonomy is the flat bundle's
+    "holonomy-gauged-bundle": Case(
+        "holonomy flat_bundle.pkg hexcycle.chn",
+        files={"flat_bundle.pkg": _gauge_bundle},
+        stdout="cechlift holonomy\npackage: degree 1 (equations re-verified)\n"
+        "cycle: degree 1, 6 cells; boundary zero: yes\nrestriction subcomplex: 12 simplices, dim 1\n"
+        "holonomy = 1/3 (mod 1)\n",
+    ),
     # --verify full re-checks every Smith decomposition and prints the same
     "cohomology-rp2-verify-full": _golden(
         "cohomology-rp2-verify-full", "cohomology rp2.cplx z2.grp -p 2 --verify full", "h2full.grp"

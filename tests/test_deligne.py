@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cechlift import abelian, deligne, fixtures
-from cechlift.abelian import CIRCLE, CircleElement, FgAbelianGroup
+from cechlift.abelian import CIRCLE, CircleElement, FgAbelianGroup, GroupElement
 from cechlift.cochains import Cochain, coboundary, cohomology_classes, cup
 from cechlift.complexes import (
     Chain,
@@ -17,6 +17,8 @@ from cechlift.complexes import (
     SimplicialComplex,
     downward_closure,
     nerve,
+    product_cover,
+    shuffle_product_chain,
     star_cover,
     validate_complex,
 )
@@ -638,6 +640,46 @@ class TestHolonomy:
             assert sum(1 for p in restricted.cover.pieces if not p.is_empty()) == 6
             assert holonomy(pkg, v, z).value == expected
 
+    def test_degree_3_package_on_the_three_torus(self, torus_cover):
+        """1/3 x cup y cup z on T^3 = torus x hexagon with its 27-piece
+        product cover, around the shuffle 3-cycle: 1/3 by default and
+        under shuffled assignments.  2/3 would mean a wrong sign
+        (-1)^(d(d-1)/2) at d = 3."""
+        torus, cov = torus_cover
+        t3 = product_cover(cov, fixtures.three_arc_cover())
+        nrv = nerve(t3)
+        x, y, w = (_t3_generator(nrv, digit) for digit in (2, 1, 0))
+        values = {s: CircleElement(Fraction(v.coords[0], 3)) for s, v in cup(cup(x, y), w).values.items()}
+        pkg = descent_chain(Cochain(nrv, 3, CIRCLE, values), t3, nrv)
+        z = shuffle_product_chain(fixtures.torus_cycle(torus), fixtures.hexagon_cycle(), t3.base, 36)
+        assert holonomy(pkg, t3.base, z).value == Fraction(1, 3)
+        for trial in range(3):
+            assert holonomy(pkg, t3.base, z, shuffle=random.Random(trial)).value == Fraction(1, 3)
+
+    def test_unvalidated_invalid_packages_are_refused(self, torus_cover, torus_nerve, star_gerbe):
+        """A package built directly, never validated, is refused with
+        ``validate``'s message, by default and shuffled: the flag sum is
+        independent of the assignment only on a valid package."""
+        torus, cov = torus_cover
+        z = fixtures.torus_cycle(torus)
+        tri = torus_nerve.simplices_of_dim(2)[0]
+        c = Cochain(torus_nerve, 2, CIRCLE, {tri: CircleElement(Fraction(1, 3))})
+        zero = {q: DoubleCochain(cov, torus_nerve, q, 2 - q) for q in range(2)}
+        not_a_cocycle = DelignePackage(cov, torus_nerve, 2, c, zero)
+        _, pkg = star_gerbe
+        rng = random.Random(20)
+        layers = dict(pkg.layers)
+        layers[1] = layers[1] + random_double(rng, pkg.cover, pkg.nerve, 1, 1, lambda: Fraction(rng.randint(1, 4), 7))
+        broken = DelignePackage(pkg.cover, pkg.nerve, 2, pkg.cocycle, layers)
+        for bad, message in (
+            (not_a_cocycle, "classifying cochain is not a cocycle"),
+            (broken, "top descent equation fails"),
+        ):
+            for shuffle in (None, random.Random(3)):
+                with pytest.raises(NotACocycle) as exc:
+                    holonomy(bad, torus, z, shuffle)
+                assert str(exc.value) == message
+
     def test_trivialization_equations_hold(self, torus_cover, torus_nerve):
         torus, cov = torus_cover
         pkg = descent_chain(
@@ -646,6 +688,19 @@ class TestHolonomy:
         restricted = restrict_package(pkg, torus)
         triv = holonomy_trivialization(restricted)
         assert triv.verify()
+
+
+def _t3_generator(nrv, digit):
+    """The integral 1-cocycle pulled back from the three-arc nerve along
+    one factor of T^3's product cover, whose piece (a, b, j) has index
+    9a + 3b + j; ``digit`` picks the factor, as in
+    ``fixtures.torus_nerve_generators``."""
+    values = {}
+    for e in nrv.simplices_of_dim(1):
+        pair_ = tuple(p // 3**digit % 3 for p in e)
+        if pair_ in ((0, 2), (2, 0)):
+            values[e] = GroupElement(Z, (-1 if pair_ == (0, 2) else 1,))
+    return Cochain(nrv, 1, Z, values)
 
 
 @pytest.mark.parametrize(

@@ -208,7 +208,8 @@ def torus_gerbe():
 
 
 def test_holonomy_on_a_collapsible_cover_needs_no_smith(snf_calls, torus_gerbe):
-    """Goodness and every local solve of holonomy run on collapse certificates."""
+    """Holonomy's goodness check runs on collapse certificates, and its flag
+    sum solves no local equation: no Smith call."""
     pkg, torus, z = torus_gerbe
     del snf_calls[:]
     assert holonomy(pkg, torus, z).value == Fraction(1, 3)
@@ -216,7 +217,8 @@ def test_holonomy_on_a_collapsible_cover_needs_no_smith(snf_calls, torus_gerbe):
 
 
 def test_shuffle_still_varies_the_potentials(torus_gerbe):
-    """A shuffled collapse order picks other exact potentials, same holonomy."""
+    """A shuffled collapse order picks other exact potentials of the
+    trivialization; the holonomy is the same."""
     pkg, torus, z = torus_gerbe
     restricted = restrict_package(pkg, torus)
     default = holonomy_trivialization(restricted).potentials
@@ -229,47 +231,43 @@ def test_shuffle_still_varies_the_potentials(torus_gerbe):
 
 
 def test_repeated_holonomy_reuses_the_kept_restriction(monkeypatch, snf_calls):
-    """Over the whole base the restriction is the package itself: a first
-    holonomy builds no nerve and no certificate, since ``descent_chain``
-    built every certificate its goodness check reads.  A shuffled one
-    builds fresh certificates where a local equation is nonzero (the
-    gauged gerbe), so the solver choices still vary; the flat gerbe's are
-    all zero, so there it builds none.  Over a proper subcomplex (a loop
-    on the torus) the cover keeps its restriction, with the collapse
-    certificates of the restricted nerve: the first holonomy builds them,
-    and a second one on the same loop builds no nerve, no certificate and
-    no Smith factorization."""
+    """Holonomy solves no local equation, so past its goodness check no
+    holonomy builds a face graph, a collapse or a Smith factorization, by
+    default or shuffled, on the flat and the gauged gerbe alike.  Over the
+    whole base the restriction is the package itself, whose certificates
+    ``descent_chain`` built: there no holonomy builds a nerve either.
+    Over a proper subcomplex (a loop on the torus) the cover keeps its
+    restriction: the first holonomy builds its nerve and the collapse
+    certificates of its goodness check, and no later one on that loop
+    builds anything."""
     pkg = fixtures.torus_flat_gerbe(Fraction(1, 3))
     gauged, torus, z = gauged_torus_gerbe()
     loop_pkg, loop, loop_z = _gauged_torus_circle_bundle(Fraction(2, 7))
     nerves = _record_calls(monkeypatch, complexes, "nerve")
     collapses = _record_calls(monkeypatch, complexes, "_greedy_collapse")
+    graphs = _record_calls(monkeypatch, complexes, "_collapse_graph")
     del snf_calls[:]
     first = holonomy(pkg, torus, z)
     assert first.value == Fraction(1, 3)
-    assert nerves == collapses == snf_calls == []
-    assert holonomy(pkg, torus, z) == first
-    assert holonomy(pkg, torus, z, shuffle=random.Random(5)) == first
-    assert nerves == collapses == snf_calls == []
-    assert holonomy(gauged, torus, z) == first
-    assert nerves == collapses == []
-    assert holonomy(gauged, torus, z, shuffle=random.Random(5)) == first
-    assert nerves == [] and collapses
-    del collapses[:]
+    for p in (pkg, gauged):
+        assert holonomy(p, torus, z) == first
+        assert holonomy(p, torus, z, shuffle=random.Random(5)) == first
+    assert nerves == collapses == graphs == snf_calls == []
     around = holonomy(loop_pkg, loop, loop_z)
     assert around.value == Fraction(2, 7)
     assert len(nerves) == 1 and collapses
-    del nerves[:], collapses[:], snf_calls[:]
+    del nerves[:], collapses[:], graphs[:], snf_calls[:]
     assert holonomy(loop_pkg, loop, loop_z) == around
-    assert nerves == collapses == snf_calls == []
+    assert holonomy(loop_pkg, loop, loop_z, shuffle=random.Random(5)) == around
+    assert nerves == collapses == graphs == snf_calls == []
 
 
 def _gauged_torus_circle_bundle(t):
     """The torus circle bundle t * x (x the first-factor generator of the
     product-cover nerve) gauged by D f for a seeded rational 0-cochain f,
     with the loop hexagon x {0} and its cycle, around which its holonomy
-    is t.  The gauge makes local equations on the loop nonzero, so its
-    holonomy solves on collapse certificates."""
+    is t.  The gauge makes its layer and the local equations on the loop
+    nonzero."""
     torus, cov = fixtures.torus_product()
     nrv = nerve(cov)
     x, _ = fixtures.torus_nerve_generators(nrv)
@@ -282,20 +280,15 @@ def _gauged_torus_circle_bundle(t):
 
 
 def test_a_second_shuffled_holonomy_builds_no_face_graph(monkeypatch):
-    """Shuffled holonomies with different seeds vary nothing but the
-    potentials: on the gauged gerbe, whose first-stage defect is nonzero
-    on every piece, each one collapses with a face graph of its own, and
-    agrees with the flat gerbe's.  On the flat gerbe, whose local
-    equations are all zero, a shuffled holonomy collapses nothing, so it
-    builds no face graph."""
-    graphs = _record_calls(monkeypatch, complexes, "_collapse_graph")
+    """A shuffle reorders only the piece assignment: shuffled holonomies
+    with different seeds, on the gauged gerbe, whose bottom layer is
+    nonzero, and on the flat gerbe, build no face graph and agree."""
     pkg, torus, z = gauged_torus_gerbe()
-    first = holonomy(pkg, torus, z, shuffle=random.Random(5))
-    assert graphs
-    assert holonomy(pkg, torus, z, shuffle=random.Random(6)) == first
     flat = fixtures.torus_flat_gerbe(Fraction(1, 3))
+    graphs = _record_calls(monkeypatch, complexes, "_collapse_graph")
+    first = holonomy(pkg, torus, z, shuffle=random.Random(5))
+    assert holonomy(pkg, torus, z, shuffle=random.Random(6)) == first
     assert holonomy(flat, torus, z) == first
-    del graphs[:]
     assert holonomy(flat, torus, z, shuffle=random.Random(5)) == first
     assert graphs == []
 

@@ -202,7 +202,7 @@ class TestCLI:
         check_cases(tmp_path, "tower-circle")
 
     def test_holonomy_example(self, tmp_path):
-        check_cases(tmp_path, "holonomy-circle", "holonomy-torus")
+        check_cases(tmp_path, "holonomy-circle", "holonomy-torus", "holonomy-gauged-bundle")
 
     def test_determinism_byte_identical(self, tmp_path):
         names = (

@@ -47,7 +47,9 @@ per-coefficient-type routes of ``cochain_oracle``, and so do cup
 products, or both sides refuse the pair of groups.  The
 Deligne double complex on integer numerators gives the layers,
 potentials, residual, global form and holonomy of the Fraction
-arithmetic in ``deligne_oracle``.
+arithmetic in ``deligne_oracle``, and holonomy's flag sum equals the
+trivialization's global form paired with the cycle under random gauge
+moves and shuffled piece assignments.
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ from cechlift.deligne import (
     _lift,
     _min_piece_assignment,
     _solve_local_d,
+    add_exact_datum,
     add_global_datum,
     cech_delta,
     cech_homotopy,
@@ -104,6 +107,7 @@ from cechlift.deligne import (
     holonomy_trivialization,
     pair,
     restrict_package,
+    shift_cocycle,
 )
 from cechlift.errors import FormatError, NoProduct, NotACocycle
 from cechlift.tower import (
@@ -1317,3 +1321,60 @@ def test_deligne_numerators_equal_the_fraction_oracle(name, seed):
             assert got.verify() and deligne_oracle.verify(got)
             if z is not None:
                 assert holonomy(p, v, z, shuffle()) == CircleElement(pair(ref.global_form, z))
+
+
+# ---------------------------------------------------------------------------
+# holonomy's flag sum against the trivialization
+# ---------------------------------------------------------------------------
+
+def _rp2_loop():
+    """(cover, nerve, w1/2, v, z): the RP^2 dual-block cover, the circle
+    cocycle w1/2 of the orientation cover, and the triangle 0-1-4 of the
+    minimal RP^2 (not one of its faces) drawn as a loop in bsd(RP^2), on
+    which w1 is odd, so the holonomy is 1/2."""
+    cover, nrv = fixtures.rp2_good_cover()
+    _, vertex_of = fixtures.barycentric_subdivision(fixtures.rp2_minimal())
+    ids = [vertex_of[s] for s in ((0,), (0, 1), (1,), (1, 4), (4,), (0, 4))]
+    signs = {}
+    for a, b in zip(ids, ids[1:] + ids[:1]):
+        signs[(min(a, b), max(a, b))] = 1 if a < b else -1
+    v = SimplicialComplex(cover.base.vertex_count, downward_closure(signs))
+    w1 = fixtures.rp2_orientation_cocycle(nrv)
+    c = Cochain(nrv, 1, CIRCLE, {s: CircleElement(Fraction(x.coords[0], 2)) for s, x in w1.values.items()})
+    return cover, nrv, c, v, Chain(v, 1, signs)
+
+
+RP2_LOOP = _rp2_loop()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["circle", "torus-1", "torus-2", "rp2-w1"]), st.integers(0, 2**32 - 1))
+def test_flag_sum_holonomy_equals_the_trivialization(name, seed):
+    """``holonomy``, one flag sum over the cycle, equals the pairing of the
+    trivialization's global form with the cycle, mod 1, by default and
+    under shuffled assignments.  The packages: the circle, a loop on the
+    torus (a proper subcomplex), the torus gerbe and w1/2 around a loop
+    in RP^2, each moved by a random global datum, an exact datum at every
+    layer q0 <= d-2 and a cocycle shift (and in degree 1 by a non-flat
+    global 1-form)."""
+    rng = random.Random(seed)
+    if name == "rp2-w1":
+        cover, nrv, c, v, z = RP2_LOOP
+        d = 1
+        f = {s: Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for s in cover.base.simplices_of_dim(0)}
+        pkg = add_global_datum(descent_chain(c, cover, nrv), Cochain(cover.base, 0, QQ, f))
+    else:
+        case = DELIGNE_CASES[name]
+        cover, nrv, d, _, v, z = case
+        _, _, pkg = _random_package(case, seed)
+    for q0 in range(d - 1):
+        rho = _random_double_values(rng, nrv, q0, d - q0 - 1)
+        pkg = add_exact_datum(pkg, q0, DoubleCochain(cover, nrv, q0, d - q0 - 1, rho))
+    eta = {s: CircleElement(Fraction(rng.randrange(9), 9)) for s in nrv.simplices_of_dim(d - 1) if rng.random() < 0.5}
+    pkg = shift_cocycle(pkg, Cochain(nrv, d - 1, CIRCLE, eta))
+    want = CircleElement(pair(holonomy_trivialization(restrict_package(pkg, v)).global_form, z))
+    # gauge moves keep w1/2's holonomy 1/2
+    assert name != "rp2-w1" or want.value == Fraction(1, 2)
+    for shuffle in (None, random.Random(seed), random.Random(seed + 1)):
+        assert holonomy(pkg, v, z, shuffle) == want
+

@@ -47,7 +47,6 @@ from .complexes import (
 from .deligne import (
     DelignePackage,
     DoubleCochain,
-    HolonomyTrivialization,
     characteristic_form,
     curvature,
     descent_chain,

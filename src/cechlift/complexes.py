@@ -8,8 +8,8 @@ shared and hashed freely.
 ``SimplicialComplex(vertex_count, simplices)`` validates its input.  The
 private ``SimplicialComplex._trusted`` checks nothing and is used only
 where the result is a complex by construction: the intersections and the
-nerve built by ``nerve``, the pieces of ``Cover.restricted_to``,
-``star_cover`` and ``product_cover``, the staircase product of
+nerve built by ``nerve``, the pieces of ``star_cover`` and
+``product_cover``, the staircase product of
 ``product_complex`` (a downward closure), the barycentric subdivision
 and the dual-block pieces of ``fixtures`` (subchains of face-poset
 chains are chains), ``validate_complex`` after its own checks, cover
@@ -332,7 +332,6 @@ class Cover:
 
     base: SimplicialComplex
     pieces: tuple
-    _restrictions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(self.pieces))
@@ -349,25 +348,6 @@ class Cover:
 
     def __len__(self):
         return len(self.pieces)
-
-    def restricted_to(self, v):
-        """(the cover of v by each piece cut down to v, its nerve).
-
-        ``v`` must be a subcomplex of the base.  Built on first use and
-        kept by the cover, which is immutable, so the restricted nerve and
-        the collapse certificates of its intersections are built once per
-        subcomplex.  Nothing is evicted: the cover holds one entry for
-        every distinct ``v`` it was asked for, for as long as it lives.
-        """
-        kept = self._restrictions.get(v)
-        if kept is None:
-            pieces = tuple(
-                SimplicialComplex._trusted(v.vertex_count, piece.simplices & v.simplices)
-                for piece in self.pieces
-            )
-            cover_v = Cover(v, pieces)
-            kept = self._restrictions[v] = (cover_v, nerve(cover_v))
-        return kept
 
 
 def star_cover(complex_):

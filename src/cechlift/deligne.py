@@ -1,20 +1,38 @@
 """Discretized connective structures: descent data, curvature, holonomy.
 
 Differential forms are modeled as rational simplicial cochains on the
-intersection subcomplexes of a verified-good cover; the local
-differential D is the simplicial coboundary and the Cech differential
-delta alternately restricts to deeper intersections.  The two commute,
-and the package equations below are stated without auxiliary signs;
-the re-verification of every equation after construction is the sign
-convention's certificate.
+intersection subcomplexes of a cover (verified good by ``descent_chain``);
+the local differential D is the simplicial coboundary and the Cech
+differential delta alternately restricts to deeper intersections.  The
+two commute, and the package equations below are stated without
+auxiliary signs; the re-verification of every equation after
+construction is the sign convention's certificate.
 
 The logarithm of a circle value is its canonical rational
 representative in [0, 1), so the Cech coboundary of a lifted
-classifying cocycle is integer-valued.  Holonomy pairs the layers and
-the lift with chains of flags of the cycle; on a valid package this is
-independent of the piece assignment mod 1.  The lift is constant on
-each intersection, so D lift(c) = 0: every layer ``descent_chain``
-builds is zero and the top package equation reads delta A^(d-1) = 0.
+classifying cocycle is integer-valued.  The lift is constant on each
+intersection, so D lift(c) = 0: every layer ``descent_chain`` builds is
+zero and the top package equation reads delta A^(d-1) = 0.
+
+Holonomy pairs the layers and the lift with chains of flags of the
+cycle z: Z_0 = sum z(s) [a(s); s] and Z_(k+1) = -h*(bd Z_k), a the piece
+assignment, bd the boundary on the form side and h* the transpose of
+the contraction h.  Its value on a valid package uses no goodness of
+the cover, only the identity delta h + h delta = 1, which holds for any
+assignment:
+
+- Gauge: transposed, the identity gives bd Z_k + delta* Z_(k+1) = 0 for
+  every k < d (at k = 0 through bd z = 0).  An exact datum rho at layer
+  q0 moves the sum by <rho, bd Z_q0 + delta* Z_(q0+1)> = 0, a global
+  datum f by <D f, z> = <f, bd z> = 0, and a cocycle shift eta by an
+  integer plus <lift(eta), delta* Z_d> = -<D lift(eta), Z_(d-1)> = 0.
+- Assignment: for two assignments, Z - Z' is a total cycle whose
+  pushforward to the base is 0.  h* contracts each row, so
+  Z - Z' = T* W for an integral W with no part of Cech degree 0.  On a
+  valid package the total coboundary of (A^(0..d-1), lift(c)) is zero
+  but for its (0, d+1) part, the curvature, which W misses, and its
+  (d+1, 0) part delta lift(c), which is integral; so the values differ
+  by <delta lift(c), W_(d+1)>, an integer.
 
 The operators delta, D and the partition-of-unity contraction h are
 +-1 integer maps, so a DoubleCochain holds exactly what they compute
@@ -23,8 +41,7 @@ the least common denominator of its values, and the kernel below runs
 on ``num`` directly.  Where two double cochains meet, both are taken
 over the lcm of their dens (over N, the lcm of the classifying
 cocycle's denominators and every layer's den, for a package).  The
-Fraction ``values`` are derived on request; in the collapse checks of
-the trivialization, "integral" means "divisible by N".
+Fraction ``values`` are derived on request.
 """
 
 from __future__ import annotations
@@ -221,10 +238,6 @@ def _add(x, y, sign=1):
     return out
 
 
-def _divisible(x, n):
-    return all(v % n == 0 for loc in x.values() for v in loc.values())
-
-
 def _delta(nerve_, p, x):
     """Cech delta of a Cech p-level: alternating sum of the restrictions
     of its faces to the deeper intersection."""
@@ -296,18 +309,6 @@ def _lift(nerve_, c, n):
     return out
 
 
-def _collapse(base, q, x, assign):
-    """The global q-cochain tau -> x_{assign(tau)}(tau) of a Cech 0-level."""
-    out = {}
-    for s in base.simplices_of_dim(q):
-        loc = x.get((assign[s],))
-        if loc:
-            v = loc.get(s)
-            if v:
-                out[s] = v
-    return out
-
-
 def _epsilon(nerve_, q, g):
     """The Cech 0-level of the restrictions of a global q-cochain."""
     out = {}
@@ -335,8 +336,10 @@ def form_d(x):
     return DoubleCochain._trusted(x.cover, x.nerve, x.cech_degree, x.form_degree + 1, raw, x.den)
 
 
-def _min_piece_assignment(cover, shuffle=None):
-    """simplex -> index of a piece containing it (smallest by default).
+def _min_piece_assignment(cover, simplices, shuffle=None):
+    """simplex -> index of the first piece in order that contains it (the
+    smallest index by default), for each of ``simplices``, a set of
+    simplices of the base; other simplices of the base may be keys too.
 
     A randomized assignment is an equally valid combinatorial partition
     of unity; holonomy must not depend on the choice.
@@ -345,9 +348,13 @@ def _min_piece_assignment(cover, shuffle=None):
     order = list(range(len(cover.pieces)))
     if shuffle is not None:
         shuffle.shuffle(order)
-    # the first piece in order is written last, so it wins
+    # the first piece in order is written last, so it wins.  A piece no
+    # larger than ``simplices`` is taken whole: cutting it compares every
+    # tuple again (v's simplices are other tuple objects than the base's)
+    # and costs more than the keys it would drop
     for i in reversed(order):
-        assign.update(dict.fromkeys(cover.pieces[i].simplices, i))
+        piece = cover.pieces[i].simplices
+        assign.update(dict.fromkeys(piece if len(piece) <= len(simplices) else piece & simplices, i))
     return assign
 
 
@@ -556,91 +563,8 @@ def shift_cocycle(pkg, eta):
 
 
 # ---------------------------------------------------------------------------
-# restriction and holonomy
+# local solves and holonomy
 # ---------------------------------------------------------------------------
-
-def _restrict_cochain(c, nerve_v):
-    values = {
-        t: val for t, val in c.values.items() if nerve_v.has_simplex(t)
-    }
-    return Cochain._trusted(nerve_v, c.degree, c.group, values)
-
-
-def _restrict_double(x, cover_v, nerve_v):
-    out = {}
-    for t, loc in x.num.items():
-        inter = nerve_v.intersection_of.get(t)
-        if inter is not None:
-            out[t] = {s: v for s, v in loc.items() if s in inter.simplices}
-    return DoubleCochain._trusted(cover_v, nerve_v, x.cech_degree, x.form_degree, out, x.den)
-
-
-def _good_cover_on(pkg, v):
-    """(cover, nerve) of the package over a subcomplex v, verified good:
-    its own over its base, else its cover's kept ``restricted_to(v)``."""
-    if v == pkg.cover.base:
-        cover_v, nerve_v = pkg.cover, pkg.nerve
-    elif v.is_subcomplex_of(pkg.cover.base):
-        cover_v, nerve_v = pkg.cover.restricted_to(v)
-    else:
-        raise NoFundamentalCycle("restriction target is not a subcomplex of the base")
-    report = verify_good_cover(cover_v, nerve_v)
-    if not report.ok:
-        raise CoverNotGoodOnV(_not_good("restricted cover", report))
-    return cover_v, nerve_v
-
-
-def restrict_package(pkg, v):
-    """The package restricted to a subcomplex, with goodness verified, for
-    the trivialization route: the package itself over its base, else its
-    layers and cocycle on the restricted cover and nerve its cover keeps."""
-    cover_v, nerve_v = _good_cover_on(pkg, v)
-    if cover_v is pkg.cover:
-        return pkg
-    layers = {q: _restrict_double(x, cover_v, nerve_v) for q, x in pkg.layers.items()}
-    return DelignePackage(cover_v, nerve_v, pkg.degree, _restrict_cochain(pkg.cocycle, nerve_v), layers)
-
-
-@dataclass
-class HolonomyTrivialization:
-    """Solved potentials of a flat restricted package.
-
-    ``potentials[q]`` has Cech degree q and form degree d-q-1 and the
-    defining equations A^(q) = delta v^(q-1) + D v^(q) hold exactly;
-    ``residual`` is the locally constant Cech d-level c-hat minus
-    delta v^(d-1), and ``global_form`` its collapse on the subcomplex.
-    """
-
-    package: DelignePackage
-    potentials: dict
-    residual: DoubleCochain
-    global_form: Cochain
-
-    def verify(self):
-        pkg = self.package
-        d = pkg.degree
-        for q in range(d):
-            v = self.potentials[q]
-            if v.cech_degree != q or v.form_degree != d - q - 1:
-                raise NotACocycle(f"trivialization equation fails at layer {q}")
-        dens = [self.potentials[q].den for q in range(d)]
-        n = lcm(_package_denominator(pkg), self.residual.den, *dens)
-        nrv = pkg.nerve
-        prev = None
-        # A^(q) = delta v^(q-1) + D v^(q) for every q, and D residual = 0,
-        # on numerators over n
-        for q in range(d):
-            v = self.potentials[q]._over(n)
-            rhs = _d(nrv, d - q - 1, v)
-            if prev is not None:
-                rhs = _add(rhs, _delta(nrv, q - 1, prev))
-            if pkg.layers[q]._over(n) != rhs:
-                raise NotACocycle(f"trivialization equation fails at layer {q}")
-            prev = v
-        if _d(nrv, 0, self.residual._over(n)):
-            raise NotACocycle("holonomy residual is not locally constant")
-        return True
-
 
 def _solve_local_d(inter, q, rhs_local, shuffle=None):
     """Solve D v = rhs exactly on an acyclic intersection, v of form degree q.
@@ -710,81 +634,6 @@ def _smith_solve_local_d(inter, q, rhs_local, shuffle=None):
     return {s: xi // n for s, xi in zip(simps, x) if xi}
 
 
-def _trivialize(pkg, shuffle=None):
-    """The checked trivialization of a flat package on numerators over N.
-
-    Returns (N, potentials, residual, global form), each a numerator
-    level (the global form a {simplex: int} map); see
-    ``holonomy_trivialization``.
-    """
-    d = pkg.degree
-    nrv = pkg.nerve
-    n = _package_denominator(pkg)
-    layers = {q: pkg.layers[q]._over(n) for q in range(d)}
-    potentials = {}
-    prev = None
-    for q in range(d):
-        defect = layers[q] if prev is None else _add(layers[q], _delta(nrv, q - 1, prev), -1)
-        out = {}
-        for t in nrv.simplices_of_dim(q):
-            # an empty defect is solved by 0, drawing nothing from shuffle
-            rhs = defect.get(t)
-            if rhs:
-                local = _solve_local_d(nrv.intersection_of[t], d - q - 1, rhs, shuffle)
-                if local:
-                    out[t] = local
-        # D v^(q) = A^(q) - delta v^(q-1) is the trivialization equation at q
-        if _d(nrv, d - q - 1, out) != defect:
-            raise NotACocycle(f"trivialization equation fails at layer {q}")
-        potentials[q] = prev = out
-    dprev = _delta(nrv, d - 1, prev)
-    # D residual = D lift(c) - D dprev, and D lift(c) = 0: the lift is
-    # constant on each intersection
-    if _d(nrv, 0, dprev):
-        raise NotACocycle("holonomy residual is not locally constant")
-    residual = _add(_lift(nrv, pkg.cocycle, n), dprev, -1)
-    # collapse the residual to a global d-cochain; every discarded
-    # integer level certifies well-definedness mod 1
-    assign = _min_piece_assignment(pkg.cover, shuffle)
-    current = residual
-    for p in range(d, 0, -1):
-        u = _h(current, assign)
-        if not _divisible(_add(current, _delta(nrv, p - 1, u), -1), n):
-            raise NotACocycle("collapse residue is not integral")
-        current = _d(nrv, d - p, u)
-        if (p - 1) % 2 == 0:
-            current = _add({}, current, -1)
-    # contraction identity at Cech level 0: current = epsilon(global) + gauge
-    # with gauge = h(delta current); gauge integral certifies mod-1 soundness
-    gauge = _h(_delta(nrv, 0, current), assign)
-    if not _divisible(gauge, n):
-        raise NotACocycle("level-0 collapse residue is not integral")
-    global_form = _collapse(pkg.cover.base, d, current, assign)
-    if _add(current, gauge, -1) != _epsilon(nrv, d, global_form):
-        raise NotACocycle("collapse did not reach a global cochain")
-    return n, potentials, residual, global_form
-
-
-def holonomy_trivialization(pkg, shuffle=None):
-    """The second route to holonomy: the potentials v^(0)..v^(d-1) of a
-    flat (restricted) package, its residual and their global form, whose
-    pairing with a cycle is ``holonomy`` mod 1.  Stage q solves and checks
-    D v^(q) = A^(q) - delta v^(q-1) on each acyclic intersection, and
-    each residue of the collapse through h is checked integral, all on
-    numerators over N; the fields hold them in lowest terms."""
-    n, potentials, residual, global_form = _trivialize(pkg, shuffle)
-    d = pkg.degree
-    return HolonomyTrivialization(
-        pkg,
-        {
-            q: DoubleCochain._trusted(pkg.cover, pkg.nerve, q, d - q - 1, x, n)
-            for q, x in potentials.items()
-        },
-        DoubleCochain._trusted(pkg.cover, pkg.nerve, d, 0, residual, n),
-        Cochain._trusted(pkg.cover.base, d, QQ, QQ.join([global_form], n)),
-    )
-
-
 def _flag_step(level, assign):
     """-h*(bd Z) of a level Z = {(nerve simplex t, simplex s): int}, bd the
     boundary of the form side and h* the transpose of ``_h``: the face f of
@@ -806,13 +655,14 @@ def _flag_step(level, assign):
 def holonomy(pkg, v, z, shuffle=None):
     """Circle-valued holonomy of the package around a closed subcomplex.
 
-    ``v`` must be a d-dimensional subcomplex whose restricted cover is
-    good and ``z`` a degree-d cycle on it; the package is re-validated,
-    as only on a valid one is the value free of the choices.  With a the
-    piece assignment on the cover of ``v``, Z_0 = sum z(s) [a(s); s] and
+    ``v`` must be a d-dimensional subcomplex of the base and ``z`` a
+    degree-d cycle on it; the package is re-validated, as only on a valid
+    one is the value free of the choices.  With a the piece assignment on
+    the simplices of ``v``, Z_0 = sum z(s) [a(s); s] and
     Z_(k+1) = ``_flag_step``(Z_k); the value is (-1)^(d(d-1)/2) times
     <A^(0..d-1), lift(c); Z_0..Z_d> mod 1 (Gawedzki's flag formula), with
-    no local solve.  A ``shuffle`` (a ``random.Random``) reorders a only."""
+    no local solve and no goodness of the cover on ``v`` used.  A
+    ``shuffle`` (a ``random.Random``) reorders a only."""
     d = pkg.degree
     if v.dim != d:
         raise NoFundamentalCycle(f"subcomplex has dimension {v.dim}, expected {d}")
@@ -823,9 +673,10 @@ def holonomy(pkg, v, z, shuffle=None):
         raise NoFundamentalCycle(f"cycle supported outside the subcomplex at {s}")
     if chain_boundary(z).coefficients:
         raise NoFundamentalCycle("chain is not a cycle")
-    cover_v, _ = _good_cover_on(pkg, v)
+    if not v.is_subcomplex_of(pkg.cover.base):
+        raise NoFundamentalCycle("restriction target is not a subcomplex of the base")
     pkg.validate()
-    assign = _min_piece_assignment(cover_v, shuffle)
+    assign = _min_piece_assignment(pkg.cover, v.simplices, shuffle)
     n = _package_denominator(pkg)
     level = {((assign[s],), s): w for s, w in z.coefficients.items()}
     total = 0

@@ -39,7 +39,7 @@ from pathlib import Path
 import cechlift
 from cechlift import cli, io
 
-from conftest import noncommutative_derived_extensions
+from conftest import noncommutative_derived_extensions, two_arc_circle
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -271,6 +271,15 @@ def _gauge_bundle(o):
     ]
 
 
+def _two_arcs():
+    """The files of a package on two arcs of the 8-cycle that meet in two
+    disjoint edges, c = 1/3 on the nerve edge and layer a, and its cycle:
+    the holonomy is <a, z> = 1/2 - 1/3 + 2/5 - 3/4 = 49/60 mod 1."""
+    a = {(0, 1): Fraction(1, 2), (2, 3): Fraction(-1, 3), (5, 6): Fraction(2, 5), (0, 7): Fraction(3, 4)}
+    pkg, _, z = two_arc_circle(Fraction(1, 3), a)
+    return {"arcs.pkg": io.package_to_json(pkg), "arcs.chn": io.chain_to_json(z)}
+
+
 def _fan_cover(n):
     """The fan of edges (0, i), 1 <= i <= n, with one piece per edge."""
     base = {"kind": "complex", "simplices": [[0, i] for i in range(1, n + 1)]}
@@ -381,6 +390,14 @@ EXAMPLES = {
         stdout="cechlift holonomy\npackage: degree 1 (equations re-verified)\n"
         "cycle: degree 1, 6 cells; boundary zero: yes\nrestriction subcomplex: 12 simplices, dim 1\n"
         "holonomy = 1/3 (mod 1)\n",
+    ),
+    # a cover that is not good on the cycle: holonomy needs none
+    "holonomy-two-arcs": Case(
+        "holonomy arcs.pkg arcs.chn",
+        files=_two_arcs(),
+        stdout="cechlift holonomy\npackage: degree 1 (equations re-verified)\n"
+        "cycle: degree 1, 8 cells; boundary zero: yes\nrestriction subcomplex: 16 simplices, dim 1\n"
+        "holonomy = 49/60 (mod 1)\n",
     ),
     # --verify full re-checks every Smith decomposition and prints the same
     "cohomology-rp2-verify-full": _golden(

@@ -15,13 +15,17 @@ from math import gcd
 import pytest
 
 from cechlift import abelian, fixtures
+from cechlift.abelian import CIRCLE, CircleElement
+from cechlift.cochains import Cochain
 from cechlift.complexes import (
+    Chain,
     Cover,
     SimplicialComplex,
     downward_closure,
     nerve,
     validate_complex,
 )
+from cechlift.deligne import DelignePackage, DoubleCochain
 from cechlift.tower import CentralExtension, FiniteGroup, split_extension
 from snf_oracle import dense
 
@@ -269,6 +273,24 @@ def dunce_hat():
 # ---------------------------------------------------------------------------
 # random generators (seeded by each test)
 # ---------------------------------------------------------------------------
+
+def two_arc_circle(t, a):
+    """(package, base, cycle) on the 8-cycle covered by two arcs, edges
+    (0,1)..(4,5) and (4,5)..(7,0),(0,1), that meet in the two disjoint
+    edges (0,1) and (4,5): a cover that is not good.  The package, built
+    directly, has c = t on the nerve edge and as layer 0 the rational
+    1-cochain ``a`` ({edge: value}) cut to each arc, so it is valid; the
+    cycle runs 0, 1, ..., 7, 0."""
+    edges = [(i, i + 1) for i in range(7)] + [(0, 7)]
+    base = validate_complex(edges)
+    arcs = (edges[:5], edges[4:] + edges[:1])
+    cover = Cover(base, tuple(validate_complex(arc, 8) for arc in arcs))
+    nrv = nerve(cover)
+    c = Cochain(nrv, 1, CIRCLE, {(0, 1): CircleElement(t)})
+    layer = DoubleCochain(cover, nrv, 0, 1, {(i,): {e: a[e] for e in arc if e in a} for i, arc in enumerate(arcs)})
+    z = Chain(base, 1, {e: -1 if e == (0, 7) else 1 for e in edges})
+    return DelignePackage(cover, nrv, 1, c, {0: layer}), base, z
+
 
 def random_complex(rng, max_vertices=7, max_cells=6, max_dim=3):
     n = rng.randint(2, max_vertices)

@@ -2,32 +2,38 @@
 
 ``cech_delta``, ``form_d`` and ``cech_homotopy`` add up rational values
 entry by entry, and ``cech_homotopy`` evaluates the alternating extension
-by sorting each index tuple with its sign; ``descent_chain``, ``validate``,
-``holonomy_trivialization`` and ``verify`` run the package equations and
-every check of the collapse on those Fractions.  The library's
+by sorting each index tuple with its sign; ``descent_chain`` and
+``validate`` run the package equations on those Fractions.  The library's
 ``cechlift.deligne`` runs the same operators on integer numerators over
-one common denominator; both must give equal layers, potentials,
-residuals and global forms.  Results are built through the validating
-``DoubleCochain`` constructor, which takes these Fractions.  The local
-solve ``_solve_local_d`` and the piece assignment are shared: they do
-not depend on the number type.
+one common denominator; both must give equal layers.
+
+``restrict`` and ``holonomy_trivialization`` are the second route to the
+library's ``holonomy``: restrict a valid package to a subcomplex whose
+restricted cover is good, solve D v^(q) = A^(q) - delta v^(q-1) on each
+acyclic intersection, and collapse the residual lift(c) - delta v^(d-1)
+through h to a global d-cochain, checking every collapse residue
+integral; its pairing with a cycle is the holonomy mod 1.  Results are
+built through the validating constructors, which take these Fractions.
+The local solve ``_solve_local_d`` and the piece assignment are shared:
+they do not depend on the number type.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from cechlift.abelian import CIRCLE, QQ
 from cechlift.cochains import Cochain, _perm_sign_and_sort, coboundary, verify_good_cover
+from cechlift.complexes import Cover, SimplicialComplex, nerve
 from cechlift.deligne import (
     DelignePackage,
     DoubleCochain,
-    HolonomyTrivialization,
     _min_piece_assignment,
     _not_good,
     _solve_local_d,
 )
-from cechlift.errors import CoverNotGood, DegreeMismatch, NotACocycle
+from cechlift.errors import CoverNotGood, CoverNotGoodOnV, DegreeMismatch, NoFundamentalCycle, NotACocycle
 
 
 def _face_sum(v, t):
@@ -143,7 +149,7 @@ def descent_chain(c, cover, nerve_):
     report = verify_good_cover(cover, nerve_)
     if not report.ok:
         raise CoverNotGood(_not_good("cover", report))
-    assign = _min_piece_assignment(cover)
+    assign = _min_piece_assignment(cover, cover.base.simplices)
     layers = {}
     rhs = form_d(lift_cocycle(c, cover, nerve_))
     for q in range(d - 1, -1, -1):
@@ -153,6 +159,43 @@ def descent_chain(c, cover, nerve_):
     pkg = DelignePackage(cover, nerve_, d, c, layers)
     validate(pkg)
     return pkg
+
+
+def restrict(pkg, v):
+    """The valid package ``pkg`` on the cover of the subcomplex ``v`` by its
+    pieces cut down to ``v``, with the same piece indices; that cover must
+    be good, the trivialization's precondition."""
+    validate(pkg)
+    if not v.is_subcomplex_of(pkg.cover.base):
+        raise NoFundamentalCycle("restriction target is not a subcomplex of the base")
+    cover_v = Cover(v, tuple(SimplicialComplex(v.vertex_count, p.simplices & v.simplices) for p in pkg.cover.pieces))
+    nerve_v = nerve(cover_v)
+    report = verify_good_cover(cover_v, nerve_v)
+    if not report.ok:
+        raise CoverNotGoodOnV(_not_good("restricted cover", report))
+    cocycle = Cochain(nerve_v, pkg.degree, CIRCLE, {
+        t: x for t, x in pkg.cocycle.values.items() if t in nerve_v.simplices
+    })
+    layers = {}
+    for q, layer in pkg.layers.items():
+        values = {}
+        for t, loc in layer.values.items():
+            inter = nerve_v.intersection_of.get(t)
+            if inter is not None:
+                values[t] = {s: x for s, x in loc.items() if s in inter.simplices}
+        layers[q] = DoubleCochain(cover_v, nerve_v, q, layer.form_degree, values)
+    return DelignePackage(cover_v, nerve_v, pkg.degree, cocycle, layers)
+
+
+@dataclass
+class Trivialization:
+    """The potentials v^(0..d-1) of a restricted package, the residual
+    lift(c) - delta v^(d-1) and its collapse, the global d-form."""
+
+    package: DelignePackage
+    potentials: dict
+    residual: DoubleCochain
+    global_form: Cochain
 
 
 def verify(triv):
@@ -202,7 +245,7 @@ def holonomy_trivialization(pkg, shuffle=None):
     residual = lift_cocycle(pkg.cocycle, pkg.cover, pkg.nerve) - cech_delta(potentials[d - 1])
     if not form_d(residual).is_zero():
         raise NotACocycle("holonomy residual is not locally constant")
-    assign = _min_piece_assignment(pkg.cover, shuffle)
+    assign = _min_piece_assignment(pkg.cover, pkg.cover.base.simplices, shuffle)
     current = residual
     for p in range(d, 0, -1):
         u = cech_homotopy(current, assign)
@@ -215,6 +258,6 @@ def holonomy_trivialization(pkg, shuffle=None):
     global_form = collapse_to_global(current, assign)
     if current - gauge != _epsilon_of_global(global_form, current):
         raise NotACocycle("collapse did not reach a global cochain")
-    triv = HolonomyTrivialization(pkg, potentials, residual, global_form)
+    triv = Trivialization(pkg, potentials, residual, global_form)
     verify(triv)
     return triv

@@ -3,19 +3,21 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cechlift import abelian, deligne, fixtures
-from cechlift.abelian import CIRCLE, CircleElement, FgAbelianGroup, GroupElement
+from cechlift.abelian import CIRCLE, QQ, CircleElement, FgAbelianGroup, GroupElement
 from cechlift.cochains import Cochain, coboundary, cohomology_classes, cup
 from cechlift.complexes import (
     Chain,
     Cover,
     SimplicialComplex,
     downward_closure,
+    fundamental_cycle,
     nerve,
     product_cover,
     shuffle_product_chain,
@@ -25,7 +27,6 @@ from cechlift.complexes import (
 from cechlift.deligne import (
     DelignePackage,
     DoubleCochain,
-    HolonomyTrivialization,
     add_exact_datum,
     add_global_datum,
     cech_delta,
@@ -35,10 +36,8 @@ from cechlift.deligne import (
     descent_chain,
     form_d,
     holonomy,
-    holonomy_trivialization,
     lift_cocycle,
     pair,
-    restrict_package,
     shift_cocycle,
     _min_piece_assignment,
 )
@@ -73,13 +72,13 @@ def random_double(rng, cov, nrv, p, q, value):
     return DoubleCochain(cov, nrv, p, q, values)
 
 
-def scan_piece_assignment(cover, shuffle=None):
-    """Oracle: each base simplex goes to the first piece in order that holds it."""
+def scan_piece_assignment(cover, simplices, shuffle=None):
+    """Oracle: each of the simplices goes to the first piece in order that holds it."""
     order = list(range(len(cover.pieces)))
     if shuffle is not None:
         shuffle.shuffle(order)
     assign = {}
-    for s in cover.base.simplices:
+    for s in simplices:
         for i in order:
             if cover.pieces[i].has_simplex(s):
                 assign[s] = i
@@ -103,7 +102,7 @@ class TestDoubleComplex:
         # delta(h x) + h(delta x) = x for positive Cech degree
         rng = random.Random(15)
         _, cov = torus_cover
-        assign = _min_piece_assignment(cov)
+        assign = _min_piece_assignment(cov, cov.base.simplices)
         for p, q in ((1, 0), (1, 1), (2, 0)):
             x = random_double(rng, cov, torus_nerve, p, q, lambda: Fraction(rng.randint(-4, 4)))
             lhs = cech_delta(cech_homotopy(x, assign)) + cech_homotopy(cech_delta(x), assign)
@@ -152,10 +151,14 @@ class TestDoubleComplex:
             "rp2": lambda: request.getfixturevalue("rp2_cover_nerve")[0],
             "circle": lambda: request.getfixturevalue("circle_cover"),
         }[name]()
-        assert _min_piece_assignment(cov) == scan_piece_assignment(cov)
-        for trial in range(20):
-            shuffled = _min_piece_assignment(cov, random.Random(trial))
-            assert shuffled == scan_piece_assignment(cov, random.Random(trial))
+        tops = cov.base.simplices_of_dim(cov.base.dim)
+        # the base, half of it, and one top simplex, smaller than a piece
+        for simplices in (cov.base.simplices, downward_closure(tops[::2]), downward_closure(tops[:1])):
+            got = _min_piece_assignment(cov, simplices)
+            assert {s: got[s] for s in simplices} == scan_piece_assignment(cov, simplices)
+            for trial in range(20):
+                got = _min_piece_assignment(cov, simplices, random.Random(trial))
+                assert {s: got[s] for s in simplices} == scan_piece_assignment(cov, simplices, random.Random(trial))
 
 
 class TestDescent:
@@ -295,36 +298,10 @@ class TestChecksRefuse:
             bad = DelignePackage(pkg.cover, pkg.nerve, 2, pkg.cocycle, layers)
             want = _refusal(lambda: deligne_oracle.validate(bad))
             assert _refusal(bad.validate) == want
+            # the oracle's trivialization route names the fault, not the cover
+            assert _refusal(lambda: deligne_oracle.restrict(bad, pkg.cover.base)) == want
             messages.add(want)
         assert messages == {"top descent equation fails", "middle descent equation fails at layer 1"}
-
-    def test_verify_on_perturbed_potentials_and_residual(self, star_gerbe):
-        rng = random.Random(21)
-        torus, pkg = star_gerbe
-        restricted = restrict_package(pkg, torus)
-        triv = holonomy_trivialization(restricted)
-        messages = set()
-        for trial in range(6):
-            q = trial % 3
-            potentials = dict(triv.potentials)
-            residual = triv.residual
-            bidegree = (q, 1 - q) if q < 2 else (2, 0)
-            bump = random_double(
-                rng, restricted.cover, restricted.nerve, *bidegree, lambda: Fraction(rng.randint(1, 4), 5)
-            )
-            if q < 2:
-                potentials[q] = potentials[q] + bump
-            else:
-                residual = residual + bump
-            bad = HolonomyTrivialization(restricted, potentials, residual, triv.global_form)
-            want = _refusal(lambda: deligne_oracle.verify(bad))
-            assert _refusal(bad.verify) == want
-            messages.add(want)
-        assert messages == {
-            "trivialization equation fails at layer 0",
-            "trivialization equation fails at layer 1",
-            "holonomy residual is not locally constant",
-        }
 
 
 class TestCurvature:
@@ -636,7 +613,7 @@ class TestHolonomy:
                 {s: CircleElement(t * vv.coords[0]) for s, vv in gen.values.items()},
             )
             pkg = descent_chain(c, cov, torus_nerve)
-            restricted = restrict_package(pkg, v)
+            restricted = deligne_oracle.restrict(pkg, v)
             assert sum(1 for p in restricted.cover.pieces if not p.is_empty()) == 6
             assert holonomy(pkg, v, z).value == expected
 
@@ -655,6 +632,55 @@ class TestHolonomy:
         assert holonomy(pkg, t3.base, z).value == Fraction(1, 3)
         for trial in range(3):
             assert holonomy(pkg, t3.base, z, shuffle=random.Random(trial)).value == Fraction(1, 3)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_sign_on_the_sphere_of_dimension_d(self, d):
+        """c = 1/7 on one top simplex of the nerve of the dual-block cover of
+        the boundary of the (d+1)-simplex, an S^d (720 top simplices at
+        d = 4), around its fundamental cycle: the flag sum equals the
+        oracle trivialization paired with the cycle, by default and
+        shuffled, and stays so after an exact datum at every q0 <= d-2, a
+        global datum and a cocycle shift.  The sign (-1)^(d(d-1)/2) is -
+        at d = 3 and + at d = 4."""
+        rng = random.Random(d)
+        cover = fixtures.dual_block_cover(validate_complex(list(combinations(range(d + 2), d + 1))))
+        nrv = nerve(cover)
+        base = cover.base
+        z = _oriented_cycle(base, d)
+        t = Fraction(1, 7)
+        c = Cochain(nrv, d, CIRCLE, {nrv.simplices_of_dim(d)[0]: CircleElement(t)})
+        pkg = descent_chain(c, cover, nrv)
+        triv = deligne_oracle.holonomy_trivialization(deligne_oracle.restrict(pkg, base))
+        want = CircleElement(pair(triv.global_form, z))
+        assert want.value in (t, 1 - t)
+
+        def value():
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+
+        moved = []
+        for q0 in range(d - 1):
+            pkg = add_exact_datum(pkg, q0, random_double(rng, cover, nrv, q0, d - q0 - 1, value))
+            moved.append(pkg)
+        f = {s: value() for s in base.simplices_of_dim(d - 1) if rng.random() < 0.5}
+        pkg = add_global_datum(pkg, Cochain(base, d - 1, QQ, f))
+        moved.append(pkg)
+        eta = {s: CircleElement(value()) for s in nrv.simplices_of_dim(d - 1) if rng.random() < 0.5}
+        pkg = shift_cocycle(pkg, Cochain(nrv, d - 1, CIRCLE, eta))
+        moved.append(pkg)
+        for p in moved:
+            for shuffle in (None, random.Random(0), random.Random(1)):
+                assert holonomy(p, base, z, shuffle) == want
+        triv = deligne_oracle.holonomy_trivialization(deligne_oracle.restrict(pkg, base), random.Random(2))
+        assert CircleElement(pair(triv.global_form, z)) == want
+
+    def test_a_cycle_off_the_base_is_refused(self, hexagon, circle_cover, circle_nerve):
+        """The hexagon on 7 vertices passes every check on v and z, but is
+        not a subcomplex of the 6-vertex base."""
+        pkg = descent_chain(Cochain(circle_nerve, 1, CIRCLE, {}), circle_cover, circle_nerve)
+        other = SimplicialComplex(7, hexagon.simplices)
+        z = Chain(other, 1, fixtures.hexagon_cycle(hexagon).coefficients)
+        with pytest.raises(NoFundamentalCycle, match="restriction target is not a subcomplex of the base"):
+            holonomy(pkg, other, z)
 
     def test_unvalidated_invalid_packages_are_refused(self, torus_cover, torus_nerve, star_gerbe):
         """A package built directly, never validated, is refused with
@@ -680,14 +706,26 @@ class TestHolonomy:
                     holonomy(bad, torus, z, shuffle)
                 assert str(exc.value) == message
 
-    def test_trivialization_equations_hold(self, torus_cover, torus_nerve):
-        torus, cov = torus_cover
-        pkg = descent_chain(
-            torus_circle_two_cocycle(torus_nerve, Fraction(1, 5)), cov, torus_nerve
-        )
-        restricted = restrict_package(pkg, torus)
-        triv = holonomy_trivialization(restricted)
-        assert triv.verify()
+
+def _oriented_cycle(k, d):
+    """The fundamental cycle of a closed orientable pseudomanifold k of
+    dimension d: the first top simplex gets +1, and the orientation
+    crosses each shared ridge, where the two induced signs must cancel."""
+    ridges = {}
+    for s in k.simplices_of_dim(d):
+        for j in range(d + 1):
+            ridges.setdefault(s[:j] + s[j + 1 :], []).append((s, j))
+    first = k.simplices_of_dim(d)[0]
+    signs = {first: 1}
+    todo = [first]
+    while todo:
+        s = todo.pop()
+        for j in range(d + 1):
+            for other, i in ridges[s[:j] + s[j + 1 :]]:
+                if other not in signs:
+                    signs[other] = -signs[s] if (i + j) % 2 == 0 else signs[s]
+                    todo.append(other)
+    return fundamental_cycle(k, d, signs)
 
 
 def _t3_generator(nrv, digit):

@@ -30,22 +30,22 @@ from cechlift.complexes import (
     Chain,
     Cover,
     SimplicialComplex,
+    downward_closure,
     nerve,
     product_complex,
     star_cover,
-    validate_complex,
 )
 from cechlift.deligne import (
     _solve_local_d,
     add_global_datum,
     descent_chain,
     holonomy,
-    holonomy_trivialization,
-    restrict_package,
+    pair,
 )
 from cechlift.errors import CoverNotGoodOnV, NotACocycle
 
-from conftest import dunce_hat, random_cochain
+import deligne_oracle
+from conftest import dunce_hat, random_cochain, two_arc_circle
 from snf_oracle import dense, sparse
 from cli_cases import CASES, check, check_cases, run
 from test_properties import COEFFICIENTS, _torus_loop
@@ -218,28 +218,24 @@ def test_holonomy_on_a_collapsible_cover_needs_no_smith(snf_calls, torus_gerbe):
 
 def test_shuffle_still_varies_the_potentials(torus_gerbe):
     """A shuffled collapse order picks other exact potentials of the
-    trivialization; the holonomy is the same."""
+    oracle's trivialization; the holonomy is the same."""
     pkg, torus, z = torus_gerbe
-    restricted = restrict_package(pkg, torus)
-    default = holonomy_trivialization(restricted).potentials
+    restricted = deligne_oracle.restrict(pkg, torus)
+    default = deligne_oracle.holonomy_trivialization(restricted).potentials
     differ = 0
     for trial in range(4):
-        shuffled = holonomy_trivialization(restricted, shuffle=random.Random(trial)).potentials
+        shuffled = deligne_oracle.holonomy_trivialization(restricted, shuffle=random.Random(trial)).potentials
         differ += any(shuffled[q] != default[q] for q in default)
         assert holonomy(pkg, torus, z, shuffle=random.Random(trial)).value == Fraction(1, 3)
     assert differ >= 1
 
 
 def test_repeated_holonomy_reuses_the_kept_restriction(monkeypatch, snf_calls):
-    """Holonomy solves no local equation, so past its goodness check no
-    holonomy builds a face graph, a collapse or a Smith factorization, by
-    default or shuffled, on the flat and the gauged gerbe alike.  Over the
-    whole base the restriction is the package itself, whose certificates
-    ``descent_chain`` built: there no holonomy builds a nerve either.
-    Over a proper subcomplex (a loop on the torus) the cover keeps its
-    restriction: the first holonomy builds its nerve and the collapse
-    certificates of its goodness check, and no later one on that loop
-    builds anything."""
+    """Holonomy solves no local equation and builds no restricted cover, so
+    no holonomy builds a nerve, a face graph, a collapse or a Smith
+    factorization, by default or shuffled: on the flat and the gauged
+    gerbe over the whole base, and around a loop on the torus (a proper
+    subcomplex) from its first holonomy on."""
     pkg = fixtures.torus_flat_gerbe(Fraction(1, 3))
     gauged, torus, z = gauged_torus_gerbe()
     loop_pkg, loop, loop_z = _gauged_torus_circle_bundle(Fraction(2, 7))
@@ -252,12 +248,8 @@ def test_repeated_holonomy_reuses_the_kept_restriction(monkeypatch, snf_calls):
     for p in (pkg, gauged):
         assert holonomy(p, torus, z) == first
         assert holonomy(p, torus, z, shuffle=random.Random(5)) == first
-    assert nerves == collapses == graphs == snf_calls == []
     around = holonomy(loop_pkg, loop, loop_z)
     assert around.value == Fraction(2, 7)
-    assert len(nerves) == 1 and collapses
-    del nerves[:], collapses[:], graphs[:], snf_calls[:]
-    assert holonomy(loop_pkg, loop, loop_z) == around
     assert holonomy(loop_pkg, loop, loop_z, shuffle=random.Random(5)) == around
     assert nerves == collapses == graphs == snf_calls == []
 
@@ -310,12 +302,11 @@ def test_goodness_and_the_sorted_certificate_keep_no_face_graph(monkeypatch):
 
 
 def test_nerve_sorts_no_intersection(monkeypatch):
-    """``nerve`` and ``Cover.restricted_to`` group no simplices by dimension;
-    goodness then sorts each intersection once, for its collapse."""
+    """``nerve`` groups no simplices by dimension; goodness then sorts each
+    intersection once, for its collapse."""
     cover = fixtures.dual_block_cover(fixtures.rp2_minimal())
     sorts = _record_calls(monkeypatch, complexes, "_group_by_dim", id)
     nrv = nerve(cover)
-    cover.restricted_to(cover.base)
     assert sorts == []
     assert verify_good_cover(cover, nrv).ok
     inters = {id(w.simplices) for w in nrv.intersection_of.values()}
@@ -325,26 +316,42 @@ def test_nerve_sorts_no_intersection(monkeypatch):
     assert sorts == []
 
 
-def test_packages_on_one_cover_share_the_restricted_nerve(torus_gerbe):
-    """Two packages on one cover restrict through one kept cover and nerve."""
-    pkg, torus, _ = torus_gerbe
-    edge = torus.simplices_of_dim(1)[0]
-    other = add_global_datum(pkg, Cochain(torus, 1, QQ, {edge: 1}))
-    first, second = restrict_package(pkg, torus), restrict_package(other, torus)
-    assert second.nerve is first.nerve and second.cover is first.cover
-    assert second.layers[0] != first.layers[0]
+@pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(2, 7)])
+def test_holonomy_needs_no_good_cover_on_v(t):
+    """Two arcs of the 8-cycle meet in two disjoint edges, so their cover is
+    not good and the trivialization route refuses it.  A valid package on
+    it with c = t on the nerve edge (crossed once each way by the cycle)
+    and a seeded non-exact layer a has holonomy <a, z> mod 1, by default,
+    under 3 shuffles and after a global datum."""
+    rng = random.Random(7)
+    edges = [(i, i + 1) for i in range(7)] + [(0, 7)]
+    a = {e: Fraction(rng.randint(-5, 5), rng.randint(2, 9)) for e in edges}
+    pkg, base, z = two_arc_circle(t, a)
+    want = CircleElement(pair(Cochain(base, 1, QQ, a), z))
+    assert not want.is_zero()
+    with pytest.raises(CoverNotGoodOnV, match="restricted cover is not good"):
+        deligne_oracle.restrict(pkg, base)
+    f = Cochain(base, 0, QQ, {(v,): Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for v in range(8)})
+    for p in (pkg, add_global_datum(pkg, f)):
+        assert holonomy(p, base, z) == want
+        for trial in range(3):
+            assert holonomy(p, base, z, shuffle=random.Random(trial)) == want
 
 
-def test_cover_not_good_on_v_fails_on_every_call():
-    """The failing goodness report is not kept: every call checks and raises."""
-    disk = validate_complex([(0, 1, 2)])
-    cov = Cover(disk, (disk,))
-    pkg = descent_chain(Cochain(nerve(cov), 1, CIRCLE, {}), cov)
-    rim = validate_complex([(0, 1), (1, 2), (0, 2)], 3)
-    z = Chain(rim, 1, {(0, 1): 1, (1, 2): 1, (0, 2): -1})
-    for _ in range(2):
-        with pytest.raises(CoverNotGoodOnV, match="restricted cover is not good"):
-            holonomy(pkg, rim, z)
+def test_holonomy_around_a_loop_on_a_union_of_two_loops():
+    """V = hexagon x {0} u hexagon x {1} on the torus: the cover cut to V is
+    not good (a piece meets it in two disjoint arcs), yet the gauged 2/7
+    loop bundle has holonomy 2/7 around hexagon x {0}, by default and
+    shuffled."""
+    pkg, _, loop_z = _gauged_torus_circle_bundle(Fraction(2, 7))
+    edges = [(a * 6 + k, b * 6 + k) for a, b in fixtures.hexagon().simplices_of_dim(1) for k in (0, 1)]
+    v = SimplicialComplex(36, downward_closure(edges))
+    z = Chain(v, 1, loop_z.coefficients)
+    with pytest.raises(CoverNotGoodOnV, match="restricted cover is not good"):
+        deligne_oracle.restrict(pkg, v)
+    assert holonomy(pkg, v, z).value == Fraction(2, 7)
+    for trial in range(3):
+        assert holonomy(pkg, v, z, shuffle=random.Random(trial)).value == Fraction(2, 7)
 
 
 def test_is_coboundary_factors_delta_once_for_all_factors(snf_calls):

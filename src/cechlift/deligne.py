@@ -5,8 +5,10 @@ intersection subcomplexes of a cover (verified good by ``descent_chain``);
 the local differential D is the simplicial coboundary and the Cech
 differential delta alternately restricts to deeper intersections.  The
 two commute, and the package equations below are stated without
-auxiliary signs; the re-verification of every equation after
-construction is the sign convention's certificate.
+auxiliary signs.  ``DelignePackage`` checks every equation when it is
+built, so each package that exists satisfies them, and every function
+here trusts the packages it is given; that check is also the sign
+convention's certificate.
 
 The logarithm of a circle value is its canonical rational
 representative in [0, 1), so the Cech coboundary of a lifted
@@ -17,9 +19,10 @@ zero and the top package equation reads delta A^(d-1) = 0.
 Holonomy pairs the layers and the lift with chains of flags of the
 cycle z: Z_0 = sum z(s) [a(s); s] and Z_(k+1) = -h*(bd Z_k), a the piece
 assignment, bd the boundary on the form side and h* the transpose of
-the contraction h.  Its value on a valid package uses no goodness of
-the cover, only the identity delta h + h delta = 1, which holds for any
-assignment:
+the partition-of-unity contraction h, (h x)_t(s) = x_(a(s) t)(s) read
+through the alternating extension.  Its value on a valid package uses
+no goodness of the cover, only the identity delta h + h delta = 1,
+which holds for any assignment:
 
 - Gauge: transposed, the identity gives bd Z_k + delta* Z_(k+1) = 0 for
   every k < d (at k = 0 through bd z = 0).  An exact datum rho at layer
@@ -63,6 +66,7 @@ from .errors import (
     CoverNotGoodOnV,
     DegreeMismatch,
     GroupMismatch,
+    InvalidComplex,
     NoFundamentalCycle,
     NotACocycle,
 )
@@ -276,39 +280,6 @@ def _d(nerve_, q, x):
     return out
 
 
-def _h(x, assign):
-    """The contraction h of a Cech p-level, p >= 1.
-
-    (h x)_t(s) = x_{assign(s) t}(s), read through the alternating
-    extension.  Each nonzero value comes from the one entry x_T(s) with
-    assign(s) in T: t is T without assign(s), and moving assign(s) from
-    position k of T to the front takes k transpositions, so the value is
-    (-1)^k x_T(s).
-    """
-    out = {}
-    for big, loc in x.items():
-        for s, v in loc.items():
-            i = assign[s]
-            if i in big:
-                k = big.index(i)
-                t = big[:k] + big[k + 1 :]
-                dst = out.get(t)
-                if dst is None:
-                    dst = out[t] = {}
-                dst[s] = -v if k & 1 else v
-    return out
-
-
-def _lift(nerve_, c, n):
-    """n times the lift of a circle cocycle: each value's representative
-    in [0, 1), spread over the vertices of its intersection."""
-    out = {}
-    for t, v in c.values.items():
-        rep = v.value.numerator * (n // v.value.denominator)
-        out[t] = dict.fromkeys(nerve_.intersection_of[t].simplices_of_dim(0), rep)
-    return out
-
-
 def _epsilon(nerve_, q, g):
     """The Cech 0-level of the restrictions of a global q-cochain."""
     out = {}
@@ -358,30 +329,11 @@ def _min_piece_assignment(cover, simplices, shuffle=None):
     return assign
 
 
-def cech_homotopy(x, assign):
-    """The partition-of-unity contraction h with delta(h x) + h(delta x) = x.
-
-    (h x)_{i_0..i_{p-1}}(tau) = x_{assign(tau), i_0..i_{p-1}}(tau).
-    """
-    raw = _h(x.num, assign) if x.cech_degree else {}
-    return DoubleCochain._trusted(x.cover, x.nerve, x.cech_degree - 1, x.form_degree, raw, x.den)
-
-
 # ---------------------------------------------------------------------------
 # packages
 # ---------------------------------------------------------------------------
 
-def lift_cocycle(c, cover, nerve_):
-    """The classifying cocycle as locally constant rational 0-forms.
-
-    Each circle value is replaced by its representative in [0, 1),
-    spread over the vertices of its intersection subcomplex.
-    """
-    n = _cocycle_denominator(c)
-    return DoubleCochain._trusted(cover, nerve_, c.degree, 0, _lift(nerve_, c, n), n)
-
-
-@dataclass
+@dataclass(frozen=True)
 class DelignePackage:
     """A classifying circle cocycle with compatible local form layers.
 
@@ -392,7 +344,9 @@ class DelignePackage:
         D A^(q) = delta A^(q-1)       for 0 < q <= d-1
 
     and delta c = 0 in Q/Z; D lift(c) is 0 because the lift is constant
-    on each intersection.  ``validate`` re-checks everything exactly.
+    on each intersection.  The constructor, and so ``dataclasses.replace``
+    too, runs ``validate``, which checks everything exactly: every package
+    that exists is valid, and the frozen fields keep it so.
     """
 
     cover: Cover
@@ -400,6 +354,9 @@ class DelignePackage:
     degree: int
     cocycle: Cochain
     layers: dict
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         d = self.degree
@@ -440,7 +397,8 @@ def descent_chain(c, cover, nerve_=None):
     The cover is verified good first (CoverNotGood reports the bad
     intersections).  Each layer solves its Cech equation through the
     contraction h from D lift(c) = 0, so every layer is zero, built as
-    such.  The package is re-validated, the cocycle law of c first.
+    such.  The package's constructor checks it, the cocycle law of c
+    first.
     """
     nerve_ = nerve_ if nerve_ is not None else nerve(cover)
     d = c.degree
@@ -456,9 +414,7 @@ def descent_chain(c, cover, nerve_=None):
     layers = {
         q: DoubleCochain._trusted(cover, nerve_, q, d - q, {}, 1) for q in range(d - 1, -1, -1)
     }
-    pkg = DelignePackage(cover, nerve_, d, c, layers)
-    pkg.validate()
-    return pkg
+    return DelignePackage(cover, nerve_, d, c, layers)
 
 
 def curvature(pkg):
@@ -499,11 +455,18 @@ def characteristic_form(pkg, power):
 
 
 def pair(x, z):
-    """Evaluate a global rational cochain on a chain: sum of coeff * value."""
+    """Evaluate a global rational cochain on a chain: sum of coeff * value.
+
+    The chain must be supported on simplices of the cochain's carrier (a
+    chain on a larger complex is refused, not read as 0 off the carrier)."""
     if x.group != QQ:
         raise GroupMismatch(f"only a Q cochain pairs with a chain, not a {x.group} one")
     if x.degree != z.degree:
         raise DegreeMismatch("pairing a cochain and chain of different degrees")
+    inside = x.carrier.simplices
+    if not z.coefficients.keys() <= inside:
+        s = next(s for s in z.coefficients if s not in inside)
+        raise InvalidComplex(f"chain supported outside the cochain's carrier at {s}")
     (num,), n = QQ.split(x.values)
     return Fraction(sum(coeff * num.get(s, 0) for s, coeff in z.coefficients.items()), n)
 
@@ -529,9 +492,7 @@ def add_exact_datum(pkg, q0, rho):
     layers = dict(pkg.layers)
     layers[q0] = layers[q0] + form_d(rho)
     layers[q0 + 1] = layers[q0 + 1] + cech_delta(rho)
-    out = DelignePackage(pkg.cover, pkg.nerve, d, pkg.cocycle, layers)
-    out.validate()
-    return out
+    return DelignePackage(pkg.cover, pkg.nerve, d, pkg.cocycle, layers)
 
 
 def add_global_datum(pkg, f):
@@ -545,9 +506,7 @@ def add_global_datum(pkg, f):
     shift = DoubleCochain._trusted(pkg.cover, pkg.nerve, 0, pkg.degree, shift, n)
     layers = dict(pkg.layers)
     layers[0] = layers[0] + shift
-    out = DelignePackage(pkg.cover, pkg.nerve, pkg.degree, pkg.cocycle, layers)
-    out.validate()
-    return out
+    return DelignePackage(pkg.cover, pkg.nerve, pkg.degree, pkg.cocycle, layers)
 
 
 def shift_cocycle(pkg, eta):
@@ -557,9 +516,7 @@ def shift_cocycle(pkg, eta):
     if eta.degree != pkg.degree - 1 or eta.group != CIRCLE:
         raise DegreeMismatch("cocycle shift must be a circle (d-1)-cochain")
     c2 = pkg.cocycle + coboundary(eta)
-    out = DelignePackage(pkg.cover, pkg.nerve, pkg.degree, c2, pkg.layers)
-    out.validate()
-    return out
+    return DelignePackage(pkg.cover, pkg.nerve, pkg.degree, c2, pkg.layers)
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +593,10 @@ def _smith_solve_local_d(inter, q, rhs_local, shuffle=None):
 
 def _flag_step(level, assign):
     """-h*(bd Z) of a level Z = {(nerve simplex t, simplex s): int}, bd the
-    boundary of the form side and h* the transpose of ``_h``: the face f of
-    s without vertex j goes to -(-1)^(j + pos) [T; f], T being t with a(f)
-    inserted at position pos, or to 0 if a(f) is in t.  Keys merge."""
+    boundary of the form side and h* the transpose of the contraction h
+    of the module docstring, a = ``assign``: the face f of s without
+    vertex j goes to -(-1)^(j + pos) [T; f], T being t with a(f) inserted
+    at position pos, or to 0 if a(f) is in t.  Keys merge."""
     out = {}
     for (t, s), w in level.items():
         j = len(s)  # combinations drops vertex j = len(s) - 1, ..., 0 in turn
@@ -656,13 +614,14 @@ def holonomy(pkg, v, z, shuffle=None):
     """Circle-valued holonomy of the package around a closed subcomplex.
 
     ``v`` must be a d-dimensional subcomplex of the base and ``z`` a
-    degree-d cycle on it; the package is re-validated, as only on a valid
-    one is the value free of the choices.  With a the piece assignment on
-    the simplices of ``v``, Z_0 = sum z(s) [a(s); s] and
-    Z_(k+1) = ``_flag_step``(Z_k); the value is (-1)^(d(d-1)/2) times
-    <A^(0..d-1), lift(c); Z_0..Z_d> mod 1 (Gawedzki's flag formula), with
-    no local solve and no goodness of the cover on ``v`` used.  A
-    ``shuffle`` (a ``random.Random``) reorders a only."""
+    degree-d cycle on it.  The package is not checked again: its
+    constructor did, and only on a valid one is the value free of the
+    choices.  With a the piece assignment on the simplices of ``v``,
+    Z_0 = sum z(s) [a(s); s] and Z_(k+1) = ``_flag_step``(Z_k); the value
+    is (-1)^(d(d-1)/2) times <A^(0..d-1), lift(c); Z_0..Z_d> mod 1
+    (Gawedzki's flag formula), with no local solve and no goodness of the
+    cover on ``v`` used.  A ``shuffle`` (a ``random.Random``) reorders a
+    only."""
     d = pkg.degree
     if v.dim != d:
         raise NoFundamentalCycle(f"subcomplex has dimension {v.dim}, expected {d}")
@@ -675,7 +634,6 @@ def holonomy(pkg, v, z, shuffle=None):
         raise NoFundamentalCycle("chain is not a cycle")
     if not v.is_subcomplex_of(pkg.cover.base):
         raise NoFundamentalCycle("restriction target is not a subcomplex of the base")
-    pkg.validate()
     assign = _min_piece_assignment(pkg.cover, v.simplices, shuffle)
     n = _package_denominator(pkg)
     level = {((assign[s],), s): w for s, w in z.coefficients.items()}

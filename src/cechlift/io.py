@@ -542,9 +542,7 @@ def package_from_json(obj):
             _put(values, t, loc, f"package layer {q} block")
         _put(layers, q, deligne.DoubleCochain(cover, nerve_, q, form_degree, values),
              "package layer cech_degree")
-    pkg = deligne.DelignePackage(cover, nerve_, degree, cocycle, layers)
-    pkg.validate()
-    return pkg
+    return deligne.DelignePackage(cover, nerve_, degree, cocycle, layers)
 
 
 # -- result artifacts -----------------------------------------------------------

@@ -696,6 +696,40 @@ BAD_PACKAGE_DEGREES = {
     for command, argv in (("curvature", "curvature flat_bundle.pkg"), ("holonomy", _HOLONOMY))
 }
 
+
+def _bump_gerbe_cocycle(o):
+    """The flat gerbe's classifying cocycle moved on one nerve triangle."""
+    o["cocycle"]["values"][0]["value"] = {"num": 1, "den": 4}
+
+
+def _bumped_arcs():
+    """The two-arc package with its layer-0 cell at the overlap edge (0, 1)
+    of arc 0 moved, so delta A^(0) is not 0 there.  The flat bundle's
+    three arcs meet only in vertices, where no bump of a 1-form shows."""
+    files = _two_arcs()
+    block = next(b for b in files["arcs.pkg"]["layers"][0]["values"] if b["indices"] == [0])
+    cell = next(c for c in block["cochain"] if c["simplex"] == [0, 1])
+    cell["value"] = {"num": cell["value"]["num"] + cell["value"]["den"], "den": cell["value"]["den"]}
+    return files
+
+
+#: Packages that fail a package equation, under ``curvature`` and
+#: ``holonomy``: refused on load, so no report and no ``--out`` file.
+BAD_PACKAGE_EQUATIONS = {
+    f"{case}-{command}": _refused(argv, "NotACocycle", message, files=files)
+    for case, files, message, argvs in (
+        (
+            "layer-bumped", _bumped_arcs(), "top descent equation fails",
+            ("curvature arcs.pkg --out f.cochain", "holonomy arcs.pkg arcs.chn --out h.val"),
+        ),
+        (
+            "cocycle-bumped", {"flat_gerbe.pkg": _bump_gerbe_cocycle}, "classifying cochain is not a cocycle",
+            ("curvature flat_gerbe.pkg --out f.cochain", "holonomy flat_gerbe.pkg torus_cycle.chn --out h.val"),
+        ),
+    )
+    for command, argv in zip(("curvature", "holonomy"), argvs)
+}
+
 #: Files whose closure or pieces would blow up, refused before that step.
 BLOW_UPS = {
     "10-pieces-of-a-12-simplex": _blow_up(_simplex_cover(10, 12), _pieces_refusal(10, 12)),
@@ -749,7 +783,7 @@ def _table(*groups):
 #: the order in which golden files are rewritten.
 CASES = _table(
     FIXTURES, EXAMPLES, USAGE, REFUSED, BAD_FACES, BAD_ALGEBRA, BAD_NUMBERS, BAD_STRUCTURE,
-    EMPTY_TOWERS, BAD_PACKAGE_DEGREES, BLOW_UPS, NERVE_BLOW_UPS, DIGIT_LIMIT,
+    EMPTY_TOWERS, BAD_PACKAGE_DEGREES, BAD_PACKAGE_EQUATIONS, BLOW_UPS, NERVE_BLOW_UPS, DIGIT_LIMIT,
 )
 
 

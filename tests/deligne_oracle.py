@@ -4,8 +4,11 @@
 entry by entry, and ``cech_homotopy`` evaluates the alternating extension
 by sorting each index tuple with its sign; ``descent_chain`` and
 ``validate`` run the package equations on those Fractions.  The library's
-``cechlift.deligne`` runs the same operators on integer numerators over
-one common denominator; both must give equal layers.
+``cechlift.deligne`` runs delta and D on integer numerators over one
+common denominator, and h only transposed, in ``_flag_step``; both must
+give equal layers.  ``validate`` and ``restrict`` read any record with a
+package's fields, so the tests can hand them packages that the library's
+constructor refuses.
 
 ``restrict`` and ``holonomy_trivialization`` are the second route to the
 library's ``holonomy``: restrict a valid package to a subcomplex whose

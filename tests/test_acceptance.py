@@ -28,7 +28,6 @@ from cechlift.deligne import (
     curvature,
     descent_chain,
     holonomy,
-    lift_cocycle,
     pair,
     shift_cocycle,
 )
@@ -54,6 +53,7 @@ from conftest import (
     random_fg_group,
 )
 from cli_cases import CASES, check, run
+from deligne_oracle import lift_cocycle
 
 Z = FgAbelianGroup((0,))
 Z2 = FgAbelianGroup((2,))

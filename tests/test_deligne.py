@@ -1,15 +1,17 @@
 """Descent packages, curvature, characteristic forms, holonomy."""
 
+import dataclasses
 import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cechlift import abelian, deligne, fixtures
+from cechlift import abelian, deligne, fixtures, io
 from cechlift.abelian import CIRCLE, QQ, CircleElement, FgAbelianGroup, GroupElement
 from cechlift.cochains import Cochain, coboundary, cohomology_classes, cup
 from cechlift.complexes import (
@@ -30,13 +32,11 @@ from cechlift.deligne import (
     add_exact_datum,
     add_global_datum,
     cech_delta,
-    cech_homotopy,
     characteristic_form,
     curvature,
     descent_chain,
     form_d,
     holonomy,
-    lift_cocycle,
     pair,
     shift_cocycle,
     _min_piece_assignment,
@@ -45,6 +45,7 @@ from cechlift.errors import (
     CoverNotGood,
     DegreeMismatch,
     GroupMismatch,
+    InvalidComplex,
     NoFundamentalCycle,
     NotACocycle,
 )
@@ -99,21 +100,22 @@ class TestDoubleComplex:
             assert cech_delta(form_d(x)) == form_d(cech_delta(x))
 
     def test_homotopy_identity(self, torus_cover, torus_nerve):
-        # delta(h x) + h(delta x) = x for positive Cech degree
+        # delta(h x) + h(delta x) = x for positive Cech degree, h the
+        # oracle's contraction; the library runs only its transpose
         rng = random.Random(15)
         _, cov = torus_cover
         assign = _min_piece_assignment(cov, cov.base.simplices)
+        h = deligne_oracle.cech_homotopy
         for p, q in ((1, 0), (1, 1), (2, 0)):
             x = random_double(rng, cov, torus_nerve, p, q, lambda: Fraction(rng.randint(-4, 4)))
-            lhs = cech_delta(cech_homotopy(x, assign)) + cech_homotopy(cech_delta(x), assign)
-            assert lhs == x
+            assert cech_delta(h(x, assign)) + h(cech_delta(x), assign) == x
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]))
     def test_unchecked_results_pass_the_checks(self, torus_cover, torus_nerve, seed, bidegree):
-        """Sums, negatives, both differentials and lifted cocycles skip the
-        constructor's checks; the checking constructor takes each result
-        back unchanged."""
+        """Sums, negatives and both differentials skip the constructor's
+        checks; the checking constructor takes each result back
+        unchanged."""
         rng = random.Random(seed)
         _, cov = torus_cover
         p, q = bidegree
@@ -123,10 +125,7 @@ class TestDoubleComplex:
 
         x = random_double(rng, cov, torus_nerve, p, q, value)
         y = random_double(rng, cov, torus_nerve, p, q, value)
-        c = Cochain(torus_nerve, p, CIRCLE, {
-            t: CircleElement(value()) for t in torus_nerve.simplices_of_dim(p) if rng.random() < 0.5
-        })
-        for r in (x + y, x - y, -x, x - x, cech_delta(x), form_d(x), lift_cocycle(c, cov, torus_nerve)):
+        for r in (x + y, x - y, -x, x - x, cech_delta(x), form_d(x)):
             checked = DoubleCochain(cov, torus_nerve, r.cech_degree, r.form_degree, r.values)
             assert r == checked
             assert all(type(v) is Fraction for loc in r.values.values() for v in loc.values())
@@ -295,9 +294,11 @@ class TestChecksRefuse:
             bump = random_double(rng, pkg.cover, pkg.nerve, q, 2 - q, lambda: Fraction(rng.randint(1, 4), 7))
             layers = dict(pkg.layers)
             layers[q] = layers[q] + bump
-            bad = DelignePackage(pkg.cover, pkg.nerve, 2, pkg.cocycle, layers)
+            fields = dict(cover=pkg.cover, nerve=pkg.nerve, degree=2, cocycle=pkg.cocycle, layers=layers)
+            # no invalid package can be built, so the oracle reads a plain record
+            bad = SimpleNamespace(**fields)
             want = _refusal(lambda: deligne_oracle.validate(bad))
-            assert _refusal(bad.validate) == want
+            assert _refusal(lambda: DelignePackage(**fields)) == want
             # the oracle's trivialization route names the fault, not the cover
             assert _refusal(lambda: deligne_oracle.restrict(bad, pkg.cover.base)) == want
             messages.add(want)
@@ -306,7 +307,7 @@ class TestChecksRefuse:
 
 class TestCurvature:
     def test_unglued_bottom_layer_names_the_smallest_clash(self):
-        """An unvalidated package whose D A^(0) disagrees on two overlaps.
+        """A record whose D A^(0) disagrees on two overlaps.
 
         The later piece clashes at the smaller triangle; the error names
         the smallest clash, as a scan of the base in sorted order finds.
@@ -317,7 +318,9 @@ class TestCurvature:
         cov = Cover(base, pieces)
         nrv = nerve(cov)
         layer = DoubleCochain(cov, nrv, 0, 1, {(1,): {(3, 4): 1}, (2,): {(1, 2): 1}})
-        pkg = DelignePackage(cov, nrv, 1, Cochain(nrv, 1, CIRCLE, {}), {0: layer})
+        # its top equation fails, so the constructor would refuse it; the
+        # record is made without it to reach curvature's own glue check
+        pkg = _unchecked(cover=cov, nerve=nrv, degree=1, cocycle=Cochain(nrv, 1, CIRCLE, {}), layers={0: layer})
         bottom = form_d(layer)
         clashes = [
             s
@@ -358,7 +361,7 @@ class TestCurvature:
             z = fixtures.torus_cycle(torus)
             value = pair(f, z)
             assert value.denominator == 1
-            kd = cech_delta(lift_cocycle(c, cov, torus_nerve))
+            kd = cech_delta(deligne_oracle.lift_cocycle(c, cov, torus_nerve))
             kvals = {}
             for s in torus_nerve.simplices_of_dim(2):
                 loc = set(kd.values.get(s, {}).values()) or {Fraction(0)}
@@ -439,6 +442,24 @@ class TestPair:
         z = Chain(hexagon, 0, {(0,): 1})
         with pytest.raises(DegreeMismatch):
             pair(x, z)
+
+    def test_refuses_a_chain_off_the_carrier(self, hexagon, torus_cover):
+        """Edges (0, 6) and (0, 7) of the torus are not edges of the
+        hexagon: the chain is refused, not read as 0 there."""
+        torus, _ = torus_cover
+        x = Cochain(hexagon, 1, abelian.QQ, {(0, 1): Fraction(1, 2)})
+        z = Chain(torus, 1, {(0, 6): 1, (0, 7): 1})
+        with pytest.raises(InvalidComplex) as err:
+            pair(x, z)
+        assert str(err.value) == "chain supported outside the cochain's carrier at (0, 6)"
+
+    def test_a_chain_inside_a_subcomplex_carrier_pairs(self, torus_cover):
+        """A cochain on a subcomplex v pairs with a chain of the base
+        supported in v."""
+        torus, _ = torus_cover
+        v = SimplicialComplex(36, downward_closure([(0, 6), (0, 7)]))
+        x = Cochain(v, 1, abelian.QQ, {(0, 6): Fraction(1, 2), (0, 7): Fraction(1, 3)})
+        assert pair(x, Chain(torus, 1, {(0, 6): 2, (0, 7): -1})) == Fraction(2, 3)
 
     @pytest.mark.parametrize("group", [CIRCLE, Z, FgAbelianGroup((3,))], ids=str)
     def test_refuses_a_cochain_not_over_q(self, hexagon, group):
@@ -683,28 +704,77 @@ class TestHolonomy:
             holonomy(pkg, other, z)
 
     def test_unvalidated_invalid_packages_are_refused(self, torus_cover, torus_nerve, star_gerbe):
-        """A package built directly, never validated, is refused with
-        ``validate``'s message, by default and shuffled: the flag sum is
-        independent of the assignment only on a valid package."""
-        torus, cov = torus_cover
-        z = fixtures.torus_cycle(torus)
+        """A package built directly is refused by its constructor with
+        ``validate``'s message, so ``holonomy``, which checks nothing, sees
+        only valid packages: the flag sum is independent of the assignment
+        only on those."""
+        _, cov = torus_cover
         tri = torus_nerve.simplices_of_dim(2)[0]
         c = Cochain(torus_nerve, 2, CIRCLE, {tri: CircleElement(Fraction(1, 3))})
         zero = {q: DoubleCochain(cov, torus_nerve, q, 2 - q) for q in range(2)}
-        not_a_cocycle = DelignePackage(cov, torus_nerve, 2, c, zero)
         _, pkg = star_gerbe
         rng = random.Random(20)
         layers = dict(pkg.layers)
         layers[1] = layers[1] + random_double(rng, pkg.cover, pkg.nerve, 1, 1, lambda: Fraction(rng.randint(1, 4), 7))
-        broken = DelignePackage(pkg.cover, pkg.nerve, 2, pkg.cocycle, layers)
-        for bad, message in (
-            (not_a_cocycle, "classifying cochain is not a cocycle"),
-            (broken, "top descent equation fails"),
+        for fields, message in (
+            ((cov, torus_nerve, 2, c, zero), "classifying cochain is not a cocycle"),
+            ((pkg.cover, pkg.nerve, 2, pkg.cocycle, layers), "top descent equation fails"),
         ):
-            for shuffle in (None, random.Random(3)):
-                with pytest.raises(NotACocycle) as exc:
-                    holonomy(bad, torus, z, shuffle)
-                assert str(exc.value) == message
+            with pytest.raises(NotACocycle) as exc:
+                DelignePackage(*fields)
+            assert str(exc.value) == message
+
+    def test_holonomy_does_not_check_its_package_again(self, monkeypatch, hexagon):
+        pkg = fixtures.circle_flat_package(Fraction(1, 3))
+        calls = []
+        checked = DelignePackage.validate
+
+        def counted(self):
+            calls.append(self)
+            return checked(self)
+
+        monkeypatch.setattr(DelignePackage, "validate", counted)
+        for shuffle in (None, random.Random(0)):
+            assert holonomy(pkg, hexagon, fixtures.hexagon_cycle(hexagon), shuffle).value == Fraction(1, 3)
+        assert calls == []
+        assert dataclasses.replace(pkg) == pkg and len(calls) == 1
+
+
+def _unchecked(**fields):
+    """A DelignePackage record made without its constructor, so nothing
+    is checked: the only way to hold an invalid package."""
+    pkg = object.__new__(DelignePackage)
+    for name, value in fields.items():
+        object.__setattr__(pkg, name, value)
+    return pkg
+
+
+#: Every way to make a package, from a valid package ``ok`` and an
+#: unchecked record ``bad`` whose classifying cochain is not a cocycle.
+BUILDERS = {
+    "constructor": lambda ok, bad: DelignePackage(bad.cover, bad.nerve, bad.degree, bad.cocycle, bad.layers),
+    "replace": lambda ok, bad: dataclasses.replace(ok, cocycle=bad.cocycle),
+    "descent_chain": lambda ok, bad: descent_chain(bad.cocycle, bad.cover, bad.nerve),
+    "package_from_json": lambda ok, bad: io.package_from_json(io.package_to_json(bad)),
+    "add_exact_datum": lambda ok, bad: add_exact_datum(bad, 0, DoubleCochain(bad.cover, bad.nerve, 0, 1)),
+    "add_global_datum": lambda ok, bad: add_global_datum(bad, Cochain(bad.cover.base, 1, QQ, {})),
+    "shift_cocycle": lambda ok, bad: shift_cocycle(bad, Cochain(bad.nerve, 1, CIRCLE, {})),
+}
+
+
+@pytest.mark.parametrize("build", sorted(BUILDERS))
+def test_every_way_to_a_package_refuses_an_invalid_one(torus_cover, torus_nerve, build):
+    """The constructor, ``dataclasses.replace``, ``descent_chain``,
+    ``io.package_from_json`` and each gauge move refuse a classifying
+    cochain that is not a cocycle, with ``validate``'s message."""
+    _, cov = torus_cover
+    ok = descent_chain(torus_circle_two_cocycle(torus_nerve, Fraction(1, 3)), cov, torus_nerve)
+    tri = torus_nerve.simplices_of_dim(2)[0]
+    c = ok.cocycle + Cochain(torus_nerve, 2, CIRCLE, {tri: CircleElement(Fraction(1, 3))})
+    bad = _unchecked(cover=cov, nerve=torus_nerve, degree=2, cocycle=c, layers=ok.layers)
+    with pytest.raises(NotACocycle) as err:
+        BUILDERS[build](ok, bad)
+    assert str(err.value) == "classifying cochain is not a cocycle"
 
 
 def _oriented_cycle(k, d):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cechlift import cli, fixtures, io
+from cechlift import cli, deligne, fixtures, io
 from cechlift.abelian import CIRCLE, FgAbelianGroup
 from cechlift.cochains import cohomology_classes
 from cechlift.complexes import (
@@ -32,6 +32,7 @@ from cli_cases import (
     BAD_FACES,
     BAD_NUMBERS,
     BAD_PACKAGE_DEGREES,
+    BAD_PACKAGE_EQUATIONS,
     BAD_STRUCTURE,
     BLOW_UPS,
     CASES,
@@ -389,6 +390,26 @@ def test_a_failing_command_prints_no_report_and_writes_no_artifact(tmp_path, cas
 @_cases(BAD_PACKAGE_DEGREES)
 def test_a_package_degree_or_layer_out_of_range_is_a_degree_mismatch(tmp_path, case):
     check_cases(tmp_path, case)
+
+
+@_cases(BAD_PACKAGE_EQUATIONS)
+def test_a_package_that_fails_its_equations_is_refused_on_load(tmp_path, case):
+    check_cases(tmp_path, case)
+
+
+def test_holonomy_checks_its_package_once(tmp_path, monkeypatch):
+    """The package is checked when ``io`` builds it, and not again."""
+    calls = []
+    checked = deligne.DelignePackage.validate
+
+    def counted(self):
+        calls.append(self)
+        return checked(self)
+
+    monkeypatch.setattr(deligne.DelignePackage, "validate", counted)
+    res = cli_cases.run(cli_cases.Case("holonomy flat_bundle.pkg hexcycle.chn"), tmp_path)
+    assert res.code == 0 and res.stdout.endswith("holonomy = 1/3 (mod 1)\n")
+    assert len(calls) == 1
 
 
 def test_a_chain_that_is_not_a_cycle_has_no_holonomy(tmp_path):

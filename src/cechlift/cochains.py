@@ -416,7 +416,7 @@ class GoodnessReport:
 def verify_good_cover(cover, nerve_):
     """Check every non-empty intersection is acyclic over Z in every degree.
 
-    An intersection with a collapse certificate (``collapse()``) is
+    An intersection that collapses to a vertex (``collapses()``) is
     acyclic and costs no Smith call.  Any other one is checked by the
     Smith diagonals of its coboundaries up to dim(base) + 1, read from the
     factorizations W keeps (``factored_coboundary``), which is every
@@ -428,7 +428,7 @@ def verify_good_cover(cover, nerve_):
     max_degree = cover.base.dim + 1
     failures = []
     for s, w in nerve_.intersection_of.items():
-        if w.collapse() is not None:
+        if w.collapses():
             continue
         # reduced H^q(W; Z) = Z^(n_q - rank d_q - rank d_{q-1}) + Z/s for
         # every invariant factor s > 1 of d_{q-1}; d_{-1} is the

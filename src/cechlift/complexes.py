@@ -22,11 +22,11 @@ chain's simplices lie in its complex.
 A complex stores its simplices as a frozenset and groups them by
 dimension, sorted, on the first ``simplices_of_dim``, ``dim`` or
 ``euler_characteristic``; a nerve intersection that is only built is
-never sorted.  The greedy collapse runs on a face graph of integer
-indices (``_collapse_graph``): the simplices in (dimension, tuple)
-order, the facet indices of each, and the count and xor of its coface
-indices.  Each collapse builds its own graph and drops it; only the
-sorted certificate is kept.
+never sorted.  ``collapses`` runs the greedy collapse on a face graph
+of integer indices (``_collapse_graph``): the simplices in (dimension,
+tuple) order, the facet indices of each, and the count and xor of its
+coface indices.  The graph is dropped after the collapse; only the
+answer, whether it reached one vertex, is kept.
 ``nerve`` finds the pieces that meet a nerve simplex's intersection
 through an index of the pieces at each vertex.
 
@@ -91,57 +91,41 @@ def _collapse_graph(complex_):
     return simplices, tuple(faces), count, xor
 
 
-def _greedy_collapse(graph, shuffle=None):
-    """The (free face, coface) pairs of a greedy elementary collapse, or None.
+def _greedy_collapse(graph):
+    """Whether a greedy elementary collapse reaches a single vertex.
 
-    Runs on a ``_collapse_graph``.  Simplices are tried in (dimension,
-    tuple) order, or in the order ``shuffle.shuffle`` makes of it; the
-    smallest free face (a simplex with exactly one remaining proper
-    coface, which is then maximal and one dimension up) is removed with
-    its coface until none is left.  Removing a cell takes it out of the
-    count and the xor of each of its facets, so a free face's coface is
-    its xor, and a removed face has count 0.  The pairs are returned in
-    collapse order when a single vertex remains, and None otherwise.
-    The graph's counts and xors are used up.
+    Runs on a ``_collapse_graph``.  The smallest free face in (dimension,
+    tuple) order (a simplex with exactly one remaining proper coface,
+    which is then maximal and one dimension up) is removed with its
+    coface until none is left.  Removing a cell takes it out of the count
+    and the xor of each of its facets, so a free face's coface is its
+    xor, and a removed face has count 0.  The graph's counts and xors are
+    used up.
     """
     simplices, faces, count, xor = graph
-    n = len(simplices)
-    if shuffle is None:
-        order = rank = range(n)
-    else:
-        order = list(range(n))
-        shuffle.shuffle(order)
-        rank = [0] * n
-        for r, i in enumerate(order):
-            rank[i] = r
-    free = [rank[i] for i in range(n) if count[i] == 1]
-    heapq.heapify(free)
+    # ascending, so already a heap
+    free = [i for i, c in enumerate(count) if c == 1]
     push, pop = heapq.heappush, heapq.heappop
-    pairs = []
+    removed = 0
     while free:
-        sigma = order[pop(free)]
+        sigma = pop(free)
         if count[sigma] != 1:
             continue
         tau = xor[sigma]
-        pairs.append((sigma, tau))
+        removed += 2
         for cell in (tau, sigma):
             for f in faces[cell]:
                 c = count[f] = count[f] - 1
                 xor[f] ^= cell
                 if c == 1:
-                    push(free, rank[f])
-    if n - 2 * len(pairs) != 1:
-        return None
-    return tuple([(simplices[s], simplices[t]) for s, t in pairs])
-
-
-_UNBUILT = object()
+                    push(free, f)
+    return len(simplices) - removed == 1
 
 
 class SimplicialComplex:
     """A downward-closed set of strictly increasing vertex tuples."""
 
-    __slots__ = ("vertex_count", "simplices", "_by_dim", "_factored", "_presented", "_collapse")
+    __slots__ = ("vertex_count", "simplices", "_by_dim", "_factored", "_presented", "_collapses")
 
     def __init__(self, vertex_count, simplices):
         vertex_count = operator.index(vertex_count)
@@ -177,7 +161,7 @@ class SimplicialComplex:
         self._by_dim = None
         self._factored = {}
         self._presented = {}
-        self._collapse = _UNBUILT
+        self._collapses = None
 
     def _dims(self):
         """The simplices grouped by dimension, sorted on first use and kept."""
@@ -192,23 +176,18 @@ class SimplicialComplex:
     def dim(self):
         return max(self._dims(), default=-1)
 
-    def collapse(self, shuffle=None):
-        """A collapse certificate: (free face, coface) pairs down to a vertex.
+    def collapses(self):
+        """Whether the greedy collapse ends at one vertex, which proves the
+        complex acyclic.
 
-        A complex with a certificate is acyclic, and the pairs read in
-        reverse are a chain contraction.  None when the greedy collapse
-        stops early, which a complex that is not acyclic always does and
-        an acyclic one (the dunce hat) may.  Each collapse runs on a face
-        graph (``_collapse_graph``) built for it and dropped after.  The
-        certificate of the sorted order is built on first use and kept.  A
-        ``shuffle`` (a ``random.Random``) reorders the free faces of a
-        fresh certificate, which is not kept.
+        False when the collapse stops early, which a complex that is not
+        acyclic always does and an acyclic one (the dunce hat) may.  The
+        collapse runs on a face graph (``_collapse_graph``) built for it
+        and dropped after; the answer is kept.
         """
-        if shuffle is not None:
-            return _greedy_collapse(_collapse_graph(self), shuffle)
-        if self._collapse is _UNBUILT:
-            self._collapse = _greedy_collapse(_collapse_graph(self))
-        return self._collapse
+        if self._collapses is None:
+            self._collapses = _greedy_collapse(_collapse_graph(self))
+        return self._collapses
 
     def euler_characteristic(self):
         return sum((-1) ** d * len(v) for d, v in self._dims().items())

@@ -51,19 +51,19 @@ from __future__ import annotations
 
 import numbers
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from operator import index
+from types import MappingProxyType
 
-from . import abelian
 from .abelian import CIRCLE, CircleElement, QQ
 from .cochains import Cochain, _face_sums, coboundary, cup, verify_good_cover
 from .complexes import Cover, Nerve, chain_boundary, nerve
 from .errors import (
     CoverNotGood,
-    CoverNotGoodOnV,
     DegreeMismatch,
     GroupMismatch,
     InvalidComplex,
@@ -136,10 +136,6 @@ class DoubleCochain:
         """``{nerve simplex: {simplex: Fraction}}``, without zero entries."""
         n = self.den
         return {t: {s: Fraction(v, n) for s, v in loc.items()} for t, loc in self.num.items()}
-
-    def local(self, t):
-        n = self.den
-        return {s: Fraction(v, n) for s, v in self.num.get(tuple(t), {}).items()}
 
     def _over(self, n):
         """The numerators over n, a multiple of den."""
@@ -346,16 +342,19 @@ class DelignePackage:
     and delta c = 0 in Q/Z; D lift(c) is 0 because the lift is constant
     on each intersection.  The constructor, and so ``dataclasses.replace``
     too, runs ``validate``, which checks everything exactly: every package
-    that exists is valid, and the frozen fields keep it so.
+    that exists is valid, and the frozen fields keep it so.  ``layers``
+    is stored as a read-only view of a copy of the mapping given; the
+    inner maps of the cocycle and the layers are immutable by contract.
     """
 
     cover: Cover
     nerve: Nerve
     degree: int
     cocycle: Cochain
-    layers: dict
+    layers: Mapping
 
     def __post_init__(self):
+        object.__setattr__(self, "layers", MappingProxyType(dict(self.layers)))
         self.validate()
 
     def validate(self):
@@ -365,6 +364,11 @@ class DelignePackage:
         for q in self.layers:
             if q not in range(d):
                 raise DegreeMismatch(f"layer {q} is outside 0..{d - 1}")
+        nrv = self.nerve
+        if not _same(nrv.cover, self.cover):
+            raise GroupMismatch("nerve is not the nerve of the package's cover")
+        if not _same(self.cocycle.carrier, nrv):
+            raise GroupMismatch("classifying cocycle is not on the package's nerve")
         if self.cocycle.degree != d or self.cocycle.group != CIRCLE:
             raise NotACocycle("classifying cocycle has the wrong shape")
         if not coboundary(self.cocycle).is_zero():
@@ -373,8 +377,9 @@ class DelignePackage:
             layer = self.layers.get(q)
             if layer is None or layer.cech_degree != q or layer.form_degree != d - q:
                 raise DegreeMismatch(f"layer {q} missing or of wrong bidegree")
+            if not (_same(layer.cover, self.cover) and _same(layer.nerve, nrv)):
+                raise GroupMismatch(f"layer {q} is not on the package's cover and nerve")
         n = lcm(*(self.layers[q].den for q in range(d)))
-        nrv = self.nerve
         layers = {q: self.layers[q]._over(n) for q in range(d)}
         # D lift(c) = 0: the lift is constant on each intersection
         if _delta(nrv, d - 1, layers[d - 1]):
@@ -383,6 +388,11 @@ class DelignePackage:
             if _d(nrv, d - q, layers[q]) != _delta(nrv, q - 1, layers[q - 1]):
                 raise NotACocycle(f"middle descent equation fails at layer {q}")
         return True
+
+
+def _same(a, b):
+    """a is b, or failing that a == b (a cover or a complex)."""
+    return a is b or a == b
 
 
 def _not_good(what, report):
@@ -520,76 +530,8 @@ def shift_cocycle(pkg, eta):
 
 
 # ---------------------------------------------------------------------------
-# local solves and holonomy
+# holonomy
 # ---------------------------------------------------------------------------
-
-def _solve_local_d(inter, q, rhs_local, shuffle=None):
-    """Solve D v = rhs exactly on an acyclic intersection, v of form degree q.
-
-    An empty right side is solved by 0, with no certificate, Smith call or
-    draw from ``shuffle``.  With a collapse certificate the solve is a
-    back-substitution over the pairs (q-simplex s, (q+1)-simplex t) in
-    reverse collapse order: v(s) = [t:s] (rhs(t) - the other faces' terms
-    of t), 0 on every other q-simplex; ints give ints, Fractions Fractions.
-    Without one, Smith over Q.  A ``shuffle`` reorders the free faces (or
-    adds a seeded kernel vector to the Smith solution): another exact
-    solution, with the same trivialization value."""
-    if not rhs_local:
-        return {}
-    pairs = inter.collapse(shuffle)
-    if pairs is None:
-        return _smith_solve_local_d(inter, q, rhs_local, shuffle)
-    v = {}
-    paired = set()
-    for s, t in reversed(pairs):
-        if len(s) == q + 1:
-            paired.add(t)
-            # v(s) is still unset, so the face sum runs over the other faces
-            acc = rhs_local.get(t, 0) - _face_sum(v, t)
-            j = next((k for k, x in enumerate(s) if x != t[k]), len(s))
-            if acc:
-                v[s] = acc if j % 2 == 0 else -acc
-    for t in inter.simplices_of_dim(q + 1):
-        if t not in paired and _face_sum(v, t) != rhs_local.get(t, 0):
-            raise CoverNotGoodOnV("local solve failed on a supposedly acyclic piece")
-    return v
-
-
-def _face_sum(v, t):
-    """(D v)(t) = sum of [t:r] v(r) over the faces r of t, v a local cochain."""
-    total = 0
-    for j in range(len(t)):
-        x = v.get(t[:j] + t[j + 1 :])
-        if x:
-            total += x if j % 2 == 0 else -x
-    return total
-
-
-def _smith_solve_local_d(inter, q, rhs_local, shuffle=None):
-    """Solve D v = rhs by Smith over Q on the intersection's kept
-    factorization of D (``factored_coboundary``), on numerators over one
-    denominator.  A good intersection is acyclic over Z, so an int right
-    side has an int solution (anything else is refused); a Fraction one
-    gets Fractions.  A ``shuffle`` adds V y, y seeded on the free
-    positions, whose columns of V span the kernel of D."""
-    simps = inter.simplices_of_dim(q)
-    fac = inter.factored_coboundary(q)
-    (num,), den = QQ.split(rhs_local)
-    b = [num.get(s, 0) for s in inter.simplices_of_dim(q + 1)]
-    sol = abelian._back_substitute(fac, b, "Q", den)
-    if sol is None:
-        raise CoverNotGoodOnV("local solve failed on a supposedly acyclic piece")
-    x, n = sol
-    if shuffle is not None:
-        r = len(fac.diag)
-        y = [0] * r + [shuffle.randint(-2, 2) for _ in range(len(simps) - r)]
-        x = [xi + n * k for xi, k in zip(x, fac.v_times(y))]
-    if any(type(v) is not int for v in rhs_local.values()):
-        return QQ.join([dict(zip(simps, x))], n)
-    if any(xi % n for xi in x):
-        raise CoverNotGoodOnV("local solve over Q is not integral on a supposedly acyclic piece")
-    return {s: xi // n for s, xi in zip(simps, x) if xi}
-
 
 def _flag_step(level, assign):
     """-h*(bd Z) of a level Z = {(nerve simplex t, simplex s): int}, bd the

@@ -62,10 +62,6 @@ class CoverNotGood(CechliftError):
     pass
 
 
-class CoverNotGoodOnV(CechliftError):
-    pass
-
-
 class NoFundamentalCycle(CechliftError):
     pass
 

@@ -13,12 +13,15 @@ constructor refuses.
 ``restrict`` and ``holonomy_trivialization`` are the second route to the
 library's ``holonomy``: restrict a valid package to a subcomplex whose
 restricted cover is good, solve D v^(q) = A^(q) - delta v^(q-1) on each
-acyclic intersection, and collapse the residual lift(c) - delta v^(d-1)
-through h to a global d-cochain, checking every collapse residue
-integral; its pairing with a cycle is the holonomy mod 1.  Results are
-built through the validating constructors, which take these Fractions.
-The local solve ``_solve_local_d`` and the piece assignment are shared:
-they do not depend on the number type.
+acyclic intersection (``solve_local_d``), and collapse the residual
+lift(c) - delta v^(d-1) through h to a global d-cochain, checking every
+collapse residue integral; its pairing with a cycle is the holonomy mod
+1.  Results are built through the validating constructors, which take
+these Fractions.  The local solve and the piece assignment are the
+oracle's own: the solve back-substitutes over the pairs of
+``collapse_oracle.greedy_collapse`` and falls back to ``abelian.solve``,
+and the assignment scans the pieces, so nothing of the library's flag
+sum is shared with the route that checks it.
 """
 
 from __future__ import annotations
@@ -26,26 +29,81 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from cechlift import abelian
 from cechlift.abelian import CIRCLE, QQ
 from cechlift.cochains import Cochain, _perm_sign_and_sort, coboundary, verify_good_cover
 from cechlift.complexes import Cover, SimplicialComplex, nerve
-from cechlift.deligne import (
-    DelignePackage,
-    DoubleCochain,
-    _min_piece_assignment,
-    _not_good,
-    _solve_local_d,
-)
-from cechlift.errors import CoverNotGood, CoverNotGoodOnV, DegreeMismatch, NoFundamentalCycle, NotACocycle
+from cechlift.deligne import DelignePackage, DoubleCochain, _not_good
+from cechlift.errors import CoverNotGood, DegreeMismatch, NoFundamentalCycle, NotACocycle
+
+import collapse_oracle
 
 
 def _face_sum(v, t):
-    total = Fraction(0)
+    """(D v)(t) = sum of [t:r] v(r) over the faces r of t: an int on ints."""
+    total = 0
     for j in range(len(t)):
         x = v.get(t[:j] + t[j + 1 :])
         if x:
             total += x if j % 2 == 0 else -x
     return total
+
+
+def piece_assignment(cover, simplices, shuffle=None):
+    """Each of the simplices goes to the first piece in order that holds
+    it: the smallest index, or the first of the order ``shuffle.shuffle``
+    makes."""
+    order = list(range(len(cover.pieces)))
+    if shuffle is not None:
+        shuffle.shuffle(order)
+    assign = {}
+    for s in simplices:
+        for i in order:
+            if cover.pieces[i].has_simplex(s):
+                assign[s] = i
+                break
+    return assign
+
+
+def solve_local_d(inter, q, rhs, shuffle=None):
+    """Solve D v = rhs exactly on an acyclic complex, v of form degree q.
+
+    A zero right side is solved by 0.  Otherwise the pairs (s, t) of
+    ``collapse_oracle.greedy_collapse`` (in the order ``shuffle`` makes)
+    are read in reverse: v(s) = [t:s] (rhs(t) - the other faces' terms of
+    t) for s of degree q, and v = 0 on every other q-simplex.  Where the
+    collapse stops early (the dunce hat), ``abelian.solve`` over Q.  Ints
+    give ints: an int right side whose solution over Q is not integral is
+    refused, as on RP^2.
+    """
+    if not rhs:
+        return {}
+    pairs = collapse_oracle.greedy_collapse(inter, shuffle)
+    if pairs is None:
+        simps = inter.simplices_of_dim(q)
+        b = [rhs.get(t, 0) for t in inter.simplices_of_dim(q + 1)]
+        x = abelian.solve(inter.coboundary_matrix(q), b, "Q", len(simps))
+        if x is None:
+            raise CoverNotGood("local solve failed on a supposedly acyclic piece")
+        if all(type(v) is int for v in rhs.values()):
+            if any(xi.denominator != 1 for xi in x):
+                raise CoverNotGood("local solve over Q is not integral on a supposedly acyclic piece")
+            x = [xi.numerator for xi in x]
+        return {s: xi for s, xi in zip(simps, x) if xi}
+    v = {}
+    paired = set()
+    for s, t in reversed(pairs):
+        if len(s) == q + 1:
+            paired.add(t)
+            # v(s) is still unset, so the face sum runs over the other faces
+            acc = rhs.get(t, 0) - _face_sum(v, t)
+            j = next((k for k, x in enumerate(s) if x != t[k]), len(s))
+            if acc:
+                v[s] = acc if j % 2 == 0 else -acc
+    for t in inter.simplices_of_dim(q + 1):
+        if t not in paired and _face_sum(v, t) != rhs.get(t, 0):
+            raise CoverNotGood("local solve failed on a supposedly acyclic piece")
+    return v
 
 
 def cech_value(values, indices, s):
@@ -152,7 +210,7 @@ def descent_chain(c, cover, nerve_):
     report = verify_good_cover(cover, nerve_)
     if not report.ok:
         raise CoverNotGood(_not_good("cover", report))
-    assign = _min_piece_assignment(cover, cover.base.simplices)
+    assign = piece_assignment(cover, cover.base.simplices)
     layers = {}
     rhs = form_d(lift_cocycle(c, cover, nerve_))
     for q in range(d - 1, -1, -1):
@@ -175,7 +233,7 @@ def restrict(pkg, v):
     nerve_v = nerve(cover_v)
     report = verify_good_cover(cover_v, nerve_v)
     if not report.ok:
-        raise CoverNotGoodOnV(_not_good("restricted cover", report))
+        raise CoverNotGood(_not_good("restricted cover", report))
     cocycle = Cochain(nerve_v, pkg.degree, CIRCLE, {
         t: x for t, x in pkg.cocycle.values.items() if t in nerve_v.simplices
     })
@@ -237,10 +295,11 @@ def holonomy_trivialization(pkg, shuffle=None):
         defect = pkg.layers[q]
         if prev is not None:
             defect = defect - cech_delta(prev)
+        values = defect.values
         out = {}
         for t in pkg.nerve.simplices_of_dim(q):
             inter = pkg.nerve.intersection_of[t]
-            local = _solve_local_d(inter, d - q - 1, defect.local(t), shuffle)
+            local = solve_local_d(inter, d - q - 1, values.get(t, {}), shuffle)
             if local:
                 out[t] = local
         prev = DoubleCochain(pkg.cover, pkg.nerve, q, d - q - 1, out)
@@ -248,7 +307,7 @@ def holonomy_trivialization(pkg, shuffle=None):
     residual = lift_cocycle(pkg.cocycle, pkg.cover, pkg.nerve) - cech_delta(potentials[d - 1])
     if not form_d(residual).is_zero():
         raise NotACocycle("holonomy residual is not locally constant")
-    assign = _min_piece_assignment(pkg.cover, pkg.cover.base.simplices, shuffle)
+    assign = piece_assignment(pkg.cover, pkg.cover.base.simplices, shuffle)
     current = residual
     for p in range(d, 0, -1):
         u = cech_homotopy(current, assign)

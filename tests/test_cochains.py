@@ -17,9 +17,8 @@ from cechlift.cochains import (
     verify_good_cover,
 )
 from cechlift.complexes import Cover, nerve, star_cover, validate_complex
-from cechlift.deligne import _solve_local_d
 from cechlift.errors import (
-    CoverNotGoodOnV,
+    CoverNotGood,
     DegreeMismatch,
     GroupMismatch,
     NoProduct,
@@ -35,6 +34,8 @@ from conftest import (
     random_fg_group,
 )
 import cochain_oracle
+import collapse_oracle
+from deligne_oracle import solve_local_d
 
 Z = FgAbelianGroup((0,))
 Z2 = FgAbelianGroup((2,))
@@ -492,13 +493,15 @@ class TestGoodCover:
 
 
 class TestCollapseFallback:
-    """The dunce hat is acyclic but has no free face, so it never collapses."""
+    """The dunce hat is acyclic but has no free face, so it never collapses:
+    goodness falls back to the Smith diagonals, and the oracle's local
+    solve (``deligne_oracle.solve_local_d``) to ``abelian.solve``."""
 
     def test_no_certificate_in_any_order(self):
         k = dunce_hat()
         assert [len(k.simplices_of_dim(d)) for d in range(3)] == [8, 24, 17]
-        assert k.collapse() is None
-        assert k.collapse(random.Random(1)) is None
+        assert k.collapses() is False
+        assert collapse_oracle.greedy_collapse(k, random.Random(1)) is None
 
     def test_goodness_falls_back_to_smith(self):
         k = dunce_hat()
@@ -512,7 +515,7 @@ class TestCollapseFallback:
         x = {s: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for s in k.simplices_of_dim(q)}
         rhs = coboundary(Cochain(k, q, QQ, x)).values
         for shuffle in (None, random.Random(2)):
-            v = _solve_local_d(k, q, rhs, shuffle)
+            v = solve_local_d(k, q, rhs, shuffle)
             assert coboundary(Cochain(k, q, QQ, v)).values == rhs
 
     @pytest.mark.parametrize("q", [0, 1])
@@ -524,8 +527,8 @@ class TestCollapseFallback:
         rhs = {s: v.numerator for s, v in coboundary(Cochain(k, q, QQ, x)).values.items()}
         assert rhs and all(type(v) is int for v in rhs.values())
         for seed in (None, 2):
-            v = _solve_local_d(k, q, rhs, None if seed is None else random.Random(seed))
-            want = _solve_local_d(
+            v = solve_local_d(k, q, rhs, None if seed is None else random.Random(seed))
+            want = solve_local_d(
                 k, q, {s: Fraction(b) for s, b in rhs.items()}, None if seed is None else random.Random(seed)
             )
             assert all(type(c) is int for c in v.values())
@@ -534,8 +537,9 @@ class TestCollapseFallback:
 
     def test_integer_solve_is_refused_where_only_q_solves(self, rp2):
         """RP^2 is acyclic over Q but not over Z: one triangle is a rational
-        coboundary and not an integral one, so its int solve is refused."""
+        coboundary and not an integral one, so the oracle's int solve
+        refuses it."""
         tri = rp2.simplices_of_dim(2)[0]
-        assert _solve_local_d(rp2, 1, {tri: Fraction(1)}) != {}
-        with pytest.raises(CoverNotGoodOnV, match="not integral"):
-            _solve_local_d(rp2, 1, {tri: 1})
+        assert solve_local_d(rp2, 1, {tri: Fraction(1)}) != {}
+        with pytest.raises(CoverNotGood, match="not integral"):
+            solve_local_d(rp2, 1, {tri: 1})

@@ -117,9 +117,9 @@ class TestNerve:
 
     def test_collapse_of_nerves(self, circle_cover):
         # the three-arc nerve is a hollow triangle: no collapse
-        assert nerve(circle_cover).collapse() is None
+        assert nerve(circle_cover).collapses() is False
         k = validate_complex([(0, 1, 2)])
-        assert nerve(Cover(k, (k,))).collapse() == ()
+        assert nerve(Cover(k, (k,))).collapses() is True
 
     def test_nerve_without_its_vertices_is_refused(self, circle_cover):
         edge = circle_cover.pieces[0]

@@ -51,6 +51,7 @@ from cechlift.errors import (
 )
 
 import deligne_oracle
+from conftest import two_arc_circle
 
 Z = FgAbelianGroup((0,))
 
@@ -73,20 +74,6 @@ def random_double(rng, cov, nrv, p, q, value):
     return DoubleCochain(cov, nrv, p, q, values)
 
 
-def scan_piece_assignment(cover, simplices, shuffle=None):
-    """Oracle: each of the simplices goes to the first piece in order that holds it."""
-    order = list(range(len(cover.pieces)))
-    if shuffle is not None:
-        shuffle.shuffle(order)
-    assign = {}
-    for s in simplices:
-        for i in order:
-            if cover.pieces[i].has_simplex(s):
-                assign[s] = i
-                break
-    return assign
-
-
 class TestDoubleComplex:
     def test_differentials_commute_and_square_to_zero(self, torus_cover, torus_nerve):
         rng = random.Random(14)
@@ -104,7 +91,7 @@ class TestDoubleComplex:
         # oracle's contraction; the library runs only its transpose
         rng = random.Random(15)
         _, cov = torus_cover
-        assign = _min_piece_assignment(cov, cov.base.simplices)
+        assign = deligne_oracle.piece_assignment(cov, cov.base.simplices)
         h = deligne_oracle.cech_homotopy
         for p, q in ((1, 0), (1, 1), (2, 0)):
             x = random_double(rng, cov, torus_nerve, p, q, lambda: Fraction(rng.randint(-4, 4)))
@@ -154,10 +141,11 @@ class TestDoubleComplex:
         # the base, half of it, and one top simplex, smaller than a piece
         for simplices in (cov.base.simplices, downward_closure(tops[::2]), downward_closure(tops[:1])):
             got = _min_piece_assignment(cov, simplices)
-            assert {s: got[s] for s in simplices} == scan_piece_assignment(cov, simplices)
+            assert {s: got[s] for s in simplices} == deligne_oracle.piece_assignment(cov, simplices)
             for trial in range(20):
                 got = _min_piece_assignment(cov, simplices, random.Random(trial))
-                assert {s: got[s] for s in simplices} == scan_piece_assignment(cov, simplices, random.Random(trial))
+                want = deligne_oracle.piece_assignment(cov, simplices, random.Random(trial))
+                assert {s: got[s] for s in simplices} == want
 
 
 class TestDescent:
@@ -325,7 +313,7 @@ class TestCurvature:
         clashes = [
             s
             for s in base.simplices_of_dim(2)
-            if len({bottom.local((i,)).get(s, 0) for i, p in enumerate(pieces) if p.has_simplex(s)}) > 1
+            if len({bottom.values.get((i,), {}).get(s, 0) for i, p in enumerate(pieces) if p.has_simplex(s)}) > 1
         ]
         assert clashes == [(1, 2, 3), (3, 4, 5)]
         with pytest.raises(NotACocycle) as err:
@@ -775,6 +763,66 @@ def test_every_way_to_a_package_refuses_an_invalid_one(torus_cover, torus_nerve,
     with pytest.raises(NotACocycle) as err:
         BUILDERS[build](ok, bad)
     assert str(err.value) == "classifying cochain is not a cocycle"
+
+
+def _mixed_packages():
+    """Packages whose parts come from two covers: the three-arc circle
+    bundle 1/3 and the torus gerbe 1/3."""
+    circle = fixtures.circle_flat_package(Fraction(1, 3))
+    gerbe = fixtures.torus_flat_gerbe(Fraction(1, 3))
+    cov, nrv = circle.cover, circle.nerve
+    return {
+        "nerve": (
+            lambda: DelignePackage(cov, gerbe.nerve, 1, circle.cocycle, circle.layers),
+            "nerve is not the nerve of the package's cover",
+        ),
+        "layer": (
+            lambda: DelignePackage(
+                cov, nrv, 1, circle.cocycle, {0: DoubleCochain(gerbe.cover, gerbe.nerve, 0, 1, {(0,): {(0, 6): 1}})}
+            ),
+            "layer 0 is not on the package's cover and nerve",
+        ),
+        "cocycle": (
+            lambda: DelignePackage(
+                cov, nrv, 2, gerbe.cocycle, {0: DoubleCochain(cov, nrv, 0, 2), 1: DoubleCochain(cov, nrv, 1, 1)}
+            ),
+            "classifying cocycle is not on the package's nerve",
+        ),
+    }
+
+
+@pytest.mark.parametrize("part", ["nerve", "layer", "cocycle"])
+def test_a_package_of_parts_from_different_covers_is_refused(part):
+    """The nerve must be the nerve of the package's cover, the cocycle live
+    on that nerve and every layer on that cover and nerve; a part from the
+    torus in a circle package is refused, naming the part."""
+    build, message = _mixed_packages()[part]
+    with pytest.raises(GroupMismatch) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_a_package_is_not_edited_in_place():
+    """``layers`` is a read-only copy: item assignment raises, and neither
+    it nor an edit of the mapping the package was built from changes the
+    package.  The layer bumped by 1/2 at the overlap edge (0, 1) of piece
+    0 is refused by the constructor; the package keeps its holonomy, the
+    layer's 1/5 on the edge (2, 3)."""
+    pkg, base, z = two_arc_circle(Fraction(1, 3), {(2, 3): Fraction(1, 5)})
+    layer = pkg.layers[0]
+    bumped = layer + DoubleCochain(pkg.cover, pkg.nerve, 0, 1, {(0,): {(0, 1): Fraction(1, 2)}})
+    with pytest.raises(NotACocycle, match="top descent equation fails"):
+        dataclasses.replace(pkg, layers={0: bumped})
+    with pytest.raises(TypeError):
+        pkg.layers[0] = bumped
+    given = {0: layer}
+    built = DelignePackage(pkg.cover, pkg.nerve, 1, pkg.cocycle, given)
+    given[0] = bumped
+    for p in (pkg, built):
+        assert p.layers[0] is layer and dict(p.layers) == {0: layer} and sorted(p.layers) == [0]
+        assert p.layers == {0: layer} and p == pkg
+        for shuffle in (None, random.Random(0), random.Random(1)):
+            assert holonomy(p, base, z, shuffle).value == Fraction(1, 5)
 
 
 def _oriented_cycle(k, d):

@@ -20,7 +20,6 @@ from cechlift import abelian, cochains, complexes, fixtures, kernels, tower
 from cechlift.abelian import CIRCLE, QQ, CircleElement, FgAbelianGroup, Homomorphism, ShortExactSequence
 from cechlift.cochains import (
     Cochain,
-    _face_sums,
     coboundary,
     cohomology_classes,
     is_coboundary,
@@ -36,17 +35,16 @@ from cechlift.complexes import (
     star_cover,
 )
 from cechlift.deligne import (
-    _solve_local_d,
     add_global_datum,
     descent_chain,
     holonomy,
     pair,
 )
-from cechlift.errors import CoverNotGoodOnV, NotACocycle
+from cechlift.errors import CoverNotGood, NotACocycle
 
 import deligne_oracle
 from conftest import dunce_hat, random_cochain, two_arc_circle
-from snf_oracle import dense, sparse
+from snf_oracle import sparse
 from cli_cases import CASES, check, check_cases, run
 from test_properties import COEFFICIENTS, _torus_loop
 from test_properties import complexes as small_complexes
@@ -136,38 +134,6 @@ def test_goodness_keeps_the_local_factorizations(snf_calls):
     for _ in range(2):
         assert verify_good_cover(cov, nrv).ok
     assert snf_calls == []
-
-
-def test_local_solve_without_a_certificate_reads_the_kept_factorization(snf_calls):
-    """The dunce hat has no collapse certificate, so D v = rhs on it is
-    solved by Smith on the factorization goodness kept: unshuffled, with
-    the solution of a fresh ``abelian.solve``; shuffled, with that
-    solution plus a seeded kernel vector, so the seeds pick solutions
-    other than the unshuffled one and no Smith call is made."""
-    k = dunce_hat()
-    cov = Cover(k, (k,))
-    nrv = nerve(cov)
-    assert verify_good_cover(cov, nrv).ok
-    inter = nrv.intersection_of[(0,)]
-    rng = random.Random(4)
-    for q in (0, 1):
-        rows = inter.coboundary_matrix(q)
-        simps = inter.simplices_of_dim(q)
-        v = [rng.randint(-3, 3) for _ in simps]
-        b = abelian.mat_vec(dense(rows, len(simps)), v)
-        rhs = {t: x for t, x in zip(inter.simplices_of_dim(q + 1), b) if x}
-        del snf_calls[:]
-        got = _solve_local_d(inter, q, rhs)
-        assert snf_calls == []
-        want = abelian.solve(rows, b, "Q", len(simps))
-        assert got == {s: x.numerator for s, x in zip(simps, want) if x}
-        del snf_calls[:]
-        shuffled = [_solve_local_d(inter, q, rhs, random.Random(seed)) for seed in range(4)]
-        assert snf_calls == []
-        for sol in shuffled:
-            assert _face_sums(inter.simplices_of_dim(q + 1), sol) == rhs
-            assert all(type(x) is int for x in sol.values())
-        assert any(sol != got for sol in shuffled)
 
 
 @pytest.mark.parametrize(
@@ -286,18 +252,17 @@ def test_a_second_shuffled_holonomy_builds_no_face_graph(monkeypatch):
 
 
 def test_goodness_and_the_sorted_certificate_keep_no_face_graph(monkeypatch):
-    """An unshuffled collapse builds the face graph once and keeps only
-    the certificate, so a second goodness check and collapse build no
-    graph."""
+    """A collapse builds the face graph once and keeps only its answer, so
+    a second goodness check and ``collapses`` build no graph."""
     cov = fixtures.torus_product()[1]
     nrv = nerve(cov)
     graphs = _record_calls(monkeypatch, complexes, "_collapse_graph")
     assert verify_good_cover(cov, nrv).ok
     assert len(graphs) == len(nrv.simplices)
-    assert nrv.collapse() is None
+    assert nrv.collapses() is False
     assert len(graphs) == len(nrv.simplices) + 1
     del graphs[:]
-    assert verify_good_cover(cov, nrv).ok and nrv.collapse() is None
+    assert verify_good_cover(cov, nrv).ok and nrv.collapses() is False
     assert graphs == []
 
 
@@ -329,7 +294,7 @@ def test_holonomy_needs_no_good_cover_on_v(t):
     pkg, base, z = two_arc_circle(t, a)
     want = CircleElement(pair(Cochain(base, 1, QQ, a), z))
     assert not want.is_zero()
-    with pytest.raises(CoverNotGoodOnV, match="restricted cover is not good"):
+    with pytest.raises(CoverNotGood, match="restricted cover is not good"):
         deligne_oracle.restrict(pkg, base)
     f = Cochain(base, 0, QQ, {(v,): Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for v in range(8)})
     for p in (pkg, add_global_datum(pkg, f)):
@@ -347,7 +312,7 @@ def test_holonomy_around_a_loop_on_a_union_of_two_loops():
     edges = [(a * 6 + k, b * 6 + k) for a, b in fixtures.hexagon().simplices_of_dim(1) for k in (0, 1)]
     v = SimplicialComplex(36, downward_closure(edges))
     z = Chain(v, 1, loop_z.coefficients)
-    with pytest.raises(CoverNotGoodOnV, match="restricted cover is not good"):
+    with pytest.raises(CoverNotGood, match="restricted cover is not good"):
         deligne_oracle.restrict(pkg, v)
     assert holonomy(pkg, v, z).value == Fraction(2, 7)
     for trial in range(3):

@@ -22,13 +22,11 @@ without a section twist, the Giraud cocycle and the lift equal the
 per-triangle construction of ``extension_oracle``; a tower run, one
 lift per level, gives the entries and status of the class-first run in
 ``tower_oracle``, with and without witness shifts, and a lift is
-refused exactly when the Giraud class is nonzero.  A collapse certificate of a cover
-intersection implies the invariant factors find it acyclic, and its
-contraction solves D v = rhs exactly; an empty right side is solved by
-zero, on the dunce hat too, with nothing built and no number drawn from
-a shuffle; the collapse on face indices
-returns the pairs of the set-based ``collapse_oracle`` and draws the same
-random numbers.  The nerve of the dual block cover of a complex is that
+refused exactly when the Giraud class is nonzero.  A collapse of a cover
+intersection by the set-based ``collapse_oracle`` implies the invariant
+factors find it acyclic, and the oracle's contraction solves D v = rhs
+exactly; the collapse on face indices collapses exactly the complexes
+that the oracle collapses, sorted or shuffled.  The nerve of the dual block cover of a complex is that
 complex, and the nerve built through the vertex index equals the
 brute-force nerve, key order included; the loader's count of the
 nerve's intersections is the sum of their sizes, and a cover file is
@@ -75,7 +73,6 @@ from cechlift.cochains import (
     verify_good_cover,
 )
 from cechlift.complexes import (
-    _UNBUILT,
     Chain,
     Cover,
     SimplicialComplex,
@@ -95,7 +92,6 @@ from cechlift.deligne import (
     _delta,
     _flag_step,
     _min_piece_assignment,
-    _solve_local_d,
     add_exact_datum,
     add_global_datum,
     cech_delta,
@@ -894,13 +890,14 @@ def test_goodness_report_equals_the_invariant_factor_check(cover):
 @settings(max_examples=100, deadline=None)
 @given(intersections(), st.integers(0, 10**6), st.booleans())
 def test_a_collapse_certificate_proves_acyclicity_and_solves_exactly(w, seed, shuffled):
-    """(a) A certificate implies the invariant factors find every reduced H^q trivial.
+    """(a) The oracle's collapse pairs imply the invariant factors find
+    every reduced H^q trivial.
 
-    (b) For rhs = D x, x a random rational q-cochain, the contraction
-    solve (of the kept certificate, or of a shuffled one) gives D v = rhs.
+    (b) For rhs = D x, x a random rational q-cochain, the oracle's
+    contraction solve (of the sorted or a shuffled collapse) gives
+    D v = rhs.
     """
-    pairs = w.collapse()
-    if pairs is None:
+    if collapse_oracle.greedy_collapse(w) is None:
         return
     assert connected_component_count(w) == 1
     for q in range(1, w.dim + 2):
@@ -912,24 +909,8 @@ def test_a_collapse_certificate_proves_acyclicity_and_solves_exactly(w, seed, sh
     for q in range(w.dim):
         x = {s: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for s in w.simplices_of_dim(q)}
         rhs = coboundary(Cochain(w, q, QQ, x)).values
-        v = _solve_local_d(w, q, rhs, random.Random(seed) if shuffled else None)
+        v = deligne_oracle.solve_local_d(w, q, rhs, random.Random(seed) if shuffled else None)
         assert coboundary(Cochain(w, q, QQ, v)).values == rhs, q
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(intersections(), st.just(dunce_hat())), st.integers(0, 10**6), st.booleans())
-def test_an_empty_right_side_is_solved_by_zero_drawing_nothing(k, seed, shuffled):
-    """D v = 0 on an acyclic complex, with a collapse certificate or (the
-    dunce hat) without, is solved by v = 0 at once: no certificate, face
-    graph or factorization is built, and a shuffle draws no number."""
-    if k.collapse() is None and k.simplices != dunce_hat().simplices:
-        return
-    w = SimplicialComplex._trusted(k.vertex_count, k.simplices)
-    rng = random.Random(seed)
-    for q in range(w.dim + 1):
-        assert _solve_local_d(w, q, {}, rng if shuffled else None) == {}
-    assert rng.getstate() == random.Random(seed).getstate()
-    assert w._collapse is _UNBUILT and w._factored == {}
 
 
 @settings(max_examples=150, deadline=None)
@@ -940,20 +921,16 @@ def test_an_empty_right_side_is_solved_by_zero_drawing_nothing(k, seed, shuffled
         st.sampled_from([dunce_hat(), fixtures.triangle_boundary(), SimplicialComplex(0, ())]),
     ),
     st.integers(0, 2**32),
-    st.booleans(),
 )
-def test_indexed_collapse_equals_the_set_based_oracle(k, seed, shuffled_first):
-    """The collapse on face indices returns the oracle's pairs, sorted and
-    shuffled, and draws the same numbers from the ``random.Random``; the
-    second shuffled collapse runs on the kept face graph."""
+def test_indexed_collapse_equals_the_set_based_oracle(k, seed):
+    """The collapse on face indices reaches one vertex exactly when the
+    oracle's collapse does, in sorted and in shuffled order, and keeps
+    its answer."""
     w = SimplicialComplex._trusted(k.vertex_count, k.simplices)
-    ours, theirs = random.Random(seed), random.Random(seed)
-    if not shuffled_first:
-        assert w.collapse() == collapse_oracle.greedy_collapse(k)
-    for _ in range(2):
-        assert w.collapse(ours) == collapse_oracle.greedy_collapse(k, theirs)
-        assert ours.getstate() == theirs.getstate()
-    assert w.collapse() == collapse_oracle.greedy_collapse(k)
+    want = collapse_oracle.greedy_collapse(k) is not None
+    assert w.collapses() is want
+    assert (collapse_oracle.greedy_collapse(k, random.Random(seed)) is not None) is want
+    assert w.collapses() is want
 
 
 def brute_force_nerve(cover):
